@@ -4,8 +4,7 @@ from .certificate import (StabilityCertificate, build_certificate, check_gains,
                           choose_mu2, decay_constants, f_of_mu1, g_of_mu1,
                           optimal_mu1, phi_matrix, psi_matrix)
 from .config import RunSettings, initial_profile, parse_config, serialize_config
-from .delay_line import (HistoryLine, ZProfile, delayed_trace, push_trace,
-                         transport_residual, z_profile)
+from .delay_line import HistoryLine, delayed_trace, transport_residual, z_profile
 from .energy import (EnergySample, dissipation_residual, energy,
                      kato_identity_residual, lyapunov)
 from .errors import (BousslabError, CertificationError, ConfigurationError,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import configparser
 import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +29,11 @@ EXIT_CONFIG = 3
 
 
 def _load(args):
-    p, dly, grid, runset = parse_config(args.config)
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read configuration: {exc}") from exc
+    p, dly, grid, runset = parse_config(text)
     if getattr(args, "dt", None) is not None:
         runset = replace(runset, dt=args.dt)
     if getattr(args, "horizon", None) is not None:
@@ -75,8 +79,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
         rng = np.random.default_rng(runset.seed)
         eta0 = initial_profile(runset.eta0, grid.nodes, p.L, rng)
         omega0 = initial_profile(runset.omega0, grid.nodes, p.L, rng)
-        state = initial_state(p, dly, grid, eta0, omega0,
-                              interpolation=runset.interpolation)
+        state = initial_state(p, dly, grid, eta0, omega0)
 
     cfg = StepConfig(dt=runset.dt, theta=runset.resolve_theta(),
                      startup_steps=runset.startup_steps,
@@ -113,7 +116,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
 def cmd_check(args) -> int:
     try:
         p, dly, grid, runset = _load(args)
-    except (ConfigurationError, OSError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     vrep = validate_params(p, dly)
@@ -133,7 +136,7 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         p, dly, grid, runset = _load(args)
-    except (ConfigurationError, OSError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
@@ -190,10 +193,10 @@ def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
 
 def cmd_sweep(args) -> int:
     try:
-        import configparser
+        base_text = Path(args.spec).read_text()
         cp = configparser.ConfigParser()
         cp.optionxform = str
-        cp.read_string(Path(args.spec).read_text())
+        cp.read_string(base_text)
         if not cp.has_section("axes") or not list(cp.items("axes")):
             raise ConfigurationError("sweep spec needs a non-empty [axes] section")
         task = cp.get("sweep", "task", fallback="certify")
@@ -208,17 +211,13 @@ def cmd_sweep(args) -> int:
                 raise ConfigurationError(f"empty axis {name!r}")
             names.append(name)
             value_lists.append(vals)
-        base_text = Path(args.spec).read_text()
         p, dly, grid, runset = parse_config(base_text)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError, configparser.Error) as exc:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    points = list(itertools.product(*value_lists))
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        rows = list(pool.map(
-            lambda vals: _sweep_point(p, dly, grid, runset, names, vals, task),
-            points))
+    rows = [_sweep_point(p, dly, grid, runset, names, vals, task)
+            for vals in itertools.product(*value_lists)]
 
     columns = list(names) + ["admissible", "threshold"]
     if task in ("certify", "both"):
@@ -250,7 +249,7 @@ def cmd_convergence(args) -> int:
 def cmd_optimize_rate(args) -> int:
     try:
         p, dly, grid, runset = _load(args)
-    except (ConfigurationError, OSError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -33,7 +33,6 @@ class RunSettings:
     store_fields: bool = False
     fit_window: float = 0.5
     bound_slack: float = 0.02
-    interpolation: str = "cubic"
 
     def resolve_theta(self) -> float:
         if self.theta == "auto":
@@ -121,17 +120,13 @@ def initial_profile(spec: str, nodes: np.ndarray, L: float,
     raise ConfigurationError(f"unknown initial profile {spec!r}")
 
 
-def parse_config(text_or_path: str
-                 ) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]:
+def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]:
+    """Parse configuration text (not a path: callers read the file)."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # field names are case-sensitive (L, M, T)
     try:
-        if "\n" in text_or_path or "=" in text_or_path:
-            cp.read_string(text_or_path)
-        else:
-            with open(text_or_path) as fh:
-                cp.read_string(fh.read())
-    except (OSError, configparser.Error) as exc:
+        cp.read_string(text)
+    except configparser.Error as exc:
         raise ConfigurationError(f"cannot read configuration: {exc}") from exc
 
     def section(name, builder, special=()):
@@ -155,8 +150,7 @@ def parse_config(text_or_path: str
         if "history" in dly_kwargs:
             dly_kwargs["history"] = _parse_history(dly_kwargs["history"])
         run_kwargs = section("run", RunSettings,
-                             special=("theta", "mu1", "mu2", "eta0", "omega0",
-                                      "interpolation"))
+                             special=("theta", "mu1", "mu2", "eta0", "omega0"))
         for key in ("theta", "mu1", "mu2"):
             if key in run_kwargs and run_kwargs[key] != "auto":
                 run_kwargs[key] = float(run_kwargs[key])

@@ -1,17 +1,14 @@
 """Boundary-trace history and the transport-variable reconstruction.
 
 The delayed feedback needs eta_xx(t - tau(t), L); instead of co-evolving the
-transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a ring
+transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a
 buffer of (time, trace) samples and interpolate.  The transport equation is
 retained as a testable invariant through `transport_residual`.
 """
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConfigurationError, HistoryUnderrunError
 from .params import DelaySpec, tau_at
@@ -20,8 +17,8 @@ from .params import DelaySpec, tau_at
 def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Parabolic (Bessel) slope estimates; linear in the data, unlike the
     monotonicity-limited PCHIP slopes."""
-    dt = np.diff(t)
-    delta = np.diff(v) / dt
+    dt = t[1:] - t[:-1]
+    delta = (v[1:] - v[:-1]) / dt
     m = np.empty_like(v)
     if t.size == 2:
         m[:] = delta[0]
@@ -35,18 +32,18 @@ def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class HistoryLine:
-    """Ring buffer of boundary-trace samples with monotone interpolation.
+    """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
     Sample times are strictly increasing; the span must always cover
-    [t - M - slack, t].  Queries at stored sample times return the stored
-    values exactly (all interpolation modes are interpolatory).  The default
-    "cubic" mode uses parabolic (Bessel) slopes, which are linear in the
-    data so that simulations superpose; "pchip" (monotone, nonlinear in the
-    data) and "linear" are available as guarded options.
+    [t - M - slack, t].  Each sample carries its parabolic (Bessel) slope,
+    so the interpolant is C^1, exact on quadratics and linear in the data,
+    which makes simulations superpose; it is not monotone.  A Bessel slope
+    depends on a sample and its two neighbours only, so appending,
+    overwriting or evicting a sample refreshes the slopes at that end alone.
+    Queries at stored sample times return the stored values exactly.
     """
 
-    def __init__(self, times, values, M: float, slack: float | None = None,
-                 interpolation: str = "cubic"):
+    def __init__(self, times, values, M: float, slack: float | None = None):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if times.shape != values.shape:
@@ -55,89 +52,107 @@ class HistoryLine:
             raise ConfigurationError("need at least two history samples")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("history sample times must be strictly increasing")
-        if interpolation not in ("cubic", "pchip", "linear"):
-            raise ConfigurationError(f"unknown interpolation {interpolation!r}")
         if M <= 0:
             raise ConfigurationError(f"delay upper bound M must be positive, got {M}")
-        self._t = list(map(float, times))
-        self._v = list(map(float, values))
+        n = times.size
+        # rows: time, value, slope; live samples are columns [lo, hi)
+        self._buf = np.empty((3, max(2 * n, 64)))
+        self._buf[:, :n] = times, values, _bessel_slopes(times, values)
+        self._lo, self._hi = 0, n
         self.M = float(M)
         self.slack = float(slack) if slack is not None else 0.25 * float(M)
-        self.interpolation = interpolation
         self._max_gap = float(np.max(np.diff(times)))
-        self._interp = None
 
     @classmethod
-    def from_delay_spec(cls, dly: DelaySpec, interpolation: str = "cubic") -> "HistoryLine":
+    def from_delay_spec(cls, dly: DelaySpec) -> "HistoryLine":
         """Seed the line from the sampled initial history z0 on [-tau(0), 0]."""
-        return cls(dly.history_times(), dly.history, M=dly.M,
-                   interpolation=interpolation)
+        return cls(dly.history_times(), dly.history, M=dly.M)
 
     # -- buffer maintenance -------------------------------------------------
 
     @property
+    def _t(self) -> np.ndarray:
+        return self._buf[0, self._lo:self._hi]
+
+    @property
+    def _v(self) -> np.ndarray:
+        return self._buf[1, self._lo:self._hi]
+
+    @property
+    def _m(self) -> np.ndarray:
+        return self._buf[2, self._lo:self._hi]
+
+    @property
     def t_last(self) -> float:
-        return self._t[-1]
+        return float(self._buf[0, self._hi - 1])
 
     @property
     def t_first(self) -> float:
-        return self._t[0]
+        return float(self._buf[0, self._lo])
 
     @property
     def size(self) -> int:
-        return len(self._t)
+        return self._hi - self._lo
+
+    def _refresh_slopes(self, head: bool) -> None:
+        """Recompute the slopes that depend on the first (head) or last
+        sample after it was added, changed or uncovered by eviction."""
+        t, v, m = self._t, self._v, self._m
+        if t.size <= 3:
+            m[:] = _bessel_slopes(t, v)
+        elif head:
+            m[0] = _bessel_slopes(t[:3], v[:3])[0]
+        else:
+            m[-2:] = _bessel_slopes(t[-3:], v[-3:])[1:]
 
     def push(self, t: float, v: float) -> None:
         """Append a sample; evict samples older than t - M - slack."""
         t = float(t)
-        if t <= self._t[-1]:
+        t_last = self.t_last
+        if t <= t_last:
             raise ConfigurationError(
-                f"non-monotone push: t={t} after t_last={self._t[-1]}")
-        self._max_gap = max(self._max_gap, t - self._t[-1])
-        self._t.append(t)
-        self._v.append(float(v))
+                f"non-monotone push: t={t} after t_last={t_last}")
+        self._max_gap = max(self._max_gap, t - t_last)
+        if self._hi == self._buf.shape[1]:
+            n = self.size
+            buf = np.empty((3, max(self._buf.shape[1], 4 * n)))
+            buf[:, :n] = self._buf[:, self._lo:self._hi]
+            self._buf, self._lo, self._hi = buf, 0, n
+        self._buf[:2, self._hi] = t, v
+        self._hi += 1
+        self._refresh_slopes(head=False)
         cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
-        if self._t[0] < cutoff:
-            k = bisect.bisect_left(self._t, cutoff)
-            if k > 0:
-                del self._t[:k]
-                del self._v[:k]
-        self._interp = None
+        k = int(np.searchsorted(self._t, cutoff))
+        if k > 0:
+            self._lo += k
+            self._refresh_slopes(head=True)
 
     def replace_last(self, v: float) -> None:
         """Overwrite the newest stored value (initial-state compatibility)."""
-        self._v[-1] = float(v)
-        self._interp = None
+        self._buf[1, self._hi - 1] = v
+        self._refresh_slopes(head=False)
 
     # -- queries ------------------------------------------------------------
 
-    def _interpolant(self):
-        if self._interp is None:
-            t = np.asarray(self._t)
-            v = np.asarray(self._v)
-            if self.interpolation == "cubic":
-                self._interp = CubicHermiteSpline(t, v, _bessel_slopes(t, v),
-                                                  extrapolate=False)
-            elif self.interpolation == "pchip":
-                self._interp = PchipInterpolator(t, v, extrapolate=False)
-            else:
-                self._interp = lambda q: np.interp(q, t, v,
-                                                   left=np.nan, right=np.nan)
-        return self._interp
-
     def query(self, t) -> np.ndarray | float:
+        """Interpolated trace at time(s) t, which must lie in the stored span."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self._t[0] - 1e-14) or np.any(t_arr > self._t[-1] + 1e-14):
+        ts, vs, ms = self._t, self._v, self._m
+        lo, hi = t_arr.min(), t_arr.max()
+        if lo < ts[0] - 1e-14 or hi > ts[-1] + 1e-14:
             raise HistoryUnderrunError(
-                f"query in [{t_arr.min()}, {t_arr.max()}] outside stored span "
-                f"[{self._t[0]}, {self._t[-1]}]")
-        out = self._interpolant()(np.clip(t_arr, self._t[0], self._t[-1]))
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else np.asarray(out)
-
-
-def push_trace(h: HistoryLine, t: float, v: float) -> HistoryLine:
-    h.push(t, v)
-    return h
+                f"query in [{lo}, {hi}] outside stored span [{ts[0]}, {ts[-1]}]")
+        q = np.minimum(np.maximum(t_arr, ts[0]), ts[-1])
+        i = np.minimum(np.searchsorted(ts, q, side="right") - 1, ts.size - 2)
+        t0, v0, m0, m1 = ts[i], vs[i], ms[i], ms[i + 1]
+        h = ts[i + 1] - t0
+        slope = (vs[i + 1] - v0) / h
+        c = (m0 + m1 - 2 * slope) / h
+        s = q - t0
+        s2 = s * s
+        # ascending powers, as a piecewise-polynomial evaluator sums them
+        out = v0 + m0 * s + ((slope - m0) / h - c) * s2 + (c / h) * (s2 * s)
+        return float(out) if t_arr.ndim == 0 else out
 
 
 def delayed_trace(h: HistoryLine, dly: DelaySpec, t: float) -> float:
@@ -146,26 +161,12 @@ def delayed_trace(h: HistoryLine, dly: DelaySpec, t: float) -> float:
     return float(h.query(t - tau))
 
 
-class ZProfile:
-    """Samples of z(t, rho) = eta_xx(t - tau(t) rho, L) on a uniform rho grid."""
-
-    def __init__(self, rho_nodes: np.ndarray, values: np.ndarray):
-        self.rho_nodes = rho_nodes
-        self.values = values
-
-    @property
-    def m(self) -> int:
-        return self.rho_nodes.size - 1
-
-
-def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> ZProfile:
-    """values[j] = trace at t - tau(t) * j/m for j = 0..m."""
+def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:
+    """z[j] = trace at t - tau(t) * j/m for j = 0..m (rho_j = j/m)."""
     if m < 1:
         raise ConfigurationError(f"need m >= 1 rho intervals, got {m}")
     tau, _ = tau_at(dly, t)
-    rho = np.linspace(0.0, 1.0, m + 1)
-    vals = h.query(t - tau * rho)
-    return ZProfile(rho, np.asarray(vals, dtype=float))
+    return h.query(t - tau * np.linspace(0.0, 1.0, m + 1))
 
 
 def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
@@ -182,8 +183,8 @@ def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
     zm = z_profile(h, dly, t - dt_fd, m)
     z0 = z_profile(h, dly, t, m)
     drho = 1.0 / m
-    z_t = (zp.values - zm.values) / (2.0 * dt_fd)
-    z_rho = (z0.values[2:] - z0.values[:-2]) / (2.0 * drho)
-    rho_int = z0.rho_nodes[1:-1]
+    z_t = (zp - zm) / (2.0 * dt_fd)
+    z_rho = (z0[2:] - z0[:-2]) / (2.0 * drho)
+    rho_int = np.linspace(0.0, 1.0, m + 1)[1:-1]
     res = tau * z_t[1:-1] + (1.0 - tau_dot * rho_int) * z_rho
     return float(np.max(np.abs(res))) if res.size else 0.0

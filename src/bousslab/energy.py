@@ -34,17 +34,35 @@ def _field_quad(values_sq: np.ndarray, h: float) -> float:
     return h * float(np.sum(values_sq))
 
 
+def _delay_parts(z: np.ndarray, tau: float, beta: float) -> tuple[float, float]:
+    """Delay parts of (E, V2) from the z-profile on rho_j = j/m:
+    |beta|/2 tau int z^2 drho and |beta|/2 tau int (1-rho) z^2 drho."""
+    m = z.size - 1
+    w = 0.5 * abs(beta) * tau
+    z2 = z ** 2
+    rho = np.linspace(0.0, 1.0, m + 1)
+    return (w * float(np.trapezoid(z2, dx=1.0 / m)),
+            w * float(np.trapezoid((1.0 - rho) * z2, dx=1.0 / m)))
+
+
+def _monitors(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid
+              ) -> tuple[float, float, float, np.ndarray | None]:
+    """(E, V1, V2, z) from one z-profile; z is None when beta = 0."""
+    E = 0.5 * _field_quad(s.eta ** 2 + s.omega ** 2, g.h)
+    V1 = g.h * float(np.sum(g.nodes * s.eta * s.omega))
+    if p.beta == 0.0:
+        return E, V1, 0.0, None
+    tau, _ = tau_at(dly, s.t)
+    z = z_profile(s.history, dly, s.t, m)
+    e_delay, V2 = _delay_parts(z, tau, p.beta)
+    return E + e_delay, V1, V2, z
+
+
 def energy(s, p: SystemParams, dly: DelaySpec, m: int = 64,
            grid: Grid | None = None) -> float:
     """E(t) = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho."""
     g = grid if grid is not None else Grid(n=s.eta.shape[0], L=p.L)
-    e_field = 0.5 * _field_quad(s.eta ** 2 + s.omega ** 2, g.h)
-    if p.beta == 0.0:
-        return e_field
-    tau, _ = tau_at(dly, s.t)
-    zp = z_profile(s.history, dly, s.t, m)
-    e_delay = 0.5 * abs(p.beta) * tau * float(np.trapezoid(zp.values ** 2, dx=1.0 / m))
-    return e_field + e_delay
+    return _monitors(s, p, dly, m, g)[0]
 
 
 def lyapunov(s, p: SystemParams, dly: DelaySpec, mu1: float, mu2: float,
@@ -58,31 +76,21 @@ def lyapunov(s, p: SystemParams, dly: DelaySpec, mu1: float, mu2: float,
         raise ConfigurationError(f"mu1 must lie in (0, 1/L), got {mu1}")
     if not (0.0 < mu2 < 1.0):
         raise ConfigurationError(f"mu2 must lie in (0, 1), got {mu2}")
-    V1, V2 = _v1_v2(s, p, dly, m, g)
-    E = energy(s, p, dly, m, g)
+    E, V1, V2, _ = _monitors(s, p, dly, m, g)
     return V1, V2, E - mu1 * V1 + mu2 * V2
-
-
-def _v1_v2(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid) -> tuple[float, float]:
-    V1 = g.h * float(np.sum(g.nodes * s.eta * s.omega))
-    if p.beta == 0.0:
-        return V1, 0.0
-    tau, _ = tau_at(dly, s.t)
-    zp = z_profile(s.history, dly, s.t, m)
-    V2 = 0.5 * abs(p.beta) * tau * float(
-        np.trapezoid((1.0 - zp.rho_nodes) * zp.values ** 2, dx=1.0 / m))
-    return V1, V2
 
 
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
                   mu1: float = 0.0, mu2: float = 0.0) -> EnergySample:
     """Per-step monitor row; mu1 = mu2 = 0 degenerates V to E."""
-    E = energy(s, p, dly, m, g)
-    V1, V2 = _v1_v2(s, p, dly, m, g)
+    E, V1, V2, z = _monitors(s, p, dly, m, g)
     V = E - mu1 * V1 + mu2 * V2
-    tau, _ = tau_at(dly, s.t)
     q1 = trace_eta_xx_L(s.eta, g)
-    q2 = float(s.history.query(s.t - tau))
+    if z is None:
+        tau, _ = tau_at(dly, s.t)
+        q2 = float(s.history.query(s.t - tau))
+    else:
+        q2 = float(z[-1])   # rho = 1 is exactly t - tau
     Phi = phi_matrix(p, dly)
     q = np.array([q1, q2])
     return EnergySample(t=s.t, E=E, V1=V1, V2=V2, V=V,

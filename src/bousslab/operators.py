@@ -135,25 +135,19 @@ class BandedOperator:
 
 @dataclass
 class BoundaryClosure:
-    """Ghost-elimination coefficients and the feedback influence channels.
+    """Feedback influence channels of the ghost elimination.
 
     The ghost values of omega near x = L are
-        ghost_m = omega_right_w[m] . (omega_n, .., omega_{n-3})
-                  + omega_right_gamma[m] * h^2/2 * s(t)
-    with s(t) = alpha*eta_xx(t, L) + beta*eta_xx(t - tau(t), L); the eta side
-    carries the mirrored structure at x = 0 with datum c(t) = eta_xx(t, 0)
-    (zero for the production system).  `omega_s_influence`/`eta_c_influence`
-    are the columns through which unit boundary data enter the combined
-    operator; the delayed trace therefore contributes the boundary source
-    vector  beta * omega_s_influence * z_delayed.
+        ghost_m = w_m . (omega_n, .., omega_{n-3}) + gamma_m * h^2/2 * s(t)
+    (`ghost_weights(3, 4, -m)`) with s(t) = alpha*eta_xx(t, L)
+    + beta*eta_xx(t - tau(t), L); the eta side carries the mirrored
+    structure at x = 0 with datum c(t) = eta_xx(t, 0) (zero for the
+    production system).  `omega_s_influence`/`eta_c_influence` are the
+    columns through which unit boundary data enter the combined operator;
+    the delayed trace therefore contributes the boundary source vector
+    beta * omega_s_influence * z_delayed.
     """
 
-    eta_left_w: dict
-    eta_right_w: dict
-    omega_left_w: dict
-    omega_right_w: dict
-    eta_left_gamma: dict
-    omega_right_gamma: dict
     eta_c_influence: dict       # per derivative order and "total"
     omega_s_influence: dict
     trace_row: np.ndarray
@@ -187,19 +181,6 @@ class OperatorSet:
     @property
     def trace_row(self) -> np.ndarray:
         return self.closure.trace_row
-
-    def apply_eta(self, v: np.ndarray, eta_xx0: float = 0.0) -> np.ndarray:
-        """(d/dx + a d3/dx3 + a1 d5/dx5) applied to eta samples."""
-        out = self.eta_combined @ np.asarray(v, dtype=float)
-        if eta_xx0:
-            out = out + self.closure.eta_c_influence["total"] * eta_xx0
-        return out
-
-    def apply_omega(self, v: np.ndarray, omega_xxL: float = 0.0) -> np.ndarray:
-        out = self.omega_combined @ np.asarray(v, dtype=float)
-        if omega_xxL:
-            out = out + self.closure.omega_s_influence["total"] * omega_xxL
-        return out
 
 
 def trace_weights(h: float) -> np.ndarray:
@@ -254,12 +235,6 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     T[-3:] = trace_weights(h)
 
     closure = BoundaryClosure(
-        eta_left_w={m: ghost_weights(3, _NPTS_3BC, -float(m))[0] for m in (1, 2)},
-        eta_right_w={m: ghost_weights(2, _NPTS_2BC, -float(m))[0] for m in (1, 2)},
-        omega_left_w={m: ghost_weights(2, _NPTS_2BC, -float(m))[0] for m in (1, 2)},
-        omega_right_w={m: ghost_weights(3, _NPTS_3BC, -float(m))[0] for m in (1, 2)},
-        eta_left_gamma={m: ghost_weights(3, _NPTS_3BC, -float(m))[1] for m in (1, 2)},
-        omega_right_gamma={m: ghost_weights(3, _NPTS_3BC, -float(m))[1] for m in (1, 2)},
         eta_c_influence=eta_src,
         omega_s_influence=omega_src,
         trace_row=T,

@@ -61,8 +61,8 @@ class DelaySpec:
 
     tau0 is tau(0); M bounds tau from above and d < 1 bounds its slope.
     `history` holds uniform samples of the boundary-trace history z0 on
-    [-tau0, 0]; intermediate values are obtained by monotone cubic
-    interpolation in the history line.
+    [-tau0, 0]; intermediate values are obtained by cubic Hermite
+    interpolation with Bessel slopes (not monotone) in the history line.
     """
 
     tau0: float = 0.5

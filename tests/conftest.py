@@ -54,7 +54,3 @@ def kato_runs(acc_params, acc_delay):
                            rho_res=64, store_fields=True)
         out.append((n, rep))
     return out
-
-
-def history_from_samples(times, values, M, interpolation="pchip"):
-    return bl.HistoryLine(times, values, M=M, interpolation=interpolation)

@@ -48,6 +48,12 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
 
 
+def test_config_path_with_equals_sign(tmp_path):
+    run_dir = tmp_path / "run=1"
+    run_dir.mkdir()
+    assert main(["check", "--config", _write(run_dir, GOOD, "ref.ini")]) == 0
+
+
 def test_simulate_writes_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--config", _write(tmp_path, GOOD),
@@ -130,6 +136,8 @@ def test_sweep_grid_size(tmp_path):
 def test_sweep_empty_axis_is_error(tmp_path):
     spec = SWEEP.replace("alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "alpha = ")
     assert main(["sweep", "--spec", _write(tmp_path, spec, "bad.ini"),
+                 "--out", str(tmp_path)]) == 3
+    assert main(["sweep", "--spec", _write(tmp_path, "[axes\nbeta = 1", "bad.ini"),
                  "--out", str(tmp_path)]) == 3
 
 

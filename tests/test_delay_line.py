@@ -1,29 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 import bousslab as bl
+from bousslab.config import parse_config
+from bousslab.delay_line import _bessel_slopes
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 
 
-def _line(times, values, M=0.5, interpolation="pchip", **kw):
-    return bl.HistoryLine(times, values, M=M, interpolation=interpolation, **kw)
+def _line(times, values, M=0.5, **kw):
+    return bl.HistoryLine(times, values, M=M, **kw)
 
 
 def test_linear_interpolation_midpoint():
-    h = _line([0.0, 0.1], [0.0, 1.0], interpolation="linear")
+    h = _line([0.0, 0.1], [0.0, 1.0])
     assert abs(h.query(0.05) - 0.5) < 1e-15
 
 
 def test_push_non_monotone_rejected():
     h = _line([0.0, 0.1], [0.0, 1.0])
     with pytest.raises(ConfigurationError):
-        bl.push_trace(h, 0.1, 2.0)
+        h.push(0.1, 2.0)
 
 
 def test_eviction_policy():
     h = _line([0.0, 0.05], [0.0, 0.0], M=0.5, slack=0.2)
     for k in range(1, 11):
-        bl.push_trace(h, 0.1 * k, float(k))
+        h.push(0.1 * k, float(k))
     # cutoff = 1.0 - 0.5 - max(slack, 2*max_gap) = 1.0 - 0.5 - 0.2
     assert h.t_first >= 1.0 - 0.5 - 0.2 - 1e-12
     assert h.t_last == 1.0
@@ -44,10 +48,10 @@ def test_delayed_trace_constant_history():
 
 
 def test_delayed_trace_affine_data_exact():
-    # linear interpolation is exact on affine data
+    # Bessel-slope cubics are exact on affine (indeed quadratic) data
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     t = np.linspace(-0.5, 2.0, 26)
-    h = _line(t, t, interpolation="linear")
+    h = _line(t, t)
     assert abs(bl.delayed_trace(h, dly, 2.0) - 1.5) < 1e-14
 
 
@@ -69,15 +73,15 @@ def test_z_profile_zero():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     h = _line(np.linspace(-0.5, 0.5, 21), np.zeros(21))
     zp = bl.z_profile(h, dly, 0.5, 8)
-    assert np.all(zp.values == 0.0)
+    assert np.all(zp == 0.0)
 
 
 def test_z_profile_affine_example():
     dly = bl.DelaySpec(tau0=1.0, M=1.0, d=0.0)
     t = np.linspace(-1.0, 1.0, 81)
-    h = _line(t, t, M=1.0, interpolation="linear")
+    h = _line(t, t, M=1.0)
     zp = bl.z_profile(h, dly, 1.0, 4)
-    assert np.allclose(zp.values, [1.0, 0.75, 0.5, 0.25, 0.0], atol=1e-14)
+    assert np.allclose(zp, [1.0, 0.75, 0.5, 0.25, 0.0], atol=1e-14)
 
 
 def test_z_profile_endpoint_identities():
@@ -85,8 +89,8 @@ def test_z_profile_endpoint_identities():
     t = np.arange(-0.4, 1.2 + 1e-12, 5e-3)
     h = _line(t, np.cos(2 * t), M=0.4)
     zp = bl.z_profile(h, dly, 1.2, 16)
-    assert abs(zp.values[0] - h.query(1.2)) < 1e-14
-    assert abs(zp.values[-1] - bl.delayed_trace(h, dly, 1.2)) < 1e-14
+    assert abs(zp[0] - h.query(1.2)) < 1e-14
+    assert abs(zp[-1] - bl.delayed_trace(h, dly, 1.2)) < 1e-14
 
 
 def test_transport_residual_trivial_cases():
@@ -109,3 +113,77 @@ def test_transport_residual_convergence():
         res.append(bl.transport_residual(h, dly, 0.8, m, dt_fd=0.7 * 0.5 / m))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9, (res, orders)
+
+
+def _reference(h):
+    """Global scipy Hermite spline with the same Bessel slopes, rebuilt from
+    the live samples: the construction the local evaluator replaces."""
+    t, v = np.array(h._t), np.array(h._v)
+    return CubicHermiteSpline(t, v, _bessel_slopes(t, v), extrapolate=False)
+
+
+def _check_against_reference(h, rng):
+    lo, hi = h.t_first, h.t_last
+    q = np.concatenate([rng.uniform(lo, hi, 200), np.array(h._t), [lo, hi]])
+    got = h.query(q)
+    want = _reference(h)(q)
+    scale = np.max(np.abs(h._v)) + 1e-300
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    k = rng.integers(q.size)
+    assert h.query(q[k]) == got[k]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_query_matches_global_hermite_spline(seed):
+    rng = np.random.default_rng(seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)),
+              slack=float(rng.uniform(0.0, 0.3)))
+    _check_against_reference(h, rng)
+    for step in range(300):
+        h.push(h.t_last + rng.uniform(0.005, 0.05), rng.standard_normal())
+        if step % 7 == 0:
+            h.replace_last(rng.standard_normal())
+        if step % 25 == 0:
+            _check_against_reference(h, rng)
+    assert h.t_first > t[-1]          # every initial sample was evicted
+    _check_against_reference(h, rng)
+
+
+def test_slopes_after_eviction_to_few_samples():
+    # a tiny M evicts down to three samples; every slope, the head's
+    # included, must then follow the shortened buffer
+    rng = np.random.default_rng(7)
+    h = _line(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3, slack=0.0)
+    sizes, firsts = [], []
+    for t_new in (1.01, 1.02, 1.03, 1.2, 1.25, 1.3):
+        h.push(t_new, rng.standard_normal())
+        sizes.append(h.size)
+        firsts.append(h.t_first)
+        _check_against_reference(h, rng)
+        h.replace_last(rng.standard_normal())
+        _check_against_reference(h, rng)
+    assert sizes[0] == 3 and firsts[4] > firsts[3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12),
+       st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12),
+       st.floats(-10.0, 10.0))
+def test_query_linear_in_values(x, y, c):
+    t = np.linspace(-1.0, 0.0, 8)
+    x, y = np.array(x), np.array(y)
+    hx, hy, hz = (_line(t, v[:8], M=0.5, slack=0.1) for v in (x, y, c * x + y))
+    for k in range(4):
+        for h, v in ((hx, x), (hy, y), (hz, c * x + y)):
+            h.push(0.1 * (k + 1), v[8 + k])
+    q = np.linspace(hz.t_first, hz.t_last, 37)
+    scale = 1.0 + abs(c) * np.max(np.abs(x)) + np.max(np.abs(y))
+    assert np.allclose(hz.query(q), c * hx.query(q) + hy.query(q),
+                       rtol=0.0, atol=1e-12 * scale)
+
+
+def test_interpolation_key_rejected():
+    with pytest.raises(ConfigurationError, match="interpolation"):
+        parse_config("[run]\ninterpolation = pchip\n")

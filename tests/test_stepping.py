@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.errors import ConfigurationError
+from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.stepping import SimState, Stepper
 
 from conftest import ACC, ACC_DELAY
@@ -127,6 +127,24 @@ def test_slow_mode_state_decays_at_its_rate():
     rep = bl.run(state, 2.0, cfg, p, dly, ops)
     lam_obs, r2 = bl.fit_decay(rep.t, rep.E, window=0.5)
     assert abs(lam_obs - (-2 * lam.real)) < 0.05 * abs(2 * lam.real)
+
+
+def test_slow_mode_state_converges_or_raises(monkeypatch):
+    p, dly, g, ops = _setup(n=32)
+    state, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
+    real_eig = np.linalg.eig
+    calls = []
+
+    def restless_eig(a):
+        # every eigensolve moves the spectrum by 1e-3: the fixed point never settles
+        w, v = real_eig(a)
+        calls.append(1)
+        return w + 1e-3 * (-1) ** len(calls), v
+
+    monkeypatch.setattr(np.linalg, "eig", restless_eig)
+    with pytest.raises(NumericalError, match="did not settle"):
+        bl.slow_mode_state(ops, p, dly, dt=1e-3)
+    assert len(calls) == 13   # the start plus 12 fixed-point eigensolves
 
 
 def test_startup_steps_run():
