@@ -106,13 +106,9 @@ class BandedOperator:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, bc_tag: str) -> "BandedOperator":
-        n = dense.shape[0]
-        ii, jj = np.nonzero(dense)
-        kl = int(np.max(ii - jj, initial=0))
-        ku = int(np.max(jj - ii, initial=0))
+        n, ii, jj, vals, kl, ku = _band_entries(dense)
         bands = np.zeros((kl + ku + 1, n))
-        for i, j in zip(ii, jj):
-            bands[ku + i - j, j] = dense[i, j]
+        bands[ku + ii - jj, jj] = vals
         return cls(n=n, kl=kl, ku=ku, bands=bands, bc_tag=bc_tag)
 
     def to_dense(self) -> np.ndarray:
@@ -260,18 +256,27 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     )
 
 
-class BandedLU:
-    """Reusable banded LU factorization (LAPACK dgbtrf/dgbtrs)."""
+def _band_entries(matrix):
+    """Order, rows, columns and values of the nonzero entries of a square
+    matrix (anything `sp.coo_matrix` accepts; explicit zeros dropped), and
+    its lower and upper bandwidths."""
+    m = sp.coo_matrix(matrix)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    ii, jj = m.row, m.col
+    kl = int(np.max(ii - jj, initial=0))
+    ku = int(np.max(jj - ii, initial=0))
+    return m.shape[0], ii, jj, m.data, kl, ku
 
-    def __init__(self, dense: np.ndarray):
-        n = dense.shape[0]
-        ii, jj = np.nonzero(dense)
-        self.kl = int(np.max(ii - jj, initial=0))
-        self.ku = int(np.max(jj - ii, initial=0))
-        self.n = n
-        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-        for i, j in zip(ii, jj):
-            ab[self.kl + self.ku + i - j, j] = dense[i, j]
+
+class BandedLU:
+    """Reusable banded LU factorization (LAPACK dgbtrf/dgbtrs) of a square
+    matrix given dense or sparse."""
+
+    def __init__(self, matrix):
+        self.n, ii, jj, vals, self.kl, self.ku = _band_entries(matrix)
+        ab = np.zeros((2 * self.kl + self.ku + 1, self.n), order="F")
+        ab[self.kl + self.ku + ii - jj, jj] = vals
         lu, ipiv, info = lapack.dgbtrf(ab, self.kl, self.ku)
         if info != 0:
             raise NumericalError(f"banded LU factorization failed (info={info})")

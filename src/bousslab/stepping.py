@@ -9,6 +9,7 @@ nonlinear terms.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .params import DelaySpec, SystemParams, tau_at
 from .report import RunReport
 
 _BLOWUP_FACTOR = 1e6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -85,14 +88,47 @@ def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimSta
     return SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
 
 
+def _check_dt(dt: float, dly: DelaySpec) -> None:
+    if dt >= dly.tau0:
+        raise ConfigurationError(
+            f"explicit delay treatment requires dt < tau0: dt={dt}, tau0={dly.tau0}")
+
+
+def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Interleaved sparse 2n x 2n system u' = A u + B u(t - tau) + sources.
+
+    eta' rows couple to omega through -Po and to eta through the
+    instantaneous feedback -alpha*outer(gs, T); omega' rows couple to eta
+    through -Pe.  B carries the delayed feedback -beta*outer(gs, T) on the
+    eta rows and, like the alpha term, touches only the three trace columns.
+    """
+    n = ops.grid.n
+    ie = 2 * np.arange(n)
+    io = ie + 1
+    Po = sp.coo_matrix(ops.omega_combined)
+    Pe = sp.coo_matrix(ops.eta_combined)
+    tc = np.flatnonzero(ops.trace_row)
+    gsT = np.outer(ops.closure.omega_s_influence["total"], ops.trace_row[tc])
+    rows_t, cols_t = np.repeat(ie, tc.size), np.tile(ie[tc], n)
+
+    def assemble(rows, cols, vals):
+        M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(2 * n, 2 * n))
+        M.eliminate_zeros()
+        return M
+
+    A = assemble([ie[Po.row], io[Pe.row], rows_t], [io[Po.col], ie[Pe.col], cols_t],
+                 [-Po.data, -Pe.data, (-p.alpha * gsT).ravel()])
+    B = assemble([rows_t], [cols_t], [(-p.beta * gsT).ravel()])
+    return A, B
+
+
 class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None, eta_xx0=None):
-        if cfg.dt >= dly.tau0:
-            raise ConfigurationError(
-                f"explicit delay treatment requires dt < tau0: dt={cfg.dt}, tau0={dly.tau0}")
+        _check_dt(cfg.dt, dly)
         self.ops = ops
         self.cfg = cfg
         self.p = p
@@ -103,31 +139,17 @@ class Stepper:
         self.n = n
         self._ie = 2 * np.arange(n)       # eta rows
         self._io = self._ie + 1           # omega rows
-        self.A = self._assemble_system()
-        I = np.eye(2 * n)
+        self.A, _ = system_matrices(ops, p)
+        I = sp.identity(2 * n, format="csr")
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
-        self._M2 = sp.csr_matrix(I + (1.0 - cfg.theta) * cfg.dt * self.A)
+        self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
         self._lu_be = BandedLU(I - cfg.dt * self.A) if cfg.startup_steps > 0 else None
         self._g_s = ops.closure.omega_s_influence["total"]
         self._g_c = ops.closure.eta_c_influence["total"]
         self._steps_done = 0
 
-    def _assemble_system(self) -> np.ndarray:
-        """Interleaved 2n x 2n matrix: eta' rows couple to omega (and to eta
-        through the instantaneous feedback alpha*trace), omega' rows to eta."""
-        n = self.n
-        Pe = self.ops.eta_combined
-        Po = self.ops.omega_combined
-        T = self.ops.trace_row
-        gs = self.ops.closure.omega_s_influence["total"]
-        A = np.zeros((2 * n, 2 * n))
-        A[np.ix_(self._ie, self._io)] = -Po
-        A[np.ix_(self._ie, self._ie)] = -self.p.alpha * np.outer(gs, T)
-        A[np.ix_(self._io, self._ie)] = -Pe
-        return A
-
     @property
-    def system_matrix(self) -> np.ndarray:
+    def system_matrix(self) -> sp.csr_matrix:
         return self.A
 
     def interleave(self, eta, omega) -> np.ndarray:
@@ -285,27 +307,75 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     )
 
 
+def _shift_invert(M: sp.csr_matrix, k: int, sigma: complex, v0: np.ndarray,
+                  vectors: bool = True):
+    """`eigs` for the k eigenvalues of M nearest sigma, failures typed."""
+    # imported here: ARPACK and SuperLU add about 2 MB of resident memory to
+    # every process that imports bousslab, and only the slow mode needs them
+    from scipy.sparse.linalg import eigs
+
+    try:
+        return eigs(M, k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)
+    except RuntimeError as exc:
+        # ArpackError and ArpackNoConvergence derive from it, and the sparse
+        # LU raises it when M - sigma I is exactly singular
+        raise NumericalError(f"shift-invert eigensolve about {sigma} failed: {exc}") from exc
+
+
+def _resolved_spectrum(A: sp.csr_matrix, dt: float, resolve_limit: float,
+                       v0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenvalues of A that include all of those in the time-resolved disk
+    |lambda| dt <= resolve_limit, and the k that found them.
+
+    Shift-invert ARPACK about 0 returns the k eigenvalues nearest the
+    centre; k doubles from 8 until one of them lies outside the disk, so
+    none inside is missing.  When k would reach n2 - 1, beyond ARPACK, the
+    whole spectrum comes from a dense eigensolve instead (toy grids only).
+    """
+    n2 = A.shape[0]
+    k = 8
+    while k < n2 - 1:
+        ev = _shift_invert(A, k, 0.0, v0, vectors=False)
+        if np.any(np.abs(ev) * dt > resolve_limit):
+            return ev, k
+        k *= 2
+    return np.linalg.eigvals(A.toarray()), n2
+
+
 def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float,
                     amplitude: float = 1.0, n_history: int = 513,
                     resolve_limit: float = 0.7):
     """Least-damped time-resolved eigenpair of the delayed system.
 
-    Solves the delay eigenproblem lambda*u = A u + exp(-lambda*tau) B u by
-    fixed-point iteration starting from the matching eigenmode of A, and
-    seeds the trace history from the mode's own exponential past.  Returns
-    (SimState, lambda).  Useful as transient-free benchmark data.  Raises
-    NumericalError when the fixed point does not settle.
-    """
-    stepper = Stepper(ops, StepConfig(dt=dt), p, dly)
-    A = stepper.system_matrix
-    T = ops.trace_row
-    gs = ops.closure.omega_s_influence["total"]
-    B = np.zeros_like(A)
-    if p.beta != 0.0:
-        B[np.ix_(stepper._ie, stepper._ie)] = -p.beta * np.outer(gs, T)
-    tau0 = dly.tau0
+    Solves the delay eigenproblem lambda*u = A u + exp(-lambda*tau0) B u
+    (`system_matrices`) and seeds the trace history from the mode's own
+    exponential past.  Returns (SimState, lambda), lambda with Im >= 0.
+    Useful as transient-free benchmark data.
 
-    ev, _ = np.linalg.eig(A)
+    The candidates are the decaying eigenvalues of A in the time-resolved
+    disk |lambda| dt <= resolve_limit, found by shift-invert ARPACK about 0
+    (`_resolved_spectrum`; on toy grids, where the disk holds nearly the
+    whole spectrum, a dense eigensolve).  The start is the oscillatory
+    candidate (any candidate if none oscillates) with the least |Re|, taken
+    with Im >= 0.  The fixed point then solves for the eigenpair of
+    A + exp(-lambda*tau0) B nearest lambda by shift-invert about lambda,
+    until its step falls below eps * ||A + exp(-lambda*tau0) B||_1.  Every
+    ARPACK call starts from the same fixed vector, so reruns are
+    bit-identical.  The eigenvector is scaled so its largest-modulus entry
+    equals `amplitude` (real), and its real part is the initial state.
+
+    Raises ConfigurationError when dt >= tau0 or no candidate exists, and
+    NumericalError when an eigensolve fails or the fixed point does not
+    settle in 12 solves.
+    """
+    _check_dt(dt, dly)
+    A, B = system_matrices(ops, p)
+    n2 = A.shape[0]
+    tau0 = dly.tau0
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n2)
+
+    ev, k = _resolved_spectrum(A, dt, resolve_limit, v0)
+    log.debug("slow mode: candidate search ended at k=%d (n2=%d)", k, n2)
     ok = (np.abs(ev) * dt <= resolve_limit) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
     cand = np.where(osc)[0]
@@ -315,29 +385,34 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
         raise ConfigurationError(
             "no time-resolved decaying mode at this (dt, parameters)")
     lam = ev[cand[np.argmin(np.abs(ev[cand].real))]]
+    lam = complex(lam.real, abs(lam.imag))
 
-    # the fixed point contracts fast, but its steps stall at eig's own
-    # accuracy, eps * ||A + e^{-lambda tau} B||_1, which grows like h^-5
-    for _ in range(12):
+    # the fixed point contracts fast; it stops at the accuracy a dense
+    # eigensolve guarantees, eps * ||A + e^{-lambda tau} B||_1, which grows
+    # like h^-5 (shift-invert steps stall well below it)
+    v0 = v0.astype(complex)
+    for solves in range(1, 13):
         K = A + np.exp(-lam * tau0) * B
-        evk, Vk = np.linalg.eig(K)
-        i0 = int(np.argmin(np.abs(evk - lam)))
-        lam_step = abs(evk[i0] - lam)
-        lam, v = evk[i0], Vk[:, i0]
-        if lam_step <= np.finfo(float).eps * np.linalg.norm(K, 1):
+        evk, Vk = _shift_invert(K, 1, lam, v0)
+        lam_step = abs(evk[0] - lam)
+        lam, v = complex(evk[0]), Vk[:, 0]
+        floor = np.finfo(float).eps * abs(K).sum(axis=0).max()   # ||K||_1
+        if lam_step <= floor:
             break
     else:
         raise NumericalError(
             f"slow-mode fixed point did not settle in 12 eigensolves: last "
-            f"step {lam_step:.3g} at lambda = {complex(lam)}")
-    v = v / np.max(np.abs(v)) * amplitude
+            f"step {lam_step:.3g} at lambda = {lam}")
+    log.debug("slow mode: fixed point took %d solves, last step %.3g, floor %.3g",
+              solves, lam_step, floor)
+    v = v / v[np.argmax(np.abs(v))] * amplitude
 
-    eta_c = v[stepper._ie]
-    tr_c = complex(T @ eta_c)
+    eta_c = v[0::2]
+    tr_c = complex(ops.trace_row @ eta_c)
     t_hist = np.linspace(-tau0, 0.0, n_history)
     hist_vals = np.real(tr_c * np.exp(lam * t_hist))
     hist = HistoryLine(t_hist, hist_vals, M=dly.M)
     eta0 = np.real(eta_c)
-    omega0 = np.real(v[stepper._io])
+    omega0 = np.real(v[1::2])
     state = SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
-    return state, complex(lam)
+    return state, lam

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.sparse import csr_matrix
 
 import bousslab as bl
 from bousslab.operators import (BandedLU, d1, d2, d3, padded,
@@ -70,6 +71,9 @@ def test_banded_roundtrip_and_apply():
     dense = ops.eta_d3.to_dense()
     v = np.sin(np.linspace(0, 3, 16))
     assert np.allclose(ops.eta_d3.apply(v), dense @ v)
+    M = np.triu(np.tril(np.random.default_rng(5).standard_normal((12, 12)), 3), -2)
+    op = bl.BandedOperator.from_dense(M, "test")
+    assert (op.kl, op.ku) == (2, 3) and np.array_equal(op.to_dense(), M)
 
 
 def test_boundary_source_zero_without_feedback():
@@ -129,7 +133,16 @@ def test_banded_lu_matches_dense_solve():
         A += np.diag(d, off)
     A += 8 * np.eye(n)
     b = rng.standard_normal(n)
-    assert np.allclose(BandedLU(A).solve(b), np.linalg.solve(A, b), atol=1e-12)
+    dense_lu = BandedLU(A)
+    assert np.allclose(dense_lu.solve(b), np.linalg.solve(A, b), atol=1e-12)
+    # the same matrix as CSR, with an explicit zero far outside the band
+    rows, cols = np.nonzero(A)
+    csr = csr_matrix((np.append(A[rows, cols], 0.0),
+                      (np.append(rows, 0), np.append(cols, n - 1))), shape=A.shape)
+    assert csr.nnz == rows.size + 1
+    sparse_lu = BandedLU(csr)
+    assert (sparse_lu.kl, sparse_lu.ku) == (dense_lu.kl, dense_lu.ku) == (3, 3)
+    assert np.array_equal(sparse_lu.solve(b), dense_lu.solve(b))
 
 
 def test_generic_padded_derivatives_second_order():

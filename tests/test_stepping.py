@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
-from bousslab.stepping import SimState, Stepper
+from bousslab.stepping import SimState, Stepper, system_matrices
 
 from conftest import ACC, ACC_DELAY
 
@@ -132,19 +136,117 @@ def test_slow_mode_state_decays_at_its_rate():
 def test_slow_mode_state_converges_or_raises(monkeypatch):
     p, dly, g, ops = _setup(n=32)
     state, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
-    real_eig = np.linalg.eig
+    real_eigs = spla.eigs
     calls = []
 
-    def restless_eig(a):
+    def restless_eigs(M, k, **kw):
         # every eigensolve moves the spectrum by 1e-3: the fixed point never settles
-        w, v = real_eig(a)
-        calls.append(1)
-        return w + 1e-3 * (-1) ** len(calls), v
+        out = real_eigs(M, k, **kw)
+        calls.append(k)
+        shift = 1e-3 * (-1) ** len(calls)
+        if isinstance(out, tuple):
+            return out[0] + shift, out[1]
+        return out + shift
 
-    monkeypatch.setattr(np.linalg, "eig", restless_eig)
+    monkeypatch.setattr(spla, "eigs", restless_eigs)
     with pytest.raises(NumericalError, match="did not settle"):
         bl.slow_mode_state(ops, p, dly, dt=1e-3)
-    assert len(calls) == 13   # the start plus 12 fixed-point eigensolves
+    assert calls.count(1) == 12   # 12 fixed-point solves after the candidate search
+
+
+@pytest.mark.parametrize("failure", [
+    ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
+    ArpackError(-9999),
+    RuntimeError("Factor is exactly singular"),
+])
+def test_slow_mode_state_eigensolver_failure_is_typed(monkeypatch, failure):
+    p, dly, g, ops = _setup(n=32)
+
+    def failing_eigs(M, k, **kw):
+        raise failure
+
+    monkeypatch.setattr(spla, "eigs", failing_eigs)
+    with pytest.raises(NumericalError, match="eigensolve"):
+        bl.slow_mode_state(ops, p, dly, dt=1e-3)
+
+
+def _dense_slow_mode(ops, p, dly, dt, resolve_limit=0.7):
+    """The dense-eigensolve slow mode, kept as the reference: candidates from
+    a full eig of A, then the fixed point on full eigs of A + e^{-lambda tau0} B."""
+    A, B = (M.toarray() for M in system_matrices(ops, p))
+    ev, _ = np.linalg.eig(A)
+    ok = (np.abs(ev) * dt <= resolve_limit) & (ev.real < 0)
+    osc = ok & (np.abs(ev.imag) > 1e-9)
+    cand = np.where(osc)[0]
+    if cand.size == 0:
+        cand = np.where(ok)[0]
+    if cand.size == 0:
+        raise ConfigurationError("no time-resolved decaying mode")
+    lam = ev[cand[np.argmin(np.abs(ev[cand].real))]]
+    for _ in range(12):
+        K = A + np.exp(-lam * dly.tau0) * B
+        evk, Vk = np.linalg.eig(K)
+        i0 = int(np.argmin(np.abs(evk - lam)))
+        lam_step = abs(evk[i0] - lam)
+        lam, v = evk[i0], Vk[:, i0]
+        if lam_step <= np.finfo(float).eps * np.linalg.norm(K, 1):
+            break
+    else:
+        raise NumericalError("dense fixed point did not settle")
+    v = v / np.max(np.abs(v))
+    return complex(lam.real, abs(lam.imag)), np.real(v[0::2]), np.real(v[1::2])
+
+
+_TOY = dict(a=0.05, a1=0.002, L=2.0, alpha=0.1, beta=1e-3)
+
+
+@pytest.mark.parametrize("system, n", [
+    *((ACC, n) for n in (8, 16, 48, 100)),
+    *(({**ACC, "beta": 0.0}, n) for n in (8, 16, 48, 100)),
+    # the whole spectrum lies in the resolved disk: the dense case
+    (_TOY, 8),
+])
+def test_slow_mode_state_matches_dense_eigensolves(system, n):
+    p = bl.SystemParams(**system)
+    dly = bl.DelaySpec(**ACC_DELAY)
+    ops = bl.build_operators(p, bl.Grid(n=n, L=p.L))
+    lam_ref, eta_ref, omega_ref = _dense_slow_mode(ops, p, dly, dt=1e-3)
+    state, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
+    assert abs(lam - lam_ref) <= 1e-9 * abs(lam_ref), (lam, lam_ref)
+    assert np.max(np.abs(state.eta - eta_ref)) <= 1e-8 * np.max(np.abs(eta_ref))
+    assert np.max(np.abs(state.omega - omega_ref)) <= 1e-8 * np.max(np.abs(omega_ref))
+
+
+def test_slow_mode_state_unresolvable_dt_on_both_paths():
+    p, dly, g, ops = _setup(n=16)
+    with pytest.raises(ConfigurationError):
+        _dense_slow_mode(ops, p, dly, dt=0.4)
+    with pytest.raises(ConfigurationError):
+        bl.slow_mode_state(ops, p, dly, dt=0.4)
+
+
+def test_slow_mode_state_deterministic_and_normalized():
+    p, dly, g, ops = _setup(n=100)
+    amp = 0.37
+    (s1, lam1), (s2, lam2) = (bl.slow_mode_state(ops, p, dly, dt=1e-3, amplitude=amp)
+                              for _ in range(2))
+    assert lam1 == lam2
+    assert np.array_equal(s1.eta, s2.eta) and np.array_equal(s1.omega, s2.omega)
+    assert np.array_equal(s1.history._v, s2.history._v)
+    assert lam1.imag > 0
+    peak = max(np.max(np.abs(s1.eta)), np.max(np.abs(s1.omega)))
+    assert abs(peak - amp) <= 1e-15 * amp
+
+
+def test_slow_mode_state_logs_at_debug(caplog, capsys):
+    p, dly, g, ops = _setup(n=32)
+    with caplog.at_level(logging.DEBUG, logger="bousslab"):
+        bl.slow_mode_state(ops, p, dly, dt=1e-3)
+    text = "\n".join(r.getMessage() for r in caplog.records
+                     if r.name == "bousslab.stepping" and r.levelno == logging.DEBUG)
+    assert "candidate search ended at k=8" in text
+    assert "fixed point took" in text and "last step" in text and "floor" in text
+    assert capsys.readouterr() == ("", "")
 
 
 def test_startup_steps_run():
