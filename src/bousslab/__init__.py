@@ -11,8 +11,7 @@ from .errors import (BousslabError, CertificationError, ConfigurationError,
                      HistoryUnderrunError, InadmissibleGainsError,
                      InconsistentParametersError, NonlinearDivergenceError,
                      NumericalError)
-from .operators import (BandedOperator, BoundaryClosure, OperatorSet,
-                        build_operators, trace_eta_xx_L)
+from .operators import OperatorSet, build_operators, trace_eta_xx_L
 from .params import (DelaySpec, Grid, SystemParams, ValidationReport,
                      constant_history, tau_at, validate_params)
 from .report import RunReport, bound_check, fit_decay

@@ -65,6 +65,12 @@ def check_gains(p: SystemParams, dly: DelaySpec) -> tuple[bool, np.ndarray, floa
     return admissible, Phi, thr
 
 
+def _require_length_ok(p: SystemParams) -> None:
+    if not p.length_ok:
+        raise CertificationError(
+            f"L = {p.L} outside (0, {p.length_bound:.6g}); certification refused")
+
+
 def lambda_brackets(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
                     ) -> tuple[float, float]:
     """The two bracket terms of the decay-rate bound.
@@ -72,8 +78,7 @@ def lambda_brackets(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
     first  = mu1 pi^2 (5 a1 pi^2 - 3 a L^2) / (L^4 (1 + mu1 L))
     second = mu2 (1 - d) / (M (1 + mu2))
     """
-    first = (mu1 * math.pi ** 2 * (5.0 * p.a1 * math.pi ** 2 - 3.0 * p.a * p.L ** 2)
-             / (p.L ** 4 * (1.0 + mu1 * p.L)))
+    first = f_of_mu1(p, mu1)
     second = mu2 * (1.0 - dly.d) / (dly.M * (1.0 + mu2))
     return first, second
 
@@ -93,9 +98,7 @@ def decay_constants(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
     Psi negative definiteness is a hard gate: infeasible (mu1, mu2) are
     shrunk by halving and the shrink is reported in info["shrunk_to"].
     """
-    if not p.length_ok:
-        raise CertificationError(
-            f"L = {p.L} outside (0, {p.length_bound:.6g}); certification refused")
+    _require_length_ok(p)
     if not (0.0 <= mu1 < 1.0 / p.L) or not (0.0 <= mu2 < 1.0):
         raise ConfigurationError(
             f"need mu1 in [0, 1/L) and mu2 in [0, 1), got ({mu1}, {mu2})")
@@ -167,9 +170,7 @@ def optimal_mu1(p: SystemParams, dly: DelaySpec, tol: float = 1e-12
     F(0) < 0 and F(right) > 0 with F strictly increasing, so the root is
     unique; returns (mu1_star, lambda_star = f(mu1_star)).
     """
-    if not p.length_ok:
-        raise CertificationError(
-            f"L = {p.L} outside (0, {p.length_bound:.6g}); certification refused")
+    _require_length_ok(p)
     admissible, _, thr = check_gains(p, dly)
     if not admissible:
         raise InadmissibleGainsError(
@@ -265,9 +266,7 @@ def build_certificate(p: SystemParams, dly: DelaySpec,
     if not admissible:
         raise InadmissibleGainsError(
             f"gains (alpha={p.alpha}, beta={p.beta}) below threshold {thr:.6g}")
-    if not p.length_ok:
-        raise CertificationError(
-            f"L = {p.L} outside (0, {p.length_bound:.6g}); certification refused")
+    _require_length_ok(p)
     mu1_star, lam_star = optimal_mu1(p, dly, tol=tol)
     # the f/g crossing may sit outside the Psi-negative-definite region;
     # certify at the nearest feasible halved mu1 (see decay_constants)

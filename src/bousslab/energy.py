@@ -13,7 +13,7 @@ import numpy as np
 from .certificate import phi_matrix
 from .delay_line import z_profile
 from .errors import ConfigurationError
-from .operators import padded, trace_eta_xx_L, trace_weights
+from .operators import padded, trace_eta_xx_L, trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
 
 
@@ -128,8 +128,7 @@ def field_derivatives(eta: np.ndarray, omega: np.ndarray, g: Grid,
     wxx[1:-1] = (wf[2:] - 2 * wf[1:-1] + wf[:-2]) / h ** 2
     exx[0] = eta_xx0
     exx[-1] = trace_now
-    tw = trace_weights(h)
-    wxx[0] = float(tw[::-1] @ omega[:3])
+    wxx[0] = trace_omega_xx_0(omega, g)
     wxx[-1] = p.alpha * trace_now + p.beta * trace_delayed
     return ex, wx, exx, wxx
 

@@ -55,11 +55,13 @@ def ghost_weights(n_bc: int, n_pts: int, xi_ghost: float) -> tuple[tuple[float, 
 
 
 def _build_single(n: int, h: float, deriv: int, left_nbc: int, right_nbc: int):
-    """Dense n x n derivative operator plus the curvature-channel vectors.
+    """Sparse n x n derivative operator plus the curvature-channel vectors.
 
     Returns (P, src_left, src_right): the discrete derivative of the unknown
     is P @ f + src_left * c_left + src_right * c_right with c the boundary
     second-derivative data (zero unless that side carries three conditions).
+    Entries landing on the same (row, col) are summed in the order the
+    stencil visits them, so every entry is reproducible to the bit.
     """
     stencil = _STENCILS[deriv]
     scale = 1.0 / h ** deriv
@@ -67,116 +69,59 @@ def _build_single(n: int, h: float, deriv: int, left_nbc: int, right_nbc: int):
     npr = _NPTS_3BC if right_nbc == 3 else _NPTS_2BC
     gl = {m: ghost_weights(left_nbc, npl, -float(m)) for m in (1, 2)}
     gr = {m: ghost_weights(right_nbc, npr, -float(m)) for m in (1, 2)}
-    P = np.zeros((n, n))
+    entries: dict[tuple[int, int], float] = {}
     src_l = np.zeros(n)
     src_r = np.zeros(n)
-    for i in range(1, n + 1):
+
+    def add(i, cols, vals):
+        for j, v in zip(cols, vals):
+            entries[i, j] = entries.get((i, j), 0.0) + v
+
+    for i in range(n):
         for off, coeff in stencil.items():
-            j = i + off
+            j = i + 1 + off
             c = coeff * scale
             if 1 <= j <= n:
-                P[i - 1, j - 1] += c
+                add(i, (j - 1,), (c,))
             elif j in (0, n + 1):
                 continue  # homogeneous Dirichlet value
             elif j < 0:
                 w, gam = gl[-j]
-                P[i - 1, :npl] += c * np.asarray(w)
-                src_l[i - 1] += c * gam * 0.5 * h * h
+                add(i, range(npl), [c * wk for wk in w])
+                src_l[i] += c * gam * 0.5 * h * h
             else:
                 w, gam = gr[j - (n + 1)]
-                P[i - 1, n - npr:] += c * np.asarray(w)[::-1]
-                src_r[i - 1] += c * gam * 0.5 * h * h
+                add(i, range(n - npr, n), [c * wk for wk in w[::-1]])
+                src_r[i] += c * gam * 0.5 * h * h
+    rows, cols = zip(*entries)
+    P = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n, n))
+    P.eliminate_zeros()
     return P, src_l, src_r
 
 
 @dataclass
-class BandedOperator:
-    """Banded derivative operator acting on interior node values.
+class OperatorSet:
+    """The discrete spatial operators for one (params, grid) pair.
 
-    `bands` uses LAPACK band storage: bands[ku + i - j, j] = A[i, j].
-    """
-
-    n: int
-    kl: int
-    ku: int
-    bands: np.ndarray
-    bc_tag: str
-
-    _csr: sp.csr_matrix | None = None
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, bc_tag: str) -> "BandedOperator":
-        n, ii, jj, vals, kl, ku = _band_entries(dense)
-        bands = np.zeros((kl + ku + 1, n))
-        bands[ku + ii - jj, jj] = vals
-        return cls(n=n, kl=kl, ku=ku, bands=bands, bc_tag=bc_tag)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for r in range(self.bands.shape[0]):
-            off = self.ku - r  # diagonal offset: j - i
-            for j in range(self.n):
-                i = j - off
-                if 0 <= i < self.n:
-                    out[i, j] = self.bands[r, j]
-        return out
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(self.to_dense())
-        return self._csr @ np.asarray(v, dtype=float)
-
-    __matmul__ = apply
-
-
-@dataclass
-class BoundaryClosure:
-    """Feedback influence channels of the ghost elimination.
-
-    The ghost values of omega near x = L are
+    `eta_combined`/`omega_combined` are the sparse P = D1 + a D3 + a1 D5 of
+    each unknown with its ghost-point closure.  The ghost values of omega
+    near x = L are
         ghost_m = w_m . (omega_n, .., omega_{n-3}) + gamma_m * h^2/2 * s(t)
     (`ghost_weights(3, 4, -m)`) with s(t) = alpha*eta_xx(t, L)
     + beta*eta_xx(t - tau(t), L); the eta side carries the mirrored
     structure at x = 0 with datum c(t) = eta_xx(t, 0) (zero for the
     production system).  `omega_s_influence`/`eta_c_influence` are the
-    columns through which unit boundary data enter the combined operator;
-    the delayed trace therefore contributes the boundary source vector
-    beta * omega_s_influence * z_delayed.
+    columns through which unit boundary data enter P, so the delayed trace
+    contributes the boundary source vector beta * omega_s_influence *
+    z_delayed.  `trace_row` holds the weights of `trace_eta_xx_L`.
     """
 
-    eta_c_influence: dict       # per derivative order and "total"
-    omega_s_influence: dict
-    trace_row: np.ndarray
-    alpha: float
-    beta: float
-
-    def boundary_source(self, trace_now: float, trace_delayed: float) -> np.ndarray:
-        """Inhomogeneous contribution of the feedback datum to d(eta)/dt rows."""
-        s = self.alpha * trace_now + self.beta * trace_delayed
-        return self.omega_s_influence["total"] * s
-
-
-@dataclass
-class OperatorSet:
-    """All discrete spatial operators for one (params, grid) pair."""
-
     grid: Grid
-    params: SystemParams
-    # per-unknown banded derivative operators
-    eta_d1: BandedOperator
-    eta_d3: BandedOperator
-    eta_d5: BandedOperator
-    omega_d1: BandedOperator
-    omega_d3: BandedOperator
-    omega_d5: BandedOperator
-    # combined P = D1 + a D3 + a1 D5 (dense, used for system assembly)
-    eta_combined: np.ndarray
-    omega_combined: np.ndarray
-    closure: BoundaryClosure
-
-    @property
-    def trace_row(self) -> np.ndarray:
-        return self.closure.trace_row
+    eta_combined: sp.csr_matrix
+    omega_combined: sp.csr_matrix
+    eta_c_influence: np.ndarray
+    omega_s_influence: np.ndarray
+    trace_row: np.ndarray
 
 
 def trace_weights(h: float) -> np.ndarray:
@@ -196,85 +141,51 @@ def trace_eta_xx_L(eta: np.ndarray, g: Grid) -> float:
 
 
 def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> float:
-    """Mirrored one-sided estimate of omega_xx at x = 0 (for diagnostics)."""
+    """Mirrored one-sided estimate of omega_xx at x = 0."""
     omega = np.asarray(omega, dtype=float)
     return float(trace_weights(g.h)[::-1] @ omega[:3])
 
 
 def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
-    """Assemble D1/D3/D5 for both unknowns plus the boundary closure.
+    """Assemble P = D1 + a D3 + a1 D5 for both unknowns plus the feedback
+    influence channels.
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
     = feedback) at x=L.
     """
     n, h = g.n, g.h
-    eta_parts = {}
-    omega_parts = {}
-    eta_src = {}
-    omega_src = {}
-    for deriv in (1, 3, 5):
-        P, sl, _ = _build_single(n, h, deriv, 3, 2)
-        eta_parts[deriv] = P
-        eta_src[deriv] = sl
-        P, _, sr = _build_single(n, h, deriv, 2, 3)
-        omega_parts[deriv] = P
-        omega_src[deriv] = sr
+    eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
+    omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}
 
-    a, a1 = p.a, p.a1
-    eta_total = eta_parts[1] + a * eta_parts[3] + a1 * eta_parts[5]
-    omega_total = omega_parts[1] + a * omega_parts[3] + a1 * omega_parts[5]
-    eta_src["total"] = eta_src[1] + a * eta_src[3] + a1 * eta_src[5]
-    omega_src["total"] = omega_src[1] + a * omega_src[3] + a1 * omega_src[5]
+    def combine(parts, k):
+        return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
 
     T = np.zeros(n)
     T[-3:] = trace_weights(h)
-
-    closure = BoundaryClosure(
-        eta_c_influence=eta_src,
-        omega_s_influence=omega_src,
-        trace_row=T,
-        alpha=p.alpha,
-        beta=p.beta,
-    )
-
-    def banded(parts, deriv, tag):
-        return BandedOperator.from_dense(parts[deriv], tag)
-
     return OperatorSet(
         grid=g,
-        params=p,
-        eta_d1=banded(eta_parts, 1, "eta:d1"),
-        eta_d3=banded(eta_parts, 3, "eta:d3"),
-        eta_d5=banded(eta_parts, 5, "eta:d5"),
-        omega_d1=banded(omega_parts, 1, "omega:d1"),
-        omega_d3=banded(omega_parts, 3, "omega:d3"),
-        omega_d5=banded(omega_parts, 5, "omega:d5"),
-        eta_combined=eta_total,
-        omega_combined=omega_total,
-        closure=closure,
+        eta_combined=combine(eta, 0),
+        omega_combined=combine(omega, 0),
+        eta_c_influence=combine(eta, 1),
+        omega_s_influence=combine(omega, 2),
+        trace_row=T,
     )
-
-
-def _band_entries(matrix):
-    """Order, rows, columns and values of the nonzero entries of a square
-    matrix (anything `sp.coo_matrix` accepts; explicit zeros dropped), and
-    its lower and upper bandwidths."""
-    m = sp.coo_matrix(matrix)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    ii, jj = m.row, m.col
-    kl = int(np.max(ii - jj, initial=0))
-    ku = int(np.max(jj - ii, initial=0))
-    return m.shape[0], ii, jj, m.data, kl, ku
 
 
 class BandedLU:
     """Reusable banded LU factorization (LAPACK dgbtrf/dgbtrs) of a square
-    matrix given dense or sparse."""
+    matrix given dense or sparse (anything `sp.coo_matrix` accepts; explicit
+    zeros are dropped before the bandwidths are read)."""
 
     def __init__(self, matrix):
-        self.n, ii, jj, vals, self.kl, self.ku = _band_entries(matrix)
+        m = sp.coo_matrix(matrix)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        ii, jj, vals = m.row, m.col, m.data
+        self.n = m.shape[0]
+        self.kl = int(np.max(ii - jj, initial=0))
+        self.ku = int(np.max(jj - ii, initial=0))
         ab = np.zeros((2 * self.kl + self.ku + 1, self.n), order="F")
         ab[self.kl + self.ku + ii - jj, jj] = vals
         lu, ipiv, info = lapack.dgbtrf(ab, self.kl, self.ku)

@@ -17,12 +17,17 @@ import scipy.sparse as sp
 
 from .energy import energy_sample
 from .delay_line import HistoryLine
-from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
+from .errors import (ConfigurationError, HistoryUnderrunError,
+                     NonlinearDivergenceError, NumericalError)
 from .operators import BandedLU, OperatorSet, d1, d2, d3, padded, trace_eta_xx_L
 from .params import DelaySpec, SystemParams, tau_at
 from .report import RunReport
 
 _BLOWUP_FACTOR = 1e6
+# errors that end a run early, keeping the rows recorded so far
+_TERMINATION = {NonlinearDivergenceError: "nonlinear_divergence",
+                HistoryUnderrunError: "history_underrun",
+                NumericalError: "numerical_error"}
 
 log = logging.getLogger(__name__)
 
@@ -105,10 +110,10 @@ def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, s
     n = ops.grid.n
     ie = 2 * np.arange(n)
     io = ie + 1
-    Po = sp.coo_matrix(ops.omega_combined)
-    Pe = sp.coo_matrix(ops.eta_combined)
+    Po = ops.omega_combined.tocoo()
+    Pe = ops.eta_combined.tocoo()
     tc = np.flatnonzero(ops.trace_row)
-    gsT = np.outer(ops.closure.omega_s_influence["total"], ops.trace_row[tc])
+    gsT = np.outer(ops.omega_s_influence, ops.trace_row[tc])
     rows_t, cols_t = np.repeat(ie, tc.size), np.tile(ie[tc], n)
 
     def assemble(rows, cols, vals):
@@ -144,8 +149,8 @@ class Stepper:
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
         self._lu_be = BandedLU(I - cfg.dt * self.A) if cfg.startup_steps > 0 else None
-        self._g_s = ops.closure.omega_s_influence["total"]
-        self._g_c = ops.closure.eta_c_influence["total"]
+        self._g_s = ops.omega_s_influence
+        self._g_c = ops.eta_c_influence
         self._steps_done = 0
 
     @property
@@ -253,7 +258,13 @@ def step(s: SimState, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
         ops: OperatorSet, rho_res: int = 64, mu1: float = 0.0, mu2: float = 0.0,
         store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
-    """Advance to T, recording the energy monitors at every step."""
+    """Advance to T, recording the energy monitors at every step.
+
+    A step or monitor row that fails with NonlinearDivergenceError,
+    HistoryUnderrunError or NumericalError, or an energy that blows up, ends
+    the run early: the report keeps the rows recorded so far and names the
+    cause in `termination`.
+    """
     stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     state = s0
@@ -273,13 +284,15 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     record(state)
     E0 = rows["E"][0]
     termination = "completed"
-    for _ in range(n_steps):
+    for k in range(n_steps):
         try:
             state = stepper.step(state)
-        except NonlinearDivergenceError:
-            termination = "nonlinear_divergence"
+            record(state)
+        except tuple(_TERMINATION) as exc:
+            termination = _TERMINATION[type(exc)]
+            log.info("run stopped at step %d (t = %.6g): %s: %s",
+                     k + 1, state.t, termination, exc)
             break
-        record(state)
         E_now = rows["E"][-1]
         if not np.isfinite(E_now) or (E0 > 0 and E_now > _BLOWUP_FACTOR * E0):
             termination = "unstable"

@@ -1,11 +1,27 @@
 import pytest
 
 import bousslab as bl
+from bousslab.errors import NumericalError
+from bousslab.operators import BandedLU
 
 # acceptance-run configuration: fundamental mode time-resolved at dt=1e-3,
 # L inside the certification bound, admissible gains, decay ~2.15/s
 ACC = dict(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
 ACC_DELAY = dict(tau0=0.5, M=2.0, d=0.0)
+
+
+def failing_solve(monkeypatch, after):
+    """Make every banded solve after the first `after` raise NumericalError."""
+    real = BandedLU.solve
+    calls = [0]
+
+    def solve(self, rhs):
+        calls[0] += 1
+        if calls[0] > after:
+            raise NumericalError("injected banded solve failure")
+        return real(self, rhs)
+
+    monkeypatch.setattr(BandedLU, "solve", solve)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import bousslab
 from bousslab.cli import main
+
+from conftest import failing_solve
 
 GOOD = """
 [system]
@@ -94,6 +102,31 @@ def test_simulate_flag_overrides(tmp_path):
     assert rc == 0
     rows = (out / "timeseries.csv").read_text().strip().split("\n")
     assert len(rows) - 1 == int(np.floor(0.1 / 0.002)) + 1
+
+
+def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
+    failing_solve(monkeypatch, after=5)
+    out = tmp_path / "outfail"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD),
+                 "--out", str(out)]) == 1
+    rows = (out / "timeseries.csv").read_text().strip().split("\n")
+    assert len(rows) - 1 == 6
+    assert "termination = numerical_error" in (out / "summary.txt").read_text()
+    assert (out / "config.ini").exists()
+
+
+def test_import_surface():
+    # ARPACK/SuperLU load only when the slow mode runs, and the history
+    # interpolant needs no scipy.interpolate
+    code = ("import sys, bousslab, bousslab.cli; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    src = str(Path(bousslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 SWEEP = GOOD + """

@@ -4,11 +4,14 @@ import sympy as sp
 from scipy.sparse import csr_matrix
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, d1, d2, d3, padded,
-                                trace_omega_xx_0, trace_weights)
-from bousslab.stepping import StepConfig, Stepper
+from bousslab.operators import (BandedLU, OperatorSet, _build_single, _NPTS_2BC,
+                                _NPTS_3BC, _STENCILS, d1, d2, d3, ghost_weights,
+                                padded, trace_omega_xx_0, trace_weights)
+from bousslab.stepping import StepConfig, Stepper, system_matrices
 
 L = 1.0
+# boundary-condition counts (left, right) of each unknown
+SIDES = {"eta": (3, 2), "omega": (2, 3)}
 
 
 def _phi_callables():
@@ -21,18 +24,84 @@ def _phi_callables():
 PHI = _phi_callables()
 
 
+def _dense_build_single(n, h, deriv, left_nbc, right_nbc):
+    """The dense n x n assembly the sparse builder replaced, kept as the
+    reference: each stencil entry and ghost row is added in place."""
+    stencil = _STENCILS[deriv]
+    scale = 1.0 / h ** deriv
+    npl = _NPTS_3BC if left_nbc == 3 else _NPTS_2BC
+    npr = _NPTS_3BC if right_nbc == 3 else _NPTS_2BC
+    gl = {m: ghost_weights(left_nbc, npl, -float(m)) for m in (1, 2)}
+    gr = {m: ghost_weights(right_nbc, npr, -float(m)) for m in (1, 2)}
+    P = np.zeros((n, n))
+    src_l = np.zeros(n)
+    src_r = np.zeros(n)
+    for i in range(1, n + 1):
+        for off, coeff in stencil.items():
+            j = i + off
+            c = coeff * scale
+            if 1 <= j <= n:
+                P[i - 1, j - 1] += c
+            elif j in (0, n + 1):
+                continue
+            elif j < 0:
+                w, gam = gl[-j]
+                P[i - 1, :npl] += c * np.asarray(w)
+                src_l[i - 1] += c * gam * 0.5 * h * h
+            else:
+                w, gam = gr[j - (n + 1)]
+                P[i - 1, n - npr:] += c * np.asarray(w)[::-1]
+                src_r[i - 1] += c * gam * 0.5 * h * h
+    return P, src_l, src_r
+
+
+@pytest.mark.parametrize("n", [8, 16, 100, 403])
+@pytest.mark.parametrize("unknown", ["eta", "omega"])
+@pytest.mark.parametrize("deriv", [1, 3, 5])
+def test_sparse_single_matches_dense_oracle(deriv, unknown, n):
+    h = L / (n + 1)
+    P, sl, sr = _build_single(n, h, deriv, *SIDES[unknown])
+    P_ref, sl_ref, sr_ref = _dense_build_single(n, h, deriv, *SIDES[unknown])
+    assert isinstance(P, csr_matrix) and P.has_canonical_format
+    assert np.all(P.data != 0.0) and P.nnz == np.count_nonzero(P_ref)
+    assert np.array_equal(P.toarray(), P_ref)
+    assert np.array_equal(sl, sl_ref) and np.array_equal(sr, sr_ref)
+
+
+@pytest.mark.parametrize("n", [16, 200, 403])
+def test_system_matrices_match_dense_oracle(n):
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4)
+    g = bl.Grid(n=n, L=L)
+    ops = bl.build_operators(p, g)
+
+    def combined(unknown, k):
+        parts = [_dense_build_single(n, g.h, d, *SIDES[unknown])[k] for d in (1, 3, 5)]
+        return parts[0] + p.a * parts[1] + p.a1 * parts[2]
+
+    ref = OperatorSet(grid=g, eta_combined=csr_matrix(combined("eta", 0)),
+                      omega_combined=csr_matrix(combined("omega", 0)),
+                      eta_c_influence=combined("eta", 1),
+                      omega_s_influence=combined("omega", 2),
+                      trace_row=ops.trace_row)
+    assert np.array_equal(ops.eta_c_influence, ref.eta_c_influence)
+    assert np.array_equal(ops.omega_s_influence, ref.omega_s_influence)
+    for M, M_ref in zip(system_matrices(ops, p), system_matrices(ref, p)):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(M, attr), getattr(M_ref, attr)), attr
+
+
 def test_quartic_exact_with_curvature_channels():
     # fifth derivative of x^2(L-x)^2 vanishes; with the curvature data fed
     # through the closure channels the discrete operator reproduces it exactly
-    p = bl.SystemParams(a=1.0, a1=1.0, L=L, alpha=0.0, beta=0.0)
     g = bl.Grid(n=64, L=L)
-    ops = bl.build_operators(p, g)
     q = g.nodes ** 2 * (L - g.nodes) ** 2
     qxx0 = 2 * L ** 2
     qxxL = 2 * L ** 2
-    scale = np.max(np.abs(ops.eta_d5.to_dense())) * np.max(np.abs(q))
-    r_eta = ops.eta_d5.apply(q) + ops.closure.eta_c_influence[5] * qxx0
-    r_om = ops.omega_d5.apply(q) + ops.closure.omega_s_influence[5] * qxxL
+    P_eta, src_l, _ = _build_single(g.n, g.h, 5, *SIDES["eta"])
+    P_om, _, src_r = _build_single(g.n, g.h, 5, *SIDES["omega"])
+    scale = np.max(np.abs(P_eta.data)) * np.max(np.abs(q))
+    r_eta = P_eta @ q + src_l * qxx0
+    r_om = P_om @ q + src_r * qxxL
     assert np.max(np.abs(r_eta)) <= 1e-10 * scale
     assert np.max(np.abs(r_om)) <= 1e-10 * scale
 
@@ -42,14 +111,12 @@ def test_quartic_exact_with_curvature_channels():
 def test_operator_order_of_accuracy(deriv, unknown):
     # BC-compatible smooth function: observed order >= 1.9 over three dyadic
     # refinements, max norm over all rows
-    p = bl.SystemParams(a=1.0, a1=1.0, L=L, alpha=0.0, beta=0.0)
     errs = []
     for n in (32, 65, 131, 263):
         g = bl.Grid(n=n, L=L)
-        ops = bl.build_operators(p, g)
-        op = getattr(ops, f"{unknown}_d{deriv}")
+        P, _, _ = _build_single(n, g.h, deriv, *SIDES[unknown])
         x = g.nodes
-        approx = op.apply(PHI[0](x))
+        approx = P @ PHI[0](x)
         errs.append(np.max(np.abs(approx - PHI[deriv](x))))
     hs = [L / (n + 1) for n in (32, 65, 131, 263)]
     orders = [np.log(errs[i] / errs[i + 1]) / np.log(hs[i] / hs[i + 1])
@@ -58,29 +125,21 @@ def test_operator_order_of_accuracy(deriv, unknown):
 
 
 def test_bandwidth_at_most_four():
-    p = bl.SystemParams()
-    ops = bl.build_operators(p, bl.Grid(n=24, L=1.0))
-    for name in ("eta_d1", "eta_d3", "eta_d5", "omega_d1", "omega_d3", "omega_d5"):
-        op = getattr(ops, name)
-        assert op.kl <= 4 and op.ku <= 4, name
-
-
-def test_banded_roundtrip_and_apply():
-    p = bl.SystemParams()
-    ops = bl.build_operators(p, bl.Grid(n=16, L=1.0))
-    dense = ops.eta_d3.to_dense()
-    v = np.sin(np.linspace(0, 3, 16))
-    assert np.allclose(ops.eta_d3.apply(v), dense @ v)
-    M = np.triu(np.tril(np.random.default_rng(5).standard_normal((12, 12)), 3), -2)
-    op = bl.BandedOperator.from_dense(M, "test")
-    assert (op.kl, op.ku) == (2, 3) and np.array_equal(op.to_dense(), M)
+    n = 24
+    for unknown, sides in SIDES.items():
+        for deriv in (1, 3, 5):
+            P = _build_single(n, L / (n + 1), deriv, *sides)[0].tocoo()
+            assert np.max(np.abs(P.row - P.col)) <= 4, (unknown, deriv)
 
 
 def test_boundary_source_zero_without_feedback():
+    # alpha = beta = 0: no feedback term, so B stores nothing and A has no
+    # eta-to-eta coupling
     p = bl.SystemParams(alpha=0.0, beta=0.0)
-    ops = bl.build_operators(p, bl.Grid(n=16, L=1.0))
-    src = ops.closure.boundary_source(trace_now=3.7, trace_delayed=-1.2)
-    assert np.all(src == 0.0)
+    A, B = system_matrices(bl.build_operators(p, bl.Grid(n=16, L=1.0)), p)
+    assert B.nnz == 0
+    rows, cols = A.nonzero()
+    assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 
 
 def test_trace_examples():

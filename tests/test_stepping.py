@@ -9,7 +9,7 @@ import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.stepping import SimState, Stepper, system_matrices
 
-from conftest import ACC, ACC_DELAY
+from conftest import ACC, ACC_DELAY, failing_solve
 
 
 def _setup(n=32, beta=5e-4):
@@ -98,6 +98,30 @@ def test_row_count_and_T_zero():
     rep0 = bl.run(s2, 0.0, cfg, p, dly, ops)
     assert rep0.n_rows == 1
     assert rep0.E[0] > 0
+
+
+def test_history_underrun_keeps_partial_series():
+    # the history keeps only M = 0.01 s of the past, too little for the
+    # delay tau0 = 0.5: the monitor row after the first push underruns
+    p, dly, g, ops = _setup(n=16)
+    t_h = np.linspace(-dly.tau0, 0.0, 41)
+    hist = bl.HistoryLine(t_h, np.zeros(41), M=0.01)
+    s = SimState(t=0.0, eta=0.01 * np.sin(np.pi * g.nodes), omega=np.zeros(g.n),
+                 history=hist)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    rep = bl.run(s, 0.01, cfg, p, dly, ops)
+    assert rep.termination == "history_underrun"
+    assert rep.n_rows == 1 and rep.t[0] == 0.0 and rep.E[0] > 0
+
+
+def test_numerical_error_keeps_partial_series(monkeypatch):
+    p, dly, g, ops = _setup(n=16)
+    failing_solve(monkeypatch, after=3)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    rep = bl.run(_random_state(g, dly, np.random.default_rng(4), scale=0.01),
+                 0.01, cfg, p, dly, ops)
+    assert rep.termination == "numerical_error"
+    assert rep.n_rows == 4 and np.array_equal(rep.t, [0.0, 1e-3, 2e-3, 3e-3])
 
 
 def test_dt_must_resolve_delay():
