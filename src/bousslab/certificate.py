@@ -4,7 +4,9 @@ The 2x2 dissipation matrix Phi controls dE/dt; adding the Lyapunov
 perturbations gives Psi, whose negative definiteness gates the choice of
 (mu1, mu2).  The certified rate is the minimum of the two bracket terms; the
 optimal mu1 is the unique crossing of the increasing bound f and the
-decreasing bound g on their common interval.
+decreasing bound g on their common interval.  Every step of the chain is a
+closed form: a quadratic root for the crossing, a quadratic root for the
+largest mu1 keeping Psi negative definite, and a linear bound for mu2.
 """
 
 from __future__ import annotations
@@ -65,22 +67,17 @@ def check_gains(p: SystemParams, dly: DelaySpec) -> tuple[bool, np.ndarray, floa
     return admissible, Phi, thr
 
 
+def _require_admissible(p: SystemParams, dly: DelaySpec) -> None:
+    admissible, _, thr = check_gains(p, dly)
+    if not admissible:
+        raise InadmissibleGainsError(
+            f"alpha = {p.alpha} is not above the threshold {thr:.6g}")
+
+
 def _require_length_ok(p: SystemParams) -> None:
     if not p.length_ok:
         raise CertificationError(
             f"L = {p.L} outside (0, {p.length_bound:.6g}); certification refused")
-
-
-def lambda_brackets(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
-                    ) -> tuple[float, float]:
-    """The two bracket terms of the decay-rate bound.
-
-    first  = mu1 pi^2 (5 a1 pi^2 - 3 a L^2) / (L^4 (1 + mu1 L))
-    second = mu2 (1 - d) / (M (1 + mu2))
-    """
-    first = f_of_mu1(p, mu1)
-    second = mu2 * (1.0 - dly.d) / (dly.M * (1.0 + mu2))
-    return first, second
 
 
 def zeta_overshoot(p: SystemParams, mu1: float, mu2: float) -> float:
@@ -95,46 +92,39 @@ def decay_constants(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
                     ) -> tuple[float, float, dict]:
     """(lambda, zeta, info) for the supplied (mu1, mu2).
 
-    Psi negative definiteness is a hard gate: infeasible (mu1, mu2) are
-    shrunk by halving and the shrink is reported in info["shrunk_to"].
+    lambda is the smaller of the brackets first = f(mu1) and second =
+    mu2 (1 - d) / (M (1 + mu2)).  Psi negative definiteness is a hard gate: a
+    nonzero (mu1, mu2) that leaves Psi not negative definite raises
+    InadmissibleGainsError.
     """
     _require_length_ok(p)
     if not (0.0 <= mu1 < 1.0 / p.L) or not (0.0 <= mu2 < 1.0):
         raise ConfigurationError(
             f"need mu1 in [0, 1/L) and mu2 in [0, 1), got ({mu1}, {mu2})")
-    info: dict = {}
-    if mu1 > 0.0 or mu2 > 0.0:
-        m1, m2 = mu1, mu2
-        for _ in range(200):
-            if _negative_definite(psi_matrix(p, dly, m1, m2), p.beta == 0.0):
-                break
-            m1, m2 = 0.5 * m1, 0.5 * m2
-        else:
-            raise InadmissibleGainsError(
-                "Psi cannot be made negative definite by shrinking (mu1, mu2); "
-                "gains are too close to the admissibility boundary")
-        if (m1, m2) != (mu1, mu2):
-            info["shrunk_to"] = (m1, m2)
-            mu1, mu2 = m1, m2
-    first, second = lambda_brackets(p, dly, mu1, mu2)
-    info["bracket_first"] = first
-    info["bracket_second"] = second
-    info["mu1"] = mu1
-    info["mu2"] = mu2
-    # proof-variant denominator L^4 (1 + mu1) recorded alongside (see ledger)
-    info["bracket_first_proof_variant"] = (
-        mu1 * math.pi ** 2 * (5.0 * p.a1 * math.pi ** 2 - 3.0 * p.a * p.L ** 2)
-        / (p.L ** 4 * (1.0 + mu1)))
-    lam = min(first, second)
-    zeta = zeta_overshoot(p, mu1, mu2)
-    return lam, zeta, info
+    if (mu1 > 0.0 or mu2 > 0.0) and not _negative_definite(
+            psi_matrix(p, dly, mu1, mu2), p.beta == 0.0):
+        raise InadmissibleGainsError(
+            f"Psi is not negative definite at (mu1, mu2) = ({mu1!r}, {mu2!r})")
+    first = f_of_mu1(p, mu1)
+    second = mu2 * (1.0 - dly.d) / (dly.M * (1.0 + mu2))
+    info = {"bracket_first": first, "bracket_second": second}
+    return min(first, second), zeta_overshoot(p, mu1, mu2), info
+
+
+def _g_terms(p: SystemParams, dly: DelaySpec) -> tuple[float, float, float]:
+    """(N0, D0, s) with g(mu1) = (1-d) (N0 - s mu1) / (M (D0 - s mu1))."""
+    one_md = 1.0 - dly.d
+    b = abs(p.beta)
+    N0 = (2.0 * p.a1 * p.alpha - b) * one_md - p.a1 ** 2 * b
+    D0 = 2.0 * p.a1 * p.alpha * one_md - p.a1 ** 2 * b
+    s = p.L * one_md * (p.a1 ** 2 + p.alpha ** 2)
+    return N0, D0, s
 
 
 def mu1_interval_right(p: SystemParams, dly: DelaySpec) -> float:
-    """Right endpoint of the optimal-mu1 interval."""
-    num = (2.0 * p.a1 * p.alpha - abs(p.beta)) * (1.0 - dly.d) - p.a1 ** 2 * abs(p.beta)
-    den = p.L * (1.0 - dly.d) * (p.a1 ** 2 + p.alpha ** 2)
-    return num / den
+    """Right endpoint N0 / s of the optimal-mu1 interval (the zero of g)."""
+    N0, _, s = _g_terms(p, dly)
+    return N0 / s
 
 
 def f_of_mu1(p: SystemParams, mu1: float) -> float:
@@ -148,80 +138,97 @@ def f_of_mu1(p: SystemParams, mu1: float) -> float:
 def g_of_mu1(p: SystemParams, dly: DelaySpec, mu1: float) -> float:
     """Decreasing rate bound from the delay channel; domain is the closed
     interval [0, right endpoint]."""
-    right = mu1_interval_right(p, dly)
+    N0, D0, s = _g_terms(p, dly)
+    right = N0 / s
     if mu1 < -1e-15 or mu1 > right * (1.0 + 1e-12) + 1e-15:
         raise ConfigurationError(
             f"mu1 = {mu1} outside the interval [0, {right:.6g}]")
-    one_md = 1.0 - dly.d
-    b = abs(p.beta)
-    slope = p.L * one_md * (p.a1 ** 2 + p.alpha ** 2)
-    num = (2.0 * p.a1 * p.alpha - b) * one_md - p.a1 ** 2 * b - slope * mu1
-    den = dly.M * (2.0 * p.a1 * p.alpha * one_md - p.a1 ** 2 * b - slope * mu1)
+    den = dly.M * (D0 - s * mu1)
     if den <= 0.0:
         raise InadmissibleGainsError(
             f"g denominator nonpositive at mu1 = {mu1}; gains inadmissible")
-    return one_md * num / den
+    return (1.0 - dly.d) * (N0 - s * mu1) / den
 
 
-def optimal_mu1(p: SystemParams, dly: DelaySpec, tol: float = 1e-12
-                ) -> tuple[float, float]:
-    """Bisection root of F = f - g on [0, right endpoint].
+def optimal_mu1(p: SystemParams, dly: DelaySpec) -> tuple[float, float]:
+    """Root of F = f - g on [0, right endpoint], in closed form.
 
-    F(0) < 0 and F(right) > 0 with F strictly increasing, so the root is
-    unique; returns (mu1_star, lambda_star = f(mu1_star)).
+    F(0) < 0 < F(right) with F strictly increasing, so the root is unique.
+    With c = pi^2 (5 a1 pi^2 - 3 a L^2) / L^4, clearing the positive
+    denominators turns F = 0 into A mu1^2 + B mu1 + C = 0 with A = s ((1-d) L
+    - c M), B = c M D0 + (1-d) (s - L N0) > 0 and C = -(1-d) N0 < 0; the root
+    is -2 C / (B + sqrt(B^2 - 4 A C)), free of cancellation and valid for
+    A = 0.  Returns (mu1_star, lambda_star = f(mu1_star)).
     """
+    _require_admissible(p, dly)
     _require_length_ok(p)
-    admissible, _, thr = check_gains(p, dly)
-    if not admissible:
-        raise InadmissibleGainsError(
-            f"alpha = {p.alpha} is not above the threshold {thr:.6g}")
-    right = mu1_interval_right(p, dly)
+    N0, D0, s = _g_terms(p, dly)
+    right = N0 / s
     if right <= 0.0:
         raise InconsistentParametersError(
             f"optimal-mu1 interval is empty (right endpoint {right:.6g})")
-
-    def F(m):
-        return f_of_mu1(p, m) - g_of_mu1(p, dly, m)
-
-    lo, hi = 0.0, right
-    F_lo, F_hi = F(lo), F(hi * (1.0 - 1e-14))
+    F_lo = f_of_mu1(p, 0.0) - g_of_mu1(p, dly, 0.0)
+    edge = right * (1.0 - 1e-14)
+    F_hi = f_of_mu1(p, edge) - g_of_mu1(p, dly, edge)
     if not (F_lo < 0.0 < F_hi):
         raise InconsistentParametersError(
             f"bracket sign condition violated: F(0) = {F_lo:.6g}, "
             f"F({right:.6g}) = {F_hi:.6g}")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if F(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        m = 0.5 * (lo + hi)
-        if abs(f_of_mu1(p, m) - g_of_mu1(p, dly, m)) <= tol or hi - lo < 1e-16 * right:
-            return m, f_of_mu1(p, m)
+    one_md = 1.0 - dly.d
+    cM = (math.pi ** 2 * (5.0 * p.a1 * math.pi ** 2 - 3.0 * p.a * p.L ** 2)
+          / p.L ** 4 * dly.M)
+    A = s * (one_md * p.L - cM)
+    B = cM * D0 + one_md * (s - p.L * N0)
+    C = -one_md * N0
+    mu1 = -2.0 * C / (B + math.sqrt(max(B * B - 4.0 * A * C, 0.0)))
+    return mu1, f_of_mu1(p, mu1)
 
 
-def choose_mu2(p: SystemParams, dly: DelaySpec, mu1: float,
-               grid_lo: float = 1e-4, grid_hi: float = 0.99,
-               grid_num: int = 128) -> float:
-    """Largest mu2 on a geometric grid in (0, 1) keeping Psi negative
-    definite (maximizes the second rate bracket under the constraints)."""
-    admissible, _, thr = check_gains(p, dly)
-    if not admissible:
-        raise InadmissibleGainsError(
-            f"alpha = {p.alpha} is not above the threshold {thr:.6g}")
+def _mu1_feasible_bound(p: SystemParams, dly: DelaySpec) -> float:
+    """m_max: Psi(mu1, 0) is negative definite exactly for mu1 in [0, m_max).
+
+    With t = a1 L mu1 / 2, det Psi(mu1, 0) = beta^2 t^2 + B t + det Phi is
+    positive at t = 0 and not positive where Psi22 = 0, so both roots are
+    positive and the smaller one ends the interval (Psi11 cannot reach 0
+    while det Psi > 0).  For beta = 0 the end is the root of Psi11.
+    """
+    Phi = phi_matrix(p, dly)
+    if p.beta == 0.0:
+        t = 2.0 * p.a1 * p.alpha / (p.alpha ** 2 + 1.0)
+    else:
+        det = Phi[0, 0] * Phi[1, 1] - Phi[0, 1] ** 2
+        B = (Phi[0, 0] * p.beta ** 2 + Phi[1, 1] * (p.alpha ** 2 + 1.0)
+             - 2.0 * Phi[0, 1] * p.alpha * p.beta)
+        t = 2.0 * det / (-B + math.sqrt(max(B * B - 4.0 * p.beta ** 2 * det, 0.0)))
+    return float(2.0 * t / (p.a1 * p.L))
+
+
+def choose_mu2(p: SystemParams, dly: DelaySpec, mu1: float) -> float:
+    """Largest mu2 below 0.99 keeping Psi negative definite (maximizes the
+    second rate bracket under the constraints).
+
+    mu2 enters Psi only as |beta| mu2 / 2 in entry (1,1), so with Psi22 < 0
+    the feasible mu2 are [0, s2), s2 = (2/|beta|) (Psi12^2/Psi22 - Psi11) at
+    mu2 = 0 (any mu2 when beta = 0 and Psi11 < 0); the factor 1 - 1e-6 keeps
+    Psi strictly negative definite.
+    """
+    _require_admissible(p, dly)
     if mu1 * p.L >= 1.0:
         raise ConfigurationError(f"mu1 L = {mu1 * p.L} must be < 1")
-    candidates = np.geomspace(grid_lo, grid_hi, grid_num)
-    for mu2 in candidates[::-1]:
-        if _negative_definite(psi_matrix(p, dly, mu1, float(mu2)), p.beta == 0.0):
-            return float(mu2)
-    raise InadmissibleGainsError(
-        "no feasible mu2 on the grid keeps Psi negative definite")
+    Psi = psi_matrix(p, dly, mu1, 0.0)
+    if p.beta == 0.0:
+        s2 = math.inf if Psi[0, 0] < 0.0 else 0.0
+    else:
+        s2 = (2.0 / abs(p.beta) * (Psi[0, 1] ** 2 / Psi[1, 1] - Psi[0, 0])
+              if Psi[1, 1] < 0.0 else 0.0)
+    if s2 <= 0.0:
+        raise InadmissibleGainsError(
+            f"no mu2 >= 0 keeps Psi negative definite at mu1 = {mu1!r}")
+    return float(min(0.99, (1.0 - 1e-6) * s2))
 
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    admissible: bool
     threshold: float
     phi: np.ndarray
     psi: np.ndarray
@@ -234,15 +241,11 @@ class StabilityCertificate:
     zeta: float
     bracket_first: float
     bracket_second: float
-    bracket_first_proof_variant: float
-    L_condition_ok: bool
 
     def document(self) -> str:
         lines = [
             "stability certificate",
-            f"admissible = {self.admissible}",
             f"threshold = {self.threshold!r}",
-            f"L_condition_ok = {self.L_condition_ok}",
             f"phi = {self.phi.tolist()!r}",
             f"psi = {self.psi.tolist()!r}",
             f"mu1 = {self.mu1!r}",
@@ -254,39 +257,26 @@ class StabilityCertificate:
             f"zeta = {self.zeta!r}",
             f"bracket_first = {self.bracket_first!r}",
             f"bracket_second = {self.bracket_second!r}",
-            f"bracket_first_proof_variant = {self.bracket_first_proof_variant!r}",
         ]
         return "\n".join(lines)
 
 
-def build_certificate(p: SystemParams, dly: DelaySpec,
-                      tol: float = 1e-12) -> StabilityCertificate:
-    """Full certification chain: gains -> optimal mu1 -> mu2 -> (lambda, zeta)."""
-    admissible, Phi, thr = check_gains(p, dly)
-    if not admissible:
-        raise InadmissibleGainsError(
-            f"gains (alpha={p.alpha}, beta={p.beta}) below threshold {thr:.6g}")
-    _require_length_ok(p)
-    mu1_star, lam_star = optimal_mu1(p, dly, tol=tol)
-    # the f/g crossing may sit outside the Psi-negative-definite region;
-    # certify at the nearest feasible halved mu1 (see decay_constants)
-    mu1 = mu1_star
-    mu2 = None
-    for _ in range(200):
-        try:
-            mu2 = choose_mu2(p, dly, mu1)
-            break
-        except InadmissibleGainsError:
-            mu1 *= 0.5
-    if mu2 is None:
-        raise InadmissibleGainsError(
-            "no feasible (mu1, mu2) pair keeps Psi negative definite")
+def build_certificate(p: SystemParams, dly: DelaySpec) -> StabilityCertificate:
+    """Full certification chain: gains -> optimal mu1 -> mu2 -> (lambda, zeta).
+
+    The f/g crossing mu1_star may sit outside the interval [0, m_max) where
+    Psi(mu1, 0) is negative definite; the certificate then uses the largest
+    mu1_star 2^-k inside it, with k read off the binary exponents.
+    """
+    mu1_star, lam_star = optimal_mu1(p, dly)
+    m_s, e_s = math.frexp(mu1_star)
+    m_m, e_m = math.frexp(_mu1_feasible_bound(p, dly))
+    mu1 = math.ldexp(mu1_star, -max(0, e_s - e_m + (m_s >= m_m)))
+    mu2 = choose_mu2(p, dly, mu1)
     lam, zeta, info = decay_constants(p, dly, mu1, mu2)
-    mu1, mu2 = info["mu1"], info["mu2"]
     return StabilityCertificate(
-        admissible=True,
-        threshold=thr,
-        phi=Phi,
+        threshold=gain_threshold(p, dly),
+        phi=phi_matrix(p, dly),
         psi=psi_matrix(p, dly, mu1, mu2),
         mu1=mu1,
         mu2=mu2,
@@ -297,6 +287,4 @@ def build_certificate(p: SystemParams, dly: DelaySpec,
         zeta=zeta,
         bracket_first=info["bracket_first"],
         bracket_second=info["bracket_second"],
-        bracket_first_proof_variant=info["bracket_first_proof_variant"],
-        L_condition_ok=p.length_ok,
     )

@@ -185,6 +185,7 @@ def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
             row["lambda_obs"] = extras.get("lambda_obs", "")
             row["E_final"] = rep.E[-1]
             row["bound_ok"] = extras.get("bound_ok", "")
+            row["termination"] = rep.termination
         row["error"] = ""
     except BousslabError as exc:
         row["error"] = str(exc).replace(",", ";").replace("\n", " ")
@@ -223,7 +224,7 @@ def cmd_sweep(args) -> int:
     if task in ("certify", "both"):
         columns += ["mu1_star", "lambda", "zeta"]
     if task in ("simulate", "both"):
-        columns += ["lambda_obs", "E_final", "bound_ok"]
+        columns += ["lambda_obs", "E_final", "bound_ok", "termination"]
     columns.append("error")
     lines = [",".join(columns)]
     for row in rows:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .params import DelaySpec, Grid, SystemParams, constant_history
+from .stepping import suggested_theta
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class RunSettings:
 
     def resolve_theta(self) -> float:
         if self.theta == "auto":
-            return min(1.0, 0.5 + self.kappa * self.dt)
+            return suggested_theta(self.dt, self.kappa)
         return float(self.theta)
 
 

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import bousslab as bl
 from bousslab.errors import NumericalError
 from bousslab.operators import BandedLU
+
+# property tests draw the same examples on every run, so reruns are identical
+settings.register_profile("bousslab", derandomize=True, deadline=None)
+settings.load_profile("bousslab")
 
 # acceptance-run configuration: fundamental mode time-resolved at dt=1e-3,
 # L inside the certification bound, admissible gains, decay ~2.15/s

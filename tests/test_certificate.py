@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.certificate import mu1_interval_right, zeta_overshoot
+from bousslab.certificate import _negative_definite, mu1_interval_right, zeta_overshoot
 from bousslab.errors import (CertificationError, ConfigurationError,
-                             InadmissibleGainsError)
+                             InadmissibleGainsError, InconsistentParametersError)
 
 P_EX = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=2.0, beta=1.0)
 D_EX = bl.DelaySpec(tau0=0.5, M=1.0, d=0.0)
@@ -162,6 +162,16 @@ def test_choose_mu2_cases():
         bl.choose_mu2(replace(P_EX, alpha=0.5), D_EX, 1e-3)
 
 
+def test_decay_constants_rejects_infeasible_pair():
+    # with d = 0.6 the gains stay admissible (threshold 1.75) but Psi22 =
+    # -0.4 + mu1/2 turns positive at mu1 = 0.9; under D_EX every (mu1, mu2)
+    # in [0, 1)^2 keeps Psi negative definite
+    dly = replace(D_EX, d=0.6)
+    assert bl.check_gains(P_EX, dly)[0]
+    with pytest.raises(InadmissibleGainsError):
+        bl.decay_constants(P_EX, dly, 0.9, 0.5)
+
+
 def test_psi_reduces_to_phi():
     Psi = bl.psi_matrix(P_EX, D_EX, 0.0, 0.0)
     assert np.allclose(Psi, bl.phi_matrix(P_EX, D_EX))
@@ -184,9 +194,110 @@ def test_lambda_ignores_irrelevant_fields():
 
 def test_certificate_document_fields(acc_params, acc_delay, acc_cert):
     doc = acc_cert.document()
-    for key in ("admissible", "mu1_star", "lambda", "zeta", "bracket_first",
-                "bracket_second", "bracket_first_proof_variant"):
+    for key in ("mu1_star", "lambda", "zeta", "bracket_first",
+                "bracket_second"):
         assert key in doc
     assert acc_cert.zeta > 1.0
     assert acc_cert.lam > 0.0
     assert acc_cert.lam <= acc_cert.lam_star + 1e-12
+
+
+# The parent implementation's numerical searches, kept here as an oracle for
+# the closed forms: bisection for mu1*, a 128-point geometric scan for mu2,
+# and halving mu1 until the scan finds a feasible mu2.
+
+def _oracle_mu1_star(p, dly, tol):
+    right = mu1_interval_right(p, dly)
+
+    def F(m):
+        return bl.f_of_mu1(p, m) - bl.g_of_mu1(p, dly, m)
+
+    lo, hi = 0.0, right
+    while True:
+        mid = 0.5 * (lo + hi)
+        if F(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        m = 0.5 * (lo + hi)
+        if abs(F(m)) <= tol or hi - lo < 1e-16 * right:
+            return m
+
+
+def _oracle_mu2(p, dly, mu1):
+    for mu2 in np.geomspace(1e-4, 0.99, 128)[::-1]:
+        if _negative_definite(bl.psi_matrix(p, dly, mu1, float(mu2)),
+                              p.beta == 0.0):
+            return float(mu2)
+    return None
+
+
+def _oracle_pair(p, dly, mu1):
+    for _ in range(200):
+        mu2 = _oracle_mu2(p, dly, mu1)
+        if mu2 is not None:
+            return mu1, mu2
+        mu1 *= 0.5
+    raise AssertionError("oracle found no feasible pair")
+
+
+def _admissible_draw(rng, beta_zero=False):
+    """Admissible gains with L in (0, Lmax); L near Lmax makes f flat, so
+    mu1* lands near the right endpoint and often outside the Psi-feasible
+    interval, which is where the halving happens."""
+    a1 = float(10 ** rng.uniform(-2.5, 0.3))
+    beta = 0.0 if beta_zero else (float(10 ** rng.uniform(-4.0, 0.0))
+                                  * float(rng.choice([-1.0, 1.0])))
+    d = float(rng.uniform(0.0, 0.9))
+    thr = (abs(beta) / (2 * a1)) * ((a1 ** 2 + 1 - d) / (1 - d))
+    alpha = (thr * float(rng.uniform(1.02, 4.0)) if not beta_zero
+             else float(10 ** rng.uniform(-3.0, 0.5)))
+    a = float(rng.uniform(0.05, 1.0))
+    Lmax = math.pi * math.sqrt(5 * a1 / (3 * a))
+    L = float(1.0 - 10 ** rng.uniform(-3.0, -0.05)) * Lmax
+    p = bl.SystemParams(a=a, a1=a1, L=L, alpha=alpha, beta=beta)
+    return p, bl.DelaySpec(tau0=0.3, M=float(rng.uniform(0.3, 3.0)), d=d)
+
+
+def test_closed_form_certificate_matches_search_oracle():
+    rng = np.random.default_rng(2024)
+    halved = 0
+    for _ in range(1000):
+        p, dly = _admissible_draw(rng)
+        cert = bl.build_certificate(p, dly)
+        # the parent's bisection stops at |f - g| <= 1e-12 absolute, which is
+        # up to 3e-10 relative here; scaled to g(0) it resolves mu1* fully
+        g0 = bl.g_of_mu1(p, dly, 0.0)
+        mu1s_o = _oracle_mu1_star(p, dly, 1e-14 * g0)
+        assert abs(cert.mu1_star - mu1s_o) <= 1e-10 * mu1s_o, (p, dly)
+        F = bl.f_of_mu1(p, cert.mu1_star) - bl.g_of_mu1(p, dly, cert.mu1_star)
+        assert abs(F) <= 1e-12 * g0, (p, dly, F / g0)
+        # halving starts from the same mu1*, so k and mu1 must agree exactly
+        mu1_o, mu2_o = _oracle_pair(p, dly, cert.mu1_star)
+        assert cert.mu1 == mu1_o, (p, dly, cert.mu1, mu1_o)
+        halved += mu1_o < cert.mu1_star
+        assert np.all(np.linalg.eigvalsh(cert.psi) < 0.0), (p, dly, cert.psi)
+        lam_o = bl.decay_constants(p, dly, mu1_o, mu2_o)[0]
+        assert 0.0 < lam_o <= cert.lam, (p, dly, cert.lam, lam_o)
+        assert 1.0 <= cert.zeta
+        assert cert.lam <= cert.lam_star + 1e-12
+    assert halved >= 100
+
+
+def test_closed_form_certificate_beta_zero():
+    # g is the constant (1-d)/M here, so draws with f(right) below it have
+    # no crossing and are refused
+    rng = np.random.default_rng(5)
+    hits = 0
+    for _ in range(200):
+        p, dly = _admissible_draw(rng, beta_zero=True)
+        try:
+            cert = bl.build_certificate(p, dly)
+        except InconsistentParametersError:
+            continue
+        hits += 1
+        assert cert.mu2 == 0.99
+        assert cert.mu1 == _oracle_pair(p, dly, cert.mu1_star)[0], (p, dly)
+        assert cert.psi[0, 0] < 0.0
+        assert 0.0 < cert.lam <= cert.lam_star + 1e-12 and cert.zeta >= 1.0
+    assert hits >= 50

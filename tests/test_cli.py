@@ -174,6 +174,19 @@ def test_sweep_empty_axis_is_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_sweep_row_marks_truncated_run(tmp_path, monkeypatch):
+    spec = SWEEP.replace("task = certify", "task = simulate") \
+                .replace("alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "alpha = 0.05")
+    failing_solve(monkeypatch, after=5)
+    out = tmp_path / "swfail"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 0
+    header, row = (out / "table.csv").read_text().strip().split("\n")
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["termination"] == "numerical_error"
+    assert row["error"] == ""
+
+
 def test_sweep_deterministic(tmp_path):
     spec = _write(tmp_path, SWEEP, "sweep.ini")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
