@@ -143,6 +143,10 @@ def g_of_mu1(p: SystemParams, dly: DelaySpec, mu1: float) -> float:
     if mu1 < -1e-15 or mu1 > right * (1.0 + 1e-12) + 1e-15:
         raise ConfigurationError(
             f"mu1 = {mu1} outside the interval [0, {right:.6g}]")
+    if p.beta == 0.0 and N0 > 0.0:
+        # N0 = D0: g is the constant (1-d)/M, which is also its limit at the
+        # right endpoint, where the quotient below is 0/0
+        return (1.0 - dly.d) / dly.M
     den = dly.M * (D0 - s * mu1)
     if den <= 0.0:
         raise InadmissibleGainsError(

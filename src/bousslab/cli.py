@@ -128,7 +128,11 @@ def cmd_check(args) -> int:
         print(f"inadmissible: alpha = {p.alpha}, threshold = {thr!r}, "
               f"L_ok = {p.length_ok}")
         return EXIT_INADMISSIBLE
-    cert = build_certificate(p, dly)
+    try:
+        cert = build_certificate(p, dly)
+    except BousslabError as exc:
+        print(f"certification error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     print(cert.document())
     return EXIT_OK
 

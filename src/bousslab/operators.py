@@ -8,6 +8,9 @@ and, where prescribed, curvature) plus the nearest interior nodes.  The
 curvature data enter as separate affine channels, so the operators stay
 linear time-invariant and the delayed feedback becomes a boundary source
 vector.
+
+The quadratic nonlinear terms use plain second-order derivative matrices on
+the full grid, boundary nodes included (`derivative_matrix`).
 """
 
 from __future__ import annotations
@@ -202,7 +205,13 @@ class BandedLU:
 
 
 # ---------------------------------------------------------------------------
-# generic second-order derivatives on padded node vectors (nonlinear terms)
+# second-order derivatives on the full grid, boundary nodes included
+# (nonlinear terms): centered stencil, coefficient * h^(-m), and the width of
+# the one-sided edge rows
+_FULL_STENCILS = {1: (_S1, 3),
+                  2: ({-1: 1.0, 0: -2.0, 1: 1.0}, 4),
+                  3: (_S3, 6)}
+
 
 def _fornberg(m: int, x0: float, xs: np.ndarray) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes xs."""
@@ -232,43 +241,33 @@ def _edge_weights(m: int, width: int, at: int = 0) -> np.ndarray:
     return _fornberg(m, float(at), np.arange(width, dtype=float))
 
 
-def _padded_derivative(full: np.ndarray, h: float, m: int) -> np.ndarray:
-    """m-th derivative of samples on the full grid (boundaries included),
-    second order, centered inside and one-sided at the ends."""
-    full = np.asarray(full, dtype=float)
-    N = full.shape[0]
-    out = np.empty_like(full)
-    if m == 1:
-        out[1:-1] = (full[2:] - full[:-2]) / (2 * h)
-        width = 3
-    elif m == 2:
-        out[1:-1] = (full[2:] - 2 * full[1:-1] + full[:-2]) / h ** 2
-        width = 4
-    elif m == 3:
-        out[2:-2] = (full[4:] - 2 * full[3:-1] + 2 * full[1:-3] - full[:-4]) / (2 * h ** 3)
-        width = 6
-    else:
+def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
+    """Sparse N x N m-th derivative (m = 1, 2, 3) of samples on the full grid
+    (boundary nodes included): second order, centered inside and one-sided
+    (Fornberg) on the first and last one (m < 3) or two (m = 3) rows."""
+    if m not in _FULL_STENCILS:
         raise ConfigurationError(f"unsupported derivative order {m}")
-    n_edge = 1 if m < 3 else 2
+    stencil, width = _FULL_STENCILS[m]
+    n_edge = max(stencil)
+    if N < width:
+        raise ConfigurationError(f"need at least {width} nodes, got {N}")
+    scale = 1.0 / h ** m
+    inner = np.arange(n_edge, N - n_edge)
+    rows = [np.repeat(inner, len(stencil))]
+    cols = [(inner[:, None] + np.array(list(stencil))).ravel()]
+    vals = [np.tile(np.array(list(stencil.values())) * scale, inner.size)]
+    edge = np.arange(width)
     for k in range(n_edge):
-        wk = _edge_weights(m, width, k) / h ** m
-        out[k] = wk @ full[:width]
-        out[N - 1 - k] = (wk * (-1.0) ** m)[::-1] @ full[N - width:]
-    return out
+        w = _edge_weights(m, width, k) * scale
+        rows += [np.full(width, k), np.full(width, N - 1 - k)]
+        cols += [edge, N - width + edge]
+        vals += [w, (w * (-1.0) ** m)[::-1]]
+    D = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N))
+    D.eliminate_zeros()
+    return D
 
 
 def padded(field_interior: np.ndarray, left: float = 0.0, right: float = 0.0) -> np.ndarray:
     """Interior node values extended with boundary values."""
     return np.concatenate([[left], np.asarray(field_interior, dtype=float), [right]])
-
-
-def d1(full: np.ndarray, h: float) -> np.ndarray:
-    return _padded_derivative(full, h, 1)
-
-
-def d2(full: np.ndarray, h: float) -> np.ndarray:
-    return _padded_derivative(full, h, 2)
-
-
-def d3(full: np.ndarray, h: float) -> np.ndarray:
-    return _padded_derivative(full, h, 3)

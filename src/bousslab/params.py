@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class DelaySpec:
         """Uniform sample times on [-tau0, 0] matching `history`."""
         return np.linspace(-self.tau0, 0.0, self.history.size)
 
-    def with_history(self, values) -> "DelaySpec":
-        return replace(self, history=np.asarray(values, dtype=float))
-
 
 def constant_history(value: float, n: int = 2) -> np.ndarray:
     return np.full(n, float(value))
@@ -124,6 +121,20 @@ def tau_at(dly: DelaySpec, t: float) -> tuple[float, float]:
         tau_dot = dly.amplitude * dly.frequency * math.cos(dly.frequency * t + dly.phase)
         return tau, tau_dot
     raise ConfigurationError(f"unknown delay form {dly.form!r}")
+
+
+def _tau_samples(dly: DelaySpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, tau') of the closed-form law on an array of times t >= 0: the
+    array counterpart of `tau_at`, which stays scalar for the per-step callers."""
+    if dly.form == "affine" and dly.rate > 0:
+        before = ts < (dly.M - dly.tau0) / dly.rate
+        return (np.where(before, dly.tau0 + dly.rate * ts, dly.M),
+                np.where(before, dly.rate, 0.0))
+    if dly.form == "sinusoidal":
+        arg = dly.frequency * ts + dly.phase
+        return (dly.tau0 + dly.amplitude * (np.sin(arg) - math.sin(dly.phase)),
+                dly.amplitude * dly.frequency * np.cos(arg))
+    return np.full_like(ts, dly.tau0), np.zeros_like(ts)
 
 
 @dataclass(frozen=True)
@@ -209,11 +220,9 @@ def validate_params(p: SystemParams, dly: DelaySpec, horizon: float = 100.0) -> 
         f"d = {dly.d} must lie in [0, 1)", dly.d)
 
     # dense sampling of the chosen closed form over the horizon
-    ts = np.linspace(0.0, horizon, _N_SAMPLES)
-    taus = np.empty_like(ts)
-    dots = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        taus[i], dots[i] = tau_at(dly, float(t))
+    if horizon < 0:
+        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
+    taus, dots = _tau_samples(dly, np.linspace(0.0, horizon, _N_SAMPLES))
     tmin, tmax, dotmax = taus.min(), taus.max(), dots.max()
     add("tau_floor", tmin >= dly.tau0 * (1.0 - _BOUND_TOL), "error",
         f"min sampled tau = {tmin:.6g} vs tau0 = {dly.tau0}", tmin)

@@ -19,7 +19,7 @@ from .energy import energy_sample
 from .delay_line import HistoryLine
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
-from .operators import BandedLU, OperatorSet, d1, d2, d3, padded, trace_eta_xx_L
+from .operators import BandedLU, OperatorSet, derivative_matrix, trace_eta_xx_L
 from .params import DelaySpec, SystemParams, tau_at
 from .report import RunReport
 
@@ -128,6 +128,48 @@ def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, s
     return A, B
 
 
+def nonlinear_matrices(n: int, h: float, p: SystemParams
+                       ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The quadratic terms as two sparse maps around pointwise products.
+
+    G (6(n+2) x 2n) takes the interleaved state to the fields on the full
+    grid, zero boundary values included: (ef, e_xx, wf, w_x, w_xx, w_xxx).
+    C (2n x 4(n+2)) takes the stacked products (ef wf, ef w_xx, wf w_x,
+    ef e_xx) to the interleaved right-hand side
+        eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
+        omega': -c_nl (wf w_x)_xx - (ef e_xx)_x
+    on the interior rows; `Stepper._nonlinear_rhs` adds the pointwise omega
+    terms.
+    """
+    N = n + 2
+    D = [sp.identity(N, format="csr").tocoo()] + [
+        derivative_matrix(N, h, m).tocoo() for m in (1, 2, 3)]
+
+    def entries(blocks, transpose):
+        """(stacked, interleaved, value) triplets of factor * D[m] for each
+        block (m, parity, factor), restricted to the interior columns (the
+        interior rows when transposed); parity 0 is eta, 1 is omega."""
+        stacked, inter, vals = [], [], []
+        for b, (m, parity, factor) in enumerate(blocks):
+            r, c = (D[m].col, D[m].row) if transpose else (D[m].row, D[m].col)
+            keep = (c >= 1) & (c <= n)
+            stacked.append(b * N + r[keep])
+            inter.append(2 * (c[keep] - 1) + parity)
+            vals.append(factor * D[m].data[keep])
+        return np.concatenate(stacked), np.concatenate(inter), np.concatenate(vals)
+
+    # the zero boundary values drop out with the boundary columns
+    gi, gj, gv = entries([(0, 0, 1.0), (2, 0, 1.0), (0, 1, 1.0),
+                          (1, 1, 1.0), (2, 1, 1.0), (3, 1, 1.0)], False)
+    cj, ci, cv = entries([(1, 0, -1.0), (1, 0, -p.alpha_p),
+                          (2, 1, -p.c_nl), (1, 1, -1.0)], True)
+    G = sp.csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
+    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 4 * N))
+    G.eliminate_zeros()
+    C.eliminate_zeros()
+    return G, C
+
+
 class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair."""
 
@@ -151,6 +193,8 @@ class Stepper:
         self._lu_be = BandedLU(I - cfg.dt * self.A) if cfg.startup_steps > 0 else None
         self._g_s = ops.omega_s_influence
         self._g_c = ops.eta_c_influence
+        if cfg.nonlinear:
+            self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         self._steps_done = 0
 
     @property
@@ -182,20 +226,12 @@ class Stepper:
         return b
 
     def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
-        eta, omega = u[self._ie], u[self._io]
-        p, h = self.p, self.ops.grid.h
-        ef = padded(eta)
-        wf = padded(omega)
-        w_x = d1(wf, h)
-        w_xx = d2(wf, h)
-        w_xxx = d3(wf, h)
-        e_xx = d2(ef, h)
-        h1 = -d1(ef * wf, h) - p.alpha_p * d1(ef * w_xx, h)
-        h2 = (-wf * w_x - p.c_nl * d2(wf * w_x, h) - d1(ef * e_xx, h)
-              + p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx)
-        out = np.zeros(2 * self.n)
-        out[self._ie] = h1[1:-1]
-        out[self._io] = h2[1:-1]
+        """Quadratic terms at the interleaved state u (`nonlinear_matrices`)."""
+        p = self.p
+        ef, e_xx, wf, w_x, w_xx, w_xxx = (self._G @ u).reshape(6, -1)
+        wf_wx = wf * w_x
+        out = self._C @ np.concatenate((ef * wf, ef * w_xx, wf_wx, ef * e_xx))
+        out[1::2] += (p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx)[1:-1]
         return out
 
     def step(self, state: SimState) -> SimState:

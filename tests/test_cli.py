@@ -56,6 +56,14 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
 
 
+def test_check_without_crossing_is_inadmissible(tmp_path, capsys):
+    # beta = 0 with M = 2: f never reaches g = 1/M on the interval, so the
+    # certificate has no crossing; the command reports it instead of raising
+    cfg = GOOD.replace("beta = 0.0005", "beta = 0.0")
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    assert "bracket sign condition violated" in capsys.readouterr().err
+
+
 def test_config_path_with_equals_sign(tmp_path):
     run_dir = tmp_path / "run=1"
     run_dir.mkdir()
@@ -199,3 +207,13 @@ def test_optimize_rate(tmp_path, capsys):
     assert main(["optimize-rate", "--config", _write(tmp_path, GOOD)]) == 0
     out = capsys.readouterr().out
     assert "mu1_star" in out and "lambda_star" in out
+
+
+def test_optimize_rate_beta_zero(tmp_path, capsys):
+    # beta = 0: g is the constant (1-d)/M, its right endpoint included
+    cfg = GOOD.replace("beta = 0.0005", "beta = 0.0").replace("M = 2.0", "M = 200.0")
+    assert main(["optimize-rate", "--config", _write(tmp_path, cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[lines.index("mu1,f,g") + 1:-2]]
+    assert len(rows) == 21
+    assert all(float(g) == 1.0 / 200.0 for _, _, g in rows)

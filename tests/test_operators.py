@@ -4,10 +4,10 @@ import sympy as sp
 from scipy.sparse import csr_matrix
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, OperatorSet, _build_single, _NPTS_2BC,
-                                _NPTS_3BC, _STENCILS, d1, d2, d3, ghost_weights,
-                                padded, trace_omega_xx_0, trace_weights)
-from bousslab.stepping import StepConfig, Stepper, system_matrices
+from bousslab.operators import (BandedLU, OperatorSet, _build_single, _edge_weights,
+                                _NPTS_2BC, _NPTS_3BC, _STENCILS, derivative_matrix,
+                                ghost_weights, padded, trace_omega_xx_0, trace_weights)
+from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices, system_matrices
 
 L = 1.0
 # boundary-condition counts (left, right) of each unknown
@@ -210,14 +210,95 @@ def test_generic_padded_derivatives_second_order():
     refs = {1: lambda x: 2.3 * np.cos(2.3 * x + 0.4),
             2: lambda x: -2.3 ** 2 * np.sin(2.3 * x + 0.4),
             3: lambda x: -2.3 ** 3 * np.cos(2.3 * x + 0.4)}
-    for m, dfun in ((1, d1), (2, d2), (3, d3)):
+    for m in (1, 2, 3):
         errs = []
         for N in (40, 80, 160):
             x = np.linspace(0.0, 1.0, N + 1)
             h = x[1] - x[0]
-            errs.append(np.max(np.abs(dfun(f(x), h) - refs[m](x))))
+            errs.append(np.max(np.abs(derivative_matrix(N + 1, h, m) @ f(x) - refs[m](x))))
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) > 1.8, (m, errs)
+
+
+@pytest.mark.parametrize("N", [10, 51, 205])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_derivative_matrix_band_and_storage(m, N):
+    D = derivative_matrix(N, 1.0 / (N - 1), m)
+    assert D.shape == (N, N) and D.has_canonical_format
+    assert np.all(D.data != 0.0)
+    coo = D.tocoo()
+    assert np.max(np.abs(coo.row - coo.col)) <= 5
+
+
+def test_derivative_matrix_rejects_unsupported_order():
+    with pytest.raises(bl.ConfigurationError):
+        derivative_matrix(10, 0.1, 4)
+
+
+def _padded_derivative(full, h, m):
+    """The per-call derivative the nonlinear terms used before they were
+    assembled as matrices, kept as the reference."""
+    N = full.shape[0]
+    out = np.empty_like(full)
+    if m == 1:
+        out[1:-1] = (full[2:] - full[:-2]) / (2 * h)
+        width = 3
+    elif m == 2:
+        out[1:-1] = (full[2:] - 2 * full[1:-1] + full[:-2]) / h ** 2
+        width = 4
+    else:
+        out[2:-2] = (full[4:] - 2 * full[3:-1] + 2 * full[1:-3] - full[:-4]) / (2 * h ** 3)
+        width = 6
+    for k in range(1 if m < 3 else 2):
+        wk = _edge_weights(m, width, k) / h ** m
+        out[k] = wk @ full[:width]
+        out[N - 1 - k] = (wk * (-1.0) ** m)[::-1] @ full[N - width:]
+    return out
+
+
+def _composed_nonlinear_rhs(u, p, h):
+    """The quadratic terms composed from per-call derivatives (reference)."""
+    d1, d2, d3 = (lambda f, m=m: _padded_derivative(f, h, m) for m in (1, 2, 3))
+    ef, wf = padded(u[0::2]), padded(u[1::2])
+    w_x, w_xx, w_xxx, e_xx = d1(wf), d2(wf), d3(wf), d2(ef)
+    h1 = -d1(ef * wf) - p.alpha_p * d1(ef * w_xx)
+    h2 = (-wf * w_x - p.c_nl * d2(wf * w_x) - d1(ef * e_xx)
+          + p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx)
+    out = np.empty_like(u)
+    out[0::2], out[1::2] = h1[1:-1], h2[1:-1]
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 50, 101, 203, 403])
+def test_nonlinear_rhs_matches_composition_oracle(n):
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4,
+                        alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25)
+    g = bl.Grid(n=n, L=L)
+    ops, dly = bl.build_operators(p, g), bl.DelaySpec(tau0=0.5, M=0.5)
+    st = Stepper(ops, StepConfig(dt=1e-3, nonlinear=True), p, dly)
+    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 4 * (n + 2))
+    assert np.all(st._G.data != 0.0) and np.all(st._C.data != 0.0)
+    # alpha_p = 0: that block stores nothing
+    C0 = nonlinear_matrices(n, g.h, bl.SystemParams())[1]
+    assert np.all(C0.data != 0.0) and C0.nnz < st._C.nnz
+    # a linear stepper assembles neither
+    assert not hasattr(Stepper(ops, StepConfig(dt=1e-3), p, dly), "_G")
+    rng = np.random.default_rng(n)
+    x = g.nodes / L
+    k = np.arange(1, 5)[:, None]
+    for _ in range(3):
+        # random smooth fields: a few low sine modes on each unknown
+        u = np.empty(2 * n)
+        for sl in (slice(0, None, 2), slice(1, None, 2)):
+            u[sl] = rng.standard_normal(4) @ np.sin(np.pi * k * x)
+        ref = _composed_nonlinear_rhs(u, p, g.h)
+        assert np.max(np.abs(st._nonlinear_rhs(u) - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # each derivative agrees to roundoff: a few ulps of sum_j |D_ij f_j|
+    full = padded(u[1::2])
+    for m in (1, 2, 3):
+        D = derivative_matrix(n + 2, g.h, m)
+        err = np.abs(D @ full - _padded_derivative(full, g.h, m))
+        assert np.all(err <= 8 * np.finfo(float).eps * (abs(D) @ np.abs(full)))
 
 
 def test_padded_helper():

@@ -69,6 +69,8 @@ def test_tau_at_sinusoidal_example():
 def test_tau_at_negative_time_rejected():
     with pytest.raises(ConfigurationError):
         bl.tau_at(bl.DelaySpec(), -1.0)
+    with pytest.raises(ConfigurationError):
+        bl.validate_params(bl.SystemParams(), bl.DelaySpec(), horizon=-1.0)
 
 
 @pytest.mark.parametrize("form,kwargs", [
@@ -87,6 +89,39 @@ def test_accepted_delay_sampled_bounds(form, kwargs):
     taus = np.array([bl.tau_at(dly, float(t))[0] for t in ts])
     assert taus.min() >= dly.tau0 * (1 - 1e-12)
     assert taus.max() <= dly.M * (1 + 1e-12)
+
+
+def _looped_report(dly, horizon=100.0):
+    """validate_params' delay-law checks from the scalar tau_at, one sample
+    at a time, as they were computed before the sampling was vectorized."""
+    ts = np.linspace(0.0, horizon, 10_000)
+    taus, dots = np.array([bl.tau_at(dly, float(t)) for t in ts]).T
+    tmin, tmax, dotmax = taus.min(), taus.max(), dots.max()
+    return {"tau_floor": (tmin >= dly.tau0 * (1 - 1e-12), tmin),
+            "tau_ceiling": (tmax <= dly.M * (1 + 1e-12), tmax),
+            "slope_bound": (dotmax <= dly.d + 1e-12, dotmax)}
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(form="constant", tau0=0.5, M=0.5),
+    # saturates at t = 10: samples before and after
+    dict(form="affine", tau0=0.5, M=1.0, d=0.1, rate=0.05),
+    # saturates beyond the horizon
+    dict(form="affine", tau0=0.5, M=10.0, d=0.1, rate=0.05),
+    # rate above d and M below the ramp's end: both checks fail
+    dict(form="affine", tau0=0.5, M=0.8, d=0.01, rate=0.05),
+    dict(form="sinusoidal", tau0=0.5, M=0.7, d=0.2, amplitude=0.1,
+         frequency=2.0, phase=-math.pi / 2),
+    # slope and floor violated
+    dict(form="sinusoidal", tau0=0.4, M=2.0, d=0.1, amplitude=0.2,
+         frequency=2.0, phase=0.3),
+])
+def test_vectorized_delay_sampling_matches_loop(kwargs):
+    dly = bl.DelaySpec(**kwargs)
+    checks = {c.name: c for c in bl.validate_params(bl.SystemParams(), dly).checks}
+    for name, (passed, value) in _looped_report(dly).items():
+        assert checks[name].passed == passed, name
+        assert abs(checks[name].value - value) <= 1e-15 * abs(value), name
 
 
 def test_tau_dot_consistent_with_finite_difference():
