@@ -16,6 +16,6 @@ from .params import (DelaySpec, Grid, SystemParams, ValidationReport,
                      constant_history, tau_at, validate_params)
 from .report import RunReport, bound_check, fit_decay
 from .stepping import (SimState, StepConfig, Stepper, initial_state, run,
-                       slow_mode_state, step, suggested_theta)
+                       slow_mode_state, suggested_theta)
 
 __version__ = "0.1.0"

@@ -88,6 +88,14 @@ def zeta_overshoot(p: SystemParams, mu1: float, mu2: float) -> float:
     return (1.0 + mx) / (1.0 - mx)
 
 
+def check_multipliers(p: SystemParams, mu1: float, mu2: float) -> None:
+    """Raise ConfigurationError unless 0 <= mu1 < 1/L and 0 <= mu2 < 1, the
+    range in which V = E - mu1 V1 + mu2 V2 is sandwiched by E."""
+    if not (0.0 <= mu1 < 1.0 / p.L) or not (0.0 <= mu2 < 1.0):
+        raise ConfigurationError(
+            f"need mu1 in [0, 1/L) and mu2 in [0, 1), got ({mu1}, {mu2})")
+
+
 def decay_constants(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
                     ) -> tuple[float, float, dict]:
     """(lambda, zeta, info) for the supplied (mu1, mu2).
@@ -98,9 +106,7 @@ def decay_constants(p: SystemParams, dly: DelaySpec, mu1: float, mu2: float
     InadmissibleGainsError.
     """
     _require_length_ok(p)
-    if not (0.0 <= mu1 < 1.0 / p.L) or not (0.0 <= mu2 < 1.0):
-        raise ConfigurationError(
-            f"need mu1 in [0, 1/L) and mu2 in [0, 1), got ({mu1}, {mu2})")
+    check_multipliers(p, mu1, mu2)
     if (mu1 > 0.0 or mu2 > 0.0) and not _negative_definite(
             psi_matrix(p, dly, mu1, mu2), p.beta == 0.0):
         raise InadmissibleGainsError(

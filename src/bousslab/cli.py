@@ -82,10 +82,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
         state = initial_state(p, dly, grid, eta0, omega0)
 
     cfg = StepConfig(dt=runset.dt, theta=runset.resolve_theta(),
-                     startup_steps=runset.startup_steps,
-                     nonlinear=runset.nonlinear,
-                     picard_iters=runset.picard_iters,
-                     picard_tol=runset.picard_tol)
+                     nonlinear=runset.nonlinear)
     rep = run(state, runset.T, cfg, p, dly, ops,
               rho_res=runset.rho_res, mu1=mu1, mu2=mu2,
               store_fields=runset.store_fields)
@@ -98,14 +95,13 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
         extras["kato_residual"] = kres
         extras["kato_C_L"] = c_l
     if rep.n_rows >= 2 and np.all(rep.E > 0):
-        lam_obs, r2 = fit_decay(rep.t, rep.E, runset.fit_window)
+        lam_obs, r2 = fit_decay(rep.t, rep.E)
         extras["lambda_obs"] = lam_obs
         extras["fit_r2"] = r2
     if cert is not None:
         extras.update(lambda_theory=cert.lam, zeta=cert.zeta,
                       mu1_star=cert.mu1_star)
-        ok, ratio = bound_check(rep.t, rep.E, cert.lam, cert.zeta,
-                                runset.bound_slack)
+        ok, ratio = bound_check(rep.t, rep.E, cert.lam, cert.zeta)
         extras["bound_ok"] = ok
         extras["bound_max_ratio"] = ratio
     else:

@@ -19,12 +19,8 @@ class RunSettings:
 
     T: float = 5.0
     dt: float = 1e-3
-    theta: float | str = "auto"      # "auto" -> 1/2 + kappa*dt
-    kappa: float = 2.0
-    startup_steps: int = 0
+    theta: float | str = "auto"      # "auto" -> suggested_theta(dt) = 1/2 + 2 dt
     nonlinear: bool = False
-    picard_iters: int = 30
-    picard_tol: float = 1e-12
     rho_res: int = 64
     mu1: float | str = "auto"        # "auto" -> certificate's optimal value
     mu2: float | str = "auto"
@@ -32,12 +28,10 @@ class RunSettings:
     omega0: str = "quartic 1.0"
     seed: int = 0
     store_fields: bool = False
-    fit_window: float = 0.5
-    bound_slack: float = 0.02
 
     def resolve_theta(self) -> float:
         if self.theta == "auto":
-            return suggested_theta(self.dt, self.kappa)
+            return suggested_theta(self.dt)
         return float(self.theta)
 
 

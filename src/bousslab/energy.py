@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import phi_matrix
 from .delay_line import z_profile
 from .errors import ConfigurationError
 from .operators import padded, trace_eta_xx_L, trace_omega_xx_0
@@ -26,7 +25,6 @@ class EnergySample:
     V: float
     trace_now: float
     trace_delayed: float
-    diss_rhs: float
 
 
 def _field_quad(values_sq: np.ndarray, h: float) -> float:
@@ -91,11 +89,8 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
         q2 = float(s.history.query(s.t - tau))
     else:
         q2 = float(z[-1])   # rho = 1 is exactly t - tau
-    Phi = phi_matrix(p, dly)
-    q = np.array([q1, q2])
     return EnergySample(t=s.t, E=E, V1=V1, V2=V2, V=V,
-                        trace_now=q1, trace_delayed=q2,
-                        diss_rhs=0.5 * float(q @ Phi @ q))
+                        trace_now=q1, trace_delayed=q2)
 
 
 def dissipation_residual(report, p: SystemParams) -> float:

@@ -83,14 +83,14 @@ def manufactured_pair(p: SystemParams, family: str = "quartic"):
 
 
 def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
-              kappa: float = 2.0, family: str = "quartic") -> float:
+              family: str = "quartic") -> float:
     """Discrete L2 error of the forced run against the manufactured pair."""
     grid = Grid(n=n, L=p.L)
     ops = build_operators(p, grid)
     exact, forcing, eta_xx0 = manufactured_pair(p, family)
     x = grid.nodes
     state = initial_state(p, dly, grid, exact(0.0, x), exact(0.0, x))
-    cfg = StepConfig(dt=dt, theta=suggested_theta(dt, kappa))
+    cfg = StepConfig(dt=dt, theta=suggested_theta(dt))
     rep = run(state, T, cfg, p, dly, ops, store_fields=True,
               forcing=forcing, eta_xx0=eta_xx0)
     t_end = rep.t[-1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,9 +156,12 @@ class Grid:
     def h(self) -> float:
         return self.L / (self.n + 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.h, self.L - self.h, self.n)
+        """Interior nodes, built once per grid; read-only (shared)."""
+        x = np.linspace(self.h, self.L - self.h, self.n)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)

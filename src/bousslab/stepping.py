@@ -4,7 +4,8 @@ The state is interleaved as (eta_1, omega_1, eta_2, omega_2, ...) so the
 coupled 2n x 2n system stays banded; the stiff operator is factorized once
 per run and the delayed boundary datum enters as an explicit source vector
 evaluated at t + theta*dt.  Optional Picard iteration handles the quadratic
-nonlinear terms.
+nonlinear terms.  `SimState` holds the interleaved vector itself, so a step is
+one matvec, one banded solve (one per Picard iterate) and one trace push.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .certificate import check_multipliers, phi_matrix
 from .energy import energy_sample
 from .delay_line import HistoryLine
 from .errors import (ConfigurationError, HistoryUnderrunError,
@@ -24,6 +26,13 @@ from .params import DelaySpec, SystemParams, tau_at
 from .report import RunReport
 
 _BLOWUP_FACTOR = 1e6
+# Picard iteration: at most this many solves per step, relative step tolerance
+_PICARD_ITERS = 30
+_PICARD_TOL = 1e-12
+# slow mode: history samples on [-tau0, 0], and the time-resolved disk
+# |lambda| dt <= _RESOLVE_LIMIT its candidates are drawn from
+_N_HISTORY = 513
+_RESOLVE_LIMIT = 0.7
 # errors that end a run early, keeping the rows recorded so far
 _TERMINATION = {NonlinearDivergenceError: "nonlinear_divergence",
                 HistoryUnderrunError: "history_underrun",
@@ -32,20 +41,37 @@ _TERMINATION = {NonlinearDivergenceError: "nonlinear_divergence",
 log = logging.getLogger(__name__)
 
 
-@dataclass
 class SimState:
-    """Grid values of (eta, omega), the trace history, and the current time."""
+    """The interleaved grid values u = (eta_1, omega_1, eta_2, omega_2, ...),
+    the trace history, and the current time.
 
-    t: float
-    eta: np.ndarray
-    omega: np.ndarray
-    history: HistoryLine
+    `eta` and `omega` are strided views of u; treat them as read-only.
+    """
 
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.eta.shape != self.omega.shape:
+    def __init__(self, t: float, eta, omega, history: HistoryLine):
+        eta = np.asarray(eta, dtype=float)
+        omega = np.asarray(omega, dtype=float)
+        if eta.shape != omega.shape:
             raise ConfigurationError("eta and omega must have equal length")
+        u = np.empty(2 * eta.size)
+        u[0::2] = eta
+        u[1::2] = omega
+        self.t, self.u, self.history = t, u, history
+
+    @classmethod
+    def _from_u(cls, t: float, u: np.ndarray, history: HistoryLine) -> SimState:
+        """A state that takes ownership of the interleaved vector u."""
+        state = cls.__new__(cls)
+        state.t, state.u, state.history = t, u, history
+        return state
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.u[0::2]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.u[1::2]
 
 
 @dataclass(frozen=True)
@@ -53,18 +79,13 @@ class StepConfig:
     """Theta-scheme parameters.
 
     theta = 1/2 is Crank-Nicolson; production runs use theta = 1/2 + O(dt)
-    to damp the stiff spurious closure modes (see `suggested_theta`).
-    startup_steps > 0 runs that many backward-Euler steps first (Rannacher
-    smoothing), useful for initial data that is rough for the discrete
-    operator.
+    to damp the stiff spurious closure modes (see `suggested_theta`), and
+    theta = 1 is backward Euler.
     """
 
     dt: float
     theta: float = 0.5
-    startup_steps: int = 0
     nonlinear: bool = False
-    picard_iters: int = 30
-    picard_tol: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -184,31 +205,15 @@ class Stepper:
         self.eta_xx0 = eta_xx0
         n = ops.grid.n
         self.n = n
-        self._ie = 2 * np.arange(n)       # eta rows
-        self._io = self._ie + 1           # omega rows
         self.A, _ = system_matrices(ops, p)
         I = sp.identity(2 * n, format="csr")
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
-        self._lu_be = BandedLU(I - cfg.dt * self.A) if cfg.startup_steps > 0 else None
         self._g_s = ops.omega_s_influence
         self._g_c = ops.eta_c_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         self._steps_done = 0
-
-    @property
-    def system_matrix(self) -> sp.csr_matrix:
-        return self.A
-
-    def interleave(self, eta, omega) -> np.ndarray:
-        u = np.empty(2 * self.n)
-        u[self._ie] = eta
-        u[self._io] = omega
-        return u
-
-    def split(self, u) -> tuple[np.ndarray, np.ndarray]:
-        return u[self._ie].copy(), u[self._io].copy()
 
     def _source(self, t_eval: float, state: SimState) -> np.ndarray:
         """dt-weighted explicit sources at the evaluation time."""
@@ -216,13 +221,13 @@ class Stepper:
         if self.p.beta != 0.0:
             tau, _ = tau_at(self.dly, t_eval)
             zd = state.history.query(t_eval - tau)
-            b[self._ie] = -self.p.beta * self._g_s * zd
+            b[0::2] = -self.p.beta * self._g_s * zd
         if self.eta_xx0 is not None:
-            b[self._io] = -self._g_c * float(self.eta_xx0(t_eval))
+            b[1::2] = -self._g_c * float(self.eta_xx0(t_eval))
         if self.forcing is not None:
             f1, f2 = self.forcing(t_eval, self.ops.grid.nodes)
-            b[self._ie] += f1
-            b[self._io] += f2
+            b[0::2] += f1
+            b[1::2] += f2
         return b
 
     def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
@@ -235,29 +240,19 @@ class Stepper:
         return out
 
     def step(self, state: SimState) -> SimState:
-        cfg = self.cfg
-        dt = cfg.dt
-        startup = self._steps_done < cfg.startup_steps
-        theta = 1.0 if startup else cfg.theta
-        lu = self._lu_be if startup else self._lu
-        t_eval = state.t + theta * dt
-        u = self.interleave(state.eta, state.omega)
-        b = self._source(t_eval, state)
-        if startup:
-            base = u + dt * b
-        else:
-            base = self._M2 @ u + dt * b
-        if not cfg.nonlinear:
-            u_new = lu.solve(base)
+        dt, theta = self.cfg.dt, self.cfg.theta
+        u = state.u
+        base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
+        if not self.cfg.nonlinear:
+            u_new = self._lu.solve(base)
         else:
             if theta < 1.0:
                 base = base + (1.0 - theta) * dt * self._nonlinear_rhs(u)
-            u_new = u.copy()
-            converged = False
+            u_new = u
             prev_delta = np.inf
-            for _ in range(cfg.picard_iters):
+            for _ in range(_PICARD_ITERS):
                 rhs = base + theta * dt * self._nonlinear_rhs(u_new)
-                u_next = lu.solve(rhs)
+                u_next = self._lu.solve(rhs)
                 if not np.all(np.isfinite(u_next)):
                     raise NonlinearDivergenceError(
                         "nonlinear iterate is not finite", t=state.t,
@@ -265,30 +260,20 @@ class Stepper:
                 delta = np.linalg.norm(u_next - u_new)
                 scale = np.linalg.norm(u_next) + 1e-300
                 u_new = u_next
-                if delta <= cfg.picard_tol * scale:
-                    converged = True
-                    break
-                # stalled at the linear-solve roundoff floor: accept
-                if delta >= 0.5 * prev_delta and delta <= 1e-9 * scale:
-                    converged = True
+                # converged, or stalled at the linear-solve roundoff floor
+                if delta <= _PICARD_TOL * scale or (
+                        delta >= 0.5 * prev_delta and delta <= 1e-9 * scale):
                     break
                 prev_delta = delta
-            if not converged:
+            else:
                 raise NonlinearDivergenceError(
-                    f"Picard iteration did not reach tol={cfg.picard_tol} "
-                    f"within {cfg.picard_iters} iterations", t=state.t,
+                    f"Picard iteration did not reach tol={_PICARD_TOL} "
+                    f"within {_PICARD_ITERS} iterations", t=state.t,
                     step=self._steps_done)
         self._steps_done += 1
-        t_new = state.t + dt
-        eta_new, omega_new = self.split(u_new)
-        state.history.push(t_new, trace_eta_xx_L(eta_new, self.ops.grid))
-        return SimState(t=t_new, eta=eta_new, omega=omega_new, history=state.history)
-
-
-def step(s: SimState, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
-         dly: DelaySpec, forcing=None, eta_xx0=None) -> SimState:
-    """One theta-scheme step (one-shot; builds and discards the factorization)."""
-    return Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0).step(s)
+        new = SimState._from_u(state.t + dt, u_new, state.history)
+        new.history.push(new.t, trace_eta_xx_L(new.eta, self.ops.grid))
+        return new
 
 
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
@@ -296,16 +281,21 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    A step or monitor row that fails with NonlinearDivergenceError,
+    Raises ConfigurationError before the first step when T < 0 or when the
+    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or
+    monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
     cause in `termination`.
     """
+    if T < 0:
+        raise ConfigurationError(f"horizon T must be nonnegative, got {T}")
+    check_multipliers(p, mu1, mu2)
     stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     state = s0
     rows = {k: [] for k in ("t", "E", "V", "V1", "V2",
-                            "trace_now", "trace_delayed", "diss_rhs")}
+                            "trace_now", "trace_delayed")}
     fields_eta = [] if store_fields else None
     fields_omega = [] if store_fields else None
 
@@ -334,15 +324,17 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
             termination = "unstable"
             break
 
+    # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row
+    q = np.array([rows["trace_now"], rows["trace_delayed"]])
     return RunReport(
         t=np.asarray(rows["t"]),
         E=np.asarray(rows["E"]),
         V=np.asarray(rows["V"]),
         V1=np.asarray(rows["V1"]),
         V2=np.asarray(rows["V2"]),
-        trace_now=np.asarray(rows["trace_now"]),
-        trace_delayed=np.asarray(rows["trace_delayed"]),
-        dissipation_rhs=np.asarray(rows["diss_rhs"]),
+        trace_now=q[0],
+        trace_delayed=q[1],
+        dissipation_rhs=0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0),
         fields_eta=None if fields_eta is None else np.asarray(fields_eta),
         fields_omega=None if fields_omega is None else np.asarray(fields_omega),
         termination=termination,
@@ -371,10 +363,10 @@ def _shift_invert(M: sp.csr_matrix, k: int, sigma: complex, v0: np.ndarray,
         raise NumericalError(f"shift-invert eigensolve about {sigma} failed: {exc}") from exc
 
 
-def _resolved_spectrum(A: sp.csr_matrix, dt: float, resolve_limit: float,
-                       v0: np.ndarray) -> tuple[np.ndarray, int]:
+def _resolved_spectrum(A: sp.csr_matrix, dt: float, v0: np.ndarray
+                       ) -> tuple[np.ndarray, int]:
     """Eigenvalues of A that include all of those in the time-resolved disk
-    |lambda| dt <= resolve_limit, and the k that found them.
+    |lambda| dt <= _RESOLVE_LIMIT, and the k that found them.
 
     Shift-invert ARPACK about 0 returns the k eigenvalues nearest the
     centre; k doubles from 8 until one of them lies outside the disk, so
@@ -385,15 +377,14 @@ def _resolved_spectrum(A: sp.csr_matrix, dt: float, resolve_limit: float,
     k = 8
     while k < n2 - 1:
         ev = _shift_invert(A, k, 0.0, v0, vectors=False)
-        if np.any(np.abs(ev) * dt > resolve_limit):
+        if np.any(np.abs(ev) * dt > _RESOLVE_LIMIT):
             return ev, k
         k *= 2
     return np.linalg.eigvals(A.toarray()), n2
 
 
 def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float,
-                    amplitude: float = 1.0, n_history: int = 513,
-                    resolve_limit: float = 0.7):
+                    amplitude: float = 1.0):
     """Least-damped time-resolved eigenpair of the delayed system.
 
     Solves the delay eigenproblem lambda*u = A u + exp(-lambda*tau0) B u
@@ -402,7 +393,7 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     Useful as transient-free benchmark data.
 
     The candidates are the decaying eigenvalues of A in the time-resolved
-    disk |lambda| dt <= resolve_limit, found by shift-invert ARPACK about 0
+    disk |lambda| dt <= 0.7, found by shift-invert ARPACK about 0
     (`_resolved_spectrum`; on toy grids, where the disk holds nearly the
     whole spectrum, a dense eigensolve).  The start is the oscillatory
     candidate (any candidate if none oscillates) with the least |Re|, taken
@@ -423,9 +414,9 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     tau0 = dly.tau0
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n2)
 
-    ev, k = _resolved_spectrum(A, dt, resolve_limit, v0)
+    ev, k = _resolved_spectrum(A, dt, v0)
     log.debug("slow mode: candidate search ended at k=%d (n2=%d)", k, n2)
-    ok = (np.abs(ev) * dt <= resolve_limit) & (ev.real < 0)
+    ok = (np.abs(ev) * dt <= _RESOLVE_LIMIT) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
     cand = np.where(osc)[0]
     if cand.size == 0:
@@ -458,10 +449,7 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
 
     eta_c = v[0::2]
     tr_c = complex(ops.trace_row @ eta_c)
-    t_hist = np.linspace(-tau0, 0.0, n_history)
+    t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
     hist_vals = np.real(tr_c * np.exp(lam * t_hist))
     hist = HistoryLine(t_hist, hist_vals, M=dly.M)
-    eta0 = np.real(eta_c)
-    omega0 = np.real(v[1::2])
-    state = SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
-    return state, lam
+    return SimState._from_u(0.0, v.real.copy(), hist), lam

@@ -112,6 +112,23 @@ def test_simulate_flag_overrides(tmp_path):
     assert len(rows) - 1 == int(np.floor(0.1 / 0.002)) + 1
 
 
+def test_simulate_rejects_out_of_range_multipliers(tmp_path, capsys):
+    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nmu1 = 5.0\nmu2 = 3.0")
+    out = tmp_path / "outmu"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--horizon", "0.05", "--n", "32"]) == 1
+    assert "simulation error" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
+def test_simulate_rejects_negative_horizon(tmp_path, capsys):
+    out = tmp_path / "outneg"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 "--horizon", "-1", "--n", "32"]) == 1
+    assert "horizon" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     failing_solve(monkeypatch, after=5)
     out = tmp_path / "outfail"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bousslab.config import initial_profile, parse_config, serialize_config
+from bousslab.config import (RunSettings, initial_profile, parse_config,
+                             serialize_config)
 from bousslab.errors import ConfigurationError
 
 SAMPLE = """
@@ -37,7 +40,7 @@ def test_parse_sample():
     assert dly.tau0 == 0.5 and dly.M == 2.0
     assert grid.n == 64
     assert run.T == 1.0 and run.theta == "auto"
-    assert run.resolve_theta() == 0.5 + run.kappa * run.dt
+    assert run.resolve_theta() == 0.5 + 2.0 * run.dt
 
 
 def test_round_trip_semantically_identical():
@@ -57,6 +60,27 @@ def test_unknown_key_rejected():
     bad = SAMPLE.replace("a = 0.1", "a = 0.1\nbogus = 2")
     with pytest.raises(ConfigurationError):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("startup_steps", "4"), ("picard_iters", "30"), ("picard_tol", "1e-12"),
+    ("kappa", "2.0"), ("fit_window", "0.5"), ("bound_slack", "0.02")])
+def test_removed_run_keys_rejected(key, value):
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        parse_config(SAMPLE + f"{key} = {value}\n")
+
+
+def test_round_trip_every_run_field():
+    # a non-default value for every [run] field survives serialize -> parse
+    p, dly, grid, run = parse_config(SAMPLE)
+    changed = RunSettings(T=2.5, dt=5e-4, theta=0.625, nonlinear=True,
+                          rho_res=128, mu1=0.25, mu2=0.5, eta0="sine 1.0 2",
+                          omega0="gauss 0.5 0.3 0.1", seed=7, store_fields=True)
+    defaults = RunSettings()
+    assert all(getattr(changed, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(RunSettings))
+    run2 = parse_config(serialize_config(p, dly, grid, changed))[3]
+    assert run2 == changed
 
 
 def test_malformed_rejected():

@@ -135,9 +135,15 @@ def test_energy_sample_consistency(acc_params, acc_delay):
     assert abs(sample.E - bl.energy(s, acc_params, acc_delay, 64, g)) < 1e-14
     V1, V2, V = bl.lyapunov(s, acc_params, acc_delay, 0.01, 0.1, 64, g)
     assert abs(sample.V - V) < 1e-14
+    # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
+    ops = bl.build_operators(acc_params, g)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    rep = bl.run(s, 0.02, cfg, acc_params, acc_delay, ops)
     Phi = bl.phi_matrix(acc_params, acc_delay)
-    q = np.array([sample.trace_now, sample.trace_delayed])
-    assert abs(sample.diss_rhs - 0.5 * q @ Phi @ q) < 1e-14
+    for k in range(rep.n_rows):
+        q = np.array([rep.trace_now[k], rep.trace_delayed[k]])
+        ref = 0.5 * q @ Phi @ q
+        assert abs(rep.dissipation_rhs[k] - ref) <= 1e-14 * abs(ref)
 
 
 def test_lyapunov_per_step_decay(acc_runs, acc_cert):

@@ -174,7 +174,7 @@ def test_one_step_dissipativity_shadow():
     dt = 1e-3
     st = Stepper(bl.build_operators(p, bl.Grid(n=48, L=1.0)),
                  StepConfig(dt=dt, theta=bl.suggested_theta(dt)), p, dly)
-    A = st.system_matrix
+    A = st.A
     n2 = A.shape[0]
     theta = bl.suggested_theta(dt)
     G = np.linalg.solve(np.eye(n2) - theta * dt * A,

@@ -2,11 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
+from bousslab.operators import BandedLU
 from bousslab.stepping import SimState, Stepper, system_matrices
 
 from conftest import ACC, ACC_DELAY, failing_solve
@@ -135,16 +137,100 @@ def test_theta_range_enforced():
         bl.StepConfig(dt=1e-3, theta=0.4)
 
 
-def test_one_shot_step_matches_stepper():
-    p, dly, g, ops = _setup(n=32)
+def test_run_rejects_bad_horizon_and_multipliers():
+    p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    rng = np.random.default_rng(9)
-    s1 = _random_state(g, dly, rng, scale=0.1)
-    rng = np.random.default_rng(9)
-    s2 = _random_state(g, dly, rng, scale=0.1)
-    out1 = bl.step(s1, ops, cfg, p, dly)
-    out2 = Stepper(ops, cfg, p, dly).step(s2)
-    assert np.array_equal(out1.eta, out2.eta)
+    s = _random_state(g, dly, np.random.default_rng(5), scale=0.01)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        bl.run(s, -1.0, cfg, p, dly, ops)
+    for mu1, mu2 in ((0.0, 1.0), (1.0 / p.L, 0.0), (-0.1, 0.0), (0.0, -0.1)):
+        with pytest.raises(ConfigurationError, match="mu1 in"):
+            bl.run(s, 0.01, cfg, p, dly, ops, mu1=mu1, mu2=mu2)
+    assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
+
+
+def test_state_fields_are_views_of_u():
+    p, dly, g, ops = _setup(n=16)
+    s = _random_state(g, dly, np.random.default_rng(6))
+    stepper = Stepper(ops, bl.StepConfig(dt=1e-3, theta=0.5), p, dly)
+    for state in (s, stepper.step(s)):
+        assert state.u.shape == (2 * g.n,)
+        assert np.shares_memory(state.eta, state.u)
+        assert np.shares_memory(state.omega, state.u)
+        assert np.array_equal(state.u[0::2], state.eta)
+        assert np.array_equal(state.u[1::2], state.omega)
+
+
+def _oracle_step(stepper, lu, M2, state, hist, grid):
+    """The step as it was before SimState held u: interleave both fields
+    through index arrays, matvec, banded solve (Picard for the nonlinear
+    terms, 30 iterations, tolerance 1e-12, stall rule), split into copies.
+    Returns (t, eta, omega); pushes the new trace onto `hist`."""
+    p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
+    n = grid.n
+    ie = 2 * np.arange(n)
+    io = ie + 1
+    u = np.empty(2 * n)
+    u[ie] = state[1]
+    u[io] = state[2]
+    t_eval = state[0] + cfg.theta * cfg.dt
+    b = np.zeros(2 * n)
+    tau, _ = bl.tau_at(dly, t_eval)
+    b[ie] = -p.beta * stepper.ops.omega_s_influence * hist.query(t_eval - tau)
+    base = M2 @ u + cfg.dt * b
+    if not cfg.nonlinear:
+        u_new = lu.solve(base)
+    else:
+        base = base + (1.0 - cfg.theta) * cfg.dt * stepper._nonlinear_rhs(u)
+        u_new = u.copy()
+        prev_delta = np.inf
+        for _ in range(30):
+            u_next = lu.solve(base + cfg.theta * cfg.dt * stepper._nonlinear_rhs(u_new))
+            delta = np.linalg.norm(u_next - u_new)
+            scale = np.linalg.norm(u_next) + 1e-300
+            u_new = u_next
+            if delta <= 1e-12 * scale or (delta >= 0.5 * prev_delta
+                                          and delta <= 1e-9 * scale):
+                break
+            prev_delta = delta
+        else:
+            raise AssertionError("oracle Picard iteration did not converge")
+    eta, omega = u_new[ie].copy(), u_new[io].copy()
+    t_new = state[0] + cfg.dt
+    hist.push(t_new, bl.trace_eta_xx_L(eta, grid))
+    return t_new, eta, omega
+
+
+@pytest.mark.parametrize("nonlinear, n, steps", [(False, 64, 50), (True, 50, 20)])
+def test_step_matches_interleave_oracle(nonlinear, n, steps):
+    # the nonlinear case: small smooth data; both under a sinusoidal delay
+    # law with a nonzero history, so the delayed source is live
+    amp = 1e-3 if nonlinear else 1.0
+    p = bl.SystemParams(**ACC, alpha_p=0.5, beta_p=0.5, rho_nl=0.5)
+    dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
+                       phase=-np.pi / 2, M=0.7, d=0.2,
+                       history=amp * np.cos(np.linspace(-3.0, 0.0, 33)))
+    g = bl.Grid(n=n, L=p.L)
+    ops = bl.build_operators(p, g)
+    dt = 4e-3 if nonlinear else 1e-3
+    cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt), nonlinear=nonlinear)
+    x = g.nodes
+    state = bl.initial_state(p, dly, g, amp * x ** 3 * (1 - x) ** 2 * (1 + 0.3 * x),
+                             amp * x ** 2 * (1 - x) ** 2)
+    oracle = (state.t, state.eta.copy(), state.omega.copy())
+    hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v), M=dly.M)
+    stepper = Stepper(ops, cfg, p, dly)
+    A, _ = system_matrices(ops, p)
+    I = sp.identity(2 * n, format="csr")
+    lu = BandedLU(I - cfg.theta * dt * A)
+    M2 = I + (1.0 - cfg.theta) * dt * A
+    for _ in range(steps):
+        state = stepper.step(state)
+        oracle = _oracle_step(stepper, lu, M2, oracle, hist, g)
+        assert state.t == oracle[0]
+        assert np.array_equal(state.eta, oracle[1])
+        assert np.array_equal(state.omega, oracle[2])
+    assert np.array_equal(state.history._v, hist._v)
 
 
 def test_slow_mode_state_decays_at_its_rate():
@@ -272,12 +358,3 @@ def test_slow_mode_state_logs_at_debug(caplog, capsys):
     assert "fixed point took" in text and "last step" in text and "floor" in text
     assert capsys.readouterr() == ("", "")
 
-
-def test_startup_steps_run():
-    p, dly, g, ops = _setup(n=32)
-    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3), startup_steps=4)
-    rng = np.random.default_rng(1)
-    s = _random_state(g, dly, rng, scale=0.01)
-    rep = bl.run(s, 0.02, cfg, p, dly, ops)
-    assert rep.termination == "completed"
-    assert np.all(np.isfinite(rep.E))
