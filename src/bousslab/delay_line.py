@@ -8,10 +8,41 @@ retained as a testable invariant through `transport_residual`.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, HistoryUnderrunError
 from .params import DelaySpec, tau_at
+
+# The slope, coefficient and evaluation formulas below take Python floats or
+# numpy arrays alike: the per-step path runs them on floats, construction and
+# multi-point queries on arrays, with the same operations in the same order.
+
+
+def _interior_slope(dt0, dt1, d0, d1):
+    """Bessel slope at a sample from its two neighbouring secants d0, d1."""
+    return (dt1 * d0 + dt0 * d1) / (dt0 + dt1)
+
+
+def _end_slope(dt_near, dt_far, d_near, d_far):
+    """End slope from the parabola through the three outermost samples."""
+    return ((2 * dt_near + dt_far) * d_near - dt_near * d_far) / (dt_near + dt_far)
+
+
+def _cubic_coeffs(h, v0, v1, m0, m1):
+    """s^2 and s^3 coefficients of the Hermite cubic on an interval of width h."""
+    slope = (v1 - v0) / h
+    c = (m0 + m1 - 2 * slope) / h
+    return (slope - m0) / h - c, c / h
+
+
+def _hermite(s, v0, m0, a2, a3):
+    """v0 + m0 s + a2 s^2 + a3 s^3 in ascending powers, as a
+    piecewise-polynomial evaluator sums them."""
+    s2 = s * s
+    return v0 + m0 * s + a2 * s2 + a3 * (s2 * s)
 
 
 def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -23,12 +54,20 @@ def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     if t.size == 2:
         m[:] = delta[0]
         return m
-    m[1:-1] = (dt[1:] * delta[:-1] + dt[:-1] * delta[1:]) / (dt[:-1] + dt[1:])
-    # end slopes from the parabola through the three outermost points
-    m[0] = ((2 * dt[0] + dt[1]) * delta[0] - dt[0] * delta[1]) / (dt[0] + dt[1])
-    m[-1] = ((2 * dt[-1] + dt[-2]) * delta[-1]
-             - dt[-1] * delta[-2]) / (dt[-1] + dt[-2])
+    m[1:-1] = _interior_slope(dt[:-1], dt[1:], delta[:-1], delta[1:])
+    m[0] = _end_slope(dt[0], dt[1], delta[0], delta[1])
+    m[-1] = _end_slope(dt[-1], dt[-2], delta[-1], delta[-2])
     return m
+
+
+@functools.lru_cache(maxsize=16)
+def _rho_nodes(m: int) -> np.ndarray:
+    """Read-only rho_j = j/m for j = 0..m."""
+    if m < 1:
+        raise ConfigurationError(f"need m >= 1 rho intervals, got {m}")
+    rho = np.linspace(0.0, 1.0, m + 1)
+    rho.flags.writeable = False
+    return rho
 
 
 class HistoryLine:
@@ -39,7 +78,8 @@ class HistoryLine:
     so the interpolant is C^1, exact on quadratics and linear in the data,
     which makes simulations superpose; it is not monotone.  A Bessel slope
     depends on a sample and its two neighbours only, so appending,
-    overwriting or evicting a sample refreshes the slopes at that end alone.
+    overwriting or evicting a sample refreshes the slopes at that end alone,
+    and the cached cubic coefficients of the one or two intervals they touch.
     Queries at stored sample times return the stored values exactly.
     """
 
@@ -50,15 +90,20 @@ class HistoryLine:
             raise ConfigurationError("times and values must have equal length")
         if times.size < 2:
             raise ConfigurationError("need at least two history samples")
+        if not np.all(np.isfinite(times)):
+            raise ConfigurationError("history sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("history sample times must be strictly increasing")
-        if M <= 0:
+        if not M > 0:
             raise ConfigurationError(f"delay upper bound M must be positive, got {M}")
         n = times.size
-        # rows: time, value, slope; live samples are columns [lo, hi)
-        self._buf = np.empty((3, max(2 * n, 64)))
-        self._buf[:, :n] = times, values, _bessel_slopes(times, values)
+        # rows: time, value, slope, and the s^2 and s^3 coefficients of the
+        # interval that starts at the sample (unused at the newest one);
+        # live samples are columns [lo, hi)
+        self._buf = np.empty((5, max(2 * n, 64)))
+        self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
+        self._refresh_all()
         self.M = float(M)
         self.slack = float(slack) if slack is not None else 0.25 * float(M)
         self._max_gap = float(np.max(np.diff(times)))
@@ -84,30 +129,51 @@ class HistoryLine:
 
     @property
     def t_last(self) -> float:
-        return float(self._buf[0, self._hi - 1])
+        return self._buf.item(0, self._hi - 1)
 
     @property
     def t_first(self) -> float:
-        return float(self._buf[0, self._lo])
+        return self._buf.item(0, self._lo)
 
     @property
     def size(self) -> int:
         return self._hi - self._lo
 
-    def _refresh_slopes(self, head: bool) -> None:
-        """Recompute the slopes that depend on the first (head) or last
-        sample after it was added, changed or uncovered by eviction."""
+    def _refresh_all(self) -> None:
+        """Recompute every slope and interval coefficient."""
         t, v, m = self._t, self._v, self._m
-        if t.size <= 3:
-            m[:] = _bessel_slopes(t, v)
-        elif head:
-            m[0] = _bessel_slopes(t[:3], v[:3])[0]
+        m[:] = _bessel_slopes(t, v)
+        self._buf[3:, self._lo:self._hi - 1] = _cubic_coeffs(
+            t[1:] - t[:-1], v[:-1], v[1:], m[:-1], m[1:])
+
+    def _refresh(self, head: bool) -> None:
+        """Recompute the slopes that depend on the first (head) or last
+        sample after it was added, changed or uncovered by eviction, and
+        the coefficients of the intervals those slopes touch."""
+        if self.size <= 3:
+            self._refresh_all()
+            return
+        buf = self._buf
+        j = self._lo if head else self._hi - 3
+        (t0, t1, t2), (v0, v1, v2), (m0, m1, m2) = buf[:3, j:j + 3].tolist()
+        dt0, dt1 = t1 - t0, t2 - t1
+        d0, d1 = (v1 - v0) / dt0, (v2 - v1) / dt1
+        if head:
+            m0 = _end_slope(dt0, dt1, d0, d1)
+            buf[2:, j] = (m0, *_cubic_coeffs(dt0, v0, v1, m0, m1))
         else:
-            m[-2:] = _bessel_slopes(t[-3:], v[-3:])[1:]
+            m1 = _interior_slope(dt0, dt1, d0, d1)
+            m2 = _end_slope(dt1, dt0, d1, d0)
+            a0 = _cubic_coeffs(dt0, v0, v1, m0, m1)
+            a1 = _cubic_coeffs(dt1, v1, v2, m1, m2)
+            buf[2, j + 1:j + 3] = m1, m2
+            buf[3:, j:j + 2] = (a0[0], a1[0]), (a0[1], a1[1])
 
     def push(self, t: float, v: float) -> None:
         """Append a sample; evict samples older than t - M - slack."""
         t = float(t)
+        if not math.isfinite(t):
+            raise ConfigurationError(f"history sample time must be finite, got {t}")
         t_last = self.t_last
         if t <= t_last:
             raise ConfigurationError(
@@ -115,43 +181,49 @@ class HistoryLine:
         self._max_gap = max(self._max_gap, t - t_last)
         if self._hi == self._buf.shape[1]:
             n = self.size
-            buf = np.empty((3, max(self._buf.shape[1], 4 * n)))
+            buf = np.empty((5, max(self._buf.shape[1], 4 * n)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
         self._buf[:2, self._hi] = t, v
         self._hi += 1
-        self._refresh_slopes(head=False)
+        self._refresh(head=False)
         cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
-        k = int(np.searchsorted(self._t, cutoff))
+        k = int(self._t.searchsorted(cutoff))
         if k > 0:
             self._lo += k
-            self._refresh_slopes(head=True)
+            self._refresh(head=True)
 
     def replace_last(self, v: float) -> None:
         """Overwrite the newest stored value (initial-state compatibility)."""
         self._buf[1, self._hi - 1] = v
-        self._refresh_slopes(head=False)
+        self._refresh(head=False)
 
     # -- queries ------------------------------------------------------------
 
     def query(self, t) -> np.ndarray | float:
         """Interpolated trace at time(s) t, which must lie in the stored span."""
-        t_arr = np.asarray(t, dtype=float)
-        ts, vs, ms = self._t, self._v, self._m
-        lo, hi = t_arr.min(), t_arr.max()
-        if lo < ts[0] - 1e-14 or hi > ts[-1] + 1e-14:
+        buf, lo, hi = self._buf, self._lo, self._hi
+        t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
+        if isinstance(t, float):
+            t_arr, t_min, t_max = None, t, t
+        else:
+            t_arr = np.asarray(t, dtype=float)
+            if t_arr.size == 0:
+                return np.empty(t_arr.shape)
+            t_min, t_max = t_arr.min(), t_arr.max()
+        # written so that a NaN fails it
+        if not (t_min >= t_first - 1e-14 and t_max <= t_last + 1e-14):
             raise HistoryUnderrunError(
-                f"query in [{lo}, {hi}] outside stored span [{ts[0]}, {ts[-1]}]")
-        q = np.minimum(np.maximum(t_arr, ts[0]), ts[-1])
-        i = np.minimum(np.searchsorted(ts, q, side="right") - 1, ts.size - 2)
-        t0, v0, m0, m1 = ts[i], vs[i], ms[i], ms[i + 1]
-        h = ts[i + 1] - t0
-        slope = (vs[i + 1] - v0) / h
-        c = (m0 + m1 - 2 * slope) / h
-        s = q - t0
-        s2 = s * s
-        # ascending powers, as a piecewise-polynomial evaluator sums them
-        out = v0 + m0 * s + ((slope - m0) / h - c) * s2 + (c / h) * (s2 * s)
+                f"query in [{t_min}, {t_max}] outside stored span [{t_first}, {t_last}]")
+        # the interval index is the number of interior knots at or before q
+        knots = buf[0, lo + 1:hi - 1]
+        if t_arr is None:
+            q = min(max(float(t), t_first), t_last)
+            t0, v0, m0, a2, a3 = buf[:, lo + int(knots.searchsorted(q, "right"))].tolist()
+            return _hermite(q - t0, v0, m0, a2, a3)
+        q = np.minimum(np.maximum(t_arr, t_first), t_last)
+        t0, v0, m0, a2, a3 = buf[:, lo + knots.searchsorted(q, "right")]
+        out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
 
 
@@ -163,10 +235,9 @@ def delayed_trace(h: HistoryLine, dly: DelaySpec, t: float) -> float:
 
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:
     """z[j] = trace at t - tau(t) * j/m for j = 0..m (rho_j = j/m)."""
-    if m < 1:
-        raise ConfigurationError(f"need m >= 1 rho intervals, got {m}")
+    rho = _rho_nodes(m)
     tau, _ = tau_at(dly, t)
-    return h.query(t - tau * np.linspace(0.0, 1.0, m + 1))
+    return h.query(t - tau * rho)
 
 
 def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
@@ -176,6 +247,7 @@ def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
     Cross-check that the history reconstruction satisfies the transport
     reformulation of the delay; max over interior rho nodes.
     """
+    rho = _rho_nodes(m)
     tau, tau_dot = tau_at(dly, t)
     if dt_fd is None:
         dt_fd = tau / m
@@ -185,6 +257,5 @@ def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
     drho = 1.0 / m
     z_t = (zp - zm) / (2.0 * dt_fd)
     z_rho = (z0[2:] - z0[:-2]) / (2.0 * drho)
-    rho_int = np.linspace(0.0, 1.0, m + 1)[1:-1]
-    res = tau * z_t[1:-1] + (1.0 - tau_dot * rho_int) * z_rho
+    res = tau * z_t[1:-1] + (1.0 - tau_dot * rho[1:-1]) * z_rho
     return float(np.max(np.abs(res))) if res.size else 0.0

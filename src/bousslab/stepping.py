@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .certificate import check_multipliers, phi_matrix
 from .energy import energy_sample
-from .delay_line import HistoryLine
+from .delay_line import HistoryLine, _rho_nodes
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
 from .operators import BandedLU, OperatorSet, derivative_matrix, trace_eta_xx_L
@@ -281,8 +281,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    Raises ConfigurationError before the first step when T < 0 or when the
-    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or
+    Raises ConfigurationError before the first step when T < 0, when
+    rho_res < 1, or when the Lyapunov multipliers lie outside
+    0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or
     monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
@@ -290,6 +291,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     """
     if T < 0:
         raise ConfigurationError(f"horizon T must be nonnegative, got {T}")
+    _rho_nodes(rho_res)   # the rho-node check, whatever beta is
     check_multipliers(p, mu1, mu2)
     stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
     n_steps = int(np.floor(T / cfg.dt + 1e-9))

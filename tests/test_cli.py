@@ -121,6 +121,16 @@ def test_simulate_rejects_out_of_range_multipliers(tmp_path, capsys):
     assert not (out / "timeseries.csv").exists()
 
 
+def test_simulate_rejects_rho_res_below_one_without_delay(tmp_path, capsys):
+    cfg = GOOD.replace("beta = 0.0005", "beta = 0.0").replace(
+        "omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 0")
+    out = tmp_path / "outrho"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--horizon", "0.01", "--n", "32"]) == 1
+    assert "m >= 1" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_simulate_rejects_negative_horizon(tmp_path, capsys):
     out = tmp_path / "outneg"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),

@@ -5,7 +5,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 import bousslab as bl
 from bousslab.config import parse_config
-from bousslab.delay_line import _bessel_slopes
+from bousslab.delay_line import _bessel_slopes, _rho_nodes
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 
 
@@ -187,3 +187,172 @@ def test_query_linear_in_values(x, y, c):
 def test_interpolation_key_rejected():
     with pytest.raises(ConfigurationError, match="interpolation"):
         parse_config("[run]\ninterpolation = pchip\n")
+
+
+class _ParentLine:
+    """The history line before it cached interval coefficients: slopes
+    refreshed by `_refresh_slopes`, and every query rebuilding the cubic of
+    each point's interval from the two end slopes.  Oracle for HistoryLine."""
+
+    def __init__(self, times, values, M, slack):
+        times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+        n = times.size
+        self._buf = np.empty((3, max(2 * n, 64)))
+        self._buf[:, :n] = times, values, _bessel_slopes(times, values)
+        self._lo, self._hi = 0, n
+        self.M, self.slack = float(M), float(slack)
+        self._max_gap = float(np.max(np.diff(times)))
+
+    _t = property(lambda self: self._buf[0, self._lo:self._hi])
+    _v = property(lambda self: self._buf[1, self._lo:self._hi])
+    _m = property(lambda self: self._buf[2, self._lo:self._hi])
+
+    def _refresh_slopes(self, head):
+        t, v, m = self._t, self._v, self._m
+        if t.size <= 3:
+            m[:] = _bessel_slopes(t, v)
+        elif head:
+            m[0] = _bessel_slopes(t[:3], v[:3])[0]
+        else:
+            m[-2:] = _bessel_slopes(t[-3:], v[-3:])[1:]
+
+    def push(self, t, v):
+        t_last = float(self._buf[0, self._hi - 1])
+        self._max_gap = max(self._max_gap, t - t_last)
+        if self._hi == self._buf.shape[1]:
+            n = self._hi - self._lo
+            buf = np.empty((3, max(self._buf.shape[1], 4 * n)))
+            buf[:, :n] = self._buf[:, self._lo:self._hi]
+            self._buf, self._lo, self._hi = buf, 0, n
+        self._buf[:2, self._hi] = t, v
+        self._hi += 1
+        self._refresh_slopes(head=False)
+        cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
+        k = int(np.searchsorted(self._t, cutoff))
+        if k > 0:
+            self._lo += k
+            self._refresh_slopes(head=True)
+
+    def replace_last(self, v):
+        self._buf[1, self._hi - 1] = v
+        self._refresh_slopes(head=False)
+
+    def query(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        ts, vs, ms = self._t, self._v, self._m
+        q = np.minimum(np.maximum(t_arr, ts[0]), ts[-1])
+        i = np.minimum(np.searchsorted(ts, q, side="right") - 1, ts.size - 2)
+        t0, v0, m0, m1 = ts[i], vs[i], ms[i], ms[i + 1]
+        h = ts[i + 1] - t0
+        slope = (vs[i + 1] - v0) / h
+        c = (m0 + m1 - 2 * slope) / h
+        s = q - t0
+        s2 = s * s
+        return v0 + m0 * s + ((slope - m0) / h - c) * s2 + (c / h) * (s2 * s)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _check_against_parent(h, old, rng):
+    assert np.array_equal(_bits(h._t), _bits(old._t))
+    assert np.array_equal(_bits(h._v), _bits(old._v))
+    assert np.array_equal(_bits(h._m), _bits(old._m))
+    lo, hi = h.t_first, h.t_last
+    q = np.concatenate([rng.uniform(lo, hi, 50), np.array(h._t),
+                        [lo, hi, lo - 5e-15, hi + 5e-15]])
+    got = h.query(q)
+    assert np.array_equal(_bits(got), _bits(old.query(q)))
+    for k in rng.choice(q.size, 8):
+        one = h.query(float(q[k]))
+        assert type(one) is float
+        assert _bits(one) == _bits(h.query(q[k:k + 1])[0]) == _bits(got[k])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_coefficients_match_parent_line(seed):
+    # pushes, evictions, overwrites and buffer growth, each checked bit for
+    # bit against the line that rebuilt the coefficients on every query
+    rng = np.random.default_rng(100 + seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    v = rng.standard_normal(n0)
+    M, slack = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.3))
+    h, old = _line(t, v, M=M, slack=slack), _ParentLine(t, v, M, slack)
+    _check_against_parent(h, old, rng)
+    reallocations = 0
+    for step in range(400):
+        # a run of equal gaps lets a small M evict down to three samples
+        gap = 0.02 if step % 100 < 50 else float(rng.uniform(0.005, 0.05))
+        t_new, v_new = h.t_last + gap, float(rng.standard_normal())
+        buf = h._buf
+        h.push(t_new, v_new)
+        old.push(t_new, v_new)
+        reallocations += h._buf is not buf
+        _check_against_parent(h, old, rng)
+        if step % 5 == 0:
+            v_new = float(rng.standard_normal())
+            h.replace_last(v_new)
+            old.replace_last(v_new)
+            _check_against_parent(h, old, rng)
+    assert reallocations >= 2
+
+
+def test_cached_coefficients_after_evictions_to_three_samples():
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 11)
+    v = rng.standard_normal(11)
+    h, old = _line(t, v, M=1e-3, slack=0.0), _ParentLine(t, v, 1e-3, 0.0)
+    sizes = []
+    for k in range(1, 200):
+        t_new, v_new = 1.0 + 0.1 * k + (0.05 if k == 120 else 0.0), float(rng.standard_normal())
+        h.push(t_new, v_new)
+        old.push(t_new, v_new)
+        sizes.append(h.size)
+        _check_against_parent(h, old, rng)
+        h.replace_last(-v_new)
+        old.replace_last(-v_new)
+        _check_against_parent(h, old, rng)
+    assert min(sizes) == 3
+
+
+def test_query_rejects_nan_times():
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    for bad in (float("nan"), np.array([0.5, np.nan]), np.array(np.nan)):
+        with pytest.raises(HistoryUnderrunError):
+            h.query(bad)
+
+
+def test_non_finite_times_rejected():
+    for times, M in (([0.0, np.nan, 2.0], 1.0), ([0.0, 1.0, np.inf], 1.0),
+                     ([0.0, 1.0, 2.0], np.nan)):
+        with pytest.raises(ConfigurationError, match="finite|positive"):
+            bl.HistoryLine(times, [0.0, 1.0, 4.0], M=M)
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    before = h.query(np.linspace(0.0, 2.0, 9))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            h.push(bad, 1.0)
+    assert h.size == 3 and h.t_last == 2.0
+    assert np.array_equal(h.query(np.linspace(0.0, 2.0, 9)), before)
+
+
+def test_empty_query_returns_empty_array():
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    for empty in (np.array([]), [], np.empty((0, 3))):
+        out = h.query(empty)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == np.shape(empty) and out.dtype == float
+
+
+def test_rho_nodes_shared_and_checked():
+    rho = _rho_nodes(8)
+    assert rho is _rho_nodes(8) and not rho.flags.writeable
+    assert np.array_equal(rho, np.linspace(0.0, 1.0, 9))
+    dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
+    h = _line(np.linspace(-0.5, 0.5, 21), np.zeros(21))
+    for call in (lambda: bl.z_profile(h, dly, 0.5, 0),
+                 lambda: bl.transport_residual(h, dly, 0.4, 0)):
+        with pytest.raises(ConfigurationError, match="m >= 1"):
+            call()

@@ -63,6 +63,11 @@ def test_lyapunov_mu_range_errors():
         bl.lyapunov(s, p, dly, mu1=0.6, mu2=0.5)   # mu1 >= 1/L
     with pytest.raises(ConfigurationError):
         bl.lyapunov(s, p, dly, mu1=0.1, mu2=1.0)
+    # the closed lower ends are in range, as for `run`: V degenerates to E
+    g = bl.Grid(n=16, L=p.L)
+    s = _state(g.nodes * (1 - g.nodes), np.sin(g.nodes),
+               np.linspace(-0.5, 0.0, 9), np.linspace(1.0, 2.0, 9), 0.5)
+    assert bl.lyapunov(s, p, dly, mu1=0.0, mu2=0.0, grid=g)[2] == bl.energy(s, p, dly, grid=g)
 
 
 def test_sandwich_inequality_random_states():

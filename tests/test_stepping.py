@@ -149,6 +149,16 @@ def test_run_rejects_bad_horizon_and_multipliers():
     assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
 
 
+def test_run_rejects_rho_res_below_one_whatever_beta():
+    for beta in (0.0, 5e-4):
+        p, dly, g, ops = _setup(n=16, beta=beta)
+        cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+        s = _random_state(g, dly, np.random.default_rng(7), scale=0.01)
+        with pytest.raises(ConfigurationError, match="m >= 1"):
+            bl.run(s, 0.01, cfg, p, dly, ops, rho_res=0)
+        assert s.history.t_last == 0.0   # no step was taken
+
+
 def test_state_fields_are_views_of_u():
     p, dly, g, ops = _setup(n=16)
     s = _random_state(g, dly, np.random.default_rng(6))
