@@ -29,6 +29,7 @@ EXIT_CONFIG = 3
 
 
 def _load(args):
+    """The --config file, with `simulate`'s override flags applied."""
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -109,12 +110,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     return rep, cert, extras
 
 
-def cmd_check(args) -> int:
-    try:
-        p, dly, grid, runset = _load(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_check(args, p, dly, grid, runset) -> int:
     vrep = validate_params(p, dly)
     print(vrep)
     if not vrep.ok:
@@ -133,12 +129,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    try:
-        p, dly, grid, runset = _load(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_simulate(args, p, dly, grid, runset) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -247,12 +238,7 @@ def cmd_convergence(args) -> int:
     return EXIT_OK if all(o >= 1.9 for o in orders) else 1
 
 
-def cmd_optimize_rate(args) -> int:
-    try:
-        p, dly, grid, runset = _load(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_optimize_rate(args, p, dly, grid, runset) -> int:
     try:
         right = mu1_interval_right(p, dly)
         mu1s, lam_star = optimal_mu1(p, dly)
@@ -275,15 +261,8 @@ def main(argv=None) -> int:
                     "feedback: simulation, energy monitors, decay certification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="INI configuration path")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--horizon", type=float, default=None)
-        sp.add_argument("--nonlinear", action="store_true")
-        sp.add_argument("--seed", type=int, default=None)
+    def common(sp):
+        sp.add_argument("--config", required=True, help="INI configuration path")
 
     sp = sub.add_parser("check", help="validate and certify a configuration")
     common(sp)
@@ -291,6 +270,12 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("simulate", help="run and emit time series + summary")
     common(sp)
+    sp.add_argument("--out", default="out", help="output directory")
+    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--horizon", type=float, default=None)
+    sp.add_argument("--nonlinear", action="store_true")
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="parameter sweep from a sweep spec file")
@@ -308,7 +293,14 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_optimize_rate)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    if "config" not in args:
+        return args.func(args)
+    try:
+        loaded = _load(args)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return args.func(args, *loaded)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def _parse_history(text: str) -> np.ndarray:
     if toks[0] == "constant":
         if len(toks) != 2:
             raise ConfigurationError(f"history 'constant' needs one value, got {text!r}")
-        return constant_history(float(toks[1]), 65)
+        return constant_history(float(toks[1]))
     try:
         return np.array([float(x) for x in toks])
     except ValueError as exc:

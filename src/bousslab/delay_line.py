@@ -74,16 +74,17 @@ class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
     Sample times are strictly increasing; the span must always cover
-    [t - M - slack, t].  Each sample carries its parabolic (Bessel) slope,
-    so the interpolant is C^1, exact on quadratics and linear in the data,
-    which makes simulations superpose; it is not monotone.  A Bessel slope
-    depends on a sample and its two neighbours only, so appending,
-    overwriting or evicting a sample refreshes the slopes at that end alone,
-    and the cached cubic coefficients of the one or two intervals they touch.
+    [t - M - slack, t] with slack = M/4.  Each sample carries its parabolic
+    (Bessel) slope, so the interpolant is C^1, exact on quadratics and linear
+    in the data, which makes simulations superpose; it is not monotone.  A
+    Bessel slope depends on a sample and its two neighbours only, so
+    appending, overwriting or evicting a sample refreshes the slopes at that
+    end alone, and the cached cubic coefficients of the one or two intervals
+    they touch.
     Queries at stored sample times return the stored values exactly.
     """
 
-    def __init__(self, times, values, M: float, slack: float | None = None):
+    def __init__(self, times, values, M: float):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if times.shape != values.shape:
@@ -105,7 +106,7 @@ class HistoryLine:
         self._lo, self._hi = 0, n
         self._refresh_all()
         self.M = float(M)
-        self.slack = float(slack) if slack is not None else 0.25 * float(M)
+        self.slack = 0.25 * self.M
         self._max_gap = float(np.max(np.diff(times)))
 
     @classmethod

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import check_multipliers
-from .delay_line import _rho_nodes, z_profile
+from .delay_line import _rho_nodes
 from .errors import ConfigurationError
-from .operators import padded, trace_eta_xx_L, trace_omega_xx_0
+from .operators import trace_eta_xx_L, trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
 
 
@@ -54,7 +54,7 @@ def _monitors(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid
     if p.beta == 0.0:
         return E, V1, 0.0, None
     tau, _ = tau_at(dly, s.t)
-    z = z_profile(s.history, dly, s.t, m)
+    z = s.history.query(s.t - tau * _rho_nodes(m))   # the z-profile
     e_delay, V2 = _delay_parts(z, tau, p.beta)
     return E + e_delay, V1, V2, z
 
@@ -106,13 +106,15 @@ def dissipation_residual(report, p: SystemParams) -> float:
 
 def field_derivatives(eta: np.ndarray, omega: np.ndarray, g: Grid,
                       trace_now: float, trace_delayed: float,
-                      p: SystemParams, eta_xx0: float = 0.0):
+                      p: SystemParams):
     """First and second derivatives on the full grid for the space-time
     quadratures; boundary second derivatives come from the boundary
-    conditions (omega_xx(L) is reconstructed from the feedback law)."""
+    conditions (eta_xx(0) = 0, and omega_xx(L) is reconstructed from the
+    feedback law)."""
     h = g.h
-    ef = padded(eta)
-    wf = padded(omega)
+    # with the zero boundary values; np.pad costs several times more per call
+    ef = np.concatenate(([0.0], eta, [0.0]))
+    wf = np.concatenate(([0.0], omega, [0.0]))
     n = g.n
     ex = np.zeros(n + 2)
     wx = np.zeros(n + 2)
@@ -122,7 +124,6 @@ def field_derivatives(eta: np.ndarray, omega: np.ndarray, g: Grid,
     wxx = np.zeros(n + 2)
     exx[1:-1] = (ef[2:] - 2 * ef[1:-1] + ef[:-2]) / h ** 2
     wxx[1:-1] = (wf[2:] - 2 * wf[1:-1] + wf[:-2]) / h ** 2
-    exx[0] = eta_xx0
     exx[-1] = trace_now
     wxx[0] = trace_omega_xx_0(omega, g)
     wxx[-1] = p.alpha * trace_now + p.beta * trace_delayed

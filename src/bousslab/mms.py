@@ -99,25 +99,23 @@ def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
     return float(np.sqrt(grid.h * (err_e @ err_e + err_w @ err_w)))
 
 
-def convergence_study(levels: int = 3, n0: int = 32, dt0: float = 4e-3,
-                      T: float = 1.0, p: SystemParams | None = None,
-                      family: str = "sine"):
-    """Dyadic refinement study at fixed dt proportional to h^2.
+def convergence_study(levels: int = 3):
+    """Dyadic refinement study of the sine pair from n = 32, dt = 4e-3, to
+    T = 1, with dt proportional to h^2.
 
     Returns (rows, orders): rows of (n, dt, error) and the observed orders
     between consecutive levels.
     """
-    if p is None:
-        p = SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
+    p = SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
     dly = DelaySpec(tau0=0.5, M=0.5, d=0.0, form="constant")
     rows = []
-    n = n0
+    n = n0 = 32
     h0 = p.L / (n0 + 1)
     for _ in range(levels):
         h = p.L / (n + 1)
-        dt_level = dt0 * (h / h0) ** 2
-        rows.append((n, dt_level, mms_error(p, dly, n, dt_level, T,
-                                            family=family)))
+        dt_level = 4e-3 * (h / h0) ** 2
+        rows.append((n, dt_level, mms_error(p, dly, n, dt_level, 1.0,
+                                            family="sine")))
         n = 2 * n + 1
     orders = []
     for k in range(len(rows) - 1):
@@ -129,9 +127,9 @@ def convergence_study(levels: int = 3, n0: int = 32, dt0: float = 4e-3,
     return rows, orders
 
 
-def quartic_exactness_error(n: int = 64, dt: float = 1e-3, T: float = 0.5
-                            ) -> float:
-    """Error of the spec's quartic pair at one resolution (near roundoff)."""
+def quartic_exactness_error() -> float:
+    """Error of the spec's quartic pair at n = 64, dt = 1e-3, T = 0.5 (near
+    roundoff)."""
     p = SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
     dly = DelaySpec(tau0=0.5, M=0.5, d=0.0)
-    return mms_error(p, dly, n, dt, T, family="quartic")
+    return mms_error(p, dly, 64, 1e-3, 0.5, family="quartic")

@@ -266,8 +266,3 @@ def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
                       shape=(N, N))
     D.eliminate_zeros()
     return D
-
-
-def padded(field_interior: np.ndarray, left: float = 0.0, right: float = 0.0) -> np.ndarray:
-    """Interior node values extended with boundary values."""
-    return np.concatenate([[left], np.asarray(field_interior, dtype=float), [right]])

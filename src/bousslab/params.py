@@ -12,8 +12,7 @@ from .errors import ConfigurationError
 
 DELAY_FORMS = ("constant", "affine", "sinusoidal")
 
-# dense-sampling resolution for the delay-law checks
-_N_SAMPLES = 10_000
+# relative tolerance of the delay-law checks
 _BOUND_TOL = 1e-12
 
 
@@ -38,10 +37,11 @@ class SystemParams:
     c_nl: float | None = None   # defaults to a (scaled regime)
 
     def __post_init__(self):
-        if self.a <= 0 or self.a1 <= 0:
+        # written so that a NaN fails them
+        if not (self.a > 0 and self.a1 > 0):
             raise ConfigurationError(
                 f"coefficients must be positive: a={self.a}, a1={self.a1}")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ConfigurationError(f"domain length must be positive, got {self.L}")
         if self.c_nl is None:
             object.__setattr__(self, "c_nl", self.a)
@@ -79,7 +79,7 @@ class DelaySpec:
     def __post_init__(self):
         if self.form not in DELAY_FORMS:
             raise ConfigurationError(f"unknown delay form {self.form!r}")
-        if self.tau0 <= 0:
+        if not self.tau0 > 0:
             raise ConfigurationError(f"tau0 must be positive, got {self.tau0}")
         hist = np.atleast_1d(np.asarray(self.history, dtype=float))
         if hist.size < 2:
@@ -98,8 +98,9 @@ class DelaySpec:
         return np.linspace(-self.tau0, 0.0, self.history.size)
 
 
-def constant_history(value: float, n: int = 2) -> np.ndarray:
-    return np.full(n, float(value))
+def constant_history(value: float) -> np.ndarray:
+    """A constant history z0 = value (DelaySpec densifies it, exactly)."""
+    return np.full(2, float(value))
 
 
 def tau_at(dly: DelaySpec, t: float) -> tuple[float, float]:
@@ -124,18 +125,31 @@ def tau_at(dly: DelaySpec, t: float) -> tuple[float, float]:
     raise ConfigurationError(f"unknown delay form {dly.form!r}")
 
 
-def _tau_samples(dly: DelaySpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, tau') of the closed-form law on an array of times t >= 0: the
-    array counterpart of `tau_at`, which stays scalar for the per-step callers."""
-    if dly.form == "affine" and dly.rate > 0:
-        before = ts < (dly.M - dly.tau0) / dly.rate
-        return (np.where(before, dly.tau0 + dly.rate * ts, dly.M),
-                np.where(before, dly.rate, 0.0))
+def _reaches(lo: float, hi: float, c: float) -> bool:
+    """Whether [lo, hi] holds a point c + 2 pi k."""
+    return (hi - c) % (2.0 * math.pi) <= hi - lo
+
+
+def _tau_extremes(dly: DelaySpec, horizon: float) -> tuple[float, float, float]:
+    """(min tau, max tau, max tau') over [0, horizon], in closed form.
+
+    The endpoints come from `tau_at`.  The affine law is monotone and its
+    slope steps down to 0 at saturation, so the endpoints hold every
+    extreme.  The sinusoid adds the interior crests and troughs of sin
+    (tau) and cos (tau') as +-1.
+    """
+    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, 0.0), tau_at(dly, horizon)
+    taus, dots = [tau_a, tau_b], [dot_a, dot_b]
     if dly.form == "sinusoidal":
-        arg = dly.frequency * ts + dly.phase
-        return (dly.tau0 + dly.amplitude * (np.sin(arg) - math.sin(dly.phase)),
-                dly.amplitude * dly.frequency * np.cos(arg))
-    return np.full_like(ts, dly.tau0), np.zeros_like(ts)
+        A, w, ph = dly.amplitude, dly.frequency, dly.phase
+        lo, hi = sorted((ph, w * horizon + ph))
+        for c, s in ((0.5 * math.pi, 1.0), (-0.5 * math.pi, -1.0)):
+            if _reaches(lo, hi, c):
+                taus.append(dly.tau0 + A * (s - math.sin(ph)))
+        for c, s in ((0.0, 1.0), (math.pi, -1.0)):
+            if _reaches(lo, hi, c):
+                dots.append(A * w * s)
+    return min(taus), max(taus), max(dots)
 
 
 @dataclass(frozen=True)
@@ -170,7 +184,6 @@ class Check:
     passed: bool
     severity: str           # "error" | "warning"
     message: str
-    value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -182,17 +195,9 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed and c.severity == "error"]
 
     @property
-    def warnings(self):
-        return [c for c in self.checks if not c.passed and c.severity == "warning"]
-
-    @property
     def ok(self) -> bool:
         """True when simulation may proceed (warnings allowed)."""
         return not self.errors
-
-    @property
-    def certifiable(self) -> bool:
-        return not self.errors and not self.warnings
 
     def __str__(self):
         lines = []
@@ -206,35 +211,29 @@ def validate_params(p: SystemParams, dly: DelaySpec, horizon: float = 100.0) -> 
     """Check every standing hypothesis; L-restriction failures are warnings."""
     checks: list[Check] = []
 
-    def add(name, passed, severity, message, value=None):
-        checks.append(Check(name, bool(passed), severity, message, value))
+    def add(name, passed, severity, message):
+        checks.append(Check(name, bool(passed), severity, message))
 
-    add("a_positive", p.a > 0, "error", f"a = {p.a}", p.a)
-    add("a1_positive", p.a1 > 0, "error", f"a1 = {p.a1}", p.a1)
-    add("L_positive", p.L > 0, "error", f"L = {p.L}", p.L)
+    # a, a1, L, tau0 > 0 hold: the SystemParams and DelaySpec constructors
+    # enforce them
     bound = p.length_bound
     add("L_restriction", p.L < bound, "warning",
         f"L = {p.L} vs certification bound {bound:.6g} "
-        "(failure blocks certification only, not simulation)", p.L)
-
-    add("tau0_positive", dly.tau0 > 0, "error", f"tau0 = {dly.tau0}", dly.tau0)
+        "(failure blocks certification only, not simulation)")
     add("M_upper_bound", dly.M >= dly.tau0, "error",
-        f"M = {dly.M} must be >= tau0 = {dly.tau0}", dly.M)
+        f"M = {dly.M} must be >= tau0 = {dly.tau0}")
     add("slope_bound_range", 0.0 <= dly.d < 1.0, "error",
-        f"d = {dly.d} must lie in [0, 1)", dly.d)
+        f"d = {dly.d} must lie in [0, 1)")
 
-    # dense sampling of the chosen closed form over the horizon
-    if horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-    taus, dots = _tau_samples(dly, np.linspace(0.0, horizon, _N_SAMPLES))
-    tmin, tmax, dotmax = taus.min(), taus.max(), dots.max()
+    if not 0.0 <= horizon < math.inf:
+        raise ConfigurationError(f"horizon must be finite and >= 0, got {horizon}")
+    tmin, tmax, dotmax = _tau_extremes(dly, horizon)
     add("tau_floor", tmin >= dly.tau0 * (1.0 - _BOUND_TOL), "error",
-        f"min sampled tau = {tmin:.6g} vs tau0 = {dly.tau0}", tmin)
+        f"min tau = {tmin:.6g} vs tau0 = {dly.tau0}")
     add("tau_ceiling", tmax <= dly.M * (1.0 + _BOUND_TOL), "error",
-        f"max sampled tau = {tmax:.6g} vs M = {dly.M}", tmax)
+        f"max tau = {tmax:.6g} vs M = {dly.M}")
     if dly.d < 1.0:
-        slope_ok = dotmax <= dly.d + _BOUND_TOL
-        add("slope_bound", slope_ok, "error",
-            f"max sampled tau' = {dotmax:.6g} vs d = {dly.d}", dotmax)
+        add("slope_bound", dotmax <= dly.d + _BOUND_TOL, "error",
+            f"max tau' = {dotmax:.6g} vs d = {dly.d}")
 
     return ValidationReport(tuple(checks))

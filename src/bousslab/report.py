@@ -10,6 +10,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 CSV_COLUMNS = ("t", "E", "V", "V1", "V2", "trace_now", "trace_delayed")
+# fit_decay fits the final half of the run; bound_check allows 2% over the bound
+_FIT_WINDOW = 0.5
+_BOUND_SLACK = 0.02
 
 
 @dataclass
@@ -41,18 +44,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def fit_decay(t: np.ndarray, E: np.ndarray, window: float = 0.5
-              ) -> tuple[float, float]:
-    """Least-squares slope of log E over the final `window` fraction.
+def fit_decay(t: np.ndarray, E: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of log E over the final half of the run.
 
     Returns (lambda_obs, r2).  Nonpositive energies truncate the fit window
     with a warning (numerical underflow guard).
     """
     t = np.asarray(t, dtype=float)
     E = np.asarray(E, dtype=float)
-    if not 0.0 < window <= 1.0:
-        raise ConfigurationError(f"window must lie in (0, 1], got {window}")
-    t0 = t[-1] - window * (t[-1] - t[0])
+    t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
     sel = t >= t0
     ts, Es = t[sel], E[sel]
     bad = Es <= 0.0
@@ -71,11 +71,11 @@ def fit_decay(t: np.ndarray, E: np.ndarray, window: float = 0.5
     return -float(slope), r2
 
 
-def bound_check(t: np.ndarray, E: np.ndarray, lam: float, zeta: float,
-                slack: float = 0.02) -> tuple[bool, float]:
-    """Verify E(t) <= zeta E(0) exp(-lam t) (1 + slack) at every sample.
+def bound_check(t: np.ndarray, E: np.ndarray, lam: float, zeta: float
+                ) -> tuple[bool, float]:
+    """Verify E(t) <= 1.02 zeta E(0) exp(-lam t) at every sample.
 
-    Returns (ok, max ratio of E to the un-slacked bound).
+    Returns (ok, max ratio of E to zeta E(0) exp(-lam t)).
     """
     E = np.asarray(E, dtype=float)
     bound = zeta * E[0] * np.exp(-lam * np.asarray(t, dtype=float))
@@ -83,7 +83,7 @@ def bound_check(t: np.ndarray, E: np.ndarray, lam: float, zeta: float,
         ratios = np.where(bound > 0, E / bound,
                           np.where(E <= 0, 0.0, np.inf))
     ratio = float(np.max(ratios))
-    return ratio <= 1.0 + slack, ratio
+    return ratio <= 1.0 + _BOUND_SLACK, ratio
 
 
 def summary_text(report: RunReport, extra: dict | None = None) -> str:

@@ -94,10 +94,10 @@ class StepConfig:
             raise ConfigurationError(f"theta must lie in [1/2, 1], got {self.theta}")
 
 
-def suggested_theta(dt: float, kappa: float = 2.0) -> float:
-    """theta = 1/2 + kappa*dt: second-order consistent, damps modes with
-    Re(lambda) > 1/(kappa dt^2)."""
-    return min(1.0, 0.5 + kappa * dt)
+def suggested_theta(dt: float) -> float:
+    """theta = 1/2 + 2 dt: second-order consistent, damps modes with
+    Re(lambda) > 1/(2 dt^2)."""
+    return min(1.0, 0.5 + 2.0 * dt)
 
 
 def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimState:

@@ -44,12 +44,11 @@ def acc_cert(acc_params, acc_delay):
     return bl.build_certificate(acc_params, acc_delay)
 
 
-def modal_run(p, dly, n, dt, T, rho_res, mu1=0.0, mu2=0.0, store_fields=False,
-              kappa=2.0):
+def modal_run(p, dly, n, dt, T, rho_res, mu1=0.0, mu2=0.0, store_fields=False):
     grid = bl.Grid(n=n, L=p.L)
     ops = bl.build_operators(p, grid)
     state, lam = bl.slow_mode_state(ops, p, dly, dt=dt)
-    cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt, kappa))
+    cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt))
     rep = bl.run(state, T, cfg, p, dly, ops, rho_res=rho_res,
                  mu1=mu1, mu2=mu2, store_fields=store_fields)
     return rep, lam

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bousslab
 from bousslab.cli import main
@@ -62,6 +63,15 @@ def test_check_without_crossing_is_inadmissible(tmp_path, capsys):
     cfg = GOOD.replace("beta = 0.0005", "beta = 0.0")
     assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
     assert "bracket sign condition violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "optimize-rate"])
+def test_simulate_flags_rejected_by_other_commands(tmp_path, capsys, command):
+    # the override flags belong to `simulate`; elsewhere argparse refuses them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", _write(tmp_path, GOOD), "--dt", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
 
 def test_config_path_with_equals_sign(tmp_path):

@@ -9,8 +9,8 @@ from bousslab.delay_line import _bessel_slopes, _rho_nodes
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 
 
-def _line(times, values, M=0.5, **kw):
-    return bl.HistoryLine(times, values, M=M, **kw)
+def _line(times, values, M=0.5):
+    return bl.HistoryLine(times, values, M=M)
 
 
 def test_linear_interpolation_midpoint():
@@ -25,10 +25,10 @@ def test_push_non_monotone_rejected():
 
 
 def test_eviction_policy():
-    h = _line([0.0, 0.05], [0.0, 0.0], M=0.5, slack=0.2)
+    h = _line([0.0, 0.05], [0.0, 0.0], M=0.5)
     for k in range(1, 11):
         h.push(0.1 * k, float(k))
-    # cutoff = 1.0 - 0.5 - max(slack, 2*max_gap) = 1.0 - 0.5 - 0.2
+    # cutoff = 1.0 - M - max(M/4, 2*max_gap) = 1.0 - 0.5 - 0.2
     assert h.t_first >= 1.0 - 0.5 - 0.2 - 1e-12
     assert h.t_last == 1.0
 
@@ -138,8 +138,7 @@ def test_query_matches_global_hermite_spline(seed):
     rng = np.random.default_rng(seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)),
-              slack=float(rng.uniform(0.0, 0.3)))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)))
     _check_against_reference(h, rng)
     for step in range(300):
         h.push(h.t_last + rng.uniform(0.005, 0.05), rng.standard_normal())
@@ -155,7 +154,7 @@ def test_slopes_after_eviction_to_few_samples():
     # a tiny M evicts down to three samples; every slope, the head's
     # included, must then follow the shortened buffer
     rng = np.random.default_rng(7)
-    h = _line(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3, slack=0.0)
+    h = _line(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3)
     sizes, firsts = [], []
     for t_new in (1.01, 1.02, 1.03, 1.2, 1.25, 1.3):
         h.push(t_new, rng.standard_normal())
@@ -174,7 +173,7 @@ def test_slopes_after_eviction_to_few_samples():
 def test_query_linear_in_values(x, y, c):
     t = np.linspace(-1.0, 0.0, 8)
     x, y = np.array(x), np.array(y)
-    hx, hy, hz = (_line(t, v[:8], M=0.5, slack=0.1) for v in (x, y, c * x + y))
+    hx, hy, hz = (_line(t, v[:8], M=0.5) for v in (x, y, c * x + y))
     for k in range(4):
         for h, v in ((hx, x), (hy, y), (hz, c * x + y)):
             h.push(0.1 * (k + 1), v[8 + k])
@@ -194,13 +193,13 @@ class _ParentLine:
     refreshed by `_refresh_slopes`, and every query rebuilding the cubic of
     each point's interval from the two end slopes.  Oracle for HistoryLine."""
 
-    def __init__(self, times, values, M, slack):
+    def __init__(self, times, values, M):
         times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
         n = times.size
         self._buf = np.empty((3, max(2 * n, 64)))
         self._buf[:, :n] = times, values, _bessel_slopes(times, values)
         self._lo, self._hi = 0, n
-        self.M, self.slack = float(M), float(slack)
+        self.M, self.slack = float(M), 0.25 * float(M)
         self._max_gap = float(np.max(np.diff(times)))
 
     _t = property(lambda self: self._buf[0, self._lo:self._hi])
@@ -278,8 +277,8 @@ def test_cached_coefficients_match_parent_line(seed):
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
     v = rng.standard_normal(n0)
-    M, slack = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.3))
-    h, old = _line(t, v, M=M, slack=slack), _ParentLine(t, v, M, slack)
+    M = float(rng.uniform(0.05, 1.0))
+    h, old = _line(t, v, M=M), _ParentLine(t, v, M)
     _check_against_parent(h, old, rng)
     reallocations = 0
     for step in range(400):
@@ -303,7 +302,7 @@ def test_cached_coefficients_after_evictions_to_three_samples():
     rng = np.random.default_rng(3)
     t = np.linspace(0.0, 1.0, 11)
     v = rng.standard_normal(11)
-    h, old = _line(t, v, M=1e-3, slack=0.0), _ParentLine(t, v, 1e-3, 0.0)
+    h, old = _line(t, v, M=1e-3), _ParentLine(t, v, 1e-3)
     sizes = []
     for k in range(1, 200):
         t_new, v_new = 1.0 + 0.1 * k + (0.05 if k == 120 else 0.0), float(rng.standard_normal())

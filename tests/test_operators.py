@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 import bousslab as bl
 from bousslab.operators import (BandedLU, OperatorSet, _build_single, _edge_weights,
                                 _NPTS_2BC, _NPTS_3BC, _STENCILS, derivative_matrix,
-                                ghost_weights, padded, trace_omega_xx_0, trace_weights)
+                                ghost_weights, trace_omega_xx_0, trace_weights)
 from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices, system_matrices
 
 L = 1.0
@@ -259,7 +259,7 @@ def _padded_derivative(full, h, m):
 def _composed_nonlinear_rhs(u, p, h):
     """The quadratic terms composed from per-call derivatives (reference)."""
     d1, d2, d3 = (lambda f, m=m: _padded_derivative(f, h, m) for m in (1, 2, 3))
-    ef, wf = padded(u[0::2]), padded(u[1::2])
+    ef, wf = np.pad(u[0::2], 1), np.pad(u[1::2], 1)
     w_x, w_xx, w_xxx, e_xx = d1(wf), d2(wf), d3(wf), d2(ef)
     h1 = -d1(ef * wf) - p.alpha_p * d1(ef * w_xx)
     h2 = (-wf * w_x - p.c_nl * d2(wf * w_x) - d1(ef * e_xx)
@@ -294,16 +294,11 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         ref = _composed_nonlinear_rhs(u, p, g.h)
         assert np.max(np.abs(st._nonlinear_rhs(u) - ref)) <= 1e-9 * np.max(np.abs(ref))
     # each derivative agrees to roundoff: a few ulps of sum_j |D_ij f_j|
-    full = padded(u[1::2])
+    full = np.pad(u[1::2], 1)
     for m in (1, 2, 3):
         D = derivative_matrix(n + 2, g.h, m)
         err = np.abs(D @ full - _padded_derivative(full, g.h, m))
         assert np.all(err <= 8 * np.finfo(float).eps * (abs(D) @ np.abs(full)))
-
-
-def test_padded_helper():
-    v = padded(np.array([1.0, 2.0]), left=5.0, right=7.0)
-    assert np.array_equal(v, [5.0, 1.0, 2.0, 7.0])
 
 
 def test_trace_weights_quartic_identity():

@@ -5,6 +5,7 @@ import pytest
 
 import bousslab as bl
 from bousslab.errors import ConfigurationError
+from bousslab.params import _tau_extremes
 
 
 def test_length_bound_example():
@@ -91,37 +92,66 @@ def test_accepted_delay_sampled_bounds(form, kwargs):
     assert taus.max() <= dly.M * (1 + 1e-12)
 
 
-def _looped_report(dly, horizon=100.0):
-    """validate_params' delay-law checks from the scalar tau_at, one sample
-    at a time, as they were computed before the sampling was vectorized."""
-    ts = np.linspace(0.0, horizon, 10_000)
-    taus, dots = np.array([bl.tau_at(dly, float(t)) for t in ts]).T
-    tmin, tmax, dotmax = taus.min(), taus.max(), dots.max()
-    return {"tau_floor": (tmin >= dly.tau0 * (1 - 1e-12), tmin),
-            "tau_ceiling": (tmax <= dly.M * (1 + 1e-12), tmax),
-            "slope_bound": (dotmax <= dly.d + 1e-12, dotmax)}
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(form="constant", tau0=0.5, M=0.5),
-    # saturates at t = 10: samples before and after
-    dict(form="affine", tau0=0.5, M=1.0, d=0.1, rate=0.05),
-    # saturates beyond the horizon
-    dict(form="affine", tau0=0.5, M=10.0, d=0.1, rate=0.05),
-    # rate above d and M below the ramp's end: both checks fail
-    dict(form="affine", tau0=0.5, M=0.8, d=0.01, rate=0.05),
-    dict(form="sinusoidal", tau0=0.5, M=0.7, d=0.2, amplitude=0.1,
-         frequency=2.0, phase=-math.pi / 2),
-    # slope and floor violated
-    dict(form="sinusoidal", tau0=0.4, M=2.0, d=0.1, amplitude=0.2,
-         frequency=2.0, phase=0.3),
+@pytest.mark.parametrize("kwargs, horizon, failing", [
+    pytest.param(dict(form="constant", tau0=0.5, M=0.5), 100.0, set(), id="constant"),
+    pytest.param(dict(form="affine", tau0=0.5, M=1.0, d=0.1, rate=0.05), 100.0, set(),
+                 id="affine-saturating"),
+    pytest.param(dict(form="affine", tau0=0.5, M=10.0, d=0.1, rate=0.05), 100.0, set(),
+                 id="affine-unsaturated"),
+    # the ramp ends at M, but its rate exceeds d
+    pytest.param(dict(form="affine", tau0=0.5, M=0.8, d=0.01, rate=0.05), 100.0,
+                 {"slope_bound"}, id="affine-steep"),
+    pytest.param(dict(form="sinusoidal", tau0=0.5, M=0.7, d=0.2, amplitude=0.1,
+                      frequency=2.0, phase=-math.pi / 2), 100.0, set(), id="sinusoid"),
+    pytest.param(dict(form="sinusoidal", tau0=0.4, M=2.0, d=0.1, amplitude=0.2,
+                      frequency=2.0, phase=0.3), 100.0, {"tau_floor", "slope_bound"},
+                 id="sinusoid-below-floor-steep"),
+    # 10,000 uniform samples of [0, 1] land on the troughs of this law, so a
+    # sampled check sees tau = tau0 and tau' = 0 throughout
+    pytest.param(dict(form="sinusoidal", tau0=0.5, amplitude=0.01,
+                      frequency=6 * math.pi * 9999, phase=-math.pi / 2, M=0.5, d=0.5),
+                 1.0, {"tau_ceiling", "slope_bound"}, id="sinusoid-aliased"),
 ])
-def test_vectorized_delay_sampling_matches_loop(kwargs):
-    dly = bl.DelaySpec(**kwargs)
-    checks = {c.name: c for c in bl.validate_params(bl.SystemParams(), dly).checks}
-    for name, (passed, value) in _looped_report(dly).items():
-        assert checks[name].passed == passed, name
-        assert abs(checks[name].value - value) <= 1e-15 * abs(value), name
+def test_delay_law_verdicts(kwargs, horizon, failing):
+    rep = bl.validate_params(bl.SystemParams(), bl.DelaySpec(**kwargs), horizon=horizon)
+    assert {c.name for c in rep.checks if not c.passed} == failing, str(rep)
+
+
+def _random_law(rng):
+    tau0 = float(rng.uniform(0.1, 1.0))
+    if rng.random() < 0.5:
+        return bl.DelaySpec(form="affine", tau0=tau0, M=float(rng.uniform(0.05, 2.0)),
+                            rate=float(rng.uniform(-0.1, 0.5)))
+    return bl.DelaySpec(form="sinusoidal", tau0=tau0, M=5.0,
+                        amplitude=float(rng.uniform(-0.3, 0.3)),
+                        frequency=float(rng.uniform(-8.0, 8.0)),
+                        phase=float(rng.uniform(-4.0, 4.0)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_extremes_bound_dense_sampling(seed):
+    # the exact extremes hold every sample (to roundoff) and exceed the
+    # sampled ones by no more than the sampling can miss
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        dly = _random_law(rng)
+        horizon = float(rng.uniform(0.0, 20.0))
+        tmin, tmax, dotmax = _tau_extremes(dly, horizon)
+        ts = np.linspace(0.0, horizon, 10_001)
+        taus, dots = np.array([bl.tau_at(dly, float(t)) for t in ts]).T
+        step = horizon / 10_000
+        if dly.form == "affine":
+            # monotone, with a slope that only steps down: the end samples
+            # hold the extremes
+            miss_tau = miss_dot = 0.0
+        else:
+            # a crest lies within step/2 of a sample
+            miss_tau = abs(dly.amplitude) * (dly.frequency * step) ** 2 / 8
+            miss_dot = abs(dly.frequency) * miss_tau
+        tol = 1e-14
+        assert tmin <= taus.min() + tol and taus.min() - tmin <= miss_tau + tol
+        assert tmax >= taus.max() - tol and tmax - taus.max() <= miss_tau + tol
+        assert dotmax >= dots.max() - tol and dotmax - dots.max() <= miss_dot + tol
 
 
 def test_tau_dot_consistent_with_finite_difference():
@@ -154,6 +184,12 @@ def test_positivity_errors():
         bl.SystemParams(a1=0.0)
     with pytest.raises(ConfigurationError):
         bl.DelaySpec(tau0=0.0)
+    # NaN fails them too, so validate_params need not check positivity
+    for kw in (dict(a=math.nan), dict(a1=math.nan), dict(L=math.nan)):
+        with pytest.raises(ConfigurationError):
+            bl.SystemParams(**kw)
+    with pytest.raises(ConfigurationError):
+        bl.DelaySpec(tau0=math.nan)
 
 
 def test_c_nl_defaults_to_a():

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.errors import ConfigurationError
 from bousslab.report import summary_text
 
 
 def test_fit_decay_exact_exponential():
     t = np.arange(0.0, 3.0, 1e-2)
     E = 5.0 * np.exp(-0.7 * t)
-    lam, r2 = bl.fit_decay(t, E, window=0.5)
+    lam, r2 = bl.fit_decay(t, E)
     assert abs(lam - 0.7) < 1e-10
     assert r2 > 1.0 - 1e-12
 
@@ -26,21 +25,16 @@ def test_fit_decay_truncates_on_nonpositive():
     E = np.exp(-3 * t)
     E[-10:] = 0.0
     with pytest.warns(UserWarning):
-        lam, _ = bl.fit_decay(t, E, window=1.0)
+        lam, _ = bl.fit_decay(t, E)
     assert abs(lam - 3.0) < 1e-8
-
-
-def test_fit_decay_window_validation():
-    with pytest.raises(ConfigurationError):
-        bl.fit_decay(np.linspace(0, 1, 10), np.ones(10), window=0.0)
 
 
 def test_bound_check():
     t = np.linspace(0, 2, 40)
     E = np.exp(-1.0 * t)
-    ok, ratio = bl.bound_check(t, E, lam=0.5, zeta=1.0, slack=0.02)
+    ok, ratio = bl.bound_check(t, E, lam=0.5, zeta=1.0)
     assert ok and ratio <= 1.0
-    ok, ratio = bl.bound_check(t, E, lam=2.0, zeta=1.0, slack=0.02)
+    ok, ratio = bl.bound_check(t, E, lam=2.0, zeta=1.0)
     assert not ok and ratio > 1.0
 
 

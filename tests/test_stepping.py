@@ -249,7 +249,7 @@ def test_slow_mode_state_decays_at_its_rate():
     assert lam.real < 0
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     rep = bl.run(state, 2.0, cfg, p, dly, ops)
-    lam_obs, r2 = bl.fit_decay(rep.t, rep.E, window=0.5)
+    lam_obs, r2 = bl.fit_decay(rep.t, rep.E)
     assert abs(lam_obs - (-2 * lam.real)) < 0.05 * abs(2 * lam.real)
 
 
