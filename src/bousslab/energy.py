@@ -6,8 +6,6 @@ values included as zeros) and in rho over the reconstructed z-profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .certificate import check_multipliers
@@ -15,17 +13,6 @@ from .delay_line import _rho_nodes
 from .errors import ConfigurationError
 from .operators import trace_eta_xx_L, trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    t: float
-    E: float
-    V1: float
-    V2: float
-    V: float
-    trace_now: float
-    trace_delayed: float
 
 
 def _field_quad(values_sq: np.ndarray, h: float) -> float:
@@ -80,8 +67,9 @@ def lyapunov(s, p: SystemParams, dly: DelaySpec, mu1: float, mu2: float,
 
 
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
-                  mu1: float = 0.0, mu2: float = 0.0) -> EnergySample:
-    """Per-step monitor row; mu1 = mu2 = 0 degenerates V to E."""
+                  mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
+    """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
+    `report.CSV_COLUMNS` order; mu1 = mu2 = 0 degenerates V to E."""
     E, V1, V2, z = _monitors(s, p, dly, m, g)
     V = E - mu1 * V1 + mu2 * V2
     q1 = trace_eta_xx_L(s.eta, g)
@@ -90,8 +78,7 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
         q2 = float(s.history.query(s.t - tau))
     else:
         q2 = float(z[-1])   # rho = 1 is exactly t - tau
-    return EnergySample(t=s.t, E=E, V1=V1, V2=V2, V=V,
-                        trace_now=q1, trace_delayed=q2)
+    return s.t, E, V, V1, V2, q1, q2
 
 
 def dissipation_residual(report, p: SystemParams) -> float:

@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
 from .operators import BandedLU, OperatorSet, derivative_matrix, trace_eta_xx_L
 from .params import DelaySpec, SystemParams, tau_at
-from .report import RunReport
+from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
 # Picard iteration: at most this many solves per step, relative step tolerance
@@ -281,64 +281,65 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    Raises ConfigurationError before the first step when T < 0, when
-    rho_res < 1, or when the Lyapunov multipliers lie outside
+    The monitor rows go into one table, in `report.CSV_COLUMNS` order, and
+    with `store_fields` the interleaved state of each row into one array,
+    both allocated before the first step; the report's series are rows of
+    the table and its fields strided views of the states.
+
+    Raises ConfigurationError before the first step when T is negative or
+    not finite, when the arrays for its T / dt rows cannot be allocated,
+    when rho_res < 1, or when the Lyapunov multipliers lie outside
     0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or
     monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
     cause in `termination`.
     """
-    if T < 0:
-        raise ConfigurationError(f"horizon T must be nonnegative, got {T}")
+    # written so that a NaN fails it
+    if not 0 <= T < np.inf:
+        raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
     _rho_nodes(rho_res)   # the rho-node check, whatever beta is
     check_multipliers(p, mu1, mu2)
-    stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
+    try:
+        table = np.empty((len(CSV_COLUMNS), n_steps + 1))
+        states = np.empty((n_steps + 1, s0.u.size)) if store_fields else None
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"cannot allocate {n_steps + 1:.6g} rows for T = {T} at dt = {cfg.dt}: {exc}") from exc
+    stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
+
+    def record(i: int, st: SimState) -> None:
+        table[:, i] = energy_sample(st, p, dly, ops.grid, rho_res, mu1, mu2)
+        if states is not None:
+            states[i] = st.u
+
     state = s0
-    rows = {k: [] for k in ("t", "E", "V", "V1", "V2",
-                            "trace_now", "trace_delayed")}
-    fields_eta = [] if store_fields else None
-    fields_omega = [] if store_fields else None
-
-    def record(st: SimState):
-        sample = energy_sample(st, p, dly, ops.grid, rho_res, mu1, mu2)
-        for k in rows:
-            rows[k].append(getattr(sample, k))
-        if store_fields:
-            fields_eta.append(st.eta.copy())
-            fields_omega.append(st.omega.copy())
-
-    record(state)
-    E0 = rows["E"][0]
-    termination = "completed"
+    record(0, state)
+    E0 = table[1, 0]
+    rows, termination = 1, "completed"
     for k in range(n_steps):
         try:
             state = stepper.step(state)
-            record(state)
+            record(rows, state)
         except tuple(_TERMINATION) as exc:
             termination = _TERMINATION[type(exc)]
             log.info("run stopped at step %d (t = %.6g): %s: %s",
                      k + 1, state.t, termination, exc)
             break
-        E_now = rows["E"][-1]
+        E_now = table[1, rows]
+        rows += 1
         if not np.isfinite(E_now) or (E0 > 0 and E_now > _BLOWUP_FACTOR * E0):
             termination = "unstable"
             break
 
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row
-    q = np.array([rows["trace_now"], rows["trace_delayed"]])
+    q = table[5:, :rows]
     return RunReport(
-        t=np.asarray(rows["t"]),
-        E=np.asarray(rows["E"]),
-        V=np.asarray(rows["V"]),
-        V1=np.asarray(rows["V1"]),
-        V2=np.asarray(rows["V2"]),
-        trace_now=q[0],
-        trace_delayed=q[1],
+        **dict(zip(CSV_COLUMNS, table[:, :rows])),
         dissipation_rhs=0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0),
-        fields_eta=None if fields_eta is None else np.asarray(fields_eta),
-        fields_omega=None if fields_omega is None else np.asarray(fields_omega),
+        fields_eta=None if states is None else states[:rows, 0::2],
+        fields_omega=None if states is None else states[:rows, 1::2],
         termination=termination,
         config={
             "a": p.a, "a1": p.a1, "L": p.L, "alpha": p.alpha, "beta": p.beta,

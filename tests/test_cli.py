@@ -149,6 +149,15 @@ def test_simulate_rejects_negative_horizon(tmp_path, capsys):
     assert not (out / "timeseries.csv").exists()
 
 
+def test_simulate_rejects_unallocatable_horizon(tmp_path, capsys):
+    # 1e303 rows: refused before the first step instead of stepping forever
+    out = tmp_path / "outhuge"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 "--horizon", "1e300", "--n", "32"]) == 1
+    assert "cannot allocate 1e+303 rows" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     failing_solve(monkeypatch, after=5)
     out = tmp_path / "outfail"

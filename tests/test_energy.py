@@ -6,6 +6,7 @@ import pytest
 import bousslab as bl
 from bousslab.energy import energy_sample, kato_constant
 from bousslab.errors import ConfigurationError
+from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState
 
 
@@ -136,10 +137,12 @@ def test_energy_sample_consistency(acc_params, acc_delay):
     rng = np.random.default_rng(0)
     s = _state(rng.standard_normal(32), rng.standard_normal(32),
                np.linspace(-0.5, 0.0, 17), rng.standard_normal(17), 2.0)
-    sample = energy_sample(s, acc_params, acc_delay, g, m=64, mu1=0.01, mu2=0.1)
-    assert abs(sample.E - bl.energy(s, acc_params, acc_delay, 64, g)) < 1e-14
-    V1, V2, V = bl.lyapunov(s, acc_params, acc_delay, 0.01, 0.1, 64, g)
-    assert abs(sample.V - V) < 1e-14
+    row = energy_sample(s, acc_params, acc_delay, g, m=64, mu1=0.01, mu2=0.1)
+    assert len(row) == len(CSV_COLUMNS)
+    E, V = row[CSV_COLUMNS.index("E")], row[CSV_COLUMNS.index("V")]
+    assert abs(E - bl.energy(s, acc_params, acc_delay, 64, g)) < 1e-14
+    V1, V2, V_ref = bl.lyapunov(s, acc_params, acc_delay, 0.01, 0.1, 64, g)
+    assert abs(V - V_ref) < 1e-14
     # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
     ops = bl.build_operators(acc_params, g)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))

@@ -126,6 +126,49 @@ def test_numerical_error_keeps_partial_series(monkeypatch):
     assert rep.n_rows == 4 and np.array_equal(rep.t, [0.0, 1e-3, 2e-3, 3e-3])
 
 
+def test_early_stop_cuts_stored_fields(monkeypatch):
+    p, dly, g, ops = _setup(n=16)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    # a monitor row that fails leaves no stored state behind
+    hist = bl.HistoryLine(np.linspace(-dly.tau0, 0.0, 41), np.zeros(41), M=0.01)
+    eta0 = 0.01 * np.sin(np.pi * g.nodes)
+    s = SimState(t=0.0, eta=eta0, omega=np.zeros(g.n), history=hist)
+    rep = bl.run(s, 0.01, cfg, p, dly, ops, store_fields=True)
+    assert rep.termination == "history_underrun" and rep.n_rows == 1
+    assert rep.fields_eta.shape == rep.fields_omega.shape == (1, g.n)
+    assert np.array_equal(rep.fields_eta[0], eta0)
+    assert np.array_equal(rep.fields_omega[0], np.zeros(g.n))
+
+    s = _random_state(g, dly, np.random.default_rng(4), scale=0.01)
+    expected = [s]
+    stepper = Stepper(ops, cfg, p, dly)
+    for _ in range(3):
+        expected.append(stepper.step(expected[-1]))
+    # the same start again: the steps above pushed into its history
+    s = _random_state(g, dly, np.random.default_rng(4), scale=0.01)
+    failing_solve(monkeypatch, after=3)
+    rep = bl.run(s, 0.01, cfg, p, dly, ops, store_fields=True)
+    assert rep.termination == "numerical_error" and rep.n_rows == 4
+    assert rep.fields_eta.shape == rep.fields_omega.shape == (4, g.n)
+    for k, st in enumerate(expected):
+        assert np.array_equal(rep.fields_eta[k], st.eta)
+        assert np.array_equal(rep.fields_omega[k], st.omega)
+
+
+def test_run_rejects_horizon_beyond_allocation():
+    # 1e303 rows exceed numpy's index range, so nothing is allocated
+    p, dly, g, ops = _setup(n=16)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    s = _random_state(g, dly, np.random.default_rng(5), scale=0.01)
+    for store_fields in (False, True):
+        with pytest.raises(ConfigurationError, match=r"cannot allocate 1e\+303 rows"):
+            bl.run(s, 1e300, cfg, p, dly, ops, store_fields=store_fields)
+    for T in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            bl.run(s, T, cfg, p, dly, ops)
+    assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
+
+
 def test_dt_must_resolve_delay():
     p, dly, g, ops = _setup()
     with pytest.raises(ConfigurationError):
