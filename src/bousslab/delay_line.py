@@ -99,9 +99,10 @@ class HistoryLine:
             raise ConfigurationError(f"delay upper bound M must be positive, got {M}")
         n = times.size
         # rows: time, value, slope, and the s^2 and s^3 coefficients of the
-        # interval that starts at the sample (unused at the newest one);
-        # live samples are columns [lo, hi)
-        self._buf = np.empty((5, max(2 * n, 64)))
+        # interval that starts at the sample (zero at the newest one, so a
+        # query at its time evaluates to the stored value); live samples are
+        # columns [lo, hi)
+        self._buf = np.zeros((5, max(2 * n, 64)))
         self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
         self._refresh_all()
@@ -185,7 +186,7 @@ class HistoryLine:
             buf = np.empty((5, max(self._buf.shape[1], 4 * n)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
-        self._buf[:2, self._hi] = t, v
+        self._buf[:, self._hi] = t, v, 0.0, 0.0, 0.0
         self._hi += 1
         self._refresh(head=False)
         cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
@@ -216,8 +217,9 @@ class HistoryLine:
         if not (t_min >= t_first - 1e-14 and t_max <= t_last + 1e-14):
             raise HistoryUnderrunError(
                 f"query in [{t_min}, {t_max}] outside stored span [{t_first}, {t_last}]")
-        # the interval index is the number of interior knots at or before q
-        knots = buf[0, lo + 1:hi - 1]
+        # the column is the number of knots after the first at or before q:
+        # q = t_last picks the newest sample itself, evaluated at s = 0
+        knots = buf[0, lo + 1:hi]
         if t_arr is None:
             q = min(max(float(t), t_first), t_last)
             t0, v0, m0, a2, a3 = buf[:, lo + int(knots.searchsorted(q, "right"))].tolist()

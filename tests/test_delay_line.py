@@ -262,7 +262,13 @@ def _check_against_parent(h, old, rng):
     q = np.concatenate([rng.uniform(lo, hi, 50), np.array(h._t),
                         [lo, hi, lo - 5e-15, hi + 5e-15]])
     got = h.query(q)
-    assert np.array_equal(_bits(got), _bits(old.query(q)))
+    # at and above t_last (the newest knot, hi, hi + 5e-15) the newest stored
+    # value itself; the parent line evaluated the last interval's cubic at its
+    # right end there, off by roundoff
+    top = q >= hi
+    assert np.count_nonzero(top) == 3
+    assert np.all(_bits(got[top]) == _bits(h._v[-1]))
+    assert np.array_equal(_bits(got[~top]), _bits(old.query(q[~top])))
     for k in rng.choice(q.size, 8):
         one = h.query(float(q[k]))
         assert type(one) is float
@@ -296,6 +302,24 @@ def test_cached_coefficients_match_parent_line(seed):
             old.replace_last(v_new)
             _check_against_parent(h, old, rng)
     assert reallocations >= 2
+
+
+def test_query_at_newest_sample_is_exact():
+    # pushes, overwrites and evictions: a query at t_last returns the value
+    # just stored, bit for bit, on the float and the array path
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.uniform(0.01, 0.2, 20))
+    h = _line(t, rng.standard_normal(20), M=0.3)
+    first = h.t_first
+    for step in range(300):
+        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+        if step % 7 == 0:
+            h.replace_last(float(rng.standard_normal()))
+        v = _bits(h._v[-1])
+        assert _bits(h.query(h.t_last)) == v
+        assert _bits(h.query(np.array([h.t_last]))[0]) == v
+        assert _bits(h.query(np.array(h.t_last))) == v
+    assert h.t_first > first   # samples were evicted
 
 
 def test_cached_coefficients_after_evictions_to_three_samples():
