@@ -79,8 +79,12 @@ class DelaySpec:
     def __post_init__(self):
         if self.form not in DELAY_FORMS:
             raise ConfigurationError(f"unknown delay form {self.form!r}")
+        # written so that a NaN fails them
         if not self.tau0 > 0:
             raise ConfigurationError(f"tau0 must be positive, got {self.tau0}")
+        if not 0 <= self.rate < math.inf:
+            raise ConfigurationError(
+                f"affine rate must be finite and nonnegative, got {self.rate}")
         hist = np.atleast_1d(np.asarray(self.history, dtype=float))
         if hist.size < 2:
             hist = np.full(2, float(hist[0]) if hist.size else 0.0)

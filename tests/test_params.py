@@ -121,7 +121,7 @@ def _random_law(rng):
     tau0 = float(rng.uniform(0.1, 1.0))
     if rng.random() < 0.5:
         return bl.DelaySpec(form="affine", tau0=tau0, M=float(rng.uniform(0.05, 2.0)),
-                            rate=float(rng.uniform(-0.1, 0.5)))
+                            rate=float(rng.uniform(0.0, 0.5)))
     return bl.DelaySpec(form="sinusoidal", tau0=tau0, M=5.0,
                         amplitude=float(rng.uniform(-0.3, 0.3)),
                         frequency=float(rng.uniform(-8.0, 8.0)),
@@ -190,6 +190,14 @@ def test_positivity_errors():
             bl.SystemParams(**kw)
     with pytest.raises(ConfigurationError):
         bl.DelaySpec(tau0=math.nan)
+
+
+@pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
+def test_affine_rate_must_be_finite_and_nonnegative(rate):
+    # each once ran silently as another law: tau = tau0 throughout for a
+    # negative rate, tau(0) = M for a NaN or infinite one
+    with pytest.raises(ConfigurationError, match="rate"):
+        bl.DelaySpec(form="affine", tau0=0.5, M=1.0, d=0.1, rate=rate)
 
 
 def test_c_nl_defaults_to_a():
