@@ -230,7 +230,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    rows, orders = convergence_study(levels=args.levels)
+    try:
+        rows, orders = convergence_study(levels=args.levels)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print("n,dt,error")
     for n, dt, err in rows:
         print(f"{n},{dt:.6g},{err:.8e}")
@@ -239,6 +243,10 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_optimize_rate(args, p, dly, grid, runset) -> int:
+    if args.points < 2:
+        print(f"configuration error: need at least 2 --points, got {args.points}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         right = mu1_interval_right(p, dly)
         mu1s, lam_star = optimal_mu1(p, dly)

@@ -104,8 +104,11 @@ def convergence_study(levels: int = 3):
     T = 1, with dt proportional to h^2.
 
     Returns (rows, orders): rows of (n, dt, error) and the observed orders
-    between consecutive levels.
+    between consecutive levels.  Raises ConfigurationError for fewer than
+    two levels, which give no order.
     """
+    if levels < 2:
+        raise ConfigurationError(f"need at least 2 levels for an order, got {levels}")
     p = SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
     dly = DelaySpec(tau0=0.5, M=0.5, d=0.0, form="constant")
     rows = []

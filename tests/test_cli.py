@@ -263,3 +263,21 @@ def test_optimize_rate_beta_zero(tmp_path, capsys):
     rows = [line.split(",") for line in lines[lines.index("mu1,f,g") + 1:-2]]
     assert len(rows) == 21
     assert all(float(g) == 1.0 / 200.0 for _, _, g in rows)
+
+
+@pytest.mark.parametrize("levels", ["1", "0"])
+def test_convergence_needs_two_levels(capsys, levels):
+    # one level or none gives no order, which passed vacuously before
+    assert main(["convergence", "--levels", levels]) == 3
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "levels" in captured.err
+    assert "orders" not in captured.out
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_optimize_rate_needs_two_points(tmp_path, capsys, points):
+    assert main(["optimize-rate", "--config", _write(tmp_path, GOOD),
+                 "--points", points]) == 3
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "--points" in captured.err
+    assert "mu1,f,g" not in captured.out
