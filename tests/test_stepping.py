@@ -163,9 +163,6 @@ def test_run_rejects_horizon_beyond_allocation():
     for store_fields in (False, True):
         with pytest.raises(ConfigurationError, match=r"cannot allocate 1e\+303 rows"):
             bl.run(s, 1e300, cfg, p, dly, ops, store_fields=store_fields)
-    for T in (np.inf, np.nan):
-        with pytest.raises(ConfigurationError, match="horizon"):
-            bl.run(s, T, cfg, p, dly, ops)
     assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
 
 
@@ -184,8 +181,9 @@ def test_run_rejects_bad_horizon_and_multipliers():
     p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     s = _random_state(g, dly, np.random.default_rng(5), scale=0.01)
-    with pytest.raises(ConfigurationError, match="horizon"):
-        bl.run(s, -1.0, cfg, p, dly, ops)
+    for T in (-1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            bl.run(s, T, cfg, p, dly, ops)
     for mu1, mu2 in ((0.0, 1.0), (1.0 / p.L, 0.0), (-0.1, 0.0), (0.0, -0.1)):
         with pytest.raises(ConfigurationError, match="mu1 in"):
             bl.run(s, 0.01, cfg, p, dly, ops, mu1=mu1, mu2=mu2)
