@@ -302,6 +302,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     check_multipliers(p, mu1, mu2)
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:
+        # one column per monitor row, its entries in CSV_COLUMNS order: E is
+        # entry 1, the two traces entries 5 and 6
         table = np.empty((len(CSV_COLUMNS), n_steps + 1))
         states = np.empty((n_steps + 1, s0.u.size)) if store_fields else None
     except (ValueError, MemoryError) as exc:
