@@ -150,7 +150,7 @@ def test_simulate_rejects_negative_horizon(tmp_path, capsys):
 
 
 def test_simulate_rejects_unallocatable_horizon(tmp_path, capsys):
-    # 1e303 rows: refused before the first step instead of stepping forever
+    # 1e303 rows: refused before the first step
     out = tmp_path / "outhuge"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
                  "--horizon", "1e300", "--n", "32"]) == 1
@@ -267,7 +267,7 @@ def test_optimize_rate_beta_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("levels", ["1", "0"])
 def test_convergence_needs_two_levels(capsys, levels):
-    # one level or none gives no order, which passed vacuously before
+    # one level or none gives no order to check
     assert main(["convergence", "--levels", levels]) == 3
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and "levels" in captured.err

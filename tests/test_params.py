@@ -194,8 +194,8 @@ def test_positivity_errors():
 
 @pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
 def test_affine_rate_must_be_finite_and_nonnegative(rate):
-    # each once ran silently as another law: tau = tau0 throughout for a
-    # negative rate, tau(0) = M for a NaN or infinite one
+    # each would run as another law: a negative rate as tau = tau0
+    # throughout, a NaN or infinite one with tau(0) = M
     with pytest.raises(ConfigurationError, match="rate"):
         bl.DelaySpec(form="affine", tau0=0.5, M=1.0, d=0.1, rate=rate)
 
