@@ -152,17 +152,15 @@ _SWEEPABLE_DELAY = ("tau0", "M", "d")
 
 def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
     p, dly = base_p, base_dly
-    for name, v in zip(names, values):
-        if name in _SWEEPABLE_SYSTEM:
-            p = replace(p, **{name: v})
-        elif name in _SWEEPABLE_DELAY:
-            dly = replace(dly, **{name: v})
-        else:
-            raise ConfigurationError(f"unknown sweep axis {name!r}")
-    if p.L != grid.L:
-        grid = Grid(n=grid.n, L=p.L)
     row = {name: v for name, v in zip(names, values)}
     try:
+        for name, v in zip(names, values):
+            if name in _SWEEPABLE_SYSTEM:
+                p = replace(p, **{name: v})
+            else:
+                dly = replace(dly, **{name: v})
+        if p.L != grid.L:
+            grid = Grid(n=grid.n, L=p.L)
         admissible, _, thr = check_gains(p, dly)
         row["admissible"] = admissible
         row["threshold"] = thr
@@ -198,6 +196,8 @@ def cmd_sweep(args) -> int:
         names = []
         value_lists = []
         for name, raw in cp.items("axes"):
+            if name not in _SWEEPABLE_SYSTEM + _SWEEPABLE_DELAY:
+                raise ConfigurationError(f"unknown sweep axis {name!r}")
             vals = [float(x) for x in raw.split()]
             if not vals:
                 raise ConfigurationError(f"empty axis {name!r}")

@@ -110,10 +110,11 @@ class HistoryLine:
         self.slack = 0.25 * self.M
         self._max_gap = float(np.max(np.diff(times)))
 
-    @classmethod
-    def from_delay_spec(cls, dly: DelaySpec) -> "HistoryLine":
-        """Seed the line from the sampled initial history z0 on [-tau(0), 0]."""
-        return cls(dly.history_times(), dly.history, M=dly.M)
+    def copy(self) -> HistoryLine:
+        """An independent line with the same samples (one buffer copy)."""
+        new = object.__new__(HistoryLine)
+        new.__dict__.update(self.__dict__, _buf=self._buf.copy())
+        return new
 
     # -- buffer maintenance -------------------------------------------------
 
@@ -196,7 +197,7 @@ class HistoryLine:
             self._refresh(head=True)
 
     def replace_last(self, v: float) -> None:
-        """Overwrite the newest stored value (initial-state compatibility)."""
+        """Overwrite the newest stored value."""
         self._buf[1, self._hi - 1] = v
         self._refresh(head=False)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .certificate import check_multipliers
 from .delay_line import _rho_nodes
 from .errors import ConfigurationError
-from .operators import trace_eta_xx_L, trace_omega_xx_0
+from .operators import trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
 
 
@@ -34,14 +34,15 @@ def _delay_parts(z: np.ndarray, tau: float, beta: float) -> tuple[float, float]:
 
 
 def _monitors(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid
-              ) -> tuple[float, float, float, np.ndarray | None]:
-    """(E, V1, V2, z) from one z-profile; z is None when beta = 0."""
+              ) -> tuple[float, float, float, np.ndarray]:
+    """(E, V1, V2, z), z the trace at t - tau rho_j, rho_j = j/m: z[0] is the
+    current trace, z[-1] the delayed one (z is these two alone when beta = 0)."""
     E = 0.5 * _field_quad(s.eta ** 2 + s.omega ** 2, g.h)
     V1 = g.h * float((g.nodes * s.eta * s.omega).sum())
-    if p.beta == 0.0:
-        return E, V1, 0.0, None
     tau, _ = tau_at(dly, s.t)
-    z = s.history.query(s.t - tau * _rho_nodes(m))   # the z-profile
+    if p.beta == 0.0:
+        return E, V1, 0.0, s.history.query(s.t - tau * _rho_nodes(1))
+    z = s.history.query(s.t - tau * _rho_nodes(m))
     e_delay, V2 = _delay_parts(z, tau, p.beta)
     return E + e_delay, V1, V2, z
 
@@ -69,16 +70,11 @@ def lyapunov(s, p: SystemParams, dly: DelaySpec, mu1: float, mu2: float,
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
     """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
-    `report.CSV_COLUMNS` order; mu1 = mu2 = 0 degenerates V to E."""
+    `report.CSV_COLUMNS` order, both traces read from the history (`run` keeps
+    its newest sample at the trace of s.eta); mu1 = mu2 = 0 degenerates V to E."""
     E, V1, V2, z = _monitors(s, p, dly, m, g)
     V = E - mu1 * V1 + mu2 * V2
-    q1 = trace_eta_xx_L(s.eta, g)
-    if z is None:
-        tau, _ = tau_at(dly, s.t)
-        q2 = float(s.history.query(s.t - tau))
-    else:
-        q2 = float(z[-1])   # rho = 1 is exactly t - tau
-    return s.t, E, V, V1, V2, q1, q2
+    return s.t, E, V, V1, V2, float(z[0]), float(z[-1])
 
 
 def dissipation_residual(report, p: SystemParams) -> float:

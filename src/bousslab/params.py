@@ -167,7 +167,7 @@ class Grid:
         if self.n < 8:
             raise ConfigurationError(
                 f"need n >= 8 interior nodes for the fifth-derivative stencil, got {self.n}")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ConfigurationError(f"domain length must be positive, got {self.L}")
 
     @property

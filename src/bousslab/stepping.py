@@ -60,7 +60,7 @@ class SimState:
 
     @classmethod
     def _from_u(cls, t: float, u: np.ndarray, history: HistoryLine) -> SimState:
-        """A state that takes ownership of the interleaved vector u."""
+        """A state on the interleaved vector u itself, without a copy."""
         state = cls.__new__(cls)
         state.t, state.u, state.history = t, u, history
         return state
@@ -88,7 +88,7 @@ class StepConfig:
     nonlinear: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if not 0.5 <= self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in [1/2, 1], got {self.theta}")
@@ -101,23 +101,17 @@ def suggested_theta(dt: float) -> float:
 
 
 def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimState:
-    """Build the t=0 state; the history is seeded from dly.history with the
-    t=0 sample replaced by the initial field's own trace (compatibility)."""
-    eta0 = np.asarray(eta0, dtype=float)
-    omega0 = np.asarray(omega0, dtype=float)
-    hist = HistoryLine.from_delay_spec(dly)
-    tr0 = trace_eta_xx_L(eta0, grid)
-    if abs(hist.t_last) < 1e-14:
-        hist.replace_last(tr0)
-    else:
-        hist.push(0.0, tr0)
+    """The t = 0 state; its history is dly.history with the t = 0 sample set to eta0's trace."""
+    values = dly.history.copy()
+    values[-1] = trace_eta_xx_L(eta0, grid)
+    hist = HistoryLine(dly.history_times(), values, M=dly.M)
     return SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
 
 
 def _check_dt(dt: float, dly: DelaySpec) -> None:
-    if dt >= dly.tau0:
+    if not 0 < dt < dly.tau0:
         raise ConfigurationError(
-            f"explicit delay treatment requires dt < tau0: dt={dt}, tau0={dly.tau0}")
+            f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
 
 
 def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -240,6 +234,7 @@ class Stepper:
         return out
 
     def step(self, state: SimState) -> SimState:
+        """The state one dt later; advances `state.history` in place by pushing its trace."""
         dt, theta = self.cfg.dt, self.cfg.theta
         u = state.u
         base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
@@ -281,25 +276,33 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    The monitor rows go into one table, in `report.CSV_COLUMNS` order, and
-    with `store_fields` the interleaved state of each row into one array,
-    both allocated before the first step; the report's series are rows of
-    the table and its fields strided views of the states.
+    The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
+    to the trace of s0.eta, so s0 stays untouched and reruns from it are
+    bit-identical.  The monitor rows go into one table, in
+    `report.CSV_COLUMNS` order, and with `store_fields` the interleaved state
+    of each row into one array, both allocated before the first step; the
+    report's series are rows of the table and its fields strided views of
+    the states.
 
-    Raises ConfigurationError before the first step when T is negative or
-    not finite, when the arrays for its T / dt rows cannot be allocated,
-    when rho_res < 1, or when the Lyapunov multipliers lie outside
-    0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or
-    monitor row that fails with NonlinearDivergenceError,
-    HistoryUnderrunError or NumericalError, or an energy that blows up, ends
-    the run early: the report keeps the rows recorded so far and names the
-    cause in `termination`.
+    Raises ConfigurationError before the first step when s0.history does not
+    end at s0.t, when T is negative or not finite, when the arrays for its
+    T / dt rows cannot be allocated, when rho_res < 1, or when the Lyapunov
+    multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or monitor
+    row that fails with NonlinearDivergenceError, HistoryUnderrunError or
+    NumericalError, or an energy that blows up, ends the run early: the
+    report keeps the rows recorded so far and names the cause in
+    `termination`.
     """
     # written so that a NaN fails it
     if not 0 <= T < np.inf:
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
     _rho_nodes(rho_res)   # the rho-node check, whatever beta is
     check_multipliers(p, mu1, mu2)
+    if s0.history.t_last != s0.t:
+        raise ConfigurationError(
+            f"the state's history ends at t={s0.history.t_last}, not at its time t={s0.t}")
+    history = s0.history.copy()
+    history.replace_last(trace_eta_xx_L(s0.eta, ops.grid))
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:
         # one column per monitor row, its entries in CSV_COLUMNS order: E is
@@ -316,7 +319,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         if states is not None:
             states[i] = st.u
 
-    state = s0
+    state = SimState._from_u(s0.t, s0.u, history)
     record(0, state)
     E0 = table[1, 0]
     rows, termination = 1, "completed"

@@ -158,6 +158,17 @@ def test_simulate_rejects_unallocatable_horizon(tmp_path, capsys):
     assert not (out / "timeseries.csv").exists()
 
 
+@pytest.mark.parametrize("eta0", ["cubic 1.0", "slowmode"])
+def test_simulate_rejects_nan_dt(tmp_path, capsys, eta0):
+    cfg = GOOD.replace("eta0 = cubic 0.1", f"eta0 = {eta0}")
+    out = tmp_path / "outnan"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--dt", "nan", "--n", "32"]) == 1
+    err = capsys.readouterr().err
+    assert "simulation error" in err and "dt" in err and "nan" in err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     failing_solve(monkeypatch, after=5)
     out = tmp_path / "outfail"
@@ -226,6 +237,26 @@ def test_sweep_empty_axis_is_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
     assert main(["sweep", "--spec", _write(tmp_path, "[axes\nbeta = 1", "bad.ini"),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_sweep_unknown_axis_is_spec_error(tmp_path, capsys):
+    spec = SWEEP.replace("beta = 5e-4", "n = 32 64")
+    out = tmp_path / "swn"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 3
+    assert "sweep spec error: unknown sweep axis 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_invalid_point_is_row_error(tmp_path):
+    spec = SWEEP.replace("alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "a = -1 0.1")
+    out = tmp_path / "swa"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 0
+    header, bad, good = (out / "table.csv").read_text().strip().split("\n")
+    header = header.split(",")
+    assert dict(zip(header, bad.split(",")))["error"].startswith("coefficients must be positive")
+    assert dict(zip(header, good.split(",")))["error"] == ""
 
 
 def test_sweep_row_marks_truncated_run(tmp_path, monkeypatch):

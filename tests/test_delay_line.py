@@ -379,3 +379,39 @@ def test_rho_nodes_shared_and_checked():
                  lambda: bl.transport_residual(h, dly, 0.4, 0)):
         with pytest.raises(ConfigurationError, match="m >= 1"):
             call()
+
+
+def _snapshot(h, q):
+    """Samples, slopes, span and queries at q of a line, to compare bit for bit."""
+    return (_bits(h._t).copy(), _bits(h._v).copy(), _bits(h._m).copy(),
+            h.size, h.t_first, h.t_last, _bits(h.query(q)).copy())
+
+
+def _assert_same(a, b):
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copy_is_independent(seed):
+    # pushes, evictions, overwrites and buffer growth on one of a line and
+    # its copy leave the other's samples and queries bit-unchanged, whichever
+    # of the two is changed
+    rng = np.random.default_rng(200 + seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.05, 1.0)))
+    for change_copy in (True, False):
+        twin = h.copy()
+        changed, kept = (twin, h) if change_copy else (h, twin)
+        q = np.concatenate([rng.uniform(kept.t_first, kept.t_last, 50), np.array(kept._t)])
+        before = _snapshot(kept, q)
+        _assert_same(_snapshot(changed, q), before)
+        first, buf = changed.t_first, changed._buf
+        for step in range(300):
+            changed.push(changed.t_last + float(rng.uniform(0.005, 0.05)),
+                         float(rng.standard_normal()))
+            if step % 5 == 0:
+                changed.replace_last(float(rng.standard_normal()))
+            _assert_same(_snapshot(kept, q), before)
+        assert changed.t_first > first and changed._buf is not buf

@@ -173,8 +173,9 @@ def test_grid_invariants():
     assert abs(g.h * (g.n + 1) - g.L) < 1e-14
     assert g.nodes.shape == (32,)
     assert abs(g.nodes[0] - g.h) < 1e-15
-    with pytest.raises(ConfigurationError):
-        bl.Grid(n=7, L=1.0)
+    for n, L in ((7, 1.0), (16, 0.0), (16, np.nan)):
+        with pytest.raises(ConfigurationError):
+            bl.Grid(n=n, L=L)
 
 
 def test_positivity_errors():

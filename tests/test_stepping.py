@@ -1,4 +1,5 @@
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.operators import BandedLU
+from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper, system_matrices
 
 from conftest import ACC, ACC_DELAY, failing_solve
@@ -172,6 +174,14 @@ def test_dt_must_resolve_delay():
         Stepper(ops, bl.StepConfig(dt=dly.tau0), p, dly)
 
 
+def test_nan_dt_is_refused_naming_dt():
+    p, dly, g, ops = _setup(n=16)
+    with pytest.raises(ConfigurationError, match="dt must be positive, got nan"):
+        bl.StepConfig(dt=np.nan)
+    with pytest.raises(ConfigurationError, match="dt=nan"):
+        bl.slow_mode_state(ops, p, dly, dt=np.nan)
+
+
 def test_theta_range_enforced():
     with pytest.raises(ConfigurationError):
         bl.StepConfig(dt=1e-3, theta=0.4)
@@ -198,6 +208,57 @@ def test_run_rejects_rho_res_below_one_whatever_beta():
         with pytest.raises(ConfigurationError, match="m >= 1"):
             bl.run(s, 0.01, cfg, p, dly, ops, rho_res=0)
         assert s.history.t_last == 0.0   # no step was taken
+
+
+def test_run_leaves_its_state_untouched():
+    # the run steps its own copy of the history: two runs from one state
+    # agree bit for bit, and the state keeps its time, fields and history
+    p, dly, g, ops = _setup(n=64)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    s0 = _random_state(g, dly, np.random.default_rng(11), scale=0.1)
+    h = s0.history
+    before = (s0.u.copy(), h._t.copy(), h._v.copy(), h._m.copy(), h.size, h.t_last)
+    r1, r2 = (bl.run(s0, 0.2, cfg, p, dly, ops, store_fields=True) for _ in range(2))
+    assert r1.termination == r2.termination == "completed" and r1.n_rows == 201
+    for name in (*CSV_COLUMNS, "dissipation_rhs", "fields_eta", "fields_omega"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
+    assert s0.t == 0.0 and s0.history is h
+    after = (s0.u, h._t, h._v, h._m, h.size, h.t_last)
+    for x, y in zip(before, after):
+        assert np.array_equal(x, y)
+
+
+def test_run_refuses_a_history_that_does_not_end_at_the_state_time():
+    p, dly, g, ops = _setup(n=16)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    s0 = _random_state(g, dly, np.random.default_rng(12), scale=0.01)
+    Stepper(ops, cfg, p, dly).step(s0)   # the step pushed into s0's history
+    with pytest.raises(ConfigurationError, match=r"ends at t=0\.001, not at its time t=0\.0"):
+        bl.run(s0, 0.01, cfg, p, dly, ops)
+    late = SimState(t=0.25, eta=s0.eta, omega=s0.omega, history=s0.history)
+    with pytest.raises(ConfigurationError, match=r"ends at t=0\.001, not at its time t=0\.25"):
+        bl.run(late, 0.01, cfg, p, dly, ops)
+
+
+@pytest.mark.parametrize("beta", [0.0, 5e-4])
+def test_run_computes_each_trace_once(monkeypatch, beta):
+    # one seat plus one push per step; the monitor rows read both traces
+    # from the history, and trace_now is the trace of the recorded state
+    p, dly, g, ops = _setup(n=16, beta=beta)
+    real, calls = bl.trace_eta_xx_L, [0]
+
+    def counting(eta, grid):
+        calls[0] += 1
+        return real(eta, grid)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bousslab" and hasattr(mod, "trace_eta_xx_L"):
+            monkeypatch.setattr(mod, "trace_eta_xx_L", counting)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    s0 = _random_state(g, dly, np.random.default_rng(13), scale=0.01)
+    rep = bl.run(s0, 0.01, cfg, p, dly, ops, store_fields=True)
+    assert rep.n_rows == 11 and calls[0] == 11
+    assert np.array_equal(rep.trace_now, [real(e, g) for e in rep.fields_eta])
 
 
 def test_state_fields_are_views_of_u():
