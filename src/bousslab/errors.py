@@ -18,10 +18,14 @@ class NumericalError(BousslabError):
 
 
 class NonlinearDivergenceError(BousslabError):
-    """Picard iteration failed to converge, or the state blew up.
+    """A nonlinear step has no certified Picard fixed point.
 
-    Diagnostic for leaving the small-data regime; carries the step index
-    and time at which the run died.
+    Raised when an iterate is not finite, when the measured contraction
+    factor q = delta_k / delta_{k-1} reaches 1 (the discrete map does not
+    contract, so the fixed-point argument no longer applies: the data have
+    left the small-data regime), or when Banach's bound has not met the
+    tolerance after the iteration cap.  Carries the step index and time at
+    which the run died.
     """
 
     def __init__(self, message, t=None, step=None):

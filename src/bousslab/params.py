@@ -16,6 +16,13 @@ DELAY_FORMS = ("constant", "affine", "sinusoidal")
 _BOUND_TOL = 1e-12
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical coefficients, feedback gains and nonlinear coefficients.
@@ -37,14 +44,15 @@ class SystemParams:
     c_nl: float | None = None   # defaults to a (scaled regime)
 
     def __post_init__(self):
-        # written so that a NaN fails them
+        if self.c_nl is None:
+            object.__setattr__(self, "c_nl", self.a)
+        _require_finite(self, ("a", "a1", "L", "alpha", "beta",
+                               "alpha_p", "beta_p", "rho_nl", "c_nl"))
         if not (self.a > 0 and self.a1 > 0):
             raise ConfigurationError(
                 f"coefficients must be positive: a={self.a}, a1={self.a1}")
         if not self.L > 0:
             raise ConfigurationError(f"domain length must be positive, got {self.L}")
-        if self.c_nl is None:
-            object.__setattr__(self, "c_nl", self.a)
 
     @property
     def length_bound(self) -> float:
@@ -79,13 +87,17 @@ class DelaySpec:
     def __post_init__(self):
         if self.form not in DELAY_FORMS:
             raise ConfigurationError(f"unknown delay form {self.form!r}")
-        # written so that a NaN fails them
+        _require_finite(self, ("tau0", "M", "d", "amplitude", "frequency", "phase"))
         if not self.tau0 > 0:
             raise ConfigurationError(f"tau0 must be positive, got {self.tau0}")
+        # written so that a NaN fails it
         if not 0 <= self.rate < math.inf:
             raise ConfigurationError(
                 f"affine rate must be finite and nonnegative, got {self.rate}")
         hist = np.atleast_1d(np.asarray(self.history, dtype=float))
+        bad = np.flatnonzero(~np.isfinite(hist))
+        if bad.size:
+            raise ConfigurationError(f"history sample {bad[0]} is {hist[bad[0]]}, not finite")
         if hist.size < 2:
             hist = np.full(2, float(hist[0]) if hist.size else 0.0)
         if hist.size < 65:

@@ -26,7 +26,8 @@ from .params import DelaySpec, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
-# Picard iteration: at most this many solves per step, relative step tolerance
+# Picard iteration: at most this many solves per step, and the relative
+# accuracy that Banach's a-posteriori bound must certify (`Stepper.step`)
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
 # slow mode: history samples on [-tau0, 0], and the time-resolved disk
@@ -191,20 +192,14 @@ class Stepper:
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None, eta_xx0=None):
         _check_dt(cfg.dt, dly)
-        self.ops = ops
-        self.cfg = cfg
-        self.p = p
-        self.dly = dly
-        self.forcing = forcing
-        self.eta_xx0 = eta_xx0
-        n = ops.grid.n
-        self.n = n
+        self.ops, self.cfg, self.p, self.dly = ops, cfg, p, dly
+        self.forcing, self.eta_xx0 = forcing, eta_xx0
+        self.n = n = ops.grid.n
         self.A, _ = system_matrices(ops, p)
         I = sp.identity(2 * n, format="csr")
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
-        self._g_s = ops.omega_s_influence
-        self._g_c = ops.eta_c_influence
+        self._g_s, self._g_c = ops.omega_s_influence, ops.eta_c_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         self._steps_done = 0
@@ -234,7 +229,12 @@ class Stepper:
         return out
 
     def step(self, state: SimState) -> SimState:
-        """The state one dt later; advances `state.history` in place by pushing its trace."""
+        """The state one dt later; advances `state.history` in place by pushing its trace.
+
+        Nonlinear steps iterate Picard until Banach's a-posteriori bound
+        q/(1-q) delta_k <= _PICARD_TOL |u_k|, with delta_k = |u_k - u_{k-1}|
+        and q = delta_k / delta_{k-1}; a non-finite iterate, q >= 1 (no
+        contraction) or _PICARD_ITERS iterates raise NonlinearDivergenceError."""
         dt, theta = self.cfg.dt, self.cfg.theta
         u = state.u
         base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
@@ -243,28 +243,26 @@ class Stepper:
         else:
             if theta < 1.0:
                 base = base + (1.0 - theta) * dt * self._nonlinear_rhs(u)
-            u_new = u
-            prev_delta = np.inf
+            u_new, delta = u, None
             for _ in range(_PICARD_ITERS):
-                rhs = base + theta * dt * self._nonlinear_rhs(u_new)
-                u_next = self._lu.solve(rhs)
+                u_next = self._lu.solve(base + theta * dt * self._nonlinear_rhs(u_new))
                 if not np.all(np.isfinite(u_next)):
                     raise NonlinearDivergenceError(
-                        "nonlinear iterate is not finite", t=state.t,
-                        step=self._steps_done)
-                delta = np.linalg.norm(u_next - u_new)
-                scale = np.linalg.norm(u_next) + 1e-300
-                u_new = u_next
-                # converged, or stalled at the linear-solve roundoff floor
-                if delta <= _PICARD_TOL * scale or (
-                        delta >= 0.5 * prev_delta and delta <= 1e-9 * scale):
-                    break
-                prev_delta = delta
+                        "nonlinear iterate is not finite", t=state.t, step=self._steps_done)
+                prev, delta, u_new = delta, float(np.linalg.norm(u_next - u_new)), u_next
+                if prev is not None:
+                    q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
+                    if not q < 1:   # written so that a NaN fails it
+                        raise NonlinearDivergenceError(
+                            f"Picard map does not contract: q = {q:.3g} at step index "
+                            f"{self._steps_done}, t = {state.t:.6g}", t=state.t,
+                            step=self._steps_done)
+                    if q * delta <= (1.0 - q) * _PICARD_TOL * np.linalg.norm(u_new):
+                        break
             else:
                 raise NonlinearDivergenceError(
-                    f"Picard iteration did not reach tol={_PICARD_TOL} "
-                    f"within {_PICARD_ITERS} iterations", t=state.t,
-                    step=self._steps_done)
+                    f"Picard iteration did not reach tol={_PICARD_TOL} in {_PICARD_ITERS} "
+                    "iterations", t=state.t, step=self._steps_done)
         self._steps_done += 1
         new = SimState._from_u(state.t + dt, u_new, state.history)
         new.history.push(new.t, trace_eta_xx_L(new.eta, self.ops.grid))
@@ -284,18 +282,20 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     report's series are rows of the table and its fields strided views of
     the states.
 
-    Raises ConfigurationError before the first step when s0.history does not
-    end at s0.t, when T is negative or not finite, when the arrays for its
-    T / dt rows cannot be allocated, when rho_res < 1, or when the Lyapunov
-    multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.  A step or monitor
-    row that fails with NonlinearDivergenceError, HistoryUnderrunError or
-    NumericalError, or an energy that blows up, ends the run early: the
-    report keeps the rows recorded so far and names the cause in
-    `termination`.
+    Raises ConfigurationError before the first step when s0.u is not finite,
+    when s0.history does not end at s0.t, when T is negative or not finite,
+    when the arrays for its T / dt rows cannot be allocated, when rho_res < 1,
+    or when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.
+    A step or monitor row that fails with NonlinearDivergenceError,
+    HistoryUnderrunError or NumericalError, or an energy that blows up, ends
+    the run early: the report keeps the rows recorded so far and names the
+    cause in `termination`.
     """
     # written so that a NaN fails it
     if not 0 <= T < np.inf:
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
+    if not np.all(np.isfinite(s0.u)):
+        raise ConfigurationError("the initial state s0.u has non-finite values")
     _rho_nodes(rho_res)   # the rho-node check, whatever beta is
     check_multipliers(p, mu1, mu2)
     if s0.history.t_last != s0.t:

@@ -54,6 +54,10 @@ def test_check_exit_codes(tmp_path, capsys):
     assert "threshold" in out
     bad = GOOD.replace("d = 0.0", "d = 1.0")
     assert main(["check", "--config", _write(tmp_path, bad)]) == 3
+    capsys.readouterr()
+    nan_gain = GOOD.replace("alpha = 0.05", "alpha = nan")
+    assert main(["check", "--config", _write(tmp_path, nan_gain)]) == 3
+    assert "alpha must be finite" in capsys.readouterr().err
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
 
 
@@ -166,6 +170,18 @@ def test_simulate_rejects_nan_dt(tmp_path, capsys, eta0):
                  "--dt", "nan", "--n", "32"]) == 1
     err = capsys.readouterr().err
     assert "simulation error" in err and "dt" in err and "nan" in err
+    assert not (out / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("eta0", ["cubic nan", "slowmode nan"])
+def test_simulate_refuses_non_finite_initial_data(tmp_path, capsys, eta0):
+    # refused before the first step, not run to `unstable` with E0 = nan
+    cfg = GOOD.replace("eta0 = cubic 0.1", f"eta0 = {eta0}")
+    out = tmp_path / "outnan"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--n", "32", "--horizon", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert "simulation error" in err and "non-finite" in err
     assert not (out / "timeseries.csv").exists()
 
 

@@ -185,12 +185,27 @@ def test_positivity_errors():
         bl.SystemParams(a1=0.0)
     with pytest.raises(ConfigurationError):
         bl.DelaySpec(tau0=0.0)
-    # NaN fails them too, so validate_params need not check positivity
-    for kw in (dict(a=math.nan), dict(a1=math.nan), dict(L=math.nan)):
-        with pytest.raises(ConfigurationError):
-            bl.SystemParams(**kw)
+    # NaN fails them too, so validate_params need not check positivity; the
+    # gains and nonlinear coefficients must be finite, and the error names them
+    for name in ("a", "a1", "L", "alpha", "beta", "alpha_p", "beta_p", "rho_nl", "c_nl"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=name):
+                bl.SystemParams(**{name: bad})
     with pytest.raises(ConfigurationError):
         bl.DelaySpec(tau0=math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("name", ["tau0", "M", "d", "amplitude", "frequency", "phase",
+                                  "history"])
+def test_delay_spec_refuses_non_finite_inputs(name, bad):
+    # a NaN d once ran to completion with every dissipation_rhs NaN, and a
+    # NaN history sample ended the run as unstable after one step
+    kwargs = dict(tau0=0.5, M=0.7, d=0.2, form="sinusoidal", amplitude=0.1,
+                  frequency=1.0, phase=-math.pi / 2)
+    kwargs[name] = [bad, 0.0] if name == "history" else bad
+    with pytest.raises(ConfigurationError, match=name):
+        bl.DelaySpec(**kwargs)
 
 
 @pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])

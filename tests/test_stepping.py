@@ -1,5 +1,6 @@
 import logging
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,12 +35,15 @@ def _random_state(g, dly, rng, scale=1.0):
 def test_zero_state_stays_zero():
     p, dly, g, ops = _setup()
     hist = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0], M=dly.M)
-    s = SimState(t=0.0, eta=np.zeros(g.n), omega=np.zeros(g.n), history=hist)
-    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    stepper = Stepper(ops, cfg, p, dly)
-    for _ in range(20):
-        s = stepper.step(s)
-    assert np.all(s.eta == 0.0) and np.all(s.omega == 0.0)
+    # nonlinear, every Picard step is exactly 0: 0/0 reads as q = 0, an
+    # exact fixed point, and the second iterate is accepted
+    for nonlinear in (False, True):
+        s = SimState(t=0.0, eta=np.zeros(g.n), omega=np.zeros(g.n), history=hist.copy())
+        cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3), nonlinear=nonlinear)
+        stepper = Stepper(ops, cfg, p, dly)
+        for _ in range(20):
+            s = stepper.step(s)
+        assert np.all(s.eta == 0.0) and np.all(s.omega == 0.0)
 
 
 def test_beta_zero_energy_monotone():
@@ -276,8 +280,9 @@ def test_state_fields_are_views_of_u():
 def _oracle_step(stepper, lu, M2, state, hist, grid):
     """The step as it was before SimState held u: interleave both fields
     through index arrays, matvec, banded solve (Picard for the nonlinear
-    terms, 30 iterations, tolerance 1e-12, stall rule), split into copies.
-    Returns (t, eta, omega); pushes the new trace onto `hist`."""
+    terms, at most 30 iterations, stopped once Banach's bound
+    q/(1-q) delta <= 1e-12 |u| holds from the second iterate on), split into
+    copies.  Returns (t, eta, omega); pushes the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
     ie = 2 * np.arange(n)
@@ -295,16 +300,16 @@ def _oracle_step(stepper, lu, M2, state, hist, grid):
     else:
         base = base + (1.0 - cfg.theta) * cfg.dt * stepper._nonlinear_rhs(u)
         u_new = u.copy()
-        prev_delta = np.inf
+        deltas = []
         for _ in range(30):
             u_next = lu.solve(base + cfg.theta * cfg.dt * stepper._nonlinear_rhs(u_new))
-            delta = np.linalg.norm(u_next - u_new)
-            scale = np.linalg.norm(u_next) + 1e-300
+            deltas.append(float(np.linalg.norm(u_next - u_new)))
             u_new = u_next
-            if delta <= 1e-12 * scale or (delta >= 0.5 * prev_delta
-                                          and delta <= 1e-9 * scale):
-                break
-            prev_delta = delta
+            if len(deltas) >= 2:
+                q = deltas[-1] / deltas[-2]
+                assert q < 1, "oracle Picard map does not contract"
+                if q * deltas[-1] <= (1 - q) * 1e-12 * np.linalg.norm(u_new):
+                    break
         else:
             raise AssertionError("oracle Picard iteration did not converge")
     eta, omega = u_new[ie].copy(), u_new[io].copy()
@@ -313,11 +318,10 @@ def _oracle_step(stepper, lu, M2, state, hist, grid):
     return t_new, eta, omega
 
 
-@pytest.mark.parametrize("nonlinear, n, steps", [(False, 64, 50), (True, 50, 20)])
-def test_step_matches_interleave_oracle(nonlinear, n, steps):
-    # the nonlinear case: small smooth data; both under a sinusoidal delay
-    # law with a nonzero history, so the delayed source is live
-    amp = 1e-3 if nonlinear else 1.0
+def _oracle_setup(nonlinear, n, amp):
+    """Criterion 12's system with the nonlinear coefficients, under a
+    sinusoidal delay law with a nonzero history (so the delayed source is
+    live), and smooth data of amplitude `amp`: (p, dly, g, ops, cfg, state)."""
     p = bl.SystemParams(**ACC, alpha_p=0.5, beta_p=0.5, rho_nl=0.5)
     dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
                        phase=-np.pi / 2, M=0.7, d=0.2,
@@ -329,6 +333,18 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps):
     x = g.nodes
     state = bl.initial_state(p, dly, g, amp * x ** 3 * (1 - x) ** 2 * (1 + 0.3 * x),
                              amp * x ** 2 * (1 - x) ** 2)
+    return p, dly, g, ops, cfg, state
+
+
+# the nonlinear cases: small data, where every step stops at its second
+# iterate, and amplitude 1, where q reaches about 0.05 and steps take more
+@pytest.mark.parametrize("nonlinear, n, steps, amp", [
+    pytest.param(False, 64, 50, 1.0, id="False-64-50"),
+    pytest.param(True, 50, 20, 1e-3, id="True-50-20"),
+    pytest.param(True, 50, 20, 1.0, id="True-50-20-amp1")])
+def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
+    p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
+    dt = cfg.dt
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v), M=dly.M)
     stepper = Stepper(ops, cfg, p, dly)
@@ -343,6 +359,77 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps):
         assert np.array_equal(state.eta, oracle[1])
         assert np.array_equal(state.omega, oracle[2])
     assert np.array_equal(state.history._v, hist._v)
+
+
+def _iterates_per_step(monkeypatch, stepper):
+    """Record, per step, the Picard iterates u_0 (the state), u_1, ..."""
+    steps, real = [], Stepper.step
+
+    def solve(rhs):
+        steps[-1].append(real_solve(rhs).copy())
+        return steps[-1][-1]
+
+    def step(self, state):
+        steps.append([state.u.copy()])
+        return real(self, state)
+
+    real_solve = stepper._lu.solve
+    monkeypatch.setattr(stepper._lu, "solve", solve)
+    monkeypatch.setattr(Stepper, "step", step)
+    return steps
+
+
+@pytest.mark.parametrize("amp, least", [(1e-3, 2), (1.0, 4)])
+def test_picard_stops_at_the_first_iterate_banach_certifies(monkeypatch, amp, least):
+    # every step takes at least two iterates (q needs two steps), and stops
+    # at the first iterate k >= 2 with q/(1-q) delta_k <= 1e-12 |u_k|; at
+    # amplitude 1 (q up to about 0.05) every step takes at least `least`
+    p, dly, g, ops, cfg, state = _oracle_setup(True, 50, amp)
+    stepper = Stepper(ops, cfg, p, dly)
+    steps = _iterates_per_step(monkeypatch, stepper)
+    for _ in range(20):
+        state = stepper.step(state)
+    for it in steps:
+        d = [np.linalg.norm(b - a) for a, b in zip(it, it[1:])]
+        certified = [q < 1 and q * dk <= (1 - q) * 1e-12 * np.linalg.norm(uk)
+                     for q, dk, uk in zip(np.divide(d[1:], d[:-1]), d[1:], it[2:])]
+        assert len(d) >= 2 and certified[-1] and not any(certified[:-1])
+    assert min(len(it) - 1 for it in steps) >= least
+
+
+def test_picard_without_contraction_ends_the_run(monkeypatch, caplog):
+    # amplitude 100 leaves the small-data regime: the second iterate moves
+    # further than the first (q >= 1), so the run stops after two solves,
+    # before any overflow, with the cause named
+    p, dly, g, ops, cfg, state = _oracle_setup(True, 50, 100.0)
+    real, calls = BandedLU.solve, [0]
+
+    def counting(self, rhs):
+        calls[0] += 1
+        return real(self, rhs)
+
+    monkeypatch.setattr(BandedLU, "solve", counting)
+    caplog.set_level(logging.INFO, logger="bousslab.stepping")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bl.run(state, 0.08, cfg, p, dly, ops)
+    assert rep.termination == "nonlinear_divergence"
+    assert rep.n_rows == 1 and calls[0] == 2
+    assert "Picard map does not contract: q = " in caplog.text
+    assert "at step index 0, t = 0" in caplog.text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_refuses_a_non_finite_state(bad):
+    p, dly, g, ops = _setup(n=16)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    s = _random_state(g, dly, np.random.default_rng(14), scale=0.01)
+    eta = s.eta.copy()
+    eta[3] = bad
+    s = SimState(t=0.0, eta=eta, omega=s.omega, history=s.history)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        bl.run(s, 0.01, cfg, p, dly, ops)
+    assert s.history.t_last == 0.0   # no step was taken
 
 
 def test_slow_mode_state_decays_at_its_rate():
