@@ -26,10 +26,12 @@ from .params import DelaySpec, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
-# Picard iteration: at most this many solves per step, and the relative
-# accuracy that Banach's a-posteriori bound must certify (`Stepper.step`)
+# Picard iteration (`Stepper.step`): at most this many solves per step, the
+# relative accuracy Banach's a-posteriori bound must certify, and the relative
+# step below which q is roundoff noise of the banded solve
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
+_PICARD_FLOOR = 1e-9
 # slow mode: history samples on [-tau0, 0], and the time-resolved disk
 # |lambda| dt <= _RESOLVE_LIMIT its candidates are drawn from
 _N_HISTORY = 513
@@ -192,14 +194,20 @@ class Stepper:
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None, eta_xx0=None):
         _check_dt(cfg.dt, dly)
-        self.ops, self.cfg, self.p, self.dly = ops, cfg, p, dly
-        self.forcing, self.eta_xx0 = forcing, eta_xx0
-        self.n = n = ops.grid.n
+        self.ops = ops
+        self.cfg = cfg
+        self.p = p
+        self.dly = dly
+        self.forcing = forcing
+        self.eta_xx0 = eta_xx0
+        n = ops.grid.n
+        self.n = n
         self.A, _ = system_matrices(ops, p)
         I = sp.identity(2 * n, format="csr")
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
-        self._g_s, self._g_c = ops.omega_s_influence, ops.eta_c_influence
+        self._g_s = ops.omega_s_influence
+        self._g_c = ops.eta_c_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         self._steps_done = 0
@@ -232,9 +240,12 @@ class Stepper:
         """The state one dt later; advances `state.history` in place by pushing its trace.
 
         Nonlinear steps iterate Picard until Banach's a-posteriori bound
-        q/(1-q) delta_k <= _PICARD_TOL |u_k|, with delta_k = |u_k - u_{k-1}|
-        and q = delta_k / delta_{k-1}; a non-finite iterate, q >= 1 (no
-        contraction) or _PICARD_ITERS iterates raise NonlinearDivergenceError."""
+        q/(1-q) delta_k <= _PICARD_TOL |u_k| holds, with delta_k = |u_k - u_{k-1}|
+        and q = delta_k / delta_{k-1}.  q >= 1 accepts u_k when delta_k is
+        within the solve's roundoff floor, _PICARD_FLOOR |u_k|, where q is
+        noise, and otherwise means the map does not contract.  That, a
+        non-finite iterate or _PICARD_ITERS iterates raise
+        NonlinearDivergenceError."""
         dt, theta = self.cfg.dt, self.cfg.theta
         u = state.u
         base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
@@ -246,23 +257,30 @@ class Stepper:
             u_new, delta = u, None
             for _ in range(_PICARD_ITERS):
                 u_next = self._lu.solve(base + theta * dt * self._nonlinear_rhs(u_new))
-                if not np.all(np.isfinite(u_next)):
+                prev, delta = delta, np.linalg.norm(u_next - u_new)
+                u_new, scale = u_next, np.linalg.norm(u_next)
+                # a NaN or infinite entry, or a norm that overflows
+                if not np.isfinite(delta + scale):
                     raise NonlinearDivergenceError(
-                        "nonlinear iterate is not finite", t=state.t, step=self._steps_done)
-                prev, delta, u_new = delta, float(np.linalg.norm(u_next - u_new)), u_next
-                if prev is not None:
-                    q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
-                    if not q < 1:   # written so that a NaN fails it
-                        raise NonlinearDivergenceError(
-                            f"Picard map does not contract: q = {q:.3g} at step index "
-                            f"{self._steps_done}, t = {state.t:.6g}", t=state.t,
-                            step=self._steps_done)
-                    if q * delta <= (1.0 - q) * _PICARD_TOL * np.linalg.norm(u_new):
+                        "nonlinear iterate is not finite", t=state.t,
+                        step=self._steps_done)
+                if prev is None:
+                    continue
+                q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
+                if q < 1:
+                    if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
                         break
+                elif delta <= _PICARD_FLOOR * scale:
+                    break
+                else:
+                    raise NonlinearDivergenceError(
+                        f"Picard map does not contract: q = {q:.3g}", t=state.t,
+                        step=self._steps_done)
             else:
                 raise NonlinearDivergenceError(
-                    f"Picard iteration did not reach tol={_PICARD_TOL} in {_PICARD_ITERS} "
-                    "iterations", t=state.t, step=self._steps_done)
+                    f"Picard iteration did not reach tol={_PICARD_TOL} "
+                    f"within {_PICARD_ITERS} iterations", t=state.t,
+                    step=self._steps_done)
         self._steps_done += 1
         new = SimState._from_u(state.t + dt, u_new, state.history)
         new.history.push(new.t, trace_eta_xx_L(new.eta, self.ops.grid))
