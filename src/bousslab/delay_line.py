@@ -73,14 +73,15 @@ def _rho_nodes(m: int) -> np.ndarray:
 class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
-    Sample times are strictly increasing; the span must always cover
-    [t - M - slack, t] with slack = M/4.  Each sample carries its parabolic
-    (Bessel) slope, so the interpolant is C^1, exact on quadratics and linear
-    in the data, which makes simulations superpose; it is not monotone.  A
-    Bessel slope depends on a sample and its two neighbours only, so
-    appending, overwriting or evicting a sample refreshes the slopes at that
-    end alone, and the cached cubic coefficients of the one or two intervals
-    they touch.
+    Samples are finite and their times strictly increasing (`push` takes any
+    value, so a blow-up still ends a run as unstable); the span must always
+    cover [t - M - slack, t] with slack = M/4.  Each sample carries its
+    parabolic (Bessel) slope, so the interpolant is C^1, exact on quadratics
+    and linear in the data, which makes simulations superpose; it is not
+    monotone.  A Bessel slope depends on a sample and its two neighbours only,
+    so appending, overwriting or evicting a sample refreshes the slopes at
+    that end alone, and the cached cubic coefficients of the one or two
+    intervals they touch.
     Queries at stored sample times return the stored values exactly.
     """
 
@@ -91,12 +92,15 @@ class HistoryLine:
             raise ConfigurationError("times and values must have equal length")
         if times.size < 2:
             raise ConfigurationError("need at least two history samples")
-        if not np.all(np.isfinite(times)):
-            raise ConfigurationError("history sample times must be finite")
+        for what, arr in (("time", times), ("value", values)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ConfigurationError(
+                    f"non-finite history sample {what} {arr[bad[0]]} at index {bad[0]}")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("history sample times must be strictly increasing")
-        if not M > 0:
-            raise ConfigurationError(f"delay upper bound M must be positive, got {M}")
+        if not 0 < M < np.inf:   # a NaN fails it too
+            raise ConfigurationError(f"delay upper bound M = {M} is non-positive or non-finite")
         n = times.size
         # rows: time, value, slope, and the s^2 and s^3 coefficients of the
         # interval that starts at the sample (zero at the newest one, so a

@@ -177,9 +177,10 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
 
 
 class BandedLU:
-    """Reusable banded LU factorization (LAPACK dgbtrf/dgbtrs) of a square
-    matrix given dense or sparse (anything `sp.coo_matrix` accepts; explicit
-    zeros are dropped before the bandwidths are read)."""
+    """Reusable banded LU factorization of a square matrix given dense or
+    sparse (anything `sp.coo_matrix` accepts; explicit zeros are dropped
+    before the bandwidths are read): LAPACK dgbtrf/dgbtrs for real data,
+    zgbtrf/zgbtrs for complex.  Every system matrix is factored here."""
 
     def __init__(self, matrix):
         m = sp.coo_matrix(matrix)
@@ -189,16 +190,18 @@ class BandedLU:
         self.n = m.shape[0]
         self.kl = int(np.max(ii - jj, initial=0))
         self.ku = int(np.max(jj - ii, initial=0))
-        ab = np.zeros((2 * self.kl + self.ku + 1, self.n), order="F")
+        ab = np.zeros((2 * self.kl + self.ku + 1, self.n),
+                      dtype=np.result_type(m.dtype, float), order="F")
         ab[self.kl + self.ku + ii - jj, jj] = vals
-        lu, ipiv, info = lapack.dgbtrf(ab, self.kl, self.ku)
+        gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, ipiv, info = gbtrf(ab, self.kl, self.ku)
         if info != 0:
             raise NumericalError(f"banded LU factorization failed (info={info})")
         self._lu = lu
         self._ipiv = ipiv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgbtrs(self._lu, self.kl, self.ku, rhs, self._ipiv)
+        x, info = self._gbtrs(self._lu, self.kl, self.ku, rhs, self._ipiv)
         if info != 0:
             raise NumericalError(f"banded solve failed (info={info})")
         return x

@@ -117,13 +117,15 @@ def _check_dt(dt: float, dly: DelaySpec) -> None:
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
 
 
-def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Interleaved sparse 2n x 2n system u' = A u + B u(t - tau) + sources.
+def system_matrices(ops: OperatorSet, p: SystemParams) -> sp.csr_matrix:
+    """Interleaved sparse 2n x 2n A of u' = A u + B u(t - tau) + sources.
 
     eta' rows couple to omega through -Po and to eta through the
     instantaneous feedback -alpha*outer(gs, T); omega' rows couple to eta
-    through -Pe.  B carries the delayed feedback -beta*outer(gs, T) on the
-    eta rows and, like the alpha term, touches only the three trace columns.
+    through -Pe.  The delayed term B = -beta*outer(g, t), with g and t the
+    interleaved `omega_s_influence` and `trace_row`, has rank one and is
+    never assembled: steps apply it as a source and the slow mode as a
+    secular equation.
     """
     n = ops.grid.n
     ie = 2 * np.arange(n)
@@ -132,18 +134,12 @@ def system_matrices(ops: OperatorSet, p: SystemParams) -> tuple[sp.csr_matrix, s
     Pe = ops.eta_combined.tocoo()
     tc = np.flatnonzero(ops.trace_row)
     gsT = np.outer(ops.omega_s_influence, ops.trace_row[tc])
-    rows_t, cols_t = np.repeat(ie, tc.size), np.tile(ie[tc], n)
-
-    def assemble(rows, cols, vals):
-        M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(2 * n, 2 * n))
-        M.eliminate_zeros()
-        return M
-
-    A = assemble([ie[Po.row], io[Pe.row], rows_t], [io[Po.col], ie[Pe.col], cols_t],
-                 [-Po.data, -Pe.data, (-p.alpha * gsT).ravel()])
-    B = assemble([rows_t], [cols_t], [(-p.beta * gsT).ravel()])
-    return A, B
+    rows = np.concatenate([ie[Po.row], io[Pe.row], np.repeat(ie, tc.size)])
+    cols = np.concatenate([io[Po.col], ie[Pe.col], np.tile(ie[tc], n)])
+    vals = np.concatenate([-Po.data, -Pe.data, (-p.alpha * gsT).ravel()])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    A.eliminate_zeros()
+    return A
 
 
 def nonlinear_matrices(n: int, h: float, p: SystemParams
@@ -202,7 +198,7 @@ class Stepper:
         self.eta_xx0 = eta_xx0
         n = ops.grid.n
         self.n = n
-        self.A, _ = system_matrices(ops, p)
+        self.A = system_matrices(ops, p)
         I = sp.identity(2 * n, format="csr")
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
@@ -374,35 +370,29 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     )
 
 
-def _shift_invert(M: sp.csr_matrix, k: int, sigma: complex, v0: np.ndarray,
-                  vectors: bool = True):
-    """`eigs` for the k eigenvalues of M nearest sigma, failures typed."""
-    # imported here: ARPACK and SuperLU add about 2 MB of resident memory to
-    # every process that imports bousslab, and only the slow mode needs them
-    from scipy.sparse.linalg import eigs
-
-    try:
-        return eigs(M, k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)
-    except RuntimeError as exc:
-        # ArpackError and ArpackNoConvergence derive from it, and the sparse
-        # LU raises it when M - sigma I is exactly singular
-        raise NumericalError(f"shift-invert eigensolve about {sigma} failed: {exc}") from exc
-
-
 def _resolved_spectrum(A: sp.csr_matrix, dt: float, v0: np.ndarray
                        ) -> tuple[np.ndarray, int]:
     """Eigenvalues of A that include all of those in the time-resolved disk
     |lambda| dt <= _RESOLVE_LIMIT, and the k that found them.
 
-    Shift-invert ARPACK about 0 returns the k eigenvalues nearest the
-    centre; k doubles from 8 until one of them lies outside the disk, so
-    none inside is missing.  When k would reach n2 - 1, beyond ARPACK, the
-    whole spectrum comes from a dense eigensolve instead (toy grids only).
+    Shift-invert ARPACK about 0, inverting by one `BandedLU` of A, returns
+    the k eigenvalues nearest the centre; k doubles from 8 until one of
+    them lies outside the disk, so none inside is missing.  When k would
+    reach n2 - 1, beyond ARPACK, the whole spectrum comes from a dense
+    eigensolve instead (toy grids only).
     """
+    # imported here: ARPACK adds about 2 MB of resident memory to every
+    # process that imports bousslab, and only the slow mode needs it
+    from scipy.sparse.linalg import LinearOperator, eigs
+
     n2 = A.shape[0]
+    OPinv = LinearOperator(A.shape, matvec=BandedLU(A).solve, dtype=float)
     k = 8
     while k < n2 - 1:
-        ev = _shift_invert(A, k, 0.0, v0, vectors=False)
+        try:
+            ev = eigs(A, k=k, sigma=0.0, v0=v0, OPinv=OPinv, return_eigenvectors=False)
+        except RuntimeError as exc:   # ArpackError and ArpackNoConvergence derive from it
+            raise NumericalError(f"shift-invert eigensolve about 0 failed: {exc}") from exc
         if np.any(np.abs(ev) * dt > _RESOLVE_LIMIT):
             return ev, k
         k *= 2
@@ -419,23 +409,26 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     Useful as transient-free benchmark data.
 
     The candidates are the decaying eigenvalues of A in the time-resolved
-    disk |lambda| dt <= 0.7, found by shift-invert ARPACK about 0
-    (`_resolved_spectrum`; on toy grids, where the disk holds nearly the
-    whole spectrum, a dense eigensolve).  The start is the oscillatory
-    candidate (any candidate if none oscillates) with the least |Re|, taken
-    with Im >= 0.  The fixed point then solves for the eigenpair of
-    A + exp(-lambda*tau0) B nearest lambda by shift-invert about lambda,
-    until its step falls below eps * ||A + exp(-lambda*tau0) B||_1.  Every
-    ARPACK call starts from the same fixed vector, so reruns are
-    bit-identical.  The eigenvector is scaled so its largest-modulus entry
-    equals `amplitude` (real), and its real part is the initial state.
+    disk |lambda| dt <= 0.7 (`_resolved_spectrum`).  The start is the
+    oscillatory candidate (any candidate if none oscillates) with the least
+    |Re|, taken with Im >= 0.  B = -beta g t^T has rank one, so lambda is
+    a root of G = 1/s + beta exp(-lambda*tau0), s = t^T (lambda I - A)^{-1} g
+    (with beta = 0, of A's eigenvalues).  Newton on G factors lambda I - A
+    once per step (`BandedLU`) and makes two solves.  It stops at the first
+    step that does not halve the one before and returns the lambda before
+    it; that step is lambda's attained accuracy, logged at DEBUG.  The
+    eigenvector is x = (lambda I - A)^{-1} g from the last factorization,
+    scaled so its largest-modulus entry equals `amplitude` (real); its real
+    part is the initial state.  ARPACK starts from a fixed vector, so reruns
+    are bit-identical.
 
     Raises ConfigurationError when dt >= tau0 or no candidate exists, and
-    NumericalError when an eigensolve fails or the fixed point does not
-    settle in 12 solves.
+    NumericalError when an eigensolve or factorization fails, or when the
+    final step, at the stall or after 12 factorizations, exceeds the
+    accuracy eps * ||A||_1 a dense eigensolve guarantees.
     """
     _check_dt(dt, dly)
-    A, B = system_matrices(ops, p)
+    A = system_matrices(ops, p)
     n2 = A.shape[0]
     tau0 = dly.tau0
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n2)
@@ -444,38 +437,38 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     log.debug("slow mode: candidate search ended at k=%d (n2=%d)", k, n2)
     ok = (np.abs(ev) * dt <= _RESOLVE_LIMIT) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
-    cand = np.where(osc)[0]
-    if cand.size == 0:
-        cand = np.where(ok)[0]
+    cand = np.flatnonzero(osc if osc.any() else ok)
     if cand.size == 0:
         raise ConfigurationError(
             "no time-resolved decaying mode at this (dt, parameters)")
     lam = ev[cand[np.argmin(np.abs(ev[cand].real))]]
     lam = complex(lam.real, abs(lam.imag))
 
-    # the fixed point contracts fast; it stops at the accuracy a dense
-    # eigensolve guarantees, eps * ||A + e^{-lambda tau} B||_1, which grows
-    # like h^-5 (shift-invert steps stall well below it)
-    v0 = v0.astype(complex)
-    for solves in range(1, 13):
-        K = A + np.exp(-lam * tau0) * B
-        evk, Vk = _shift_invert(K, 1, lam, v0)
-        lam_step = abs(evk[0] - lam)
-        lam, v = complex(evk[0]), Vk[:, 0]
-        floor = np.finfo(float).eps * abs(K).sum(axis=0).max()   # ||K||_1
-        if lam_step <= floor:
+    g = np.zeros(n2)
+    g[0::2] = ops.omega_s_influence
+    t = ops.trace_row
+    floor = np.finfo(float).eps * abs(A).sum(axis=0).max()   # ||A||_1
+    last = np.inf
+    # G' = t^T (lambda I - A)^{-2} g / s^2 - tau0 beta exp(-lambda*tau0)
+    for factors in range(1, 13):
+        lu = BandedLU(lam * sp.identity(n2) - A)
+        v = lu.solve(g)
+        s = t @ v[0::2]
+        e = p.beta * np.exp(-lam * tau0)
+        with np.errstate(all="ignore"):   # a NaN step stops Newton and fails the floor
+            dlam = -(1 / s + e) / (t @ lu.solve(v)[0::2] / s ** 2 - tau0 * e)
+        step = abs(dlam)
+        if factors == 12 or not step < 0.5 * last:
             break
-    else:
+        lam, last = complex(lam + dlam), step
+    if not step <= floor:
         raise NumericalError(
-            f"slow-mode fixed point did not settle in 12 eigensolves: last "
-            f"step {lam_step:.3g} at lambda = {lam}")
-    log.debug("slow mode: fixed point took %d solves, last step %.3g, floor %.3g",
-              solves, lam_step, floor)
+            f"slow-mode Newton stalled after {factors} factorizations at lambda = "
+            f"{lam}: step {step:.3g} above the floor eps ||A||_1 = {floor:.3g}")
+    log.debug("slow mode: Newton took %d factorizations, attained accuracy %.3g, "
+              "floor %.3g", factors, step, floor)
     v = v / v[np.argmax(np.abs(v))] * amplitude
-
-    eta_c = v[0::2]
-    tr_c = complex(ops.trace_row @ eta_c)
     t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
-    hist_vals = np.real(tr_c * np.exp(lam * t_hist))
+    hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
     hist = HistoryLine(t_hist, hist_vals, M=dly.M)
     return SimState._from_u(0.0, v.real.copy(), hist), lam

@@ -197,7 +197,7 @@ def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
 
 
 def test_import_surface():
-    # ARPACK/SuperLU load only when the slow mode runs, and the history
+    # ARPACK loads only when the slow mode runs, and the history
     # interpolant needs no scipy.interpolate
     code = ("import sys, bousslab, bousslab.cli; "
             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.interpolate') "

@@ -361,6 +361,28 @@ def test_non_finite_times_rejected():
     assert np.array_equal(h.query(np.linspace(0.0, 2.0, 9)), before)
 
 
+@pytest.mark.parametrize("values, M, match", [
+    pytest.param([0.0, np.nan, 4.0], 1.0, "non-finite history sample value nan at index 1",
+                 id="nan value"),
+    pytest.param([0.0, 1.0, -np.inf], 1.0, "non-finite history sample value -inf at index 2",
+                 id="-inf value"),
+    pytest.param([np.inf, np.nan, 4.0], 1.0, "at index 0", id="first bad index"),
+    pytest.param([0.0, 1.0, 4.0], np.inf, "M = inf is non-positive or non-finite", id="inf M"),
+    pytest.param([0.0, 1.0, 4.0], np.nan, "M = nan is non-positive or non-finite", id="nan M"),
+])
+def test_non_finite_values_and_bound_rejected(values, M, match):
+    # a NaN sample would otherwise run a simulation to `unstable` with E = nan
+    with pytest.raises(ConfigurationError, match=match):
+        bl.HistoryLine([0.0, 1.0, 2.0], values, M=M)
+
+
+def test_push_keeps_a_non_finite_value():
+    # a blow-up still reaches the history, so the run ends as `unstable`
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    h.push(3.0, np.inf)
+    assert h.size == 4 and h.t_last == 3.0 and h._v[-1] == np.inf
+
+
 def test_empty_query_returns_empty_array():
     h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
     for empty in (np.array([]), [], np.empty((0, 3))):

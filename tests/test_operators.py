@@ -85,9 +85,9 @@ def test_system_matrices_match_dense_oracle(n):
                       trace_row=ops.trace_row)
     assert np.array_equal(ops.eta_c_influence, ref.eta_c_influence)
     assert np.array_equal(ops.omega_s_influence, ref.omega_s_influence)
-    for M, M_ref in zip(system_matrices(ops, p), system_matrices(ref, p)):
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(M, attr), getattr(M_ref, attr)), attr
+    A, A_ref = system_matrices(ops, p), system_matrices(ref, p)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, attr), getattr(A_ref, attr)), attr
 
 
 def test_quartic_exact_with_curvature_channels():
@@ -133,11 +133,10 @@ def test_bandwidth_at_most_four():
 
 
 def test_boundary_source_zero_without_feedback():
-    # alpha = beta = 0: no feedback term, so B stores nothing and A has no
-    # eta-to-eta coupling
+    # alpha = 0: no instantaneous feedback term, so A has no eta-to-eta
+    # coupling
     p = bl.SystemParams(alpha=0.0, beta=0.0)
-    A, B = system_matrices(bl.build_operators(p, bl.Grid(n=16, L=1.0)), p)
-    assert B.nnz == 0
+    A = system_matrices(bl.build_operators(p, bl.Grid(n=16, L=1.0)), p)
     rows, cols = A.nonzero()
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 
@@ -202,6 +201,15 @@ def test_banded_lu_matches_dense_solve():
     sparse_lu = BandedLU(csr)
     assert (sparse_lu.kl, sparse_lu.ku) == (dense_lu.kl, dense_lu.ku) == (3, 3)
     assert np.array_equal(sparse_lu.solve(b), dense_lu.solve(b))
+    # complex data factor in complex arithmetic (zgbtrf); a real right-hand
+    # side is promoted
+    Z = A + 1j * np.diag(rng.standard_normal(n - 2), 2)
+    z_lu = BandedLU(csr_matrix(Z))
+    assert (z_lu.kl, z_lu.ku) == (3, 3)
+    for rhs in (b, b + 1j * rng.standard_normal(n)):
+        x = z_lu.solve(rhs)
+        assert x.dtype == complex
+        assert np.allclose(x, np.linalg.solve(Z, rhs), atol=1e-12)
 
 
 def test_generic_padded_derivatives_second_order():

@@ -1,4 +1,5 @@
 import logging
+import re
 import sys
 import warnings
 
@@ -351,7 +352,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v), M=dly.M)
     stepper = Stepper(ops, cfg, p, dly)
-    A, _ = system_matrices(ops, p)
+    A = system_matrices(ops, p)
     I = sp.identity(2 * n, format="csr")
     lu = BandedLU(I - cfg.theta * dt * A)
     M2 = I + (1.0 - cfg.theta) * dt * A
@@ -458,25 +459,34 @@ def test_slow_mode_state_decays_at_its_rate():
     assert abs(lam_obs - (-2 * lam.real)) < 0.05 * abs(2 * lam.real)
 
 
-def test_slow_mode_state_converges_or_raises(monkeypatch):
+# a relative error of 1e-7 on every complex solve makes Newton's steps stop
+# halving far above eps ||A||_1 (about 6e-11 at n = 32); a NaN solve makes
+# the first step NaN, which must stop Newton and fail the floor too
+@pytest.mark.parametrize("noise, newton_lus", [
+    pytest.param(1e-7, range(2, 13), id="noisy"),
+    pytest.param(np.nan, [1], id="nan")])
+def test_slow_mode_state_newton_stall_above_the_floor_raises(monkeypatch, noise, newton_lus):
     p, dly, g, ops = _setup(n=32)
-    state, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
-    real_eigs = spla.eigs
-    calls = []
+    real, rng, factors = BandedLU.solve, np.random.default_rng(5), []
+    real_init = BandedLU.__init__
 
-    def restless_eigs(M, k, **kw):
-        # every eigensolve moves the spectrum by 1e-3: the fixed point never settles
-        out = real_eigs(M, k, **kw)
-        calls.append(k)
-        shift = 1e-3 * (-1) ** len(calls)
-        if isinstance(out, tuple):
-            return out[0] + shift, out[1]
-        return out + shift
+    def counting_init(self, matrix):
+        real_init(self, matrix)
+        factors.append(np.iscomplexobj(self._lu))
 
-    monkeypatch.setattr(spla, "eigs", restless_eigs)
-    with pytest.raises(NumericalError, match="did not settle"):
+    def noisy_solve(self, rhs):
+        x = real(self, rhs)
+        if np.iscomplexobj(x):
+            x = x * (1 + noise * rng.standard_normal(x.shape))
+        return x
+
+    monkeypatch.setattr(BandedLU, "__init__", counting_init)
+    monkeypatch.setattr(BandedLU, "solve", noisy_solve)
+    with pytest.raises(NumericalError, match=r"stalled after \d+ factorizations.*"
+                       r"step \S+ above the floor eps \|\|A\|\|_1 = \S+"):
         bl.slow_mode_state(ops, p, dly, dt=1e-3)
-    assert calls.count(1) == 12   # 12 fixed-point solves after the candidate search
+    # one real LU for the candidate search, then at most 12 Newton LUs
+    assert factors[0] is False and factors.count(True) in newton_lus
 
 
 @pytest.mark.parametrize("failure", [
@@ -497,8 +507,12 @@ def test_slow_mode_state_eigensolver_failure_is_typed(monkeypatch, failure):
 
 def _dense_slow_mode(ops, p, dly, dt, resolve_limit=0.7):
     """The dense-eigensolve slow mode, kept as the reference: candidates from
-    a full eig of A, then the fixed point on full eigs of A + e^{-lambda tau0} B."""
-    A, B = (M.toarray() for M in system_matrices(ops, p))
+    a full eig of A, then the fixed point on full eigs of A + e^{-lambda tau0} B
+    with the rank-one delay matrix B = -beta g t^T built densely here."""
+    A = system_matrices(ops, p).toarray()
+    g, t = np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    g[0::2], t[0::2] = ops.omega_s_influence, ops.trace_row
+    B = -p.beta * np.outer(g, t)
     ev, _ = np.linalg.eig(A)
     ok = (np.abs(ev) * dt <= resolve_limit) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
@@ -528,6 +542,9 @@ _TOY = dict(a=0.05, a1=0.002, L=2.0, alpha=0.1, beta=1e-3)
 @pytest.mark.parametrize("system, n", [
     *((ACC, n) for n in (8, 16, 48, 100)),
     *(({**ACC, "beta": 0.0}, n) for n in (8, 16, 48, 100)),
+    # a delay term near roundoff: the candidate from A's spectrum is already
+    # next to the root, so Newton starts with steps near its noise
+    ({**ACC, "beta": 1e-12}, 100),
     # the whole spectrum lies in the resolved disk: the dense case
     (_TOY, 8),
 ])
@@ -570,6 +587,8 @@ def test_slow_mode_state_logs_at_debug(caplog, capsys):
     text = "\n".join(r.getMessage() for r in caplog.records
                      if r.name == "bousslab.stepping" and r.levelno == logging.DEBUG)
     assert "candidate search ended at k=8" in text
-    assert "fixed point took" in text and "last step" in text and "floor" in text
+    m = re.search(r"Newton took (\d+) factorizations, attained accuracy (\S+), "
+                  r"floor (\S+)", text)
+    factors, accuracy, floor = int(m[1]), float(m[2]), float(m[3])
+    assert 2 <= factors <= 12 and 0 <= accuracy <= floor
     assert capsys.readouterr() == ("", "")
-
