@@ -542,11 +542,11 @@ _TOY = dict(a=0.05, a1=0.002, L=2.0, alpha=0.1, beta=1e-3)
 @pytest.mark.parametrize("system, n", [
     *((ACC, n) for n in (8, 16, 48, 100)),
     *(({**ACC, "beta": 0.0}, n) for n in (8, 16, 48, 100)),
+    # the whole spectrum lies in the resolved disk: the dense case
+    (_TOY, 8),
     # a delay term near roundoff: the candidate from A's spectrum is already
     # next to the root, so Newton starts with steps near its noise
     ({**ACC, "beta": 1e-12}, 100),
-    # the whole spectrum lies in the resolved disk: the dense case
-    (_TOY, 8),
 ])
 def test_slow_mode_state_matches_dense_eigensolves(system, n):
     p = bl.SystemParams(**system)
