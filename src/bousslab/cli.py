@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import itertools
 import sys
 from dataclasses import replace
@@ -203,7 +204,12 @@ def cmd_sweep(args) -> int:
                 raise ConfigurationError(f"empty axis {name!r}")
             names.append(name)
             value_lists.append(vals)
-        p, dly, grid, runset = parse_config(base_text)
+        # the base configuration is the spec without its own two sections
+        cp.remove_section("sweep")
+        cp.remove_section("axes")
+        base = io.StringIO()
+        cp.write(base)
+        p, dly, grid, runset = parse_config(base.getvalue())
     except (ConfigurationError, OSError, ValueError, configparser.Error) as exc:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,14 +115,27 @@ def initial_profile(spec: str, nodes: np.ndarray, L: float,
     raise ConfigurationError(f"unknown initial profile {spec!r}")
 
 
+_SECTIONS = ("system", "delay", "grid", "run")
+
+
 def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]:
-    """Parse configuration text (not a path: callers read the file)."""
+    """Parse configuration text (not a path: callers read the file).
+
+    Raises ConfigurationError on a section other than [system], [delay],
+    [grid] and [run], on a key its section does not have, or on a value that
+    does not parse."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # field names are case-sensitive (L, M, T)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot read configuration: {exc}") from exc
+
+    # configparser copies [DEFAULT] keys into every section: refuse it by name
+    for name in cp.sections() + ([cp.default_section] if cp.defaults() else []):
+        if name not in _SECTIONS:
+            raise ConfigurationError(
+                f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
 
     def section(name, builder, special=()):
         kwargs = {}
@@ -149,9 +162,11 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
         for key in ("theta", "mu1", "mu2"):
             if key in run_kwargs and run_kwargs[key] != "auto":
                 run_kwargs[key] = float(run_kwargs[key])
-        n = 200
-        if cp.has_section("grid") and cp.has_option("grid", "n"):
-            n = int(cp.get("grid", "n"))
+        grid_items = dict(cp.items("grid")) if cp.has_section("grid") else {}
+        unknown = sorted(grid_items.keys() - {"n"})
+        if unknown:
+            raise ConfigurationError(f"unknown key {unknown[0]!r} in section [grid]")
+        n = int(grid_items.get("n", 200))
         p = SystemParams(**sys_kwargs)
         dly = DelaySpec(**dly_kwargs)
         run = RunSettings(**run_kwargs)

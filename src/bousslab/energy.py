@@ -6,6 +6,8 @@ values included as zeros) and in rho over the reconstructed z-profile.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .certificate import check_multipliers
@@ -20,31 +22,38 @@ def _field_quad(values_sq: np.ndarray, h: float) -> float:
     return h * float(values_sq.sum())
 
 
-def _delay_parts(z: np.ndarray, tau: float, beta: float) -> tuple[float, float]:
-    """Delay parts of (E, V2) from the z-profile on rho_j = j/m:
-    |beta|/2 tau int z^2 drho and |beta|/2 tau int (1-rho) z^2 drho."""
-    m = z.size - 1
-    dx = 1.0 / m
-    w = 0.5 * abs(beta) * tau
-    z2 = z ** 2
-    wz2 = (1.0 - _rho_nodes(m)) * z2
-    # np.trapezoid's own expression, without its per-call overhead
-    return (w * float((dx * (z2[1:] + z2[:-1]) / 2.0).sum()),
-            w * float((dx * (wz2[1:] + wz2[:-1]) / 2.0).sum()))
+@functools.lru_cache(maxsize=16)
+def _rho_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only trapezoid weights on rho_j = j/m (`_rho_nodes`) for
+    int f drho and int (1 - rho) f drho."""
+    w = np.full(m + 1, 1.0 / m)
+    w[[0, -1]] *= 0.5
+    ws = (w, (1.0 - _rho_nodes(m)) * w)
+    for v in ws:
+        v.flags.writeable = False
+    return ws
 
 
 def _monitors(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid
               ) -> tuple[float, float, float, np.ndarray]:
     """(E, V1, V2, z), z the trace at t - tau rho_j, rho_j = j/m: z[0] is the
-    current trace, z[-1] the delayed one (z is these two alone when beta = 0)."""
-    E = 0.5 * _field_quad(s.eta ** 2 + s.omega ** 2, g.h)
-    V1 = g.h * float((g.nodes * s.eta * s.omega).sum())
+    current trace, z[-1] the delayed one (z is these two alone when beta = 0).
+
+    Every trapezoid is a dot product: in x over the interior nodes (the
+    boundary values are zero), and in rho against `_rho_weights` for the
+    delay parts |beta|/2 tau int z^2 drho and |beta|/2 tau int (1-rho) z^2 drho.
+    These are two vector dots, not one matrix-vector product: that sums each
+    row in a single running sum, about ten times less accurate at m = 2048."""
+    E = 0.5 * g.h * float(s.u @ s.u)
+    V1 = g.h * float(s.eta @ (g.nodes * s.omega))
     tau, _ = tau_at(dly, s.t)
     if p.beta == 0.0:
         return E, V1, 0.0, s.history.query(s.t - tau * _rho_nodes(1))
     z = s.history.query(s.t - tau * _rho_nodes(m))
-    e_delay, V2 = _delay_parts(z, tau, p.beta)
-    return E + e_delay, V1, V2, z
+    z2 = z * z
+    w, w_v2 = _rho_weights(m)
+    c = 0.5 * abs(p.beta) * tau
+    return E + c * float(w @ z2), V1, c * float(w_v2 @ z2), z
 
 
 def energy(s, p: SystemParams, dly: DelaySpec, m: int = 64,

@@ -3,9 +3,13 @@
 The state is interleaved as (eta_1, omega_1, eta_2, omega_2, ...) so the
 coupled 2n x 2n system stays banded; the stiff operator is factorized once
 per run and the delayed boundary datum enters as an explicit source vector
-evaluated at t + theta*dt.  Optional Picard iteration handles the quadratic
-nonlinear terms.  `SimState` holds the interleaved vector itself, so a step is
-one matvec, one banded solve (one per Picard iterate) and one trace push.
+evaluated at t + theta*dt.  `SimState` holds the interleaved vector itself, so
+a linear step is one matvec, one banded solve and one trace push.  Optional
+Picard iteration handles the quadratic nonlinear terms with one right-hand
+side per banded solve: the one at the state serves both the explicit term and
+the first iterate, and each is two sparse products around pointwise products
+(`nonlinear_matrices`).  A nonlinear run logs its step, solve and right-hand
+side counts and its largest contraction estimate at DEBUG.
 """
 
 from __future__ import annotations
@@ -148,37 +152,39 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
 
     G (6(n+2) x 2n) takes the interleaved state to the fields on the full
     grid, zero boundary values included: (ef, e_xx, wf, w_x, w_xx, w_xxx).
-    C (2n x 4(n+2)) takes the stacked products (ef wf, ef w_xx, wf w_x,
-    ef e_xx) to the interleaved right-hand side
+    C (2n x 5(n+2)) takes the stacked products (ef wf, ef w_xx, wf w_x,
+    ef e_xx) and the pointwise omega terms
+    P = beta_p w_x w_xx + rho_nl wf w_xxx - wf w_x to the interleaved
+    right-hand side
         eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
-        omega': -c_nl (wf w_x)_xx - (ef e_xx)_x
-    on the interior rows; `Stepper._nonlinear_rhs` adds the pointwise omega
-    terms.
+        omega': -c_nl (wf w_x)_xx - (ef e_xx)_x + P
+    on the interior rows.  P enters through an identity block in the last
+    columns, so each omega row adds it after the derivative terms.
     """
     N = n + 2
-    D = [sp.identity(N, format="csr").tocoo()] + [
-        derivative_matrix(N, h, m).tocoo() for m in (1, 2, 3)]
+    I = sp.identity(N, format="csr")
+    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
 
     def entries(blocks, transpose):
-        """(stacked, interleaved, value) triplets of factor * D[m] for each
-        block (m, parity, factor), restricted to the interior columns (the
-        interior rows when transposed); parity 0 is eta, 1 is omega."""
+        """(stacked, interleaved, value) triplets of each block (operator,
+        parity), restricted to the interior columns (the interior rows when
+        transposed); parity 0 is eta, 1 is omega."""
         stacked, inter, vals = [], [], []
-        for b, (m, parity, factor) in enumerate(blocks):
-            r, c = (D[m].col, D[m].row) if transpose else (D[m].row, D[m].col)
+        for b, (op, parity) in enumerate(blocks):
+            op = op.tocoo()
+            r, c = (op.col, op.row) if transpose else (op.row, op.col)
             keep = (c >= 1) & (c <= n)
             stacked.append(b * N + r[keep])
             inter.append(2 * (c[keep] - 1) + parity)
-            vals.append(factor * D[m].data[keep])
+            vals.append(op.data[keep])
         return np.concatenate(stacked), np.concatenate(inter), np.concatenate(vals)
 
     # the zero boundary values drop out with the boundary columns
-    gi, gj, gv = entries([(0, 0, 1.0), (2, 0, 1.0), (0, 1, 1.0),
-                          (1, 1, 1.0), (2, 1, 1.0), (3, 1, 1.0)], False)
-    cj, ci, cv = entries([(1, 0, -1.0), (1, 0, -p.alpha_p),
-                          (2, 1, -p.c_nl), (1, 1, -1.0)], True)
+    gi, gj, gv = entries([(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)], False)
+    cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2, 1),
+                          (-D1, 1), (I, 1)], True)
     G = sp.csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
-    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 4 * N))
+    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 5 * N))
     G.eliminate_zeros()
     C.eliminate_zeros()
     return G, C
@@ -206,7 +212,10 @@ class Stepper:
         self._g_c = ops.eta_c_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
-        self._steps_done = 0
+        # counters `run` logs: steps taken, Picard solves, right-hand sides
+        # and the largest contraction estimate q of the nonlinear steps
+        self._steps_done = self._solves = self._rhs_evals = 0
+        self._q_max = 0.0
 
     def _source(self, t_eval: float, state: SimState) -> np.ndarray:
         """dt-weighted explicit sources at the evaluation time."""
@@ -225,17 +234,20 @@ class Stepper:
 
     def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
         """Quadratic terms at the interleaved state u (`nonlinear_matrices`)."""
+        self._rhs_evals += 1
         p = self.p
         ef, e_xx, wf, w_x, w_xx, w_xxx = (self._G @ u).reshape(6, -1)
         wf_wx = wf * w_x
-        out = self._C @ np.concatenate((ef * wf, ef * w_xx, wf_wx, ef * e_xx))
-        out[1::2] += (p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx)[1:-1]
-        return out
+        return self._C @ np.concatenate((
+            ef * wf, ef * w_xx, wf_wx, ef * e_xx,
+            p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx))
 
     def step(self, state: SimState) -> SimState:
         """The state one dt later; advances `state.history` in place by pushing its trace.
 
-        Nonlinear steps iterate Picard until Banach's a-posteriori bound
+        Nonlinear steps iterate Picard, one right-hand side N(u_k) per solve:
+        N(u_0) at the state also serves the explicit (1 - theta) term.  They
+        stop once Banach's a-posteriori bound
         q/(1-q) delta_k <= _PICARD_TOL |u_k| holds, with delta_k = |u_k - u_{k-1}|
         and q = delta_k / delta_{k-1}.  q >= 1 accepts u_k when delta_k is
         within the solve's roundoff floor, _PICARD_FLOOR |u_k|, where q is
@@ -248,11 +260,15 @@ class Stepper:
         if not self.cfg.nonlinear:
             u_new = self._lu.solve(base)
         else:
+            rhs = self._nonlinear_rhs(u)
             if theta < 1.0:
-                base = base + (1.0 - theta) * dt * self._nonlinear_rhs(u)
+                base = base + (1.0 - theta) * dt * rhs
             u_new, delta = u, None
-            for _ in range(_PICARD_ITERS):
-                u_next = self._lu.solve(base + theta * dt * self._nonlinear_rhs(u_new))
+            for k in range(_PICARD_ITERS):
+                if k:
+                    rhs = self._nonlinear_rhs(u_new)
+                u_next = self._lu.solve(base + theta * dt * rhs)
+                self._solves += 1
                 prev, delta = delta, np.linalg.norm(u_next - u_new)
                 u_new, scale = u_next, np.linalg.norm(u_next)
                 # a NaN or infinite entry, or a norm that overflows
@@ -263,6 +279,7 @@ class Stepper:
                 if prev is None:
                     continue
                 q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
+                self._q_max = max(self._q_max, q)
                 if q < 1:
                     if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
                         break
@@ -351,6 +368,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         if not np.isfinite(E_now) or (E0 > 0 and E_now > _BLOWUP_FACTOR * E0):
             termination = "unstable"
             break
+    if cfg.nonlinear:
+        log.debug("nonlinear run: %d steps, %d solves, %d right-hand sides, largest q %.3g",
+                  stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
 
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row
     q = table[5:, :rows]

@@ -255,6 +255,28 @@ def test_sweep_empty_axis_is_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_simulate_refuses_unknown_section_and_grid_key(tmp_path, capsys):
+    for text, named in ((GOOD.replace("[run]", "[runn]"), "unknown section [runn]"),
+                        (GOOD.replace("n = 48", "nn = 400"), "unknown key 'nn'")):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_spec_sections_are_not_base_config(tmp_path, capsys):
+    # the shipped spec runs; a section that is neither the sweep's own nor
+    # the base configuration's is an error
+    spec = Path(__file__).resolve().parents[1] / "configs" / "sweep.ini"
+    out = tmp_path / "shipped"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len((out / "gain_sweep.csv").read_text().strip().split("\n")) == 1 + 10
+    bad = SWEEP.replace("[sweep]", "[sweeps]")
+    assert main(["sweep", "--spec", _write(tmp_path, bad, "s.ini"),
+                 "--out", str(tmp_path / "bad")]) == 3
+    assert "unknown section [sweeps]" in capsys.readouterr().err
+
+
 def test_sweep_unknown_axis_is_spec_error(tmp_path, capsys):
     spec = SWEEP.replace("beta = 5e-4", "n = 32 64")
     out = tmp_path / "swn"

@@ -62,6 +62,21 @@ def test_unknown_key_rejected():
         parse_config(bad)
 
 
+def test_unknown_grid_key_rejected():
+    # `nn = 400` used to run at the default n = 200
+    with pytest.raises(ConfigurationError, match=r"unknown key 'nn' in section \[grid\]"):
+        parse_config(SAMPLE.replace("n = 64", "nn = 400"))
+    with pytest.raises(ConfigurationError, match=r"unknown key 'L' in section \[grid\]"):
+        parse_config(SAMPLE.replace("n = 64", "n = 64\nL = 2.0"))
+
+
+@pytest.mark.parametrize("name", ["runn", "Run", "sweep", "axes", "DEFAULT"])
+def test_unknown_section_rejected(name):
+    # a misspelled section used to leave its keys unread, at their defaults
+    with pytest.raises(ConfigurationError, match=rf"unknown section \[{name}\]"):
+        parse_config(SAMPLE.replace("[run]", f"[{name}]"))
+
+
 @pytest.mark.parametrize("key, value", [
     ("startup_steps", "4"), ("picard_iters", "30"), ("picard_tol", "1e-12"),
     ("kappa", "2.0"), ("fit_window", "0.5"), ("bound_slack", "0.02")])

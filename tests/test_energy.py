@@ -161,3 +161,48 @@ def test_lyapunov_per_step_decay(acc_runs, acc_cert):
     dt = rep.t[1] - rep.t[0]
     ratio = rep.V[1:] / rep.V[:-1]
     assert np.all(ratio <= np.exp(-lam * dt) * (1.0 + 1e-6))
+
+
+def _trapezoid_row(s, p, dly, g, m):
+    """(E, V1, V2) as the monitor row computed them before it became dot
+    products: np.trapezoid in x over eta^2 + omega^2 and x eta omega, with the
+    zero boundary values, and in rho over `z_profile`."""
+    def pad(f):
+        return np.concatenate(([0.0], f, [0.0]))
+    E = 0.5 * np.trapezoid(pad(s.eta ** 2 + s.omega ** 2), dx=g.h)
+    V1 = np.trapezoid(pad(g.nodes * s.eta * s.omega), dx=g.h)
+    if p.beta == 0.0:
+        return E, V1, 0.0
+    tau, _ = bl.tau_at(dly, s.t)
+    z2 = bl.z_profile(s.history, dly, s.t, m) ** 2
+    w = 0.5 * abs(p.beta) * tau
+    rho = np.linspace(0.0, 1.0, m + 1)
+    return (E + w * np.trapezoid(z2, dx=1.0 / m), V1,
+            w * np.trapezoid((1.0 - rho) * z2, dx=1.0 / m))
+
+
+@pytest.mark.parametrize("m", [1, 64, 2048])
+@pytest.mark.parametrize("form", ["constant", "sinusoidal"])
+@pytest.mark.parametrize("beta", [5e-4, 0.0])
+def test_monitor_row_matches_trapezoid_oracle(m, form, beta):
+    # the row's dot products agree with the trapezoid sums to 8 ulp: relative
+    # to E and V2 (sums of nonnegative terms), and to h sum |x eta omega| for
+    # V1, whose terms cancel; both traces are z_profile's ends, bit for bit
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=beta)
+    dly = (bl.DelaySpec(tau0=0.5, M=0.5) if form == "constant" else
+           bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
+                        phase=-np.pi / 2, M=0.7, d=0.2))
+    g = bl.Grid(n=101, L=1.0)
+    ulp = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        t = rng.uniform(0.0, 2.0)
+        s = _state(rng.standard_normal(g.n), rng.standard_normal(g.n),
+                   np.linspace(t - 1.0, t, 81), rng.standard_normal(81), dly.M, t=t)
+        _, E, _, V1, V2, now, delayed = energy_sample(s, p, dly, g, m)
+        E_ref, V1_ref, V2_ref = _trapezoid_row(s, p, dly, g, m)
+        assert abs(E - E_ref) <= ulp * E_ref
+        assert abs(V2 - V2_ref) <= ulp * V2_ref
+        assert abs(V1 - V1_ref) <= ulp * g.h * np.sum(np.abs(g.nodes * s.eta * s.omega))
+        z = bl.z_profile(s.history, dly, t, m if beta else 1)
+        assert (now, delayed) == (z[0], z[-1])

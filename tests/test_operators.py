@@ -284,8 +284,13 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
     g = bl.Grid(n=n, L=L)
     ops, dly = bl.build_operators(p, g), bl.DelaySpec(tau0=0.5, M=0.5)
     st = Stepper(ops, StepConfig(dt=1e-3, nonlinear=True), p, dly)
-    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 4 * (n + 2))
+    # C takes four stacked products under derivatives and, through an
+    # identity block on the interior omega rows, the pointwise omega terms
+    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 5 * (n + 2))
     assert np.all(st._G.data != 0.0) and np.all(st._C.data != 0.0)
+    P = st._C[:, 4 * (n + 2):].tocoo()
+    assert np.array_equal(P.row, 2 * np.arange(n) + 1)
+    assert np.array_equal(P.col, np.arange(1, n + 1)) and np.all(P.data == 1.0)
     # alpha_p = 0: that block stores nothing
     C0 = nonlinear_matrices(n, g.h, bl.SystemParams())[1]
     assert np.all(C0.data != 0.0) and C0.nnz < st._C.nnz
@@ -307,6 +312,24 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         D = derivative_matrix(n + 2, g.h, m)
         err = np.abs(D @ full - _padded_derivative(full, g.h, m))
         assert np.all(err <= 8 * np.finfo(float).eps * (abs(D) @ np.abs(full)))
+
+
+@pytest.mark.parametrize("n", [50, 203])
+def test_folded_pointwise_terms_keep_the_bits(n):
+    # the pointwise omega terms P occupy C's last columns, so each omega row
+    # adds P after its derivative terms, exactly as a strided
+    # `out[1::2] += P[1:-1]` after the four-product C did
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4,
+                        alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25)
+    g = bl.Grid(n=n, L=L)
+    st = Stepper(bl.build_operators(p, g), StepConfig(dt=1e-3, nonlinear=True), p,
+                 bl.DelaySpec(tau0=0.5, M=0.5))
+    u = np.random.default_rng(n).standard_normal(2 * n)
+    ef, e_xx, wf, w_x, w_xx, w_xxx = (st._G @ u).reshape(6, -1)
+    wf_wx = wf * w_x
+    old = st._C[:, :4 * (n + 2)] @ np.concatenate((ef * wf, ef * w_xx, wf_wx, ef * e_xx))
+    old[1::2] += (p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx)[1:-1]
+    assert np.array_equal(st._nonlinear_rhs(u), old)
 
 
 def test_trace_weights_quartic_identity():

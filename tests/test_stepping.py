@@ -414,6 +414,68 @@ def test_picard_stops_at_the_first_iterate_a_rule_accepts(monkeypatch, n, amp, l
     assert any(r[-1] == "floor" for r in rules) == floor
 
 
+def _count_rhs_and_solves(monkeypatch):
+    """Count `Stepper._nonlinear_rhs` and `BandedLU.solve` calls."""
+    counts = {"rhs": 0, "solve": 0}
+    real_rhs, real_solve = Stepper._nonlinear_rhs, BandedLU.solve
+
+    def rhs(self, u):
+        counts["rhs"] += 1
+        return real_rhs(self, u)
+
+    def solve(self, b):
+        counts["solve"] += 1
+        return real_solve(self, b)
+
+    monkeypatch.setattr(Stepper, "_nonlinear_rhs", rhs)
+    monkeypatch.setattr(BandedLU, "solve", solve)
+    return counts
+
+
+@pytest.mark.parametrize("nonlinear, theta", [
+    (True, None), (True, 1.0), (False, None)])
+def test_one_right_hand_side_per_solve(monkeypatch, nonlinear, theta):
+    # N(u_0) serves both the explicit (1 - theta) term and the first
+    # iterate, so a nonlinear run evaluates N once per banded solve (at
+    # least two per step), and a linear run never
+    p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, 50, 1.0)
+    if theta is not None:
+        cfg = bl.StepConfig(dt=cfg.dt, theta=theta, nonlinear=nonlinear)
+    counts = _count_rhs_and_solves(monkeypatch)
+    rep = bl.run(state, 0.2, cfg, p, dly, ops)
+    steps = rep.n_rows - 1
+    assert rep.termination == "completed" and steps == round(0.2 / cfg.dt)
+    if nonlinear:
+        assert counts["rhs"] == counts["solve"] >= 2 * steps
+    else:
+        assert counts["rhs"] == 0 and counts["solve"] == steps
+
+
+def test_nonlinear_run_logs_its_picard_counts(monkeypatch, caplog):
+    # the DEBUG line at the end of a nonlinear run reports the steps, the
+    # solves, the right-hand sides and the largest q = delta_k / delta_{k-1}
+    p, dly, g, ops, cfg, state = _oracle_setup(True, 50, 1.0)
+    counts = _count_rhs_and_solves(monkeypatch)
+    steps = _iterates_per_step(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
+        rep = bl.run(state, 0.2, cfg, p, dly, ops)
+    q_max = 0.0
+    for it in steps:
+        d = [np.linalg.norm(b - a) for a, b in zip(it, it[1:])]
+        q_max = max([q_max, *np.divide(d[1:], d[:-1])])
+    lines = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG and r.getMessage().startswith("nonlinear run")]
+    assert lines == [f"nonlinear run: {rep.n_rows - 1} steps, {counts['solve']} solves, "
+                     f"{counts['rhs']} right-hand sides, largest q {q_max:.3g}"]
+    assert 0.0 < q_max < 1.0
+    # a linear run logs no such line
+    caplog.clear()
+    p, dly, g, ops, cfg, state = _oracle_setup(False, 50, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
+        bl.run(state, 0.01, cfg, p, dly, ops)
+    assert "nonlinear run" not in caplog.text
+
+
 def test_picard_without_contraction_ends_the_run(monkeypatch, caplog):
     # amplitude 100 leaves the small-data regime: the second iterate moves
     # further than the first (q >= 1), so the run stops after two solves,
