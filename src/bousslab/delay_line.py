@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -60,12 +61,17 @@ def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=16)
+# typed, so that True (equal to 1 and of equal hash) is checked, not served
+# the cached nodes of m = 1
+@functools.lru_cache(maxsize=16, typed=True)
 def _rho_nodes(m: int) -> np.ndarray:
     """Read-only rho_j = j/m for j = 0..m."""
-    if m < 1:
-        raise ConfigurationError(f"need m >= 1 rho intervals, got {m}")
-    rho = np.linspace(0.0, 1.0, m + 1)
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ConfigurationError(f"need an integer m >= 1 of rho intervals, got {m!r}")
+    try:
+        rho = np.linspace(0.0, 1.0, m + 1)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot allocate {m + 1} rho nodes: {exc}") from exc
     rho.flags.writeable = False
     return rho
 
@@ -230,7 +236,14 @@ class HistoryLine:
             t0, v0, m0, a2, a3 = buf[:, lo + int(knots.searchsorted(q, "right"))].tolist()
             return _hermite(q - t0, v0, m0, a2, a3)
         q = np.minimum(np.maximum(t_arr, t_first), t_last)
-        t0, v0, m0, a2, a3 = buf[:, lo + knots.searchsorted(q, "right")]
+        # searchsorted runs fastest on ascending keys, and a key's column does
+        # not depend on the order of the others: a descending query (every
+        # z-profile) is searched through its reversed view
+        if q.ndim == 1 and q[0] > q[-1]:
+            idx = knots.searchsorted(q[::-1], "right")[::-1]
+        else:
+            idx = knots.searchsorted(q, "right")
+        t0, v0, m0, a2, a3 = np.take(buf, lo + idx, axis=1)
         out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
 

@@ -143,10 +143,11 @@ def trace_eta_xx_L(eta: np.ndarray, g: Grid) -> float:
     return float(trace_weights(g.h) @ eta[-3:])
 
 
-def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> float:
-    """Mirrored one-sided estimate of omega_xx at x = 0."""
+def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> np.ndarray | float:
+    """Mirrored one-sided estimate of omega_xx at x = 0, one per row when
+    omega stacks rows along its last axis."""
     omega = np.asarray(omega, dtype=float)
-    return float(trace_weights(g.h)[::-1] @ omega[:3])
+    return omega[..., :3] @ trace_weights(g.h)[::-1]
 
 
 def build_operators(p: SystemParams, g: Grid) -> OperatorSet:

@@ -145,6 +145,18 @@ def test_simulate_rejects_rho_res_below_one_without_delay(tmp_path, capsys):
     assert not (out / "timeseries.csv").exists()
 
 
+def test_simulate_rejects_unallocatable_rho_res(tmp_path, capsys):
+    # 10**13 + 1 rho nodes: numpy refuses the 72.8 TiB at once, before the
+    # first step
+    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 10000000000000")
+    out = tmp_path / "outrhohuge"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--horizon", "0.01", "--n", "32"]) == 1
+    err = capsys.readouterr().err
+    assert "simulation error" in err and "cannot allocate 10000000000001 rho nodes" in err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_simulate_rejects_negative_horizon(tmp_path, capsys):
     out = tmp_path / "outneg"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),

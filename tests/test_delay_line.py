@@ -437,3 +437,40 @@ def test_copy_is_independent(seed):
                 changed.replace_last(float(rng.standard_normal()))
             _assert_same(_snapshot(kept, q), before)
         assert changed.t_first > first and changed._buf is not buf
+
+
+def _one_point_queries(h, q):
+    return np.array([h.query(float(x)) for x in np.ravel(q)]).reshape(np.shape(q))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_query_matches_one_point_query(seed):
+    # the array path searches a descending query through its reversed view
+    # and gathers the coefficient rows with one take; in any order of the
+    # query points it returns the one-point float path's bits, on the knots
+    # and at both span ends within the 1e-14 clip, after pushes and evictions
+    rng = np.random.default_rng(300 + seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.05, 1.0)))
+    dly = bl.DelaySpec(tau0=0.5 * h.M, M=h.M, d=0.0)
+    first, profiles = h.t_first, 0
+    for step in range(150):
+        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+        if step % 10:
+            continue
+        lo, hi = h.t_first, h.t_last
+        asc = np.sort(np.concatenate([rng.uniform(lo, hi, 40), h._t,
+                                      [lo - 1e-14, lo - 5e-15, hi + 5e-15, hi + 1e-14]]))
+        for q in (asc, asc[::-1], asc[::-1].copy(), rng.permutation(asc),
+                  np.repeat(asc, 3), np.repeat(asc, 3)[::-1], np.full(7, asc[5]),
+                  asc[:2][::-1], asc[-1:], asc[:asc.size // 2 * 2].reshape(-1, 2)[::-1]):
+            assert np.array_equal(_bits(h.query(q)), _bits(_one_point_queries(h, q)))
+        for x in asc[::9]:
+            assert _bits(h.query(np.array(x))) == _bits(h.query(float(x)))
+        if hi - lo >= dly.tau0:
+            profiles += 1
+            z = bl.z_profile(h, dly, hi, 64)
+            ref = _one_point_queries(h, hi - dly.tau0 * _rho_nodes(64))
+            assert np.array_equal(_bits(z), _bits(ref))
+    assert h.t_first > first and profiles >= 10   # samples were evicted

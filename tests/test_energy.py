@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.energy import energy_sample, kato_constant
+from bousslab.energy import energy_sample, field_derivatives, kato_constant
 from bousslab.errors import ConfigurationError
+from bousslab.operators import trace_weights
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState
+from conftest import failing_solve
 
 
 def _state(eta, omega, hist_times, hist_vals, M, t=0.0):
@@ -206,3 +208,118 @@ def test_monitor_row_matches_trapezoid_oracle(m, form, beta):
         assert abs(V1 - V1_ref) <= ulp * g.h * np.sum(np.abs(g.nodes * s.eta * s.omega))
         z = bl.z_profile(s.history, dly, t, m if beta else 1)
         assert (now, delayed) == (z[0], z[-1])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _row_field_derivatives(eta, omega, g, trace_now, trace_delayed, p):
+    """One stored row's derivatives as `field_derivatives` computed them
+    before it took stacked rows."""
+    h = g.h
+    ef = np.concatenate(([0.0], eta, [0.0]))
+    wf = np.concatenate(([0.0], omega, [0.0]))
+    n = g.n
+    ex = np.zeros(n + 2)
+    wx = np.zeros(n + 2)
+    ex[1:-1] = (ef[2:] - ef[:-2]) / (2 * h)
+    wx[1:-1] = (wf[2:] - wf[:-2]) / (2 * h)
+    exx = np.zeros(n + 2)
+    wxx = np.zeros(n + 2)
+    exx[1:-1] = (ef[2:] - 2 * ef[1:-1] + ef[:-2]) / h ** 2
+    wxx[1:-1] = (wf[2:] - 2 * wf[1:-1] + wf[:-2]) / h ** 2
+    exx[-1] = trace_now
+    wxx[0] = float(trace_weights(h)[::-1] @ omega[:3])
+    wxx[-1] = p.alpha * trace_now + p.beta * trace_delayed
+    return ex, wx, exx, wxx
+
+
+def _row_kato_residual(report, p):
+    """The Kato residual as computed one stored row at a time, before the
+    row blocks."""
+    n = report.fields_eta.shape[1]
+    g = bl.Grid(n=n, L=p.L)
+    t = report.t
+    nt = t.size
+    I_l2 = np.empty(nt)
+    I_h1 = np.empty(nt)
+    I_h2 = np.empty(nt)
+    bdry = np.empty(nt)
+    for k in range(nt):
+        e = report.fields_eta[k]
+        w = report.fields_omega[k]
+        I_l2[k] = g.h * float((e ** 2 + w ** 2).sum())
+        ex, wx, exx, wxx = _row_field_derivatives(
+            e, w, g, report.trace_now[k], report.trace_delayed[k], p)
+        I_h1[k] = float(np.trapezoid(ex ** 2 + wx ** 2, dx=g.h))
+        I_h2[k] = float(np.trapezoid(exx ** 2 + wxx ** 2, dx=g.h))
+        bdry[k] = exx[-1] ** 2 + wxx[-1] ** 2
+
+    def tint(v):
+        return float(np.trapezoid(v, x=t))
+
+    x = g.nodes
+
+    def xmoment(e, w):
+        return g.h * float(np.sum(x * e * w))
+
+    residual = (0.5 * tint(I_l2)
+                - 1.5 * p.a * tint(I_h1)
+                + 2.5 * p.a1 * tint(I_h2)
+                - 0.5 * p.a1 * p.L * tint(bdry)
+                - (xmoment(report.fields_eta[-1], report.fields_omega[-1])
+                   - xmoment(report.fields_eta[0], report.fields_omega[0])))
+    return residual, kato_constant(p)
+
+
+def _kato_run(n, rows, beta=5e-4, seed=0):
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=beta)
+    dly = bl.DelaySpec(tau0=0.5, M=2.0, d=0.0)
+    g = bl.Grid(n=n, L=p.L)
+    x = g.nodes
+    rng = np.random.default_rng(seed)
+    s = _state(x ** 3 * (1 - x) ** 2 * (1 + rng.uniform(-0.3, 0.3)),
+               x ** 2 * (1 - x) ** 2 * (1 + rng.uniform(-0.3, 0.3)),
+               np.linspace(-dly.tau0, 0.0, 41), 0.1 * rng.standard_normal(41), dly.M)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    rep = bl.run(s, (rows - 1) * 1e-3, cfg, p, dly, bl.build_operators(p, g),
+                 store_fields=True)
+    return rep, p
+
+
+def _assert_kato_matches_rows(rep, p):
+    got = bl.kato_identity_residual(rep, p)
+    assert _bits(got).tolist() == _bits(_row_kato_residual(rep, p)).tolist()
+    g = bl.Grid(n=rep.fields_eta.shape[1], L=p.L)
+    stacked = field_derivatives(rep.fields_eta, rep.fields_omega, g,
+                                rep.trace_now, rep.trace_delayed, p)
+    for k in range(rep.n_rows):
+        args = (rep.fields_eta[k], rep.fields_omega[k], g,
+                rep.trace_now[k], rep.trace_delayed[k], p)
+        for a, b, c in zip(stacked, field_derivatives(*args), _row_field_derivatives(*args)):
+            assert np.array_equal(_bits(a[k]), _bits(b))
+            assert np.array_equal(_bits(b), _bits(c))
+
+
+@pytest.mark.parametrize("rows", [2, 31, 32, 33])
+def test_kato_row_blocks_match_row_loop(rows):
+    # one block short of, at and just past the 32-row block size: the block
+    # residual and the stacked derivatives equal the row-at-a-time ones bit
+    # for bit
+    rep, p = _kato_run(n=40, rows=rows, seed=rows)
+    assert rep.n_rows == rows and rep.termination == "completed"
+    _assert_kato_matches_rows(rep, p)
+
+
+def test_kato_row_blocks_match_row_loop_without_feedback():
+    rep, p = _kato_run(n=33, rows=70, beta=0.0)
+    assert rep.n_rows == 70
+    _assert_kato_matches_rows(rep, p)
+
+
+def test_kato_row_blocks_match_row_loop_on_an_early_stop(monkeypatch):
+    failing_solve(monkeypatch, after=45)
+    rep, p = _kato_run(n=40, rows=101, seed=5)
+    assert rep.termination != "completed" and 32 < rep.n_rows < 101
+    _assert_kato_matches_rows(rep, p)

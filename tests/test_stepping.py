@@ -654,3 +654,19 @@ def test_slow_mode_state_logs_at_debug(caplog, capsys):
     factors, accuracy, floor = int(m[1]), float(m[2]), float(m[3])
     assert 2 <= factors <= 12 and 0 <= accuracy <= floor
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("rho_res, match", [
+    # 10**13 + 1 nodes ask for 72.8 TiB, which numpy refuses at once
+    pytest.param(10 ** 13, "cannot allocate 10000000000001 rho nodes", id="unallocatable"),
+    pytest.param(2.5, "integer m >= 1", id="float"),
+    pytest.param(True, "integer m >= 1", id="bool"),
+])
+def test_run_rejects_bad_rho_res_whatever_beta(rho_res, match):
+    for beta in (0.0, 5e-4):
+        p, dly, g, ops = _setup(n=16, beta=beta)
+        cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+        s = _random_state(g, dly, np.random.default_rng(7), scale=0.01)
+        with pytest.raises(ConfigurationError, match=match):
+            bl.run(s, 0.01, cfg, p, dly, ops, rho_res=rho_res)
+        assert s.history.t_last == 0.0   # no step was taken
