@@ -14,7 +14,8 @@ import numpy as np
 
 from .certificate import (StabilityCertificate, build_certificate, check_gains,
                           f_of_mu1, g_of_mu1, mu1_interval_right, optimal_mu1)
-from .config import RunSettings, initial_profile, parse_config, serialize_config
+from .config import (RunSettings, initial_profile, parse_config, profile_spec,
+                     serialize_config)
 from .energy import dissipation_residual, kato_identity_residual
 from .errors import (BousslabError, CertificationError, ConfigurationError,
                      InadmissibleGainsError, InconsistentParametersError)
@@ -73,9 +74,9 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     mu2 = cert.mu2 if (runset.mu2 == "auto" and cert) else (
         0.0 if runset.mu2 == "auto" else float(runset.mu2))
 
-    if runset.eta0.startswith("slowmode"):
-        toks = runset.eta0.split()
-        amp = float(toks[1]) if len(toks) > 1 else 1.0
+    name, args = profile_spec(runset.eta0)
+    if name == "slowmode":
+        amp = args[0] if args else 1.0
         state, _ = slow_mode_state(ops, p, dly, runset.dt, amplitude=amp)
     else:
         rng = np.random.default_rng(runset.seed)

@@ -75,44 +75,61 @@ def _coerce(raw: str, like):
     return raw
 
 
+# initial-profile families and the most arguments each takes, all optional
+_PROFILES = {"zero": 0, "quartic": 1, "cubic": 1, "sine": 2, "gauss": 3,
+             "random": 1, "slowmode": 1}
+
+
+def profile_spec(spec: str) -> tuple[str, list[float]]:
+    """The family name and arguments of an initial-profile spec ("zero" when
+    empty).  Raises ConfigurationError on an unknown family, more arguments
+    than it takes, or an argument that is not a finite number."""
+    name, *toks = spec.split() or ["zero"]
+    if name not in _PROFILES:
+        raise ConfigurationError(f"unknown initial profile {spec!r}")
+    if len(toks) > _PROFILES[name]:
+        raise ConfigurationError(
+            f"initial profile {name!r} takes at most {_PROFILES[name]} arguments: {spec!r}")
+    try:
+        args = [float(x) for x in toks]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse initial profile {spec!r}: {exc}") from exc
+    if not np.all(np.isfinite(args)):
+        raise ConfigurationError(f"initial profile {spec!r} has a non-finite argument")
+    return name, args
+
+
 def initial_profile(spec: str, nodes: np.ndarray, L: float,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Named initial-condition families on the interior nodes.
 
     zero | quartic A | cubic A | sine A k | gauss A x0 w | random A
-    quartic satisfies the clamped conditions; cubic additionally has zero
-    curvature at x = 0; sine is the boundary-compatible modulated sine.
+    (`profile_spec`; A defaults to 1).  quartic satisfies the clamped
+    conditions; cubic additionally has zero curvature at x = 0; sine is the
+    boundary-compatible modulated sine.
     """
-    toks = spec.split()
-    name = toks[0] if toks else "zero"
-    args = [float(x) for x in toks[1:]]
+    name, args = profile_spec(spec)
+    A = args[0] if args else 1.0
     x = nodes
     if name == "zero":
         return np.zeros_like(x)
     if name == "quartic":
-        (A,) = args or (1.0,)
         return A * x ** 2 * (L - x) ** 2 / L ** 4
     if name == "cubic":
-        (A,) = args or (1.0,)
         return A * x ** 3 * (L - x) ** 2 / L ** 5
     if name == "sine":
-        A = args[0] if args else 1.0
         k = args[1] if len(args) > 1 else 1.0
         return A * np.sin(k * np.pi * x / L) * x ** 2 * (L - x) ** 2 / L ** 4
     if name == "gauss":
-        A = args[0] if args else 1.0
         x0 = args[1] if len(args) > 1 else 0.5 * L
         w = args[2] if len(args) > 2 else 0.1 * L
         return A * np.exp(-((x - x0) / w) ** 2) * x ** 2 * (L - x) ** 2 / L ** 4
     if name == "random":
-        A = args[0] if args else 1.0
         if rng is None:
             rng = np.random.default_rng(0)
         return A * rng.standard_normal(x.shape) * x ** 2 * (L - x) ** 2 / L ** 4
-    if name == "slowmode":
-        raise ConfigurationError(
-            "'slowmode' initial data is resolved by the runner, not by initial_profile")
-    raise ConfigurationError(f"unknown initial profile {spec!r}")
+    raise ConfigurationError(
+        "'slowmode' initial data is resolved by the runner, not by initial_profile")
 
 
 _SECTIONS = ("system", "delay", "grid", "run")
@@ -122,8 +139,8 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
     """Parse configuration text (not a path: callers read the file).
 
     Raises ConfigurationError on a section other than [system], [delay],
-    [grid] and [run], on a key its section does not have, or on a value that
-    does not parse."""
+    [grid] and [run], on a key its section does not have, on a value that
+    does not parse, or on an eta0 / omega0 that `profile_spec` refuses."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # field names are case-sensitive (L, M, T)
     try:
@@ -170,6 +187,8 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
         p = SystemParams(**sys_kwargs)
         dly = DelaySpec(**dly_kwargs)
         run = RunSettings(**run_kwargs)
+        profile_spec(run.eta0)
+        profile_spec(run.omega0)
         grid = Grid(n=n, L=p.L)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid configuration: {exc}") from exc

@@ -25,8 +25,9 @@ from .energy import energy_sample
 from .delay_line import HistoryLine, _rho_nodes
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
-from .operators import BandedLU, OperatorSet, derivative_matrix, trace_eta_xx_L
-from .params import DelaySpec, SystemParams, tau_at
+from .operators import (BandedLU, OperatorSet, build_operators, derivative_matrix,
+                        trace_eta_xx_L)
+from .params import DelaySpec, Grid, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
@@ -36,10 +37,11 @@ _BLOWUP_FACTOR = 1e6
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
 _PICARD_FLOOR = 1e-9
-# slow mode: history samples on [-tau0, 0], and the time-resolved disk
-# |lambda| dt <= _RESOLVE_LIMIT its candidates are drawn from
+# slow mode: history samples on [-tau0, 0], the time-resolved disk |lambda| dt
+# <= _RESOLVE_LIMIT of its candidates, and the grid size of their dense spectrum
 _N_HISTORY = 513
 _RESOLVE_LIMIT = 0.7
+_COARSE_N = 24
 # errors that end a run early, keeping the rows recorded so far
 _TERMINATION = {NonlinearDivergenceError: "nonlinear_divergence",
                 HistoryUnderrunError: "history_underrun",
@@ -390,35 +392,6 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     )
 
 
-def _resolved_spectrum(A: sp.csr_matrix, dt: float, v0: np.ndarray
-                       ) -> tuple[np.ndarray, int]:
-    """Eigenvalues of A that include all of those in the time-resolved disk
-    |lambda| dt <= _RESOLVE_LIMIT, and the k that found them.
-
-    Shift-invert ARPACK about 0, inverting by one `BandedLU` of A, returns
-    the k eigenvalues nearest the centre; k doubles from 8 until one of
-    them lies outside the disk, so none inside is missing.  When k would
-    reach n2 - 1, beyond ARPACK, the whole spectrum comes from a dense
-    eigensolve instead (toy grids only).
-    """
-    # imported here: ARPACK adds about 2 MB of resident memory to every
-    # process that imports bousslab, and only the slow mode needs it
-    from scipy.sparse.linalg import LinearOperator, eigs
-
-    n2 = A.shape[0]
-    OPinv = LinearOperator(A.shape, matvec=BandedLU(A).solve, dtype=float)
-    k = 8
-    while k < n2 - 1:
-        try:
-            ev = eigs(A, k=k, sigma=0.0, v0=v0, OPinv=OPinv, return_eigenvectors=False)
-        except RuntimeError as exc:   # ArpackError and ArpackNoConvergence derive from it
-            raise NumericalError(f"shift-invert eigensolve about 0 failed: {exc}") from exc
-        if np.any(np.abs(ev) * dt > _RESOLVE_LIMIT):
-            return ev, k
-        k *= 2
-    return np.linalg.eigvals(A.toarray()), n2
-
-
 def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float,
                     amplitude: float = 1.0):
     """Least-damped time-resolved eigenpair of the delayed system.
@@ -428,33 +401,36 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     exponential past.  Returns (SimState, lambda), lambda with Im >= 0.
     Useful as transient-free benchmark data.
 
-    The candidates are the decaying eigenvalues of A in the time-resolved
-    disk |lambda| dt <= 0.7 (`_resolved_spectrum`).  The start is the
-    oscillatory candidate (any candidate if none oscillates) with the least
-    |Re|, taken with Im >= 0.  B = -beta g t^T has rank one, so lambda is
-    a root of G = 1/s + beta exp(-lambda*tau0), s = t^T (lambda I - A)^{-1} g
-    (with beta = 0, of A's eigenvalues).  Newton on G factors lambda I - A
-    once per step (`BandedLU`) and makes two solves.  It stops at the first
-    step that does not halve the one before and returns the lambda before
-    it; that step is lambda's attained accuracy, logged at DEBUG.  The
-    eigenvector is x = (lambda I - A)^{-1} g from the last factorization,
+    The candidates are the decaying eigenvalues, in the time-resolved disk
+    |lambda| dt <= 0.7, of the dense A on a grid of min(n, 24) nodes.  The
+    start is the oscillatory candidate (any candidate if none oscillates)
+    with the least |Re|, taken with Im >= 0.  B = -beta g t^T has rank one,
+    so lambda is a root of G = 1/s + beta exp(-lambda*tau0),
+    s = t^T (lambda I - A)^{-1} g (with beta = 0, of A's eigenvalues).
+    Newton on G factors lambda I - A once per step (`BandedLU`) and makes two
+    solves.  It goes on while a step is above the floor eps * ||A||_1 or
+    halves the one before, and returns the lambda before the first step that
+    is neither; that step is lambda's attained accuracy, logged at DEBUG.
+    The eigenvector is x = (lambda I - A)^{-1} g from the last factorization,
     scaled so its largest-modulus entry equals `amplitude` (real); its real
-    part is the initial state.  ARPACK starts from a fixed vector, so reruns
-    are bit-identical.
+    part is the initial state.
 
     Raises ConfigurationError when dt >= tau0 or no candidate exists, and
-    NumericalError when an eigensolve or factorization fails, or when the
-    final step, at the stall or after 12 factorizations, exceeds the
-    accuracy eps * ||A||_1 a dense eigensolve guarantees.
+    NumericalError when the coarse eigensolve or a factorization fails, or
+    when the final step, at the stop or after 12 factorizations, is above the
+    floor, the accuracy a dense eigensolve guarantees.
     """
     _check_dt(dt, dly)
     A = system_matrices(ops, p)
     n2 = A.shape[0]
     tau0 = dly.tau0
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n2)
 
-    ev, k = _resolved_spectrum(A, dt, v0)
-    log.debug("slow mode: candidate search ended at k=%d (n2=%d)", k, n2)
+    coarse = Grid(min(ops.grid.n, _COARSE_N), ops.grid.L)
+    A_coarse = system_matrices(build_operators(p, coarse), p).toarray()
+    try:
+        ev = np.linalg.eigvals(A_coarse)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolve on the n={coarse.n} grid failed: {exc}") from exc
     ok = (np.abs(ev) * dt <= _RESOLVE_LIMIT) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
     cand = np.flatnonzero(osc if osc.any() else ok)
@@ -463,6 +439,8 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
             "no time-resolved decaying mode at this (dt, parameters)")
     lam = ev[cand[np.argmin(np.abs(ev[cand].real))]]
     lam = complex(lam.real, abs(lam.imag))
+    log.debug("slow mode: Newton starts at %s, from %d candidates on the n=%d grid",
+              lam, cand.size, coarse.n)
 
     g = np.zeros(n2)
     g[0::2] = ops.omega_s_influence
@@ -478,7 +456,7 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
         with np.errstate(all="ignore"):   # a NaN step stops Newton and fails the floor
             dlam = -(1 / s + e) / (t @ lu.solve(v)[0::2] / s ** 2 - tau0 * e)
         step = abs(dlam)
-        if factors == 12 or not step < 0.5 * last:
+        if factors == 12 or not (step > floor or step < 0.5 * last):
             break
         lam, last = complex(lam + dlam), step
     if not step <= floor:

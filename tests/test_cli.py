@@ -187,14 +187,25 @@ def test_simulate_rejects_nan_dt(tmp_path, capsys, eta0):
 
 @pytest.mark.parametrize("eta0", ["cubic nan", "slowmode nan"])
 def test_simulate_refuses_non_finite_initial_data(tmp_path, capsys, eta0):
-    # refused before the first step, not run to `unstable` with E0 = nan
+    # refused as configuration, not run to `unstable` with E0 = nan
     cfg = GOOD.replace("eta0 = cubic 0.1", f"eta0 = {eta0}")
     out = tmp_path / "outnan"
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--n", "32", "--horizon", "0.01"]) == 1
+                 "--n", "32", "--horizon", "0.01"]) == 3
     err = capsys.readouterr().err
-    assert "simulation error" in err and "non-finite" in err
+    assert "configuration error" in err and "non-finite" in err
     assert not (out / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("eta0", ["slowmode abc", "cubic 1 2"])
+def test_simulate_refuses_malformed_initial_profile(tmp_path, capsys, eta0):
+    cfg = GOOD.replace("eta0 = cubic 0.1", f"eta0 = {eta0}")
+    out = tmp_path / "outbad"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--n", "32", "--horizon", "0.01"]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(eta0) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
@@ -209,9 +220,12 @@ def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
 
 
 def test_import_surface():
-    # ARPACK loads only when the slow mode runs, and the history
-    # interpolant needs no scipy.interpolate
-    code = ("import sys, bousslab, bousslab.cli; "
+    # neither importing the package nor finding a slow mode loads ARPACK, and
+    # the history interpolant needs no scipy.interpolate
+    code = ("import sys, bousslab as bl, bousslab.cli; "
+            "p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4); "
+            "dly = bl.DelaySpec(tau0=0.5, M=2.0, d=0.0); "
+            "bl.slow_mode_state(bl.build_operators(p, bl.Grid(n=48, L=1.0)), p, dly, 1e-3); "
             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.interpolate') "
             "if m in sys.modules))")
     src = str(Path(bousslab.__file__).resolve().parents[1])

@@ -133,3 +133,26 @@ def test_initial_profiles():
     assert np.array_equal(r1, r2)
     with pytest.raises(ConfigurationError):
         initial_profile("nope", x, L)
+
+
+@pytest.mark.parametrize("key, spec, match", [
+    ("eta0", "slowmode abc", "cannot parse"),
+    ("eta0", "cubic abc", "cannot parse"),
+    ("eta0", "cubic 1 2", "at most 1 arguments"),
+    ("omega0", "sine 1 2 3", "at most 2 arguments"),
+    ("omega0", "gauss 1 0.5 0.1 9", "at most 3 arguments"),
+    ("omega0", "zero 1", "at most 0 arguments"),
+    ("eta0", "slowmode nan", "non-finite"),
+    ("eta0", "slowmode inf", "non-finite"),
+    ("omega0", "quartic -inf", "non-finite"),
+    ("eta0", "slowmodes 1.0", "unknown initial profile"),
+])
+def test_malformed_initial_profile_rejected(key, spec, match):
+    good = "cubic 1.0" if key == "eta0" else "quartic 1.0"
+    text = SAMPLE.replace(f"{key} = {good}", f"{key} = {spec}")
+    with pytest.raises(ConfigurationError, match=match):
+        parse_config(text)
+    # the same check refuses it in the library call
+    if not spec.startswith("slowmode"):
+        with pytest.raises(ConfigurationError, match=match):
+            initial_profile(spec, np.linspace(0.1, 0.9, 9), 1.0)

@@ -2,20 +2,16 @@ import ast
 
 from test_library_errors import PACKAGE
 
-# sparse and dense factorizations that would bypass `operators.BandedLU`
-FORBIDDEN = {"splu", "spilu", "spsolve", "factorized", "lu_factor", "solve_banded"}
+# sparse and dense factorizations that would bypass `operators.BandedLU`, and
+# ARPACK, whose shift-invert mode factors its shifted matrix with SuperLU
+FORBIDDEN = {"splu", "spilu", "spsolve", "factorized", "lu_factor", "solve_banded",
+             "eigs"}
 
 
 def _other_factorizations(tree):
     """(line, what) of each use of a FORBIDDEN name (as a name, an
-    attribute or an import) and of each `eigs` call without `OPinv=`,
-    which would factor its shifted matrix with SuperLU."""
+    attribute or an import)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "eigs" and not any(kw.arg == "OPinv" for kw in node.keywords):
-                yield node.lineno, "eigs without OPinv"
         names = ([a.name.rsplit(".", 1)[-1] for a in node.names]
                  if isinstance(node, (ast.Import, ast.ImportFrom))
                  else [node.id] if isinstance(node, ast.Name)
@@ -39,5 +35,5 @@ def test_other_factorizations_are_found():
               "ev = spla.eigs(A, 2, sigma=0.0, OPinv=op)\n"
               "ev = eigs(A, k=2, OPinv=op)\n")
     assert sorted(_other_factorizations(ast.parse(source))) == [
-        (1, "splu"), (2, "lu_factor"), (3, "spsolve"), (4, "factorized"),
-        (5, "eigs without OPinv")]
+        (1, "eigs"), (1, "splu"), (2, "lu_factor"), (3, "spsolve"), (4, "factorized"),
+        (5, "eigs"), (6, "eigs"), (7, "eigs")]
