@@ -131,20 +131,34 @@ def cmd_check(args, p, dly, grid, runset) -> int:
     return EXIT_OK
 
 
+def _fresh_outputs(out: Path, *names: str) -> None:
+    """Make `out` and remove `names` from it, so each is created new: a rewrite
+    in place stalls on ext4, and no earlier run's file stays beside this run's."""
+    out.mkdir(parents=True, exist_ok=True)
+    for path in (out / name for name in names):
+        path.parent.stat()  # a missing directory fails now, not after the run
+        path.unlink(missing_ok=True)
+
+
 def cmd_simulate(args, p, dly, grid, runset) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        _fresh_outputs(out, "timeseries.csv", "summary.txt", "certificate.txt",
+                       "config.ini")
         rep, cert, extras = simulate(p, dly, grid, runset)
+        summary = summary_text(rep, extras)
+        (out / "timeseries.csv").write_text(rep.to_csv())
+        (out / "summary.txt").write_text(summary)
+        if cert is not None:
+            (out / "certificate.txt").write_text(cert.document() + "\n")
+        (out / "config.ini").write_text(serialize_config(p, dly, grid, runset))
     except BousslabError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 1
-    (out / "timeseries.csv").write_text(rep.to_csv())
-    (out / "summary.txt").write_text(summary_text(rep, extras))
-    if cert is not None:
-        (out / "certificate.txt").write_text(cert.document() + "\n")
-    (out / "config.ini").write_text(serialize_config(p, dly, grid, runset))
-    print(summary_text(rep, extras), end="")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(summary, end="")
     return EXIT_OK if rep.termination == "completed" else 1
 
 
@@ -215,23 +229,26 @@ def cmd_sweep(args) -> int:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = [_sweep_point(p, dly, grid, runset, names, vals, task)
-            for vals in itertools.product(*value_lists)]
-
-    columns = list(names) + ["admissible", "threshold"]
-    if task in ("certify", "both"):
-        columns += ["mu1_star", "lambda", "zeta"]
-    if task in ("simulate", "both"):
-        columns += ["lambda_obs", "E_final", "bound_ok", "termination"]
-    columns.append("error")
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            ("%.17g" % row[c]) if isinstance(row.get(c), float)
-            else str(row.get(c, "")) for c in columns))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / output).write_text("\n".join(lines) + "\n")
+    try:
+        _fresh_outputs(out, output)
+        rows = [_sweep_point(p, dly, grid, runset, names, vals, task)
+                for vals in itertools.product(*value_lists)]
+        columns = list(names) + ["admissible", "threshold"]
+        if task in ("certify", "both"):
+            columns += ["mu1_star", "lambda", "zeta"]
+        if task in ("simulate", "both"):
+            columns += ["lambda_obs", "E_final", "bound_ok", "termination"]
+        columns.append("error")
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(
+                ("%.17g" % row[c]) if isinstance(row.get(c), float)
+                else str(row.get(c, "")) for c in columns))
+        (out / output).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {len(rows)} rows to {out / output}")
     return EXIT_OK
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -217,6 +218,92 @@ def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     assert len(rows) - 1 == 6
     assert "termination = numerical_error" in (out / "summary.txt").read_text()
     assert (out / "config.ini").exists()
+
+
+def test_simulate_prints_its_summary(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 "--horizon", "0.05"]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+SIMULATE_OUTPUTS = ("timeseries.csv", "summary.txt", "certificate.txt", "config.ini")
+
+
+def test_simulate_rerun_creates_new_files(tmp_path):
+    # a re-run into the same --out removes the old files and creates new ones
+    # instead of rewriting them in place; the outputs are the same either way
+    cfg = _write(tmp_path, GOOD)
+    out, fresh, side = tmp_path / "out", tmp_path / "fresh", tmp_path / "side.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    first = (out / "timeseries.csv").read_bytes()
+    os.link(out / "timeseries.csv", side)
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--horizon", "0.1"]) == 0
+    assert side.read_bytes() == first
+    assert not os.path.samefile(side, out / "timeseries.csv")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(fresh)]) == 0
+    for name in SIMULATE_OUTPUTS:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("second, code, left", [
+    (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
+    (GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nmu2 = 1.0"), 1, []),
+], ids=["uncertified", "refused"])
+def test_simulate_rerun_leaves_no_earlier_output(tmp_path, second, code, left):
+    # a certified run, then one without a certificate or refused before its
+    # first step: --out holds the second run's files only
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(SIMULATE_OUTPUTS)
+    assert main(["simulate", "--config", _write(tmp_path, second), "--out", str(out)]) == code
+    assert sorted(os.listdir(out)) == left
+    if left:
+        assert "certified = False" in (out / "summary.txt").read_text()
+
+
+def _output_argv(tmp_path, command, out, output="table.csv"):
+    if command == "simulate":
+        return ["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out)]
+    spec = SWEEP.replace("output = table.csv", f"output = {output}")
+    return ["sweep", "--spec", _write(tmp_path, spec, "s.ini"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("case", ["output-is-directory", "out-is-file", "no-directory"])
+def test_unwritable_output_is_output_error(tmp_path, capsys, monkeypatch, command, case):
+    # refused before the first step or point, with exit 3 and no traceback
+    def refuse(*args):
+        raise AssertionError("ran before the output check")
+
+    monkeypatch.setattr("bousslab.cli.simulate", refuse)
+    monkeypatch.setattr("bousslab.cli._sweep_point", refuse)
+    out, output = tmp_path / "out", "table.csv"
+    if case == "output-is-directory":
+        (out / ("timeseries.csv" if command == "simulate" else output)).mkdir(parents=True)
+    elif case == "out-is-file":
+        out.write_text("")
+    elif command == "simulate":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    else:
+        output = "nosuchdir/table.csv"
+    assert main(_output_argv(tmp_path, command, out, output)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_failed_write_is_output_error(tmp_path, capsys, monkeypatch, command):
+    argv = _output_argv(tmp_path, command, tmp_path / "out")
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
 
 
 def test_import_surface():
