@@ -267,9 +267,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_optimize_rate(args, p, dly, grid, runset) -> int:
-    if args.points < 2:
-        print(f"configuration error: need at least 2 --points, got {args.points}",
-              file=sys.stderr)
+    if not 2 <= args.points <= np.iinfo(np.intp).max:
+        print(f"configuration error: need 2 to {np.iinfo(np.intp).max} --points, "
+              f"got {args.points}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         right = mu1_interval_right(p, dly)
@@ -277,8 +277,13 @@ def cmd_optimize_rate(args, p, dly, grid, runset) -> int:
     except BousslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    try:
+        table = np.linspace(0.0, right, args.points)
+    except MemoryError as exc:
+        print(f"configuration error: {args.points} --points: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print("mu1,f,g")
-    for mu1 in np.linspace(0.0, right, args.points):
+    for mu1 in table:
         print(f"{mu1:.8g},{f_of_mu1(p, float(mu1)):.8g},"
               f"{g_of_mu1(p, dly, float(mu1)):.8g}")
     print(f"mu1_star = {mu1s!r}")

@@ -21,12 +21,11 @@ class NonlinearDivergenceError(BousslabError):
     """A nonlinear step has no certified Picard fixed point.
 
     Raised when an iterate is not finite, when the measured contraction
-    factor q = delta_k / delta_{k-1} reaches 1 while delta_k lies above the
-    solve's roundoff floor (the discrete map does not contract, so the
-    fixed-point argument no longer applies: the data have left the
-    small-data regime), or when neither Banach's bound nor the floor has
-    accepted an iterate by the iteration cap.  Carries the step index and time at
-    which the run died.
+    factor q = |d_k| / |d_{k-1}| of the increments reaches 1 (the discrete
+    map does not contract, so the fixed-point argument no longer applies:
+    the data have left the small-data regime), or when Banach's bound has
+    not accepted an iterate by the iteration cap.  Carries the step index
+    and time at which the run died.
     """
 
     def __init__(self, message, t=None, step=None):

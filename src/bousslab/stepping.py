@@ -5,11 +5,10 @@ coupled 2n x 2n system stays banded; the stiff operator is factorized once
 per run and the delayed boundary datum enters as an explicit source vector
 evaluated at t + theta*dt.  `SimState` holds the interleaved vector itself, so
 a linear step is one matvec, one banded solve and one trace push.  Optional
-Picard iteration handles the quadratic nonlinear terms with one right-hand
-side per banded solve: the one at the state serves both the explicit term and
-the first iterate, and each is two sparse products around pointwise products
-(`nonlinear_matrices`).  A nonlinear run logs its step, solve and right-hand
-side counts and its largest contraction estimate at DEBUG.
+Picard iteration handles the quadratic nonlinear terms, iterating on
+increments with one right-hand side per banded solve (`nonlinear_matrices`).
+A nonlinear run logs its step, solve and right-hand side counts and its
+largest contraction estimate at DEBUG.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from .params import DelaySpec, Grid, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
-# Picard iteration (`Stepper.step`): at most this many solves per step, the
-# relative accuracy Banach's a-posteriori bound must certify, and the relative
-# step below which q is roundoff noise of the banded solve
+# Picard iteration (`Stepper.step`): at most this many solves per step, and
+# the relative accuracy Banach's a-posteriori bound must certify
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
-_PICARD_FLOOR = 1e-9
+# the products F[_PAIR_I] * F[_PAIR_J] of the field stack F (`nonlinear_matrices`)
+_PAIR_I, _PAIR_J = np.array([[0, 0, 2, 0, 3, 2], [2, 4, 3, 1, 4, 5]])
 # slow mode: history samples on [-tau0, 0], the time-resolved disk |lambda| dt
 # <= _RESOLVE_LIMIT of its candidates, and the grid size of their dense spectrum
 _N_HISTORY = 513
@@ -150,18 +149,16 @@ def system_matrices(ops: OperatorSet, p: SystemParams) -> sp.csr_matrix:
 
 def nonlinear_matrices(n: int, h: float, p: SystemParams
                        ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The quadratic terms as two sparse maps around pointwise products.
+    """The quadratic terms as two sparse maps around one table of products.
 
-    G (6(n+2) x 2n) takes the interleaved state to the fields on the full
-    grid, zero boundary values included: (ef, e_xx, wf, w_x, w_xx, w_xxx).
-    C (2n x 5(n+2)) takes the stacked products (ef wf, ef w_xx, wf w_x,
-    ef e_xx) and the pointwise omega terms
-    P = beta_p w_x w_xx + rho_nl wf w_xxx - wf w_x to the interleaved
-    right-hand side
+    G (6(n+2) x 2n) takes the interleaved state to the field stack F on the
+    full grid, zero boundary values included: (ef, e_xx, wf, w_x, w_xx, w_xxx).
+    C (2n x 6(n+2)) takes the stacked products F[_PAIR_I] * F[_PAIR_J] =
+    (ef wf, ef w_xx, wf w_x, ef e_xx, w_x w_xx, wf w_xxx) to the interleaved
+    right-hand side on the interior rows,
         eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
-        omega': -c_nl (wf w_x)_xx - (ef e_xx)_x + P
-    on the interior rows.  P enters through an identity block in the last
-    columns, so each omega row adds it after the derivative terms.
+        omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
+    so the pointwise omega terms are scaled identity blocks.
     """
     N = n + 2
     I = sp.identity(N, format="csr")
@@ -183,10 +180,10 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
 
     # the zero boundary values drop out with the boundary columns
     gi, gj, gv = entries([(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)], False)
-    cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2, 1),
-                          (-D1, 1), (I, 1)], True)
+    cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2 - I, 1),
+                          (-D1, 1), (p.beta_p * I, 1), (p.rho_nl * I, 1)], True)
     G = sp.csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
-    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 5 * N))
+    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 6 * N))
     G.eliminate_zeros()
     C.eliminate_zeros()
     return G, C
@@ -234,63 +231,60 @@ class Stepper:
             b[1::2] += f2
         return b
 
-    def _nonlinear_rhs(self, u: np.ndarray) -> np.ndarray:
-        """Quadratic terms at the interleaved state u (`nonlinear_matrices`)."""
+    def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
+        """The quadratic terms N(u) from the field stack F = G u (one row per
+        field) or, given Fd = G d, their increment
+        N(u + d/2) - N(u - d/2) = C (F[i] Fd[j] + Fd[i] F[j])."""
         self._rhs_evals += 1
-        p = self.p
-        ef, e_xx, wf, w_x, w_xx, w_xxx = (self._G @ u).reshape(6, -1)
-        wf_wx = wf * w_x
-        return self._C @ np.concatenate((
-            ef * wf, ef * w_xx, wf_wx, ef * e_xx,
-            p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx))
+        if Fd is None:
+            return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
+        return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
 
     def step(self, state: SimState) -> SimState:
         """The state one dt later; advances `state.history` in place by pushing its trace.
 
-        Nonlinear steps iterate Picard, one right-hand side N(u_k) per solve:
-        N(u_0) at the state also serves the explicit (1 - theta) term.  They
-        stop once Banach's a-posteriori bound
-        q/(1-q) delta_k <= _PICARD_TOL |u_k| holds, with delta_k = |u_k - u_{k-1}|
-        and q = delta_k / delta_{k-1}.  q >= 1 accepts u_k when delta_k is
-        within the solve's roundoff floor, _PICARD_FLOOR |u_k|, where q is
-        noise, and otherwise means the map does not contract.  That, a
-        non-finite iterate or _PICARD_ITERS iterates raise
-        NonlinearDivergenceError."""
+        Nonlinear steps iterate Picard, one right-hand side per solve: N(u_0)
+        serves the explicit (1 - theta) term and u_1, then each increment
+        d_k = u_{k+1} - u_k = theta dt LU^-1 (N(u_k) - N(u_{k-1})) comes from
+        d_{k-1} and the midpoint fields, so its roundoff scales with |d_k|.
+        They stop once Banach's bound q/(1-q) |d_k| <= _PICARD_TOL |u_{k+1}|
+        holds, q = |d_k| / |d_{k-1}|.  q >= 1 (no contraction), a non-finite
+        iterate or _PICARD_ITERS solves raise NonlinearDivergenceError."""
         dt, theta = self.cfg.dt, self.cfg.theta
         u = state.u
         base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
         if not self.cfg.nonlinear:
             u_new = self._lu.solve(base)
         else:
-            rhs = self._nonlinear_rhs(u)
+            F = (self._G @ u).reshape(6, -1)
+            rhs = self._nonlinear_rhs(F)
             if theta < 1.0:
                 base = base + (1.0 - theta) * dt * rhs
-            u_new, delta = u, None
-            for k in range(_PICARD_ITERS):
-                if k:
-                    rhs = self._nonlinear_rhs(u_new)
-                u_next = self._lu.solve(base + theta * dt * rhs)
+            u_new = self._lu.solve(base + theta * dt * rhs)
+            d = u_new - u
+            delta = np.linalg.norm(d)
+            self._solves += 1
+            for _ in range(1, _PICARD_ITERS):
+                Fd = (self._G @ d).reshape(6, -1)
+                d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
                 self._solves += 1
-                prev, delta = delta, np.linalg.norm(u_next - u_new)
-                u_new, scale = u_next, np.linalg.norm(u_next)
+                F += Fd
+                u_new = u_new + d
+                prev, delta = delta, np.linalg.norm(d)
+                scale = np.linalg.norm(u_new)
                 # a NaN or infinite entry, or a norm that overflows
                 if not np.isfinite(delta + scale):
                     raise NonlinearDivergenceError(
                         "nonlinear iterate is not finite", t=state.t,
                         step=self._steps_done)
-                if prev is None:
-                    continue
                 q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
                 self._q_max = max(self._q_max, q)
-                if q < 1:
-                    if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
-                        break
-                elif delta <= _PICARD_FLOOR * scale:
-                    break
-                else:
+                if q >= 1:
                     raise NonlinearDivergenceError(
                         f"Picard map does not contract: q = {q:.3g}", t=state.t,
                         step=self._steps_done)
+                if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
+                    break
             else:
                 raise NonlinearDivergenceError(
                     f"Picard iteration did not reach tol={_PICARD_TOL} "

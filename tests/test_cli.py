@@ -463,3 +463,14 @@ def test_optimize_rate_needs_two_points(tmp_path, capsys, points):
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and "--points" in captured.err
     assert "mu1,f,g" not in captured.out
+
+
+@pytest.mark.parametrize("points", [str(10 ** 13), str(10 ** 20)])
+def test_optimize_rate_refuses_points_it_cannot_hold(tmp_path, capsys, points):
+    # 10**13 points would take 73 TiB, which numpy refuses at once;
+    # 10**20 is past the largest array index
+    assert main(["optimize-rate", "--config", _write(tmp_path, GOOD),
+                 "--points", points]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and points in captured.err
+    assert "Traceback" not in captured.err and "mu1,f,g" not in captured.out

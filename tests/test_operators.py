@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
 import bousslab as bl
 from bousslab.operators import (BandedLU, OperatorSet, _build_single, _edge_weights,
@@ -284,13 +284,10 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
     g = bl.Grid(n=n, L=L)
     ops, dly = bl.build_operators(p, g), bl.DelaySpec(tau0=0.5, M=0.5)
     st = Stepper(ops, StepConfig(dt=1e-3, nonlinear=True), p, dly)
-    # C takes four stacked products under derivatives and, through an
-    # identity block on the interior omega rows, the pointwise omega terms
-    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 5 * (n + 2))
+    # C takes the six stacked products of the pair table, the pointwise
+    # omega terms included (`test_folded_pointwise_terms_keep_the_bits`)
+    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 6 * (n + 2))
     assert np.all(st._G.data != 0.0) and np.all(st._C.data != 0.0)
-    P = st._C[:, 4 * (n + 2):].tocoo()
-    assert np.array_equal(P.row, 2 * np.arange(n) + 1)
-    assert np.array_equal(P.col, np.arange(1, n + 1)) and np.all(P.data == 1.0)
     # alpha_p = 0: that block stores nothing
     C0 = nonlinear_matrices(n, g.h, bl.SystemParams())[1]
     assert np.all(C0.data != 0.0) and C0.nnz < st._C.nnz
@@ -305,7 +302,8 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         for sl in (slice(0, None, 2), slice(1, None, 2)):
             u[sl] = rng.standard_normal(4) @ np.sin(np.pi * k * x)
         ref = _composed_nonlinear_rhs(u, p, g.h)
-        assert np.max(np.abs(st._nonlinear_rhs(u) - ref)) <= 1e-9 * np.max(np.abs(ref))
+        rhs = st._nonlinear_rhs((st._G @ u).reshape(6, -1))
+        assert np.max(np.abs(rhs - ref)) <= 1e-9 * np.max(np.abs(ref))
     # each derivative agrees to roundoff: a few ulps of sum_j |D_ij f_j|
     full = np.pad(u[1::2], 1)
     for m in (1, 2, 3):
@@ -314,22 +312,48 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         assert np.all(err <= 8 * np.finfo(float).eps * (abs(D) @ np.abs(full)))
 
 
-@pytest.mark.parametrize("n", [50, 203])
-def test_folded_pointwise_terms_keep_the_bits(n):
-    # the pointwise omega terms P occupy C's last columns, so each omega row
-    # adds P after its derivative terms, exactly as a strided
-    # `out[1::2] += P[1:-1]` after the four-product C did
+def _nonlinear_stepper(n):
     p = bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4,
                         alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25)
     g = bl.Grid(n=n, L=L)
     st = Stepper(bl.build_operators(p, g), StepConfig(dt=1e-3, nonlinear=True), p,
                  bl.DelaySpec(tau0=0.5, M=0.5))
-    u = np.random.default_rng(n).standard_normal(2 * n)
-    ef, e_xx, wf, w_x, w_xx, w_xxx = (st._G @ u).reshape(6, -1)
-    wf_wx = wf * w_x
-    old = st._C[:, :4 * (n + 2)] @ np.concatenate((ef * wf, ef * w_xx, wf_wx, ef * e_xx))
-    old[1::2] += (p.beta_p * w_x * w_xx + p.rho_nl * wf * w_xxx - wf_wx)[1:-1]
-    assert np.array_equal(st._nonlinear_rhs(u), old)
+    return p, g, st
+
+
+@pytest.mark.parametrize("n", [50, 203])
+def test_folded_pointwise_terms_keep_the_bits(n):
+    # the pointwise omega terms are blocks of C on the interior omega rows,
+    # their coefficients stored bit for bit: -I inside -c_nl D2 - I on
+    # wf w_x, beta_p I on w_x w_xx and rho_nl I on wf w_xxx
+    p, g, st = _nonlinear_stepper(n)
+    N = n + 2
+    C = st._C.toarray()
+    blocks = [C[:, b * N:(b + 1) * N] for b in range(6)]
+    for b, op in ((2, -p.c_nl * derivative_matrix(N, g.h, 2) - identity(N)),
+                  (4, p.beta_p * identity(N)), (5, p.rho_nl * identity(N))):
+        assert np.array_equal(blocks[b][1::2], op.toarray()[1:-1])
+        assert not blocks[b][0::2].any()
+
+
+@pytest.mark.parametrize("n", [50, 203])
+def test_nonlinear_increment_scales_with_the_difference(n):
+    # N(u + d/2) - N(u - d/2) = C (F[i] Fd[j] + Fd[i] F[j]) is linear in
+    # Fd = G d: scaling Fd by a power of two scales the term bit for bit, so
+    # its roundoff shrinks with the difference; at an order-one difference
+    # it matches the difference of the composed terms
+    p, g, st = _nonlinear_stepper(n)
+    rng = np.random.default_rng(n)
+    modes = np.sin(np.pi * np.arange(1, 5)[:, None] * g.nodes / L)
+    # random smooth fields, interleaved: a few low sine modes on each unknown
+    u, d = ((rng.standard_normal((2, 4)) @ modes).T.ravel() for _ in range(2))
+    F, Fd = ((st._G @ v).reshape(6, -1) for v in (u, d))
+    inc = st._nonlinear_rhs(F, Fd)
+    for k in (0, 10, 30):
+        assert np.array_equal(st._nonlinear_rhs(F, 2.0 ** -k * Fd), 2.0 ** -k * inc)
+    ref = (_composed_nonlinear_rhs(u + 0.5 * d, p, g.h)
+           - _composed_nonlinear_rhs(u - 0.5 * d, p, g.h))
+    assert np.max(np.abs(inc - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_trace_weights_quartic_identity():

@@ -279,9 +279,9 @@ def test_state_fields_are_views_of_u():
 def _oracle_step(stepper, lu, M2, state, hist, grid):
     """The step as it was before SimState held u: interleave both fields
     through index arrays, matvec, banded solve (Picard for the nonlinear
-    terms, at most 30 iterations, stopped from the second iterate on once
-    Banach's bound q/(1-q) delta <= 1e-12 |u| holds, or at q >= 1 once
-    delta <= 1e-9 |u|), split into copies.  Returns (t, eta, omega); pushes the new trace onto `hist`."""
+    terms on increments, at most 30 solves, stopped from the second solve on
+    once Banach's bound q/(1-q) |d_k| <= 1e-12 |u_{k+1}| holds), split into
+    copies.  Returns (t, eta, omega); pushes the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
     ie = 2 * np.arange(n)
@@ -297,21 +297,22 @@ def _oracle_step(stepper, lu, M2, state, hist, grid):
     if not cfg.nonlinear:
         u_new = lu.solve(base)
     else:
-        base = base + (1.0 - cfg.theta) * cfg.dt * stepper._nonlinear_rhs(u)
-        u_new = u.copy()
-        deltas = []
-        for _ in range(30):
-            u_next = lu.solve(base + cfg.theta * cfg.dt * stepper._nonlinear_rhs(u_new))
-            deltas.append(float(np.linalg.norm(u_next - u_new)))
-            u_new = u_next
-            if len(deltas) >= 2:
-                q = deltas[-1] / deltas[-2]
-                scale = np.linalg.norm(u_new)
-                if q < 1 and q * deltas[-1] <= (1 - q) * 1e-12 * scale:
-                    break
-                if q >= 1:
-                    assert deltas[-1] <= 1e-9 * scale, "oracle Picard map does not contract"
-                    break
+        F = (stepper._G @ u).reshape(6, -1)
+        rhs = stepper._nonlinear_rhs(F)
+        base = base + (1.0 - cfg.theta) * cfg.dt * rhs
+        u_new = lu.solve(base + cfg.theta * cfg.dt * rhs)
+        d = u_new - u
+        deltas = [float(np.linalg.norm(d))]
+        for _ in range(29):
+            Fd = (stepper._G @ d).reshape(6, -1)
+            d = lu.solve(cfg.theta * cfg.dt * stepper._nonlinear_rhs(F + 0.5 * Fd, Fd))
+            F = F + Fd
+            u_new = u_new + d
+            deltas.append(float(np.linalg.norm(d)))
+            q = deltas[-1] / deltas[-2]
+            assert q < 1, "oracle Picard map does not contract"
+            if q * deltas[-1] <= (1 - q) * 1e-12 * np.linalg.norm(u_new):
+                break
         else:
             raise AssertionError("oracle Picard iteration did not converge")
     eta, omega = u_new[ie].copy(), u_new[io].copy()
@@ -364,15 +365,24 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
 
 
 def _iterates_per_step(monkeypatch):
-    """Record, per step of any Stepper, the Picard iterates u_0 (the state), u_1, ..."""
+    """Record, per step of any Stepper, its Picard iterates u_0 (the state),
+    u_1, ... and increments d_0 = u_1 - u_0, d_1, ...: the first solve gives
+    u_1, each later one the increment, and the iterates are running sums."""
     steps, real, real_solve = [], Stepper.step, BandedLU.solve
 
     def solve(self, rhs):
-        steps[-1].append(real_solve(self, rhs).copy())
-        return steps[-1][-1]
+        out = real_solve(self, rhs)
+        us, ds = steps[-1]
+        if len(us) == 1:
+            us.append(out.copy())
+            ds.append(out - us[0])
+        else:
+            ds.append(out.copy())
+            us.append(us[-1] + out)
+        return out
 
     def step(self, state):
-        steps.append([state.u.copy()])
+        steps.append(([state.u.copy()], []))
         return real(self, state)
 
     monkeypatch.setattr(BandedLU, "solve", solve)
@@ -380,46 +390,56 @@ def _iterates_per_step(monkeypatch):
     return steps
 
 
-def _accepted_by(it):
-    """For the Picard iterates u_0, u_1, ... of one step, which rule could
-    accept each u_k, k >= 2: "banach" when q/(1-q) delta_k <= 1e-12 |u_k|,
-    "floor" when q >= 1 and delta_k <= 1e-9 |u_k|, else None."""
-    d = [np.linalg.norm(b - a) for a, b in zip(it, it[1:])]
-    out = []
-    for q, dk, uk in zip(np.divide(d[1:], d[:-1]), d[1:], it[2:]):
-        scale = np.linalg.norm(uk)
-        out.append("banach" if q < 1 and q * dk <= (1 - q) * 1e-12 * scale
-                   else "floor" if q >= 1 and dk <= 1e-9 * scale else None)
-    return out
+def _contraction(ds):
+    """q_k = |d_k| / |d_{k-1}|, k >= 1, of one step's increments."""
+    d = [np.linalg.norm(dk) for dk in ds]
+    return np.divide(d[1:], d[:-1])
 
 
-@pytest.mark.parametrize("n, amp, least, floor", [
-    (50, 1e-3, 2, False), (50, 1.0, 4, False), (203, 1.0, 4, True), (403, 1.0, 4, True)])
-def test_picard_stops_at_the_first_iterate_a_rule_accepts(monkeypatch, n, amp, least, floor):
-    # every step takes at least two iterates (q needs two steps), and stops
-    # at the first iterate k >= 2 that Banach's bound certifies or, with
-    # q >= 1, that lies within the solve's roundoff floor.  At amplitude 1
-    # (q up to about 0.05) every step takes at least `least`; from n = 203
-    # on the floor exceeds what the bound asks (delta_k of 1e-11..1e-10
-    # |u_k|), q is noise there and some steps end at the floor
+@pytest.mark.parametrize("n, amp, least", [
+    (50, 1e-3, 2), (50, 1.0, 4), (203, 1.0, 4), (403, 1.0, 4)])
+def test_picard_stops_at_the_first_iterate_banach_accepts(monkeypatch, n, amp, least):
+    # every step takes at least two solves (q needs two increments), and
+    # stops at the first u_{k+1}, k >= 1, that Banach's bound
+    # q/(1-q) |d_k| <= 1e-12 |u_{k+1}| certifies, q < 1 throughout.  At
+    # amplitude 1 (q up to about 0.05) every step takes at least `least`
     p, dly, g, ops, cfg, state = _oracle_setup(True, n, amp)
     steps = _iterates_per_step(monkeypatch)
     rep = bl.run(state, 0.2, cfg, p, dly, ops)
     assert rep.termination == "completed" and rep.n_rows == 51
-    rules = [_accepted_by(it) for it in steps]
-    assert all(r[-1] is not None and not any(r[:-1]) for r in rules)
-    assert min(len(it) - 1 for it in steps) >= least
-    assert any(r[-1] == "floor" for r in rules) == floor
+    for us, ds in steps:
+        q = _contraction(ds)
+        ok = [q_k * np.linalg.norm(d_k) <= (1 - q_k) * 1e-12 * np.linalg.norm(u_k)
+              for q_k, d_k, u_k in zip(q, ds[1:], us[2:])]
+        assert np.all(q < 1) and ok[-1] and not any(ok[:-1])
+    assert min(len(us) - 1 for us, _ in steps) >= least
+
+
+def test_picard_contraction_does_not_grow_with_n(caplog):
+    # the increments' roundoff scales with the increments, so the largest q
+    # of the amplitude-1 system is the map's own (about 0.054) on every
+    # grid, and each run completes on Banach's bound alone
+    qs = []
+    for n in (203, 403, 801):
+        p, dly, g, ops, cfg, state = _oracle_setup(True, n, 1.0)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
+            rep = bl.run(state, 0.2, cfg, p, dly, ops)
+        assert rep.termination == "completed" and rep.n_rows == 51, n
+        qs += [float(m.group(1)) for r in caplog.records
+               if (m := re.match(r"nonlinear run: .* largest q (\S+)$", r.getMessage()))]
+    assert len(qs) == 3 and 0.0 < min(qs) and max(qs) <= 1.1 * min(qs) < 1.0, qs
 
 
 def _count_rhs_and_solves(monkeypatch):
-    """Count `Stepper._nonlinear_rhs` and `BandedLU.solve` calls."""
+    """Count `Stepper._nonlinear_rhs` calls (N(u) and its increments) and
+    `BandedLU.solve` calls."""
     counts = {"rhs": 0, "solve": 0}
     real_rhs, real_solve = Stepper._nonlinear_rhs, BandedLU.solve
 
-    def rhs(self, u):
+    def rhs(self, *fields):
         counts["rhs"] += 1
-        return real_rhs(self, u)
+        return real_rhs(self, *fields)
 
     def solve(self, b):
         counts["solve"] += 1
@@ -434,8 +454,9 @@ def _count_rhs_and_solves(monkeypatch):
     (True, None), (True, 1.0), (False, None)])
 def test_one_right_hand_side_per_solve(monkeypatch, nonlinear, theta):
     # N(u_0) serves both the explicit (1 - theta) term and the first
-    # iterate, so a nonlinear run evaluates N once per banded solve (at
-    # least two per step), and a linear run never
+    # iterate, and each later solve takes one increment of N, so a nonlinear
+    # run evaluates one right-hand side per banded solve (at least two per
+    # step), and a linear run none
     p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, 50, 1.0)
     if theta is not None:
         cfg = bl.StepConfig(dt=cfg.dt, theta=theta, nonlinear=nonlinear)
@@ -451,16 +472,13 @@ def test_one_right_hand_side_per_solve(monkeypatch, nonlinear, theta):
 
 def test_nonlinear_run_logs_its_picard_counts(monkeypatch, caplog):
     # the DEBUG line at the end of a nonlinear run reports the steps, the
-    # solves, the right-hand sides and the largest q = delta_k / delta_{k-1}
+    # solves, the right-hand sides and the largest q = |d_k| / |d_{k-1}|
     p, dly, g, ops, cfg, state = _oracle_setup(True, 50, 1.0)
     counts = _count_rhs_and_solves(monkeypatch)
     steps = _iterates_per_step(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
         rep = bl.run(state, 0.2, cfg, p, dly, ops)
-    q_max = 0.0
-    for it in steps:
-        d = [np.linalg.norm(b - a) for a, b in zip(it, it[1:])]
-        q_max = max([q_max, *np.divide(d[1:], d[:-1])])
+    q_max = max(_contraction(ds).max() for _, ds in steps)
     lines = [r.getMessage() for r in caplog.records
              if r.levelno == logging.DEBUG and r.getMessage().startswith("nonlinear run")]
     assert lines == [f"nonlinear run: {rep.n_rows - 1} steps, {counts['solve']} solves, "
@@ -494,6 +512,21 @@ def test_picard_without_contraction_ends_the_run(monkeypatch, caplog):
     assert rep.n_rows == 1 and calls[0] == 2
     assert ("run stopped at step 1 (t = 0): nonlinear_divergence: "
             "Picard map does not contract: q = 2.2\n") in caplog.text
+
+
+def test_picard_cap_ends_the_run(monkeypatch, caplog):
+    # with a zero tolerance Banach's bound never holds: the increments keep
+    # shrinking by q (their roundoff shrinks with them), so the first step
+    # makes its 30 solves and the run ends with the cap named
+    p, dly, g, ops, cfg, state = _oracle_setup(True, 50, 1e-3)
+    monkeypatch.setattr(bl.stepping, "_PICARD_TOL", 0.0)
+    steps = _iterates_per_step(monkeypatch)
+    caplog.set_level(logging.INFO, logger="bousslab.stepping")
+    rep = bl.run(state, 0.08, cfg, p, dly, ops)
+    assert rep.termination == "nonlinear_divergence" and rep.n_rows == 1
+    assert len(steps) == 1 and len(steps[0][1]) == 30
+    assert np.all(_contraction(steps[0][1]) < 1)
+    assert "did not reach tol=0.0 within 30 iterations" in caplog.text
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
