@@ -5,7 +5,7 @@ from .certificate import (StabilityCertificate, build_certificate, check_gains,
                           optimal_mu1, phi_matrix, psi_matrix)
 from .config import RunSettings, initial_profile, parse_config, serialize_config
 from .delay_line import HistoryLine, delayed_trace, transport_residual, z_profile
-from .energy import dissipation_residual, energy, kato_identity_residual, lyapunov
+from .energy import dissipation_residual, kato_identity_residual
 from .errors import (BousslabError, CertificationError, ConfigurationError,
                      HistoryUnderrunError, InadmissibleGainsError,
                      InconsistentParametersError, NonlinearDivergenceError,

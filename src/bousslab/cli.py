@@ -259,6 +259,9 @@ def cmd_convergence(args) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BousslabError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return 1
     print("n,dt,error")
     for n, dt, err in rows:
         print(f"{n},{dt:.6g},{err:.8e}")

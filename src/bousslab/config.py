@@ -154,16 +154,13 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
             raise ConfigurationError(
                 f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
 
-    def section(name, builder, special=()):
+    def section(name, builder):
         kwargs = {}
         if not cp.has_section(name):
             return kwargs
         proto = builder()
         defaults = {f.name: getattr(proto, f.name) for f in dc_fields(proto)}
         for key, raw in cp.items(name):
-            if key in special:
-                kwargs[key] = raw
-                continue
             if key not in defaults:
                 raise ConfigurationError(f"unknown key {key!r} in section [{name}]")
             kwargs[key] = _coerce(raw, defaults[key])
@@ -171,11 +168,10 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
 
     try:
         sys_kwargs = section("system", SystemParams)
-        dly_kwargs = section("delay", DelaySpec, special=("history",))
+        dly_kwargs = section("delay", DelaySpec)
         if "history" in dly_kwargs:
             dly_kwargs["history"] = _parse_history(dly_kwargs["history"])
-        run_kwargs = section("run", RunSettings,
-                             special=("theta", "mu1", "mu2", "eta0", "omega0"))
+        run_kwargs = section("run", RunSettings)
         for key in ("theta", "mu1", "mu2"):
             if key in run_kwargs and run_kwargs[key] != "auto":
                 run_kwargs[key] = float(run_kwargs[key])

@@ -1,4 +1,4 @@
-"""Energy, Lyapunov functionals, and the identity residual monitors.
+"""The energy and Lyapunov monitor row, and the identity residual monitors.
 
 All quadratures are trapezoid: in x over the full grid (clamped boundary
 values included as zeros) and in rho over the reconstructed z-profile.
@@ -12,7 +12,6 @@ import functools
 
 import numpy as np
 
-from .certificate import check_multipliers
 from .delay_line import _rho_nodes
 from .errors import ConfigurationError
 from .operators import trace_omega_xx_0
@@ -42,60 +41,37 @@ def _rho_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ws
 
 
-def _monitors(s, p: SystemParams, dly: DelaySpec, m: int, g: Grid
-              ) -> tuple[float, float, float, np.ndarray]:
-    """(E, V1, V2, z), z the trace at t - tau rho_j, rho_j = j/m: z[0] is the
-    current trace, z[-1] the delayed one (z is these two alone when beta = 0).
+def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
+                  mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
+    """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
+    `report.CSV_COLUMNS` order, with
+
+        E  = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho,
+        V1 = int x eta omega dx,   V2 = |beta|/2 tau(t) int (1-rho) z^2 drho,
+        V  = E - mu1 V1 + mu2 V2   (mu1 = mu2 = 0 degenerates V to E),
+
+    z the trace at t - tau rho_j, rho_j = j/m, read from the history (`run`
+    keeps its newest sample at the trace of s.eta): z[0] is the current
+    trace, z[-1] the delayed one.  With beta = 0 the delay parts are 0.0.
 
     Every trapezoid is a dot product: in x over the interior nodes (the
-    boundary values are zero), and in rho against `_rho_weights` for the
-    delay parts |beta|/2 tau int z^2 drho and |beta|/2 tau int (1-rho) z^2 drho.
-    These are two vector dots, not one matrix-vector product: that sums each
-    row in a single running sum, about ten times less accurate at m = 2048."""
-    E = 0.5 * g.h * float(s.u @ s.u)
-    V1 = g.h * float(s.eta @ (g.nodes * s.omega))
+    boundary values are zero), and in rho against `_rho_weights`.  These are
+    two vector dots, not one matrix-vector product: that sums each row in a
+    single running sum, about ten times less accurate at m = 2048."""
     tau, _ = tau_at(dly, s.t)
-    if p.beta == 0.0:
-        return E, V1, 0.0, s.history.query(s.t - tau * _rho_nodes(1))
     z = s.history.query(s.t - tau * _rho_nodes(m))
     z2 = z * z
     w, w_v2 = _rho_weights(m)
     c = 0.5 * abs(p.beta) * tau
-    return E + c * float(w @ z2), V1, c * float(w_v2 @ z2), z
-
-
-def energy(s, p: SystemParams, dly: DelaySpec, m: int = 64,
-           grid: Grid | None = None) -> float:
-    """E(t) = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho."""
-    g = grid if grid is not None else Grid(n=s.eta.shape[0], L=p.L)
-    return _monitors(s, p, dly, m, g)[0]
-
-
-def lyapunov(s, p: SystemParams, dly: DelaySpec, mu1: float, mu2: float,
-             m: int = 64, grid: Grid | None = None) -> tuple[float, float, float]:
-    """(V1, V2, V) with V = E - mu1 V1 + mu2 V2.
-
-    V1 = int x eta omega dx; V2 = |beta|/2 tau(t) int (1-rho) z^2 drho.
-    Raises ConfigurationError unless 0 <= mu1 < 1/L and 0 <= mu2 < 1.
-    """
-    check_multipliers(p, mu1, mu2)
-    g = grid if grid is not None else Grid(n=s.eta.shape[0], L=p.L)
-    E, V1, V2, _ = _monitors(s, p, dly, m, g)
-    return V1, V2, E - mu1 * V1 + mu2 * V2
-
-
-def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
-                  mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
-    """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
-    `report.CSV_COLUMNS` order, both traces read from the history (`run` keeps
-    its newest sample at the trace of s.eta); mu1 = mu2 = 0 degenerates V to E."""
-    E, V1, V2, z = _monitors(s, p, dly, m, g)
-    V = E - mu1 * V1 + mu2 * V2
-    return s.t, E, V, V1, V2, float(z[0]), float(z[-1])
+    E = 0.5 * g.h * float(s.u @ s.u) + c * float(w @ z2)
+    V1 = g.h * float(s.eta @ (g.nodes * s.omega))
+    V2 = c * float(w_v2 @ z2)
+    return s.t, E, E - mu1 * V1 + mu2 * V2, V1, V2, float(z[0]), float(z[-1])
 
 
 def dissipation_residual(report, p: SystemParams) -> float:
-    """max | centered dE/dt - 1/2 q^T Phi q | over interior samples."""
+    """max | centered dE/dt - report.dissipation_rhs | over interior samples,
+    the rate `run` records as 1/2 q^T Phi(tau_dot(t)) q."""
     t, E = report.t, report.E
     if t.size < 3:
         raise ConfigurationError("need at least 3 samples for the centered difference")

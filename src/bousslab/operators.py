@@ -210,49 +210,24 @@ class BandedLU:
 
 # ---------------------------------------------------------------------------
 # second-order derivatives on the full grid, boundary nodes included
-# (nonlinear terms): centered stencil, coefficient * h^(-m), and the width of
-# the one-sided edge rows
-_FULL_STENCILS = {1: (_S1, 3),
-                  2: ({-1: 1.0, 0: -2.0, 1: 1.0}, 4),
-                  3: (_S3, 6)}
-
-
-def _fornberg(m: int, x0: float, xs: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes xs."""
-    n = len(xs)
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-@lru_cache(maxsize=None)
-def _edge_weights(m: int, width: int, at: int = 0) -> np.ndarray:
-    return _fornberg(m, float(at), np.arange(width, dtype=float))
+# (nonlinear terms): centered stencil, coefficient * h^(-m), and the exact
+# one-sided rows at nodes 0 (and 1 for m = 3) over the first nodes, mirrored
+# at the right end
+_FULL_STENCILS = {1: (_S1, ((-1.5, 2.0, -0.5),)),
+                  2: ({-1: 1.0, 0: -2.0, 1: 1.0}, ((2.0, -5.0, 4.0, -1.0),)),
+                  3: (_S3, ((-4.25, 17.75, -29.5, 24.5, -10.25, 1.75),
+                            (-1.75, 6.25, -8.5, 5.5, -1.75, 0.25)))}
 
 
 def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
     """Sparse N x N m-th derivative (m = 1, 2, 3) of samples on the full grid
     (boundary nodes included): second order, centered inside and one-sided
-    (Fornberg) on the first and last one (m < 3) or two (m = 3) rows."""
+    on the first and last one (m < 3) or two (m = 3) rows, whose exact
+    dyadic weights are tabled in `_FULL_STENCILS`."""
     if m not in _FULL_STENCILS:
         raise ConfigurationError(f"unsupported derivative order {m}")
-    stencil, width = _FULL_STENCILS[m]
-    n_edge = max(stencil)
+    stencil, edges = _FULL_STENCILS[m]
+    n_edge, width = len(edges), len(edges[0])
     if N < width:
         raise ConfigurationError(f"need at least {width} nodes, got {N}")
     scale = 1.0 / h ** m
@@ -261,8 +236,8 @@ def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
     cols = [(inner[:, None] + np.array(list(stencil))).ravel()]
     vals = [np.tile(np.array(list(stencil.values())) * scale, inner.size)]
     edge = np.arange(width)
-    for k in range(n_edge):
-        w = _edge_weights(m, width, k) * scale
+    for k, row in enumerate(edges):
+        w = np.array(row) * scale
         rows += [np.full(width, k), np.full(width, N - 1 - k)]
         cols += [edge, N - width + edge]
         vals += [w, (w * (-1.0) ** m)[::-1]]

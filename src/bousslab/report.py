@@ -37,11 +37,10 @@ class RunReport:
         return self.t.size
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        cols = [getattr(self, c) for c in CSV_COLUMNS]
-        for k in range(self.n_rows):
-            lines.append(",".join("%.17g" % col[k] for col in cols))
-        return "\n".join(lines) + "\n"
+        """The CSV_COLUMNS header, then one line of "%.17g" values per row."""
+        line = ",".join(["%.17g"] * len(CSV_COLUMNS))
+        rows = np.column_stack([getattr(self, c) for c in CSV_COLUMNS]).tolist()
+        return "\n".join([",".join(CSV_COLUMNS)] + [line % tuple(r) for r in rows]) + "\n"
 
 
 def fit_decay(t: np.ndarray, E: np.ndarray) -> tuple[float, float]:

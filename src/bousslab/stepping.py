@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .certificate import check_multipliers, phi_matrix
 from .energy import energy_sample
-from .delay_line import HistoryLine, _rho_nodes
+from .delay_line import HistoryLine
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
 from .operators import (BandedLU, OperatorSet, build_operators, derivative_matrix,
@@ -193,14 +193,13 @@ class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
-                 dly: DelaySpec, forcing=None, eta_xx0=None):
+                 dly: DelaySpec, forcing=None):
         _check_dt(cfg.dt, dly)
         self.ops = ops
         self.cfg = cfg
         self.p = p
         self.dly = dly
         self.forcing = forcing
-        self.eta_xx0 = eta_xx0
         n = ops.grid.n
         self.n = n
         self.A = system_matrices(ops, p)
@@ -208,7 +207,6 @@ class Stepper:
         self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
         self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
         self._g_s = ops.omega_s_influence
-        self._g_c = ops.eta_c_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         # counters `run` logs: steps taken, Picard solves, right-hand sides
@@ -217,14 +215,12 @@ class Stepper:
         self._q_max = 0.0
 
     def _source(self, t_eval: float, state: SimState) -> np.ndarray:
-        """dt-weighted explicit sources at the evaluation time."""
+        """Explicit sources at the evaluation time: the delayed trace through
+        beta (0.0 with beta = 0) and, when given, forcing(t, x) -> (f1, f2)
+        on the eta and omega rows."""
+        tau, _ = tau_at(self.dly, t_eval)
         b = np.zeros(2 * self.n)
-        if self.p.beta != 0.0:
-            tau, _ = tau_at(self.dly, t_eval)
-            zd = state.history.query(t_eval - tau)
-            b[0::2] = -self.p.beta * self._g_s * zd
-        if self.eta_xx0 is not None:
-            b[1::2] = -self._g_c * float(self.eta_xx0(t_eval))
+        b[0::2] = -self.p.beta * self._g_s * state.history.query(t_eval - tau)
         if self.forcing is not None:
             f1, f2 = self.forcing(t_eval, self.ops.grid.nodes)
             b[0::2] += f1
@@ -298,7 +294,7 @@ class Stepper:
 
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
         ops: OperatorSet, rho_res: int = 64, mu1: float = 0.0, mu2: float = 0.0,
-        store_fields: bool = False, forcing=None, eta_xx0=None) -> RunReport:
+        store_fields: bool = False) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
@@ -307,7 +303,10 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     `report.CSV_COLUMNS` order, and with `store_fields` the interleaved state
     of each row into one array, both allocated before the first step; the
     report's series are rows of the table and its fields strided views of
-    the states.
+    the states.  Its `dissipation_rhs` is the energy identity's rate dE/dt =
+    1/2 q^T Phi q per row, q = (trace_now, trace_delayed), with Phi's (2,2)
+    entry |beta| (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds
+    it from above.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t, when T is negative or not finite,
@@ -323,7 +322,6 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
     if not np.all(np.isfinite(s0.u)):
         raise ConfigurationError("the initial state s0.u has non-finite values")
-    _rho_nodes(rho_res)   # the rho-node check, whatever beta is
     check_multipliers(p, mu1, mu2)
     if s0.history.t_last != s0.t:
         raise ConfigurationError(
@@ -339,7 +337,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(
             f"cannot allocate {n_steps + 1:.6g} rows for T = {T} at dt = {cfg.dt}: {exc}") from exc
-    stepper = Stepper(ops, cfg, p, dly, forcing=forcing, eta_xx0=eta_xx0)
+    stepper = Stepper(ops, cfg, p, dly)
 
     def record(i: int, st: SimState) -> None:
         table[:, i] = energy_sample(st, p, dly, ops.grid, rho_res, mu1, mu2)
@@ -368,11 +366,14 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         log.debug("nonlinear run: %d steps, %d solves, %d right-hand sides, largest q %.3g",
                   stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
 
-    # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row
+    # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row and
+    # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)
     q = table[5:, :rows]
+    tau_dot = np.array([tau_at(dly, t)[1] for t in table[0, :rows]])
     return RunReport(
         **dict(zip(CSV_COLUMNS, table[:, :rows])),
-        dissipation_rhs=0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0),
+        dissipation_rhs=(0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0)
+                         + 0.5 * abs(p.beta) * (tau_dot - dly.d) * q[1] ** 2),
         fields_eta=None if states is None else states[:rows, 0::2],
         fields_omega=None if states is None else states[:rows, 1::2],
         termination=termination,

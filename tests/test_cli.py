@@ -456,6 +456,15 @@ def test_convergence_needs_two_levels(capsys, levels):
     assert "orders" not in captured.out
 
 
+def test_convergence_reports_a_failed_run(capsys, monkeypatch):
+    # a failed step of the study is an error message and exit 1, not a traceback
+    failing_solve(monkeypatch, 100)
+    assert main(["convergence", "--levels", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "convergence error" in captured.err and "banded solve" in captured.err
+    assert "orders" not in captured.out
+
+
 @pytest.mark.parametrize("points", ["-1", "0", "1"])
 def test_optimize_rate_needs_two_points(tmp_path, capsys, points):
     assert main(["optimize-rate", "--config", _write(tmp_path, GOOD),

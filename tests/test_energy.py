@@ -18,11 +18,17 @@ def _state(eta, omega, hist_times, hist_vals, M, t=0.0):
                     omega=np.asarray(omega, float), history=h)
 
 
+def _row(s, p, dly, m=64, mu1=0.0, mu2=0.0):
+    """The monitor row as a dict of its CSV_COLUMNS."""
+    g = bl.Grid(n=s.eta.shape[0], L=p.L)
+    return dict(zip(CSV_COLUMNS, energy_sample(s, p, dly, g, m, mu1, mu2)))
+
+
 def test_energy_zero_state():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     p = bl.SystemParams(beta=1.0)
     s = _state(np.zeros(16), np.zeros(16), [-0.5, 0.0], [0.0, 0.0], 0.5)
-    assert bl.energy(s, p, dly) == 0.0
+    assert _row(s, p, dly)["E"] == 0.0
 
 
 def test_energy_beta_zero_is_field_only():
@@ -33,7 +39,7 @@ def test_energy_beta_zero_is_field_only():
     om = 2 * eta
     s = _state(eta, om, [-0.5, 0.0], [9.9, 9.9], 0.5)
     expected = 0.5 * g.h * np.sum(eta ** 2 + om ** 2)
-    assert abs(bl.energy(s, p, dly, grid=g) - expected) < 1e-15
+    assert abs(_row(s, p, dly)["E"] - expected) < 1e-15
 
 
 def test_energy_constant_history_example():
@@ -43,7 +49,7 @@ def test_energy_constant_history_example():
     p = bl.SystemParams(beta=-2.0)
     s = _state(np.zeros(16), np.zeros(16),
                np.linspace(-0.5, 0.0, 33), np.full(33, c), 0.5)
-    assert abs(bl.energy(s, p, dly) - 0.5 * c ** 2) < 1e-13
+    assert abs(_row(s, p, dly)["E"] - 0.5 * c ** 2) < 1e-13
 
 
 def test_lyapunov_v1_zero_and_v2_hand_value():
@@ -53,24 +59,16 @@ def test_lyapunov_v1_zero_and_v2_hand_value():
     p = bl.SystemParams(beta=1.5, L=1.0)
     s = _state(np.zeros(16), np.ones(16),
                np.linspace(-tau, 0.0, 33), np.full(33, c), tau)
-    V1, V2, V = bl.lyapunov(s, p, dly, mu1=0.1, mu2=0.5)
-    assert V1 == 0.0
-    assert abs(V2 - abs(p.beta) / 4.0 * tau * c ** 2) < 1e-12
-
-
-def test_lyapunov_mu_range_errors():
-    dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
-    p = bl.SystemParams(L=2.0)
-    s = _state(np.zeros(16), np.zeros(16), [-0.5, 0.0], [0.0, 0.0], 0.5)
-    with pytest.raises(ConfigurationError):
-        bl.lyapunov(s, p, dly, mu1=0.6, mu2=0.5)   # mu1 >= 1/L
-    with pytest.raises(ConfigurationError):
-        bl.lyapunov(s, p, dly, mu1=0.1, mu2=1.0)
-    # the closed lower ends are in range, as for `run`: V degenerates to E
-    g = bl.Grid(n=16, L=p.L)
+    row = _row(s, p, dly, mu1=0.1, mu2=0.5)
+    assert row["V1"] == 0.0
+    assert abs(row["V2"] - abs(p.beta) / 4.0 * tau * c ** 2) < 1e-12
+    assert row["V"] == row["E"] + 0.5 * row["V2"]
+    # the closed lower ends of the multiplier range: V degenerates to E
+    g = bl.Grid(n=16, L=2.0)
     s = _state(g.nodes * (1 - g.nodes), np.sin(g.nodes),
-               np.linspace(-0.5, 0.0, 9), np.linspace(1.0, 2.0, 9), 0.5)
-    assert bl.lyapunov(s, p, dly, mu1=0.0, mu2=0.0, grid=g)[2] == bl.energy(s, p, dly, grid=g)
+               np.linspace(-tau, 0.0, 9), np.linspace(1.0, 2.0, 9), tau)
+    row = _row(s, bl.SystemParams(L=2.0), dly)
+    assert row["V1"] != 0.0 and row["V"] == row["E"]
 
 
 def test_sandwich_inequality_random_states():
@@ -85,8 +83,8 @@ def test_sandwich_inequality_random_states():
         s = _state(eta, om, np.linspace(-0.5, 0.0, 33), hv, 0.5)
         mu1 = float(rng.uniform(1e-4, 0.99))
         mu2 = float(rng.uniform(1e-4, 0.99))
-        E = bl.energy(s, p, dly)
-        V1, V2, V = bl.lyapunov(s, p, dly, mu1, mu2)
+        row = _row(s, p, dly, mu1=mu1, mu2=mu2)
+        E, V = row["E"], row["V"]
         mx = max(mu1 * p.L, mu2)
         assert (1 - mx) * E <= V + 1e-12 * E
         assert V <= (1 + mx) * E + 1e-12 * E
@@ -142,9 +140,9 @@ def test_energy_sample_consistency(acc_params, acc_delay):
     row = energy_sample(s, acc_params, acc_delay, g, m=64, mu1=0.01, mu2=0.1)
     assert len(row) == len(CSV_COLUMNS)
     E, V = row[CSV_COLUMNS.index("E")], row[CSV_COLUMNS.index("V")]
-    assert abs(E - bl.energy(s, acc_params, acc_delay, 64, g)) < 1e-14
-    V1, V2, V_ref = bl.lyapunov(s, acc_params, acc_delay, 0.01, 0.1, 64, g)
-    assert abs(V - V_ref) < 1e-14
+    E_ref, V1_ref, V2_ref = _trapezoid_row(s, acc_params, acc_delay, g, 64)
+    assert abs(E - E_ref) < 1e-14
+    assert abs(V - (E_ref - 0.01 * V1_ref + 0.1 * V2_ref)) < 1e-14
     # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
     ops = bl.build_operators(acc_params, g)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
@@ -323,3 +321,44 @@ def test_kato_row_blocks_match_row_loop_on_an_early_stop(monkeypatch):
     rep, p = _kato_run(n=40, rows=101, seed=5)
     assert rep.termination != "completed" and 32 < rep.n_rows < 101
     _assert_kato_matches_rows(rep, p)
+
+
+# the sinusoidal delay law of the nonlinear ladder: tau = tau0 + A (1 - cos wt),
+# tau_dot = A w sin(wt) <= d
+SINE_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
+                  phase=-np.pi / 2, M=0.7, d=0.2)
+
+
+@pytest.fixture(scope="module")
+def sine_ladder(acc_params, acc_delay):
+    """(report, centered dE/dt, its rows) at three dyadic levels: slow-mode
+    data of the constant-delay system, run under the sinusoidal law; the rows
+    are the interior ones with t >= 0.5, past the start-up."""
+    dly = bl.DelaySpec(**SINE_DELAY)
+    out = []
+    for n, dt in ((100, 2e-3), (201, 1e-3), (403, 5e-4)):
+        ops = bl.build_operators(acc_params, bl.Grid(n=n, L=acc_params.L))
+        state, _ = bl.slow_mode_state(ops, acc_params, acc_delay, dt=dt)
+        cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt))
+        rep = bl.run(state, 1.5, cfg, acc_params, dly, ops, rho_res=2048)
+        assert rep.termination == "completed"
+        dE = (rep.E[2:] - rep.E[:-2]) / (2.0 * dt)
+        late = 1 + np.flatnonzero(rep.t[1:-1] >= 0.5)
+        out.append((rep, dE[late - 1], late))
+    return out
+
+
+def test_dissipation_identity_refines_under_a_time_varying_delay(sine_ladder):
+    # dissipation_rhs takes tau_dot(t) in Phi's (2,2) entry, so the residual is
+    # the discretization error and falls by about 4 per level (with d in
+    # place of tau_dot it stays near 1.75e-2)
+    res = [np.max(np.abs(dE - rep.dissipation_rhs[rows])) for rep, dE, rows in sine_ladder]
+    assert res[0] >= 3.0 * res[1] and res[1] >= 3.0 * res[2], res
+
+
+def test_energy_rate_obeys_the_certified_bound(sine_ladder, acc_params):
+    # tau_dot <= d: dE/dt <= 1/2 q^T Phi(d) q at every row past the start-up
+    Phi = bl.phi_matrix(acc_params, bl.DelaySpec(**SINE_DELAY))
+    for rep, dE, rows in sine_ladder:
+        q = np.array([rep.trace_now[rows], rep.trace_delayed[rows]])
+        assert np.all(dE <= 0.5 * np.sum(q * (Phi @ q), axis=0))

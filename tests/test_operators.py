@@ -4,7 +4,7 @@ import sympy as sp
 from scipy.sparse import csr_matrix, identity
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, OperatorSet, _build_single, _edge_weights,
+from bousslab.operators import (BandedLU, OperatorSet, _build_single,
                                 _NPTS_2BC, _NPTS_3BC, _STENCILS, derivative_matrix,
                                 ghost_weights, trace_omega_xx_0, trace_weights)
 from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices, system_matrices
@@ -245,7 +245,8 @@ def test_derivative_matrix_rejects_unsupported_order():
 
 def _padded_derivative(full, h, m):
     """The per-call derivative the nonlinear terms used before they were
-    assembled as matrices, kept as the reference."""
+    assembled as matrices, kept as the reference, its one-sided edge weights
+    from sympy's finite_diff_weights."""
     N = full.shape[0]
     out = np.empty_like(full)
     if m == 1:
@@ -258,7 +259,8 @@ def _padded_derivative(full, h, m):
         out[2:-2] = (full[4:] - 2 * full[3:-1] + 2 * full[1:-3] - full[:-4]) / (2 * h ** 3)
         width = 6
     for k in range(1 if m < 3 else 2):
-        wk = _edge_weights(m, width, k) / h ** m
+        wk = np.array(sp.finite_diff_weights(m, list(range(width)), k)[m][-1],
+                      dtype=float) / h ** m
         out[k] = wk @ full[:width]
         out[N - 1 - k] = (wk * (-1.0) ** m)[::-1] @ full[N - width:]
     return out

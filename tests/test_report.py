@@ -61,3 +61,18 @@ def test_summary_contains_config_and_extras():
     assert "termination = completed" in text
     assert "n = 10" in text
     assert "lambda_obs = 1.5" in text
+
+
+def test_csv_bytes_match_per_value_formatting():
+    # one format per row writes the bytes of "%.17g" per value, nan, +-inf
+    # and -0.0 included
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-300, 300, (7, 6))
+    cols[:, 0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-320, 1.0 / 3.0]
+    rep = bl.RunReport(*cols, dissipation_rhs=np.zeros(6))
+    lines = ["t,E,V,V1,V2,trace_now,trace_delayed"]
+    lines += [",".join("%.17g" % col[k] for col in cols) for k in range(6)]
+    assert rep.to_csv() == "\n".join(lines) + "\n"
+    assert "nan" in rep.to_csv() and "-inf" in rep.to_csv() and "-0," in rep.to_csv()
+    empty = bl.RunReport(*np.zeros((7, 0)), dissipation_rhs=np.zeros(0))
+    assert empty.to_csv() == lines[0] + "\n"

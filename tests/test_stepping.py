@@ -723,3 +723,14 @@ def test_run_rejects_bad_rho_res_whatever_beta(rho_res, match):
         with pytest.raises(ConfigurationError, match=match):
             bl.run(s, 0.01, cfg, p, dly, ops, rho_res=rho_res)
         assert s.history.t_last == 0.0   # no step was taken
+
+
+def test_interrupted_manufactured_solution_run_raises(monkeypatch):
+    # a run that stops early is not scored: the quartic pair's 500 steps fail
+    # at step 101 and the error reaches the caller
+    from bousslab.mms import mms_error
+    failing_solve(monkeypatch, 100)
+    p = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
+    dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
+    with pytest.raises(NumericalError):
+        mms_error(p, dly, 64, 1e-3, 0.5, family="quartic")
