@@ -57,71 +57,86 @@ def ghost_weights(n_bc: int, n_pts: int, xi_ghost: float) -> tuple[tuple[float, 
     return tuple(float(x) for x in w), gamma
 
 
+def _banded(n: int, stencil: dict, scale: float, left, right) -> sp.csr_matrix:
+    """Sparse n x n matrix with the centered stencil (offset: coefficient,
+    times scale) on every row but the first and last few, which are the dense
+    rows `left` (starting at column 0) and `right` (ending at column n - 1)."""
+    (kl, wl), (kr, wr) = np.shape(left), np.shape(right)
+    inner = np.arange(kl, n - kr)
+    rows = [np.repeat(inner, len(stencil)), np.repeat(np.arange(kl), wl),
+            np.repeat(np.arange(n - kr, n), wr)]
+    cols = [(inner[:, None] + np.array(list(stencil))).ravel(), np.tile(np.arange(wl), kl),
+            np.tile(np.arange(n - wr, n), kr)]
+    vals = [np.tile(np.array(list(stencil.values())) * scale, inner.size),
+            np.ravel(left), np.ravel(right)]
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    M.eliminate_zeros()
+    return M
+
+
 def _build_single(n: int, h: float, deriv: int, left_nbc: int, right_nbc: int):
     """Sparse n x n derivative operator plus the curvature-channel vectors.
 
     Returns (P, src_left, src_right): the discrete derivative of the unknown
     is P @ f + src_left * c_left + src_right * c_right with c the boundary
     second-derivative data (zero unless that side carries three conditions).
-    Entries landing on the same (row, col) are summed in the order the
-    stencil visits them, so every entry is reproducible to the bit.
+    Only the first and last max-offset rows reach a boundary node; they are
+    assembled densely, the direct and ghost terms summed in the order the
+    stencil visits them, so every entry is reproducible to the bit.  The
+    rows between carry the plain stencil (`_banded`).
     """
     stencil = _STENCILS[deriv]
     scale = 1.0 / h ** deriv
     npl = _NPTS_3BC if left_nbc == 3 else _NPTS_2BC
     npr = _NPTS_3BC if right_nbc == 3 else _NPTS_2BC
-    gl = {m: ghost_weights(left_nbc, npl, -float(m)) for m in (1, 2)}
-    gr = {m: ghost_weights(right_nbc, npr, -float(m)) for m in (1, 2)}
-    entries: dict[tuple[int, int], float] = {}
+    k = max(stencil)
+    width = max(npl, npr, 2 * k)
+    edges = np.zeros((2 * k, width))
     src_l = np.zeros(n)
     src_r = np.zeros(n)
-
-    def add(i, cols, vals):
-        for j, v in zip(cols, vals):
-            entries[i, j] = entries.get((i, j), 0.0) + v
-
-    for i in range(n):
+    for r, i in enumerate([*range(k), *range(n - k, n)]):
+        first = 0 if r < k else n - width   # the column of edges[r, 0]
         for off, coeff in stencil.items():
             j = i + 1 + off
             c = coeff * scale
             if 1 <= j <= n:
-                add(i, (j - 1,), (c,))
-            elif j in (0, n + 1):
-                continue  # homogeneous Dirichlet value
+                edges[r, j - 1 - first] += c
             elif j < 0:
-                w, gam = gl[-j]
-                add(i, range(npl), [c * wk for wk in w])
+                w, gam = ghost_weights(left_nbc, npl, float(j))
+                edges[r, :npl] += c * np.asarray(w)
                 src_l[i] += c * gam * 0.5 * h * h
-            else:
-                w, gam = gr[j - (n + 1)]
-                add(i, range(n - npr, n), [c * wk for wk in w[::-1]])
+            elif j > n + 1:   # j = 0 and n + 1 are homogeneous Dirichlet values
+                w, gam = ghost_weights(right_nbc, npr, float(n + 1 - j))
+                edges[r, width - npr:] += c * np.asarray(w)[::-1]
                 src_r[i] += c * gam * 0.5 * h * h
-    rows, cols = zip(*entries)
-    P = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n, n))
-    P.eliminate_zeros()
-    return P, src_l, src_r
+    return _banded(n, stencil, scale, edges[:k], edges[k:]), src_l, src_r
 
 
 @dataclass
 class OperatorSet:
-    """The discrete spatial operators for one (params, grid) pair.
+    """The discrete system operator for one (params, grid) pair.
 
-    `eta_combined`/`omega_combined` are the sparse P = D1 + a D3 + a1 D5 of
-    each unknown with its ghost-point closure.  The ghost values of omega
-    near x = L are
+    `A` is the interleaved sparse 2n x 2n A of u' = A u + B u(t - tau) +
+    sources, u = (eta_1, omega_1, eta_2, ...): eta' rows hold -P_omega and the
+    feedback -alpha outer(omega_s_influence, trace_row), omega' rows -P_eta,
+    with P = D1 + a D3 + a1 D5 of each unknown with its ghost-point closure.
+    The ghost values of omega near x = L are
         ghost_m = w_m . (omega_n, .., omega_{n-3}) + gamma_m * h^2/2 * s(t)
     (`ghost_weights(3, 4, -m)`) with s(t) = alpha*eta_xx(t, L)
     + beta*eta_xx(t - tau(t), L); the eta side carries the mirrored
     structure at x = 0 with datum c(t) = eta_xx(t, 0) (zero for the
     production system).  `omega_s_influence`/`eta_c_influence` are the
-    columns through which unit boundary data enter P, so the delayed trace
-    contributes the boundary source vector beta * omega_s_influence *
-    z_delayed.  `trace_row` holds the weights of `trace_eta_xx_L`.
+    columns through which unit boundary data enter P.  The delayed term
+    B = -beta outer(omega_s_influence, trace_row) has rank one and is never
+    assembled: steps apply it as a source, the slow mode as a secular
+    equation.  `trace_row` holds the weights of `trace_eta_xx_L`.  A depends
+    only on the a, a1, L and alpha of `params`.
     """
 
     grid: Grid
-    eta_combined: sp.csr_matrix
-    omega_combined: sp.csr_matrix
+    params: SystemParams
+    A: sp.csr_matrix
     eta_c_influence: np.ndarray
     omega_s_influence: np.ndarray
     trace_row: np.ndarray
@@ -151,8 +166,8 @@ def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> np.ndarray | float:
 
 
 def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
-    """Assemble P = D1 + a D3 + a1 D5 for both unknowns plus the feedback
-    influence channels.
+    """Assemble P = D1 + a D3 + a1 D5 for both unknowns, the feedback
+    influence channels and the interleaved system operator A from them.
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
@@ -165,16 +180,19 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     def combine(parts, k):
         return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
 
-    T = np.zeros(n)
-    T[-3:] = trace_weights(h)
-    return OperatorSet(
-        grid=g,
-        eta_combined=combine(eta, 0),
-        omega_combined=combine(omega, 0),
-        eta_c_influence=combine(eta, 1),
-        omega_s_influence=combine(omega, 2),
-        trace_row=T,
-    )
+    Pe, Po = combine(eta, 0).tocoo(), combine(omega, 0).tocoo()
+    g_s = combine(omega, 2)
+    T = np.concatenate([np.zeros(n - 3), trace_weights(h)])
+    # eta' rows: -Po on the omega columns, -alpha outer(g_s, T) on the eta
+    # columns of the three trace nodes; omega' rows: -Pe on the eta columns
+    ie = 2 * np.arange(n)
+    rows = np.concatenate([ie[Po.row], ie[Pe.row] + 1, np.repeat(ie, 3)])
+    cols = np.concatenate([ie[Po.col] + 1, ie[Pe.col], np.tile(ie[-3:], n)])
+    vals = np.concatenate([-Po.data, -Pe.data, (-p.alpha * np.outer(g_s, T[-3:])).ravel()])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    A.eliminate_zeros()
+    return OperatorSet(grid=g, params=p, A=A, eta_c_influence=combine(eta, 1),
+                       omega_s_influence=g_s, trace_row=T)
 
 
 class BandedLU:
@@ -227,21 +245,9 @@ def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
     if m not in _FULL_STENCILS:
         raise ConfigurationError(f"unsupported derivative order {m}")
     stencil, edges = _FULL_STENCILS[m]
-    n_edge, width = len(edges), len(edges[0])
+    width = len(edges[0])
     if N < width:
         raise ConfigurationError(f"need at least {width} nodes, got {N}")
     scale = 1.0 / h ** m
-    inner = np.arange(n_edge, N - n_edge)
-    rows = [np.repeat(inner, len(stencil))]
-    cols = [(inner[:, None] + np.array(list(stencil))).ravel()]
-    vals = [np.tile(np.array(list(stencil.values())) * scale, inner.size)]
-    edge = np.arange(width)
-    for k, row in enumerate(edges):
-        w = np.array(row) * scale
-        rows += [np.full(width, k), np.full(width, N - 1 - k)]
-        cols += [edge, N - width + edge]
-        vals += [w, (w * (-1.0) ** m)[::-1]]
-    D = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N))
-    D.eliminate_zeros()
-    return D
+    left = np.array(edges) * scale
+    return _banded(N, stencil, scale, left, (left * (-1.0) ** m)[::-1, ::-1])

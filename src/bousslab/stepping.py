@@ -122,31 +122,6 @@ def _check_dt(dt: float, dly: DelaySpec) -> None:
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
 
 
-def system_matrices(ops: OperatorSet, p: SystemParams) -> sp.csr_matrix:
-    """Interleaved sparse 2n x 2n A of u' = A u + B u(t - tau) + sources.
-
-    eta' rows couple to omega through -Po and to eta through the
-    instantaneous feedback -alpha*outer(gs, T); omega' rows couple to eta
-    through -Pe.  The delayed term B = -beta*outer(g, t), with g and t the
-    interleaved `omega_s_influence` and `trace_row`, has rank one and is
-    never assembled: steps apply it as a source and the slow mode as a
-    secular equation.
-    """
-    n = ops.grid.n
-    ie = 2 * np.arange(n)
-    io = ie + 1
-    Po = ops.omega_combined.tocoo()
-    Pe = ops.eta_combined.tocoo()
-    tc = np.flatnonzero(ops.trace_row)
-    gsT = np.outer(ops.omega_s_influence, ops.trace_row[tc])
-    rows = np.concatenate([ie[Po.row], io[Pe.row], np.repeat(ie, tc.size)])
-    cols = np.concatenate([io[Po.col], ie[Pe.col], np.tile(ie[tc], n)])
-    vals = np.concatenate([-Po.data, -Pe.data, (-p.alpha * gsT).ravel()])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
-    A.eliminate_zeros()
-    return A
-
-
 def nonlinear_matrices(n: int, h: float, p: SystemParams
                        ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The quadratic terms as two sparse maps around one table of products.
@@ -201,12 +176,12 @@ class Stepper:
         self.dly = dly
         self.forcing = forcing
         n = ops.grid.n
-        self.n = n
-        self.A = system_matrices(ops, p)
         I = sp.identity(2 * n, format="csr")
-        self._lu = BandedLU(I - cfg.theta * cfg.dt * self.A)
-        self._M2 = I + (1.0 - cfg.theta) * cfg.dt * self.A
-        self._g_s = ops.omega_s_influence
+        self._lu = BandedLU(I - cfg.theta * cfg.dt * ops.A)
+        self._M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
+        # the source per unit delayed trace: B's column on the eta rows
+        self._delay_source = np.zeros(2 * n)
+        self._delay_source[0::2] = -p.beta * ops.omega_s_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         # counters `run` logs: steps taken, Picard solves, right-hand sides
@@ -219,8 +194,7 @@ class Stepper:
         beta (0.0 with beta = 0) and, when given, forcing(t, x) -> (f1, f2)
         on the eta and omega rows."""
         tau, _ = tau_at(self.dly, t_eval)
-        b = np.zeros(2 * self.n)
-        b[0::2] = -self.p.beta * self._g_s * state.history.query(t_eval - tau)
+        b = self._delay_source * state.history.query(t_eval - tau)
         if self.forcing is not None:
             f1, f2 = self.forcing(t_eval, self.ops.grid.nodes)
             b[0::2] += f1
@@ -392,9 +366,9 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     """Least-damped time-resolved eigenpair of the delayed system.
 
     Solves the delay eigenproblem lambda*u = A u + exp(-lambda*tau0) B u
-    (`system_matrices`) and seeds the trace history from the mode's own
-    exponential past.  Returns (SimState, lambda), lambda with Im >= 0.
-    Useful as transient-free benchmark data.
+    with ops.A and the rank-one B of `OperatorSet`, and seeds the trace
+    history from the mode's own exponential past.  Returns (SimState,
+    lambda), lambda with Im >= 0.  Useful as transient-free benchmark data.
 
     The candidates are the decaying eigenvalues, in the time-resolved disk
     |lambda| dt <= 0.7, of the dense A on a grid of min(n, 24) nodes.  The
@@ -416,14 +390,14 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     floor, the accuracy a dense eigensolve guarantees.
     """
     _check_dt(dt, dly)
-    A = system_matrices(ops, p)
+    A = ops.A
     n2 = A.shape[0]
     tau0 = dly.tau0
 
     coarse = Grid(min(ops.grid.n, _COARSE_N), ops.grid.L)
-    A_coarse = system_matrices(build_operators(p, coarse), p).toarray()
+    coarse_ops = ops if coarse == ops.grid else build_operators(p, coarse)
     try:
-        ev = np.linalg.eigvals(A_coarse)
+        ev = np.linalg.eigvals(coarse_ops.A.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve on the n={coarse.n} grid failed: {exc}") from exc
     ok = (np.abs(ev) * dt <= _RESOLVE_LIMIT) & (ev.real < 0)

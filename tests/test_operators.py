@@ -4,10 +4,10 @@ import sympy as sp
 from scipy.sparse import csr_matrix, identity
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, OperatorSet, _build_single,
-                                _NPTS_2BC, _NPTS_3BC, _STENCILS, derivative_matrix,
-                                ghost_weights, trace_omega_xx_0, trace_weights)
-from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices, system_matrices
+from bousslab.operators import (BandedLU, _build_single, _NPTS_2BC, _NPTS_3BC,
+                                _STENCILS, derivative_matrix, ghost_weights,
+                                trace_omega_xx_0, trace_weights)
+from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices
 
 L = 1.0
 # boundary-condition counts (left, right) of each unknown
@@ -55,7 +55,8 @@ def _dense_build_single(n, h, deriv, left_nbc, right_nbc):
     return P, src_l, src_r
 
 
-@pytest.mark.parametrize("n", [8, 16, 100, 403])
+# n = 9..12: the dense edge rows and the stencil rows meet
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 16, 100, 403])
 @pytest.mark.parametrize("unknown", ["eta", "omega"])
 @pytest.mark.parametrize("deriv", [1, 3, 5])
 def test_sparse_single_matches_dense_oracle(deriv, unknown, n):
@@ -78,16 +79,22 @@ def test_system_matrices_match_dense_oracle(n):
         parts = [_dense_build_single(n, g.h, d, *SIDES[unknown])[k] for d in (1, 3, 5)]
         return parts[0] + p.a * parts[1] + p.a1 * parts[2]
 
-    ref = OperatorSet(grid=g, eta_combined=csr_matrix(combined("eta", 0)),
-                      omega_combined=csr_matrix(combined("omega", 0)),
-                      eta_c_influence=combined("eta", 1),
-                      omega_s_influence=combined("omega", 2),
-                      trace_row=ops.trace_row)
-    assert np.array_equal(ops.eta_c_influence, ref.eta_c_influence)
-    assert np.array_equal(ops.omega_s_influence, ref.omega_s_influence)
-    A, A_ref = system_matrices(ops, p), system_matrices(ref, p)
+    g_s = combined("omega", 2)
+    assert np.array_equal(ops.eta_c_influence, combined("eta", 1))
+    assert np.array_equal(ops.omega_s_influence, g_s)
+    T = np.zeros(n)
+    T[-3:] = trace_weights(g.h)
+    assert np.array_equal(ops.trace_row, T)
+    # the interleaved generator, densely: eta' = -P_omega omega - alpha g_s
+    # (T . eta), omega' = -P_eta eta
+    A_ref = np.zeros((2 * n, 2 * n))
+    A_ref[0::2, 1::2] = -combined("omega", 0)
+    A_ref[1::2, 0::2] = -combined("eta", 0)
+    A_ref[0::2, 0::2] = -p.alpha * np.outer(g_s, T)
+    A_ref = csr_matrix(A_ref)
+    assert np.all(ops.A.data != 0.0) and ops.A.has_canonical_format
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, attr), getattr(A_ref, attr)), attr
+        assert np.array_equal(getattr(ops.A, attr), getattr(A_ref, attr)), attr
 
 
 def test_quartic_exact_with_curvature_channels():
@@ -136,7 +143,7 @@ def test_boundary_source_zero_without_feedback():
     # alpha = 0: no instantaneous feedback term, so A has no eta-to-eta
     # coupling
     p = bl.SystemParams(alpha=0.0, beta=0.0)
-    A = system_matrices(bl.build_operators(p, bl.Grid(n=16, L=1.0)), p)
+    A = bl.build_operators(p, bl.Grid(n=16, L=1.0)).A
     rows, cols = A.nonzero()
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 
@@ -169,11 +176,8 @@ def test_one_step_dissipativity_shadow():
     # time-discrete mirror of operator dissipativity: with beta = 0 and
     # alpha > 0, the theta-scheme one-step map has spectral radius <= 1 + 1e-8
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=0.0)
-    dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     dt = 1e-3
-    st = Stepper(bl.build_operators(p, bl.Grid(n=48, L=1.0)),
-                 StepConfig(dt=dt, theta=bl.suggested_theta(dt)), p, dly)
-    A = st.A
+    A = bl.build_operators(p, bl.Grid(n=48, L=1.0)).A
     n2 = A.shape[0]
     theta = bl.suggested_theta(dt)
     G = np.linalg.solve(np.eye(n2) - theta * dt * A,
@@ -228,7 +232,7 @@ def test_generic_padded_derivatives_second_order():
         assert min(order) > 1.8, (m, errs)
 
 
-@pytest.mark.parametrize("N", [10, 51, 205])
+@pytest.mark.parametrize("N", [6, 7, 10, 51, 205])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_derivative_matrix_band_and_storage(m, N):
     D = derivative_matrix(N, 1.0 / (N - 1), m)

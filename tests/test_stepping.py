@@ -11,7 +11,7 @@ import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
-from bousslab.stepping import SimState, Stepper, system_matrices
+from bousslab.stepping import SimState, Stepper
 
 from conftest import ACC, ACC_DELAY, failing_solve
 
@@ -351,7 +351,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v), M=dly.M)
     stepper = Stepper(ops, cfg, p, dly)
-    A = system_matrices(ops, p)
+    A = ops.A
     I = sp.identity(2 * n, format="csr")
     lu = BandedLU(I - cfg.theta * dt * A)
     M2 = I + (1.0 - cfg.theta) * dt * A
@@ -602,7 +602,7 @@ def _dense_slow_mode(ops, p, dly, dt, resolve_limit=0.7):
     """The dense-eigensolve slow mode, kept as the reference: candidates from
     a full eig of A, then the fixed point on full eigs of A + e^{-lambda tau0} B
     with the rank-one delay matrix B = -beta g t^T built densely here."""
-    A = system_matrices(ops, p).toarray()
+    A = ops.A.toarray()
     g, t = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     g[0::2], t[0::2] = ops.omega_s_influence, ops.trace_row
     B = -p.beta * np.outer(g, t)
@@ -667,7 +667,7 @@ def test_slow_mode_state_newton_approach_is_not_a_stall(system, delay):
     ops = bl.build_operators(p, bl.Grid(n=100, L=p.L))
     _, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
     # lambda is an eigenvalue of the dense K(lambda) = A + e^{-lambda tau0} B
-    A = system_matrices(ops, p).toarray()
+    A = ops.A.toarray()
     g, t = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     g[0::2], t[0::2] = ops.omega_s_influence, ops.trace_row
     K = A - np.exp(-lam * dly.tau0) * p.beta * np.outer(g, t)
