@@ -131,7 +131,7 @@ class OperatorSet:
     B = -beta outer(omega_s_influence, trace_row) has rank one and is never
     assembled: steps apply it as a source, the slow mode as a secular
     equation.  `trace_row` holds the weights of `trace_eta_xx_L`.  A depends
-    only on the a, a1, L and alpha of `params`.
+    only on the a, a1, L and alpha of `params` (`check_params`).
     """
 
     grid: Grid
@@ -140,6 +140,12 @@ class OperatorSet:
     eta_c_influence: np.ndarray
     omega_s_influence: np.ndarray
     trace_row: np.ndarray
+
+    def check_params(self, p: SystemParams) -> None:
+        """Raise ConfigurationError unless p has the a, a1, L and alpha of A."""
+        built, given = ((q.a, q.a1, q.L, q.alpha) for q in (self.params, p))
+        if built != given:
+            raise ConfigurationError(f"operators built for (a, a1, L, alpha) {built}, not {given}")
 
 
 def trace_weights(h: float) -> np.ndarray:
@@ -171,8 +177,10 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
-    = feedback) at x=L.
+    = feedback) at x=L.  Raises ConfigurationError when g.L != p.L.
     """
+    if g.L != p.L:
+        raise ConfigurationError(f"grid length {g.L} != domain length {p.L}")
     n, h = g.n, g.h
     eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
     omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}

@@ -121,7 +121,8 @@ def constant_history(value: float) -> np.ndarray:
 
 def tau_at(dly: DelaySpec, t: float) -> tuple[float, float]:
     """Evaluate (tau(t), tau'(t)) exactly for the closed-form delay laws."""
-    if t < 0:
+    # written so that a NaN fails it
+    if not t >= 0:
         raise ConfigurationError(f"tau_at requires t >= 0, got {t}")
     if dly.form == "constant":
         return dly.tau0, 0.0
@@ -176,11 +177,13 @@ class Grid:
     L: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ConfigurationError(f"n must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ConfigurationError(
                 f"need n >= 8 interior nodes for the fifth-derivative stencil, got {self.n}")
-        if not self.L > 0:
-            raise ConfigurationError(f"domain length must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ConfigurationError(f"domain length must be positive and finite, got {self.L}")
 
     @property
     def h(self) -> float:

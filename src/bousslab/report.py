@@ -77,6 +77,8 @@ def bound_check(t: np.ndarray, E: np.ndarray, lam: float, zeta: float
     Returns (ok, max ratio of E to zeta E(0) exp(-lam t)).
     """
     E = np.asarray(E, dtype=float)
+    if E.size == 0:
+        raise ConfigurationError("bound_check needs at least one sample")
     bound = zeta * E[0] * np.exp(-lam * np.asarray(t, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bound > 0, E / bound,

@@ -116,7 +116,8 @@ def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimSta
     return SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
 
 
-def _check_dt(dt: float, dly: DelaySpec) -> None:
+def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -> None:
+    ops.check_params(p)
     if not 0 < dt < dly.tau0:
         raise ConfigurationError(
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
@@ -165,11 +166,12 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
 
 
 class Stepper:
-    """Assembled theta-scheme integrator for one (operators, config) pair."""
+    """Assembled theta-scheme integrator for one (operators, config) pair;
+    ops must be built for p's a, a1, L and alpha (`OperatorSet.check_params`)."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None):
-        _check_dt(cfg.dt, dly)
+        _check_setup(ops, p, cfg.dt, dly)
         self.ops = ops
         self.cfg = cfg
         self.p = p
@@ -285,7 +287,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t, when T is negative or not finite,
     when the arrays for its T / dt rows cannot be allocated, when rho_res < 1,
-    or when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1.
+    when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1,
+    or when `OperatorSet.check_params` fails.
     A step or monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
@@ -384,12 +387,15 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     scaled so its largest-modulus entry equals `amplitude` (real); its real
     part is the initial state.
 
-    Raises ConfigurationError when dt >= tau0 or no candidate exists, and
-    NumericalError when the coarse eigensolve or a factorization fails, or
-    when the final step, at the stop or after 12 factorizations, is above the
-    floor, the accuracy a dense eigensolve guarantees.
+    Raises ConfigurationError when amplitude is not finite, dt >= tau0 or
+    `OperatorSet.check_params` fails (all before any work) or no candidate
+    exists; NumericalError when the coarse eigensolve or a factorization
+    fails, or when the final step, at the stop or after 12 factorizations,
+    is above the floor, the accuracy a dense eigensolve guarantees.
     """
-    _check_dt(dt, dly)
+    if not np.isfinite(amplitude):
+        raise ConfigurationError(f"amplitude must be finite, got {amplitude}")
+    _check_setup(ops, p, dt, dly)
     A = ops.A
     n2 = A.shape[0]
     tau0 = dly.tau0

@@ -74,6 +74,12 @@ def test_tau_at_negative_time_rejected():
         bl.validate_params(bl.SystemParams(), bl.DelaySpec(), horizon=-1.0)
 
 
+@pytest.mark.parametrize("form", ["constant", "affine", "sinusoidal"])
+def test_tau_at_nan_time_rejected(form):
+    with pytest.raises(ConfigurationError):
+        bl.tau_at(bl.DelaySpec(form=form), float("nan"))
+
+
 @pytest.mark.parametrize("form,kwargs", [
     ("constant", {}),
     ("affine", dict(rate=0.05, M=1.0, d=0.1)),
@@ -176,6 +182,18 @@ def test_grid_invariants():
     for n, L in ((7, 1.0), (16, 0.0), (16, np.nan)):
         with pytest.raises(ConfigurationError):
             bl.Grid(n=n, L=L)
+
+
+@pytest.mark.parametrize("n, L", [(10.5, 1.0), (10.0, 1.0), (True, 1.0), ("10", 1.0),
+                                  (np.float64(10.0), 1.0), (10, np.inf), (10, -np.inf)])
+def test_grid_rejects_non_integer_n_and_infinite_L(n, L):
+    with pytest.raises(ConfigurationError):
+        bl.Grid(n=n, L=L)
+
+
+def test_grid_accepts_numpy_integers():
+    g = bl.Grid(n=np.int64(10), L=1.0)
+    assert np.array_equal(g.nodes, bl.Grid(n=10, L=1.0).nodes)
 
 
 def test_positivity_errors():

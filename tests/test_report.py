@@ -38,6 +38,11 @@ def test_bound_check():
     assert not ok and ratio > 1.0
 
 
+def test_bound_check_rejects_empty_series():
+    with pytest.raises(bl.ConfigurationError):
+        bl.bound_check(np.array([]), np.array([]), lam=0.5, zeta=1.0)
+
+
 def test_csv_roundtrip_columns():
     n = 4
     rep = bl.RunReport(t=np.linspace(0, 1, n), E=np.ones(n), V=np.ones(n),

@@ -682,6 +682,48 @@ def test_slow_mode_state_unresolvable_dt_on_both_paths():
         bl.slow_mode_state(ops, p, dly, dt=0.4)
 
 
+@pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
+def test_slow_mode_state_rejects_non_finite_amplitude(amplitude):
+    p, dly, g, ops = _setup(n=16)
+    with pytest.raises(ConfigurationError, match="amplitude"):
+        bl.slow_mode_state(ops, p, dly, dt=1e-3, amplitude=amplitude)
+
+
+@pytest.mark.parametrize("change", [dict(a=0.2), dict(a1=0.007), dict(L=1.5),
+                                    dict(alpha=0.06)])
+def test_operators_refuse_other_coefficients(change):
+    p, dly, g, ops = _setup(n=16)
+    other = bl.SystemParams(**{**ACC, **change})
+    cfg = bl.StepConfig(dt=1e-3)
+    with pytest.raises(ConfigurationError, match="operators built for"):
+        Stepper(ops, cfg, other, dly)
+    with pytest.raises(ConfigurationError, match="operators built for"):
+        bl.slow_mode_state(ops, other, dly, dt=1e-3)
+    state = bl.initial_state(p, dly, g, np.zeros(g.n), np.zeros(g.n))
+    with pytest.raises(ConfigurationError, match="operators built for"):
+        bl.run(state, 0.01, cfg, other, dly, ops)
+
+
+def test_build_operators_refuses_a_grid_of_another_length():
+    p = bl.SystemParams(**ACC)
+    with pytest.raises(ConfigurationError, match="grid length"):
+        bl.build_operators(p, bl.Grid(n=20, L=2.0))
+
+
+def test_operators_serve_other_beta_and_nonlinear_coefficients():
+    # A holds neither beta nor the nonlinear coefficients: ops built for one
+    # beta step another exactly as ops built for it
+    p, dly, g, ops = _setup(n=16, beta=5e-4)
+    other = bl.SystemParams(**{**ACC, "beta": 1e-3}, alpha_p=0.5, beta_p=0.5, rho_nl=0.5)
+    own = bl.build_operators(other, g)
+    state, _ = bl.slow_mode_state(ops, other, dly, dt=1e-3, amplitude=1e-3)
+    cfg = bl.StepConfig(dt=1e-3, nonlinear=True)
+    reports = [bl.run(state, 0.02, cfg, other, dly, o, store_fields=True) for o in (ops, own)]
+    assert reports[0].termination == "completed"
+    assert np.array_equal(reports[0].fields_eta, reports[1].fields_eta)
+    assert np.array_equal(reports[0].E, reports[1].E)
+
+
 def test_slow_mode_state_deterministic_and_normalized():
     p, dly, g, ops = _setup(n=100)
     amp = 0.37
