@@ -3,10 +3,10 @@
 The 2x2 dissipation matrix Phi controls dE/dt; adding the Lyapunov
 perturbations gives Psi, whose negative definiteness gates the choice of
 (mu1, mu2).  The certified rate is the minimum of the two bracket terms; the
-optimal mu1 is the unique crossing of the increasing bound f and the
-decreasing bound g on their common interval.  Every step of the chain is a
-closed form: a quadratic root for the crossing, a quadratic root for the
-largest mu1 keeping Psi negative definite, and a linear bound for mu2.
+optimal mu1 maximizes min(f, g) of the increasing bound f and the decreasing
+bound g on [0, N0/s].  Every step of the chain is a closed form: a quadratic
+root for mu1*, a quadratic root for the largest mu1 keeping Psi negative
+definite, and a linear bound for mu2.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CertificationError, ConfigurationError,
-                     InadmissibleGainsError, InconsistentParametersError)
+from .errors import CertificationError, ConfigurationError, InadmissibleGainsError
 from .params import DelaySpec, SystemParams
 
 
@@ -56,14 +55,13 @@ def check_gains(p: SystemParams, dly: DelaySpec) -> tuple[bool, np.ndarray, floa
     """(admissible, Phi, threshold).
 
     For beta != 0 admissibility (alpha strictly above the threshold) is
-    equivalent to Phi negative definite; for beta = 0 it degenerates to
-    alpha > 0 with Phi only negative semidefinite.
+    equivalent to Phi negative definite; for beta = 0 the threshold is 0 and
+    Phi11 = -2 a1 alpha, so it degenerates to alpha > 0 with Phi only
+    negative semidefinite.
     """
     Phi = phi_matrix(p, dly)
     thr = gain_threshold(p, dly)
-    if p.beta == 0.0:
-        return p.alpha > 0.0, Phi, thr
-    admissible = p.alpha > thr and _negative_definite(Phi, False)
+    admissible = p.alpha > thr and _negative_definite(Phi, p.beta == 0.0)
     return admissible, Phi, thr
 
 
@@ -161,29 +159,23 @@ def g_of_mu1(p: SystemParams, dly: DelaySpec, mu1: float) -> float:
 
 
 def optimal_mu1(p: SystemParams, dly: DelaySpec) -> tuple[float, float]:
-    """Root of F = f - g on [0, right endpoint], in closed form.
+    """The mu1 in [0, N0/s] that maximizes min(f, g), in closed form.
 
-    F(0) < 0 < F(right) with F strictly increasing, so the root is unique.
     With c = pi^2 (5 a1 pi^2 - 3 a L^2) / L^4, clearing the positive
-    denominators turns F = 0 into A mu1^2 + B mu1 + C = 0 with A = s ((1-d) L
-    - c M), B = c M D0 + (1-d) (s - L N0) > 0 and C = -(1-d) N0 < 0; the root
-    is -2 C / (B + sqrt(B^2 - 4 A C)), free of cancellation and valid for
-    A = 0.  Returns (mu1_star, lambda_star = f(mu1_star)).
+    denominators of f = g gives A mu1^2 + B mu1 + C = 0 with A = s ((1-d) L
+    - c M), B = c M D0 + (1-d) (s - L N0) > 0 and C = -(1-d) N0 < 0, whose
+    root -2 C / (B + sqrt(B^2 - 4 A C)) is free of cancellation and valid for
+    A = 0.  It is the f/g crossing, or N0/s when f stays below g: only at
+    beta = 0, where g = (1-d)/M and N0 = D0 makes N0/s a root.
+    Returns (mu1_star, lambda_star = f(mu1_star)).
     """
     _require_admissible(p, dly)
     _require_length_ok(p)
     N0, D0, s = _g_terms(p, dly)
-    right = N0 / s
-    if right <= 0.0:
-        raise InconsistentParametersError(
-            f"optimal-mu1 interval is empty (right endpoint {right:.6g})")
-    F_lo = f_of_mu1(p, 0.0) - g_of_mu1(p, dly, 0.0)
-    edge = right * (1.0 - 1e-14)
-    F_hi = f_of_mu1(p, edge) - g_of_mu1(p, dly, edge)
-    if not (F_lo < 0.0 < F_hi):
-        raise InconsistentParametersError(
-            f"bracket sign condition violated: F(0) = {F_lo:.6g}, "
-            f"F({right:.6g}) = {F_hi:.6g}")
+    if N0 / s <= 0.0:
+        # alpha a few ulps above the threshold: N0 rounds apart from det Phi
+        raise InadmissibleGainsError(
+            f"optimal-mu1 interval is empty (right endpoint {N0 / s:.6g})")
     one_md = 1.0 - dly.d
     cM = (math.pi ** 2 * (5.0 * p.a1 * math.pi ** 2 - 3.0 * p.a * p.L ** 2)
           / p.L ** 4 * dly.M)
@@ -274,13 +266,13 @@ class StabilityCertificate:
 def build_certificate(p: SystemParams, dly: DelaySpec) -> StabilityCertificate:
     """Full certification chain: gains -> optimal mu1 -> mu2 -> (lambda, zeta).
 
-    The f/g crossing mu1_star may sit outside the interval [0, m_max) where
-    Psi(mu1, 0) is negative definite; the certificate then uses the largest
-    mu1_star 2^-k inside it, with k read off the binary exponents.
+    mu1_star may sit outside [0, min(m_max, 1/L)), where Psi(mu1, 0) is
+    negative definite and E sandwiches V; the certificate then uses the
+    largest mu1_star 2^-k inside it, with k read off the binary exponents.
     """
     mu1_star, lam_star = optimal_mu1(p, dly)
     m_s, e_s = math.frexp(mu1_star)
-    m_m, e_m = math.frexp(_mu1_feasible_bound(p, dly))
+    m_m, e_m = math.frexp(min(_mu1_feasible_bound(p, dly), 1.0 / p.L))
     mu1 = math.ldexp(mu1_star, -max(0, e_s - e_m + (m_s >= m_m)))
     mu2 = choose_mu2(p, dly, mu1)
     lam, zeta, info = decay_constants(p, dly, mu1, mu2)

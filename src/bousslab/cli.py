@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import (StabilityCertificate, build_certificate, check_gains,
-                          f_of_mu1, g_of_mu1, mu1_interval_right, optimal_mu1)
+from .certificate import (build_certificate, check_gains, f_of_mu1, g_of_mu1,
+                          mu1_interval_right, optimal_mu1)
 from .config import (RunSettings, initial_profile, parse_config, profile_spec,
                      serialize_config)
 from .energy import dissipation_residual, kato_identity_residual
 from .errors import (BousslabError, CertificationError, ConfigurationError,
-                     InadmissibleGainsError, InconsistentParametersError)
+                     InadmissibleGainsError)
 from .mms import convergence_study
 from .operators import build_operators
 from .params import DelaySpec, Grid, SystemParams, validate_params
@@ -50,14 +50,6 @@ def _load(args):
     return p, dly, grid, runset
 
 
-def _try_certificate(p, dly) -> StabilityCertificate | None:
-    try:
-        return build_certificate(p, dly)
-    except (InadmissibleGainsError, CertificationError,
-            InconsistentParametersError):
-        return None
-
-
 def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     """Shared orchestration for `simulate` and per-point sweep simulation.
 
@@ -67,7 +59,10 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     if not vrep.ok:
         raise ConfigurationError(
             "validation failed:\n" + "\n".join(c.message for c in vrep.errors))
-    cert = _try_certificate(p, dly)
+    try:
+        cert = build_certificate(p, dly)
+    except (InadmissibleGainsError, CertificationError):
+        cert = None
     ops = build_operators(p, grid)
     mu1 = cert.mu1 if (runset.mu1 == "auto" and cert) else (
         0.0 if runset.mu1 == "auto" else float(runset.mu1))

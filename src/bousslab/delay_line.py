@@ -248,12 +248,6 @@ class HistoryLine:
         return float(out) if t_arr.ndim == 0 else out
 
 
-def delayed_trace(h: HistoryLine, dly: DelaySpec, t: float) -> float:
-    """Trace value at t - tau(t)."""
-    tau, _ = tau_at(dly, t)
-    return float(h.query(t - tau))
-
-
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:
     """z[j] = trace at t - tau(t) * j/m for j = 0..m (rho_j = j/m)."""
     rho = _rho_nodes(m)

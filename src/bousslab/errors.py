@@ -40,7 +40,3 @@ class CertificationError(BousslabError):
 
 class InadmissibleGainsError(BousslabError):
     """Feedback gains violate the admissibility constraint."""
-
-
-class InconsistentParametersError(BousslabError):
-    """The rate-optimization bracket has the wrong signs for these parameters."""

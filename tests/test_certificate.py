@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.certificate import _negative_definite, mu1_interval_right, zeta_overshoot
-from bousslab.errors import (CertificationError, ConfigurationError,
-                             InadmissibleGainsError, InconsistentParametersError)
+from bousslab.certificate import (_negative_definite, gain_threshold, mu1_interval_right,
+                                  zeta_overshoot)
+from bousslab.errors import CertificationError, ConfigurationError, InadmissibleGainsError
 
 P_EX = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=2.0, beta=1.0)
 D_EX = bl.DelaySpec(tau0=0.5, M=1.0, d=0.0)
@@ -285,19 +285,42 @@ def test_closed_form_certificate_matches_search_oracle():
 
 
 def test_closed_form_certificate_beta_zero():
-    # g is the constant (1-d)/M here, so draws with f(right) below it have
-    # no crossing and are refused
+    # g is the constant (1-d)/M here: mu1* is where f reaches it, or the right
+    # end N0/s when f stays below it, and every draw certifies
     rng = np.random.default_rng(5)
-    hits = 0
     for _ in range(200):
         p, dly = _admissible_draw(rng, beta_zero=True)
-        try:
-            cert = bl.build_certificate(p, dly)
-        except InconsistentParametersError:
-            continue
-        hits += 1
+        cert = bl.build_certificate(p, dly)
+        grid = np.linspace(0.0, mu1_interval_right(p, dly), 201)
+        low = [min(bl.f_of_mu1(p, m), bl.g_of_mu1(p, dly, m)) for m in grid.tolist()]
+        assert abs(cert.mu1_star - grid[np.argmax(low)]) <= grid[1], (p, dly)
         assert cert.mu2 == 0.99
         assert cert.mu1 == _oracle_pair(p, dly, cert.mu1_star)[0], (p, dly)
-        assert cert.psi[0, 0] < 0.0
+        assert cert.psi[0, 0] < 0.0 and cert.mu1 * p.L < 1.0
         assert 0.0 < cert.lam <= cert.lam_star + 1e-12 and cert.zeta >= 1.0
-    assert hits >= 50
+
+
+def test_beta_zero_with_alpha_equal_to_a1_keeps_mu1_below_one_over_L():
+    # f stays below g = (1-d)/M, so mu1* = N0/s = 2 a1 alpha / (L (a1^2 +
+    # alpha^2)), which is 1/L at alpha = a1 (here to the last bit): the
+    # certificate halves it, where mu1 L = 1 would refuse the sandwich
+    a1 = 0.5
+    Lmax = math.pi * math.sqrt(5 * a1 / 3)
+    p = bl.SystemParams(a=1.0, a1=a1, L=0.999 * Lmax, alpha=a1, beta=0.0)
+    cert = bl.build_certificate(p, bl.DelaySpec(tau0=0.5, M=5.0, d=0.0))
+    assert cert.mu1_star * p.L == 1.0
+    assert cert.mu1 == cert.mu1_star / 2 and cert.zeta == zeta_overshoot(p, 0.0, 0.99)
+
+
+def test_empty_mu1_interval_is_inadmissible():
+    # alpha a few ulps above the threshold passes check_gains, whose det Phi
+    # rounds apart from N0 = det Phi / |beta|, and N0 <= 0 empties [0, N0/s]
+    p = bl.SystemParams(a=1.0, a1=0.6, L=1.0, alpha=1.0, beta=0.05)
+    dly = bl.DelaySpec(tau0=0.3, M=2.0, d=0.8)
+    alpha = gain_threshold(p, dly)
+    while not bl.check_gains(replace(p, alpha=alpha), dly)[0]:
+        alpha = math.nextafter(alpha, math.inf)
+    p = replace(p, alpha=alpha)
+    assert mu1_interval_right(p, dly) <= 0.0
+    with pytest.raises(InadmissibleGainsError, match="interval is empty"):
+        bl.build_certificate(p, dly)

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -62,12 +63,19 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
 
 
-def test_check_without_crossing_is_inadmissible(tmp_path, capsys):
+def _printed(out, key):
+    return next(line.split(" = ", 1)[1] for line in out.splitlines()
+                if line.startswith(key + " = "))
+
+
+def test_check_beta_zero_without_crossing_takes_the_interval_end(tmp_path, capsys):
     # beta = 0 with M = 2: f never reaches g = 1/M on the interval, so the
-    # certificate has no crossing; the command reports it instead of raising
+    # best mu1 is the interval's right end
     cfg = GOOD.replace("beta = 0.0005", "beta = 0.0")
-    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
-    assert "bracket sign condition violated" in capsys.readouterr().err
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 0
+    out = capsys.readouterr().out
+    right = json.loads(_printed(out, "mu1_interval"))[1]
+    assert abs(float(_printed(out, "mu1_star")) - right) <= 1e-12 * right
 
 
 @pytest.mark.parametrize("command", ["check", "optimize-rate"])
@@ -445,6 +453,15 @@ def test_optimize_rate_beta_zero(tmp_path, capsys):
     rows = [line.split(",") for line in lines[lines.index("mu1,f,g") + 1:-2]]
     assert len(rows) == 21
     assert all(float(g) == 1.0 / 200.0 for _, _, g in rows)
+
+
+def test_optimize_rate_beta_zero_without_crossing(tmp_path, capsys):
+    # f stays below g = 1/M, so mu1* is the table's last mu1
+    cfg = GOOD.replace("beta = 0.0005", "beta = 0.0")
+    assert main(["optimize-rate", "--config", _write(tmp_path, cfg)]) == 0
+    out = capsys.readouterr().out
+    last_row = out.splitlines()[-3]
+    assert last_row.split(",")[0] == "%.8g" % float(_printed(out, "mu1_star"))
 
 
 @pytest.mark.parametrize("levels", ["1", "0"])

@@ -44,7 +44,7 @@ def test_stored_samples_exact():
 def test_delayed_trace_constant_history():
     dly = bl.DelaySpec(tau0=0.3, M=0.3, d=0.0)
     h = _line(np.linspace(-0.3, 1.0, 50), np.full(50, 2.5), M=0.3)
-    assert abs(bl.delayed_trace(h, dly, 0.9) - 2.5) < 1e-14
+    assert abs(h.query(0.9 - bl.tau_at(dly, 0.9)[0]) - 2.5) < 1e-14
 
 
 def test_delayed_trace_affine_data_exact():
@@ -52,21 +52,21 @@ def test_delayed_trace_affine_data_exact():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     t = np.linspace(-0.5, 2.0, 26)
     h = _line(t, t)
-    assert abs(bl.delayed_trace(h, dly, 2.0) - 1.5) < 1e-14
+    assert abs(h.query(2.0 - bl.tau_at(dly, 2.0)[0]) - 1.5) < 1e-14
 
 
 def test_delayed_trace_sin_accuracy():
     dly = bl.DelaySpec(tau0=0.3, M=0.3, d=0.0)
     t = np.arange(-0.3, 1.0 + 1e-12, 1e-3)
     h = _line(t, np.sin(t), M=0.3)
-    assert abs(bl.delayed_trace(h, dly, 1.0) - np.sin(0.7)) < 1e-6
+    assert abs(h.query(1.0 - bl.tau_at(dly, 1.0)[0]) - np.sin(0.7)) < 1e-6
 
 
 def test_underrun_raises():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     h = _line([-0.1, 0.0], [0.0, 0.0])
     with pytest.raises(HistoryUnderrunError):
-        bl.delayed_trace(h, dly, 0.0)   # needs t = -0.5
+        h.query(0.0 - bl.tau_at(dly, 0.0)[0])   # needs t = -0.5
 
 
 def test_z_profile_zero():
@@ -90,7 +90,7 @@ def test_z_profile_endpoint_identities():
     h = _line(t, np.cos(2 * t), M=0.4)
     zp = bl.z_profile(h, dly, 1.2, 16)
     assert abs(zp[0] - h.query(1.2)) < 1e-14
-    assert abs(zp[-1] - bl.delayed_trace(h, dly, 1.2)) < 1e-14
+    assert abs(zp[-1] - h.query(1.2 - bl.tau_at(dly, 1.2)[0])) < 1e-14
 
 
 def test_transport_residual_trivial_cases():
