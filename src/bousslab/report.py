@@ -43,14 +43,26 @@ class RunReport:
         return "\n".join([",".join(CSV_COLUMNS)] + [line % tuple(r) for r in rows]) + "\n"
 
 
+def _series(t: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and E as float arrays; ConfigurationError unless their shapes match
+    and they hold a sample."""
+    t = np.asarray(t, dtype=float)
+    E = np.asarray(E, dtype=float)
+    if t.shape != E.shape:
+        raise ConfigurationError(
+            f"t and E differ in length: {t.size} times, {E.size} energies")
+    if E.size == 0:
+        raise ConfigurationError("t and E hold no samples")
+    return t, E
+
+
 def fit_decay(t: np.ndarray, E: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log E over the final half of the run.
 
     Returns (lambda_obs, r2).  Nonpositive energies truncate the fit window
     with a warning (numerical underflow guard).
     """
-    t = np.asarray(t, dtype=float)
-    E = np.asarray(E, dtype=float)
+    t, E = _series(t, E)
     t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
     sel = t >= t0
     ts, Es = t[sel], E[sel]
@@ -76,10 +88,8 @@ def bound_check(t: np.ndarray, E: np.ndarray, lam: float, zeta: float
 
     Returns (ok, max ratio of E to zeta E(0) exp(-lam t)).
     """
-    E = np.asarray(E, dtype=float)
-    if E.size == 0:
-        raise ConfigurationError("bound_check needs at least one sample")
-    bound = zeta * E[0] * np.exp(-lam * np.asarray(t, dtype=float))
+    t, E = _series(t, E)
+    bound = zeta * E[0] * np.exp(-lam * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bound > 0, E / bound,
                           np.where(E <= 0, 0.0, np.inf))

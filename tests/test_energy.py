@@ -362,3 +362,25 @@ def test_energy_rate_obeys_the_certified_bound(sine_ladder, acc_params):
     for rep, dE, rows in sine_ladder:
         q = np.array([rep.trace_now[rows], rep.trace_delayed[rows]])
         assert np.all(dE <= 0.5 * np.sum(q * (Phi @ q), axis=0))
+
+
+@pytest.mark.parametrize("law", [
+    SINE_DELAY, dict(form="affine", tau0=0.5, rate=0.3, M=0.7, d=0.3)],
+    ids=["sinusoidal", "affine"])
+def test_certified_decay_under_a_time_varying_delay(acc_params, acc_delay, law):
+    # the decay theorem with each law's own certificate: the bound, monotone
+    # energy and dV/dt + lam V <= 0 (bound ratio about 0.63, and the largest
+    # (dV/dt + lam V) / V about -0.09, on both laws)
+    dly = bl.DelaySpec(**law)
+    cert = bl.build_certificate(acc_params, dly)
+    dt = 2e-3
+    ops = bl.build_operators(acc_params, bl.Grid(n=100, L=acc_params.L))
+    state, _ = bl.slow_mode_state(ops, acc_params, acc_delay, dt=dt)
+    rep = bl.run(state, 3.0, bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt)),
+                 acc_params, dly, ops, rho_res=2048, mu1=cert.mu1, mu2=cert.mu2)
+    assert rep.termination == "completed"
+    ok, ratio = bl.bound_check(rep.t, rep.E, cert.lam, cert.zeta)
+    assert ok, ratio
+    assert np.all(np.diff(rep.E) <= 0.0)
+    dV = (rep.V[2:] - rep.V[:-2]) / (2.0 * dt)
+    assert np.all(dV + cert.lam * rep.V[1:-1] <= 0.0)

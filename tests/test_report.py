@@ -43,6 +43,14 @@ def test_bound_check_rejects_empty_series():
         bl.bound_check(np.array([]), np.array([]), lam=0.5, zeta=1.0)
 
 
+def test_fits_refuse_mismatched_or_empty_series():
+    for fit in (bl.fit_decay, lambda t, E: bl.bound_check(t, E, 1.0, 1.0)):
+        with pytest.raises(bl.ConfigurationError, match="3 times, 2 energies"):
+            fit(np.arange(3.0), np.ones(2))
+        with pytest.raises(bl.ConfigurationError, match="no samples"):
+            fit(np.array([]), np.array([]))
+
+
 def test_csv_roundtrip_columns():
     n = 4
     rep = bl.RunReport(t=np.linspace(0, 1, n), E=np.ones(n), V=np.ones(n),
