@@ -69,7 +69,7 @@ def _require_admissible(p: SystemParams, dly: DelaySpec) -> None:
     admissible, _, thr = check_gains(p, dly)
     if not admissible:
         raise InadmissibleGainsError(
-            f"alpha = {p.alpha} is not above the threshold {thr:.6g}")
+            f"alpha = {p.alpha} is not above the threshold {thr!r}")
 
 
 def _require_length_ok(p: SystemParams) -> None:

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .params import DelaySpec, Grid, SystemParams, constant_history
-from .stepping import suggested_theta
 
 
 @dataclass(frozen=True)
@@ -19,20 +18,12 @@ class RunSettings:
 
     T: float = 5.0
     dt: float = 1e-3
-    theta: float | str = "auto"      # "auto" -> suggested_theta(dt) = 1/2 + 2 dt
     nonlinear: bool = False
     rho_res: int = 64
-    mu1: float | str = "auto"        # "auto" -> certificate's optimal value
-    mu2: float | str = "auto"
     eta0: str = "cubic 1.0"
     omega0: str = "quartic 1.0"
     seed: int = 0
     store_fields: bool = False
-
-    def resolve_theta(self) -> float:
-        if self.theta == "auto":
-            return suggested_theta(self.dt)
-        return float(self.theta)
 
 
 def _parse_history(text: str) -> np.ndarray:
@@ -54,7 +45,7 @@ def _history_to_text(values: np.ndarray) -> str:
     if np.all(values == 0.0):
         return "zero"
     if np.all(values == values.flat[0]):
-        return f"constant {values.flat[0]!r}"
+        return "constant %.17g" % values.flat[0]
     return " ".join("%.17g" % v for v in values)
 
 
@@ -172,9 +163,6 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
         if "history" in dly_kwargs:
             dly_kwargs["history"] = _parse_history(dly_kwargs["history"])
         run_kwargs = section("run", RunSettings)
-        for key in ("theta", "mu1", "mu2"):
-            if key in run_kwargs and run_kwargs[key] != "auto":
-                run_kwargs[key] = float(run_kwargs[key])
         grid_items = dict(cp.items("grid")) if cp.has_section("grid") else {}
         unknown = sorted(grid_items.keys() - {"n"})
         if unknown:

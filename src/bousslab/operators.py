@@ -171,9 +171,26 @@ def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> np.ndarray | float:
     return omega[..., :3] @ trace_weights(g.h)[::-1]
 
 
+def _interleaved(M, rows: bool, cols: bool) -> sp.csr_matrix:
+    """M, assembled in (eta, omega) block form, with its rows and/or columns moved
+    to the interleaved layout (eta_1, omega_1, eta_2, ...), in canonical CSR without
+    explicit zeros: of 2m indices, block index k goes to 2k for k < m, else 2(k - m) + 1."""
+    M = sp.coo_matrix(M)
+    r, c = M.row, M.col
+    if rows:
+        r = np.arange(M.shape[0]).reshape(-1, 2).T.ravel()[r]
+    if cols:
+        c = np.arange(M.shape[1]).reshape(-1, 2).T.ravel()[c]
+    out = sp.csr_matrix((M.data, (r, c)), shape=M.shape)
+    out.eliminate_zeros()
+    return out
+
+
 def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     """Assemble P = D1 + a D3 + a1 D5 for both unknowns, the feedback
-    influence channels and the interleaved system operator A from them.
+    influence channels and the system operator A from them: in (eta, omega)
+    block form [[-alpha outer(g_s, T), -P_omega], [-P_eta, 0]], then
+    interleaved (`_interleaved`).
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
@@ -188,17 +205,11 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     def combine(parts, k):
         return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
 
-    Pe, Po = combine(eta, 0).tocoo(), combine(omega, 0).tocoo()
     g_s = combine(omega, 2)
     T = np.concatenate([np.zeros(n - 3), trace_weights(h)])
-    # eta' rows: -Po on the omega columns, -alpha outer(g_s, T) on the eta
-    # columns of the three trace nodes; omega' rows: -Pe on the eta columns
-    ie = 2 * np.arange(n)
-    rows = np.concatenate([ie[Po.row], ie[Pe.row] + 1, np.repeat(ie, 3)])
-    cols = np.concatenate([ie[Po.col] + 1, ie[Pe.col], np.tile(ie[-3:], n)])
-    vals = np.concatenate([-Po.data, -Pe.data, (-p.alpha * np.outer(g_s, T[-3:])).ravel()])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
-    A.eliminate_zeros()
+    feedback = -p.alpha * (sp.csr_matrix(g_s[:, None]) @ sp.csr_matrix(T))
+    A = _interleaved(sp.bmat([[feedback, -combine(omega, 0)], [-combine(eta, 0), None]]),
+                     rows=True, cols=True)
     return OperatorSet(grid=g, params=p, A=A, eta_c_influence=combine(eta, 1),
                        omega_s_influence=g_s, trace_row=T)
 

@@ -24,8 +24,8 @@ from .energy import energy_sample
 from .delay_line import HistoryLine
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
-from .operators import (BandedLU, OperatorSet, build_operators, derivative_matrix,
-                        trace_eta_xx_L)
+from .operators import (BandedLU, OperatorSet, _interleaved, build_operators,
+                        derivative_matrix, trace_eta_xx_L)
 from .params import DelaySpec, Grid, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
@@ -134,35 +134,18 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
     right-hand side on the interior rows,
         eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
         omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
-    so the pointwise omega terms are scaled identity blocks.
+    so the pointwise omega terms are scaled identity blocks.  Both are built in
+    (eta, omega) block form on the full grid, interleaved (`_interleaved`) and cut
+    to the interior nodes, columns (rows) 2..2n+1: the zero boundary values drop out.
     """
     N = n + 2
     I = sp.identity(N, format="csr")
     D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
-
-    def entries(blocks, transpose):
-        """(stacked, interleaved, value) triplets of each block (operator,
-        parity), restricted to the interior columns (the interior rows when
-        transposed); parity 0 is eta, 1 is omega."""
-        stacked, inter, vals = [], [], []
-        for b, (op, parity) in enumerate(blocks):
-            op = op.tocoo()
-            r, c = (op.col, op.row) if transpose else (op.row, op.col)
-            keep = (c >= 1) & (c <= n)
-            stacked.append(b * N + r[keep])
-            inter.append(2 * (c[keep] - 1) + parity)
-            vals.append(op.data[keep])
-        return np.concatenate(stacked), np.concatenate(inter), np.concatenate(vals)
-
-    # the zero boundary values drop out with the boundary columns
-    gi, gj, gv = entries([(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)], False)
-    cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2 - I, 1),
-                          (-D1, 1), (p.beta_p * I, 1), (p.rho_nl * I, 1)], True)
-    G = sp.csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
-    C = sp.csr_matrix((cv, (ci, cj)), shape=(2 * n, 6 * N))
-    G.eliminate_zeros()
-    C.eliminate_zeros()
-    return G, C
+    G = sp.bmat([[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]])
+    C = sp.bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
+                 [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
+    return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
+            _interleaved(C, rows=True, cols=False)[2:-2])
 
 
 class Stepper:

@@ -1,14 +1,17 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bousslab
+from bousslab.certificate import gain_threshold
 from bousslab.cli import main
 
 from conftest import failing_solve
@@ -61,6 +64,39 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", _write(tmp_path, nan_gain)]) == 3
     assert "alpha must be finite" in capsys.readouterr().err
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
+
+
+def _empty_interval_alpha():
+    """An alpha a few ulps above the threshold whose optimal-mu1 interval is
+    empty (`test_empty_mu1_interval_is_inadmissible`)."""
+    p = bousslab.SystemParams(a=1.0, a1=0.6, L=1.0, alpha=1.0, beta=0.05)
+    dly = bousslab.DelaySpec(tau0=0.3, M=2.0, d=0.8)
+    alpha = gain_threshold(p, dly)
+    while not bousslab.check_gains(replace(p, alpha=alpha), dly)[0]:
+        alpha = math.nextafter(alpha, math.inf)
+    return alpha
+
+
+EMPTY_INTERVAL = (GOOD.replace("a = 0.1\na1 = 0.0065", "a = 1.0\na1 = 0.6")
+                  .replace("beta = 0.0005", "beta = 0.05")
+                  .replace("tau0 = 0.5", "tau0 = 0.3").replace("d = 0.0", "d = 0.8"))
+
+
+@pytest.mark.parametrize("case", ["below-threshold", "L-out-of-range", "empty-interval"])
+def test_check_inadmissible_is_one_line(tmp_path, capsys, case):
+    # every refusal of the certificate is exit 2 with one `inadmissible:` line
+    cfg, reason = {"below-threshold": (INADMISSIBLE, "not above the threshold"),
+                   "L-out-of-range": (UNCERTIFIED_L, "certification refused"),
+                   "empty-interval": (EMPTY_INTERVAL.replace(
+                       "alpha = 0.05", f"alpha = {_empty_interval_alpha()!r}"),
+                       "interval is empty")}[case]
+    assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    lines = [line for line in captured.out.splitlines() if line.startswith("inadmissible:")]
+    assert len(lines) == 1 and reason in lines[0]
+    assert captured.out.splitlines()[-1] == lines[0] and captured.err == ""
+    if case == "below-threshold":   # the threshold in full, not to 6 digits
+        assert repr(gain_threshold(*bousslab.parse_config(cfg)[:2])) in lines[0]
 
 
 def _printed(out, key):
@@ -135,13 +171,46 @@ def test_simulate_flag_overrides(tmp_path):
     assert len(rows) - 1 == int(np.floor(0.1 / 0.002)) + 1
 
 
-def test_simulate_rejects_out_of_range_multipliers(tmp_path, capsys):
-    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nmu1 = 5.0\nmu2 = 3.0")
+@pytest.mark.parametrize("key", ["theta", "mu1", "mu2"])
+def test_simulate_rejects_theta_and_multiplier_keys(tmp_path, capsys, key):
+    # theta is suggested_theta(dt) and (mu1, mu2) the certificate's: none is a setting
+    cfg = GOOD.replace("omega0 = quartic 0.1", f"omega0 = quartic 0.1\n{key} = 0.5")
     out = tmp_path / "outmu"
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--horizon", "0.05", "--n", "32"]) == 1
-    assert "simulation error" in capsys.readouterr().err
-    assert not (out / "timeseries.csv").exists()
+                 "--horizon", "0.05", "--n", "32"]) == 3
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_nonlinear_flag(tmp_path):
+    out = tmp_path / "outnl"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 "--nonlinear", "--horizon", "0.05", "--n", "32"]) == 0
+    assert "nonlinear = True" in (out / "summary.txt").read_text()
+
+
+def test_simulate_seed_flag(tmp_path):
+    # random initial data: the seed picks it, and one seed gives the same bytes
+    cfg = _write(tmp_path, GOOD.replace("eta0 = cubic 0.1", "eta0 = random 0.1"))
+
+    def series(seed, name):
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed,
+                     "--horizon", "0.05", "--n", "32"]) == 0
+        return (out / "timeseries.csv").read_bytes()
+
+    first = series("1", "a")
+    assert series("1", "b") == first
+    assert series("2", "c") != first
+
+
+def test_simulate_store_fields_reports_kato(tmp_path):
+    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nstore_fields = true")
+    out = tmp_path / "outkato"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--horizon", "0.05", "--n", "32"]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "kato_residual = " in summary and "kato_C_L = " in summary
 
 
 def test_simulate_rejects_rho_res_below_one_without_delay(tmp_path, capsys):
@@ -257,7 +326,7 @@ def test_simulate_rerun_creates_new_files(tmp_path):
 
 @pytest.mark.parametrize("second, code, left", [
     (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
-    (GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nmu2 = 1.0"), 1, []),
+    (GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 0"), 1, []),
 ], ids=["uncertified", "refused"])
 def test_simulate_rerun_leaves_no_earlier_output(tmp_path, second, code, left):
     # a certified run, then one without a certificate or refused before its
@@ -471,6 +540,14 @@ def test_convergence_needs_two_levels(capsys, levels):
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and "levels" in captured.err
     assert "orders" not in captured.out
+
+
+def test_convergence_two_levels(capsys):
+    assert main(["convergence", "--levels", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,dt,error" and len(lines) == 4
+    assert all(len(row.split(",")) == 3 for row in lines[1:3])
+    assert lines[3].startswith("orders: ") and float(lines[3].split()[1]) >= 1.9
 
 
 def test_convergence_reports_a_failed_run(capsys, monkeypatch):

@@ -28,7 +28,6 @@ n = 64
 [run]
 T = 1.0
 dt = 0.001
-theta = auto
 eta0 = cubic 1.0
 omega0 = quartic 1.0
 """
@@ -39,8 +38,7 @@ def test_parse_sample():
     assert p.a == 0.1 and p.a1 == 0.0065 and p.L == 1.0
     assert dly.tau0 == 0.5 and dly.M == 2.0
     assert grid.n == 64
-    assert run.T == 1.0 and run.theta == "auto"
-    assert run.resolve_theta() == 0.5 + 2.0 * run.dt
+    assert run.T == 1.0 and run.dt == 0.001
 
 
 def test_round_trip_semantically_identical():
@@ -79,7 +77,8 @@ def test_unknown_section_rejected(name):
 
 @pytest.mark.parametrize("key, value", [
     ("startup_steps", "4"), ("picard_iters", "30"), ("picard_tol", "1e-12"),
-    ("kappa", "2.0"), ("fit_window", "0.5"), ("bound_slack", "0.02")])
+    ("kappa", "2.0"), ("fit_window", "0.5"), ("bound_slack", "0.02"),
+    ("theta", "auto"), ("mu1", "auto"), ("mu2", "0.5")])
 def test_removed_run_keys_rejected(key, value):
     with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
         parse_config(SAMPLE + f"{key} = {value}\n")
@@ -88,14 +87,22 @@ def test_removed_run_keys_rejected(key, value):
 def test_round_trip_every_run_field():
     # a non-default value for every [run] field survives serialize -> parse
     p, dly, grid, run = parse_config(SAMPLE)
-    changed = RunSettings(T=2.5, dt=5e-4, theta=0.625, nonlinear=True,
-                          rho_res=128, mu1=0.25, mu2=0.5, eta0="sine 1.0 2",
-                          omega0="gauss 0.5 0.3 0.1", seed=7, store_fields=True)
+    changed = RunSettings(T=2.5, dt=5e-4, nonlinear=True, rho_res=128,
+                          eta0="sine 1.0 2", omega0="gauss 0.5 0.3 0.1", seed=7,
+                          store_fields=True)
     defaults = RunSettings()
     assert all(getattr(changed, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(RunSettings))
     run2 = parse_config(serialize_config(p, dly, grid, changed))[3]
     assert run2 == changed
+
+
+@pytest.mark.parametrize("history", ["zero", "constant 0.3", "0.7", "0.1 0.5 -0.2"])
+def test_history_round_trip(history):
+    # every history form serialize_config writes parses back to the same samples
+    parsed = parse_config(SAMPLE.replace("history = zero", f"history = {history}"))
+    dly2 = parse_config(serialize_config(*parsed))[1]
+    assert np.array_equal(dly2.history, parsed[1].history)
 
 
 def test_malformed_rejected():

@@ -97,6 +97,73 @@ def test_system_matrices_match_dense_oracle(n):
         assert np.array_equal(getattr(ops.A, attr), getattr(A_ref, attr)), attr
 
 
+def _triplet_A(p, g):
+    """A assembled from interleaved (row, column, value) triplets, the way
+    it was before the block form: the reference for its stored arrays."""
+    n, h = g.n, g.h
+    eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
+    omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}
+
+    def combine(parts, k):
+        return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
+
+    Pe, Po = combine(eta, 0).tocoo(), combine(omega, 0).tocoo()
+    g_s = combine(omega, 2)
+    T = trace_weights(h)
+    ie = 2 * np.arange(n)
+    rows = np.concatenate([ie[Po.row], ie[Pe.row] + 1, np.repeat(ie, 3)])
+    cols = np.concatenate([ie[Po.col] + 1, ie[Pe.col], np.tile(ie[-3:], n)])
+    vals = np.concatenate([-Po.data, -Pe.data, (-p.alpha * np.outer(g_s, T)).ravel()])
+    A = csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    A.eliminate_zeros()
+    return A
+
+
+def _triplet_G_C(n, h, p):
+    """G and C of `nonlinear_matrices` from interleaved triplets, the way
+    they were before the block form."""
+    N = n + 2
+    I = identity(N, format="csr")
+    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
+
+    def entries(blocks, transpose):
+        stacked, inter, vals = [], [], []
+        for b, (op, odd) in enumerate(blocks):
+            op = op.tocoo()
+            r, c = (op.col, op.row) if transpose else (op.row, op.col)
+            keep = (c >= 1) & (c <= n)
+            stacked.append(b * N + r[keep])
+            inter.append(2 * (c[keep] - 1) + odd)
+            vals.append(op.data[keep])
+        return np.concatenate(stacked), np.concatenate(inter), np.concatenate(vals)
+
+    gi, gj, gv = entries([(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)], False)
+    cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2 - I, 1),
+                          (-D1, 1), (p.beta_p * I, 1), (p.rho_nl * I, 1)], True)
+    G = csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
+    C = csr_matrix((cv, (ci, cj)), shape=(2 * n, 6 * N))
+    G.eliminate_zeros()
+    C.eliminate_zeros()
+    return G, C
+
+
+@pytest.mark.parametrize("n", [24, 50, 101, 200, 203, 403])
+def test_block_assembly_matches_triplet_oracle(n):
+    # A, G and C are assembled in (eta, omega) block form and interleaved
+    # once: the stored arrays equal the triplet assembly's bit for bit
+    for p in (bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4,
+                              alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25),
+              bl.SystemParams(alpha=0.0)):
+        g = bl.Grid(n=n, L=L)
+        pairs = zip((bl.build_operators(p, g).A, *nonlinear_matrices(n, g.h, p)),
+                    (_triplet_A(p, g), *_triplet_G_C(n, g.h, p)))
+        for M, ref in pairs:
+            assert M.shape == ref.shape and M.has_canonical_format
+            for attr in ("indptr", "indices", "data"):
+                ours, theirs = getattr(M, attr), getattr(ref, attr)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), attr
+
+
 def test_quartic_exact_with_curvature_channels():
     # fifth derivative of x^2(L-x)^2 vanishes; with the curvature data fed
     # through the closure channels the discrete operator reproduces it exactly

@@ -529,6 +529,37 @@ def test_picard_cap_ends_the_run(monkeypatch, caplog):
     assert "did not reach tol=0.0 within 30 iterations" in caplog.text
 
 
+def test_energy_blowup_ends_the_run_unstable():
+    # alpha < 0 pumps energy in at x = L: the run stops at the first row
+    # whose energy passes 1e6 E0, and keeps it
+    p = bl.SystemParams(**{**ACC, "alpha": -0.05, "beta": 0.0})
+    dly = bl.DelaySpec(**ACC_DELAY)
+    g = bl.Grid(n=64, L=p.L)
+    state = bl.initial_state(p, dly, g, bl.initial_profile("cubic 1.0", g.nodes, p.L),
+                             bl.initial_profile("quartic 1.0", g.nodes, p.L))
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
+    rep = bl.run(state, 20.0, cfg, p, dly, bl.build_operators(p, g))
+    assert rep.termination == "unstable" and rep.n_rows == 525
+    assert rep.E[-1] > 1e6 * rep.E[0] >= rep.E[-2]
+
+
+def test_non_finite_picard_iterate_ends_the_run(monkeypatch, caplog):
+    # the second solve of the first step returns NaN: the run stops with
+    # the cause named, before any row past the first
+    p, dly, g, ops, cfg, state = _oracle_setup(True, 50, 1e-3)
+    real, calls = BandedLU.solve, [0]
+
+    def solve(self, rhs):
+        calls[0] += 1
+        return real(self, rhs) * (np.nan if calls[0] > 1 else 1.0)
+
+    monkeypatch.setattr(BandedLU, "solve", solve)
+    caplog.set_level(logging.INFO, logger="bousslab.stepping")
+    rep = bl.run(state, 0.08, cfg, p, dly, ops)
+    assert rep.termination == "nonlinear_divergence" and rep.n_rows == 1
+    assert calls[0] == 2 and "nonlinear iterate is not finite" in caplog.text
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_refuses_a_non_finite_state(bad):
     p, dly, g, ops = _setup(n=16)
