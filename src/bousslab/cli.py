@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import (build_certificate, check_gains, f_of_mu1, g_of_mu1,
+from .certificate import (build_certificate, f_of_mu1, g_of_mu1, gain_threshold,
                           mu1_interval_right, optimal_mu1)
 from .config import (RunSettings, initial_profile, parse_config, profile_spec,
                      serialize_config)
@@ -50,6 +50,15 @@ def _load(args):
     return p, dly, grid, runset
 
 
+def _certificate_or_none(p: SystemParams, dly: DelaySpec):
+    """The certificate, or None when the gains are inadmissible or L is out
+    of the certification range."""
+    try:
+        return build_certificate(p, dly)
+    except (InadmissibleGainsError, CertificationError):
+        return None
+
+
 def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     """Shared orchestration for `simulate` and per-point sweep simulation.
 
@@ -59,10 +68,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
     if not vrep.ok:
         raise ConfigurationError(
             "validation failed:\n" + "\n".join(c.message for c in vrep.errors))
-    try:
-        cert = build_certificate(p, dly)
-    except (InadmissibleGainsError, CertificationError):
-        cert = None
+    cert = _certificate_or_none(p, dly)
     ops = build_operators(p, grid)
     mu1, mu2 = (cert.mu1, cert.mu2) if cert is not None else (0.0, 0.0)
 
@@ -78,8 +84,7 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
 
     cfg = StepConfig(dt=runset.dt, theta=suggested_theta(runset.dt),
                      nonlinear=runset.nonlinear)
-    rep = run(state, runset.T, cfg, p, dly, ops,
-              rho_res=runset.rho_res, mu1=mu1, mu2=mu2,
+    rep = run(state, runset.T, cfg, p, dly, ops, mu1=mu1, mu2=mu2,
               store_fields=runset.store_fields)
 
     extras = {"certified": cert is not None}
@@ -164,16 +169,16 @@ def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
                 dly = replace(dly, **{name: v})
         if p.L != grid.L:
             grid = Grid(n=grid.n, L=p.L)
-        admissible, _, thr = check_gains(p, dly)
-        row["admissible"] = admissible
-        row["threshold"] = thr
-        if task in ("certify", "both") and admissible and p.length_ok:
-            cert = build_certificate(p, dly)
+        row["threshold"] = gain_threshold(p, dly)
+        # admissible means certified, as in `check`
+        cert = _certificate_or_none(p, dly)
+        row["admissible"] = cert is not None
+        if task in ("certify", "both") and cert is not None:
             row["mu1_star"] = cert.mu1_star
             row["lambda"] = cert.lam
             row["zeta"] = cert.zeta
         if task in ("simulate", "both"):
-            rep, cert, extras = simulate(p, dly, grid, runset)
+            rep, _, extras = simulate(p, dly, grid, runset)
             row["lambda_obs"] = extras.get("lambda_obs", "")
             row["E_final"] = rep.E[-1]
             row["bound_ok"] = extras.get("bound_ok", "")

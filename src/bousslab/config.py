@@ -19,7 +19,6 @@ class RunSettings:
     T: float = 5.0
     dt: float = 1e-3
     nonlinear: bool = False
-    rho_res: int = 64
     eta0: str = "cubic 1.0"
     omega0: str = "quartic 1.0"
     seed: int = 0

@@ -2,8 +2,11 @@
 
 The delayed feedback needs eta_xx(t - tau(t), L); instead of co-evolving the
 transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a
-buffer of (time, trace) samples and interpolate.  The transport equation is
-retained as a testable invariant through `transport_residual`.
+buffer of (time, trace) samples and interpolate.  The substitution
+s = t - tau rho turns the monitors' rho integrals of z^2 into exact integrals
+of the interpolant's square over [t - tau, t] (`HistoryLine.square_integrals`).
+The transport equation is retained as a testable invariant through
+`transport_residual`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,22 @@ def _cubic_coeffs(h, v0, v1, m0, m1):
     slope = (v1 - v0) / h
     c = (m0 + m1 - 2 * slope) / h
     return (slope - m0) / h - c, c / h
+
+
+def _square_moments(x, v0, m0, a2, a3):
+    """(int_0^x q^2 ds, int_0^x s q^2 ds) of q = v0 + m0 s + a2 s^2 + a3 s^3:
+    q^2 = sum c_k s^k integrated term by term, by Horner in x."""
+    c1 = 2.0 * v0 * m0
+    c2 = m0 * m0 + 2.0 * v0 * a2
+    c3 = 2.0 * (v0 * a3 + m0 * a2)
+    c4 = a2 * a2 + 2.0 * m0 * a3
+    c5 = 2.0 * a2 * a3
+    c6 = a3 * a3
+    i0 = x * (v0 * v0 + x * (c1 / 2.0 + x * (c2 / 3.0 + x * (
+        c3 / 4.0 + x * (c4 / 5.0 + x * (c5 / 6.0 + x * (c6 / 7.0)))))))
+    i1 = x * x * (v0 * v0 / 2.0 + x * (c1 / 3.0 + x * (c2 / 4.0 + x * (
+        c3 / 5.0 + x * (c4 / 6.0 + x * (c5 / 7.0 + x * (c6 / 8.0)))))))
+    return i0, i1
 
 
 def _hermite(s, v0, m0, a2, a3):
@@ -86,8 +105,8 @@ class HistoryLine:
     and linear in the data, which makes simulations superpose; it is not
     monotone.  A Bessel slope depends on a sample and its two neighbours only,
     so appending, overwriting or evicting a sample refreshes the slopes at
-    that end alone, and the cached cubic coefficients of the one or two
-    intervals they touch.
+    that end alone, and the cached cubic coefficients and square integrals
+    of the one or two intervals they touch.
     Queries at stored sample times return the stored values exactly.
     """
 
@@ -108,11 +127,11 @@ class HistoryLine:
         if not 0 < M < np.inf:   # a NaN fails it too
             raise ConfigurationError(f"delay upper bound M = {M} is non-positive or non-finite")
         n = times.size
-        # rows: time, value, slope, and the s^2 and s^3 coefficients of the
-        # interval that starts at the sample (zero at the newest one, so a
-        # query at its time evaluates to the stored value); live samples are
-        # columns [lo, hi)
-        self._buf = np.zeros((5, max(2 * n, 64)))
+        # rows: time, value, slope, and of the interval that starts at the
+        # sample the s^2 and s^3 coefficients and the integrals of q^2 and
+        # (s - t_i) q^2 (all zero at the newest one, so a query at its time
+        # evaluates to the stored value); live samples are columns [lo, hi)
+        self._buf = np.zeros((7, max(2 * n, 64)))
         self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
         self._refresh_all()
@@ -153,16 +172,19 @@ class HistoryLine:
         return self._hi - self._lo
 
     def _refresh_all(self) -> None:
-        """Recompute every slope and interval coefficient."""
+        """Recompute every slope, interval coefficient and square integral."""
         t, v, m = self._t, self._v, self._m
         m[:] = _bessel_slopes(t, v)
-        self._buf[3:, self._lo:self._hi - 1] = _cubic_coeffs(
-            t[1:] - t[:-1], v[:-1], v[1:], m[:-1], m[1:])
+        h = t[1:] - t[:-1]
+        a2, a3 = _cubic_coeffs(h, v[:-1], v[1:], m[:-1], m[1:])
+        self._buf[3:, self._lo:self._hi - 1] = (
+            a2, a3, *_square_moments(h, v[:-1], m[:-1], a2, a3))
 
     def _refresh(self, head: bool) -> None:
         """Recompute the slopes that depend on the first (head) or last
         sample after it was added, changed or uncovered by eviction, and
-        the coefficients of the intervals those slopes touch."""
+        the coefficients and square integrals of the intervals those slopes
+        touch."""
         if self.size <= 3:
             self._refresh_all()
             return
@@ -173,14 +195,16 @@ class HistoryLine:
         d0, d1 = (v1 - v0) / dt0, (v2 - v1) / dt1
         if head:
             m0 = _end_slope(dt0, dt1, d0, d1)
-            buf[2:, j] = (m0, *_cubic_coeffs(dt0, v0, v1, m0, m1))
+            a2, a3 = _cubic_coeffs(dt0, v0, v1, m0, m1)
+            buf[2:, j] = (m0, a2, a3, *_square_moments(dt0, v0, m0, a2, a3))
         else:
             m1 = _interior_slope(dt0, dt1, d0, d1)
             m2 = _end_slope(dt1, dt0, d1, d0)
-            a0 = _cubic_coeffs(dt0, v0, v1, m0, m1)
-            a1 = _cubic_coeffs(dt1, v1, v2, m1, m2)
+            a2, a3 = _cubic_coeffs(dt0, v0, v1, m0, m1)
+            b2, b3 = _cubic_coeffs(dt1, v1, v2, m1, m2)
             buf[2, j + 1:j + 3] = m1, m2
-            buf[3:, j:j + 2] = (a0[0], a1[0]), (a0[1], a1[1])
+            buf[3:, j] = (a2, a3, *_square_moments(dt0, v0, m0, a2, a3))
+            buf[3:, j + 1] = (b2, b3, *_square_moments(dt1, v1, m1, b2, b3))
 
     def push(self, t: float, v: float) -> None:
         """Append a sample; evict samples older than t - M - slack."""
@@ -194,10 +218,10 @@ class HistoryLine:
         self._max_gap = max(self._max_gap, t - t_last)
         if self._hi == self._buf.shape[1]:
             n = self.size
-            buf = np.empty((5, max(self._buf.shape[1], 4 * n)))
+            buf = np.empty((7, max(self._buf.shape[1], 4 * n)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
-        self._buf[:, self._hi] = t, v, 0.0, 0.0, 0.0
+        self._buf[:, self._hi] = t, v, 0.0, 0.0, 0.0, 0.0, 0.0
         self._hi += 1
         self._refresh(head=False)
         cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
@@ -233,7 +257,7 @@ class HistoryLine:
         knots = buf[0, lo + 1:hi]
         if t_arr is None:
             q = min(max(float(t), t_first), t_last)
-            t0, v0, m0, a2, a3 = buf[:, lo + int(knots.searchsorted(q, "right"))].tolist()
+            t0, v0, m0, a2, a3 = buf[:5, lo + int(knots.searchsorted(q, "right"))].tolist()
             return _hermite(q - t0, v0, m0, a2, a3)
         q = np.minimum(np.maximum(t_arr, t_first), t_last)
         # searchsorted runs fastest on ascending keys, and a key's column does
@@ -243,9 +267,46 @@ class HistoryLine:
             idx = knots.searchsorted(q[::-1], "right")[::-1]
         else:
             idx = knots.searchsorted(q, "right")
-        t0, v0, m0, a2, a3 = np.take(buf, lo + idx, axis=1)
+        t0, v0, m0, a2, a3 = np.take(buf[:5], lo + idx, axis=1)
         out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
+
+    def square_integrals(self, a: float, b: float) -> tuple[float, float, float, float]:
+        """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
+        interpolant q, for a <= b in the stored span; q(a) and q(b) are the
+        values `query` returns, bit for bit.
+
+        The integrals are exact up to roundoff: the cached integrals of the
+        whole intervals inside [a, b], summed afresh on every call (a running
+        prefix sum would cancel as they decay), plus the partial interval at
+        each end, the one at a re-expanded about a."""
+        buf, lo, hi = self._buf, self._lo, self._hi
+        t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
+        # written so that a NaN fails it
+        if not (a >= t_first - 1e-14 and b <= t_last + 1e-14):
+            raise HistoryUnderrunError(
+                f"integral over [{a}, {b}] outside stored span [{t_first}, {t_last}]")
+        if not a <= b:
+            raise ConfigurationError(f"integral over [{a}, {b}] has a > b")
+        a = min(max(a, t_first), t_last)
+        b = min(max(b, t_first), t_last)
+        # the columns of the intervals holding a and b, as in `query`
+        knots = buf[0, lo + 1:hi]
+        i = lo + int(knots.searchsorted(a, "right"))
+        k = lo + int(knots.searchsorted(b, "right"))
+        ti, v0, m0, a2, a3 = buf[:5, i].tolist()
+        tk, *cubic_k = buf[:5, k].tolist()
+        x = a - ti
+        qa, qb = _hermite(x, v0, m0, a2, a3), _hermite(b - tk, *cubic_k)
+        about_a = (qa, m0 + x * (2.0 * a2 + 3.0 * a3 * x), a2 + 3.0 * a3 * x, a3)
+        if i == k:
+            return (qa, qb, *_square_moments(b - a, *about_a))
+        i0, i1 = _square_moments(buf.item(0, i + 1) - a, *about_a)
+        whole = slice(i + 1, k)
+        i0 += float(buf[5, whole].sum())
+        i1 += float(buf[6, whole].sum() + (buf[0, whole] - a) @ buf[5, whole])
+        r0, r1 = _square_moments(b - tk, *cubic_k)
+        return qa, qb, i0 + r0, i1 + r1 + (tk - a) * r0
 
 
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:

@@ -1,18 +1,16 @@
 """The energy and Lyapunov monitor row, and the identity residual monitors.
 
-All quadratures are trapezoid: in x over the full grid (clamped boundary
-values included as zeros) and in rho over the reconstructed z-profile.
-The monitor row takes each as a dot product; the Kato residual takes the
+The field quadratures are trapezoid in x over the full grid (clamped
+boundary values included as zeros); the delay terms are exact integrals of
+the history's piecewise cubic (`HistoryLine.square_integrals`).  The monitor
+row takes each field quadrature as a dot product; the Kato residual takes the
 stored fields in row blocks, each row with the arithmetic it has alone.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .delay_line import _rho_nodes
 from .errors import ConfigurationError
 from .operators import trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
@@ -29,19 +27,7 @@ def _field_quad(values_sq: np.ndarray, h: float) -> np.ndarray:
     return h * values_sq.sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=16)
-def _rho_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only trapezoid weights on rho_j = j/m (`_rho_nodes`) for
-    int f drho and int (1 - rho) f drho."""
-    w = np.full(m + 1, 1.0 / m)
-    w[[0, -1]] *= 0.5
-    ws = (w, (1.0 - _rho_nodes(m)) * w)
-    for v in ws:
-        v.flags.writeable = False
-    return ws
-
-
-def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
+def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
     """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
     `report.CSV_COLUMNS` order, with
@@ -50,23 +36,22 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid, m: int,
         V1 = int x eta omega dx,   V2 = |beta|/2 tau(t) int (1-rho) z^2 drho,
         V  = E - mu1 V1 + mu2 V2   (mu1 = mu2 = 0 degenerates V to E),
 
-    z the trace at t - tau rho_j, rho_j = j/m, read from the history (`run`
-    keeps its newest sample at the trace of s.eta): z[0] is the current
-    trace, z[-1] the delayed one.  With beta = 0 the delay parts are 0.0.
+    z(rho) = q(t - tau rho), q the history's interpolant (`run` keeps its
+    newest sample at the trace of s.eta).  With s = t - tau rho the delay
+    terms are exact integrals over [t - tau, t]: |beta|/2 int q^2 ds and
+    |beta|/(2 tau) int (s - t + tau) q^2 ds (`HistoryLine.square_integrals`,
+    which also gives the traces q(t) and q(t - tau) as `query` does).  With
+    beta = 0 the delay parts are 0.0.
 
-    Every trapezoid is a dot product: in x over the interior nodes (the
-    boundary values are zero), and in rho against `_rho_weights`.  These are
-    two vector dots, not one matrix-vector product: that sums each row in a
-    single running sum, about ten times less accurate at m = 2048."""
+    The x trapezoids are dot products over the interior nodes (the boundary
+    values are zero)."""
     tau, _ = tau_at(dly, s.t)
-    z = s.history.query(s.t - tau * _rho_nodes(m))
-    z2 = z * z
-    w, w_v2 = _rho_weights(m)
-    c = 0.5 * abs(p.beta) * tau
-    E = 0.5 * g.h * float(s.u @ s.u) + c * float(w @ z2)
+    delayed, now, q2, q2_moment = s.history.square_integrals(s.t - tau, s.t)
+    c = 0.5 * abs(p.beta)
+    E = 0.5 * g.h * float(s.u @ s.u) + c * q2
     V1 = g.h * float(s.eta @ (g.nodes * s.omega))
-    V2 = c * float(w_v2 @ z2)
-    return s.t, E, E - mu1 * V1 + mu2 * V2, V1, V2, float(z[0]), float(z[-1])
+    V2 = c / tau * q2_moment
+    return s.t, E, E - mu1 * V1 + mu2 * V2, V1, V2, now, delayed
 
 
 def dissipation_residual(report, p: SystemParams) -> float:

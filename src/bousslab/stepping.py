@@ -14,6 +14,7 @@ largest contraction estimate at DEBUG.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +253,8 @@ class Stepper:
 
 
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
-        ops: OperatorSet, rho_res: int = 64, mu1: float = 0.0, mu2: float = 0.0,
-        store_fields: bool = False) -> RunReport:
+        ops: OperatorSet, mu1: float = 0.0, mu2: float = 0.0,
+        store_fields: bool = False, *, rho_res=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
@@ -265,18 +266,24 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     the states.  Its `dissipation_rhs` is the energy identity's rate dE/dt =
     1/2 q^T Phi q per row, q = (trace_now, trace_delayed), with Phi's (2,2)
     entry |beta| (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds
-    it from above.
+    it from above.  The rows' delay terms are exact integrals of the
+    history's cubic (`energy_sample`); `rho_res`, the rho resolution of the
+    quadrature they replace, is ignored with a DeprecationWarning.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t, when T is negative or not finite,
-    when the arrays for its T / dt rows cannot be allocated, when rho_res < 1,
-    when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1,
-    or when `OperatorSet.check_params` fails.
+    when the arrays for its T / dt rows cannot be allocated, when the
+    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1, or when
+    `OperatorSet.check_params` fails.
     A step or monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
     cause in `termination`.
     """
+    if rho_res is not None:
+        warnings.warn("run ignores rho_res: the monitor row integrates the delay terms "
+                      "exactly; the keyword goes once perfbench stops passing it "
+                      "(ROADMAP item 1)", DeprecationWarning, stacklevel=2)
     # written so that a NaN fails it
     if not 0 <= T < np.inf:
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
@@ -300,7 +307,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     stepper = Stepper(ops, cfg, p, dly)
 
     def record(i: int, st: SimState) -> None:
-        table[:, i] = energy_sample(st, p, dly, ops.grid, rho_res, mu1, mu2)
+        table[:, i] = energy_sample(st, p, dly, ops.grid, mu1, mu2)
         if states is not None:
             states[i] = st.u
 
@@ -341,8 +348,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
             "a": p.a, "a1": p.a1, "L": p.L, "alpha": p.alpha, "beta": p.beta,
             "tau0": dly.tau0, "M": dly.M, "d": dly.d, "form": dly.form,
             "n": ops.grid.n, "dt": cfg.dt, "theta": cfg.theta, "T": T,
-            "nonlinear": cfg.nonlinear, "rho_res": rho_res,
-            "mu1": mu1, "mu2": mu2,
+            "nonlinear": cfg.nonlinear, "mu1": mu1, "mu2": mu2,
         },
     )
 

@@ -208,7 +208,7 @@ def _nonlinear_run(p, dly, n, dt, amp, T=1.0):
     om0 = amp * x ** 2 * (p.L - x) ** 2 / p.L ** 4
     state = bl.initial_state(p, dly, g, eta0, om0)
     cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt), nonlinear=True)
-    return bl.run(state, T, cfg, p, dly, ops, rho_res=64, store_fields=True)
+    return bl.run(state, T, cfg, p, dly, ops, store_fields=True)
 
 
 def test_criterion_12_nonlinear_small_data():

@@ -213,26 +213,25 @@ def test_simulate_store_fields_reports_kato(tmp_path):
     assert "kato_residual = " in summary and "kato_C_L = " in summary
 
 
-def test_simulate_rejects_rho_res_below_one_without_delay(tmp_path, capsys):
-    cfg = GOOD.replace("beta = 0.0005", "beta = 0.0").replace(
-        "omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 0")
+def _refuses_rho_res(tmp_path, capsys, cfg):
     out = tmp_path / "outrho"
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--horizon", "0.01", "--n", "32"]) == 1
-    assert "m >= 1" in capsys.readouterr().err
-    assert not (out / "timeseries.csv").exists()
+                 "--horizon", "0.01", "--n", "32"]) == 3
+    assert "unknown key 'rho_res'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_rho_res_below_one_without_delay(tmp_path, capsys):
+    # the monitor row integrates the delay terms exactly: rho_res is no
+    # [run] key, whatever its value
+    for value in ("0", "64"):
+        _refuses_rho_res(tmp_path, capsys, GOOD.replace("beta = 0.0005", "beta = 0.0").replace(
+            "omega0 = quartic 0.1", f"omega0 = quartic 0.1\nrho_res = {value}"))
 
 
 def test_simulate_rejects_unallocatable_rho_res(tmp_path, capsys):
-    # 10**13 + 1 rho nodes: numpy refuses the 72.8 TiB at once, before the
-    # first step
-    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 10000000000000")
-    out = tmp_path / "outrhohuge"
-    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--horizon", "0.01", "--n", "32"]) == 1
-    err = capsys.readouterr().err
-    assert "simulation error" in err and "cannot allocate 10000000000001 rho nodes" in err
-    assert not (out / "timeseries.csv").exists()
+    _refuses_rho_res(tmp_path, capsys, GOOD.replace(
+        "omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 10000000000000"))
 
 
 def test_simulate_rejects_negative_horizon(tmp_path, capsys):
@@ -326,7 +325,7 @@ def test_simulate_rerun_creates_new_files(tmp_path):
 
 @pytest.mark.parametrize("second, code, left", [
     (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
-    (GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nrho_res = 0"), 1, []),
+    (GOOD.replace("T = 0.3", "T = -1.0"), 1, []),
 ], ids=["uncertified", "refused"])
 def test_simulate_rerun_leaves_no_earlier_output(tmp_path, second, code, left):
     # a certified run, then one without a certificate or refused before its
@@ -424,6 +423,25 @@ def test_sweep_rows_and_admissibility_flip(tmp_path):
     flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     assert flips == 1
     assert not flags[0] and flags[-1]
+
+
+def test_sweep_admissible_is_certified(tmp_path):
+    # the empty-interval alpha passes the gain threshold but has no
+    # certificate: its row reads inadmissible, as `check` does (exit 2)
+    alpha = _empty_interval_alpha()
+    base = EMPTY_INTERVAL.replace("alpha = 0.05", f"alpha = {alpha!r}")
+    assert main(["check", "--config", _write(tmp_path, base)]) == 2
+    spec = base + SWEEP[len(GOOD):].replace(
+        "alpha = 0.01 0.03 0.05 0.08 0.1 0.2", f"alpha = {alpha!r} 2.0").replace(
+        "beta = 5e-4", "beta = 0.05")
+    out = tmp_path / "swempty"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"), "--out", str(out)]) == 0
+    header, empty, wide = (out / "table.csv").read_text().strip().split("\n")
+    header = header.split(",")
+    empty, wide = dict(zip(header, empty.split(","))), dict(zip(header, wide.split(",")))
+    assert empty["admissible"] == "False" and empty["error"] == ""
+    assert empty["lambda"] == empty["mu1_star"] == empty["zeta"] == ""
+    assert wide["admissible"] == "True" and float(wide["lambda"]) > 0
 
 
 def test_sweep_grid_size(tmp_path):

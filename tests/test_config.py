@@ -78,7 +78,7 @@ def test_unknown_section_rejected(name):
 @pytest.mark.parametrize("key, value", [
     ("startup_steps", "4"), ("picard_iters", "30"), ("picard_tol", "1e-12"),
     ("kappa", "2.0"), ("fit_window", "0.5"), ("bound_slack", "0.02"),
-    ("theta", "auto"), ("mu1", "auto"), ("mu2", "0.5")])
+    ("theta", "auto"), ("mu1", "auto"), ("mu2", "0.5"), ("rho_res", "64")])
 def test_removed_run_keys_rejected(key, value):
     with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
         parse_config(SAMPLE + f"{key} = {value}\n")
@@ -87,7 +87,7 @@ def test_removed_run_keys_rejected(key, value):
 def test_round_trip_every_run_field():
     # a non-default value for every [run] field survives serialize -> parse
     p, dly, grid, run = parse_config(SAMPLE)
-    changed = RunSettings(T=2.5, dt=5e-4, nonlinear=True, rho_res=128,
+    changed = RunSettings(T=2.5, dt=5e-4, nonlinear=True,
                           eta0="sine 1.0 2", omega0="gauss 0.5 0.3 0.1", seed=7,
                           store_fields=True)
     defaults = RunSettings()

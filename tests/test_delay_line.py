@@ -474,3 +474,92 @@ def test_array_query_matches_one_point_query(seed):
             ref = _one_point_queries(h, hi - dly.tau0 * _rho_nodes(64))
             assert np.array_equal(_bits(z), _bits(ref))
     assert h.t_first > first and profiles >= 10   # samples were evicted
+
+
+def _cached_integrals(h):
+    """Bits of the live columns' square integrals, which the newest one
+    holds as zeros."""
+    return _bits(h._buf[5:, h._lo:h._hi]).copy()
+
+
+def _assert_cache_is_fresh(h):
+    # the integrals an incremental refresh left equal a recomputation from
+    # scratch bit for bit (the same operations, on floats or on arrays)
+    cached = _cached_integrals(h)
+    fresh = h.copy()
+    fresh._refresh_all()
+    assert np.array_equal(cached, _cached_integrals(fresh))
+    assert np.all(cached[:, -1] == 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_square_integrals_match_refresh_all(seed):
+    # random pushes, overwrites, evictions (down to three samples for a small
+    # M) and buffer growth, on a line and then on its copy
+    rng = np.random.default_rng(400 + seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(1e-3, 1.0)))
+    _assert_cache_is_fresh(h)
+    for line in (h, h.copy()):
+        buf = line._buf
+        for step in range(300):
+            gap = 0.02 if step % 100 < 50 else float(rng.uniform(0.005, 0.05))
+            line.push(line.t_last + gap, float(rng.standard_normal()))
+            if rng.uniform() < 0.3:
+                line.replace_last(float(rng.standard_normal()))
+            _assert_cache_is_fresh(line)
+        assert line._buf is not buf
+    assert h.t_first > t[-1]
+
+
+def _gauss_legendre(h, a, b, weight):
+    """int_a^b weight(s) q(s)^2 ds by 5-point Gauss-Legendre on each knot
+    interval piece of [a, b]: exact up to roundoff for a weight of degree
+    <= 3, q being cubic on each piece."""
+    x, w = np.polynomial.legendre.leggauss(5)
+    cuts = np.concatenate([[a], h._t[(h._t > a) & (h._t < b)], [b]])
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        total += 0.5 * (hi - lo) * float(np.sum(w * weight(s) * h.query(s) ** 2))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_integrals_match_gauss_legendre(seed):
+    # windows across many intervals, inside one, on knots, at both span ends
+    # (within the 1e-14 clip) and of zero width; the ends are `query`'s bits
+    rng = np.random.default_rng(500 + seed)
+    t = np.cumsum(rng.uniform(0.01, 0.1, 60))
+    h = _line(t, rng.standard_normal(60), M=10.0)
+    for _ in range(40):
+        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+    lo, hi = h.t_first, h.t_last
+    k = int(rng.integers(1, h.size - 2))
+    mid = float(rng.uniform(h._t[k], h._t[k + 1]))
+    windows = [sorted(rng.uniform(lo, hi, 2)) for _ in range(10)] + [
+        (lo, hi), (lo - 5e-15, hi + 5e-15), (float(h._t[3]), float(h._t[-4])),
+        (float(h._t[k]), mid), (mid, float(rng.uniform(mid, h._t[k + 1]))),
+        (mid, mid), (hi, hi), (hi - 0.5, hi)]
+    for a, b in windows:
+        qa, qb, i0, i1 = h.square_integrals(float(a), float(b))
+        assert _bits(qa) == _bits(h.query(float(a)))
+        assert _bits(qb) == _bits(h.query(float(b)))
+        a_in, b_in = max(a, lo), min(b, hi)
+        ref0 = _gauss_legendre(h, a_in, b_in, lambda s: np.ones_like(s))
+        ref1 = _gauss_legendre(h, a_in, b_in, lambda s: s - a_in)
+        scale = (b_in - a_in) * float(np.max(h._v ** 2))
+        assert abs(i0 - ref0) <= 1e-13 * scale
+        assert abs(i1 - ref1) <= 1e-13 * scale * (b_in - a_in)
+        if a == b:
+            assert i0 == i1 == 0.0
+
+
+def test_square_integrals_refuse_a_window_outside_the_span():
+    h = _line([-0.1, 0.0, 0.1], [0.0, 1.0, 0.5])
+    for a, b in ((-0.5, 0.0), (-0.1, 0.2), (float("nan"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(HistoryUnderrunError):
+            h.square_integrals(a, b)
+    with pytest.raises(ConfigurationError, match="a > b"):
+        h.square_integrals(0.05, 0.0)

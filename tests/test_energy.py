@@ -18,10 +18,10 @@ def _state(eta, omega, hist_times, hist_vals, M, t=0.0):
                     omega=np.asarray(omega, float), history=h)
 
 
-def _row(s, p, dly, m=64, mu1=0.0, mu2=0.0):
+def _row(s, p, dly, mu1=0.0, mu2=0.0):
     """The monitor row as a dict of its CSV_COLUMNS."""
     g = bl.Grid(n=s.eta.shape[0], L=p.L)
-    return dict(zip(CSV_COLUMNS, energy_sample(s, p, dly, g, m, mu1, mu2)))
+    return dict(zip(CSV_COLUMNS, energy_sample(s, p, dly, g, mu1, mu2)))
 
 
 def test_energy_zero_state():
@@ -132,18 +132,62 @@ def test_kato_requires_fields():
         bl.kato_identity_residual(rep, bl.SystemParams())
 
 
+# the sinusoidal delay law of the nonlinear ladder: tau = tau0 + A (1 - cos wt),
+# tau_dot = A w sin(wt) <= d
+SINE_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
+                  phase=-np.pi / 2, M=0.7, d=0.2)
+
+
+def _pushed_line(rng, f, dly, pushes=300):
+    """A line of samples of f at seeded random times, grown by `pushes`
+    pushes (every third a provisional value that replace_last corrects), so
+    that samples are evicted and the buffer grows."""
+    t = np.cumsum(rng.uniform(0.005, 0.03, 30)) - 0.8
+    h = bl.HistoryLine(t, f(t), M=dly.M)
+    buf = h._buf
+    for step in range(pushes):
+        t_new = h.t_last + float(rng.uniform(0.002, 0.02))
+        if step % 3:
+            h.push(t_new, float(f(t_new)))
+        else:
+            h.push(t_new, float(f(t_new) + 0.1 * rng.standard_normal()))
+            h.replace_last(float(f(t_new)))
+    assert h.t_first > t[-1] and h._buf is not buf   # evicted and grown
+    return h
+
+
+def _smooth_trace(rng, modes=4):
+    """A seeded random trig sum, frequencies 0.5 to 4 rad per unit time."""
+    a, w, phase = (rng.standard_normal(modes), rng.uniform(0.5, 4.0, modes),
+                   rng.uniform(0.0, 2 * np.pi, modes))
+    return lambda t: np.sum(a * np.sin(np.multiply.outer(t, w) + phase), axis=-1)
+
+
 def test_energy_sample_consistency(acc_params, acc_delay):
+    # the trapezoid oracle in rho closes on the row's exact delay integrals at
+    # order >= 1.9 in m, on smooth seeded histories with pushes, overwrites,
+    # evictions and buffer growth, under a constant and a sinusoidal delay
     g = bl.Grid(n=32, L=acc_params.L)
-    rng = np.random.default_rng(0)
+    ms = (64, 256, 1024, 4096)
+    for seed, dly in enumerate([acc_delay, bl.DelaySpec(**SINE_DELAY)] * 3):
+        rng = np.random.default_rng(seed)
+        h = _pushed_line(rng, _smooth_trace(rng), dly)
+        s = SimState(t=h.t_last, eta=rng.standard_normal(32),
+                     omega=rng.standard_normal(32), history=h)
+        row = energy_sample(s, acc_params, dly, g, mu1=0.01, mu2=0.1)
+        assert len(row) == len(CSV_COLUMNS)
+        E, V = row[CSV_COLUMNS.index("E")], row[CSV_COLUMNS.index("V")]
+        gaps = []
+        for m in ms:
+            E_ref, V1_ref, V2_ref = _trapezoid_row(s, acc_params, dly, g, m)
+            gaps.append((abs(E - E_ref), abs(V - (E_ref - 0.01 * V1_ref + 0.1 * V2_ref))))
+        gaps = np.array(gaps)
+        orders = np.log(gaps[:-1] / gaps[1:]) / np.log(4.0)
+        assert np.all(orders >= 1.9), (seed, gaps, orders)
+        assert np.all(gaps[-1] <= 1e-9 * E), (seed, gaps)
+    # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
     s = _state(rng.standard_normal(32), rng.standard_normal(32),
                np.linspace(-0.5, 0.0, 17), rng.standard_normal(17), 2.0)
-    row = energy_sample(s, acc_params, acc_delay, g, m=64, mu1=0.01, mu2=0.1)
-    assert len(row) == len(CSV_COLUMNS)
-    E, V = row[CSV_COLUMNS.index("E")], row[CSV_COLUMNS.index("V")]
-    E_ref, V1_ref, V2_ref = _trapezoid_row(s, acc_params, acc_delay, g, 64)
-    assert abs(E - E_ref) < 1e-14
-    assert abs(V - (E_ref - 0.01 * V1_ref + 0.1 * V2_ref)) < 1e-14
-    # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
     ops = bl.build_operators(acc_params, g)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     rep = bl.run(s, 0.02, cfg, acc_params, acc_delay, ops)
@@ -164,9 +208,10 @@ def test_lyapunov_per_step_decay(acc_runs, acc_cert):
 
 
 def _trapezoid_row(s, p, dly, g, m):
-    """(E, V1, V2) as the monitor row computed them before it became dot
-    products: np.trapezoid in x over eta^2 + omega^2 and x eta omega, with the
-    zero boundary values, and in rho over `z_profile`."""
+    """(E, V1, V2) as the monitor row computed them before its delay terms
+    were exact: np.trapezoid in x over eta^2 + omega^2 and x eta omega, with
+    the zero boundary values, and in rho over `z_profile` at m + 1 nodes.
+    The oracle of the exact delay integrals."""
     def pad(f):
         return np.concatenate(([0.0], f, [0.0]))
     E = 0.5 * np.trapezoid(pad(s.eta ** 2 + s.omega ** 2), dx=g.h)
@@ -181,31 +226,46 @@ def _trapezoid_row(s, p, dly, g, m):
             w * np.trapezoid((1.0 - rho) * z2, dx=1.0 / m))
 
 
+def _trapezoid_error(f, m):
+    """T_m - int_0^1 f for a polynomial f of degree <= 5: the two
+    Euler-Maclaurin terms, which are exact there."""
+    d1, d3 = f.deriv(1), f.deriv(3)
+    return (d1(1.0) - d1(0.0)) / (12.0 * m ** 2) - (d3(1.0) - d3(0.0)) / (720.0 * m ** 4)
+
+
 @pytest.mark.parametrize("m", [1, 64, 2048])
 @pytest.mark.parametrize("form", ["constant", "sinusoidal"])
 @pytest.mark.parametrize("beta", [5e-4, 0.0])
 def test_monitor_row_matches_trapezoid_oracle(m, form, beta):
-    # the row's dot products agree with the trapezoid sums to 8 ulp: relative
-    # to E and V2 (sums of nonnegative terms), and to h sum |x eta omega| for
-    # V1, whose terms cancel; both traces are z_profile's ends, bit for bit
+    # on a quadratic trace, which the history's cubics reproduce through
+    # pushes, overwrites and evictions, z is quadratic in rho: the trapezoid
+    # oracle at m nodes is the exact row plus its Euler-Maclaurin error, to
+    # roundoff at every m.  The x parts agree with the oracle's to 8 ulp
+    # (relative to h sum |x eta omega| for V1, whose terms cancel), and both
+    # traces are z_profile's ends, bit for bit
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=beta)
-    dly = (bl.DelaySpec(tau0=0.5, M=0.5) if form == "constant" else
-           bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
-                        phase=-np.pi / 2, M=0.7, d=0.2))
+    dly = bl.DelaySpec(tau0=0.5, M=0.5) if form == "constant" else bl.DelaySpec(**SINE_DELAY)
     g = bl.Grid(n=101, L=1.0)
     ulp = 8 * np.finfo(float).eps
     rng = np.random.default_rng(m)
     for _ in range(5):
-        t = rng.uniform(0.0, 2.0)
-        s = _state(rng.standard_normal(g.n), rng.standard_normal(g.n),
-                   np.linspace(t - 1.0, t, 81), rng.standard_normal(81), dly.M, t=t)
-        _, E, _, V1, V2, now, delayed = energy_sample(s, p, dly, g, m)
+        trace = np.polynomial.Polynomial(rng.standard_normal(3))
+        h = _pushed_line(rng, trace, dly, pushes=int(rng.integers(100, 300)))
+        t = h.t_last
+        s = SimState(t=t, eta=0.01 * rng.standard_normal(g.n),
+                     omega=0.01 * rng.standard_normal(g.n), history=h)
+        _, E, _, V1, V2, now, delayed = energy_sample(s, p, dly, g)
         E_ref, V1_ref, V2_ref = _trapezoid_row(s, p, dly, g, m)
-        assert abs(E - E_ref) <= ulp * E_ref
-        assert abs(V2 - V2_ref) <= ulp * V2_ref
+        tau, _ = bl.tau_at(dly, t)
+        z = trace(np.polynomial.Polynomial([t, -tau]))   # z(rho) = trace(t - tau rho)
+        c = 0.5 * abs(beta) * tau
+        rho = np.polynomial.Polynomial([1.0, -1.0])
+        E_err, V2_err = c * _trapezoid_error(z ** 2, m), c * _trapezoid_error(rho * z ** 2, m)
+        assert abs(E - (E_ref - E_err)) <= 1e-13 * E
+        assert abs(V2 - (V2_ref - V2_err)) <= 1e-13 * max(V2, c * float(z(1.0)) ** 2)
         assert abs(V1 - V1_ref) <= ulp * g.h * np.sum(np.abs(g.nodes * s.eta * s.omega))
-        z = bl.z_profile(s.history, dly, t, m if beta else 1)
-        assert (now, delayed) == (z[0], z[-1])
+        zp = bl.z_profile(s.history, dly, t, m)
+        assert (now, delayed) == (zp[0], zp[-1])
 
 
 def _bits(x):
@@ -323,12 +383,6 @@ def test_kato_row_blocks_match_row_loop_on_an_early_stop(monkeypatch):
     _assert_kato_matches_rows(rep, p)
 
 
-# the sinusoidal delay law of the nonlinear ladder: tau = tau0 + A (1 - cos wt),
-# tau_dot = A w sin(wt) <= d
-SINE_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
-                  phase=-np.pi / 2, M=0.7, d=0.2)
-
-
 @pytest.fixture(scope="module")
 def sine_ladder(acc_params, acc_delay):
     """(report, centered dE/dt, its rows) at three dyadic levels: slow-mode
@@ -340,7 +394,7 @@ def sine_ladder(acc_params, acc_delay):
         ops = bl.build_operators(acc_params, bl.Grid(n=n, L=acc_params.L))
         state, _ = bl.slow_mode_state(ops, acc_params, acc_delay, dt=dt)
         cfg = bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt))
-        rep = bl.run(state, 1.5, cfg, acc_params, dly, ops, rho_res=2048)
+        rep = bl.run(state, 1.5, cfg, acc_params, dly, ops)
         assert rep.termination == "completed"
         dE = (rep.E[2:] - rep.E[:-2]) / (2.0 * dt)
         late = 1 + np.flatnonzero(rep.t[1:-1] >= 0.5)
@@ -377,7 +431,7 @@ def test_certified_decay_under_a_time_varying_delay(acc_params, acc_delay, law):
     ops = bl.build_operators(acc_params, bl.Grid(n=100, L=acc_params.L))
     state, _ = bl.slow_mode_state(ops, acc_params, acc_delay, dt=dt)
     rep = bl.run(state, 3.0, bl.StepConfig(dt=dt, theta=bl.suggested_theta(dt)),
-                 acc_params, dly, ops, rho_res=2048, mu1=cert.mu1, mu2=cert.mu2)
+                 acc_params, dly, ops, mu1=cert.mu1, mu2=cert.mu2)
     assert rep.termination == "completed"
     ok, ratio = bl.bound_check(rep.t, rep.E, cert.lam, cert.zeta)
     assert ok, ratio

@@ -203,14 +203,22 @@ def test_run_rejects_bad_horizon_and_multipliers():
     assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
 
 
-def test_run_rejects_rho_res_below_one_whatever_beta():
+@pytest.mark.parametrize("rho_res", [2048, 0, 2.5, True, 10 ** 13],
+                         ids=["2048", "zero", "float", "bool", "unallocatable"])
+def test_run_ignores_rho_res_with_a_deprecation_warning(rho_res):
+    # the keyword is read by no code path: any value warns and gives the
+    # rows of a call without it, bit for bit, whatever beta
     for beta in (0.0, 5e-4):
         p, dly, g, ops = _setup(n=16, beta=beta)
         cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
         s = _random_state(g, dly, np.random.default_rng(7), scale=0.01)
-        with pytest.raises(ConfigurationError, match="m >= 1"):
-            bl.run(s, 0.01, cfg, p, dly, ops, rho_res=0)
-        assert s.history.t_last == 0.0   # no step was taken
+        with pytest.warns(DeprecationWarning, match="ignores rho_res"):
+            old = bl.run(s, 0.05, cfg, p, dly, ops, rho_res=rho_res, store_fields=True)
+        new = bl.run(s, 0.05, cfg, p, dly, ops, store_fields=True)
+        assert old.n_rows == new.n_rows == 51 and old.config == new.config
+        for name in (*CSV_COLUMNS, "dissipation_rhs", "fields_eta", "fields_omega"):
+            a, b = getattr(old, name), getattr(new, name)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
 def test_run_leaves_its_state_untouched():
@@ -780,22 +788,6 @@ def test_slow_mode_state_logs_at_debug(caplog, capsys):
     factors, accuracy, floor = int(m[1]), float(m[2]), float(m[3])
     assert 2 <= factors <= 12 and 0 <= accuracy <= floor
     assert capsys.readouterr() == ("", "")
-
-
-@pytest.mark.parametrize("rho_res, match", [
-    # 10**13 + 1 nodes ask for 72.8 TiB, which numpy refuses at once
-    pytest.param(10 ** 13, "cannot allocate 10000000000001 rho nodes", id="unallocatable"),
-    pytest.param(2.5, "integer m >= 1", id="float"),
-    pytest.param(True, "integer m >= 1", id="bool"),
-])
-def test_run_rejects_bad_rho_res_whatever_beta(rho_res, match):
-    for beta in (0.0, 5e-4):
-        p, dly, g, ops = _setup(n=16, beta=beta)
-        cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-        s = _random_state(g, dly, np.random.default_rng(7), scale=0.01)
-        with pytest.raises(ConfigurationError, match=match):
-            bl.run(s, 0.01, cfg, p, dly, ops, rho_res=rho_res)
-        assert s.history.t_last == 0.0   # no step was taken
 
 
 def test_interrupted_manufactured_solution_run_raises(monkeypatch):
