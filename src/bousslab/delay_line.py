@@ -4,15 +4,14 @@ The delayed feedback needs eta_xx(t - tau(t), L); instead of co-evolving the
 transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a
 buffer of (time, trace) samples and interpolate.  The substitution
 s = t - tau rho turns the monitors' rho integrals of z^2 into exact integrals
-of the interpolant's square over [t - tau, t] (`HistoryLine.square_integrals`).
-The transport equation is retained as a testable invariant through
-`transport_residual`.
+of the interpolant's square over [t - tau, t] (`HistoryLine.square_integrals`,
+and `trailing_integrals` for the rows of a block of steps).  The transport
+equation is retained as a testable invariant through `transport_residual`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 
 import numpy as np
@@ -20,9 +19,9 @@ import numpy as np
 from .errors import ConfigurationError, HistoryUnderrunError
 from .params import DelaySpec, tau_at
 
-# The slope, coefficient and evaluation formulas below take Python floats or
-# numpy arrays alike: the per-step path runs them on floats, construction and
-# multi-point queries on arrays, with the same operations in the same order.
+# The slope, coefficient and evaluation formulas below run elementwise on
+# numpy arrays: a block of samples, rows or query points gets, element by
+# element, the operations one would get alone.
 
 
 def _interior_slope(dt0, dt1, d0, d1):
@@ -173,67 +172,106 @@ class HistoryLine:
 
     def _refresh_all(self) -> None:
         """Recompute every slope, interval coefficient and square integral."""
-        t, v, m = self._t, self._v, self._m
-        m[:] = _bessel_slopes(t, v)
-        h = t[1:] - t[:-1]
-        a2, a3 = _cubic_coeffs(h, v[:-1], v[1:], m[:-1], m[1:])
-        self._buf[3:, self._lo:self._hi - 1] = (
-            a2, a3, *_square_moments(h, v[:-1], m[:-1], a2, a3))
+        self._refresh(self._lo, self._hi)
 
-    def _refresh(self, head: bool) -> None:
-        """Recompute the slopes that depend on the first (head) or last
-        sample after it was added, changed or uncovered by eviction, and
-        the coefficients and square integrals of the intervals those slopes
-        touch."""
-        if self.size <= 3:
-            self._refresh_all()
-            return
-        buf = self._buf
-        j = self._lo if head else self._hi - 3
-        (t0, t1, t2), (v0, v1, v2), (m0, m1, m2) = buf[:3, j:j + 3].tolist()
-        dt0, dt1 = t1 - t0, t2 - t1
-        d0, d1 = (v1 - v0) / dt0, (v2 - v1) / dt1
-        if head:
-            m0 = _end_slope(dt0, dt1, d0, d1)
-            a2, a3 = _cubic_coeffs(dt0, v0, v1, m0, m1)
-            buf[2:, j] = (m0, a2, a3, *_square_moments(dt0, v0, m0, a2, a3))
-        else:
-            m1 = _interior_slope(dt0, dt1, d0, d1)
-            m2 = _end_slope(dt1, dt0, d1, d0)
-            a2, a3 = _cubic_coeffs(dt0, v0, v1, m0, m1)
-            b2, b3 = _cubic_coeffs(dt1, v1, v2, m1, m2)
-            buf[2, j + 1:j + 3] = m1, m2
-            buf[3:, j] = (a2, a3, *_square_moments(dt0, v0, m0, a2, a3))
-            buf[3:, j + 1] = (b2, b3, *_square_moments(dt1, v1, m1, b2, b3))
+    def _refresh(self, j: int, k: int) -> None:
+        """Recompute, from the live samples in columns [j, k), the Bessel
+        slopes of the inner ones, plus the first one's at the head (j = lo)
+        and the last one's at the tail (k = hi), and the coefficients and
+        square integrals of the intervals those slopes touch; a line of at
+        most three samples is recomputed whole.  A pushed inf or NaN spreads
+        without a warning, as on floats."""
+        buf, lo, hi = self._buf, self._lo, self._hi
+        if hi - lo <= 3:
+            j, k = lo, hi
+        first, last = (j if j == lo else j + 1), (k if k == hi else k - 1)
+        with np.errstate(all="ignore"):
+            m = _bessel_slopes(buf[0, j:k], buf[1, j:k])
+            buf[2, first:last] = m[first - j:last - j]
+            i = max(first - 1, lo)
+            t, v, m = buf[:3, i:min(last + 1, hi)]
+            h = t[1:] - t[:-1]
+            a2, a3 = _cubic_coeffs(h, v[:-1], v[1:], m[:-1], m[1:])
+            buf[3:, i:i + h.size] = a2, a3, *_square_moments(h, v[:-1], m[:-1], a2, a3)
 
     def push(self, t: float, v: float) -> None:
-        """Append a sample; evict samples older than t - M - slack."""
-        t = float(t)
-        if not math.isfinite(t):
-            raise ConfigurationError(f"history sample time must be finite, got {t}")
-        t_last = self.t_last
-        if t <= t_last:
+        """Append a sample (an `extend` by one)."""
+        self.extend(np.array([t], dtype=float), np.array([v], dtype=float))
+
+    def extend(self, times, values) -> None:
+        """Append samples at increasing finite times after t_last, evicting
+        after each one those older than its t - M - slack: the line pushes
+        one at a time leave, bit for bit, from one refresh of the tail and,
+        after an eviction, one of the head."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if times.size == 0:
+            return
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
             raise ConfigurationError(
-                f"non-monotone push: t={t} after t_last={t_last}")
-        self._max_gap = max(self._max_gap, t - t_last)
-        if self._hi == self._buf.shape[1]:
-            n = self.size
-            buf = np.empty((7, max(self._buf.shape[1], 4 * n)))
+                f"history sample time must be finite, got {times[bad[0]]}")
+        before, max_gap, cutoff = self._cutoffs(times)
+        bad = np.flatnonzero(~(times > before))
+        if bad.size:
+            raise ConfigurationError(
+                f"non-monotone push: t={times[bad[0]]} after t_last={before[bad[0]]}")
+        n, K = self.size, times.size
+        if self._hi + K > self._buf.shape[1]:
+            buf = np.empty((7, max(self._buf.shape[1], 4 * n, n + K)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
-        self._buf[:, self._hi] = t, v, 0.0, 0.0, 0.0, 0.0, 0.0
-        self._hi += 1
-        self._refresh(head=False)
-        cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
-        k = int(self._t.searchsorted(cutoff))
+        h0 = self._hi
+        self._buf[:2, h0:h0 + K] = times, values
+        self._buf[2:, h0:h0 + K] = 0.0
+        self._hi += K
+        self._max_gap = float(max_gap[-1])
+        self._refresh(h0 - 2, self._hi)
+        # each push evicts the samples before its cutoff: after them all,
+        # those before the largest
+        k = int(self._t.searchsorted(cutoff.max()))
         if k > 0:
             self._lo += k
-            self._refresh(head=True)
+            self._refresh(self._lo, self._lo + 3)
+
+    def _cutoffs(self, times):
+        """(before, max_gap, cutoff) of samples appended at `times`: the
+        time before each one, the largest gap once it is appended, and its
+        eviction cutoff t - M - max(slack, 2 max_gap)."""
+        before = np.concatenate(([self.t_last], times[:-1]))
+        max_gap = np.maximum.accumulate(np.maximum(times - before, self._max_gap))
+        return before, max_gap, times - self.M - np.maximum(self.slack, 2.0 * max_gap)
 
     def replace_last(self, v: float) -> None:
         """Overwrite the newest stored value."""
         self._buf[1, self._hi - 1] = v
-        self._refresh(head=False)
+        self._refresh(self._hi - 3, self._hi)
+
+    def block_length(self, times, queries, starts) -> int:
+        """How many of the coming samples at `times` (increasing, after
+        t_last) one `extend` may append while a caller stepping through them
+        reads the line as pushes one at a time would leave it, bit for bit:
+        the query point queries[j], made before sample j is appended, from
+        the line as it stands now, and the window [starts[j], times[j]] of
+        sample j (`trailing_integrals`) from the line after the extend.
+
+        Every row j >= 1 needs its query point at or before the second-newest
+        sample (the intervals up to it keep their slopes) and at or after the
+        second live sample once j samples are appended (the head interval
+        keeps its slopes until an eviction).  With more than one row, every
+        window must start at or before the sample before its own, and at or
+        after the second live sample once all of them are appended.  The
+        answer is at least 1: the next sample alone always qualifies."""
+        if times.size == 1:
+            return 1
+        live = self._t
+        before, _, cutoff = self._cutoffs(times)
+        # the second live sample after each append (inf past the old ones)
+        k = live.searchsorted(np.maximum.accumulate(cutoff))
+        second = np.append(live, np.inf)[np.minimum(k + 1, live.size)]
+        ok = (starts <= before) & (np.minimum.accumulate(starts) >= second)
+        ok[1:] &= (queries[1:] <= live[-2]) & (queries[1:] >= second[:-1])
+        return max(1, int(np.logical_and.accumulate(ok).sum()))
 
     # -- queries ------------------------------------------------------------
 
@@ -241,13 +279,10 @@ class HistoryLine:
         """Interpolated trace at time(s) t, which must lie in the stored span."""
         buf, lo, hi = self._buf, self._lo, self._hi
         t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
-        if isinstance(t, float):
-            t_arr, t_min, t_max = None, t, t
-        else:
-            t_arr = np.asarray(t, dtype=float)
-            if t_arr.size == 0:
-                return np.empty(t_arr.shape)
-            t_min, t_max = t_arr.min(), t_arr.max()
+        t_arr = np.asarray(t, dtype=float)
+        if t_arr.size == 0:
+            return np.empty(t_arr.shape)
+        t_min, t_max = t_arr.min(), t_arr.max()
         # written so that a NaN fails it
         if not (t_min >= t_first - 1e-14 and t_max <= t_last + 1e-14):
             raise HistoryUnderrunError(
@@ -255,10 +290,6 @@ class HistoryLine:
         # the column is the number of knots after the first at or before q:
         # q = t_last picks the newest sample itself, evaluated at s = 0
         knots = buf[0, lo + 1:hi]
-        if t_arr is None:
-            q = min(max(float(t), t_first), t_last)
-            t0, v0, m0, a2, a3 = buf[:5, lo + int(knots.searchsorted(q, "right"))].tolist()
-            return _hermite(q - t0, v0, m0, a2, a3)
         q = np.minimum(np.maximum(t_arr, t_first), t_last)
         # searchsorted runs fastest on ascending keys, and a key's column does
         # not depend on the order of the others: a descending query (every
@@ -271,42 +302,92 @@ class HistoryLine:
         out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
 
-    def square_integrals(self, a: float, b: float) -> tuple[float, float, float, float]:
+    def square_integrals(self, a, b):
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
-        interpolant q, for a <= b in the stored span; q(a) and q(b) are the
-        values `query` returns, bit for bit.
+        interpolant q over windows a <= b in the stored span, elementwise for
+        arrays a and b (floats for floats); q(a) and q(b) are the values
+        `query` returns, bit for bit.
 
         The integrals are exact up to roundoff: the cached integrals of the
-        whole intervals inside [a, b], summed afresh on every call (a running
-        prefix sum would cancel as they decay), plus the partial interval at
-        each end, the one at a re-expanded about a."""
+        whole intervals inside each window, summed afresh for every window (a
+        running prefix sum would cancel as they decay), plus the partial
+        interval at each end, the one at a re-expanded about a."""
+        scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
         buf, lo, hi = self._buf, self._lo, self._hi
         t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
         # written so that a NaN fails it
-        if not (a >= t_first - 1e-14 and b <= t_last + 1e-14):
+        bad = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))
+        if bad.size:
+            j = bad[0]
             raise HistoryUnderrunError(
-                f"integral over [{a}, {b}] outside stored span [{t_first}, {t_last}]")
-        if not a <= b:
-            raise ConfigurationError(f"integral over [{a}, {b}] has a > b")
-        a = min(max(a, t_first), t_last)
-        b = min(max(b, t_first), t_last)
+                f"integral over [{a[j]}, {b[j]}] outside stored span [{t_first}, {t_last}]")
+        bad = np.flatnonzero(~(a <= b))
+        if bad.size:
+            raise ConfigurationError(f"integral over [{a[bad[0]]}, {b[bad[0]]}] has a > b")
+        a = np.minimum(np.maximum(a, t_first), t_last)
+        b = np.minimum(np.maximum(b, t_first), t_last)
         # the columns of the intervals holding a and b, as in `query`
         knots = buf[0, lo + 1:hi]
-        i = lo + int(knots.searchsorted(a, "right"))
-        k = lo + int(knots.searchsorted(b, "right"))
-        ti, v0, m0, a2, a3 = buf[:5, i].tolist()
-        tk, *cubic_k = buf[:5, k].tolist()
+        i = lo + knots.searchsorted(a, "right")
+        k = lo + knots.searchsorted(b, "right")
+        ti, v0, m0, a2, a3 = buf[:5, i]
+        tk, *cubic_k = buf[:5, k]
         x = a - ti
         qa, qb = _hermite(x, v0, m0, a2, a3), _hermite(b - tk, *cubic_k)
         about_a = (qa, m0 + x * (2.0 * a2 + 3.0 * a3 * x), a2 + 3.0 * a3 * x, a3)
-        if i == k:
-            return (qa, qb, *_square_moments(b - a, *about_a))
-        i0, i1 = _square_moments(buf.item(0, i + 1) - a, *about_a)
-        whole = slice(i + 1, k)
-        i0 += float(buf[5, whole].sum())
-        i1 += float(buf[6, whole].sum() + (buf[0, whole] - a) @ buf[5, whole])
-        r0, r1 = _square_moments(b - tk, *cubic_k)
-        return qa, qb, i0 + r0, i1 + r1 + (tk - a) * r0
+        same, first = i == k, np.minimum(i + 1, k)
+        i0, i1 = _square_moments(np.where(same, b, buf[0, first]) - a, *about_a)
+        if not same.all():
+            # the whole intervals c = i + 1 .. k - 1 of each window; their
+            # (t_c - a) I0_c as (t_c - r) I0_c - (a - r) I0_c with one r <= every
+            # a, so one row of positive terms serves all windows
+            r = a.min()
+            c = first.min()
+            whole = np.vstack((buf[5:, c:hi], (buf[0, c:hi] - r) * buf[5, c:hi]))
+            s5, s6, s0 = _window_sums(whole, first - c, k - c)
+            r0, r1 = _square_moments(b - tk, *cubic_k)
+            i0 = np.where(same, i0, i0 + s5 + r0)
+            i1 = np.where(same, i1, i1 + (s6 + (s0 - (a - r) * s5)) + r1 + (tk - a) * r0)
+        if scalar:
+            return float(qa[0]), float(qb[0]), float(i0[0]), float(i1[0])
+        return qa, qb, i0, i1
+
+    def trailing_integrals(self, a):
+        """(q_j(a_j), q_j(t_j), int q_j^2 ds, int (s - a_j) q_j^2 ds) over
+        [a_j, t_j] for the newest K = a.size samples t_j, oldest first, where
+        q_j is the interpolant as it stood when t_j was the newest sample:
+        this one's up to t_{j-1}, whose slopes pushes after t_j left final,
+        and on [t_{j-1}, t_j] the cubic with the end slope t_j had then
+        (rebuilt, except for the newest sample, which still has it).  Each
+        a_j must lie in the span at or before t_j, and at or before t_{j-1}
+        unless j is the newest (`block_length`)."""
+        buf, hi = self._buf, self._hi
+        cols = np.arange(hi - a.size, hi)
+        t0, v0, m0 = buf[:3, cols - 1]
+        t1, v1, m1 = buf[:3, cols]
+        with np.errstate(all="ignore"):
+            if a.size > 1:
+                tm, vm = buf[:2, cols[:-1] - 2]
+                h0, h1 = t0[:-1] - tm, t1[:-1] - t0[:-1]
+                m1[:-1] = _end_slope(h1, h0, (v1[:-1] - v0[:-1]) / h1, (v0[:-1] - vm) / h0)
+            a2, a3 = _cubic_coeffs(t1 - t0, v0, v1, m0, m1)
+            y = np.maximum(a, t0)
+            qa, _, i0, i1 = self.square_integrals(a, y)
+            x = y - t0
+            about_y = (_hermite(x, v0, m0, a2, a3), m0 + x * (2.0 * a2 + 3.0 * a3 * x),
+                       a2 + 3.0 * a3 * x, a3)
+            p0, p1 = _square_moments(t1 - y, *about_y)
+            return qa, _hermite(0.0, v1, m1, 0.0, 0.0), i0 + p0, i1 + p1 + (y - a) * p0
+
+
+def _window_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """x[:, start[j]:stop[j]].sum(axis=1) for each j (0.0 where empty), each
+    summed afresh by one reduceat; stop must be below x.shape[1]."""
+    idx = np.empty(2 * start.size, dtype=np.intp)
+    idx[0::2], idx[1::2] = np.minimum(start, stop), stop
+    return np.where(start < stop, np.add.reduceat(x, idx, axis=1)[:, 0::2], 0.0)
 
 
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The field quadratures are trapezoid in x over the full grid (clamped
 boundary values included as zeros); the delay terms are exact integrals of
-the history's piecewise cubic (`HistoryLine.square_integrals`).  The monitor
-row takes each field quadrature as a dot product; the Kato residual takes the
-stored fields in row blocks, each row with the arithmetic it has alone.
+the history's piecewise cubic (`HistoryLine.trailing_integrals`).  The
+monitor takes a block of rows at once, each field quadrature a row-wise dot
+product; the Kato residual takes the stored fields in row blocks, each row
+with the arithmetic it has alone.
 """
 
 from __future__ import annotations
@@ -27,31 +28,44 @@ def _field_quad(values_sq: np.ndarray, h: float) -> np.ndarray:
     return h * values_sq.sum(axis=-1)
 
 
-def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
-                  mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
-    """Per-step monitor row (t, E, V, V1, V2, trace_now, trace_delayed), in
-    `report.CSV_COLUMNS` order, with
+def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: SystemParams,
+                g: Grid, mu1: float = 0.0, mu2: float = 0.0) -> np.ndarray:
+    """Monitor rows (t, E, V, V1, V2, trace_now, trace_delayed), one column
+    each in `report.CSV_COLUMNS` order, of the interleaved states U (one per
+    row) at times t, the newest t.size samples of `history`, with tau =
+    tau(t):
 
         E  = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho,
         V1 = int x eta omega dx,   V2 = |beta|/2 tau(t) int (1-rho) z^2 drho,
         V  = E - mu1 V1 + mu2 V2   (mu1 = mu2 = 0 degenerates V to E),
 
-    z(rho) = q(t - tau rho), q the history's interpolant (`run` keeps its
-    newest sample at the trace of s.eta).  With s = t - tau rho the delay
-    terms are exact integrals over [t - tau, t]: |beta|/2 int q^2 ds and
-    |beta|/(2 tau) int (s - t + tau) q^2 ds (`HistoryLine.square_integrals`,
-    which also gives the traces q(t) and q(t - tau) as `query` does).  With
-    beta = 0 the delay parts are 0.0.
+    z(rho) = q(t - tau rho), q the history's interpolant as it stood when t
+    was its newest sample.  With s = t - tau rho the delay terms are exact
+    integrals over [t - tau, t]: |beta|/2 int q^2 ds and |beta|/(2 tau) int
+    (s - t + tau) q^2 ds (`HistoryLine.trailing_integrals`, which also gives
+    the traces q(t) and q(t - tau) as `query` would have).  With beta = 0
+    the delay parts are 0.0.
 
-    The x trapezoids are dot products over the interior nodes (the boundary
-    values are zero)."""
-    tau, _ = tau_at(dly, s.t)
-    delayed, now, q2, q2_moment = s.history.square_integrals(s.t - tau, s.t)
+    The x trapezoids are row-wise dot products over the interior nodes (the
+    boundary values are zero)."""
+    if t[-1] != history.t_last:
+        raise ConfigurationError(
+            f"the history ends at t={history.t_last}, not at the last row's t={t[-1]}")
+    delayed, now, q2, q2_moment = history.trailing_integrals(t - tau)
     c = 0.5 * abs(p.beta)
-    E = 0.5 * g.h * float(s.u @ s.u) + c * q2
-    V1 = g.h * float(s.eta @ (g.nodes * s.omega))
+    E = 0.5 * g.h * np.einsum("ij,ij->i", U, U) + c * q2
+    V1 = g.h * np.einsum("ij,ij->i", U[:, 0::2], g.nodes * U[:, 1::2])
     V2 = c / tau * q2_moment
-    return s.t, E, E - mu1 * V1 + mu2 * V2, V1, V2, now, delayed
+    return np.array([t, E, E - mu1 * V1 + mu2 * V2, V1, V2, now, delayed])
+
+
+def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
+                  mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
+    """The monitor row of the state s (`energy_rows` of one row), whose
+    history ends at s.t, as a tuple of floats."""
+    tau, _ = tau_at(dly, s.t)
+    row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
+    return tuple(row[:, 0].tolist())
 
 
 def dissipation_residual(report, p: SystemParams) -> float:

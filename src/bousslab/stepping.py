@@ -3,12 +3,15 @@
 The state is interleaved as (eta_1, omega_1, eta_2, omega_2, ...) so the
 coupled 2n x 2n system stays banded; the stiff operator is factorized once
 per run and the delayed boundary datum enters as an explicit source vector
-evaluated at t + theta*dt.  `SimState` holds the interleaved vector itself, so
-a linear step is one matvec, one banded solve and one trace push.  Optional
-Picard iteration handles the quadratic nonlinear terms, iterating on
-increments with one right-hand side per banded solve (`nonlinear_matrices`).
-A nonlinear run logs its step, solve and right-hand side counts and its
-largest contraction estimate at DEBUG.
+evaluated at t + theta*dt.  Every delayed value the coming steps need is
+then already in the history (the method of steps), so the steps go in
+blocks: one history query for a block's sources, per step one matvec and
+one banded solve, and one history extend by the block's traces; `run` adds
+one monitor pass over the block's rows.  Optional Picard iteration handles
+the quadratic nonlinear terms, iterating on increments with one right-hand
+side per banded solve (`nonlinear_matrices`).  A run logs its blocks, and a
+nonlinear run its step, solve and right-hand side counts and its largest
+contraction estimate, at DEBUG.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .certificate import check_multipliers, phi_matrix
-from .energy import energy_sample
+from .energy import energy_rows
 from .delay_line import HistoryLine
 from .errors import (ConfigurationError, HistoryUnderrunError,
                      NonlinearDivergenceError, NumericalError)
@@ -31,8 +34,11 @@ from .params import DelaySpec, Grid, SystemParams, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
-# Picard iteration (`Stepper.step`): at most this many solves per step, and
-# the relative accuracy Banach's a-posteriori bound must certify
+# steps per block (`Stepper._plan`): the block's source and state rows stay
+# near 0.8 MB each at n = 200
+_BLOCK = 256
+# Picard iteration (`Stepper._solve_step`): at most this many solves per
+# step, and the relative accuracy Banach's a-posteriori bound must certify
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
 # the products F[_PAIR_I] * F[_PAIR_J] of the field stack F (`nonlinear_matrices`)
@@ -175,18 +181,6 @@ class Stepper:
         self._steps_done = self._solves = self._rhs_evals = 0
         self._q_max = 0.0
 
-    def _source(self, t_eval: float, state: SimState) -> np.ndarray:
-        """Explicit sources at the evaluation time: the delayed trace through
-        beta (0.0 with beta = 0) and, when given, forcing(t, x) -> (f1, f2)
-        on the eta and omega rows."""
-        tau, _ = tau_at(self.dly, t_eval)
-        b = self._delay_source * state.history.query(t_eval - tau)
-        if self.forcing is not None:
-            f1, f2 = self.forcing(t_eval, self.ops.grid.nodes)
-            b[0::2] += f1
-            b[1::2] += f2
-        return b
-
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
         """The quadratic terms N(u) from the field stack F = G u (one row per
         field) or, given Fd = G d, their increment
@@ -196,8 +190,9 @@ class Stepper:
             return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
         return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
 
-    def step(self, state: SimState) -> SimState:
-        """The state one dt later; advances `state.history` in place by pushing its trace.
+    def _solve_step(self, u: np.ndarray, base: np.ndarray, t: float) -> np.ndarray:
+        """The state one dt after u (at time t), given its explicit part
+        base = M2 u + dt (sources): one banded solve.
 
         Nonlinear steps iterate Picard, one right-hand side per solve: N(u_0)
         serves the explicit (1 - theta) term and u_1, then each increment
@@ -206,50 +201,112 @@ class Stepper:
         They stop once Banach's bound q/(1-q) |d_k| <= _PICARD_TOL |u_{k+1}|
         holds, q = |d_k| / |d_{k-1}|.  q >= 1 (no contraction), a non-finite
         iterate or _PICARD_ITERS solves raise NonlinearDivergenceError."""
-        dt, theta = self.cfg.dt, self.cfg.theta
-        u = state.u
-        base = self._M2 @ u + dt * self._source(state.t + theta * dt, state)
         if not self.cfg.nonlinear:
-            u_new = self._lu.solve(base)
-        else:
-            F = (self._G @ u).reshape(6, -1)
-            rhs = self._nonlinear_rhs(F)
-            if theta < 1.0:
-                base = base + (1.0 - theta) * dt * rhs
-            u_new = self._lu.solve(base + theta * dt * rhs)
-            d = u_new - u
-            delta = np.linalg.norm(d)
+            return self._lu.solve(base)
+        dt, theta = self.cfg.dt, self.cfg.theta
+        F = (self._G @ u).reshape(6, -1)
+        rhs = self._nonlinear_rhs(F)
+        if theta < 1.0:
+            base = base + (1.0 - theta) * dt * rhs
+        u_new = self._lu.solve(base + theta * dt * rhs)
+        d = u_new - u
+        delta = np.linalg.norm(d)
+        self._solves += 1
+        for _ in range(1, _PICARD_ITERS):
+            Fd = (self._G @ d).reshape(6, -1)
+            d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
             self._solves += 1
-            for _ in range(1, _PICARD_ITERS):
-                Fd = (self._G @ d).reshape(6, -1)
-                d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
-                self._solves += 1
-                F += Fd
-                u_new = u_new + d
-                prev, delta = delta, np.linalg.norm(d)
-                scale = np.linalg.norm(u_new)
-                # a NaN or infinite entry, or a norm that overflows
-                if not np.isfinite(delta + scale):
-                    raise NonlinearDivergenceError(
-                        "nonlinear iterate is not finite", t=state.t,
-                        step=self._steps_done)
-                q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
-                self._q_max = max(self._q_max, q)
-                if q >= 1:
-                    raise NonlinearDivergenceError(
-                        f"Picard map does not contract: q = {q:.3g}", t=state.t,
-                        step=self._steps_done)
-                if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
-                    break
-            else:
+            F += Fd
+            u_new = u_new + d
+            prev, delta = delta, np.linalg.norm(d)
+            scale = np.linalg.norm(u_new)
+            # a NaN or infinite entry, or a norm that overflows
+            if not np.isfinite(delta + scale):
                 raise NonlinearDivergenceError(
-                    f"Picard iteration did not reach tol={_PICARD_TOL} "
-                    f"within {_PICARD_ITERS} iterations", t=state.t,
-                    step=self._steps_done)
-        self._steps_done += 1
-        new = SimState._from_u(state.t + dt, u_new, state.history)
-        new.history.push(new.t, trace_eta_xx_L(new.eta, self.ops.grid))
-        return new
+                    "nonlinear iterate is not finite", t=t, step=self._steps_done)
+            q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
+            self._q_max = max(self._q_max, q)
+            if q >= 1:
+                raise NonlinearDivergenceError(
+                    f"Picard map does not contract: q = {q:.3g}", t=t, step=self._steps_done)
+            if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
+                return u_new
+        raise NonlinearDivergenceError(
+            f"Picard iteration did not reach tol={_PICARD_TOL} "
+            f"within {_PICARD_ITERS} iterations", t=t, step=self._steps_done)
+
+    def _plan(self, t: float, history: HistoryLine, limit: int):
+        """The next block of K <= limit steps from time t
+        (`HistoryLine.block_length`): its times t, t_1, .., t_K, the delayed
+        query point t_eval - tau(t_eval) of each step, t_eval = t_{k-1} +
+        theta dt, and (tau, tau') at each t_k, two rows of K."""
+        dt = self.cfg.dt
+        # step k >= M / dt + 1 queries at or after t, the newest sample before
+        # the block (tau <= M), so it cannot join the block: plan no further
+        limit = int(min(limit, self.dly.M / dt + 2))
+        # t_k = t_{k-1} + dt, accumulated as one step after another would
+        times = np.full(limit + 1, dt)
+        times[0] = t
+        times = np.cumsum(times)
+        t_eval = times[:-1] + self.cfg.theta * dt
+        queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
+        taus = np.array([tau_at(self.dly, s) for s in times[1:].tolist()]).T
+        K = history.block_length(times[1:], queries, times[1:] - taus[0])
+        return times[:K + 1], queries[:K], taus[:, :K]
+
+    def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
+               queries: np.ndarray, out: np.ndarray) -> None:
+        """Take the steps of a block (`_plan`) from u at times[0], writing the
+        state at times[k + 1] into out[k]: the delayed traces at all query
+        points from one `HistoryLine.query`, then per step one matvec and
+        one banded solve (Picard for the nonlinear terms), and finally one
+        `HistoryLine.extend` by the steps' traces.  A step that fails raises
+        its error after the steps before it are in out and in the history,
+        and counted by `_steps_done`.  A blow-up spreads inf and NaN without
+        a warning, so a run can stop at its first unstable row."""
+        dt, theta = self.cfg.dt, self.cfg.theta
+        traces = np.empty(len(out))
+        done = 0
+        with np.errstate(all="ignore"):
+            try:
+                # dt b = dt (delayed trace * B's column + forcing), one row per step
+                b = np.multiply.outer(history.query(queries), self._delay_source)
+                if self.forcing is None:
+                    b *= dt
+                for k in range(len(out)):
+                    if self.forcing is not None:
+                        f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
+                        b[k, 0::2] += f1
+                        b[k, 1::2] += f2
+                        b[k] *= dt
+                    base = self._M2 @ u
+                    base += b[k]
+                    u = self._solve_step(u, base, times[k])
+                    self._steps_done += 1
+                    out[k] = u
+                    traces[k] = trace_eta_xx_L(u[0::2], self.ops.grid)
+                    done += 1
+            finally:
+                history.extend(times[1:done + 1], traces[:done])
+
+    def advance(self, state: SimState, steps: int) -> SimState:
+        """The state `steps` steps later, taken in blocks of at most _BLOCK
+        (`_plan`, `_block`); advances `state.history` in place by their
+        traces.  Raises the NonlinearDivergenceError, HistoryUnderrunError or
+        NumericalError of a step that fails."""
+        t, u = state.t, state.u
+        out = np.empty((min(max(steps, 0), _BLOCK), u.size))
+        while steps > 0:
+            times, queries, _ = self._plan(t, state.history, min(_BLOCK, steps))
+            K = queries.size
+            self._block(u, state.history, times, queries, out[:K])
+            steps -= K
+            t, u = times[K], out[K - 1].copy()
+        return SimState._from_u(t, u, state.history)
+
+    def step(self, state: SimState) -> SimState:
+        """The state one dt later (`advance` by a block of one step)."""
+        return self.advance(state, 1)
 
 
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
@@ -259,22 +316,27 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
 
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
     to the trace of s0.eta, so s0 stays untouched and reruns from it are
-    bit-identical.  The monitor rows go into one table, in
-    `report.CSV_COLUMNS` order, and with `store_fields` the interleaved state
-    of each row into one array, both allocated before the first step; the
-    report's series are rows of the table and its fields strided views of
-    the states.  Its `dissipation_rhs` is the energy identity's rate dE/dt =
-    1/2 q^T Phi q per row, q = (trace_now, trace_delayed), with Phi's (2,2)
-    entry |beta| (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds
-    it from above.  The rows' delay terms are exact integrals of the
-    history's cubic (`energy_sample`); `rho_res`, the rho resolution of the
-    quadrature they replace, is ignored with a DeprecationWarning.
+    bit-identical.  It advances in blocks (`Stepper._plan`): one history
+    query for the block's delayed sources, its steps, one history extend by
+    their traces and one monitor pass over its rows (`energy_rows`), with
+    the rows, traces and stored fields that steps one at a time give, bit
+    for bit.  The monitor rows go into one table, in `report.CSV_COLUMNS`
+    order, and with `store_fields` the interleaved state of each row into
+    one array, both allocated before the first step; the report's series
+    are rows of the table and its fields strided views of the states.  Its
+    `dissipation_rhs` is the energy identity's rate dE/dt = 1/2 q^T Phi q
+    per row, q = (trace_now, trace_delayed), with Phi's (2,2) entry |beta|
+    (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds it from
+    above.  The rows' delay terms are exact integrals of the history's cubic
+    (`energy_rows`); `rho_res`, the rho resolution of the quadrature they
+    replace, is ignored with a DeprecationWarning.  The number of blocks and
+    their shortest and mean length are logged at DEBUG.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
-    when s0.history does not end at s0.t, when T is negative or not finite,
-    when the arrays for its T / dt rows cannot be allocated, when the
-    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1, or when
-    `OperatorSet.check_params` fails.
+    when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
+    when T is negative or not finite, when the arrays for its T / dt rows
+    cannot be allocated, when the Lyapunov multipliers lie outside
+    0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.
     A step or monitor row that fails with NonlinearDivergenceError,
     HistoryUnderrunError or NumericalError, or an energy that blows up, ends
     the run early: the report keeps the rows recorded so far and names the
@@ -293,6 +355,13 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     if s0.history.t_last != s0.t:
         raise ConfigurationError(
             f"the state's history ends at t={s0.history.t_last}, not at its time t={s0.t}")
+    taus0 = np.array([tau_at(dly, s0.t)]).T   # (tau, tau') of the first row
+    delayed = s0.t - taus0[0, 0]
+    # written so that a NaN fails it
+    if not delayed >= s0.history.t_first - 1e-14:
+        raise ConfigurationError(
+            f"the state's history starts at t={s0.history.t_first}, after the delayed "
+            f"time t - tau(t) = {delayed} of its first monitor row")
     history = s0.history.copy()
     history.replace_last(trace_eta_xx_L(s0.eta, ops.grid))
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
@@ -300,35 +369,61 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         # one column per monitor row, its entries in CSV_COLUMNS order: E is
         # entry 1, the two traces entries 5 and 6
         table = np.empty((len(CSV_COLUMNS), n_steps + 1))
+        tau_dot = np.empty(n_steps + 1)
         states = np.empty((n_steps + 1, s0.u.size)) if store_fields else None
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(
             f"cannot allocate {n_steps + 1:.6g} rows for T = {T} at dt = {cfg.dt}: {exc}") from exc
     stepper = Stepper(ops, cfg, p, dly)
 
-    def record(i: int, st: SimState) -> None:
-        table[:, i] = energy_sample(st, p, dly, ops.grid, mu1, mu2)
-        if states is not None:
-            states[i] = st.u
+    def record(rows: slice, U, t, taus) -> None:
+        table[:, rows] = energy_rows(U, t, taus[0], history, p, ops.grid, mu1, mu2)
+        tau_dot[rows] = taus[1]
 
-    state = SimState._from_u(s0.t, s0.u, history)
-    record(0, state)
+    record(slice(0, 1), s0.u[None], np.array([s0.t]), taus0)
+    if states is not None:
+        states[0] = s0.u
     E0 = table[1, 0]
-    rows, termination = 1, "completed"
-    for k in range(n_steps):
+    rows, termination, lengths = 1, "completed", []
+    t, u = s0.t, s0.u
+    block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
+    while rows <= n_steps:
+        times, queries, taus = stepper._plan(t, history, min(_BLOCK, n_steps + 1 - rows))
+        K = queries.size
+        U = block_rows[:K] if states is None else states[rows:rows + K]
+        start, error = stepper._steps_done, None
         try:
-            state = stepper.step(state)
-            record(rows, state)
+            stepper._block(u, history, times, queries, U)
         except tuple(_TERMINATION) as exc:
-            termination = _TERMINATION[type(exc)]
+            error = exc
+        k = stepper._steps_done - start
+        lengths.append(k)
+        if k:
+            try:
+                with np.errstate(all="ignore"):
+                    record(slice(rows, rows + k), U[:k], times[1:k + 1], taus[:, :k])
+            except HistoryUnderrunError as exc:
+                # a window outside the span: the one row of its block
+                termination = _TERMINATION[type(exc)]
+                log.info("run stopped at step %d (t = %.6g): %s: %s",
+                         rows, times[1], termination, exc)
+                break
+            E = table[1, rows:rows + k]
+            unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
+            if unstable.any():
+                rows += int(np.argmax(unstable)) + 1
+                termination = "unstable"
+                break
+            rows += k
+        if error is not None:
+            termination = _TERMINATION[type(error)]
             log.info("run stopped at step %d (t = %.6g): %s: %s",
-                     k + 1, state.t, termination, exc)
+                     rows, times[k], termination, error)
             break
-        E_now = table[1, rows]
-        rows += 1
-        if not np.isfinite(E_now) or (E0 > 0 and E_now > _BLOWUP_FACTOR * E0):
-            termination = "unstable"
-            break
+        t, u = times[k], U[k - 1].copy()
+    if lengths:
+        log.debug("run: %d steps in %d blocks, shortest %d, mean length %.4g",
+                  sum(lengths), len(lengths), min(lengths), np.mean(lengths))
     if cfg.nonlinear:
         log.debug("nonlinear run: %d steps, %d solves, %d right-hand sides, largest q %.3g",
                   stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
@@ -336,11 +431,10 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row and
     # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)
     q = table[5:, :rows]
-    tau_dot = np.array([tau_at(dly, t)[1] for t in table[0, :rows]])
     return RunReport(
         **dict(zip(CSV_COLUMNS, table[:, :rows])),
         dissipation_rhs=(0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0)
-                         + 0.5 * abs(p.beta) * (tau_dot - dly.d) * q[1] ** 2),
+                         + 0.5 * abs(p.beta) * (tau_dot[:rows] - dly.d) * q[1] ** 2),
         fields_eta=None if states is None else states[:rows, 0::2],
         fields_omega=None if states is None else states[:rows, 1::2],
         termination=termination,

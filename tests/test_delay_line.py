@@ -563,3 +563,65 @@ def test_square_integrals_refuse_a_window_outside_the_span():
             h.square_integrals(a, b)
     with pytest.raises(ConfigurationError, match="a > b"):
         h.square_integrals(0.05, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extend_equals_pushes_one_at_a_time(seed):
+    # extends of random lengths, with evictions (down to three samples for a
+    # small M), jumps in the gap and buffer growth, leave the line K pushes
+    # leave, bit for bit: samples, slopes, coefficients, integrals, span
+    rng = np.random.default_rng(600 + seed)
+    n0 = int(rng.integers(2, 40))
+    t = np.cumsum(rng.uniform(0.01, 0.2, n0))
+    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(1e-3, 1.0)))
+    pushed = h.copy()
+    for _ in range(60):
+        k = int(rng.integers(1, 40))
+        gaps = np.full(k, 0.02) if rng.uniform() < 0.5 else rng.uniform(0.005, 0.1, k)
+        times = h.t_last + np.cumsum(gaps)
+        values = rng.standard_normal(k)
+        h.extend(times, values)
+        for tk, vk in zip(times, values):
+            pushed.push(tk, vk)
+        assert (h._lo - h._hi, h._max_gap) == (pushed._lo - pushed._hi, pushed._max_gap)
+        assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
+                              _bits(pushed._buf[:, pushed._lo:pushed._hi]))
+        _assert_cache_is_fresh(h)
+    assert h.t_first > t[-1]
+
+
+def test_extend_refuses_bad_times_and_keeps_the_line():
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=10.0)
+    before = _bits(h._buf[:, h._lo:h._hi]).copy()
+    for times, match in (([3.0, np.nan], "finite, got nan"), ([3.0, 3.0], "t=3.0 after t_last=3.0"),
+                         ([2.0], "t=2.0 after t_last=2.0"), ([3.0, np.inf], "finite, got inf")):
+        with pytest.raises(ConfigurationError, match=match):
+            h.extend(np.array(times), np.zeros(len(times)))
+    h.extend(np.array([]), np.array([]))
+    assert h.size == 3 and np.array_equal(_bits(h._buf[:, h._lo:h._hi]), before)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
+    # each of the newest K samples' windows, from the line after all K
+    # pushes, against square_integrals on a copy taken right after that
+    # sample's push: traces bit for bit, integrals to roundoff
+    rng = np.random.default_rng(700 + seed)
+    t = np.cumsum(rng.uniform(0.005, 0.02, 200))
+    h = _line(t, rng.standard_normal(200), M=2.0)
+    K, tau = int(rng.integers(2, 60)), float(rng.uniform(0.3, 1.0))
+    times = h.t_last + np.cumsum(rng.uniform(0.005, 0.02, K))
+    as_pushed = []
+    for tk in times:
+        h.push(tk, float(rng.standard_normal()))
+        as_pushed.append(h.square_integrals(tk - tau, tk))
+    qa, qb, i0, i1 = h.trailing_integrals(times - tau)
+    want = np.array(as_pushed).T
+    assert np.array_equal(_bits(qa), _bits(want[0]))
+    assert np.array_equal(_bits(qb), _bits(want[1]))
+    assert np.all(np.abs(i0 - want[2]) <= 1e-14 * want[2])
+    assert np.all(np.abs(i1 - want[3]) <= 1e-14 * want[3])
+    # the window of the newest sample alone may start inside its last interval
+    a = float(times[-1] - 0.3 * (times[-1] - times[-2]))
+    got = h.trailing_integrals(np.array([a]))
+    assert np.allclose(np.ravel(got), h.square_integrals(a, float(times[-1])), rtol=1e-14, atol=0)

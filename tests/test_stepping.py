@@ -376,7 +376,7 @@ def _iterates_per_step(monkeypatch):
     """Record, per step of any Stepper, its Picard iterates u_0 (the state),
     u_1, ... and increments d_0 = u_1 - u_0, d_1, ...: the first solve gives
     u_1, each later one the increment, and the iterates are running sums."""
-    steps, real, real_solve = [], Stepper.step, BandedLU.solve
+    steps, real, real_solve = [], Stepper._solve_step, BandedLU.solve
 
     def solve(self, rhs):
         out = real_solve(self, rhs)
@@ -389,12 +389,12 @@ def _iterates_per_step(monkeypatch):
             us.append(us[-1] + out)
         return out
 
-    def step(self, state):
-        steps.append(([state.u.copy()], []))
-        return real(self, state)
+    def step(self, u, *args):
+        steps.append(([u.copy()], []))
+        return real(self, u, *args)
 
     monkeypatch.setattr(BandedLU, "solve", solve)
-    monkeypatch.setattr(Stepper, "step", step)
+    monkeypatch.setattr(Stepper, "_solve_step", step)
     return steps
 
 
