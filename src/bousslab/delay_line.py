@@ -41,20 +41,22 @@ def _cubic_coeffs(h, v0, v1, m0, m1):
     return (slope - m0) / h - c, c / h
 
 
+# q^2 = sum_ij p_i p_j s^(i+j) for q = sum_i p_i s^i: int_0^x s^m q^2 ds has
+# the terms p_i p_j x^(i+j+m+1) / (i+j+m+1); the row of x^(i+j+m+1) among the
+# powers x^1 .. x^8, and the divisor, for moments m = 0, 1
+_POWER = np.add.outer(np.arange(2), np.add.outer(np.arange(4), np.arange(4)))
+_DIVISOR = (_POWER + 1.0)[..., None]
+_EIGHT_ROWS = np.ones((8, 1))
+
+
 def _square_moments(x, v0, m0, a2, a3):
-    """(int_0^x q^2 ds, int_0^x s q^2 ds) of q = v0 + m0 s + a2 s^2 + a3 s^3:
-    q^2 = sum c_k s^k integrated term by term, by Horner in x."""
-    c1 = 2.0 * v0 * m0
-    c2 = m0 * m0 + 2.0 * v0 * a2
-    c3 = 2.0 * (v0 * a3 + m0 * a2)
-    c4 = a2 * a2 + 2.0 * m0 * a3
-    c5 = 2.0 * a2 * a3
-    c6 = a3 * a3
-    i0 = x * (v0 * v0 + x * (c1 / 2.0 + x * (c2 / 3.0 + x * (
-        c3 / 4.0 + x * (c4 / 5.0 + x * (c5 / 6.0 + x * (c6 / 7.0)))))))
-    i1 = x * x * (v0 * v0 / 2.0 + x * (c1 / 3.0 + x * (c2 / 4.0 + x * (
-        c3 / 5.0 + x * (c4 / 6.0 + x * (c5 / 7.0 + x * (c6 / 8.0)))))))
-    return i0, i1
+    """(int_0^x q^2 ds, int_0^x s q^2 ds) of q = v0 + m0 s + a2 s^2 + a3 s^3,
+    elementwise for 1-D arrays, as sums of the 16 terms of q^2 each
+    integrated in closed form."""
+    p = np.array([v0, m0, a2, a3])
+    powers = np.multiply.accumulate(_EIGHT_ROWS * x)
+    terms = powers[_POWER] / _DIVISOR * (p[:, None] * p[None])
+    return terms.reshape(2, 16, -1).sum(axis=1)
 
 
 def _hermite(s, v0, m0, a2, a3):
@@ -247,31 +249,46 @@ class HistoryLine:
         self._buf[1, self._hi - 1] = v
         self._refresh(self._hi - 3, self._hi)
 
-    def block_length(self, times, queries, starts) -> int:
-        """How many of the coming samples at `times` (increasing, after
-        t_last) one `extend` may append while a caller stepping through them
-        reads the line as pushes one at a time would leave it, bit for bit:
-        the query point queries[j], made before sample j is appended, from
-        the line as it stands now, and the window [starts[j], times[j]] of
-        sample j (`trailing_integrals`) from the line after the extend.
+    def monitor_reach(self, start: float, gap: float) -> float:
+        """The latest time a sample appended every `gap` after t_last can
+        have while the samples before it evict none at or after `start`
+        (`plan_block` cuts a block before a window start is evicted)."""
+        return start + self.M + max(self.slack, 2.0 * max(self._max_gap, gap))
 
-        Every row j >= 1 needs its query point at or before the second-newest
-        sample (the intervals up to it keep their slopes) and at or after the
-        second live sample once j samples are appended (the head interval
-        keeps its slopes until an eviction).  With more than one row, every
-        window must start at or before the sample before its own, and at or
-        after the second live sample once all of them are appended.  The
-        answer is at least 1: the next sample alone always qualifies."""
-        if times.size == 1:
-            return 1
+    def plan_block(self, times, queries, starts):
+        """(K, after) for the coming samples at `times` (increasing, after
+        t_last) of a caller that steps through them and reads the line as
+        pushes one at a time would leave it, bit for bit: step j queries at
+        queries[j] before sample j is appended, and row j reads the window
+        [starts[j], times[j]] (`trailing_integrals`) once the first K are.
+
+        K is how many samples one monitor pass after the K appends may
+        serve, at least 1: with more than one row, every window must start
+        at or before the sample before its own, and in the span that stays
+        unchanged once all K are appended.  after[j] <= j is how few of the
+        block's samples must be appended before step j's query: it reads
+        the line after s appends once its query point is at or before the
+        second-newest sample then (the intervals up to it keep their
+        slopes), and in the span that stays unchanged once j samples are
+        appended.  That span starts at the first live sample, or at the
+        second live sample once an eviction (which moves the head interval's
+        slopes) or, on a line of two samples, the third sample has
+        refreshed the head."""
         live = self._t
         before, _, cutoff = self._cutoffs(times)
-        # the second live sample after each append (inf past the old ones)
+        # the start of the unchanged span after each append (inf past the
+        # old samples)
         k = live.searchsorted(np.maximum.accumulate(cutoff))
         second = np.append(live, np.inf)[np.minimum(k + 1, live.size)]
+        if live.size > 2:
+            second = np.where(k > 0, second, live[0])
         ok = (starts <= before) & (np.minimum.accumulate(starts) >= second)
-        ok[1:] &= (queries[1:] <= live[-2]) & (queries[1:] >= second[:-1])
-        return max(1, int(np.logical_and.accumulate(ok).sum()))
+        K = max(1, int(np.logical_and.accumulate(ok).sum())) if times.size > 1 else 1
+        # the second-newest sample after s appends is entry s
+        steps = np.arange(K)
+        after = np.minimum(np.concatenate((live[-2:], times)).searchsorted(queries[:K]), steps)
+        after[1:] = np.where(queries[1:K] >= second[:K - 1], after[1:], steps[1:])
+        return K, after
 
     # -- queries ------------------------------------------------------------
 
@@ -306,50 +323,18 @@ class HistoryLine:
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
         arrays a and b (floats for floats); q(a) and q(b) are the values
-        `query` returns, bit for bit.
-
-        The integrals are exact up to roundoff: the cached integrals of the
-        whole intervals inside each window, summed afresh for every window (a
-        running prefix sum would cancel as they decay), plus the partial
-        interval at each end, the one at a re-expanded about a."""
+        `query` returns, bit for bit (`_window_integrals`)."""
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
+        a, b = self._clamped_windows(a, b)
         buf, lo, hi = self._buf, self._lo, self._hi
-        t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
-        # written so that a NaN fails it
-        bad = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))
-        if bad.size:
-            j = bad[0]
-            raise HistoryUnderrunError(
-                f"integral over [{a[j]}, {b[j]}] outside stored span [{t_first}, {t_last}]")
-        bad = np.flatnonzero(~(a <= b))
-        if bad.size:
-            raise ConfigurationError(f"integral over [{a[bad[0]]}, {b[bad[0]]}] has a > b")
-        a = np.minimum(np.maximum(a, t_first), t_last)
-        b = np.minimum(np.maximum(b, t_first), t_last)
-        # the columns of the intervals holding a and b, as in `query`
-        knots = buf[0, lo + 1:hi]
-        i = lo + knots.searchsorted(a, "right")
-        k = lo + knots.searchsorted(b, "right")
-        ti, v0, m0, a2, a3 = buf[:5, i]
-        tk, *cubic_k = buf[:5, k]
-        x = a - ti
-        qa, qb = _hermite(x, v0, m0, a2, a3), _hermite(b - tk, *cubic_k)
-        about_a = (qa, m0 + x * (2.0 * a2 + 3.0 * a3 * x), a2 + 3.0 * a3 * x, a3)
-        same, first = i == k, np.minimum(i + 1, k)
-        i0, i1 = _square_moments(np.where(same, b, buf[0, first]) - a, *about_a)
-        if not same.all():
-            # the whole intervals c = i + 1 .. k - 1 of each window; their
-            # (t_c - a) I0_c as (t_c - r) I0_c - (a - r) I0_c with one r <= every
-            # a, so one row of positive terms serves all windows
-            r = a.min()
-            c = first.min()
-            whole = np.vstack((buf[5:, c:hi], (buf[0, c:hi] - r) * buf[5, c:hi]))
-            s5, s6, s0 = _window_sums(whole, first - c, k - c)
-            r0, r1 = _square_moments(b - tk, *cubic_k)
-            i0 = np.where(same, i0, i0 + s5 + r0)
-            i1 = np.where(same, i1, i1 + (s6 + (s0 - (a - r) * s5)) + r1 + (tk - a) * r0)
+        # the column of the interval holding b, as in `query`
+        k = lo + buf[0, lo + 1:hi].searchsorted(b, "right")
+        tk, *cubic = buf[:5, k]
+        with np.errstate(all="ignore"):
+            qa, i0, i1 = self._window_integrals(a, b, k, cubic)
+            qb = _hermite(b - tk, *cubic)
         if scalar:
             return float(qa[0]), float(qb[0]), float(i0[0]), float(i1[0])
         return qa, qb, i0, i1
@@ -362,24 +347,74 @@ class HistoryLine:
         and on [t_{j-1}, t_j] the cubic with the end slope t_j had then
         (rebuilt, except for the newest sample, which still has it).  Each
         a_j must lie in the span at or before t_j, and at or before t_{j-1}
-        unless j is the newest (`block_length`)."""
+        unless j is the newest (`plan_block`)."""
         buf, hi = self._buf, self._hi
         cols = np.arange(hi - a.size, hi)
         t0, v0, m0 = buf[:3, cols - 1]
         t1, v1, m1 = buf[:3, cols]
+        a, _ = self._clamped_windows(a, t1)
         with np.errstate(all="ignore"):
             if a.size > 1:
                 tm, vm = buf[:2, cols[:-1] - 2]
                 h0, h1 = t0[:-1] - tm, t1[:-1] - t0[:-1]
                 m1[:-1] = _end_slope(h1, h0, (v1[:-1] - v0[:-1]) / h1, (v0[:-1] - vm) / h0)
             a2, a3 = _cubic_coeffs(t1 - t0, v0, v1, m0, m1)
-            y = np.maximum(a, t0)
-            qa, _, i0, i1 = self.square_integrals(a, y)
-            x = y - t0
-            about_y = (_hermite(x, v0, m0, a2, a3), m0 + x * (2.0 * a2 + 3.0 * a3 * x),
-                       a2 + 3.0 * a3 * x, a3)
-            p0, p1 = _square_moments(t1 - y, *about_y)
-            return qa, _hermite(0.0, v1, m1, 0.0, 0.0), i0 + p0, i1 + p1 + (y - a) * p0
+            qa, i0, i1 = self._window_integrals(a, t1, cols - 1, (v0, m0, a2, a3))
+            return qa, _hermite(0.0, v1, m1, 0.0, 0.0), i0, i1
+
+    def _clamped_windows(self, a, b):
+        """Windows [a, b] checked against the stored span (to 1e-14) and
+        clamped into it."""
+        t_first, t_last = self.t_first, self.t_last
+        # written so that a NaN fails it
+        bad = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))
+        if bad.size:
+            j = bad[0]
+            raise HistoryUnderrunError(
+                f"integral over [{a[j]}, {b[j]}] outside stored span [{t_first}, {t_last}]")
+        bad = np.flatnonzero(~(a <= b))
+        if bad.size:
+            raise ConfigurationError(f"integral over [{a[bad[0]]}, {b[bad[0]]}] has a > b")
+        return (np.minimum(np.maximum(a, t_first), t_last),
+                np.minimum(np.maximum(b, t_first), t_last))
+
+    def _window_integrals(self, a, b, k, cubic):
+        """(q(a), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) over windows [a, b]
+        in the span, where q is the line's interpolant before column k and the
+        cubic (v0, m0, a2, a3) about t_k on [t_k, b]; a window that starts
+        in interval k reads the line's own cubic there.
+
+        The integrals are exact up to roundoff: the partial interval at a,
+        re-expanded about a, and the one at b (one `_square_moments` for
+        both), plus the cached integrals of the whole intervals between,
+        summed afresh for every window (a running prefix sum would cancel as
+        they decay), their s - a moments each formed about the window's own
+        a (about one point shared by all windows they would cancel)."""
+        buf, lo, hi = self._buf, self._lo, self._hi
+        i = lo + buf[0, lo + 1:hi].searchsorted(a, "right")
+        ti, v0, m0, a2, a3 = buf[:5, i]
+        tk = buf[0, k]
+        x = a - ti
+        qa = _hermite(x, v0, m0, a2, a3)
+        same, first = i == k, np.minimum(i + 1, k)
+        # head [a, t_{i+1}] (all of [a, b] when i = k) about a, tail [t_k, b]
+        i0, i1 = _square_moments(
+            np.concatenate((np.where(same, b, buf[0, first]) - a, np.where(same, 0.0, b - tk))),
+            *(np.concatenate(pair) for pair in zip(
+                (qa, m0 + x * (2.0 * a2 + 3.0 * a3 * x), a2 + 3.0 * a3 * x, a3), cubic)))
+        (h0, r0), (h1, r1) = i0.reshape(2, -1), i1.reshape(2, -1)
+        if same.all():
+            return qa, h0, h1
+        # the whole intervals c = first .. k - 1 of each window
+        c = int(first.min())
+        s5, s6 = _window_sums(buf[5:7, c:hi], first - c, k - c)
+        s0 = _moment_sums(buf[0, c:hi], buf[5, c:hi], a, first - c, k - c)
+        return (qa, np.where(same, h0, h0 + s5 + r0),
+                np.where(same, h1, h1 + (s6 + s0) + r1 + (tk - a) * r0))
+
+
+# cells of one `_moment_sums` matrix: its temporaries stay near 256 KB
+_MOMENT_CELLS = 1 << 15
 
 
 def _window_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -388,6 +423,25 @@ def _window_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarr
     idx = np.empty(2 * start.size, dtype=np.intp)
     idx[0::2], idx[1::2] = np.minimum(start, stop), stop
     return np.where(start < stop, np.add.reduceat(x, idx, axis=1)[:, 0::2], 0.0)
+
+
+def _moment_sums(t: np.ndarray, w: np.ndarray, a: np.ndarray, start: np.ndarray,
+                 stop: np.ndarray) -> np.ndarray:
+    """sum of (t[c] - a[j]) w[c] over c in [start[j], stop[j]) for each j
+    (0.0 where empty), every term formed about its own a[j]: the terms of a
+    chunk of rows over the chunk's columns as one matrix, summed by one
+    reduceat over its rows; stop must be below t.size."""
+    out = np.empty(a.size)
+    rows = max(1, _MOMENT_CELLS // t.size)
+    for j in range(0, a.size, rows):
+        chunk = slice(j, j + rows)
+        c0, c1 = start[chunk].min(), stop[chunk].max() + 1
+        terms = t[c0:c1] - a[chunk, None]
+        terms *= w[c0:c1]
+        base = (c1 - c0) * np.arange(terms.shape[0]) - c0
+        out[chunk] = _window_sums(terms.reshape(1, -1), base + start[chunk],
+                                  base + stop[chunk])[0]
+    return out
 
 
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:

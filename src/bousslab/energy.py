@@ -62,7 +62,9 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
     """The monitor row of the state s (`energy_rows` of one row), whose
-    history ends at s.t, as a tuple of floats."""
+    history ends at s.t, as a tuple of floats.  A state whose history line
+    has moved on (one `Stepper.step` returned, then stepped again) raises
+    ConfigurationError: its row reads the line as it stood at s.t."""
     tau, _ = tau_at(dly, s.t)
     row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())

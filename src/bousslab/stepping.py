@@ -5,13 +5,15 @@ coupled 2n x 2n system stays banded; the stiff operator is factorized once
 per run and the delayed boundary datum enters as an explicit source vector
 evaluated at t + theta*dt.  Every delayed value the coming steps need is
 then already in the history (the method of steps), so the steps go in
-blocks: one history query for a block's sources, per step one matvec and
-one banded solve, and one history extend by the block's traces; `run` adds
-one monitor pass over the block's rows.  Optional Picard iteration handles
-the quadratic nonlinear terms, iterating on increments with one right-hand
-side per banded solve (`nonlinear_matrices`).  A run logs its blocks, and a
+blocks, and a block's steps in runs: one history query for a run's
+sources, per step one matvec and one banded solve, and one history extend
+by the run's traces.  A delay of many steps makes a block one run; one
+shorter than two steps makes every run one step.  `run` adds one monitor
+pass over a block's rows.  Optional Picard iteration handles the quadratic
+nonlinear terms, iterating on increments with one right-hand side per
+banded solve (`nonlinear_matrices`).  A run logs its blocks, and a
 nonlinear run its step, solve and right-hand side counts and its largest
-contraction estimate, at DEBUG.
+contraction estimate, at DEBUG, over the rows it kept.
 """
 
 from __future__ import annotations
@@ -177,8 +179,10 @@ class Stepper:
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
         # counters `run` logs: steps taken, Picard solves, right-hand sides
-        # and the largest contraction estimate q of the nonlinear steps
+        # and the largest contraction estimate q of the nonlinear steps, and
+        # those three after each step of the last block
         self._steps_done = self._solves = self._rhs_evals = 0
+        self._tally = []
         self._q_max = 0.0
 
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
@@ -237,13 +241,15 @@ class Stepper:
 
     def _plan(self, t: float, history: HistoryLine, limit: int):
         """The next block of K <= limit steps from time t
-        (`HistoryLine.block_length`): its times t, t_1, .., t_K, the delayed
+        (`HistoryLine.plan_block`): its times t, t_1, .., t_K, the delayed
         query point t_eval - tau(t_eval) of each step, t_eval = t_{k-1} +
-        theta dt, and (tau, tau') at each t_k, two rows of K."""
+        theta dt, (tau, tau') at each t_k, two rows of K, and how few of the
+        block's traces each step's query needs pushed first."""
         dt = self.cfg.dt
-        # step k >= M / dt + 1 queries at or after t, the newest sample before
-        # the block (tau <= M), so it cannot join the block: plan no further
-        limit = int(min(limit, self.dly.M / dt + 2))
+        # the block ends before the samples it appends evict the start of its
+        # first window (one step more for roundoff)
+        first = t + dt - tau_at(self.dly, t + dt)[0]
+        limit = max(1, min(limit, int((history.monitor_reach(first, dt) - t) / dt) + 1))
         # t_k = t_{k-1} + dt, accumulated as one step after another would
         times = np.full(limit + 1, dt)
         times[0] = t
@@ -251,43 +257,57 @@ class Stepper:
         t_eval = times[:-1] + self.cfg.theta * dt
         queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
         taus = np.array([tau_at(self.dly, s) for s in times[1:].tolist()]).T
-        K = history.block_length(times[1:], queries, times[1:] - taus[0])
-        return times[:K + 1], queries[:K], taus[:, :K]
+        K, after = history.plan_block(times[1:], queries, times[1:] - taus[0])
+        return times[:K + 1], queries[:K], taus[:, :K], after
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, out: np.ndarray) -> None:
+               queries: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
-        state at times[k + 1] into out[k]: the delayed traces at all query
-        points from one `HistoryLine.query`, then per step one matvec and
-        one banded solve (Picard for the nonlinear terms), and finally one
-        `HistoryLine.extend` by the steps' traces.  A step that fails raises
-        its error after the steps before it are in out and in the history,
-        and counted by `_steps_done`.  A blow-up spreads inf and NaN without
-        a warning, so a run can stop at its first unstable row."""
+        state at times[k + 1] into out[k].  They go in runs: each run's
+        delayed traces from one `HistoryLine.query`, then per step one
+        matvec and one banded solve (Picard for the nonlinear terms), and one
+        `HistoryLine.extend` by the run's traces; a run goes on while the
+        next step's query reads the line as it stands (after[k] <= the
+        steps pushed), so a delay of many steps makes one run of the block.
+        A step that fails raises its error after the steps before it are in
+        out and in the history, and counted by `_steps_done`; `_tally`
+        holds the solve and right-hand side counts and the largest q after
+        each step.  A blow-up spreads inf and NaN without a warning, so a
+        run can stop at its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
-        traces = np.empty(len(out))
-        done = 0
+        K = len(out)
+        after = after.tolist()
+        traces = np.empty(K)
+        done = pushed = 0
+        self._tally = []
         with np.errstate(all="ignore"):
             try:
-                # dt b = dt (delayed trace * B's column + forcing), one row per step
-                b = np.multiply.outer(history.query(queries), self._delay_source)
-                if self.forcing is None:
-                    b *= dt
-                for k in range(len(out)):
-                    if self.forcing is not None:
-                        f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
-                        b[k, 0::2] += f1
-                        b[k, 1::2] += f2
-                        b[k] *= dt
-                    base = self._M2 @ u
-                    base += b[k]
-                    u = self._solve_step(u, base, times[k])
-                    self._steps_done += 1
-                    out[k] = u
-                    traces[k] = trace_eta_xx_L(u[0::2], self.ops.grid)
-                    done += 1
+                while done < K:
+                    end = done + 1
+                    while end < K and after[end] <= done:
+                        end += 1
+                    # dt b = dt (delayed trace * B's column + forcing), one row per step
+                    b = np.multiply.outer(history.query(queries[done:end]), self._delay_source)
+                    if self.forcing is None:
+                        b *= dt
+                    for k, row in zip(range(done, end), b):
+                        if self.forcing is not None:
+                            f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
+                            row[0::2] += f1
+                            row[1::2] += f2
+                            row *= dt
+                        base = self._M2 @ u
+                        base += row
+                        u = self._solve_step(u, base, times[k])
+                        self._steps_done += 1
+                        self._tally.append((self._solves, self._rhs_evals, self._q_max))
+                        out[k] = u
+                        traces[k] = trace_eta_xx_L(u[0::2], self.ops.grid)
+                        done += 1
+                    history.extend(times[pushed + 1:done + 1], traces[pushed:done])
+                    pushed = done
             finally:
-                history.extend(times[1:done + 1], traces[:done])
+                history.extend(times[pushed + 1:done + 1], traces[pushed:done])
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
@@ -297,9 +317,9 @@ class Stepper:
         t, u = state.t, state.u
         out = np.empty((min(max(steps, 0), _BLOCK), u.size))
         while steps > 0:
-            times, queries, _ = self._plan(t, state.history, min(_BLOCK, steps))
+            times, queries, _, after = self._plan(t, state.history, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, out[:K])
+            self._block(u, state.history, times, queries, after, out[:K])
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -316,11 +336,11 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
 
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
     to the trace of s0.eta, so s0 stays untouched and reruns from it are
-    bit-identical.  It advances in blocks (`Stepper._plan`): one history
-    query for the block's delayed sources, its steps, one history extend by
-    their traces and one monitor pass over its rows (`energy_rows`), with
-    the rows, traces and stored fields that steps one at a time give, bit
-    for bit.  The monitor rows go into one table, in `report.CSV_COLUMNS`
+    bit-identical.  It advances in blocks (`Stepper._plan`): the block's
+    steps in runs, each with one history query for its delayed sources and
+    one history extend by its traces (`Stepper._block`), then one monitor
+    pass over the block's rows (`energy_rows`), with the rows, traces and
+    stored fields that steps one at a time give, bit for bit.  The monitor rows go into one table, in `report.CSV_COLUMNS`
     order, and with `store_fields` the interleaved state of each row into
     one array, both allocated before the first step; the report's series
     are rows of the table and its fields strided views of the states.  Its
@@ -330,7 +350,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     above.  The rows' delay terms are exact integrals of the history's cubic
     (`energy_rows`); `rho_res`, the rho resolution of the quadrature they
     replace, is ignored with a DeprecationWarning.  The number of blocks and
-    their shortest and mean length are logged at DEBUG.
+    their shortest and mean length are logged at DEBUG; a blow-up steps on
+    to its block's end, but these counts, and the nonlinear step, solve and
+    right-hand side counts and largest q, stop at the first unstable row.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
@@ -388,12 +410,12 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     t, u = s0.t, s0.u
     block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
     while rows <= n_steps:
-        times, queries, taus = stepper._plan(t, history, min(_BLOCK, n_steps + 1 - rows))
+        times, queries, taus, after = stepper._plan(t, history, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
         start, error = stepper._steps_done, None
         try:
-            stepper._block(u, history, times, queries, U)
+            stepper._block(u, history, times, queries, after, U)
         except tuple(_TERMINATION) as exc:
             error = exc
         k = stepper._steps_done - start
@@ -411,7 +433,12 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
             E = table[1, rows:rows + k]
             unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
             if unstable.any():
-                rows += int(np.argmax(unstable)) + 1
+                # the steps after the first unstable row are not the run's
+                kept = int(np.argmax(unstable)) + 1
+                stepper._steps_done -= k - kept
+                stepper._solves, stepper._rhs_evals, stepper._q_max = stepper._tally[kept - 1]
+                lengths[-1] = kept
+                rows += kept
                 termination = "unstable"
                 break
             rows += k

@@ -3,9 +3,10 @@
 The oracle is the step-by-step loop `run` had before it advanced in blocks:
 `Stepper.step` and one monitor row (`energy_sample`) per step, with the same
 early stops.  Both read the same history line, so t, the traces, the stored
-fields and dissipation_rhs agree bit for bit; E, V and V2 sum their delay
-integrals in another order (to 1e-14 relative), and V1 its dot product
-(to 1e-14 E).
+fields and dissipation_rhs agree bit for bit; E, V and V2 sum each
+window's delay integrals alone, as one step at a time does, so they agree
+to 1e-14 relative (bit for bit with numpy 2.4's reductions), and V1 its
+dot product to 1e-14 E.
 """
 
 import logging
@@ -67,19 +68,27 @@ def _bits(x):
 
 
 def _assert_run_matches_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
-                               mu1=0.0, mu2=0.0, patch=None):
+                               mu1=0.0, mu2=0.0, patch=None, runs=None):
     """Run in blocks and one step at a time (each after `patch()`, if
-    given), compare, and return the report and the planned block lengths."""
-    lengths, real = [], Stepper._block
+    given), compare, and return the report and the planned block lengths;
+    the lengths of the runs of steps between history extends go into
+    `runs`, if given."""
+    lengths, real, extend = [], Stepper._block, bl.HistoryLine.extend
 
-    def block(self, u, history, times, queries, out):
+    def block(self, u, history, times, queries, after, out):
         lengths.append(len(out))
-        return real(self, u, history, times, queries, out)
+        return real(self, u, history, times, queries, after, out)
+
+    def counted_extend(self, times, values):
+        if runs is not None and len(times):
+            runs.append(len(times))
+        return extend(self, times, values)
 
     if patch:
         patch()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Stepper, "_block", block)
+        mp.setattr(bl.HistoryLine, "extend", counted_extend)
         rep = bl.run(s0, T, cfg, p, dly, ops, mu1=mu1, mu2=mu2, store_fields=store_fields)
     if patch:
         patch()
@@ -119,26 +128,41 @@ def _system(law, nonlinear, n=40, amp=1e-2):
 @pytest.mark.parametrize("nonlinear", [False, True])
 @pytest.mark.parametrize("law", list(LAWS))
 def test_blocks_match_steps_one_at_a_time(law, nonlinear, store_fields):
-    # 300 steps: one-step blocks while the windows start in the history's
-    # first interval, then blocks as long as the delay and the eviction
-    # slack allow, the last one cut short by the horizon
+    # 300 steps in blocks as long as the eviction slack allows, the first
+    # rows' windows starting in the history's first interval, the last
+    # block cut short by the horizon
     p, dly, ops, cfg, s0 = _system(law, nonlinear)
     cert = bl.build_certificate(bl.SystemParams(**ACC), dly)
     rep, lengths = _assert_run_matches_oracle(s0, 300 * cfg.dt, cfg, p, dly, ops,
                                               store_fields, cert.mu1, cert.mu2)
     assert rep.termination == "completed" and sum(lengths) == 300
-    assert 1 in lengths and max(lengths) > 100 and 1 < lengths[-1] < max(lengths)
+    assert max(lengths) > 100 and 1 < lengths[-1] < max(lengths)
 
 
+def test_two_sample_history_refreshes_its_head_on_the_first_push():
+    # a line of two samples is refreshed whole by the third: the first
+    # window, in its head interval, is monitored alone
+    p, dly, ops, cfg, s0 = _system("constant", False)
+    hist = bl.HistoryLine([-0.5, 0.0], [0.3, 0.0], M=dly.M)
+    s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
+    rep, lengths = _assert_run_matches_oracle(s0, 0.05, cfg, p, dly, ops)
+    assert rep.termination == "completed" and lengths == [1, 49]
+
+
+@pytest.mark.parametrize("M", [1.5, 2000.0])
 @pytest.mark.parametrize("nonlinear", [False, True])
-def test_delay_of_one_and_a_half_steps_takes_one_step_per_block(nonlinear):
+def test_delay_of_one_and_a_half_steps_takes_one_step_per_run(nonlinear, M):
     # tau0 = 1.5 dt: each delayed query lands in the interval that the next
-    # push refines, so every block is one step
+    # push refines, so each run of steps between extends is one step; the
+    # monitor windows still allow one block of all 60 rows, unless a line
+    # bounded by M = 1.5 dt evicts the samples they start after
     p, dly, ops, cfg, s0 = _system("constant", nonlinear)
-    dly = bl.DelaySpec(tau0=1.5 * cfg.dt, M=1.5 * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
+    dly = bl.DelaySpec(tau0=1.5 * cfg.dt, M=M * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
     s0 = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
-    rep, lengths = _assert_run_matches_oracle(s0, 60 * cfg.dt, cfg, p, dly, ops)
-    assert rep.termination == "completed" and lengths == [1] * 60
+    runs = []
+    rep, lengths = _assert_run_matches_oracle(s0, 60 * cfg.dt, cfg, p, dly, ops, runs=runs)
+    assert rep.termination == "completed" and runs == [1] * 60
+    assert lengths == [60] if M > 2 else max(lengths) <= 2
 
 
 def _dense_state(p, dly, ops, M=None, scale=1.0):
@@ -194,24 +218,50 @@ def test_picard_divergence_inside_a_block_ends_at_the_oracle_row(monkeypatch):
     assert len(lengths) == 1 and lengths[0] > 200
 
 
-def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row():
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypatch, caplog):
     # alpha = -1 pumps energy in at x = L fast enough that the block's 256
     # steps overflow: the run still stops at the oracle's first row past
-    # 1e6 E0, without a warning
-    p = bl.SystemParams(**{**ACC, "alpha": -1.0, "beta": 0.0})
+    # 1e6 E0, without a warning, and its DEBUG lines count the steps, solves
+    # and contraction estimates of the rows it kept, not of the steps after
+    # them (small data keep the nonlinear Picard map contracting until then)
+    scale = 1e-8 if nonlinear else 1.0
+    p = bl.SystemParams(**{**ACC, "alpha": -1.0, "beta": 0.0},
+                        alpha_p=0.5, beta_p=0.5, rho_nl=0.5)
     dly = bl.DelaySpec(tau0=0.5, M=2.0)
     g = bl.Grid(n=64, L=p.L)
     ops = bl.build_operators(p, g)
-    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    s0 = _dense_state(p, dly, ops)
-    s0 = SimState(t=0.0, eta=bl.initial_profile("cubic 1.0", g.nodes, p.L),
-                  omega=bl.initial_profile("quartic 1.0", g.nodes, p.L), history=s0.history)
-    rep, lengths = _assert_run_matches_oracle(s0, 1.0, cfg, p, dly, ops)
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3), nonlinear=nonlinear)
+    s0 = _dense_state(p, dly, ops, scale=scale)
+    s0 = SimState(t=0.0, eta=scale * bl.initial_profile("cubic 1.0", g.nodes, p.L),
+                  omega=scale * bl.initial_profile("quartic 1.0", g.nodes, p.L),
+                  history=s0.history)
+    with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
+        rep, lengths = _assert_run_matches_oracle(s0, 1.0, cfg, p, dly, ops)
     assert rep.termination == "unstable" and rep.n_rows < 10 and lengths == [256]
-    history = s0.history.copy()
-    with np.errstate(all="ignore"):
-        end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, history), 256)
-        assert not np.all(np.isfinite(end.u * end.u))
+    steps = rep.n_rows - 1
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert f"run: {steps} steps in 1 blocks, shortest {steps}, mean length {steps}" in lines
+    if nonlinear:
+        # the oracle's solves: one right-hand side each
+        solves, real = [0], BandedLU.solve
+
+        def counted(self, rhs):
+            solves[0] += 1
+            return real(self, rhs)
+
+        monkeypatch.setattr(BandedLU, "solve", counted)
+        _step_by_step(s0, 1.0, cfg, p, dly, ops)
+        line = next(x for x in lines if x.startswith("nonlinear run"))
+        assert line.startswith(f"nonlinear run: {steps} steps, {solves[0]} solves, "
+                               f"{solves[0]} right-hand sides, largest q ")
+        assert float(line.rsplit(" ", 1)[1]) < 1
+    else:
+        # the block's 256 steps overflow
+        history = s0.history.copy()
+        with np.errstate(all="ignore"):
+            end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, history), 256)
+            assert not np.all(np.isfinite(end.u * end.u))
 
 
 def test_run_refuses_a_history_that_starts_after_the_first_delayed_time():

@@ -625,3 +625,22 @@ def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
     a = float(times[-1] - 0.3 * (times[-1] - times[-2]))
     got = h.trailing_integrals(np.array([a]))
     assert np.allclose(np.ravel(got), h.square_integrals(a, float(times[-1])), rtol=1e-14, atol=0)
+
+
+def test_trailing_integrals_of_mass_at_the_windows_oldest_end():
+    # q = exp(-600 s) on dt = 1e-3 samples: every window's q^2 sits at its
+    # start, so the s - a moment is small against |a| times the mass; 256
+    # rows whose starts spread over 256 dt, against each row alone
+    dt, tau, K = 1e-3, 0.2, 256
+    f = lambda s: np.exp(-600.0 * (s + 0.022))
+    t = dt * np.arange(-300, 1)
+    h = _line(t, f(t), M=2.0)
+    times = dt * np.arange(1, K + 1)
+    one = h.copy()
+    alone = []
+    for tk in times:
+        one.push(tk, float(f(tk)))
+        alone.append(np.ravel(one.trailing_integrals(np.array([tk - tau]))))
+    h.extend(times, f(times))
+    for got, want in zip(h.trailing_integrals(times - tau), np.array(alone).T):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -90,6 +90,26 @@ def test_sandwich_inequality_random_states():
         assert V <= (1 + mx) * E + 1e-12 * E
 
 
+def test_energy_sample_refuses_a_state_its_history_has_moved_past():
+    # a state stepped by hand shares its history line with the steps after
+    # it: its monitor row read the line as it stood then, so a later call
+    # refuses it rather than read the newer line
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
+    dly = bl.DelaySpec(tau0=0.5, M=2.0)
+    g = bl.Grid(n=16, L=p.L)
+    ops = bl.build_operators(p, g)
+    stepper = bl.Stepper(ops, bl.StepConfig(dt=1e-3), p, dly)
+    s1 = stepper.step(bl.initial_state(p, dly, g, g.nodes ** 3 * (1 - g.nodes) ** 2,
+                                       np.zeros(16)))
+    row = energy_sample(s1, p, dly, g)
+    s2 = stepper.step(s1)
+    assert s2.history is s1.history
+    with pytest.raises(ConfigurationError, match=r"the history ends at t=0\.002, not at "
+                                                 r"the last row's t=0\.001"):
+        energy_sample(s1, p, dly, g)
+    assert energy_sample(s2, p, dly, g)[0] == 0.002 and row[0] == 0.001
+
+
 def test_dissipation_residual_needs_three_samples():
     rep = bl.RunReport(t=np.array([0.0, 1.0]), E=np.zeros(2), V=np.zeros(2),
                        V1=np.zeros(2), V2=np.zeros(2), trace_now=np.zeros(2),
