@@ -22,7 +22,7 @@ from .errors import (BousslabError, CertificationError, ConfigurationError,
 from .mms import convergence_study
 from .operators import build_operators
 from .params import DelaySpec, Grid, SystemParams, validate_params
-from .report import bound_check, fit_decay, summary_text
+from .report import bound_check, fit_decay, fit_window, summary_text
 from .stepping import StepConfig, initial_state, run, slow_mode_state, suggested_theta
 
 EXIT_OK = 0
@@ -94,7 +94,8 @@ def simulate(p: SystemParams, dly: DelaySpec, grid: Grid, runset: RunSettings):
         kres, c_l = kato_identity_residual(rep, p)
         extras["kato_residual"] = kres
         extras["kato_C_L"] = c_l
-    if rep.n_rows >= 2 and np.all(rep.E > 0):
+    # a run of one step holds one sample in the fit window
+    if np.count_nonzero(fit_window(rep.t)) >= 2 and np.all(rep.E > 0):
         lam_obs, r2 = fit_decay(rep.t, rep.E)
         extras["lambda_obs"] = lam_obs
         extras["fit_r2"] = r2

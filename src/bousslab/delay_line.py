@@ -2,11 +2,14 @@
 
 The delayed feedback needs eta_xx(t - tau(t), L); instead of co-evolving the
 transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a
-buffer of (time, trace) samples and interpolate.  The substitution
-s = t - tau rho turns the monitors' rho integrals of z^2 into exact integrals
-of the interpolant's square over [t - tau, t] (`HistoryLine.square_integrals`,
-and `trailing_integrals` for the rows of a block of steps).  The transport
-equation is retained as a testable invariant through `transport_residual`.
+buffer of (time, trace) samples and interpolate.  The line is causal, as a
+method-of-steps solver keeps the continuous extension of each accepted step:
+a sample's slope is fixed when it is pushed, so the interpolant over a
+window does not change while the window stays in the span.  The
+substitution s = t - tau rho turns the monitors' rho integrals of z^2 into
+exact integrals of the interpolant's square over [t - tau, t]
+(`HistoryLine.square_integrals`).  The transport equation is retained as a
+testable invariant through `transport_residual`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .params import DelaySpec, tau_at
 
 
 def _interior_slope(dt0, dt1, d0, d1):
-    """Bessel slope at a sample from its two neighbouring secants d0, d1."""
+    """Slope at the middle of three samples, from the parabola through them
+    (its two secants d0, d1)."""
     return (dt1 * d0 + dt0 * d1) / (dt0 + dt1)
 
 
@@ -34,17 +38,23 @@ def _end_slope(dt_near, dt_far, d_near, d_far):
     return ((2 * dt_near + dt_far) * d_near - dt_near * d_far) / (dt_near + dt_far)
 
 
-def _cubic_coeffs(h, v0, v1, m0, m1):
-    """s^2 and s^3 coefficients of the Hermite cubic on an interval of width h."""
-    slope = (v1 - v0) / h
-    c = (m0 + m1 - 2 * slope) / h
-    return (slope - m0) / h - c, c / h
+def _secants(t, v):
+    """Widths and secant slopes of the intervals between samples t, v."""
+    h = t[1:] - t[:-1]
+    return h, (v[1:] - v[:-1]) / h
+
+
+def _cubic_coeffs(h, d, m0, m1):
+    """s^2 and s^3 coefficients of the Hermite cubic on an interval of width
+    h and secant slope d."""
+    c = (m0 + m1 - 2 * d) / h
+    return (d - m0) / h - c, c / h
 
 
 # q^2 = sum_ij p_i p_j s^(i+j) for q = sum_i p_i s^i: int_0^x s^m q^2 ds has
 # the terms p_i p_j x^(i+j+m+1) / (i+j+m+1); the row of x^(i+j+m+1) among the
 # powers x^1 .. x^8, and the divisor, for moments m = 0, 1
-_POWER = np.add.outer(np.arange(2), np.add.outer(np.arange(4), np.arange(4)))
+_POWER = np.add.outer(np.arange(2), np.add.outer(np.arange(4), np.arange(4))).reshape(2, 16)
 _DIVISOR = (_POWER + 1.0)[..., None]
 _EIGHT_ROWS = np.ones((8, 1))
 
@@ -52,11 +62,16 @@ _EIGHT_ROWS = np.ones((8, 1))
 def _square_moments(x, v0, m0, a2, a3):
     """(int_0^x q^2 ds, int_0^x s q^2 ds) of q = v0 + m0 s + a2 s^2 + a3 s^3,
     elementwise for 1-D arrays, as sums of the 16 terms of q^2 each
-    integrated in closed form."""
+    integrated in closed form.  The terms are summed by halves, in one order
+    whatever the number of elements (a reduction over them would sum one
+    element pairwise and several in sequence)."""
     p = np.array([v0, m0, a2, a3])
-    powers = np.multiply.accumulate(_EIGHT_ROWS * x)
-    terms = powers[_POWER] / _DIVISOR * (p[:, None] * p[None])
-    return terms.reshape(2, 16, -1).sum(axis=1)
+    terms = np.multiply.accumulate(_EIGHT_ROWS * x)[_POWER]
+    terms /= _DIVISOR
+    terms *= (p[:, None] * p[None]).reshape(16, -1)
+    for half in (8, 4, 2, 1):
+        terms = terms[:, :half] + terms[:, half:]
+    return terms[:, 0]
 
 
 def _hermite(s, v0, m0, a2, a3):
@@ -64,21 +79,6 @@ def _hermite(s, v0, m0, a2, a3):
     piecewise-polynomial evaluator sums them."""
     s2 = s * s
     return v0 + m0 * s + a2 * s2 + a3 * (s2 * s)
-
-
-def _bessel_slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Parabolic (Bessel) slope estimates; linear in the data, unlike the
-    monotonicity-limited PCHIP slopes."""
-    dt = t[1:] - t[:-1]
-    delta = (v[1:] - v[:-1]) / dt
-    m = np.empty_like(v)
-    if t.size == 2:
-        m[:] = delta[0]
-        return m
-    m[1:-1] = _interior_slope(dt[:-1], dt[1:], delta[:-1], delta[1:])
-    m[0] = _end_slope(dt[0], dt[1], delta[0], delta[1])
-    m[-1] = _end_slope(dt[-1], dt[-2], delta[-1], delta[-2])
-    return m
 
 
 # typed, so that True (equal to 1 and of equal hash) is checked, not served
@@ -101,14 +101,15 @@ class HistoryLine:
 
     Samples are finite and their times strictly increasing (`push` takes any
     value, so a blow-up still ends a run as unstable); the span must always
-    cover [t - M - slack, t] with slack = M/4.  Each sample carries its
-    parabolic (Bessel) slope, so the interpolant is C^1, exact on quadratics
-    and linear in the data, which makes simulations superpose; it is not
-    monotone.  A Bessel slope depends on a sample and its two neighbours only,
-    so appending, overwriting or evicting a sample refreshes the slopes at
-    that end alone, and the cached cubic coefficients and square integrals
-    of the one or two intervals they touch.
-    Queries at stored sample times return the stored values exactly.
+    cover [t - M - slack, t] with slack = M/4.  The line is causal: each
+    pushed sample gets the end slope of the parabola through it and its two
+    predecessors, stored once, so no interval changes after a later push or
+    an eviction.  A fresh line's first two samples get the slopes of the
+    parabola through its first three (the secant on a line of two).  The
+    interpolant is C^1, exact on quadratics and linear in the data, which
+    makes simulations superpose; it is not monotone.  Each interval caches
+    its cubic coefficients.  Queries at stored sample times return the
+    stored values exactly.
     """
 
     def __init__(self, times, values, M: float):
@@ -128,14 +129,14 @@ class HistoryLine:
         if not 0 < M < np.inf:   # a NaN fails it too
             raise ConfigurationError(f"delay upper bound M = {M} is non-positive or non-finite")
         n = times.size
-        # rows: time, value, slope, and of the interval that starts at the
-        # sample the s^2 and s^3 coefficients and the integrals of q^2 and
-        # (s - t_i) q^2 (all zero at the newest one, so a query at its time
-        # evaluates to the stored value); live samples are columns [lo, hi)
-        self._buf = np.zeros((7, max(2 * n, 64)))
+        # rows: time, value, slope, and the s^2 and s^3 coefficients of the
+        # interval that starts at the sample (zero at the newest one, so a
+        # query at its time evaluates to the stored value); live samples are
+        # columns [lo, hi)
+        self._buf = np.zeros((5, max(2 * n, 64)))
         self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
-        self._refresh_all()
+        self._start()
         self.M = float(M)
         self.slack = 0.25 * self.M
         self._max_gap = float(np.max(np.diff(times)))
@@ -172,123 +173,90 @@ class HistoryLine:
     def size(self) -> int:
         return self._hi - self._lo
 
-    def _refresh_all(self) -> None:
-        """Recompute every slope, interval coefficient and square integral."""
-        self._refresh(self._lo, self._hi)
+    def _start(self) -> None:
+        """The slopes and coefficients of a fresh line, columns [0, hi)."""
+        t, v, m = self._buf[:3, :self._hi]
+        with np.errstate(all="ignore"):
+            h, d = _secants(t, v)
+            if h.size == 1:
+                m[:] = d[0]
+            else:
+                m[:2] = _end_slope(h[0], h[1], d[0], d[1]), _interior_slope(h[0], h[1], d[0], d[1])
+                m[2:] = _end_slope(h[1:], h[:-1], d[1:], d[:-1])
+            self._buf[3:, :self._hi - 1] = _cubic_coeffs(h, d, m[:-1], m[1:])
 
     def _refresh(self, j: int, k: int) -> None:
-        """Recompute, from the live samples in columns [j, k), the Bessel
-        slopes of the inner ones, plus the first one's at the head (j = lo)
-        and the last one's at the tail (k = hi), and the coefficients and
-        square integrals of the intervals those slopes touch; a line of at
-        most three samples is recomputed whole.  A pushed inf or NaN spreads
-        without a warning, as on floats."""
-        buf, lo, hi = self._buf, self._lo, self._hi
-        if hi - lo <= 3:
-            j, k = lo, hi
-        first, last = (j if j == lo else j + 1), (k if k == hi else k - 1)
+        """Set the causal slopes of columns [j, k), j >= lo + 2, each from
+        its sample and the two before it, and the coefficients of the
+        intervals that end at them.  A pushed inf or NaN spreads without a
+        warning, as on floats."""
+        buf = self._buf
         with np.errstate(all="ignore"):
-            m = _bessel_slopes(buf[0, j:k], buf[1, j:k])
-            buf[2, first:last] = m[first - j:last - j]
-            i = max(first - 1, lo)
-            t, v, m = buf[:3, i:min(last + 1, hi)]
-            h = t[1:] - t[:-1]
-            a2, a3 = _cubic_coeffs(h, v[:-1], v[1:], m[:-1], m[1:])
-            buf[3:, i:i + h.size] = a2, a3, *_square_moments(h, v[:-1], m[:-1], a2, a3)
+            h, d = _secants(*buf[:2, j - 2:k])
+            buf[2, j:k] = m = _end_slope(h[1:], h[:-1], d[1:], d[:-1])
+            buf[3:, j - 1:k - 1] = _cubic_coeffs(h[1:], d[1:], buf[2, j - 1:k - 1], m)
 
     def push(self, t: float, v: float) -> None:
         """Append a sample (an `extend` by one)."""
         self.extend(np.array([t], dtype=float), np.array([v], dtype=float))
 
     def extend(self, times, values) -> None:
-        """Append samples at increasing finite times after t_last, evicting
-        after each one those older than its t - M - slack: the line pushes
-        one at a time leave, bit for bit, from one refresh of the tail and,
-        after an eviction, one of the head."""
+        """Append samples at increasing finite times after t_last, first
+        evicting the samples before the first one's cutoff t - M -
+        max(slack, 2 max_gap), max_gap the largest gap once it is appended.
+        The stored samples keep their slopes, so the line K pushes leave
+        differs from this one's only in the samples it has evicted."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        if times.size == 0:
+        K = times.size
+        if K == 0:
             return
-        bad = np.flatnonzero(~np.isfinite(times))
-        if bad.size:
+        first, t_last = times.item(0), self.t_last
+        gaps = times[1:] - times[:-1]
+        # written so that a NaN fails it: the times are then finite
+        if not (first > t_last and times.item(-1) < np.inf and (K == 1 or gaps.min() > 0)):
+            bad = np.flatnonzero(~np.isfinite(times))
+            if bad.size:
+                raise ConfigurationError(
+                    f"history sample time must be finite, got {times[bad[0]]}")
+            before = np.concatenate(([t_last], times[:-1]))
+            bad = np.flatnonzero(~(times > before))[0]
             raise ConfigurationError(
-                f"history sample time must be finite, got {times[bad[0]]}")
-        before, max_gap, cutoff = self._cutoffs(times)
-        bad = np.flatnonzero(~(times > before))
-        if bad.size:
-            raise ConfigurationError(
-                f"non-monotone push: t={times[bad[0]]} after t_last={before[bad[0]]}")
-        n, K = self.size, times.size
+                f"non-monotone push: t={times[bad]} after t_last={before[bad]}")
+        self._lo += int(self._t.searchsorted(self._cutoff(first)))
+        self._max_gap = max(self._max_gap, first - t_last, gaps.max().item() if K > 1 else 0.0)
+        n = self.size
         if self._hi + K > self._buf.shape[1]:
-            buf = np.empty((7, max(self._buf.shape[1], 4 * n, n + K)))
+            buf = np.empty((5, max(self._buf.shape[1], 4 * n, n + K)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
-        h0 = self._hi
-        self._buf[:2, h0:h0 + K] = times, values
-        self._buf[2:, h0:h0 + K] = 0.0
+        buf, h0 = self._buf, self._hi
         self._hi += K
-        self._max_gap = float(max_gap[-1])
-        self._refresh(h0 - 2, self._hi)
-        # each push evicts the samples before its cutoff: after them all,
-        # those before the largest
-        k = int(self._t.searchsorted(cutoff.max()))
-        if k > 0:
-            self._lo += k
-            self._refresh(self._lo, self._lo + 3)
+        buf[0, h0:self._hi] = times
+        buf[1, h0:self._hi] = values
+        buf[3:, self._hi - 1] = 0.0
+        self._refresh(h0, self._hi)
 
-    def _cutoffs(self, times):
-        """(before, max_gap, cutoff) of samples appended at `times`: the
-        time before each one, the largest gap once it is appended, and its
-        eviction cutoff t - M - max(slack, 2 max_gap)."""
-        before = np.concatenate(([self.t_last], times[:-1]))
-        max_gap = np.maximum.accumulate(np.maximum(times - before, self._max_gap))
-        return before, max_gap, times - self.M - np.maximum(self.slack, 2.0 * max_gap)
+    def _cutoff(self, t: float) -> float:
+        """The eviction cutoff t - M - max(slack, 2 max_gap) of a sample
+        appended at t, max_gap the largest gap once it is."""
+        return t - self.M - max(self.slack, 2.0 * max(self._max_gap, t - self.t_last))
+
+    def first_kept(self, t: float) -> float:
+        """t_first after an extend whose first sample is at t: a window
+        that starts at or after it reads the same after the extend."""
+        live = self._t
+        return live.item(live.searchsorted(self._cutoff(t)))
 
     def replace_last(self, v: float) -> None:
-        """Overwrite the newest stored value."""
+        """Overwrite the newest stored value: its slope and the interval
+        that ends at it are refreshed (on a line of two samples, both
+        secant slopes)."""
         self._buf[1, self._hi - 1] = v
-        self._refresh(self._hi - 3, self._hi)
-
-    def monitor_reach(self, start: float, gap: float) -> float:
-        """The latest time a sample appended every `gap` after t_last can
-        have while the samples before it evict none at or after `start`
-        (`plan_block` cuts a block before a window start is evicted)."""
-        return start + self.M + max(self.slack, 2.0 * max(self._max_gap, gap))
-
-    def plan_block(self, times, queries, starts):
-        """(K, after) for the coming samples at `times` (increasing, after
-        t_last) of a caller that steps through them and reads the line as
-        pushes one at a time would leave it, bit for bit: step j queries at
-        queries[j] before sample j is appended, and row j reads the window
-        [starts[j], times[j]] (`trailing_integrals`) once the first K are.
-
-        K is how many samples one monitor pass after the K appends may
-        serve, at least 1: with more than one row, every window must start
-        at or before the sample before its own, and in the span that stays
-        unchanged once all K are appended.  after[j] <= j is how few of the
-        block's samples must be appended before step j's query: it reads
-        the line after s appends once its query point is at or before the
-        second-newest sample then (the intervals up to it keep their
-        slopes), and in the span that stays unchanged once j samples are
-        appended.  That span starts at the first live sample, or at the
-        second live sample once an eviction (which moves the head interval's
-        slopes) or, on a line of two samples, the third sample has
-        refreshed the head."""
-        live = self._t
-        before, _, cutoff = self._cutoffs(times)
-        # the start of the unchanged span after each append (inf past the
-        # old samples)
-        k = live.searchsorted(np.maximum.accumulate(cutoff))
-        second = np.append(live, np.inf)[np.minimum(k + 1, live.size)]
-        if live.size > 2:
-            second = np.where(k > 0, second, live[0])
-        ok = (starts <= before) & (np.minimum.accumulate(starts) >= second)
-        K = max(1, int(np.logical_and.accumulate(ok).sum())) if times.size > 1 else 1
-        # the second-newest sample after s appends is entry s
-        steps = np.arange(K)
-        after = np.minimum(np.concatenate((live[-2:], times)).searchsorted(queries[:K]), steps)
-        after[1:] = np.where(queries[1:K] >= second[:K - 1], after[1:], steps[1:])
-        return K, after
+        if self.size == 2:
+            self._start()
+        else:
+            self._refresh(self._hi - 1, self._hi)
 
     # -- queries ------------------------------------------------------------
 
@@ -323,94 +291,68 @@ class HistoryLine:
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
         arrays a and b (floats for floats); q(a) and q(b) are the values
-        `query` returns, bit for bit (`_window_integrals`)."""
+        `query` returns, bit for bit.
+
+        The integrals are exact up to roundoff: the partial interval at a,
+        re-expanded about a, the one at b and the whole intervals between
+        are integrated in closed form by one `_square_moments` for all
+        windows.  The whole intervals are summed afresh for every window (a
+        running prefix sum would cancel as they decay), their s - a moments
+        each formed about the window's own a (about one point shared by all
+        windows they would cancel)."""
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        a, b = self._clamped_windows(a, b)
+        n = a.size
         buf, lo, hi = self._buf, self._lo, self._hi
-        # the column of the interval holding b, as in `query`
-        k = lo + buf[0, lo + 1:hi].searchsorted(b, "right")
-        tk, *cubic = buf[:5, k]
+        # the ends a then b, clamped into the span, the columns of the
+        # intervals holding them, as in `query`, and their cubics
+        ends = self._clamped_windows(a, b)
+        cols = lo + buf[0, lo + 1:hi].searchsorted(ends, "right")
+        ts, vs, ms, a2s, a3s = buf[:5, cols]
+        x = ends - ts
+        i, k = cols[:n], cols[n:]
+        same, first = i == k, np.minimum(i + 1, k)
+        # the whole intervals c .. e - 1 that some window covers, and column
+        # e with width 0, which no window sums
+        c, e = int(first.min()), int(k.max())
+        t, *whole = buf[:5, c:e + 1]
+        a, xa, a2, a3 = ends[:n], x[:n], a2s[:n], a3s[:n]
         with np.errstate(all="ignore"):
-            qa, i0, i1 = self._window_integrals(a, b, k, cubic)
-            qb = _hermite(b - tk, *cubic)
+            q = _hermite(x, vs, ms, a2s, a3s)
+            # head [a, t_{i+1}] (all of [a, b] when i = k) about a, tail
+            # [t_k, b], then the whole intervals
+            head = (q[:n], ms[:n] + xa * (2.0 * a2 + 3.0 * a3 * xa), a2 + 3.0 * a3 * xa, a3)
+            moments = _square_moments(
+                np.concatenate((np.where(same, ends[n:], buf[0, first]) - a,
+                                np.where(same, 0.0, x[n:]), t[1:] - t[:-1], [0.0])),
+                *(np.concatenate(parts) for parts in zip(
+                    head, (vs[n:], ms[n:], a2s[n:], a3s[n:]), whole)))
+            i0, i1 = moments[:, :n]
+            if not same.all():
+                (r0, r1), w = moments[:, n:2 * n], moments[:, 2 * n:]
+                s5, s6 = _window_sums(w, first - c, k - c)
+                s0 = _moment_sums(t, w[0], a, first - c, k - c)
+                i1 = np.where(same, i1, i1 + (s6 + s0) + r1 + (ts[n:] - a) * r0)
+                i0 = np.where(same, i0, i0 + s5 + r0)
+        qa, qb = q[:n], q[n:]
         if scalar:
             return float(qa[0]), float(qb[0]), float(i0[0]), float(i1[0])
         return qa, qb, i0, i1
 
-    def trailing_integrals(self, a):
-        """(q_j(a_j), q_j(t_j), int q_j^2 ds, int (s - a_j) q_j^2 ds) over
-        [a_j, t_j] for the newest K = a.size samples t_j, oldest first, where
-        q_j is the interpolant as it stood when t_j was the newest sample:
-        this one's up to t_{j-1}, whose slopes pushes after t_j left final,
-        and on [t_{j-1}, t_j] the cubic with the end slope t_j had then
-        (rebuilt, except for the newest sample, which still has it).  Each
-        a_j must lie in the span at or before t_j, and at or before t_{j-1}
-        unless j is the newest (`plan_block`)."""
-        buf, hi = self._buf, self._hi
-        cols = np.arange(hi - a.size, hi)
-        t0, v0, m0 = buf[:3, cols - 1]
-        t1, v1, m1 = buf[:3, cols]
-        a, _ = self._clamped_windows(a, t1)
-        with np.errstate(all="ignore"):
-            if a.size > 1:
-                tm, vm = buf[:2, cols[:-1] - 2]
-                h0, h1 = t0[:-1] - tm, t1[:-1] - t0[:-1]
-                m1[:-1] = _end_slope(h1, h0, (v1[:-1] - v0[:-1]) / h1, (v0[:-1] - vm) / h0)
-            a2, a3 = _cubic_coeffs(t1 - t0, v0, v1, m0, m1)
-            qa, i0, i1 = self._window_integrals(a, t1, cols - 1, (v0, m0, a2, a3))
-            return qa, _hermite(0.0, v1, m1, 0.0, 0.0), i0, i1
-
     def _clamped_windows(self, a, b):
-        """Windows [a, b] checked against the stored span (to 1e-14) and
-        clamped into it."""
+        """The ends a then b of windows [a, b], checked against the stored
+        span (to 1e-14) and clamped into it, in one array."""
         t_first, t_last = self.t_first, self.t_last
         # written so that a NaN fails it
-        bad = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))
-        if bad.size:
-            j = bad[0]
+        if not ((a >= t_first - 1e-14) & (b <= t_last + 1e-14)).all():
+            j = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))[0]
             raise HistoryUnderrunError(
                 f"integral over [{a[j]}, {b[j]}] outside stored span [{t_first}, {t_last}]")
-        bad = np.flatnonzero(~(a <= b))
-        if bad.size:
-            raise ConfigurationError(f"integral over [{a[bad[0]]}, {b[bad[0]]}] has a > b")
-        return (np.minimum(np.maximum(a, t_first), t_last),
-                np.minimum(np.maximum(b, t_first), t_last))
-
-    def _window_integrals(self, a, b, k, cubic):
-        """(q(a), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) over windows [a, b]
-        in the span, where q is the line's interpolant before column k and the
-        cubic (v0, m0, a2, a3) about t_k on [t_k, b]; a window that starts
-        in interval k reads the line's own cubic there.
-
-        The integrals are exact up to roundoff: the partial interval at a,
-        re-expanded about a, and the one at b (one `_square_moments` for
-        both), plus the cached integrals of the whole intervals between,
-        summed afresh for every window (a running prefix sum would cancel as
-        they decay), their s - a moments each formed about the window's own
-        a (about one point shared by all windows they would cancel)."""
-        buf, lo, hi = self._buf, self._lo, self._hi
-        i = lo + buf[0, lo + 1:hi].searchsorted(a, "right")
-        ti, v0, m0, a2, a3 = buf[:5, i]
-        tk = buf[0, k]
-        x = a - ti
-        qa = _hermite(x, v0, m0, a2, a3)
-        same, first = i == k, np.minimum(i + 1, k)
-        # head [a, t_{i+1}] (all of [a, b] when i = k) about a, tail [t_k, b]
-        i0, i1 = _square_moments(
-            np.concatenate((np.where(same, b, buf[0, first]) - a, np.where(same, 0.0, b - tk))),
-            *(np.concatenate(pair) for pair in zip(
-                (qa, m0 + x * (2.0 * a2 + 3.0 * a3 * x), a2 + 3.0 * a3 * x, a3), cubic)))
-        (h0, r0), (h1, r1) = i0.reshape(2, -1), i1.reshape(2, -1)
-        if same.all():
-            return qa, h0, h1
-        # the whole intervals c = first .. k - 1 of each window
-        c = int(first.min())
-        s5, s6 = _window_sums(buf[5:7, c:hi], first - c, k - c)
-        s0 = _moment_sums(buf[0, c:hi], buf[5, c:hi], a, first - c, k - c)
-        return (qa, np.where(same, h0, h0 + s5 + r0),
-                np.where(same, h1, h1 + (s6 + s0) + r1 + (tk - a) * r0))
+        if not (a <= b).all():
+            j = np.flatnonzero(~(a <= b))[0]
+            raise ConfigurationError(f"integral over [{a[j]}, {b[j]}] has a > b")
+        return np.minimum(np.maximum(np.concatenate((a, b)), t_first), t_last)
 
 
 # cells of one `_moment_sums` matrix: its temporaries stay near 256 KB

@@ -2,7 +2,7 @@
 
 The field quadratures are trapezoid in x over the full grid (clamped
 boundary values included as zeros); the delay terms are exact integrals of
-the history's piecewise cubic (`HistoryLine.trailing_integrals`).  The
+the history's piecewise cubic (`HistoryLine.square_integrals`).  The
 monitor takes a block of rows at once, each field quadrature a row-wise dot
 product; the Kato residual takes the stored fields in row blocks, each row
 with the arithmetic it has alone.
@@ -32,26 +32,23 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
                 g: Grid, mu1: float = 0.0, mu2: float = 0.0) -> np.ndarray:
     """Monitor rows (t, E, V, V1, V2, trace_now, trace_delayed), one column
     each in `report.CSV_COLUMNS` order, of the interleaved states U (one per
-    row) at times t, the newest t.size samples of `history`, with tau =
-    tau(t):
+    row) at times t, samples of `history`, with tau = tau(t):
 
         E  = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho,
         V1 = int x eta omega dx,   V2 = |beta|/2 tau(t) int (1-rho) z^2 drho,
         V  = E - mu1 V1 + mu2 V2   (mu1 = mu2 = 0 degenerates V to E),
 
-    z(rho) = q(t - tau rho), q the history's interpolant as it stood when t
-    was its newest sample.  With s = t - tau rho the delay terms are exact
-    integrals over [t - tau, t]: |beta|/2 int q^2 ds and |beta|/(2 tau) int
-    (s - t + tau) q^2 ds (`HistoryLine.trailing_integrals`, which also gives
-    the traces q(t) and q(t - tau) as `query` would have).  With beta = 0
-    the delay parts are 0.0.
+    z(rho) = q(t - tau rho), q the history's interpolant.  With s = t - tau
+    rho the delay terms are exact integrals over [t - tau, t]: |beta|/2 int
+    q^2 ds and |beta|/(2 tau) int (s - t + tau) q^2 ds
+    (`HistoryLine.square_integrals`, which also gives the traces q(t) and
+    q(t - tau) as `query` does).  The line is causal, so a row reads the
+    same window however many samples came after t, until eviction takes
+    its start (HistoryUnderrunError).  With beta = 0 the delay parts are 0.0.
 
     The x trapezoids are row-wise dot products over the interior nodes (the
     boundary values are zero)."""
-    if t[-1] != history.t_last:
-        raise ConfigurationError(
-            f"the history ends at t={history.t_last}, not at the last row's t={t[-1]}")
-    delayed, now, q2, q2_moment = history.trailing_integrals(t - tau)
+    delayed, now, q2, q2_moment = history.square_integrals(t - tau, t)
     c = 0.5 * abs(p.beta)
     E = 0.5 * g.h * np.einsum("ij,ij->i", U, U) + c * q2
     V1 = g.h * np.einsum("ij,ij->i", U[:, 0::2], g.nodes * U[:, 1::2])
@@ -61,10 +58,10 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
 
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
-    """The monitor row of the state s (`energy_rows` of one row), whose
-    history ends at s.t, as a tuple of floats.  A state whose history line
-    has moved on (one `Stepper.step` returned, then stepped again) raises
-    ConfigurationError: its row reads the line as it stood at s.t."""
+    """The monitor row of the state s (`energy_rows` of one row, over the
+    window [s.t - tau, s.t] of its history) as a tuple of floats.  A state
+    whose history line has moved on (one `Stepper.step` returned, then
+    stepped again) gives the row it gave before the move, bit for bit."""
     tau, _ = tau_at(dly, s.t)
     row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())

@@ -70,8 +70,9 @@ class DelaySpec:
 
     tau0 is tau(0); M bounds tau from above and d < 1 bounds its slope.
     `history` holds uniform samples of the boundary-trace history z0 on
-    [-tau0, 0]; intermediate values are obtained by cubic Hermite
-    interpolation with Bessel slopes (not monotone) in the history line.
+    [-tau0, 0]; intermediate values are obtained by the history line's
+    causal cubic Hermite interpolation (each slope from a sample and the two
+    before it, not monotone).
     """
 
     tau0: float = 0.5

@@ -56,6 +56,11 @@ def _series(t: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, E
 
 
+def fit_window(t: np.ndarray) -> np.ndarray:
+    """Which of the times t (increasing) `fit_decay` fits: the final half."""
+    return t >= t[-1] - _FIT_WINDOW * (t[-1] - t[0])
+
+
 def fit_decay(t: np.ndarray, E: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log E over the final half of the run.
 
@@ -63,8 +68,7 @@ def fit_decay(t: np.ndarray, E: np.ndarray) -> tuple[float, float]:
     with a warning (numerical underflow guard).
     """
     t, E = _series(t, E)
-    t0 = t[-1] - _FIT_WINDOW * (t[-1] - t[0])
-    sel = t >= t0
+    sel = fit_window(t)
     ts, Es = t[sel], E[sel]
     bad = Es <= 0.0
     if np.any(bad):

@@ -7,9 +7,12 @@ evaluated at t + theta*dt.  Every delayed value the coming steps need is
 then already in the history (the method of steps), so the steps go in
 blocks, and a block's steps in runs: one history query for a run's
 sources, per step one matvec and one banded solve, and one history extend
-by the run's traces.  A delay of many steps makes a block one run; one
-shorter than two steps makes every run one step.  `run` adds one monitor
-pass over a block's rows.  Optional Picard iteration handles the quadratic
+by the run's traces.  The history line is causal, so a run goes on while
+the next query point is at or before the newest sample pushed: a delay of
+many steps makes a block one run, and one shorter than (1 + theta) dt
+makes every run one step.  `run` adds a monitor pass over a block's rows,
+at its end or before an extend would evict one of their windows.
+Optional Picard iteration handles the quadratic
 nonlinear terms, iterating on increments with one right-hand side per
 banded solve (`nonlinear_matrices`).  A run logs its blocks, and a
 nonlinear run its step, solve and right-hand side counts and its largest
@@ -239,58 +242,55 @@ class Stepper:
             f"Picard iteration did not reach tol={_PICARD_TOL} "
             f"within {_PICARD_ITERS} iterations", t=t, step=self._steps_done)
 
-    def _plan(self, t: float, history: HistoryLine, limit: int):
-        """The next block of K <= limit steps from time t
-        (`HistoryLine.plan_block`): its times t, t_1, .., t_K, the delayed
-        query point t_eval - tau(t_eval) of each step, t_eval = t_{k-1} +
-        theta dt, (tau, tau') at each t_k, two rows of K, and how few of the
-        block's traces each step's query needs pushed first."""
+    def _plan(self, t: float, K: int):
+        """A block of K steps from time t: its times t, t_1, .., t_K, the
+        delayed query point t_eval - tau(t_eval) of each step, t_eval =
+        t_{k-1} + theta dt, (tau, tau') at each t_k, two rows of K, and how
+        many of the block's traces each step's query needs pushed first: it
+        reads the final line once its point is at or before the newest
+        pushed sample."""
         dt = self.cfg.dt
-        # the block ends before the samples it appends evict the start of its
-        # first window (one step more for roundoff)
-        first = t + dt - tau_at(self.dly, t + dt)[0]
-        limit = max(1, min(limit, int((history.monitor_reach(first, dt) - t) / dt) + 1))
         # t_k = t_{k-1} + dt, accumulated as one step after another would
-        times = np.full(limit + 1, dt)
+        times = np.full(K + 1, dt)
         times[0] = t
         times = np.cumsum(times)
         t_eval = times[:-1] + self.cfg.theta * dt
         queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
         taus = np.array([tau_at(self.dly, s) for s in times[1:].tolist()]).T
-        K, after = history.plan_block(times[1:], queries, times[1:] - taus[0])
-        return times[:K + 1], queries[:K], taus[:, :K], after
+        return times, queries, taus, times.searchsorted(queries)
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
+               queries: np.ndarray, after: np.ndarray, out: np.ndarray):
         """Take the steps of a block (`_plan`) from u at times[0], writing the
-        state at times[k + 1] into out[k].  They go in runs: each run's
-        delayed traces from one `HistoryLine.query`, then per step one
-        matvec and one banded solve (Picard for the nonlinear terms), and one
-        `HistoryLine.extend` by the run's traces; a run goes on while the
-        next step's query reads the line as it stands (after[k] <= the
-        steps pushed), so a delay of many steps makes one run of the block.
-        A step that fails raises its error after the steps before it are in
+        state at times[k + 1] into out[k], and yield the number of steps
+        done after each run of them.  A run's delayed traces come from one
+        `HistoryLine.query`, then per step one matvec and one banded solve
+        (Picard for the nonlinear terms), and one `HistoryLine.extend` by
+        the run's traces; a run goes on while the next step's query point is
+        at or before the newest sample pushed (after[k] <= the steps
+        pushed), so a delay of many steps makes one run of the block.  A
+        step that fails raises its error after the steps before it are in
         out and in the history, and counted by `_steps_done`; `_tally`
-        holds the solve and right-hand side counts and the largest q after
-        each step.  A blow-up spreads inf and NaN without a warning, so a
-        run can stop at its first unstable row."""
+        holds the solve and right-hand side counts and the largest q before
+        the block and after each of its steps.  A blow-up spreads inf and
+        NaN without a warning, so a run can stop at its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
         after = after.tolist()
         traces = np.empty(K)
-        done = pushed = 0
-        self._tally = []
-        with np.errstate(all="ignore"):
+        done = 0
+        self._tally = [(self._solves, self._rhs_evals, self._q_max)]
+        while done < K:
+            start, end = done, done + 1
+            while end < K and after[end] <= done:
+                end += 1
             try:
-                while done < K:
-                    end = done + 1
-                    while end < K and after[end] <= done:
-                        end += 1
+                with np.errstate(all="ignore"):
                     # dt b = dt (delayed trace * B's column + forcing), one row per step
-                    b = np.multiply.outer(history.query(queries[done:end]), self._delay_source)
+                    b = np.multiply.outer(history.query(queries[start:end]), self._delay_source)
                     if self.forcing is None:
                         b *= dt
-                    for k, row in zip(range(done, end), b):
+                    for k, row in zip(range(start, end), b):
                         if self.forcing is not None:
                             f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
                             row[0::2] += f1
@@ -304,10 +304,9 @@ class Stepper:
                         out[k] = u
                         traces[k] = trace_eta_xx_L(u[0::2], self.ops.grid)
                         done += 1
-                    history.extend(times[pushed + 1:done + 1], traces[pushed:done])
-                    pushed = done
             finally:
-                history.extend(times[pushed + 1:done + 1], traces[pushed:done])
+                history.extend(times[start + 1:done + 1], traces[start:done])
+            yield done
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
@@ -317,9 +316,10 @@ class Stepper:
         t, u = state.t, state.u
         out = np.empty((min(max(steps, 0), _BLOCK), u.size))
         while steps > 0:
-            times, queries, _, after = self._plan(t, state.history, min(_BLOCK, steps))
+            times, queries, _, after = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, after, out[:K])
+            for _ in self._block(u, state.history, times, queries, after, out[:K]):
+                pass
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -336,13 +336,17 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
 
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
     to the trace of s0.eta, so s0 stays untouched and reruns from it are
-    bit-identical.  It advances in blocks (`Stepper._plan`): the block's
-    steps in runs, each with one history query for its delayed sources and
-    one history extend by its traces (`Stepper._block`), then one monitor
-    pass over the block's rows (`energy_rows`), with the rows, traces and
-    stored fields that steps one at a time give, bit for bit.  The monitor rows go into one table, in `report.CSV_COLUMNS`
-    order, and with `store_fields` the interleaved state of each row into
-    one array, both allocated before the first step; the report's series
+    bit-identical.  It advances in blocks of _BLOCK steps (`Stepper._plan`):
+    the block's steps in runs, each with one history query for its delayed
+    sources and one history extend by its traces (`Stepper._block`).  A
+    monitor pass (`energy_rows`) records the rows of the block at its end,
+    or earlier, before the next run's extend would evict the start of one
+    of their windows (`HistoryLine.first_kept`); as no stored interval of
+    the line changes, the rows, traces and stored fields are those steps one
+    at a time give, bit for bit.  The monitor rows go into one table, in
+    `report.CSV_COLUMNS` order, and with `store_fields` the interleaved
+    state of each row into one array, both allocated before the first
+    step; the report's series
     are rows of the table and its fields strided views of the states.  Its
     `dissipation_rhs` is the energy identity's rate dE/dt = 1/2 q^T Phi q
     per row, q = (trace_now, trace_delayed), with Phi's (2,2) entry |beta|
@@ -351,18 +355,20 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     (`energy_rows`); `rho_res`, the rho resolution of the quadrature they
     replace, is ignored with a DeprecationWarning.  The number of blocks and
     their shortest and mean length are logged at DEBUG; a blow-up steps on
-    to its block's end, but these counts, and the nonlinear step, solve and
-    right-hand side counts and largest q, stop at the first unstable row.
+    until its rows are recorded, but these counts, and the nonlinear step,
+    solve and right-hand side counts and largest q, stop at the first
+    unstable row.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
     when T is negative or not finite, when the arrays for its T / dt rows
     cannot be allocated, when the Lyapunov multipliers lie outside
     0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.
-    A step or monitor row that fails with NonlinearDivergenceError,
-    HistoryUnderrunError or NumericalError, or an energy that blows up, ends
-    the run early: the report keeps the rows recorded so far and names the
-    cause in `termination`.
+    A step that fails with NonlinearDivergenceError, HistoryUnderrunError
+    or NumericalError, a monitor window that starts before the history's
+    span (`history_underrun`), or an energy that blows up, ends the run
+    early: the report keeps the rows before it and names the cause in
+    `termination`.
     """
     if rho_res is not None:
         warnings.warn("run ignores rho_res: the monitor row integrates the delay terms "
@@ -402,6 +408,25 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         table[:, rows] = energy_rows(U, t, taus[0], history, p, ops.grid, mu1, mu2)
         tau_dot[rows] = taus[1]
 
+    def monitor(kept: int, done: int) -> tuple[int, str]:
+        """Record rows kept .. done - 1 of the block (`times`, `taus`,
+        `starts`, `U`, its row 0 the run's row `rows`) up to the first whose
+        window starts before the history's span: (the rows of the block
+        kept, the termination)."""
+        # written so that a NaN fails it
+        inside = np.logical_and.accumulate(starts[kept:done] >= history.t_first - 1e-14)
+        end = kept + int(np.count_nonzero(inside))
+        new = slice(rows + kept, rows + end)
+        if end > kept:
+            with np.errstate(all="ignore"):
+                record(new, U[kept:end], times[kept + 1:end + 1], taus[:, kept:end])
+        E = table[1, new]
+        unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
+        if unstable.any():
+            # the steps after the first unstable row are not the run's
+            return kept + int(np.argmax(unstable)) + 1, "unstable"
+        return end, "completed" if end == done else _TERMINATION[HistoryUnderrunError]
+
     record(slice(0, 1), s0.u[None], np.array([s0.t]), taus0)
     if states is not None:
         states[0] = s0.u
@@ -409,45 +434,33 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     rows, termination, lengths = 1, "completed", []
     t, u = s0.t, s0.u
     block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
-    while rows <= n_steps:
-        times, queries, taus, after = stepper._plan(t, history, min(_BLOCK, n_steps + 1 - rows))
+    while rows <= n_steps and termination == "completed":
+        times, queries, taus, after = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
-        start, error = stepper._steps_done, None
+        starts = times[1:] - taus[0]   # of the rows' windows
+        start, kept, cause = stepper._steps_done, 0, ""
         try:
-            stepper._block(u, history, times, queries, after, U)
+            for done in stepper._block(u, history, times, queries, after, U):
+                # the rows not yet recorded, at the block's end or before the
+                # next run's extend evicts the start of one of their windows
+                if done == K or starts[kept:done].min() < history.first_kept(times[done + 1]):
+                    kept, termination = monitor(kept, done)
+                    if termination != "completed":
+                        break
         except tuple(_TERMINATION) as exc:
-            error = exc
-        k = stepper._steps_done - start
-        lengths.append(k)
-        if k:
-            try:
-                with np.errstate(all="ignore"):
-                    record(slice(rows, rows + k), U[:k], times[1:k + 1], taus[:, :k])
-            except HistoryUnderrunError as exc:
-                # a window outside the span: the one row of its block
-                termination = _TERMINATION[type(exc)]
-                log.info("run stopped at step %d (t = %.6g): %s: %s",
-                         rows, times[1], termination, exc)
-                break
-            E = table[1, rows:rows + k]
-            unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
-            if unstable.any():
-                # the steps after the first unstable row are not the run's
-                kept = int(np.argmax(unstable)) + 1
-                stepper._steps_done -= k - kept
-                stepper._solves, stepper._rhs_evals, stepper._q_max = stepper._tally[kept - 1]
-                lengths[-1] = kept
-                rows += kept
-                termination = "unstable"
-                break
-            rows += k
-        if error is not None:
-            termination = _TERMINATION[type(error)]
-            log.info("run stopped at step %d (t = %.6g): %s: %s",
-                     rows, times[k], termination, error)
-            break
-        t, u = times[k], U[k - 1].copy()
+            kept, termination = monitor(kept, stepper._steps_done - start)
+            if termination == "completed":
+                termination, cause = _TERMINATION[type(exc)], f": {exc}"
+        if termination != "completed":
+            log.info("run stopped at step %d (t = %.6g): %s%s",
+                     rows + kept, times[kept], termination, cause)
+        # the counters stop at the last row kept
+        stepper._steps_done = start + kept
+        stepper._solves, stepper._rhs_evals, stepper._q_max = stepper._tally[kept]
+        lengths.append(kept)
+        rows += kept
+        t, u = times[K], U[K - 1].copy()
     if lengths:
         log.debug("run: %d steps in %d blocks, shortest %d, mean length %.4g",
                   sum(lengths), len(lengths), min(lengths), np.mean(lengths))

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.energy import energy_sample
+from bousslab import stepping
+from bousslab.energy import energy_rows, energy_sample
 from bousslab.errors import (ConfigurationError, HistoryUnderrunError,
                              NonlinearDivergenceError, NumericalError)
 from bousslab.operators import BandedLU
@@ -67,12 +68,28 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def _assert_run_matches_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
-                               mu1=0.0, mu2=0.0, patch=None, runs=None):
-    """Run in blocks and one step at a time (each after `patch()`, if
-    given), compare, and return the report and the planned block lengths;
-    the lengths of the runs of steps between history extends go into
-    `runs`, if given."""
+def _assert_rows_match(rep, oracle, store_fields, n):
+    """The first n rows of a report against the oracle's."""
+    rows, states, rhs, _ = oracle
+    for k, name in enumerate(CSV_COLUMNS):
+        got, want = getattr(rep, name)[:n], rows[k, :n]
+        if name in ("E", "V", "V2"):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+        elif name == "V1":
+            assert np.all(np.abs(got - want) <= 1e-14 * rows[1, :n]), name
+        else:
+            assert np.array_equal(_bits(got), _bits(want)), name
+    assert np.array_equal(_bits(rep.dissipation_rhs[:n]), _bits(rhs[:n]))
+    if store_fields:
+        assert np.array_equal(_bits(rep.fields_eta[:n]), _bits(states[:n, 0::2]))
+        assert np.array_equal(_bits(rep.fields_omega[:n]), _bits(states[:n, 1::2]))
+
+
+def _run_and_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
+                    mu1=0.0, mu2=0.0, patch=None, runs=None):
+    """(report, planned block lengths, oracle) of the run in blocks and one
+    step at a time (each after `patch()`, if given); the lengths of the
+    runs of steps between history extends go into `runs`, if given."""
     lengths, real, extend = [], Stepper._block, bl.HistoryLine.extend
 
     def block(self, u, history, times, queries, after, out):
@@ -92,20 +109,17 @@ def _assert_run_matches_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
         rep = bl.run(s0, T, cfg, p, dly, ops, mu1=mu1, mu2=mu2, store_fields=store_fields)
     if patch:
         patch()
-    rows, states, rhs, termination = _step_by_step(s0, T, cfg, p, dly, ops, mu1, mu2)
-    assert (rep.termination, rep.n_rows) == (termination, rows.shape[1])
-    for k, name in enumerate(CSV_COLUMNS):
-        got, want = getattr(rep, name), rows[k]
-        if name in ("E", "V", "V2"):
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
-        elif name == "V1":
-            assert np.all(np.abs(got - want) <= 1e-14 * rows[1]), name
-        else:
-            assert np.array_equal(_bits(got), _bits(want)), name
-    assert np.array_equal(_bits(rep.dissipation_rhs), _bits(rhs))
-    if store_fields:
-        assert np.array_equal(_bits(rep.fields_eta), _bits(states[:, 0::2]))
-        assert np.array_equal(_bits(rep.fields_omega), _bits(states[:, 1::2]))
+    return rep, lengths, _step_by_step(s0, T, cfg, p, dly, ops, mu1, mu2)
+
+
+def _assert_run_matches_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
+                               mu1=0.0, mu2=0.0, patch=None, runs=None):
+    """Run in blocks and one step at a time, compare, and return the report
+    and the planned block lengths (`_run_and_oracle`)."""
+    rep, lengths, oracle = _run_and_oracle(s0, T, cfg, p, dly, ops, store_fields,
+                                           mu1, mu2, patch, runs)
+    assert (rep.termination, rep.n_rows) == (oracle[3], oracle[0].shape[1])
+    _assert_rows_match(rep, oracle, store_fields, rep.n_rows)
     return rep, lengths
 
 
@@ -128,9 +142,8 @@ def _system(law, nonlinear, n=40, amp=1e-2):
 @pytest.mark.parametrize("nonlinear", [False, True])
 @pytest.mark.parametrize("law", list(LAWS))
 def test_blocks_match_steps_one_at_a_time(law, nonlinear, store_fields):
-    # 300 steps in blocks as long as the eviction slack allows, the first
-    # rows' windows starting in the history's first interval, the last
-    # block cut short by the horizon
+    # 300 steps in a block of 256 and one of 44 cut short by the horizon,
+    # the first rows' windows starting in the history's first interval
     p, dly, ops, cfg, s0 = _system(law, nonlinear)
     cert = bl.build_certificate(bl.SystemParams(**ACC), dly)
     rep, lengths = _assert_run_matches_oracle(s0, 300 * cfg.dt, cfg, p, dly, ops,
@@ -139,30 +152,58 @@ def test_blocks_match_steps_one_at_a_time(law, nonlinear, store_fields):
     assert max(lengths) > 100 and 1 < lengths[-1] < max(lengths)
 
 
-def test_two_sample_history_refreshes_its_head_on_the_first_push():
-    # a line of two samples is refreshed whole by the third: the first
-    # window, in its head interval, is monitored alone
+def test_two_sample_history_keeps_its_secant_slopes():
+    # a line of two samples keeps its secant slopes once pushes reach it:
+    # the first window, in its first interval, joins the one block
     p, dly, ops, cfg, s0 = _system("constant", False)
     hist = bl.HistoryLine([-0.5, 0.0], [0.3, 0.0], M=dly.M)
     s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
     rep, lengths = _assert_run_matches_oracle(s0, 0.05, cfg, p, dly, ops)
-    assert rep.termination == "completed" and lengths == [1, 49]
+    assert rep.termination == "completed" and lengths == [50]
+    line = hist.copy()
+    line.replace_last(rep.trace_now[0])
+    secant = line._m.copy()
+    Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), 50)
+    assert np.array_equal(_bits(line._m[:2]), _bits(secant))
+    assert secant[0] == secant[1] == (rep.trace_now[0] - 0.3) / 0.5
 
 
 @pytest.mark.parametrize("M", [1.5, 2000.0])
 @pytest.mark.parametrize("nonlinear", [False, True])
 def test_delay_of_one_and_a_half_steps_takes_one_step_per_run(nonlinear, M):
-    # tau0 = 1.5 dt: each delayed query lands in the interval that the next
-    # push refines, so each run of steps between extends is one step; the
-    # monitor windows still allow one block of all 60 rows, unless a line
-    # bounded by M = 1.5 dt evicts the samples they start after
+    # tau0 = 1.5 dt: each delayed query lands in the interval that ends at
+    # the newest sample, so each run of steps between extends is one step;
+    # the block holds all 60 rows, whose windows a line bounded by M = 1.5
+    # dt would evict: those rows are recorded before the extend that would
     p, dly, ops, cfg, s0 = _system("constant", nonlinear)
     dly = bl.DelaySpec(tau0=1.5 * cfg.dt, M=M * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
     s0 = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
     runs = []
     rep, lengths = _assert_run_matches_oracle(s0, 60 * cfg.dt, cfg, p, dly, ops, runs=runs)
-    assert rep.termination == "completed" and runs == [1] * 60
-    assert lengths == [60] if M > 2 else max(lengths) <= 2
+    assert rep.termination == "completed" and runs == [1] * 60 and lengths == [60]
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_delay_bound_of_three_steps_records_each_run_before_its_windows_go(nonlinear):
+    # tau0 = M = 3 dt: runs of three steps, and the extend of each evicts
+    # the start of the windows of the run before it, so `run` records
+    # every run's rows before the next run's extend, in one block of 90
+    p, dly, ops, cfg, s0 = _system("constant", nonlinear)
+    dly = bl.DelaySpec(tau0=3 * cfg.dt, M=3 * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
+    s0 = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
+    runs, recorded, real = [], [], energy_rows
+    cert = bl.build_certificate(bl.SystemParams(**ACC), dly)
+
+    def counted(U, *args, **kwargs):
+        recorded.append(len(U))
+        return real(U, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping, "energy_rows", counted)
+        rep, lengths = _assert_run_matches_oracle(s0, 90 * cfg.dt, cfg, p, dly, ops,
+                                                  mu1=cert.mu1, mu2=cert.mu2, runs=runs)
+    assert rep.termination == "completed" and lengths == [90]
+    assert runs == [3] * 30 and recorded == [1] + runs
 
 
 def _dense_state(p, dly, ops, M=None, scale=1.0):
@@ -175,16 +216,22 @@ def _dense_state(p, dly, ops, M=None, scale=1.0):
                     omega=scale * x ** 2 * (1 - x) ** 2, history=hist)
 
 
-def test_underrun_by_eviction_ends_at_the_oracle_row():
+def test_underrun_by_eviction_ends_at_the_first_row_outside_the_span():
     # a history line bounded by M = 0.5 keeps [t - 0.625, t], while the
-    # delay tau = 0.5 + t / 2 grows: the monitor window's start is evicted
-    # once t passes 0.25
+    # delay tau = 0.5 + t / 2 grows, so windows start before it once t
+    # passes 0.25.  An extend evicts what the push of its first sample
+    # would: the block's one run keeps the windows the oracle's pushes
+    # evict, and the run ends at the first row of the next block, whose
+    # extend evicts its window's start; the rows up to the oracle's last
+    # agree
     p, _, ops, cfg, _ = _system("constant", False)
     dly = bl.DelaySpec(form="affine", tau0=0.5, rate=0.5, M=2.0, d=0.5)
     s0 = _dense_state(p, dly, ops, M=0.5)
-    rep, lengths = _assert_run_matches_oracle(s0, 0.5, cfg, p, dly, ops)
-    assert rep.termination == "history_underrun" and 200 < rep.n_rows < 300
-    assert max(lengths) > 100 and lengths[-1] == 1
+    rep, lengths, oracle = _run_and_oracle(s0, 0.5, cfg, p, dly, ops)
+    n = oracle[0].shape[1]
+    assert oracle[3] == rep.termination == "history_underrun" and 200 < n < 256
+    assert rep.n_rows == 257 and lengths == [256, 244]
+    _assert_rows_match(rep, oracle, False, n)
 
 
 def test_numerical_error_inside_a_block_ends_at_the_oracle_row(monkeypatch):

@@ -142,6 +142,20 @@ def test_simulate_writes_outputs(tmp_path):
     assert "lambda_theory" in summary
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_simulate_of_one_or_two_steps_writes_its_outputs(tmp_path, steps):
+    # one step leaves one sample in the decay fit's window (the final
+    # half), so the summary has no lambda_obs; two steps leave two
+    out = tmp_path / "out"
+    ref = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
+    assert main(["simulate", "--config", str(ref), "--out", str(out), "--n", "32",
+                 "--horizon", str(steps * 0.001)]) == 0
+    names = ("timeseries.csv", "summary.txt", "certificate.txt", "config.ini")
+    assert all((out / name).exists() for name in names)
+    assert len((out / "timeseries.csv").read_text().splitlines()) == steps + 2
+    assert ("lambda_obs" in (out / "summary.txt").read_text()) == (steps == 2)
+
+
 def test_simulate_zero_data_bound_trivial(tmp_path):
     cfg = GOOD.replace("eta0 = cubic 0.1", "eta0 = zero") \
               .replace("omega0 = quartic 0.1", "omega0 = zero")

@@ -5,7 +5,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 import bousslab as bl
 from bousslab.config import parse_config
-from bousslab.delay_line import _bessel_slopes, _rho_nodes
+from bousslab.delay_line import (_cubic_coeffs, _end_slope, _interior_slope, _rho_nodes,
+                                 _secants, _square_moments)
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 
 
@@ -115,22 +116,57 @@ def test_transport_residual_convergence():
     assert min(orders) >= 1.9, (res, orders)
 
 
-def _reference(h):
-    """Global scipy Hermite spline with the same Bessel slopes, rebuilt from
-    the live samples: the construction the local evaluator replaces."""
-    t, v = np.array(h._t), np.array(h._v)
-    return CubicHermiteSpline(t, v, _bessel_slopes(t, v), extrapolate=False)
+def _parabola_slope(t, v, x):
+    """Derivative at x of the parabola through three samples (Lagrange)."""
+    (t0, t1, t2), (v0, v1, v2) = t, v
+    return (v0 * ((x - t1) + (x - t2)) / ((t0 - t1) * (t0 - t2))
+            + v1 * ((x - t0) + (x - t2)) / ((t1 - t0) * (t1 - t2))
+            + v2 * ((x - t0) + (x - t1)) / ((t2 - t0) * (t2 - t1)))
 
 
-def _check_against_reference(h, rng):
-    lo, hi = h.t_first, h.t_last
-    q = np.concatenate([rng.uniform(lo, hi, 200), np.array(h._t), [lo, hi]])
-    got = h.query(q)
-    want = _reference(h)(q)
-    scale = np.max(np.abs(h._v)) + 1e-300
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
-    k = rng.integers(q.size)
-    assert h.query(q[k]) == got[k]
+def _causal_reference(t, v, n0):
+    """Global scipy Hermite spline through every sample a causal line was
+    built with (the first n0) or pushed, oldest first: the first two slopes
+    from the parabola through the first three samples (the secant for
+    n0 = 2), every later one from the parabola through its sample and the
+    two before it.  An independent construction of the line's slopes."""
+    t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    m = np.empty_like(t)
+    if n0 == 2:
+        m[:2] = (v[1] - v[0]) / (t[1] - t[0])
+    else:
+        m[:2] = [_parabola_slope(t[:3], v[:3], x) for x in t[:2]]
+    m[2:] = [_parabola_slope(t[j - 2:j + 1], v[j - 2:j + 1], t[j]) for j in range(2, t.size)]
+    return CubicHermiteSpline(t, v, m, extrapolate=False)
+
+
+class _Record:
+    """A line and every sample it was built with or pushed, for
+    `_causal_reference`."""
+
+    def __init__(self, t, v, M):
+        self.line, self.n0 = _line(t, v, M=M), len(t)
+        self.t, self.v = list(t), list(v)
+
+    def push(self, t, v):
+        self.line.push(t, v)
+        self.t.append(t)
+        self.v.append(v)
+
+    def replace_last(self, v):
+        self.line.replace_last(v)
+        self.v[-1] = v
+
+    def check(self, rng):
+        h = self.line
+        lo, hi = h.t_first, h.t_last
+        q = np.concatenate([rng.uniform(lo, hi, 200), np.array(h._t), [lo, hi]])
+        got = h.query(q)
+        want = _causal_reference(self.t, self.v, self.n0)(q)
+        scale = np.max(np.abs(h._v)) + 1e-300
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        k = rng.integers(q.size)
+        assert h.query(q[k]) == got[k]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -138,31 +174,47 @@ def test_query_matches_global_hermite_spline(seed):
     rng = np.random.default_rng(seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)))
-    _check_against_reference(h, rng)
+    rec = _Record(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)))
+    rec.check(rng)
     for step in range(300):
-        h.push(h.t_last + rng.uniform(0.005, 0.05), rng.standard_normal())
+        rec.push(rec.line.t_last + rng.uniform(0.005, 0.05), rng.standard_normal())
         if step % 7 == 0:
-            h.replace_last(rng.standard_normal())
+            rec.replace_last(rng.standard_normal())
         if step % 25 == 0:
-            _check_against_reference(h, rng)
-    assert h.t_first > t[-1]          # every initial sample was evicted
-    _check_against_reference(h, rng)
+            rec.check(rng)
+    assert rec.line.t_first > t[-1]          # every initial sample was evicted
+    rec.check(rng)
+
+
+def test_fresh_line_takes_the_parabola_through_its_first_three_samples():
+    # exact on a quadratic from the first interval on; a line of two
+    # samples is the secant line until pushes reach it
+    t = np.array([0.0, 0.1, 0.25, 0.3])
+    h = _line(t, (t - 0.2) ** 2)
+    q = np.linspace(0.0, 0.3, 31)
+    assert np.allclose(h.query(q), (q - 0.2) ** 2, rtol=0, atol=1e-15)
+    two = _line([0.0, 0.5], [1.0, 2.0])
+    two.replace_last(3.0)
+    assert np.array_equal(two._m, [4.0, 4.0])
+    two.push(1.0, 5.0)
+    assert np.array_equal(two._m[:2], [4.0, 4.0])
 
 
 def test_slopes_after_eviction_to_few_samples():
-    # a tiny M evicts down to three samples; every slope, the head's
-    # included, must then follow the shortened buffer
+    # a tiny M evicts down to three samples; the slopes stay those each
+    # sample got when it was pushed, the head's included
     rng = np.random.default_rng(7)
-    h = _line(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3)
+    rec = _Record(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3)
     sizes, firsts = [], []
     for t_new in (1.01, 1.02, 1.03, 1.2, 1.25, 1.3):
-        h.push(t_new, rng.standard_normal())
-        sizes.append(h.size)
-        firsts.append(h.t_first)
-        _check_against_reference(h, rng)
-        h.replace_last(rng.standard_normal())
-        _check_against_reference(h, rng)
+        head = _bits(rec.line._m[-2:]).copy()
+        rec.push(t_new, rng.standard_normal())
+        sizes.append(rec.line.size)
+        firsts.append(rec.line.t_first)
+        assert np.array_equal(_bits(rec.line._m[-3:-1]), head)
+        rec.check(rng)
+        rec.replace_last(rng.standard_normal())
+        rec.check(rng)
     assert sizes[0] == 3 and firsts[4] > firsts[3]
 
 
@@ -189,34 +241,41 @@ def test_interpolation_key_rejected():
 
 
 class _ParentLine:
-    """The history line before it cached interval coefficients: slopes
-    refreshed by `_refresh_slopes`, and every query rebuilding the cubic of
-    each point's interval from the two end slopes.  Oracle for HistoryLine."""
+    """The causal line without cached interval coefficients: the slope of
+    each pushed sample from it and the two before it, a fresh line's first
+    two from its first three samples, and every query rebuilding the cubic
+    of each point's interval from the two end slopes.  Oracle for
+    HistoryLine."""
 
     def __init__(self, times, values, M):
         times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
         n = times.size
         self._buf = np.empty((3, max(2 * n, 64)))
-        self._buf[:, :n] = times, values, _bessel_slopes(times, values)
+        self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
         self.M, self.slack = float(M), 0.25 * float(M)
         self._max_gap = float(np.max(np.diff(times)))
+        h, d = np.diff(times), np.diff(values) / np.diff(times)
+        if n == 2:
+            self._m[:] = d[0]
+        else:
+            self._m[:2] = (_end_slope(h[0], h[1], d[0], d[1]),
+                           _interior_slope(h[0], h[1], d[0], d[1]))
+            for j in range(2, n):
+                self._newest_slope(j)
 
     _t = property(lambda self: self._buf[0, self._lo:self._hi])
     _v = property(lambda self: self._buf[1, self._lo:self._hi])
     _m = property(lambda self: self._buf[2, self._lo:self._hi])
 
-    def _refresh_slopes(self, head):
-        t, v, m = self._t, self._v, self._m
-        if t.size <= 3:
-            m[:] = _bessel_slopes(t, v)
-        elif head:
-            m[0] = _bessel_slopes(t[:3], v[:3])[0]
-        else:
-            m[-2:] = _bessel_slopes(t[-3:], v[-3:])[1:]
+    def _newest_slope(self, j):
+        (t0, t1, t2), (v0, v1, v2) = self._buf[:2, j - 2:j + 1].tolist()
+        self._buf[2, j] = _end_slope(t2 - t1, t1 - t0, (v2 - v1) / (t2 - t1), (v1 - v0) / (t1 - t0))
 
     def push(self, t, v):
         t_last = float(self._buf[0, self._hi - 1])
+        cutoff = t - self.M - max(self.slack, 2.0 * max(self._max_gap, t - t_last))
+        self._lo += int(np.searchsorted(self._t, cutoff))
         self._max_gap = max(self._max_gap, t - t_last)
         if self._hi == self._buf.shape[1]:
             n = self._hi - self._lo
@@ -225,16 +284,11 @@ class _ParentLine:
             self._buf, self._lo, self._hi = buf, 0, n
         self._buf[:2, self._hi] = t, v
         self._hi += 1
-        self._refresh_slopes(head=False)
-        cutoff = t - self.M - max(self.slack, 2.0 * self._max_gap)
-        k = int(np.searchsorted(self._t, cutoff))
-        if k > 0:
-            self._lo += k
-            self._refresh_slopes(head=True)
+        self._newest_slope(self._hi - 1)
 
     def replace_last(self, v):
         self._buf[1, self._hi - 1] = v
-        self._refresh_slopes(head=False)
+        self._newest_slope(self._hi - 1)
 
     def query(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -476,20 +530,24 @@ def test_array_query_matches_one_point_query(seed):
     assert h.t_first > first and profiles >= 10   # samples were evicted
 
 
-def _cached_integrals(h):
-    """Bits of the live columns' square integrals, which the newest one
-    holds as zeros."""
-    return _bits(h._buf[5:, h._lo:h._hi]).copy()
-
-
 def _assert_cache_is_fresh(h):
-    # the integrals an incremental refresh left equal a recomputation from
-    # scratch bit for bit (the same operations, on floats or on arrays)
-    cached = _cached_integrals(h)
-    fresh = h.copy()
-    fresh._refresh_all()
-    assert np.array_equal(cached, _cached_integrals(fresh))
-    assert np.all(cached[:, -1] == 0)
+    # the coefficients an incremental refresh left equal a rebuild from the
+    # stored slopes, bit for bit (the same operations, on floats or on
+    # arrays), and are zero at the newest sample
+    t, v, m = h._buf[:3, h._lo:h._hi]
+    rebuilt = np.array(_cubic_coeffs(*_secants(t, v), m[:-1], m[1:]))
+    assert np.array_equal(_bits(h._buf[3:5, h._lo:h._hi - 1]), _bits(rebuilt))
+    assert np.all(h._buf[3:5, h._hi - 1] == 0)
+
+
+def _assert_intervals_integrate_alone(h):
+    # every interval's square integrals, served for all intervals at once,
+    # equal those served for it alone, bit for bit
+    t = h._t
+    together = h.square_integrals(t[:-1], t[1:])
+    for j in range(t.size - 1):
+        alone = h.square_integrals(float(t[j]), float(t[j + 1]))
+        assert np.array_equal(_bits(alone), _bits([x[j] for x in together]))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -510,7 +568,53 @@ def test_cached_square_integrals_match_refresh_all(seed):
                 line.replace_last(float(rng.standard_normal()))
             _assert_cache_is_fresh(line)
         assert line._buf is not buf
+        _assert_intervals_integrate_alone(line)
     assert h.t_first > t[-1]
+
+
+def test_square_moments_do_not_depend_on_the_number_of_elements():
+    # element i of a one-element call equals element i of a many-element
+    # call, bit for bit: the 16 terms go in one order whatever the size
+    rng = np.random.default_rng(11)
+    args = [rng.uniform(1e-4, 0.1, 37)] + [rng.standard_normal(37) * 10.0 ** rng.integers(-3, 4, 37)
+                                           for _ in range(4)]
+    many = _square_moments(*args)
+    for i in range(37):
+        one = _square_moments(*(x[i:i + 1] for x in args))
+        assert np.array_equal(_bits(one[:, 0]), _bits(many[:, i]))
+    pair = _square_moments(*(x[3:5] for x in args))
+    assert np.array_equal(_bits(pair), _bits(many[:, 3:5]))
+
+
+def test_no_stored_interval_changes_after_its_end_sample_is_pushed_past():
+    # pushes, extends, overwrites of the newest sample and evictions (a
+    # small M) leave every sample and slope but the newest, and every
+    # interval's coefficients but those of the one that ends at the newest
+    # sample, bit for bit as they were
+    rng = np.random.default_rng(13)
+    t = np.cumsum(rng.uniform(0.01, 0.05, 30))
+    h = _line(t, rng.standard_normal(30), M=0.2)
+    first, buf = h.t_first, h._buf
+    for step in range(200):
+        lo, hi = h._lo, h._hi
+        t_old = h._buf[0, lo:hi - 1].copy()
+        samples = _bits(h._buf[:3, lo:hi - 1]).copy()
+        coeffs = _bits(h._buf[3:5, lo:hi - 2]).copy()
+        times = h.t_last + np.cumsum(rng.uniform(0.005, 0.05, int(rng.integers(1, 6))))
+        action = step % 3
+        if action == 0:
+            h.push(float(times[0]), float(rng.standard_normal()))
+        elif action == 1:
+            h.extend(times, rng.standard_normal(times.size))
+        else:
+            h.replace_last(float(rng.standard_normal()))
+        # the snapshot's columns still live, e of them evicted, in the same
+        # buffer or moved to a new one
+        e = int(np.searchsorted(t_old, h.t_first))
+        j = h._lo
+        assert np.array_equal(_bits(h._buf[:3, j:j + t_old.size - e]), samples[:, e:])
+        assert np.array_equal(_bits(h._buf[3:5, j:j + t_old.size - 1 - e]), coeffs[:, e:])
+    assert h.t_first > first and h._buf is not buf   # evictions and buffer growth
 
 
 def _gauss_legendre(h, a, b, weight):
@@ -568,8 +672,10 @@ def test_square_integrals_refuse_a_window_outside_the_span():
 @pytest.mark.parametrize("seed", range(6))
 def test_extend_equals_pushes_one_at_a_time(seed):
     # extends of random lengths, with evictions (down to three samples for a
-    # small M), jumps in the gap and buffer growth, leave the line K pushes
-    # leave, bit for bit: samples, slopes, coefficients, integrals, span
+    # small M), jumps in the gap and buffer growth, leave the samples, slopes
+    # and coefficients K pushes leave, bit for bit, and the largest gap; an
+    # extend evicts as the push of its first sample alone would, so it may
+    # keep older samples too
     rng = np.random.default_rng(600 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
@@ -580,12 +686,15 @@ def test_extend_equals_pushes_one_at_a_time(seed):
         gaps = np.full(k, 0.02) if rng.uniform() < 0.5 else rng.uniform(0.005, 0.1, k)
         times = h.t_last + np.cumsum(gaps)
         values = rng.standard_normal(k)
+        first = h.copy()
+        first.push(times[0], values[0])
         h.extend(times, values)
         for tk, vk in zip(times, values):
             pushed.push(tk, vk)
-        assert (h._lo - h._hi, h._max_gap) == (pushed._lo - pushed._hi, pushed._max_gap)
-        assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
-                              _bits(pushed._buf[:, pushed._lo:pushed._hi]))
+        assert h.t_first == first.t_first and h._max_gap == pushed._max_gap
+        n = pushed.size
+        assert h.size >= n and np.array_equal(_bits(h._buf[:, h._hi - n:h._hi]),
+                                              _bits(pushed._buf[:, pushed._lo:pushed._hi]))
         _assert_cache_is_fresh(h)
     assert h.t_first > t[-1]
 
@@ -603,9 +712,9 @@ def test_extend_refuses_bad_times_and_keeps_the_line():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
-    # each of the newest K samples' windows, from the line after all K
-    # pushes, against square_integrals on a copy taken right after that
-    # sample's push: traces bit for bit, integrals to roundoff
+    # square_integrals over the trailing windows of the newest K samples,
+    # from the line after all K pushes, against those on a copy taken right
+    # after each sample's push: bit for bit, as no stored interval changes
     rng = np.random.default_rng(700 + seed)
     t = np.cumsum(rng.uniform(0.005, 0.02, 200))
     h = _line(t, rng.standard_normal(200), M=2.0)
@@ -615,22 +724,19 @@ def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
     for tk in times:
         h.push(tk, float(rng.standard_normal()))
         as_pushed.append(h.square_integrals(tk - tau, tk))
-    qa, qb, i0, i1 = h.trailing_integrals(times - tau)
-    want = np.array(as_pushed).T
-    assert np.array_equal(_bits(qa), _bits(want[0]))
-    assert np.array_equal(_bits(qb), _bits(want[1]))
-    assert np.all(np.abs(i0 - want[2]) <= 1e-14 * want[2])
-    assert np.all(np.abs(i1 - want[3]) <= 1e-14 * want[3])
-    # the window of the newest sample alone may start inside its last interval
+    got = h.square_integrals(times - tau, times)
+    assert np.array_equal(_bits(got), _bits(np.array(as_pushed).T))
+    # a window that starts inside the newest sample's interval
     a = float(times[-1] - 0.3 * (times[-1] - times[-2]))
-    got = h.trailing_integrals(np.array([a]))
+    got = h.square_integrals(np.array([a]), times[-1:])
     assert np.allclose(np.ravel(got), h.square_integrals(a, float(times[-1])), rtol=1e-14, atol=0)
 
 
 def test_trailing_integrals_of_mass_at_the_windows_oldest_end():
-    # q = exp(-600 s) on dt = 1e-3 samples: every window's q^2 sits at its
-    # start, so the s - a moment is small against |a| times the mass; 256
-    # rows whose starts spread over 256 dt, against each row alone
+    # q = exp(-600 s) on dt = 1e-3 samples: every trailing window's q^2 sits
+    # at its start, so the s - a moment is small against |a| times the mass;
+    # square_integrals over 256 windows whose starts spread over 256 dt,
+    # against each window alone
     dt, tau, K = 1e-3, 0.2, 256
     f = lambda s: np.exp(-600.0 * (s + 0.022))
     t = dt * np.arange(-300, 1)
@@ -640,7 +746,7 @@ def test_trailing_integrals_of_mass_at_the_windows_oldest_end():
     alone = []
     for tk in times:
         one.push(tk, float(f(tk)))
-        alone.append(np.ravel(one.trailing_integrals(np.array([tk - tau]))))
+        alone.append(np.ravel(one.square_integrals(np.array([tk - tau]), np.array([tk]))))
     h.extend(times, f(times))
-    for got, want in zip(h.trailing_integrals(times - tau), np.array(alone).T):
+    for got, want in zip(h.square_integrals(times - tau, times), np.array(alone).T):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -90,10 +90,10 @@ def test_sandwich_inequality_random_states():
         assert V <= (1 + mx) * E + 1e-12 * E
 
 
-def test_energy_sample_refuses_a_state_its_history_has_moved_past():
+def test_energy_sample_of_a_moved_on_state_equals_its_row_before_the_move():
     # a state stepped by hand shares its history line with the steps after
-    # it: its monitor row read the line as it stood then, so a later call
-    # refuses it rather than read the newer line
+    # it; no stored interval changes once pushed, so its monitor row read
+    # after the line moves on is the row read before, bit for bit
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
     dly = bl.DelaySpec(tau0=0.5, M=2.0)
     g = bl.Grid(n=16, L=p.L)
@@ -101,13 +101,12 @@ def test_energy_sample_refuses_a_state_its_history_has_moved_past():
     stepper = bl.Stepper(ops, bl.StepConfig(dt=1e-3), p, dly)
     s1 = stepper.step(bl.initial_state(p, dly, g, g.nodes ** 3 * (1 - g.nodes) ** 2,
                                        np.zeros(16)))
-    row = energy_sample(s1, p, dly, g)
-    s2 = stepper.step(s1)
-    assert s2.history is s1.history
-    with pytest.raises(ConfigurationError, match=r"the history ends at t=0\.002, not at "
-                                                 r"the last row's t=0\.001"):
-        energy_sample(s1, p, dly, g)
-    assert energy_sample(s2, p, dly, g)[0] == 0.002 and row[0] == 0.001
+    row = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+    s2 = stepper.advance(s1, 40)
+    assert s2.history is s1.history and s2.t == pytest.approx(0.041)
+    again = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+    assert np.array_equal(np.array(again).view(np.uint64), np.array(row).view(np.uint64))
+    assert row[0] == 0.001 and row[2] != row[1]
 
 
 def test_dissipation_residual_needs_three_samples():

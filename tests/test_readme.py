@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import bousslab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +19,16 @@ def test_library_example_runs():
     assert rep.termination == "completed"
     assert rep.t.shape == rep.E.shape == (rep.n_rows,)
     assert ns["ok"]
+
+
+def test_readme_names_only_class_members_that_exist():
+    # every backticked `Class.member` in the README is an attribute of a
+    # class of that name in bousslab
+    classes = {}
+    for module in pkgutil.iter_modules(bousslab.__path__):
+        namespace = vars(importlib.import_module(f"bousslab.{module.name}"))
+        classes.update((k, v) for k, v in namespace.items() if isinstance(v, type))
+    named = set(re.findall(r"`([A-Z]\w*)\.(\w+)`", README.read_text()))
+    assert named
+    missing = sorted(f"{c}.{m}" for c, m in named if not hasattr(classes.get(c), m))
+    assert not missing, missing
