@@ -5,7 +5,8 @@ transport equation for z(t, rho) = eta_xx(t - tau(t) rho, L) we keep a
 buffer of (time, trace) samples and interpolate.  The line is causal, as a
 method-of-steps solver keeps the continuous extension of each accepted step:
 a sample's slope is fixed when it is pushed, so the interpolant over a
-window does not change while the window stays in the span.  The
+window does not change while the window stays in the span.  It keeps every
+sample until its owner drops the past (`HistoryLine.drop_before`).  The
 substitution s = t - tau rho turns the monitors' rho integrals of z^2 into
 exact integrals of the interpolant's square over [t - tau, t]
 (`HistoryLine.square_integrals`).  The transport equation is retained as a
@@ -100,19 +101,19 @@ class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
     Samples are finite and their times strictly increasing (`push` takes any
-    value, so a blow-up still ends a run as unstable); the span must always
-    cover [t - M - slack, t] with slack = M/4.  The line is causal: each
-    pushed sample gets the end slope of the parabola through it and its two
-    predecessors, stored once, so no interval changes after a later push or
-    an eviction.  A fresh line's first two samples get the slopes of the
-    parabola through its first three (the secant on a line of two).  The
-    interpolant is C^1, exact on quadratics and linear in the data, which
-    makes simulations superpose; it is not monotone.  Each interval caches
-    its cubic coefficients.  Queries at stored sample times return the
-    stored values exactly.
+    value, so a blow-up still ends a run as unstable).  The line keeps every
+    sample until `drop_before` drops the past before a time; it does not
+    bound itself.  The line is causal: each pushed sample gets the end slope
+    of the parabola through it and its two predecessors, stored once, so no
+    interval changes after a later push or a drop.  A fresh line's first two
+    samples get the slopes of the parabola through its first three (the
+    secant on a line of two).  The interpolant is C^1, exact on quadratics
+    and linear in the data, which makes simulations superpose; it is not
+    monotone.  Each interval caches its cubic coefficients.  Queries at
+    stored sample times return the stored values exactly.
     """
 
-    def __init__(self, times, values, M: float):
+    def __init__(self, times, values):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if times.shape != values.shape:
@@ -126,8 +127,6 @@ class HistoryLine:
                     f"non-finite history sample {what} {arr[bad[0]]} at index {bad[0]}")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("history sample times must be strictly increasing")
-        if not 0 < M < np.inf:   # a NaN fails it too
-            raise ConfigurationError(f"delay upper bound M = {M} is non-positive or non-finite")
         n = times.size
         # rows: time, value, slope, and the s^2 and s^3 coefficients of the
         # interval that starts at the sample (zero at the newest one, so a
@@ -137,9 +136,6 @@ class HistoryLine:
         self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
         self._start()
-        self.M = float(M)
-        self.slack = 0.25 * self.M
-        self._max_gap = float(np.max(np.diff(times)))
 
     def copy(self) -> HistoryLine:
         """An independent line with the same samples (one buffer copy)."""
@@ -201,13 +197,14 @@ class HistoryLine:
         self.extend(np.array([t], dtype=float), np.array([v], dtype=float))
 
     def extend(self, times, values) -> None:
-        """Append samples at increasing finite times after t_last, first
-        evicting the samples before the first one's cutoff t - M -
-        max(slack, 2 max_gap), max_gap the largest gap once it is appended.
-        The stored samples keep their slopes, so the line K pushes leave
-        differs from this one's only in the samples it has evicted."""
+        """Append samples at increasing finite times after t_last, one value
+        per time.  The stored samples keep their slopes, so K pushes leave
+        the same line, bit for bit.  A refused extend leaves the line as it
+        was."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
+        if times.shape != values.shape:
+            raise ConfigurationError(f"extend by {times.size} times and {values.size} values")
         K = times.size
         if K == 0:
             return
@@ -223,8 +220,6 @@ class HistoryLine:
             bad = np.flatnonzero(~(times > before))[0]
             raise ConfigurationError(
                 f"non-monotone push: t={times[bad]} after t_last={before[bad]}")
-        self._lo += int(self._t.searchsorted(self._cutoff(first)))
-        self._max_gap = max(self._max_gap, first - t_last, gaps.max().item() if K > 1 else 0.0)
         n = self.size
         if self._hi + K > self._buf.shape[1]:
             buf = np.empty((5, max(self._buf.shape[1], 4 * n, n + K)))
@@ -237,16 +232,14 @@ class HistoryLine:
         buf[3:, self._hi - 1] = 0.0
         self._refresh(h0, self._hi)
 
-    def _cutoff(self, t: float) -> float:
-        """The eviction cutoff t - M - max(slack, 2 max_gap) of a sample
-        appended at t, max_gap the largest gap once it is."""
-        return t - self.M - max(self.slack, 2.0 * max(self._max_gap, t - self.t_last))
-
-    def first_kept(self, t: float) -> float:
-        """t_first after an extend whose first sample is at t: a window
-        that starts at or after it reads the same after the extend."""
-        live = self._t
-        return live.item(live.searchsorted(self._cutoff(t)))
+    def drop_before(self, t: float) -> None:
+        """Drop the samples before the last one at or before t (none for a
+        NaN), but never the newest three, which a push and `replace_last`
+        read.  Only the line's start moves, so a query or an integral at or
+        after t reads the same bits."""
+        if t >= self.t_first:   # written so that a NaN fails it
+            dropped = int(self._t.searchsorted(t, "right")) - 1
+            self._lo = max(self._lo, min(self._lo + dropped, self._hi - 3))
 
     def replace_last(self, v: float) -> None:
         """Overwrite the newest stored value: its slope and the interval

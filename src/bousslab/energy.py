@@ -43,8 +43,8 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
     q^2 ds and |beta|/(2 tau) int (s - t + tau) q^2 ds
     (`HistoryLine.square_integrals`, which also gives the traces q(t) and
     q(t - tau) as `query` does).  The line is causal, so a row reads the
-    same window however many samples came after t, until eviction takes
-    its start (HistoryUnderrunError).  With beta = 0 the delay parts are 0.0.
+    same window however many samples came after t, until a drop takes its
+    start (HistoryUnderrunError).  With beta = 0 the delay parts are 0.0.
 
     The x trapezoids are row-wise dot products over the interior nodes (the
     boundary values are zero)."""
@@ -61,7 +61,9 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
     """The monitor row of the state s (`energy_rows` of one row, over the
     window [s.t - tau, s.t] of its history) as a tuple of floats.  A state
     whose history line has moved on (one `Stepper.step` returned, then
-    stepped again) gives the row it gave before the move, bit for bit."""
+    stepped again) gives the row it gave before the move, bit for bit, or,
+    once a later block has dropped the start of its window, raises
+    HistoryUnderrunError."""
     tau, _ = tau_at(dly, s.t)
     row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())

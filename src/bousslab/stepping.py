@@ -10,18 +10,19 @@ sources, per step one matvec and one banded solve, and one history extend
 by the run's traces.  The history line is causal, so a run goes on while
 the next query point is at or before the newest sample pushed: a delay of
 many steps makes a block one run, and one shorter than (1 + theta) dt
-makes every run one step.  `run` adds a monitor pass over a block's rows,
-at its end or before an extend would evict one of their windows.
-Optional Picard iteration handles the quadratic
-nonlinear terms, iterating on increments with one right-hand side per
-banded solve (`nonlinear_matrices`).  A run logs its blocks, and a
-nonlinear run its step, solve and right-hand side counts and its largest
-contraction estimate, at DEBUG, over the rows it kept.
+makes every run one step.  A block first drops the history before the
+earliest point it reads, and `run` adds one monitor pass over its rows.
+Optional Picard iteration handles the quadratic nonlinear terms, iterating
+on increments with one right-hand side per banded solve
+(`nonlinear_matrices`).  A run logs its blocks, and a nonlinear run its
+step, solve and right-hand side counts and its largest contraction
+estimate, at DEBUG, over the rows it kept.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -124,7 +125,7 @@ def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimSta
     """The t = 0 state; its history is dly.history with the t = 0 sample set to eta0's trace."""
     values = dly.history.copy()
     values[-1] = trace_eta_xx_L(eta0, grid)
-    hist = HistoryLine(dly.history_times(), values, M=dly.M)
+    hist = HistoryLine(dly.history_times(), values)
     return SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
 
 
@@ -260,22 +261,26 @@ class Stepper:
         return times, queries, taus, times.searchsorted(queries)
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, after: np.ndarray, out: np.ndarray):
+               queries: np.ndarray, taus: np.ndarray, after: np.ndarray,
+               out: np.ndarray) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
-        state at times[k + 1] into out[k], and yield the number of steps
-        done after each run of them.  A run's delayed traces come from one
-        `HistoryLine.query`, then per step one matvec and one banded solve
-        (Picard for the nonlinear terms), and one `HistoryLine.extend` by
-        the run's traces; a run goes on while the next step's query point is
-        at or before the newest sample pushed (after[k] <= the steps
-        pushed), so a delay of many steps makes one run of the block.  A
-        step that fails raises its error after the steps before it are in
-        out and in the history, and counted by `_steps_done`; `_tally`
-        holds the solve and right-hand side counts and the largest q before
-        the block and after each of its steps.  A blow-up spreads inf and
-        NaN without a warning, so a run can stop at its first unstable row."""
+        state at times[k + 1] into out[k].  First the history drops the past
+        before the earliest point the block reads: its query points and its
+        rows' window starts times[1:] - tau.  A run's delayed traces come
+        from one `HistoryLine.query`, then per step one matvec and one
+        banded solve (Picard for the nonlinear terms), and one
+        `HistoryLine.extend` by the run's traces; a run goes on while the
+        next step's query point is at or before the newest sample pushed
+        (after[k] <= the steps pushed), so a delay of many steps makes one
+        run of the block.  A step that fails raises its error after the
+        steps before it are in out and in the history, and counted by
+        `_steps_done`; `_tally` holds the solve and right-hand side counts
+        and the largest q before the block and after each of its steps.  A
+        blow-up spreads inf and NaN without a warning, so a run can stop at
+        its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
+        history.drop_before(min(queries.min(), (times[1:] - taus[0]).min()))
         after = after.tolist()
         traces = np.empty(K)
         done = 0
@@ -306,20 +311,21 @@ class Stepper:
                         done += 1
             finally:
                 history.extend(times[start + 1:done + 1], traces[start:done])
-            yield done
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
-        (`_plan`, `_block`); advances `state.history` in place by their
-        traces.  Raises the NonlinearDivergenceError, HistoryUnderrunError or
-        NumericalError of a step that fails."""
+        (`_plan`, `_block`); advances `state.history` in place, which keeps
+        about max tau / dt + _BLOCK samples.  Raises ConfigurationError when
+        steps is not a nonnegative integer, and the NonlinearDivergenceError,
+        HistoryUnderrunError or NumericalError of a step that fails."""
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+            raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
         t, u = state.t, state.u
-        out = np.empty((min(max(steps, 0), _BLOCK), u.size))
+        out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
-            times, queries, _, after = self._plan(t, min(_BLOCK, steps))
+            times, queries, taus, after = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            for _ in self._block(u, state.history, times, queries, after, out[:K]):
-                pass
+            self._block(u, state.history, times, queries, taus, after, out[:K])
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -337,17 +343,17 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
     to the trace of s0.eta, so s0 stays untouched and reruns from it are
     bit-identical.  It advances in blocks of _BLOCK steps (`Stepper._plan`):
-    the block's steps in runs, each with one history query for its delayed
-    sources and one history extend by its traces (`Stepper._block`).  A
+    the block drops the history before the earliest point it reads, then
+    takes its steps in runs, each with one history query for its delayed
+    sources and one history extend by its traces (`Stepper._block`).  One
     monitor pass (`energy_rows`) records the rows of the block at its end,
-    or earlier, before the next run's extend would evict the start of one
-    of their windows (`HistoryLine.first_kept`); as no stored interval of
-    the line changes, the rows, traces and stored fields are those steps one
-    at a time give, bit for bit.  The monitor rows go into one table, in
+    or at the step that fails; as no stored interval of the line changes,
+    the rows, traces and stored fields are those steps one at a time give,
+    bit for bit.  The monitor rows go into one table, in
     `report.CSV_COLUMNS` order, and with `store_fields` the interleaved
     state of each row into one array, both allocated before the first
-    step; the report's series
-    are rows of the table and its fields strided views of the states.  Its
+    step; the report's series are rows of the table and its fields strided
+    views of the states.  Its
     `dissipation_rhs` is the energy identity's rate dE/dt = 1/2 q^T Phi q
     per row, q = (trace_now, trace_delayed), with Phi's (2,2) entry |beta|
     (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds it from
@@ -366,8 +372,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.
     A step that fails with NonlinearDivergenceError, HistoryUnderrunError
     or NumericalError, a monitor window that starts before the history's
-    span (`history_underrun`), or an energy that blows up, ends the run
-    early: the report keeps the rows before it and names the cause in
+    span (`history_underrun`: a law with tau' > 1 reads further back than
+    an earlier block kept), or an energy that blows up, ends the run early:
+    the report keeps the rows before it and names the cause in
     `termination`.
     """
     if rho_res is not None:
@@ -408,25 +415,6 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         table[:, rows] = energy_rows(U, t, taus[0], history, p, ops.grid, mu1, mu2)
         tau_dot[rows] = taus[1]
 
-    def monitor(kept: int, done: int) -> tuple[int, str]:
-        """Record rows kept .. done - 1 of the block (`times`, `taus`,
-        `starts`, `U`, its row 0 the run's row `rows`) up to the first whose
-        window starts before the history's span: (the rows of the block
-        kept, the termination)."""
-        # written so that a NaN fails it
-        inside = np.logical_and.accumulate(starts[kept:done] >= history.t_first - 1e-14)
-        end = kept + int(np.count_nonzero(inside))
-        new = slice(rows + kept, rows + end)
-        if end > kept:
-            with np.errstate(all="ignore"):
-                record(new, U[kept:end], times[kept + 1:end + 1], taus[:, kept:end])
-        E = table[1, new]
-        unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
-        if unstable.any():
-            # the steps after the first unstable row are not the run's
-            return kept + int(np.argmax(unstable)) + 1, "unstable"
-        return end, "completed" if end == done else _TERMINATION[HistoryUnderrunError]
-
     record(slice(0, 1), s0.u[None], np.array([s0.t]), taus0)
     if states is not None:
         states[0] = s0.u
@@ -438,20 +426,31 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         times, queries, taus, after = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
-        starts = times[1:] - taus[0]   # of the rows' windows
-        start, kept, cause = stepper._steps_done, 0, ""
+        start, error = stepper._steps_done, None
         try:
-            for done in stepper._block(u, history, times, queries, after, U):
-                # the rows not yet recorded, at the block's end or before the
-                # next run's extend evicts the start of one of their windows
-                if done == K or starts[kept:done].min() < history.first_kept(times[done + 1]):
-                    kept, termination = monitor(kept, done)
-                    if termination != "completed":
-                        break
+            stepper._block(u, history, times, queries, taus, after, U)
         except tuple(_TERMINATION) as exc:
-            kept, termination = monitor(kept, stepper._steps_done - start)
-            if termination == "completed":
-                termination, cause = _TERMINATION[type(exc)], f": {exc}"
+            error = exc
+        done = stepper._steps_done - start
+        # the rows of the steps taken, up to the first whose window starts
+        # before the history's span (written so that a NaN fails it)
+        inside = np.logical_and.accumulate(times[1:done + 1] - taus[0, :done]
+                                           >= history.t_first - 1e-14)
+        kept = int(np.count_nonzero(inside))
+        new = slice(rows, rows + kept)
+        if kept:
+            with np.errstate(all="ignore"):
+                record(new, U[:kept], times[1:kept + 1], taus[:, :kept])
+        E = table[1, new]
+        unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
+        cause = ""
+        if unstable.any():
+            # the steps after the first unstable row are not the run's
+            kept, termination = int(np.argmax(unstable)) + 1, "unstable"
+        elif kept < done:
+            termination = _TERMINATION[HistoryUnderrunError]
+        elif error is not None:
+            termination, cause = _TERMINATION[type(error)], f": {error}"
         if termination != "completed":
             log.info("run stopped at step %d (t = %.6g): %s%s",
                      rows + kept, times[kept], termination, cause)
@@ -566,5 +565,5 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     v = v / v[np.argmax(np.abs(v))] * amplitude
     t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
     hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
-    hist = HistoryLine(t_hist, hist_vals, M=dly.M)
+    hist = HistoryLine(t_hist, hist_vals)
     return SimState._from_u(0.0, v.real.copy(), hist), lam

@@ -145,7 +145,7 @@ def test_criterion_09_transport_consistency():
     for m in ms:
         dt_samp = 0.5 / (8 * m)
         t = np.arange(-0.5, 1.5 + 1e-12, dt_samp)
-        h = bl.HistoryLine(t, np.sin(t), M=0.5)
+        h = bl.HistoryLine(t, np.sin(t))
         res.append(bl.transport_residual(h, dly, 0.8, m, dt_fd=0.7 * 0.5 / m))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(len(res) - 1)]
     assert min(orders) >= 1.9, (res, orders)
@@ -176,8 +176,7 @@ def test_criterion_11_superposition():
         th = np.linspace(-dly.tau0, 0.0, 61)
         return SimState(t=0.0, eta=rng.standard_normal(g.n),
                         omega=rng.standard_normal(g.n),
-                        history=bl.HistoryLine(th, rng.standard_normal(61),
-                                               M=dly.M))
+                        history=bl.HistoryLine(th, rng.standard_normal(61)))
 
     for _ in range(3):
         sx, sy = rand_state(), rand_state()
@@ -185,7 +184,7 @@ def test_criterion_11_superposition():
         vy = np.array(sy.history._v)
         ex, ox = sx.eta.copy(), sx.omega.copy()
         s_sum = SimState(t=0.0, eta=sx.eta + sy.eta, omega=sx.omega + sy.omega,
-                         history=bl.HistoryLine(tx, vx + vy, M=dly.M))
+                         history=bl.HistoryLine(tx, vx + vy))
         rx = Stepper(ops, cfg, p, dly).step(sx)
         ry = Stepper(ops, cfg, p, dly).step(sy)
         rs = Stepper(ops, cfg, p, dly).step(s_sum)
@@ -194,7 +193,7 @@ def test_criterion_11_superposition():
         assert np.max(np.abs(rs.omega - rx.omega - ry.omega)) <= 1e-10 * scale
         c = 3.7
         sc = SimState(t=0.0, eta=c * ex, omega=c * ox,
-                      history=bl.HistoryLine(tx, c * vx, M=dly.M))
+                      history=bl.HistoryLine(tx, c * vx))
         rc = Stepper(ops, cfg, p, dly).step(sc)
         assert np.max(np.abs(rc.eta - c * rx.eta)) <= 1e-10 * scale * c
     _report(11, "step is additive and homogeneous to 1e-10 relative")

@@ -23,7 +23,7 @@ from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper
 
-from conftest import ACC, failing_solve
+from conftest import ACC, OUTRUN_DELAY, failing_solve
 
 LAWS = {
     "constant": dict(tau0=0.5, M=2.0, d=0.0),
@@ -92,9 +92,9 @@ def _run_and_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
     runs of steps between history extends go into `runs`, if given."""
     lengths, real, extend = [], Stepper._block, bl.HistoryLine.extend
 
-    def block(self, u, history, times, queries, after, out):
-        lengths.append(len(out))
-        return real(self, u, history, times, queries, after, out)
+    def block(self, *args):
+        lengths.append(len(args[-1]))   # the block's output rows
+        return real(self, *args)
 
     def counted_extend(self, times, values):
         if runs is not None and len(times):
@@ -156,7 +156,7 @@ def test_two_sample_history_keeps_its_secant_slopes():
     # a line of two samples keeps its secant slopes once pushes reach it:
     # the first window, in its first interval, joins the one block
     p, dly, ops, cfg, s0 = _system("constant", False)
-    hist = bl.HistoryLine([-0.5, 0.0], [0.3, 0.0], M=dly.M)
+    hist = bl.HistoryLine([-0.5, 0.0], [0.3, 0.0])
     s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
     rep, lengths = _assert_run_matches_oracle(s0, 0.05, cfg, p, dly, ops)
     assert rep.termination == "completed" and lengths == [50]
@@ -173,8 +173,8 @@ def test_two_sample_history_keeps_its_secant_slopes():
 def test_delay_of_one_and_a_half_steps_takes_one_step_per_run(nonlinear, M):
     # tau0 = 1.5 dt: each delayed query lands in the interval that ends at
     # the newest sample, so each run of steps between extends is one step;
-    # the block holds all 60 rows, whose windows a line bounded by M = 1.5
-    # dt would evict: those rows are recorded before the extend that would
+    # the block holds all 60 rows, and the delay law's bound M, tight or
+    # loose, changes nothing
     p, dly, ops, cfg, s0 = _system("constant", nonlinear)
     dly = bl.DelaySpec(tau0=1.5 * cfg.dt, M=M * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
     s0 = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
@@ -185,9 +185,9 @@ def test_delay_of_one_and_a_half_steps_takes_one_step_per_run(nonlinear, M):
 
 @pytest.mark.parametrize("nonlinear", [False, True])
 def test_delay_bound_of_three_steps_records_each_run_before_its_windows_go(nonlinear):
-    # tau0 = M = 3 dt: runs of three steps, and the extend of each evicts
-    # the start of the windows of the run before it, so `run` records
-    # every run's rows before the next run's extend, in one block of 90
+    # tau0 = M = 3 dt: runs of three steps in one block of 90, whose rows
+    # one monitor pass records at its end: the block dropped the history
+    # only before the earliest point it reads
     p, dly, ops, cfg, s0 = _system("constant", nonlinear)
     dly = bl.DelaySpec(tau0=3 * cfg.dt, M=3 * cfg.dt, history=np.cos(np.linspace(0, 1, 9)))
     s0 = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
@@ -203,35 +203,48 @@ def test_delay_bound_of_three_steps_records_each_run_before_its_windows_go(nonli
         rep, lengths = _assert_run_matches_oracle(s0, 90 * cfg.dt, cfg, p, dly, ops,
                                                   mu1=cert.mu1, mu2=cert.mu2, runs=runs)
     assert rep.termination == "completed" and lengths == [90]
-    assert runs == [3] * 30 and recorded == [1] + runs
+    assert runs == [3] * 30 and recorded == [1, 90]
 
 
-def _dense_state(p, dly, ops, M=None, scale=1.0):
+def _dense_state(p, dly, ops, scale=1.0):
     """Slow-mode-like start: smooth data and a history sampled every 1e-3 on
     [-tau0, 0], so blocks are long from the first step."""
     x = ops.grid.nodes
     t = np.linspace(-dly.tau0, 0.0, round(dly.tau0 / 1e-3) + 1)
-    hist = bl.HistoryLine(t, scale * np.cos(3 * t), M=dly.M if M is None else M)
+    hist = bl.HistoryLine(t, scale * np.cos(3 * t))
     return SimState(t=0.0, eta=scale * x ** 3 * (1 - x) ** 2,
                     omega=scale * x ** 2 * (1 - x) ** 2, history=hist)
 
 
 def test_underrun_by_eviction_ends_at_the_first_row_outside_the_span():
-    # a history line bounded by M = 0.5 keeps [t - 0.625, t], while the
-    # delay tau = 0.5 + t / 2 grows, so windows start before it once t
-    # passes 0.25.  An extend evicts what the push of its first sample
-    # would: the block's one run keeps the windows the oracle's pushes
-    # evict, and the run ends at the first row of the next block, whose
-    # extend evicts its window's start; the rows up to the oracle's last
-    # agree
+    # under OUTRUN_DELAY, t - tau(t) falls from t = 0.49 on.  Each block
+    # drops the history before the earliest point it reads; steps one at a
+    # time drop before each step's, so they end at row 511, where the run
+    # in blocks ends at the first row of the fourth block, the first whose
+    # reads fall before the third block's; the 511 shared rows agree
     p, _, ops, cfg, _ = _system("constant", False)
-    dly = bl.DelaySpec(form="affine", tau0=0.5, rate=0.5, M=2.0, d=0.5)
-    s0 = _dense_state(p, dly, ops, M=0.5)
-    rep, lengths, oracle = _run_and_oracle(s0, 0.5, cfg, p, dly, ops)
+    dly = bl.DelaySpec(**OUTRUN_DELAY)
+    s0 = _dense_state(p, dly, ops)
+    rep, lengths, oracle = _run_and_oracle(s0, 1.0, cfg, p, dly, ops)
     n = oracle[0].shape[1]
-    assert oracle[3] == rep.termination == "history_underrun" and 200 < n < 256
-    assert rep.n_rows == 257 and lengths == [256, 244]
+    assert oracle[3] == rep.termination == "history_underrun" and n == 511
+    assert rep.n_rows == 769 and lengths == [256, 256, 256, 232]
     _assert_rows_match(rep, oracle, False, n)
+
+
+def test_window_that_starts_before_the_span_ends_the_run_at_its_row():
+    # tau = 0.5 + 1.001 t grows faster than time, so t - tau(t) falls below
+    # the start of a history that serves every query of the block's five
+    # steps but not the window of its last row: the run keeps the four rows
+    # before it, as steps one at a time do
+    p, _, ops, cfg, _ = _system("constant", False)
+    dly = bl.DelaySpec(form="affine", tau0=0.5, rate=1.001, M=2.0, d=1.001)
+    start = -0.5 - 0.001 * 4.7 * cfg.dt
+    s0 = _dense_state(p, dly, ops)
+    hist = bl.HistoryLine(np.append(start, s0.history._t[1:]), s0.history._v)
+    s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
+    rep, lengths = _assert_run_matches_oracle(s0, 5 * cfg.dt, cfg, p, dly, ops)
+    assert rep.termination == "history_underrun" and rep.n_rows == 5 and lengths == [5]
 
 
 def test_numerical_error_inside_a_block_ends_at_the_oracle_row(monkeypatch):
@@ -311,9 +324,60 @@ def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypat
             assert not np.all(np.isfinite(end.u * end.u))
 
 
+@pytest.mark.parametrize("law, max_tau", [
+    (dict(tau0=0.5, M=0.5), 0.5), (dict(tau0=3e-3, M=3e-3), 3e-3),
+    (LAWS["sinusoidal"], 0.7)], ids=["tau0=0.5", "tau0=M=3dt", "sinusoidal"])
+def test_advance_keeps_the_history_within_the_delay_and_a_block(law, max_tau):
+    # each block drops the past before the earliest point it reads, at or
+    # after t - max tau, then pushes at most _BLOCK samples: once the first
+    # block has dropped most of the initial history (65 samples on
+    # [-tau0, 0]), the line stays within max tau / dt + _BLOCK + 2 samples
+    # over 11 more blocks, and still serves the next block's reads
+    p, _, ops, cfg, s0 = _system("constant", False, n=16)
+    dly = bl.DelaySpec(**law, history=np.cos(np.linspace(0, 1, 9)))
+    state = bl.initial_state(p, dly, ops.grid, s0.eta, s0.omega)
+    stepper, bound = Stepper(ops, cfg, p, dly), max_tau / cfg.dt + stepping._BLOCK + 2
+    sizes = []
+    for _ in range(12):
+        state = stepper.advance(state, stepping._BLOCK)
+        sizes.append(state.history.size)
+        assert state.history.t_first <= state.t - bl.tau_at(dly, state.t)[0]
+    assert sizes[0] <= 65 + stepping._BLOCK and max(sizes[1:]) <= bound, sizes
+    assert sizes[-1] > stepping._BLOCK
+
+
+@pytest.mark.parametrize("steps", [2.5, True, -2, "3", None])
+def test_advance_refuses_a_step_count_that_is_not_a_nonnegative_integer(steps):
+    p, dly, ops, cfg, s0 = _system("constant", False, n=16)
+    line = s0.history.copy()
+    with pytest.raises(ConfigurationError, match="nonnegative integer step count"):
+        Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), steps)
+    assert line.t_last == 0.0 and line.size == s0.history.size
+    for count in (0, np.int64(2)):
+        end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), count)
+        assert end.t == count * cfg.dt and line.size == s0.history.size + count
+
+
+def test_block_keeps_the_window_starts_it_reads():
+    # tau = 0.5 + 1.5 t: t - tau(t) falls by dt/2 a step, so the window of
+    # the block's last row starts dt/4 before its last query point, with
+    # samples between them every dt/10: the block of five steps keeps them
+    # and records all its rows.  (Steps one at a time stop at the second:
+    # its query point lies before the first row's window start, where the
+    # first step dropped the past.)
+    p, _, ops, cfg, s0 = _system("constant", False)
+    dly = bl.DelaySpec(form="affine", tau0=0.5, rate=1.5, M=2.0, d=1.5)
+    t = np.linspace(-0.51, 0.0, 5101)
+    s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=bl.HistoryLine(t, np.cos(3 * t)))
+    rep, lengths, oracle = _run_and_oracle(s0, 5 * cfg.dt, cfg, p, dly, ops)
+    assert rep.termination == "completed" and rep.n_rows == 6 and lengths == [5]
+    assert oracle[3] == "history_underrun" and oracle[0].shape[1] == 2
+    _assert_rows_match(rep, oracle, False, 2)
+
+
 def test_run_refuses_a_history_that_starts_after_the_first_delayed_time():
     p, dly, ops, cfg, s0 = _system("constant", False)
-    hist = bl.HistoryLine([-0.1, 0.0], [0.0, 0.0], M=dly.M)
+    hist = bl.HistoryLine([-0.1, 0.0], [0.0, 0.0])
     s = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
     with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
                                                  r"time t - tau\(t\) = -0\.5"):

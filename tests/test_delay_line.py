@@ -10,8 +10,14 @@ from bousslab.delay_line import (_cubic_coeffs, _end_slope, _interior_slope, _rh
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 
 
-def _line(times, values, M=0.5):
-    return bl.HistoryLine(times, values, M=M)
+def _line(times, values):
+    return bl.HistoryLine(times, values)
+
+
+def _push(h, t, v, keep):
+    """Push a sample, then drop the line's past before t - keep."""
+    h.push(t, v)
+    h.drop_before(t - keep)
 
 
 def test_linear_interpolation_midpoint():
@@ -25,13 +31,24 @@ def test_push_non_monotone_rejected():
         h.push(0.1, 2.0)
 
 
-def test_eviction_policy():
-    h = _line([0.0, 0.05], [0.0, 0.0], M=0.5)
-    for k in range(1, 11):
-        h.push(0.1 * k, float(k))
-    # cutoff = 1.0 - M - max(M/4, 2*max_gap) = 1.0 - 0.5 - 0.2
-    assert h.t_first >= 1.0 - 0.5 - 0.2 - 1e-12
-    assert h.t_last == 1.0
+def test_drop_before_keeps_the_last_sample_at_or_before_its_time():
+    # only the line's start moves: the buffer, every column in it and the
+    # pushes after a drop are those of a line that never dropped; the
+    # newest three samples stay, as a push and replace_last read them
+    t = np.arange(11) / 10
+    h = _line(t, np.cos(3 * t))
+    whole, buf, cols = h.copy(), h._buf, _bits(h._buf).copy()
+    for when, first in ((-1.0, 0.0), (float("nan"), 0.0), (0.0, 0.0), (0.35, 0.3),
+                        (0.4, 0.4), (0.4, 0.4), (0.2, 0.4), (0.95, 0.8), (5.0, 0.8)):
+        h.drop_before(when)
+        assert h.t_first == first and h.t_last == 1.0
+    assert h.size == 3 and h._buf is buf and np.array_equal(_bits(h._buf), cols)
+    for line in (h, whole):
+        line.push(1.1, 0.7)
+        line.replace_last(-0.2)
+        line.push(1.3, 0.1)
+    assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
+                          _bits(whole._buf[:, whole._hi - 5:whole._hi]))
 
 
 def test_stored_samples_exact():
@@ -44,7 +61,7 @@ def test_stored_samples_exact():
 
 def test_delayed_trace_constant_history():
     dly = bl.DelaySpec(tau0=0.3, M=0.3, d=0.0)
-    h = _line(np.linspace(-0.3, 1.0, 50), np.full(50, 2.5), M=0.3)
+    h = _line(np.linspace(-0.3, 1.0, 50), np.full(50, 2.5))
     assert abs(h.query(0.9 - bl.tau_at(dly, 0.9)[0]) - 2.5) < 1e-14
 
 
@@ -59,7 +76,7 @@ def test_delayed_trace_affine_data_exact():
 def test_delayed_trace_sin_accuracy():
     dly = bl.DelaySpec(tau0=0.3, M=0.3, d=0.0)
     t = np.arange(-0.3, 1.0 + 1e-12, 1e-3)
-    h = _line(t, np.sin(t), M=0.3)
+    h = _line(t, np.sin(t))
     assert abs(h.query(1.0 - bl.tau_at(dly, 1.0)[0]) - np.sin(0.7)) < 1e-6
 
 
@@ -80,7 +97,7 @@ def test_z_profile_zero():
 def test_z_profile_affine_example():
     dly = bl.DelaySpec(tau0=1.0, M=1.0, d=0.0)
     t = np.linspace(-1.0, 1.0, 81)
-    h = _line(t, t, M=1.0)
+    h = _line(t, t)
     zp = bl.z_profile(h, dly, 1.0, 4)
     assert np.allclose(zp, [1.0, 0.75, 0.5, 0.25, 0.0], atol=1e-14)
 
@@ -88,7 +105,7 @@ def test_z_profile_affine_example():
 def test_z_profile_endpoint_identities():
     dly = bl.DelaySpec(tau0=0.4, M=0.4, d=0.0)
     t = np.arange(-0.4, 1.2 + 1e-12, 5e-3)
-    h = _line(t, np.cos(2 * t), M=0.4)
+    h = _line(t, np.cos(2 * t))
     zp = bl.z_profile(h, dly, 1.2, 16)
     assert abs(zp[0] - h.query(1.2)) < 1e-14
     assert abs(zp[-1] - h.query(1.2 - bl.tau_at(dly, 1.2)[0])) < 1e-14
@@ -110,7 +127,7 @@ def test_transport_residual_convergence():
     for m in ms:
         dt_samp = 0.5 / (8 * m)
         t = np.arange(-0.5, 1.5 + 1e-12, dt_samp)
-        h = _line(t, np.sin(t), M=0.5)
+        h = _line(t, np.sin(t))
         res.append(bl.transport_residual(h, dly, 0.8, m, dt_fd=0.7 * 0.5 / m))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9, (res, orders)
@@ -141,15 +158,15 @@ def _causal_reference(t, v, n0):
 
 
 class _Record:
-    """A line and every sample it was built with or pushed, for
-    `_causal_reference`."""
+    """A line that drops its past before t - keep at each push, and every
+    sample it was built with or pushed, for `_causal_reference`."""
 
-    def __init__(self, t, v, M):
-        self.line, self.n0 = _line(t, v, M=M), len(t)
+    def __init__(self, t, v, keep):
+        self.line, self.n0, self.keep = _line(t, v), len(t), keep
         self.t, self.v = list(t), list(v)
 
     def push(self, t, v):
-        self.line.push(t, v)
+        _push(self.line, t, v, self.keep)
         self.t.append(t)
         self.v.append(v)
 
@@ -174,7 +191,7 @@ def test_query_matches_global_hermite_spline(seed):
     rng = np.random.default_rng(seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    rec = _Record(t, rng.standard_normal(n0), M=float(rng.uniform(0.2, 1.0)))
+    rec = _Record(t, rng.standard_normal(n0), keep=float(rng.uniform(0.2, 1.0)))
     rec.check(rng)
     for step in range(300):
         rec.push(rec.line.t_last + rng.uniform(0.005, 0.05), rng.standard_normal())
@@ -182,7 +199,7 @@ def test_query_matches_global_hermite_spline(seed):
             rec.replace_last(rng.standard_normal())
         if step % 25 == 0:
             rec.check(rng)
-    assert rec.line.t_first > t[-1]          # every initial sample was evicted
+    assert rec.line.t_first > t[-1]          # every initial sample was dropped
     rec.check(rng)
 
 
@@ -201,10 +218,10 @@ def test_fresh_line_takes_the_parabola_through_its_first_three_samples():
 
 
 def test_slopes_after_eviction_to_few_samples():
-    # a tiny M evicts down to three samples; the slopes stay those each
-    # sample got when it was pushed, the head's included
+    # drops down to three samples; the slopes stay those each sample got
+    # when it was pushed, the head's included
     rng = np.random.default_rng(7)
-    rec = _Record(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), M=1e-3)
+    rec = _Record(np.linspace(0.0, 1.0, 11), rng.standard_normal(11), keep=1e-3)
     sizes, firsts = [], []
     for t_new in (1.01, 1.02, 1.03, 1.2, 1.25, 1.3):
         head = _bits(rec.line._m[-2:]).copy()
@@ -225,7 +242,7 @@ def test_slopes_after_eviction_to_few_samples():
 def test_query_linear_in_values(x, y, c):
     t = np.linspace(-1.0, 0.0, 8)
     x, y = np.array(x), np.array(y)
-    hx, hy, hz = (_line(t, v[:8], M=0.5) for v in (x, y, c * x + y))
+    hx, hy, hz = (_line(t, v[:8]) for v in (x, y, c * x + y))
     for k in range(4):
         for h, v in ((hx, x), (hy, y), (hz, c * x + y)):
             h.push(0.1 * (k + 1), v[8 + k])
@@ -244,17 +261,15 @@ class _ParentLine:
     """The causal line without cached interval coefficients: the slope of
     each pushed sample from it and the two before it, a fresh line's first
     two from its first three samples, and every query rebuilding the cubic
-    of each point's interval from the two end slopes.  Oracle for
-    HistoryLine."""
+    of each point's interval from the two end slopes.  It keeps every
+    sample.  Oracle for HistoryLine."""
 
-    def __init__(self, times, values, M):
+    def __init__(self, times, values):
         times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
         n = times.size
         self._buf = np.empty((3, max(2 * n, 64)))
         self._buf[:2, :n] = times, values
         self._lo, self._hi = 0, n
-        self.M, self.slack = float(M), 0.25 * float(M)
-        self._max_gap = float(np.max(np.diff(times)))
         h, d = np.diff(times), np.diff(values) / np.diff(times)
         if n == 2:
             self._m[:] = d[0]
@@ -273,10 +288,6 @@ class _ParentLine:
         self._buf[2, j] = _end_slope(t2 - t1, t1 - t0, (v2 - v1) / (t2 - t1), (v1 - v0) / (t1 - t0))
 
     def push(self, t, v):
-        t_last = float(self._buf[0, self._hi - 1])
-        cutoff = t - self.M - max(self.slack, 2.0 * max(self._max_gap, t - t_last))
-        self._lo += int(np.searchsorted(self._t, cutoff))
-        self._max_gap = max(self._max_gap, t - t_last)
         if self._hi == self._buf.shape[1]:
             n = self._hi - self._lo
             buf = np.empty((3, max(self._buf.shape[1], 4 * n)))
@@ -309,9 +320,11 @@ def _bits(x):
 
 
 def _check_against_parent(h, old, rng):
-    assert np.array_equal(_bits(h._t), _bits(old._t))
-    assert np.array_equal(_bits(h._v), _bits(old._v))
-    assert np.array_equal(_bits(h._m), _bits(old._m))
+    # h's samples are the parent's newest
+    n = h.size
+    assert np.array_equal(_bits(h._t), _bits(old._t[-n:]))
+    assert np.array_equal(_bits(h._v), _bits(old._v[-n:]))
+    assert np.array_equal(_bits(h._m), _bits(old._m[-n:]))
     lo, hi = h.t_first, h.t_last
     q = np.concatenate([rng.uniform(lo, hi, 50), np.array(h._t),
                         [lo, hi, lo - 5e-15, hi + 5e-15]])
@@ -322,7 +335,8 @@ def _check_against_parent(h, old, rng):
     top = q >= hi
     assert np.count_nonzero(top) == 3
     assert np.all(_bits(got[top]) == _bits(h._v[-1]))
-    assert np.array_equal(_bits(got[~top]), _bits(old.query(q[~top])))
+    # below t_first, h clamps to t_first
+    assert np.array_equal(_bits(got[~top]), _bits(old.query(np.maximum(q[~top], lo))))
     for k in rng.choice(q.size, 8):
         one = h.query(float(q[k]))
         assert type(one) is float
@@ -331,22 +345,22 @@ def _check_against_parent(h, old, rng):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_coefficients_match_parent_line(seed):
-    # pushes, evictions, overwrites and buffer growth, each checked bit for
+    # pushes, drops, overwrites and buffer growth, each checked bit for
     # bit against the line that rebuilt the coefficients on every query
     rng = np.random.default_rng(100 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
     v = rng.standard_normal(n0)
-    M = float(rng.uniform(0.05, 1.0))
-    h, old = _line(t, v, M=M), _ParentLine(t, v, M)
+    keep = float(rng.uniform(0.05, 1.0))
+    h, old = _line(t, v), _ParentLine(t, v)
     _check_against_parent(h, old, rng)
     reallocations = 0
     for step in range(400):
-        # a run of equal gaps lets a small M evict down to three samples
+        # a run of equal gaps lets a small keep drop down to three samples
         gap = 0.02 if step % 100 < 50 else float(rng.uniform(0.005, 0.05))
         t_new, v_new = h.t_last + gap, float(rng.standard_normal())
         buf = h._buf
-        h.push(t_new, v_new)
+        _push(h, t_new, v_new, keep)
         old.push(t_new, v_new)
         reallocations += h._buf is not buf
         _check_against_parent(h, old, rng)
@@ -359,32 +373,32 @@ def test_cached_coefficients_match_parent_line(seed):
 
 
 def test_query_at_newest_sample_is_exact():
-    # pushes, overwrites and evictions: a query at t_last returns the value
+    # pushes, overwrites and drops: a query at t_last returns the value
     # just stored, bit for bit, on the float and the array path
     rng = np.random.default_rng(7)
     t = np.cumsum(rng.uniform(0.01, 0.2, 20))
-    h = _line(t, rng.standard_normal(20), M=0.3)
+    h = _line(t, rng.standard_normal(20))
     first = h.t_first
     for step in range(300):
-        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+        _push(h, h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()), 0.3)
         if step % 7 == 0:
             h.replace_last(float(rng.standard_normal()))
         v = _bits(h._v[-1])
         assert _bits(h.query(h.t_last)) == v
         assert _bits(h.query(np.array([h.t_last]))[0]) == v
         assert _bits(h.query(np.array(h.t_last))) == v
-    assert h.t_first > first   # samples were evicted
+    assert h.t_first > first   # samples were dropped
 
 
 def test_cached_coefficients_after_evictions_to_three_samples():
     rng = np.random.default_rng(3)
     t = np.linspace(0.0, 1.0, 11)
     v = rng.standard_normal(11)
-    h, old = _line(t, v, M=1e-3), _ParentLine(t, v, 1e-3)
+    h, old = _line(t, v), _ParentLine(t, v)
     sizes = []
     for k in range(1, 200):
         t_new, v_new = 1.0 + 0.1 * k + (0.05 if k == 120 else 0.0), float(rng.standard_normal())
-        h.push(t_new, v_new)
+        _push(h, t_new, v_new, 1e-3)
         old.push(t_new, v_new)
         sizes.append(h.size)
         _check_against_parent(h, old, rng)
@@ -395,18 +409,17 @@ def test_cached_coefficients_after_evictions_to_three_samples():
 
 
 def test_query_rejects_nan_times():
-    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     for bad in (float("nan"), np.array([0.5, np.nan]), np.array(np.nan)):
         with pytest.raises(HistoryUnderrunError):
             h.query(bad)
 
 
 def test_non_finite_times_rejected():
-    for times, M in (([0.0, np.nan, 2.0], 1.0), ([0.0, 1.0, np.inf], 1.0),
-                     ([0.0, 1.0, 2.0], np.nan)):
-        with pytest.raises(ConfigurationError, match="finite|positive"):
-            bl.HistoryLine(times, [0.0, 1.0, 4.0], M=M)
-    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ConfigurationError, match="finite"):
+            bl.HistoryLine(times, [0.0, 1.0, 4.0])
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     before = h.query(np.linspace(0.0, 2.0, 9))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="finite"):
@@ -415,30 +428,34 @@ def test_non_finite_times_rejected():
     assert np.array_equal(h.query(np.linspace(0.0, 2.0, 9)), before)
 
 
-@pytest.mark.parametrize("values, M, match", [
-    pytest.param([0.0, np.nan, 4.0], 1.0, "non-finite history sample value nan at index 1",
-                 id="nan value"),
-    pytest.param([0.0, 1.0, -np.inf], 1.0, "non-finite history sample value -inf at index 2",
-                 id="-inf value"),
-    pytest.param([np.inf, np.nan, 4.0], 1.0, "at index 0", id="first bad index"),
-    pytest.param([0.0, 1.0, 4.0], np.inf, "M = inf is non-positive or non-finite", id="inf M"),
-    pytest.param([0.0, 1.0, 4.0], np.nan, "M = nan is non-positive or non-finite", id="nan M"),
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: bl.HistoryLine([0.0, 1.0, 2.0], [0.0, np.nan, 4.0]),
+                 "non-finite history sample value nan at index 1", id="nan value"),
+    pytest.param(lambda: bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf]),
+                 "non-finite history sample value -inf at index 2", id="-inf value"),
+    pytest.param(lambda: bl.HistoryLine([0.0, 1.0, 2.0], [np.inf, np.nan, 4.0]),
+                 "at index 0", id="first bad index"),
+    # the delay bound lives only in the delay law
+    pytest.param(lambda: bl.DelaySpec(tau0=0.5, M=np.inf), "M must be finite, got inf",
+                 id="inf M"),
+    pytest.param(lambda: bl.DelaySpec(tau0=0.5, M=np.nan), "M must be finite, got nan",
+                 id="nan M"),
 ])
-def test_non_finite_values_and_bound_rejected(values, M, match):
+def test_non_finite_values_and_bound_rejected(make, match):
     # a NaN sample would otherwise run a simulation to `unstable` with E = nan
     with pytest.raises(ConfigurationError, match=match):
-        bl.HistoryLine([0.0, 1.0, 2.0], values, M=M)
+        make()
 
 
 def test_push_keeps_a_non_finite_value():
     # a blow-up still reaches the history, so the run ends as `unstable`
-    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     h.push(3.0, np.inf)
     assert h.size == 4 and h.t_last == 3.0 and h._v[-1] == np.inf
 
 
 def test_empty_query_returns_empty_array():
-    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=1.0)
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     for empty in (np.array([]), [], np.empty((0, 3))):
         out = h.query(empty)
         assert isinstance(out, np.ndarray)
@@ -470,13 +487,13 @@ def _assert_same(a, b):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_copy_is_independent(seed):
-    # pushes, evictions, overwrites and buffer growth on one of a line and
+    # pushes, drops, overwrites and buffer growth on one of a line and
     # its copy leave the other's samples and queries bit-unchanged, whichever
     # of the two is changed
     rng = np.random.default_rng(200 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.05, 1.0)))
+    h, keep = _line(t, rng.standard_normal(n0)), float(rng.uniform(0.05, 1.0))
     for change_copy in (True, False):
         twin = h.copy()
         changed, kept = (twin, h) if change_copy else (h, twin)
@@ -485,8 +502,8 @@ def test_copy_is_independent(seed):
         _assert_same(_snapshot(changed, q), before)
         first, buf = changed.t_first, changed._buf
         for step in range(300):
-            changed.push(changed.t_last + float(rng.uniform(0.005, 0.05)),
-                         float(rng.standard_normal()))
+            _push(changed, changed.t_last + float(rng.uniform(0.005, 0.05)),
+                  float(rng.standard_normal()), keep)
             if step % 5 == 0:
                 changed.replace_last(float(rng.standard_normal()))
             _assert_same(_snapshot(kept, q), before)
@@ -502,15 +519,15 @@ def test_array_query_matches_one_point_query(seed):
     # the array path searches a descending query through its reversed view
     # and gathers the coefficient rows with one take; in any order of the
     # query points it returns the one-point float path's bits, on the knots
-    # and at both span ends within the 1e-14 clip, after pushes and evictions
+    # and at both span ends within the 1e-14 clip, after pushes and drops
     rng = np.random.default_rng(300 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(0.05, 1.0)))
-    dly = bl.DelaySpec(tau0=0.5 * h.M, M=h.M, d=0.0)
+    h, keep = _line(t, rng.standard_normal(n0)), float(rng.uniform(0.05, 1.0))
+    dly = bl.DelaySpec(tau0=0.5 * keep, M=keep, d=0.0)
     first, profiles = h.t_first, 0
     for step in range(150):
-        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+        _push(h, h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()), keep)
         if step % 10:
             continue
         lo, hi = h.t_first, h.t_last
@@ -527,7 +544,7 @@ def test_array_query_matches_one_point_query(seed):
             z = bl.z_profile(h, dly, hi, 64)
             ref = _one_point_queries(h, hi - dly.tau0 * _rho_nodes(64))
             assert np.array_equal(_bits(z), _bits(ref))
-    assert h.t_first > first and profiles >= 10   # samples were evicted
+    assert h.t_first > first and profiles >= 10   # samples were dropped
 
 
 def _assert_cache_is_fresh(h):
@@ -552,18 +569,18 @@ def _assert_intervals_integrate_alone(h):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cached_square_integrals_match_refresh_all(seed):
-    # random pushes, overwrites, evictions (down to three samples for a small
-    # M) and buffer growth, on a line and then on its copy
+    # random pushes, overwrites, drops (down to three samples for a small
+    # keep) and buffer growth, on a line and then on its copy
     rng = np.random.default_rng(400 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(1e-3, 1.0)))
+    h, keep = _line(t, rng.standard_normal(n0)), float(rng.uniform(1e-3, 1.0))
     _assert_cache_is_fresh(h)
     for line in (h, h.copy()):
         buf = line._buf
         for step in range(300):
             gap = 0.02 if step % 100 < 50 else float(rng.uniform(0.005, 0.05))
-            line.push(line.t_last + gap, float(rng.standard_normal()))
+            _push(line, line.t_last + gap, float(rng.standard_normal()), keep)
             if rng.uniform() < 0.3:
                 line.replace_last(float(rng.standard_normal()))
             _assert_cache_is_fresh(line)
@@ -587,13 +604,14 @@ def test_square_moments_do_not_depend_on_the_number_of_elements():
 
 
 def test_no_stored_interval_changes_after_its_end_sample_is_pushed_past():
-    # pushes, extends, overwrites of the newest sample and evictions (a
-    # small M) leave every sample and slope but the newest, and every
-    # interval's coefficients but those of the one that ends at the newest
-    # sample, bit for bit as they were
+    # pushes, extends, overwrites of the newest sample and drops leave every
+    # sample and slope but the newest, and every interval's coefficients but
+    # those of the one that ends at the newest sample, bit for bit as they
+    # were; a drop before t leaves queries and integrals at or after t
+    # bit for bit as they were
     rng = np.random.default_rng(13)
     t = np.cumsum(rng.uniform(0.01, 0.05, 30))
-    h = _line(t, rng.standard_normal(30), M=0.2)
+    h = _line(t, rng.standard_normal(30))
     first, buf = h.t_first, h._buf
     for step in range(200):
         lo, hi = h._lo, h._hi
@@ -601,20 +619,30 @@ def test_no_stored_interval_changes_after_its_end_sample_is_pushed_past():
         samples = _bits(h._buf[:3, lo:hi - 1]).copy()
         coeffs = _bits(h._buf[3:5, lo:hi - 2]).copy()
         times = h.t_last + np.cumsum(rng.uniform(0.005, 0.05, int(rng.integers(1, 6))))
-        action = step % 3
+        action = step % 4
         if action == 0:
             h.push(float(times[0]), float(rng.standard_normal()))
         elif action == 1:
             h.extend(times, rng.standard_normal(times.size))
-        else:
+        elif action == 2:
             h.replace_last(float(rng.standard_normal()))
-        # the snapshot's columns still live, e of them evicted, in the same
+        else:
+            when = float(rng.uniform(h.t_first, h.t_last))
+            q = rng.uniform(when, h.t_last, 20)
+            a = np.append(when, q[:9])
+            b = np.append(q[10:19], h.t_last)
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            read = _bits(np.concatenate((h.query(q), *h.square_integrals(a, b)))).copy()
+            h.drop_before(when)
+            assert np.array_equal(
+                _bits(np.concatenate((h.query(q), *h.square_integrals(a, b)))), read)
+        # the snapshot's columns still live, e of them dropped, in the same
         # buffer or moved to a new one
         e = int(np.searchsorted(t_old, h.t_first))
         j = h._lo
         assert np.array_equal(_bits(h._buf[:3, j:j + t_old.size - e]), samples[:, e:])
         assert np.array_equal(_bits(h._buf[3:5, j:j + t_old.size - 1 - e]), coeffs[:, e:])
-    assert h.t_first > first and h._buf is not buf   # evictions and buffer growth
+    assert h.t_first > first and h._buf is not buf   # drops and buffer growth
 
 
 def _gauss_legendre(h, a, b, weight):
@@ -636,7 +664,7 @@ def test_square_integrals_match_gauss_legendre(seed):
     # (within the 1e-14 clip) and of zero width; the ends are `query`'s bits
     rng = np.random.default_rng(500 + seed)
     t = np.cumsum(rng.uniform(0.01, 0.1, 60))
-    h = _line(t, rng.standard_normal(60), M=10.0)
+    h = _line(t, rng.standard_normal(60))
     for _ in range(40):
         h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
     lo, hi = h.t_first, h.t_last
@@ -671,41 +699,43 @@ def test_square_integrals_refuse_a_window_outside_the_span():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_extend_equals_pushes_one_at_a_time(seed):
-    # extends of random lengths, with evictions (down to three samples for a
-    # small M), jumps in the gap and buffer growth, leave the samples, slopes
-    # and coefficients K pushes leave, bit for bit, and the largest gap; an
-    # extend evicts as the push of its first sample alone would, so it may
-    # keep older samples too
+    # extends of random lengths, with drops (down to three samples for a
+    # small keep), jumps in the gap and buffer growth, leave the samples,
+    # slopes and coefficients K pushes leave, bit for bit
     rng = np.random.default_rng(600 + seed)
     n0 = int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
-    h = _line(t, rng.standard_normal(n0), M=float(rng.uniform(1e-3, 1.0)))
+    h, keep = _line(t, rng.standard_normal(n0)), float(rng.uniform(1e-3, 1.0))
     pushed = h.copy()
     for _ in range(60):
         k = int(rng.integers(1, 40))
         gaps = np.full(k, 0.02) if rng.uniform() < 0.5 else rng.uniform(0.005, 0.1, k)
         times = h.t_last + np.cumsum(gaps)
         values = rng.standard_normal(k)
-        first = h.copy()
-        first.push(times[0], values[0])
         h.extend(times, values)
         for tk, vk in zip(times, values):
             pushed.push(tk, vk)
-        assert h.t_first == first.t_first and h._max_gap == pushed._max_gap
-        n = pushed.size
-        assert h.size >= n and np.array_equal(_bits(h._buf[:, h._hi - n:h._hi]),
-                                              _bits(pushed._buf[:, pushed._lo:pushed._hi]))
+        for line in (h, pushed):
+            line.drop_before(times[-1] - keep)
+        assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
+                              _bits(pushed._buf[:, pushed._lo:pushed._hi]))
         _assert_cache_is_fresh(h)
     assert h.t_first > t[-1]
 
 
 def test_extend_refuses_bad_times_and_keeps_the_line():
-    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], M=10.0)
+    h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     before = _bits(h._buf[:, h._lo:h._hi]).copy()
-    for times, match in (([3.0, np.nan], "finite, got nan"), ([3.0, 3.0], "t=3.0 after t_last=3.0"),
-                         ([2.0], "t=2.0 after t_last=2.0"), ([3.0, np.inf], "finite, got inf")):
+    for times, values, match in (
+            ([3.0, np.nan], [0.0, 0.0], "finite, got nan"),
+            ([3.0, 3.0], [0.0, 0.0], "t=3.0 after t_last=3.0"),
+            ([2.0], [0.0], "t=2.0 after t_last=2.0"),
+            ([3.0, np.inf], [0.0, 0.0], "finite, got inf"),
+            # one value per time: neither broadcast nor cut
+            ([3.0, 4.0, 5.0], [7.0], "extend by 3 times and 1 values"),
+            ([3.0, 4.0], [7.0, 8.0, 9.0], "extend by 2 times and 3 values")):
         with pytest.raises(ConfigurationError, match=match):
-            h.extend(np.array(times), np.zeros(len(times)))
+            h.extend(np.array(times), np.array(values))
     h.extend(np.array([]), np.array([]))
     assert h.size == 3 and np.array_equal(_bits(h._buf[:, h._lo:h._hi]), before)
 
@@ -717,7 +747,7 @@ def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
     # after each sample's push: bit for bit, as no stored interval changes
     rng = np.random.default_rng(700 + seed)
     t = np.cumsum(rng.uniform(0.005, 0.02, 200))
-    h = _line(t, rng.standard_normal(200), M=2.0)
+    h = _line(t, rng.standard_normal(200))
     K, tau = int(rng.integers(2, 60)), float(rng.uniform(0.3, 1.0))
     times = h.t_last + np.cumsum(rng.uniform(0.005, 0.02, K))
     as_pushed = []
@@ -740,7 +770,7 @@ def test_trailing_integrals_of_mass_at_the_windows_oldest_end():
     dt, tau, K = 1e-3, 0.2, 256
     f = lambda s: np.exp(-600.0 * (s + 0.022))
     t = dt * np.arange(-300, 1)
-    h = _line(t, f(t), M=2.0)
+    h = _line(t, f(t))
     times = dt * np.arange(1, K + 1)
     one = h.copy()
     alone = []

@@ -5,15 +5,15 @@ import pytest
 
 import bousslab as bl
 from bousslab.energy import energy_sample, field_derivatives, kato_constant
-from bousslab.errors import ConfigurationError
+from bousslab.errors import ConfigurationError, HistoryUnderrunError
 from bousslab.operators import trace_weights
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState
 from conftest import failing_solve
 
 
-def _state(eta, omega, hist_times, hist_vals, M, t=0.0):
-    h = bl.HistoryLine(hist_times, hist_vals, M=M)
+def _state(eta, omega, hist_times, hist_vals, t=0.0):
+    h = bl.HistoryLine(hist_times, hist_vals)
     return SimState(t=t, eta=np.asarray(eta, float),
                     omega=np.asarray(omega, float), history=h)
 
@@ -27,7 +27,7 @@ def _row(s, p, dly, mu1=0.0, mu2=0.0):
 def test_energy_zero_state():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     p = bl.SystemParams(beta=1.0)
-    s = _state(np.zeros(16), np.zeros(16), [-0.5, 0.0], [0.0, 0.0], 0.5)
+    s = _state(np.zeros(16), np.zeros(16), [-0.5, 0.0], [0.0, 0.0])
     assert _row(s, p, dly)["E"] == 0.0
 
 
@@ -37,7 +37,7 @@ def test_energy_beta_zero_is_field_only():
     g = bl.Grid(n=32, L=1.0)
     eta = g.nodes * (1 - g.nodes)
     om = 2 * eta
-    s = _state(eta, om, [-0.5, 0.0], [9.9, 9.9], 0.5)
+    s = _state(eta, om, [-0.5, 0.0], [9.9, 9.9])
     expected = 0.5 * g.h * np.sum(eta ** 2 + om ** 2)
     assert abs(_row(s, p, dly)["E"] - expected) < 1e-15
 
@@ -48,7 +48,7 @@ def test_energy_constant_history_example():
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     p = bl.SystemParams(beta=-2.0)
     s = _state(np.zeros(16), np.zeros(16),
-               np.linspace(-0.5, 0.0, 33), np.full(33, c), 0.5)
+               np.linspace(-0.5, 0.0, 33), np.full(33, c))
     assert abs(_row(s, p, dly)["E"] - 0.5 * c ** 2) < 1e-13
 
 
@@ -58,7 +58,7 @@ def test_lyapunov_v1_zero_and_v2_hand_value():
     dly = bl.DelaySpec(tau0=tau, M=tau, d=0.0)
     p = bl.SystemParams(beta=1.5, L=1.0)
     s = _state(np.zeros(16), np.ones(16),
-               np.linspace(-tau, 0.0, 33), np.full(33, c), tau)
+               np.linspace(-tau, 0.0, 33), np.full(33, c))
     row = _row(s, p, dly, mu1=0.1, mu2=0.5)
     assert row["V1"] == 0.0
     assert abs(row["V2"] - abs(p.beta) / 4.0 * tau * c ** 2) < 1e-12
@@ -66,7 +66,7 @@ def test_lyapunov_v1_zero_and_v2_hand_value():
     # the closed lower ends of the multiplier range: V degenerates to E
     g = bl.Grid(n=16, L=2.0)
     s = _state(g.nodes * (1 - g.nodes), np.sin(g.nodes),
-               np.linspace(-tau, 0.0, 9), np.linspace(1.0, 2.0, 9), tau)
+               np.linspace(-tau, 0.0, 9), np.linspace(1.0, 2.0, 9))
     row = _row(s, bl.SystemParams(L=2.0), dly)
     assert row["V1"] != 0.0 and row["V"] == row["E"]
 
@@ -80,7 +80,7 @@ def test_sandwich_inequality_random_states():
         eta = rng.standard_normal(24)
         om = rng.standard_normal(24)
         hv = rng.standard_normal(33)
-        s = _state(eta, om, np.linspace(-0.5, 0.0, 33), hv, 0.5)
+        s = _state(eta, om, np.linspace(-0.5, 0.0, 33), hv)
         mu1 = float(rng.uniform(1e-4, 0.99))
         mu2 = float(rng.uniform(1e-4, 0.99))
         row = _row(s, p, dly, mu1=mu1, mu2=mu2)
@@ -90,10 +90,12 @@ def test_sandwich_inequality_random_states():
         assert V <= (1 + mx) * E + 1e-12 * E
 
 
-def test_energy_sample_of_a_moved_on_state_equals_its_row_before_the_move():
+def test_energy_sample_of_a_moved_on_state_gives_its_row_or_refuses():
     # a state stepped by hand shares its history line with the steps after
     # it; no stored interval changes once pushed, so its monitor row read
-    # after the line moves on is the row read before, bit for bit
+    # after the line moves on is the row read before, bit for bit, until a
+    # later block drops the start of its window: then it raises, never
+    # giving another row
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
     dly = bl.DelaySpec(tau0=0.5, M=2.0)
     g = bl.Grid(n=16, L=p.L)
@@ -102,11 +104,21 @@ def test_energy_sample_of_a_moved_on_state_equals_its_row_before_the_move():
     s1 = stepper.step(bl.initial_state(p, dly, g, g.nodes ** 3 * (1 - g.nodes) ** 2,
                                        np.zeros(16)))
     row = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
-    s2 = stepper.advance(s1, 40)
-    assert s2.history is s1.history and s2.t == pytest.approx(0.041)
-    again = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
-    assert np.array_equal(np.array(again).view(np.uint64), np.array(row).view(np.uint64))
     assert row[0] == 0.001 and row[2] != row[1]
+    # advance one step at a time, past the block that drops the window's start
+    start, s, outcomes = s1.t - 0.5, s1, []
+    for _ in range(20):
+        s = stepper.advance(s, 1)
+        assert s.history is s1.history
+        if s1.history.t_first <= start:
+            again = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+            assert np.array_equal(np.array(again).view(np.uint64), np.array(row).view(np.uint64))
+            outcomes.append("same")
+        else:
+            with pytest.raises(HistoryUnderrunError):
+                energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+            outcomes.append("refused")
+    assert outcomes[0] == "same" and outcomes[-1] == "refused"
 
 
 def test_dissipation_residual_needs_three_samples():
@@ -159,10 +171,11 @@ SINE_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
 
 def _pushed_line(rng, f, dly, pushes=300):
     """A line of samples of f at seeded random times, grown by `pushes`
-    pushes (every third a provisional value that replace_last corrects), so
-    that samples are evicted and the buffer grows."""
+    pushes (every third a provisional value that replace_last corrects),
+    each followed by a drop of the past before t - 1.25 M, so that samples
+    are dropped and the buffer grows."""
     t = np.cumsum(rng.uniform(0.005, 0.03, 30)) - 0.8
-    h = bl.HistoryLine(t, f(t), M=dly.M)
+    h = bl.HistoryLine(t, f(t))
     buf = h._buf
     for step in range(pushes):
         t_new = h.t_last + float(rng.uniform(0.002, 0.02))
@@ -171,7 +184,8 @@ def _pushed_line(rng, f, dly, pushes=300):
         else:
             h.push(t_new, float(f(t_new) + 0.1 * rng.standard_normal()))
             h.replace_last(float(f(t_new)))
-    assert h.t_first > t[-1] and h._buf is not buf   # evicted and grown
+        h.drop_before(t_new - 1.25 * dly.M)
+    assert h.t_first > t[-1] and h._buf is not buf   # dropped and grown
     return h
 
 
@@ -206,7 +220,7 @@ def test_energy_sample_consistency(acc_params, acc_delay):
         assert np.all(gaps[-1] <= 1e-9 * E), (seed, gaps)
     # the run computes dE/dt = 1/2 q^T Phi q for all rows at once
     s = _state(rng.standard_normal(32), rng.standard_normal(32),
-               np.linspace(-0.5, 0.0, 17), rng.standard_normal(17), 2.0)
+               np.linspace(-0.5, 0.0, 17), rng.standard_normal(17))
     ops = bl.build_operators(acc_params, g)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     rep = bl.run(s, 0.02, cfg, acc_params, acc_delay, ops)
@@ -358,7 +372,7 @@ def _kato_run(n, rows, beta=5e-4, seed=0):
     rng = np.random.default_rng(seed)
     s = _state(x ** 3 * (1 - x) ** 2 * (1 + rng.uniform(-0.3, 0.3)),
                x ** 2 * (1 - x) ** 2 * (1 + rng.uniform(-0.3, 0.3)),
-               np.linspace(-dly.tau0, 0.0, 41), 0.1 * rng.standard_normal(41), dly.M)
+               np.linspace(-dly.tau0, 0.0, 41), 0.1 * rng.standard_normal(41))
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     rep = bl.run(s, (rows - 1) * 1e-3, cfg, p, dly, bl.build_operators(p, g),
                  store_fields=True)

@@ -13,7 +13,7 @@ from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper
 
-from conftest import ACC, ACC_DELAY, failing_solve
+from conftest import ACC, ACC_DELAY, OUTRUN_DELAY, failing_solve
 
 
 def _setup(n=32, beta=5e-4):
@@ -26,14 +26,14 @@ def _setup(n=32, beta=5e-4):
 
 def _random_state(g, dly, rng, scale=1.0):
     t_h = np.linspace(-dly.tau0, 0.0, 41)
-    hist = bl.HistoryLine(t_h, scale * rng.standard_normal(41), M=dly.M)
+    hist = bl.HistoryLine(t_h, scale * rng.standard_normal(41))
     return SimState(t=0.0, eta=scale * rng.standard_normal(g.n),
                     omega=scale * rng.standard_normal(g.n), history=hist)
 
 
 def test_zero_state_stays_zero():
     p, dly, g, ops = _setup()
-    hist = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0], M=dly.M)
+    hist = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0])
     # nonlinear, every Picard step is exactly 0: 0/0 reads as q = 0, an
     # exact fixed point, and the second iterate is accepted
     for nonlinear in (False, True):
@@ -65,7 +65,7 @@ def test_superposition():
     vy = np.array(sy.history._v)
     ex, ox = sx.eta.copy(), sx.omega.copy()
     s_sum = SimState(t=0.0, eta=sx.eta + sy.eta, omega=sx.omega + sy.omega,
-                     history=bl.HistoryLine(tx, vx + vy, M=dly.M))
+                     history=bl.HistoryLine(tx, vx + vy))
     rx = Stepper(ops, cfg, p, dly).step(sx)
     ry = Stepper(ops, cfg, p, dly).step(sy)
     rsum = Stepper(ops, cfg, p, dly).step(s_sum)
@@ -75,7 +75,7 @@ def test_superposition():
     # homogeneity
     c = -2.5
     s_scaled = SimState(t=0.0, eta=c * ex, omega=c * ox,
-                        history=bl.HistoryLine(tx, c * vx, M=dly.M))
+                        history=bl.HistoryLine(tx, c * vx))
     rc = Stepper(ops, cfg, p, dly).step(s_scaled)
     assert np.max(np.abs(rc.eta - c * rx.eta)) < 1e-10 * scale * abs(c)
 
@@ -108,17 +108,16 @@ def test_row_count_and_T_zero():
 
 
 def test_history_underrun_keeps_partial_series():
-    # the history keeps only M = 0.01 s of the past, too little for the
-    # delay tau0 = 0.5: the monitor row after the first push underruns
-    p, dly, g, ops = _setup(n=16)
-    t_h = np.linspace(-dly.tau0, 0.0, 41)
-    hist = bl.HistoryLine(t_h, np.zeros(41), M=0.01)
-    s = SimState(t=0.0, eta=0.01 * np.sin(np.pi * g.nodes), omega=np.zeros(g.n),
-                 history=hist)
+    # under OUTRUN_DELAY the fourth block's reads fall before the past the
+    # third block kept: the run ends there, with the rows of three blocks
+    p, _, g, ops = _setup(n=16)
+    dly = bl.DelaySpec(**OUTRUN_DELAY)
+    s = bl.initial_state(p, dly, g, 0.01 * np.sin(np.pi * g.nodes), np.zeros(g.n))
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    rep = bl.run(s, 0.01, cfg, p, dly, ops)
+    rep = bl.run(s, 1.0, cfg, p, dly, ops)
     assert rep.termination == "history_underrun"
-    assert rep.n_rows == 1 and rep.t[0] == 0.0 and rep.E[0] > 0
+    assert rep.n_rows == 3 * 256 + 1 and rep.t[0] == 0.0 and rep.t[-1] == pytest.approx(0.768)
+    assert np.all(np.isfinite(rep.E)) and np.all(rep.E > 0)
 
 
 def test_numerical_error_keeps_partial_series(monkeypatch):
@@ -134,15 +133,20 @@ def test_numerical_error_keeps_partial_series(monkeypatch):
 def test_early_stop_cuts_stored_fields(monkeypatch):
     p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    # a monitor row that fails leaves no stored state behind
-    hist = bl.HistoryLine(np.linspace(-dly.tau0, 0.0, 41), np.zeros(41), M=0.01)
+    # a block that underruns leaves no stored state behind: the fields end
+    # at the last row kept, the state three blocks of steps give
+    outrun = bl.DelaySpec(**OUTRUN_DELAY)
     eta0 = 0.01 * np.sin(np.pi * g.nodes)
-    s = SimState(t=0.0, eta=eta0, omega=np.zeros(g.n), history=hist)
-    rep = bl.run(s, 0.01, cfg, p, dly, ops, store_fields=True)
-    assert rep.termination == "history_underrun" and rep.n_rows == 1
-    assert rep.fields_eta.shape == rep.fields_omega.shape == (1, g.n)
+    s = bl.initial_state(p, outrun, g, eta0, np.zeros(g.n))
+    rep = bl.run(s, 1.0, cfg, p, outrun, ops, store_fields=True)
+    assert rep.termination == "history_underrun" and rep.n_rows == 769
+    assert rep.fields_eta.shape == rep.fields_omega.shape == (769, g.n)
     assert np.array_equal(rep.fields_eta[0], eta0)
     assert np.array_equal(rep.fields_omega[0], np.zeros(g.n))
+    s.history.replace_last(rep.trace_now[0])
+    end = Stepper(ops, cfg, p, outrun).advance(s, 768)
+    assert np.array_equal(rep.fields_eta[-1], end.eta)
+    assert np.array_equal(rep.fields_omega[-1], end.omega)
 
     s = _random_state(g, dly, np.random.default_rng(4), scale=0.01)
     expected = [s]
@@ -357,7 +361,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
     dt = cfg.dt
     oracle = (state.t, state.eta.copy(), state.omega.copy())
-    hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v), M=dly.M)
+    hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
     stepper = Stepper(ops, cfg, p, dly)
     A = ops.A
     I = sp.identity(2 * n, format="csr")
@@ -369,7 +373,11 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
         assert state.t == oracle[0]
         assert np.array_equal(state.eta, oracle[1])
         assert np.array_equal(state.omega, oracle[2])
-    assert np.array_equal(state.history._v, hist._v)
+    # the stepper's line drops the past it no longer reads: its samples are
+    # the oracle's newest
+    n_kept = state.history.size
+    assert np.array_equal(state.history._t, hist._t[-n_kept:])
+    assert np.array_equal(state.history._v, hist._v[-n_kept:])
 
 
 def _iterates_per_step(monkeypatch):
