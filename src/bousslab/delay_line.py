@@ -283,8 +283,8 @@ class HistoryLine:
     def square_integrals(self, a, b):
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
-        arrays a and b (floats for floats); q(a) and q(b) are the values
-        `query` returns, bit for bit.
+        arrays a and b of one shape (floats for floats); q(a) and q(b) are
+        the values `query` returns, bit for bit.
 
         The integrals are exact up to roundoff: the partial interval at a,
         re-expanded about a, the one at b and the whole intervals between
@@ -296,6 +296,8 @@ class HistoryLine:
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
+        if a.shape != b.shape:
+            raise ConfigurationError(f"integrals over {a.size} window starts and {b.size} ends")
         n = a.size
         buf, lo, hi = self._buf, self._lo, self._hi
         # the ends a then b, clamped into the span, the columns of the

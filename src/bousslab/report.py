@@ -17,7 +17,8 @@ _BOUND_SLACK = 0.02
 
 @dataclass
 class RunReport:
-    """Per-step monitor series for one simulation."""
+    """Per-step monitor series for one simulation, and its `termination`:
+    completed, unstable, numerical_error or nonlinear_divergence."""
 
     t: np.ndarray
     E: np.ndarray

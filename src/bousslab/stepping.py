@@ -32,11 +32,10 @@ import scipy.sparse as sp
 from .certificate import check_multipliers, phi_matrix
 from .energy import energy_rows
 from .delay_line import HistoryLine
-from .errors import (ConfigurationError, HistoryUnderrunError,
-                     NonlinearDivergenceError, NumericalError)
+from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
 from .operators import (BandedLU, OperatorSet, _interleaved, build_operators,
                         derivative_matrix, trace_eta_xx_L)
-from .params import DelaySpec, Grid, SystemParams, tau_at
+from .params import DelaySpec, Grid, SystemParams, _tau_extremes, tau_at
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
@@ -56,7 +55,6 @@ _RESOLVE_LIMIT = 0.7
 _COARSE_N = 24
 # errors that end a run early, keeping the rows recorded so far
 _TERMINATION = {NonlinearDivergenceError: "nonlinear_divergence",
-                HistoryUnderrunError: "history_underrun",
                 NumericalError: "numerical_error"}
 
 log = logging.getLogger(__name__)
@@ -134,6 +132,17 @@ def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -
     if not 0 < dt < dly.tau0:
         raise ConfigurationError(
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
+
+
+def _check_start(state: SimState, dly: DelaySpec, t_end: float) -> None:
+    """Refuse a state whose history has moved on, and a law with tau' >= 1 on [0, t_end]."""
+    if state.history.t_last != state.t:
+        raise ConfigurationError(
+            f"the state's history ends at t={state.history.t_last}, not at its time t={state.t}")
+    dot_max = _tau_extremes(dly, t_end)[2]
+    if not dot_max < 1:   # written so that a NaN fails it
+        raise ConfigurationError(f"the delay law's slope reaches max tau' = {dot_max:.6g} >= 1 "
+                                 f"on [0, {t_end:.6g}]: t - tau(t) must move forward")
 
 
 def nonlinear_matrices(n: int, h: float, p: SystemParams
@@ -244,12 +253,11 @@ class Stepper:
             f"within {_PICARD_ITERS} iterations", t=t, step=self._steps_done)
 
     def _plan(self, t: float, K: int):
-        """A block of K steps from time t: its times t, t_1, .., t_K, the
-        delayed query point t_eval - tau(t_eval) of each step, t_eval =
-        t_{k-1} + theta dt, (tau, tau') at each t_k, two rows of K, and how
-        many of the block's traces each step's query needs pushed first: it
-        reads the final line once its point is at or before the newest
-        pushed sample."""
+        """A block of K steps from time t: its times t, t_1, .., t_K, each step's
+        delayed query point t_eval - tau(t_eval), t_eval = t_{k-1} + theta dt
+        (increasing, as tau' < 1), and how many of the block's traces each
+        query needs pushed first: it reads the final line once its point is at
+        or before the newest pushed sample."""
         dt = self.cfg.dt
         # t_k = t_{k-1} + dt, accumulated as one step after another would
         times = np.full(K + 1, dt)
@@ -257,30 +265,28 @@ class Stepper:
         times = np.cumsum(times)
         t_eval = times[:-1] + self.cfg.theta * dt
         queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
-        taus = np.array([tau_at(self.dly, s) for s in times[1:].tolist()]).T
-        return times, queries, taus, times.searchsorted(queries)
+        return times, queries, times.searchsorted(queries)
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, taus: np.ndarray, after: np.ndarray,
-               out: np.ndarray) -> None:
+               queries: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
         state at times[k + 1] into out[k].  First the history drops the past
-        before the earliest point the block reads: its query points and its
-        rows' window starts times[1:] - tau.  A run's delayed traces come
-        from one `HistoryLine.query`, then per step one matvec and one
-        banded solve (Picard for the nonlinear terms), and one
-        `HistoryLine.extend` by the run's traces; a run goes on while the
-        next step's query point is at or before the newest sample pushed
-        (after[k] <= the steps pushed), so a delay of many steps makes one
-        run of the block.  A step that fails raises its error after the
-        steps before it are in out and in the history, and counted by
-        `_steps_done`; `_tally` holds the solve and right-hand side counts
-        and the largest q before the block and after each of its steps.  A
-        blow-up spreads inf and NaN without a warning, so a run can stop at
-        its first unstable row."""
+        before queries[0], the earliest point the block reads: with tau' < 1
+        and theta <= 1 the later query points and the rows' window starts
+        times[1:] - tau lie after it.  A run's delayed traces come from one
+        `HistoryLine.query`, then per step one matvec and one banded solve
+        (Picard for the nonlinear terms), and one `HistoryLine.extend` by the
+        run's traces; a run goes on while the next step's query point is at or
+        before the newest sample pushed (after[k] <= the steps pushed), so a
+        delay of many steps makes one run of the block.  A step that fails
+        raises its error after the steps before it are in out and in the
+        history, and counted by `_steps_done`; `_tally` holds the solve and
+        right-hand side counts and the largest q before the block and after
+        each of its steps.  A blow-up spreads inf and NaN without a warning, so
+        a run can stop at its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
-        history.drop_before(min(queries.min(), (times[1:] - taus[0]).min()))
+        history.drop_before(queries[0])
         after = after.tolist()
         traces = np.empty(K)
         done = 0
@@ -315,17 +321,19 @@ class Stepper:
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
         (`_plan`, `_block`); advances `state.history` in place, which keeps
-        about max tau / dt + _BLOCK samples.  Raises ConfigurationError when
-        steps is not a nonnegative integer, and the NonlinearDivergenceError,
-        HistoryUnderrunError or NumericalError of a step that fails."""
+        about max tau / dt + _BLOCK samples.  Raises ConfigurationError
+        before the first step when steps is not a nonnegative integer, or for
+        a moved-on state or a law with tau' >= 1 (`_check_start`), and the
+        NonlinearDivergenceError or NumericalError of a step that fails."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
+        _check_start(state, self.dly, state.t + steps * self.cfg.dt)
         t, u = state.t, state.u
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
-            times, queries, taus, after = self._plan(t, min(_BLOCK, steps))
+            times, queries, after = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, taus, after, out[:K])
+            self._block(u, state.history, times, queries, after, out[:K])
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -340,42 +348,40 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, *, rho_res=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    The run steps a copy of s0.history, whose newest sample (at s0.t) it sets
-    to the trace of s0.eta, so s0 stays untouched and reruns from it are
-    bit-identical.  It advances in blocks of _BLOCK steps (`Stepper._plan`):
-    the block drops the history before the earliest point it reads, then
-    takes its steps in runs, each with one history query for its delayed
-    sources and one history extend by its traces (`Stepper._block`).  One
-    monitor pass (`energy_rows`) records the rows of the block at its end,
-    or at the step that fails; as no stored interval of the line changes,
-    the rows, traces and stored fields are those steps one at a time give,
-    bit for bit.  The monitor rows go into one table, in
+    The run steps a copy of s0.history, whose newest sample (at s0.t) it
+    sets to the trace of s0.eta, so s0 stays untouched and reruns from it
+    are bit-identical.  It advances in blocks of _BLOCK steps
+    (`Stepper._plan`): the block drops the history before its first query
+    point, then takes its steps in runs, each with one history query for its
+    delayed sources and one history extend by its traces (`Stepper._block`).
+    One monitor pass (`energy_rows`) records the rows of the block at its
+    end, or at the step that fails; as no stored interval of the line
+    changes, the rows, traces and stored fields are those steps one at a
+    time give, bit for bit.  The monitor rows go into one table, in
     `report.CSV_COLUMNS` order, and with `store_fields` the interleaved
-    state of each row into one array, both allocated before the first
-    step; the report's series are rows of the table and its fields strided
-    views of the states.  Its
-    `dissipation_rhs` is the energy identity's rate dE/dt = 1/2 q^T Phi q
-    per row, q = (trace_now, trace_delayed), with Phi's (2,2) entry |beta|
-    (tau_dot(t) - 1): the paper's Phi, with d >= tau_dot, bounds it from
-    above.  The rows' delay terms are exact integrals of the history's cubic
-    (`energy_rows`); `rho_res`, the rho resolution of the quadrature they
-    replace, is ignored with a DeprecationWarning.  The number of blocks and
-    their shortest and mean length are logged at DEBUG; a blow-up steps on
-    until its rows are recorded, but these counts, and the nonlinear step,
-    solve and right-hand side counts and largest q, stop at the first
-    unstable row.
+    state of each row into one array, both allocated before the first step;
+    the report's series are rows of the table and its fields strided views
+    of the states.  Its `dissipation_rhs` is the energy identity's rate
+    dE/dt = 1/2 q^T Phi q per row, q = (trace_now, trace_delayed), with
+    Phi's (2,2) entry |beta| (tau_dot(t) - 1): the paper's Phi, with d >=
+    tau_dot, bounds it from above.  The rows' delay terms are exact
+    integrals of the history's cubic (`energy_rows`); `rho_res`, the rho
+    resolution of the quadrature they replace, is ignored with a
+    DeprecationWarning.  The number of blocks and their shortest and mean
+    length are logged at DEBUG; a blow-up steps on until its rows are
+    recorded, but these counts, and the nonlinear step, solve and right-hand
+    side counts and largest q, stop at the first unstable row.
+
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
-    when T is negative or not finite, when the arrays for its T / dt rows
-    cannot be allocated, when the Lyapunov multipliers lie outside
-    0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.
-    A step that fails with NonlinearDivergenceError, HistoryUnderrunError
-    or NumericalError, a monitor window that starts before the history's
-    span (`history_underrun`: a law with tau' > 1 reads further back than
-    an earlier block kept), or an energy that blows up, ends the run early:
-    the report keeps the rows before it and names the cause in
-    `termination`.
+    when the law's max tau' on [0, s0.t + T] is 1 or more, when T is
+    negative or not finite, when the arrays for its T / dt rows cannot be
+    allocated, when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L,
+    0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A step that
+    fails with NonlinearDivergenceError or NumericalError, or an energy that
+    blows up, ends the run early: the report keeps the rows before it and
+    names the cause in `termination`.
     """
     if rho_res is not None:
         warnings.warn("run ignores rho_res: the monitor row integrates the delay terms "
@@ -387,11 +393,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     if not np.all(np.isfinite(s0.u)):
         raise ConfigurationError("the initial state s0.u has non-finite values")
     check_multipliers(p, mu1, mu2)
-    if s0.history.t_last != s0.t:
-        raise ConfigurationError(
-            f"the state's history ends at t={s0.history.t_last}, not at its time t={s0.t}")
-    taus0 = np.array([tau_at(dly, s0.t)]).T   # (tau, tau') of the first row
-    delayed = s0.t - taus0[0, 0]
+    _check_start(s0, dly, s0.t + T)
+    delayed = s0.t - tau_at(dly, s0.t)[0]
     # written so that a NaN fails it
     if not delayed >= s0.history.t_first - 1e-14:
         raise ConfigurationError(
@@ -411,11 +414,11 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
             f"cannot allocate {n_steps + 1:.6g} rows for T = {T} at dt = {cfg.dt}: {exc}") from exc
     stepper = Stepper(ops, cfg, p, dly)
 
-    def record(rows: slice, U, t, taus) -> None:
-        table[:, rows] = energy_rows(U, t, taus[0], history, p, ops.grid, mu1, mu2)
-        tau_dot[rows] = taus[1]
+    def record(rows: slice, U, t) -> None:
+        tau, tau_dot[rows] = np.array([tau_at(dly, s) for s in t.tolist()]).T
+        table[:, rows] = energy_rows(U, t, tau, history, p, ops.grid, mu1, mu2)
 
-    record(slice(0, 1), s0.u[None], np.array([s0.t]), taus0)
+    record(slice(0, 1), s0.u[None], np.array([s0.t]))
     if states is not None:
         states[0] = s0.u
     E0 = table[1, 0]
@@ -423,32 +426,25 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     t, u = s0.t, s0.u
     block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
     while rows <= n_steps and termination == "completed":
-        times, queries, taus, after = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
+        times, queries, after = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
         start, error = stepper._steps_done, None
         try:
-            stepper._block(u, history, times, queries, taus, after, U)
+            stepper._block(u, history, times, queries, after, U)
         except tuple(_TERMINATION) as exc:
             error = exc
-        done = stepper._steps_done - start
-        # the rows of the steps taken, up to the first whose window starts
-        # before the history's span (written so that a NaN fails it)
-        inside = np.logical_and.accumulate(times[1:done + 1] - taus[0, :done]
-                                           >= history.t_first - 1e-14)
-        kept = int(np.count_nonzero(inside))
+        kept = stepper._steps_done - start
         new = slice(rows, rows + kept)
         if kept:
             with np.errstate(all="ignore"):
-                record(new, U[:kept], times[1:kept + 1], taus[:, :kept])
+                record(new, U[:kept], times[1:kept + 1])
         E = table[1, new]
         unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
         cause = ""
         if unstable.any():
             # the steps after the first unstable row are not the run's
             kept, termination = int(np.argmax(unstable)) + 1, "unstable"
-        elif kept < done:
-            termination = _TERMINATION[HistoryUnderrunError]
         elif error is not None:
             termination, cause = _TERMINATION[type(error)], f": {error}"
         if termination != "completed":

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import settings
 
@@ -15,11 +13,6 @@ settings.load_profile("bousslab")
 # L inside the certification bound, admissible gains, decay ~2.15/s
 ACC = dict(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
 ACC_DELAY = dict(tau0=0.5, M=2.0, d=0.0)
-# a sinusoidal law tau = 0.5 + 0.6 (1 - cos 2t) whose slope 1.2 sin 2t
-# passes 1 at t = 0.49: from there t - tau(t) falls, and the rows read
-# further back than the blocks before them did
-OUTRUN_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.6, frequency=2.0,
-                    phase=-math.pi / 2, M=1.7, d=1.2)
 
 
 def failing_solve(monkeypatch, after):

@@ -17,13 +17,12 @@ import pytest
 import bousslab as bl
 from bousslab import stepping
 from bousslab.energy import energy_rows, energy_sample
-from bousslab.errors import (ConfigurationError, HistoryUnderrunError,
-                             NonlinearDivergenceError, NumericalError)
+from bousslab.errors import ConfigurationError, NonlinearDivergenceError, NumericalError
 from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper
 
-from conftest import ACC, OUTRUN_DELAY, failing_solve
+from conftest import ACC, failing_solve
 
 LAWS = {
     "constant": dict(tau0=0.5, M=2.0, d=0.0),
@@ -31,8 +30,7 @@ LAWS = {
     "sinusoidal": dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
                        phase=-np.pi / 2, M=0.7, d=0.2),
 }
-STOPS = {NonlinearDivergenceError: "nonlinear_divergence",
-         HistoryUnderrunError: "history_underrun", NumericalError: "numerical_error"}
+STOPS = {NonlinearDivergenceError: "nonlinear_divergence", NumericalError: "numerical_error"}
 
 
 def _step_by_step(s0, T, cfg, p, dly, ops, mu1=0.0, mu2=0.0):
@@ -216,37 +214,6 @@ def _dense_state(p, dly, ops, scale=1.0):
                     omega=scale * x ** 2 * (1 - x) ** 2, history=hist)
 
 
-def test_underrun_by_eviction_ends_at_the_first_row_outside_the_span():
-    # under OUTRUN_DELAY, t - tau(t) falls from t = 0.49 on.  Each block
-    # drops the history before the earliest point it reads; steps one at a
-    # time drop before each step's, so they end at row 511, where the run
-    # in blocks ends at the first row of the fourth block, the first whose
-    # reads fall before the third block's; the 511 shared rows agree
-    p, _, ops, cfg, _ = _system("constant", False)
-    dly = bl.DelaySpec(**OUTRUN_DELAY)
-    s0 = _dense_state(p, dly, ops)
-    rep, lengths, oracle = _run_and_oracle(s0, 1.0, cfg, p, dly, ops)
-    n = oracle[0].shape[1]
-    assert oracle[3] == rep.termination == "history_underrun" and n == 511
-    assert rep.n_rows == 769 and lengths == [256, 256, 256, 232]
-    _assert_rows_match(rep, oracle, False, n)
-
-
-def test_window_that_starts_before_the_span_ends_the_run_at_its_row():
-    # tau = 0.5 + 1.001 t grows faster than time, so t - tau(t) falls below
-    # the start of a history that serves every query of the block's five
-    # steps but not the window of its last row: the run keeps the four rows
-    # before it, as steps one at a time do
-    p, _, ops, cfg, _ = _system("constant", False)
-    dly = bl.DelaySpec(form="affine", tau0=0.5, rate=1.001, M=2.0, d=1.001)
-    start = -0.5 - 0.001 * 4.7 * cfg.dt
-    s0 = _dense_state(p, dly, ops)
-    hist = bl.HistoryLine(np.append(start, s0.history._t[1:]), s0.history._v)
-    s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
-    rep, lengths = _assert_run_matches_oracle(s0, 5 * cfg.dt, cfg, p, dly, ops)
-    assert rep.termination == "history_underrun" and rep.n_rows == 5 and lengths == [5]
-
-
 def test_numerical_error_inside_a_block_ends_at_the_oracle_row(monkeypatch):
     # the 151st banded solve fails, in a block of 256 steps
     p, dly, ops, cfg, _ = _system("constant", False)
@@ -358,21 +325,64 @@ def test_advance_refuses_a_step_count_that_is_not_a_nonnegative_integer(steps):
         assert end.t == count * cfg.dt and line.size == s0.history.size + count
 
 
-def test_block_keeps_the_window_starts_it_reads():
-    # tau = 0.5 + 1.5 t: t - tau(t) falls by dt/2 a step, so the window of
-    # the block's last row starts dt/4 before its last query point, with
-    # samples between them every dt/10: the block of five steps keeps them
-    # and records all its rows.  (Steps one at a time stop at the second:
-    # its query point lies before the first row's window start, where the
-    # first step dropped the past.)
-    p, _, ops, cfg, s0 = _system("constant", False)
-    dly = bl.DelaySpec(form="affine", tau0=0.5, rate=1.5, M=2.0, d=1.5)
-    t = np.linspace(-0.51, 0.0, 5101)
-    s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=bl.HistoryLine(t, np.cos(3 * t)))
-    rep, lengths, oracle = _run_and_oracle(s0, 5 * cfg.dt, cfg, p, dly, ops)
-    assert rep.termination == "completed" and rep.n_rows == 6 and lengths == [5]
-    assert oracle[3] == "history_underrun" and oracle[0].shape[1] == 2
-    _assert_rows_match(rep, oracle, False, 2)
+# laws whose slope reaches 1, each with a horizon: tau = 0.5 + 0.6 (1 - cos 2t),
+# whose slope 1.2 sin 2t passes 1 at t = 0.49, and two affine laws faster
+# than time
+OUTRUN = {"sine": (dict(form="sinusoidal", tau0=0.5, amplitude=0.6, frequency=2.0,
+                        phase=-np.pi / 2, M=1.7, d=1.2), 1.0),
+          **{f"rate={rate}": (dict(form="affine", tau0=0.5, rate=rate, M=2.0, d=rate), 5e-3)
+             for rate in (1.001, 1.5)}}
+
+
+@pytest.mark.parametrize("entry, law", [
+    *((entry, law) for entry in ("run", "advance") for law in OUTRUN),
+    ("step", "rate=1.001"), ("step", "rate=1.5")])
+def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
+    # once tau' reaches 1, t - tau(t) stops moving forward and a row would
+    # read before the past an earlier block dropped: the law's own slope
+    # over [0, t + T] is refused before any step, s0 and its line untouched
+    p, _, ops, cfg, _ = _system("constant", False)
+    dly = bl.DelaySpec(**OUTRUN[law][0])
+    T = cfg.dt if entry == "step" else OUTRUN[law][1]
+    s0 = _dense_state(p, dly, ops)
+    u, line, size = _bits(s0.u).copy(), _bits(s0.history._buf).copy(), s0.history.size
+    stepper = Stepper(ops, cfg, p, dly)
+    take = {"run": lambda s, T: bl.run(s, T, cfg, p, dly, ops),
+            "advance": lambda s, T: stepper.advance(s, round(T / cfg.dt)),
+            "step": lambda s, T: stepper.step(s)}[entry]
+    with pytest.raises(ConfigurationError, match=r"slope reaches max tau' = 1\.\d* >= 1 "
+                                                 rf"on \[0, {T:g}\]"):
+        take(s0, T)
+    assert np.array_equal(_bits(s0.u), u) and np.array_equal(_bits(s0.history._buf), line)
+    assert s0.t == 0.0 and s0.history.size == size and stepper._steps_done == 0
+    if law == "sine":
+        # the slope is at most 1.2 sin 0.8 = 0.86 on [0, 0.4]: 400 steps go
+        end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 0.4)
+        if entry == "run":
+            assert end.termination == "completed" and end.n_rows == 401
+        else:
+            assert end.t == pytest.approx(0.4) and np.all(np.isfinite(end.u))
+
+
+def test_advance_refuses_a_state_whose_history_has_moved_on():
+    # s1's line ends at 2 dt once s1 is stepped again, so a step from s1
+    # would push before the newest sample: refused before any step, the
+    # counters and the line unchanged
+    p, dly, ops, cfg, s0 = _system("constant", True, n=16)
+    stepper = Stepper(ops, cfg, p, dly)
+    s1 = stepper.step(s0)
+    stepper.step(s1)
+    counters = (stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
+    line = s1.history
+    size, buf = line.size, _bits(line._buf[:, line._lo:line._hi]).copy()
+    for take in (lambda: stepper.advance(s1, 3), lambda: stepper.step(s1)):
+        with pytest.raises(ConfigurationError,
+                           match=r"history ends at t=0\.004, not at its time t=0\.002"):
+            take()
+        assert (stepper._steps_done, stepper._solves, stepper._rhs_evals,
+                stepper._q_max) == counters and counters[0] == 2
+        assert line.size == size
+        assert np.array_equal(_bits(line._buf[:, line._lo:line._hi]), buf)
 
 
 def test_run_refuses_a_history_that_starts_after_the_first_delayed_time():

@@ -697,6 +697,15 @@ def test_square_integrals_refuse_a_window_outside_the_span():
         h.square_integrals(0.05, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [([.1, .2], [.3]), ([.1], [.3, .5]), ([.1, .2, .3], [.5, .6])])
+def test_square_integrals_refuse_window_starts_and_ends_of_different_lengths(a, b):
+    # numpy would broadcast one start against two ends, or fail mid-way
+    h = _line(np.linspace(0.0, 1.0, 11), np.cos(np.linspace(0.0, 1.0, 11)))
+    with pytest.raises(ConfigurationError,
+                       match=f"over {len(a)} window starts and {len(b)} ends"):
+        h.square_integrals(np.array(a), np.array(b))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_extend_equals_pushes_one_at_a_time(seed):
     # extends of random lengths, with drops (down to three samples for a

@@ -13,7 +13,7 @@ from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper
 
-from conftest import ACC, ACC_DELAY, OUTRUN_DELAY, failing_solve
+from conftest import ACC, ACC_DELAY, failing_solve
 
 
 def _setup(n=32, beta=5e-4):
@@ -107,19 +107,6 @@ def test_row_count_and_T_zero():
     assert rep0.E[0] > 0
 
 
-def test_history_underrun_keeps_partial_series():
-    # under OUTRUN_DELAY the fourth block's reads fall before the past the
-    # third block kept: the run ends there, with the rows of three blocks
-    p, _, g, ops = _setup(n=16)
-    dly = bl.DelaySpec(**OUTRUN_DELAY)
-    s = bl.initial_state(p, dly, g, 0.01 * np.sin(np.pi * g.nodes), np.zeros(g.n))
-    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    rep = bl.run(s, 1.0, cfg, p, dly, ops)
-    assert rep.termination == "history_underrun"
-    assert rep.n_rows == 3 * 256 + 1 and rep.t[0] == 0.0 and rep.t[-1] == pytest.approx(0.768)
-    assert np.all(np.isfinite(rep.E)) and np.all(rep.E > 0)
-
-
 def test_numerical_error_keeps_partial_series(monkeypatch):
     p, dly, g, ops = _setup(n=16)
     failing_solve(monkeypatch, after=3)
@@ -133,18 +120,19 @@ def test_numerical_error_keeps_partial_series(monkeypatch):
 def test_early_stop_cuts_stored_fields(monkeypatch):
     p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
-    # a block that underruns leaves no stored state behind: the fields end
-    # at the last row kept, the state three blocks of steps give
-    outrun = bl.DelaySpec(**OUTRUN_DELAY)
+    # the 301st solve fails inside the second block of 256 steps: the
+    # fields end at the last row kept, the state 300 steps give
     eta0 = 0.01 * np.sin(np.pi * g.nodes)
-    s = bl.initial_state(p, outrun, g, eta0, np.zeros(g.n))
-    rep = bl.run(s, 1.0, cfg, p, outrun, ops, store_fields=True)
-    assert rep.termination == "history_underrun" and rep.n_rows == 769
-    assert rep.fields_eta.shape == rep.fields_omega.shape == (769, g.n)
+    s = bl.initial_state(p, dly, g, eta0, np.zeros(g.n))
+    end = Stepper(ops, cfg, p, dly).advance(
+        SimState._from_u(0.0, s.u, s.history.copy()), 300)
+    with monkeypatch.context() as mp:
+        failing_solve(mp, after=300)
+        rep = bl.run(s, 1.0, cfg, p, dly, ops, store_fields=True)
+    assert rep.termination == "numerical_error" and rep.n_rows == 301
+    assert rep.fields_eta.shape == rep.fields_omega.shape == (301, g.n)
     assert np.array_equal(rep.fields_eta[0], eta0)
     assert np.array_equal(rep.fields_omega[0], np.zeros(g.n))
-    s.history.replace_last(rep.trace_now[0])
-    end = Stepper(ops, cfg, p, outrun).advance(s, 768)
     assert np.array_equal(rep.fields_eta[-1], end.eta)
     assert np.array_equal(rep.fields_omega[-1], end.omega)
 
