@@ -15,7 +15,6 @@ testable invariant through `transport_residual`.
 
 from __future__ import annotations
 
-import functools
 import numbers
 
 import numpy as np
@@ -82,35 +81,32 @@ def _hermite(s, v0, m0, a2, a3):
     return v0 + m0 * s + a2 * s2 + a3 * (s2 * s)
 
 
-# typed, so that True (equal to 1 and of equal hash) is checked, not served
-# the cached nodes of m = 1
-@functools.lru_cache(maxsize=16, typed=True)
 def _rho_nodes(m: int) -> np.ndarray:
-    """Read-only rho_j = j/m for j = 0..m."""
+    """rho_j = j/m for j = 0..m."""
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise ConfigurationError(f"need an integer m >= 1 of rho intervals, got {m!r}")
     try:
-        rho = np.linspace(0.0, 1.0, m + 1)
+        return np.linspace(0.0, 1.0, m + 1)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"cannot allocate {m + 1} rho nodes: {exc}") from exc
-    rho.flags.writeable = False
-    return rho
 
 
 class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
     Samples are finite and their times strictly increasing (`push` takes any
-    value, so a blow-up still ends a run as unstable).  The line keeps every
-    sample until `drop_before` drops the past before a time; it does not
-    bound itself.  The line is causal: each pushed sample gets the end slope
-    of the parabola through it and its two predecessors, stored once, so no
-    interval changes after a later push or a drop.  A fresh line's first two
-    samples get the slopes of the parabola through its first three (the
-    secant on a line of two).  The interpolant is C^1, exact on quadratics
-    and linear in the data, which makes simulations superpose; it is not
-    monotone.  Each interval caches its cubic coefficients.  Queries at
-    stored sample times return the stored values exactly.
+    value, so a blow-up still ends a run as unstable).  The line is
+    append-only: it grows by `push` and `extend`, and its owner shrinks it
+    from the start by `drop_before`; no stored sample ever changes, and the
+    line does not bound itself.  It is causal: each pushed sample gets the
+    end slope of the parabola through it and its two predecessors, stored
+    once, so no interval changes after a later push or a drop.  A fresh
+    line's first two samples get the slopes of the parabola through its
+    first three (the secant on a line of two).  The interpolant is C^1,
+    exact on quadratics and linear in the data, which makes simulations
+    superpose; it is not monotone.  Each interval caches its cubic
+    coefficients.  Queries at stored sample times return the stored values
+    exactly.
     """
 
     def __init__(self, times, values):
@@ -234,27 +230,18 @@ class HistoryLine:
 
     def drop_before(self, t: float) -> None:
         """Drop the samples before the last one at or before t (none for a
-        NaN), but never the newest three, which a push and `replace_last`
-        read.  Only the line's start moves, so a query or an integral at or
-        after t reads the same bits."""
+        NaN), but never the newest two, which a push reads.  Only the line's
+        start moves, so a query or an integral at or after t reads the same
+        bits."""
         if t >= self.t_first:   # written so that a NaN fails it
             dropped = int(self._t.searchsorted(t, "right")) - 1
-            self._lo = max(self._lo, min(self._lo + dropped, self._hi - 3))
-
-    def replace_last(self, v: float) -> None:
-        """Overwrite the newest stored value: its slope and the interval
-        that ends at it are refreshed (on a line of two samples, both
-        secant slopes)."""
-        self._buf[1, self._hi - 1] = v
-        if self.size == 2:
-            self._start()
-        else:
-            self._refresh(self._hi - 1, self._hi)
+            self._lo = max(self._lo, min(self._lo + dropped, self._hi - 2))
 
     # -- queries ------------------------------------------------------------
 
     def query(self, t) -> np.ndarray | float:
-        """Interpolated trace at time(s) t, which must lie in the stored span."""
+        """Interpolated trace at time(s) t, which must lie in the stored span;
+        each point, in any order of the points, gets the bits it gets alone."""
         buf, lo, hi = self._buf, self._lo, self._hi
         t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
         t_arr = np.asarray(t, dtype=float)
@@ -269,13 +256,7 @@ class HistoryLine:
         # q = t_last picks the newest sample itself, evaluated at s = 0
         knots = buf[0, lo + 1:hi]
         q = np.minimum(np.maximum(t_arr, t_first), t_last)
-        # searchsorted runs fastest on ascending keys, and a key's column does
-        # not depend on the order of the others: a descending query (every
-        # z-profile) is searched through its reversed view
-        if q.ndim == 1 and q[0] > q[-1]:
-            idx = knots.searchsorted(q[::-1], "right")[::-1]
-        else:
-            idx = knots.searchsorted(q, "right")
+        idx = knots.searchsorted(q, "right")
         t0, v0, m0, a2, a3 = np.take(buf[:5], lo + idx, axis=1)
         out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
@@ -382,7 +363,8 @@ def _moment_sums(t: np.ndarray, w: np.ndarray, a: np.ndarray, start: np.ndarray,
 
 
 def z_profile(h: HistoryLine, dly: DelaySpec, t: float, m: int) -> np.ndarray:
-    """z[j] = trace at t - tau(t) * j/m for j = 0..m (rho_j = j/m)."""
+    """z[j] = trace at t - tau(t) * j/m for j = 0..m (rho_j = j/m), the
+    transport variable that `transport_residual` differentiates."""
     rho = _rho_nodes(m)
     tau, _ = tau_at(dly, t)
     return h.query(t - tau * rho)

@@ -64,7 +64,10 @@ class SimState:
     """The interleaved grid values u = (eta_1, omega_1, eta_2, omega_2, ...),
     the trace history, and the current time.
 
-    `eta` and `omega` are strided views of u; treat them as read-only.
+    The history is initial data, read as given: its value at t is z(t, 0)
+    of the transport form, which `initial_state` and `slow_mode_state` set
+    to eta's trace.  `eta` and `omega` are strided views of u; treat them
+    as read-only.
     """
 
     def __init__(self, t: float, eta, omega, history: HistoryLine):
@@ -135,10 +138,18 @@ def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -
 
 
 def _check_start(state: SimState, dly: DelaySpec, t_end: float) -> None:
-    """Refuse a state whose history has moved on, and a law with tau' >= 1 on [0, t_end]."""
-    if state.history.t_last != state.t:
+    """Refuse a state whose history has moved on or starts after its delayed
+    time t - tau(t), and a law with tau' >= 1 on [0, t_end]."""
+    history = state.history
+    if history.t_last != state.t:
         raise ConfigurationError(
-            f"the state's history ends at t={state.history.t_last}, not at its time t={state.t}")
+            f"the state's history ends at t={history.t_last}, not at its time t={state.t}")
+    delayed = state.t - tau_at(dly, state.t)[0]
+    # written so that a NaN fails it
+    if not delayed >= history.t_first - 1e-14:
+        raise ConfigurationError(
+            f"the state's history starts at t={history.t_first}, after the delayed "
+            f"time t - tau(t) = {delayed} of its first monitor row")
     dot_max = _tau_extremes(dly, t_end)[2]
     if not dot_max < 1:   # written so that a NaN fails it
         raise ConfigurationError(f"the delay law's slope reaches max tau' = {dot_max:.6g} >= 1 "
@@ -253,11 +264,9 @@ class Stepper:
             f"within {_PICARD_ITERS} iterations", t=t, step=self._steps_done)
 
     def _plan(self, t: float, K: int):
-        """A block of K steps from time t: its times t, t_1, .., t_K, each step's
-        delayed query point t_eval - tau(t_eval), t_eval = t_{k-1} + theta dt
-        (increasing, as tau' < 1), and how many of the block's traces each
-        query needs pushed first: it reads the final line once its point is at
-        or before the newest pushed sample."""
+        """A block of K steps from time t: its times t, t_1, .., t_K and each
+        step's delayed query point t_eval - tau(t_eval), t_eval = t_{k-1} +
+        theta dt (increasing, as tau' < 1)."""
         dt = self.cfg.dt
         # t_k = t_{k-1} + dt, accumulated as one step after another would
         times = np.full(K + 1, dt)
@@ -265,10 +274,10 @@ class Stepper:
         times = np.cumsum(times)
         t_eval = times[:-1] + self.cfg.theta * dt
         queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
-        return times, queries, times.searchsorted(queries)
+        return times, queries
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, after: np.ndarray, out: np.ndarray) -> None:
+               queries: np.ndarray, out: np.ndarray) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
         state at times[k + 1] into out[k].  First the history drops the past
         before queries[0], the earliest point the block reads: with tau' < 1
@@ -277,23 +286,22 @@ class Stepper:
         `HistoryLine.query`, then per step one matvec and one banded solve
         (Picard for the nonlinear terms), and one `HistoryLine.extend` by the
         run's traces; a run goes on while the next step's query point is at or
-        before the newest sample pushed (after[k] <= the steps pushed), so a
-        delay of many steps makes one run of the block.  A step that fails
-        raises its error after the steps before it are in out and in the
-        history, and counted by `_steps_done`; `_tally` holds the solve and
-        right-hand side counts and the largest q before the block and after
-        each of its steps.  A blow-up spreads inf and NaN without a warning, so
-        a run can stop at its first unstable row."""
+        before the newest sample pushed (a NaN point ends it), so a delay of
+        many steps makes one run of the block.  A step that fails raises its
+        error after the steps before it are in out and in the history, and
+        counted by `_steps_done`; `_tally` holds the solve and right-hand
+        side counts and the largest q before the block and after each of its
+        steps.  A blow-up spreads inf and NaN without a warning, so a run can
+        stop at its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
         history.drop_before(queries[0])
-        after = after.tolist()
         traces = np.empty(K)
         done = 0
         self._tally = [(self._solves, self._rhs_evals, self._q_max)]
         while done < K:
             start, end = done, done + 1
-            while end < K and after[end] <= done:
+            while end < K and queries[end] <= times[done]:
                 end += 1
             try:
                 with np.errstate(all="ignore"):
@@ -322,18 +330,20 @@ class Stepper:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
         (`_plan`, `_block`); advances `state.history` in place, which keeps
         about max tau / dt + _BLOCK samples.  Raises ConfigurationError
-        before the first step when steps is not a nonnegative integer, or for
-        a moved-on state or a law with tau' >= 1 (`_check_start`), and the
-        NonlinearDivergenceError or NumericalError of a step that fails."""
+        before the first step when steps is not a nonnegative integer, or,
+        as `run` does, for a state whose history does not end at its time or
+        starts after its delayed time t - tau(t), or a law with tau' >= 1
+        (`_check_start`); and the NonlinearDivergenceError or NumericalError
+        of a step that fails."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
         _check_start(state, self.dly, state.t + steps * self.cfg.dt)
         t, u = state.t, state.u
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
-            times, queries, after = self._plan(t, min(_BLOCK, steps))
+            times, queries = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, after, out[:K])
+            self._block(u, state.history, times, queries, out[:K])
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -348,9 +358,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         store_fields: bool = False, *, rho_res=None) -> RunReport:
     """Advance to T, recording the energy monitors at every step.
 
-    The run steps a copy of s0.history, whose newest sample (at s0.t) it
-    sets to the trace of s0.eta, so s0 stays untouched and reruns from it
-    are bit-identical.  It advances in blocks of _BLOCK steps
+    The run steps a copy of s0.history as given, so s0 stays untouched,
+    reruns from it are bit-identical, its fields are `Stepper.advance`'s
+    and its first row is `energy_sample(s0)`, bit for bit.  It advances in blocks of _BLOCK steps
     (`Stepper._plan`): the block drops the history before its first query
     point, then takes its steps in runs, each with one history query for its
     delayed sources and one history extend by its traces (`Stepper._block`).
@@ -371,7 +381,6 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     length are logged at DEBUG; a blow-up steps on until its rows are
     recorded, but these counts, and the nonlinear step, solve and right-hand
     side counts and largest q, stop at the first unstable row.
-
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
@@ -394,14 +403,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         raise ConfigurationError("the initial state s0.u has non-finite values")
     check_multipliers(p, mu1, mu2)
     _check_start(s0, dly, s0.t + T)
-    delayed = s0.t - tau_at(dly, s0.t)[0]
-    # written so that a NaN fails it
-    if not delayed >= s0.history.t_first - 1e-14:
-        raise ConfigurationError(
-            f"the state's history starts at t={s0.history.t_first}, after the delayed "
-            f"time t - tau(t) = {delayed} of its first monitor row")
     history = s0.history.copy()
-    history.replace_last(trace_eta_xx_L(s0.eta, ops.grid))
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:
         # one column per monitor row, its entries in CSV_COLUMNS order: E is
@@ -426,12 +428,12 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     t, u = s0.t, s0.u
     block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
     while rows <= n_steps and termination == "completed":
-        times, queries, after = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
+        times, queries = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
         start, error = stepper._steps_done, None
         try:
-            stepper._block(u, history, times, queries, after, U)
+            stepper._block(u, history, times, queries, U)
         except tuple(_TERMINATION) as exc:
             error = exc
         kept = stepper._steps_done - start
@@ -503,13 +505,16 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     is neither; that step is lambda's attained accuracy, logged at DEBUG.
     The eigenvector is x = (lambda I - A)^{-1} g from the last factorization,
     scaled so its largest-modulus entry equals `amplitude` (real); its real
-    part is the initial state.
+    part is the initial state.  The history holds Re(t^T x exp(lambda s))
+    at evenly spaced times s on [-tau0, 0], its s = 0 sample the trace of
+    the initial eta (`trace_eta_xx_L`), as `initial_state` sets it.
 
     Raises ConfigurationError when amplitude is not finite, dt >= tau0 or
     `OperatorSet.check_params` fails (all before any work) or no candidate
     exists; NumericalError when the coarse eigensolve or a factorization
     fails, or when the final step, at the stop or after 12 factorizations,
-    is above the floor, the accuracy a dense eigensolve guarantees.
+    is above the floor, the accuracy a dense eigensolve guarantees (a NaN
+    step, as when exp(-lambda tau0) overflows, included).
     """
     if not np.isfinite(amplitude):
         raise ConfigurationError(f"amplitude must be finite, got {amplitude}")
@@ -545,8 +550,8 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
         lu = BandedLU(lam * sp.identity(n2) - A)
         v = lu.solve(g)
         s = t @ v[0::2]
-        e = p.beta * np.exp(-lam * tau0)
         with np.errstate(all="ignore"):   # a NaN step stops Newton and fails the floor
+            e = p.beta * np.exp(-lam * tau0)
             dlam = -(1 / s + e) / (t @ lu.solve(v)[0::2] / s ** 2 - tau0 * e)
         step = abs(dlam)
         if factors == 12 or not (step > floor or step < 0.5 * last):
@@ -561,5 +566,6 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     v = v / v[np.argmax(np.abs(v))] * amplitude
     t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
     hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
-    hist = HistoryLine(t_hist, hist_vals)
-    return SimState._from_u(0.0, v.real.copy(), hist), lam
+    u = v.real.copy()
+    hist_vals[-1] = trace_eta_xx_L(u[0::2], ops.grid)
+    return SimState._from_u(0.0, u, HistoryLine(t_hist, hist_vals)), lam

@@ -2,11 +2,11 @@
 
 The oracle is the step-by-step loop `run` had before it advanced in blocks:
 `Stepper.step` and one monitor row (`energy_sample`) per step, with the same
-early stops.  Both read the same history line, so t, the traces, the stored
-fields and dissipation_rhs agree bit for bit; E, V and V2 sum each
-window's delay integrals alone, as one step at a time does, so they agree
-to 1e-14 relative (bit for bit with numpy 2.4's reductions), and V1 its
-dot product to 1e-14 E.
+early stops.  Both step a copy of the start's history line as given, so
+t, the traces, the stored fields and dissipation_rhs agree bit for bit; E,
+V and V2 sum each window's delay integrals alone, as one step at a time
+does, so they agree to 1e-14 relative (bit for bit with numpy 2.4's
+reductions), and V1 its dot product to 1e-14 E.
 """
 
 import logging
@@ -36,9 +36,7 @@ STOPS = {NonlinearDivergenceError: "nonlinear_divergence", NumericalError: "nume
 def _step_by_step(s0, T, cfg, p, dly, ops, mu1=0.0, mu2=0.0):
     """(rows, states, dissipation_rhs, termination) of the run one step at a
     time: rows in CSV_COLUMNS order, one column per row."""
-    history = s0.history.copy()
-    history.replace_last(bl.trace_eta_xx_L(s0.eta, ops.grid))
-    state = SimState._from_u(s0.t, s0.u, history)
+    state = SimState._from_u(s0.t, s0.u, s0.history.copy())
     stepper = Stepper(ops, cfg, p, dly)
     rows, states = [energy_sample(state, p, dly, ops.grid, mu1, mu2)], [state.u]
     E0, termination = rows[0][1], "completed"
@@ -151,19 +149,41 @@ def test_blocks_match_steps_one_at_a_time(law, nonlinear, store_fields):
 
 
 def test_two_sample_history_keeps_its_secant_slopes():
-    # a line of two samples keeps its secant slopes once pushes reach it:
-    # the first window, in its first interval, joins the one block
+    # a line of two samples keeps its own secant slopes once pushes reach
+    # it: the first window, in its first interval, joins the one block, and
+    # the first row reads the line's value at t = 0, not the trace of eta
     p, dly, ops, cfg, s0 = _system("constant", False)
     hist = bl.HistoryLine([-0.5, 0.0], [0.3, 0.0])
     s0 = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
     rep, lengths = _assert_run_matches_oracle(s0, 0.05, cfg, p, dly, ops)
     assert rep.termination == "completed" and lengths == [50]
+    assert rep.trace_now[0] == 0.0 != bl.trace_eta_xx_L(s0.eta, ops.grid)
     line = hist.copy()
-    line.replace_last(rep.trace_now[0])
     secant = line._m.copy()
     Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), 50)
     assert np.array_equal(_bits(line._m[:2]), _bits(secant))
     assert secant[0] == secant[1] == (rep.trace_now[0] - 0.3) / 0.5
+
+
+@pytest.mark.parametrize("law", [dict(tau0=0.5, M=0.5), dict(tau0=1.5e-3, M=1.5e-3),
+                                 LAWS["sinusoidal"]], ids=["tau0=0.5", "tau0=1.5dt", "sinusoidal"])
+def test_run_advance_and_energy_sample_agree_on_a_hand_built_state(law):
+    # a hand-built history whose value at t = 0 is not the trace of eta is
+    # initial data in its own right: `run` steps it as given, so its last
+    # fields are `advance`'s and its first row `energy_sample`'s, bit for bit
+    p, _, ops, cfg, s0 = _system("constant", False, n=16)
+    dly = bl.DelaySpec(**law)
+    t = np.linspace(-dly.tau0, 0.0, 33)
+    s = SimState(t=0.0, eta=s0.eta, omega=s0.omega,
+                 history=bl.HistoryLine(t, 1e-2 * np.cos(3 * t) + 5e-3))
+    assert s.history.query(0.0) != bl.trace_eta_xx_L(s.eta, ops.grid)
+    rep = bl.run(s, 600 * cfg.dt, cfg, p, dly, ops, mu1=0.3, mu2=0.5, store_fields=True)
+    row = energy_sample(s, p, dly, ops.grid, mu1=0.3, mu2=0.5)
+    end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s.u, s.history.copy()), 600)
+    assert rep.termination == "completed" and rep.n_rows == 601
+    assert np.array_equal(_bits(rep.fields_eta[-1]), _bits(end.eta))
+    assert np.array_equal(_bits(rep.fields_omega[-1]), _bits(end.omega))
+    assert np.array_equal(_bits([getattr(rep, name)[0] for name in CSV_COLUMNS]), _bits(row))
 
 
 @pytest.mark.parametrize("M", [1.5, 2000.0])
@@ -393,6 +413,23 @@ def test_run_refuses_a_history_that_starts_after_the_first_delayed_time():
                                                  r"time t - tau\(t\) = -0\.5"):
         bl.run(s, 0.01, cfg, p, dly, ops)
     assert hist.t_last == 0.0 and hist.size == 2   # no step was taken
+
+
+def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_time():
+    # the check and message `run` gives, before any step: the counters and
+    # the line unchanged
+    p, dly, ops, cfg, s0 = _system("constant", False)
+    hist = bl.HistoryLine([-0.1, 0.0], [0.0, 0.0])
+    s = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
+    stepper = Stepper(ops, cfg, p, dly)
+    buf = _bits(hist._buf[:, hist._lo:hist._hi]).copy()
+    for take in (lambda: stepper.advance(s, 3), lambda: stepper.step(s)):
+        with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
+                                                     r"time t - tau\(t\) = -0\.5"):
+            take()
+        assert (stepper._steps_done, stepper._solves, stepper._rhs_evals,
+                stepper._q_max) == (0, 0, 0, 0.0)
+        assert hist.size == 2 and np.array_equal(_bits(hist._buf[:, hist._lo:hist._hi]), buf)
 
 
 def test_run_logs_its_blocks(monkeypatch, caplog):

@@ -171,19 +171,14 @@ SINE_DELAY = dict(form="sinusoidal", tau0=0.5, amplitude=0.1, frequency=2.0,
 
 def _pushed_line(rng, f, dly, pushes=300):
     """A line of samples of f at seeded random times, grown by `pushes`
-    pushes (every third a provisional value that replace_last corrects),
-    each followed by a drop of the past before t - 1.25 M, so that samples
-    are dropped and the buffer grows."""
+    pushes, each followed by a drop of the past before t - 1.25 M, so that
+    samples are dropped and the buffer grows."""
     t = np.cumsum(rng.uniform(0.005, 0.03, 30)) - 0.8
     h = bl.HistoryLine(t, f(t))
     buf = h._buf
-    for step in range(pushes):
+    for _ in range(pushes):
         t_new = h.t_last + float(rng.uniform(0.002, 0.02))
-        if step % 3:
-            h.push(t_new, float(f(t_new)))
-        else:
-            h.push(t_new, float(f(t_new) + 0.1 * rng.standard_normal()))
-            h.replace_last(float(f(t_new)))
+        h.push(t_new, float(f(t_new)))
         h.drop_before(t_new - 1.25 * dly.M)
     assert h.t_first > t[-1] and h._buf is not buf   # dropped and grown
     return h

@@ -245,8 +245,10 @@ def test_run_refuses_a_history_that_does_not_end_at_the_state_time():
 
 @pytest.mark.parametrize("beta", [0.0, 5e-4])
 def test_run_computes_each_trace_once(monkeypatch, beta):
-    # one seat plus one push per step; the monitor rows read both traces
-    # from the history, and trace_now is the trace of the recorded state
+    # one push per step; the monitor rows read both traces from the history
+    # as given: trace_now is the trace of each stepped state, and at the
+    # hand-built start, whose newest sample is not its trace, the history's
+    # value at t
     p, dly, g, ops = _setup(n=16, beta=beta)
     real, calls = bl.trace_eta_xx_L, [0]
 
@@ -260,8 +262,9 @@ def test_run_computes_each_trace_once(monkeypatch, beta):
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     s0 = _random_state(g, dly, np.random.default_rng(13), scale=0.01)
     rep = bl.run(s0, 0.01, cfg, p, dly, ops, store_fields=True)
-    assert rep.n_rows == 11 and calls[0] == 11
-    assert np.array_equal(rep.trace_now, [real(e, g) for e in rep.fields_eta])
+    assert rep.n_rows == 11 and calls[0] == 10
+    assert np.array_equal(rep.trace_now[1:], [real(e, g) for e in rep.fields_eta[1:]])
+    assert rep.trace_now[0] == s0.history.query(0.0) != real(s0.eta, g)
 
 
 def test_state_fields_are_views_of_u():
@@ -717,6 +720,18 @@ def test_slow_mode_state_unresolvable_dt_on_both_paths():
         bl.slow_mode_state(ops, p, dly, dt=0.4)
 
 
+@pytest.mark.parametrize("dt", [1e-7, 1e-9])
+def test_slow_mode_state_overflow_ends_in_a_numerical_error(dt):
+    # on the reference system at n = 200 such a dt resolves a candidate so
+    # fast that exp(-lambda tau0) overflows: the NaN Newton step fails the
+    # floor, without a numpy warning on the way
+    p, dly, g, ops = _setup(n=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="step nan above the floor"):
+            bl.slow_mode_state(ops, p, dly, dt=dt)
+
+
 @pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
 def test_slow_mode_state_rejects_non_finite_amplitude(amplitude):
     p, dly, g, ops = _setup(n=16)
@@ -767,6 +782,8 @@ def test_slow_mode_state_deterministic_and_normalized():
     assert lam1 == lam2
     assert np.array_equal(s1.eta, s2.eta) and np.array_equal(s1.omega, s2.omega)
     assert np.array_equal(s1.history._v, s2.history._v)
+    # the history meets the state: its t = 0 sample is eta's trace
+    assert s1.history.query(0.0) == bl.trace_eta_xx_L(s1.eta, g)
     assert lam1.imag > 0
     peak = max(np.max(np.abs(s1.eta)), np.max(np.abs(s1.omega)))
     assert abs(peak - amp) <= 1e-15 * amp
