@@ -153,15 +153,18 @@ def trace_weights(h: float) -> np.ndarray:
     return _TRACE_W / h ** 2
 
 
-def trace_eta_xx_L(eta: np.ndarray, g: Grid) -> float:
+def trace_eta_xx_L(eta: np.ndarray, g: Grid) -> np.ndarray | float:
     """One-sided second-order estimate of eta_xx at x = L.
 
-    Uses eta(L) = eta_x(L) = 0; exact for quartics.
+    Uses eta(L) = eta_x(L) = 0; exact for quartics.  Rows stacked along
+    eta's last axis (strided views too) give one value each, the bits of
+    the row alone: the three-term sum has one fixed order.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.shape[0] != g.n:
-        raise ConfigurationError(f"state length {eta.shape[0]} != grid size {g.n}")
-    return float(trace_weights(g.h) @ eta[-3:])
+    if eta.shape[-1] != g.n:
+        raise ConfigurationError(f"state length {eta.shape[-1]} != grid size {g.n}")
+    w = trace_weights(g.h)
+    return w[0] * eta[..., -3] + w[1] * eta[..., -2] + w[2] * eta[..., -1]
 
 
 def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> np.ndarray | float:

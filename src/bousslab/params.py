@@ -120,27 +120,27 @@ def constant_history(value: float) -> np.ndarray:
     return np.full(2, float(value))
 
 
-def tau_at(dly: DelaySpec, t: float) -> tuple[float, float]:
-    """Evaluate (tau(t), tau'(t)) exactly for the closed-form delay laws."""
+def tau_at(dly: DelaySpec, t):
+    """(tau(t), tau'(t)) of the closed-form delay laws, exactly: two floats
+    for a number t, two arrays of its shape for a numpy array, each entry
+    its scalar call's, bit for bit (the sinusoid takes np.sin and np.cos on
+    both paths).  A negative or NaN time anywhere raises ConfigurationError."""
+    scalar = not isinstance(t, np.ndarray)
     # written so that a NaN fails it
-    if not t >= 0:
-        raise ConfigurationError(f"tau_at requires t >= 0, got {t}")
-    if dly.form == "constant":
-        return dly.tau0, 0.0
-    if dly.form == "affine":
-        if dly.rate <= 0:
-            return dly.tau0, 0.0
-        t_sat = (dly.M - dly.tau0) / dly.rate
-        if t < t_sat:
-            return dly.tau0 + dly.rate * t, dly.rate
-        return dly.M, 0.0
+    if not (t >= 0 if scalar else np.all(t >= 0)):
+        raise ConfigurationError(f"tau_at requires t >= 0, got {t if scalar else t[~(t >= 0)][0]}")
     if dly.form == "sinusoidal":
         # anchored so tau(0) = tau0 for every phase
-        s = math.sin(dly.frequency * t + dly.phase) - math.sin(dly.phase)
-        tau = dly.tau0 + dly.amplitude * s
-        tau_dot = dly.amplitude * dly.frequency * math.cos(dly.frequency * t + dly.phase)
-        return tau, tau_dot
-    raise ConfigurationError(f"unknown delay form {dly.form!r}")
+        arg = dly.frequency * t + dly.phase
+        tau = dly.tau0 + dly.amplitude * (np.sin(arg) - np.sin(dly.phase))
+        tau_dot = dly.amplitude * dly.frequency * np.cos(arg)
+    elif dly.form == "affine" and dly.rate > 0:
+        rising = t < (dly.M - dly.tau0) / dly.rate
+        tau = np.where(rising, dly.tau0 + dly.rate * t, dly.M)
+        tau_dot = np.where(rising, dly.rate, 0.0)
+    else:   # constant, or affine with rate 0
+        return (dly.tau0, 0.0) if scalar else (np.full(t.shape, dly.tau0), np.zeros(t.shape))
+    return (float(tau), float(tau_dot)) if scalar else (tau, tau_dot)
 
 
 def _reaches(lo: float, hi: float, c: float) -> bool:
@@ -151,13 +151,12 @@ def _reaches(lo: float, hi: float, c: float) -> bool:
 def _tau_extremes(dly: DelaySpec, horizon: float) -> tuple[float, float, float]:
     """(min tau, max tau, max tau') over [0, horizon], in closed form.
 
-    The endpoints come from `tau_at`.  The affine law is monotone and its
-    slope steps down to 0 at saturation, so the endpoints hold every
+    The endpoints come from one `tau_at` call.  The affine law is monotone
+    and its slope steps down to 0 at saturation, so the endpoints hold every
     extreme.  The sinusoid adds the interior crests and troughs of sin
     (tau) and cos (tau') as +-1.
     """
-    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, 0.0), tau_at(dly, horizon)
-    taus, dots = [tau_a, tau_b], [dot_a, dot_b]
+    taus, dots = (v.tolist() for v in tau_at(dly, np.array([0.0, horizon])))
     if dly.form == "sinusoidal":
         A, w, ph = dly.amplitude, dly.frequency, dly.phase
         lo, hi = sorted((ph, w * horizon + ph))

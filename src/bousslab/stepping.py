@@ -6,8 +6,8 @@ per run and the delayed boundary datum enters as an explicit source vector
 evaluated at t + theta*dt.  Every delayed value the coming steps need is
 then already in the history (the method of steps), so the steps go in
 blocks, and a block's steps in runs: one history query for a run's
-sources, per step one matvec and one banded solve, and one history extend
-by the run's traces.  The history line is causal, so a run goes on while
+sources, per step one banded solve, and one trace product and one history
+extend per run.  The history line is causal, so a run goes on while
 the next query point is at or before the newest sample pushed: a delay of
 many steps makes a block one run, and one shorter than (1 + theta) dt
 makes every run one step.  A block first drops the history before the
@@ -194,9 +194,7 @@ class Stepper:
         self.dly = dly
         self.forcing = forcing
         n = ops.grid.n
-        I = sp.identity(2 * n, format="csr")
-        self._lu = BandedLU(I - cfg.theta * cfg.dt * ops.A)
-        self._M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
+        self._lu = BandedLU(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A)
         # the source per unit delayed trace: B's column on the eta rows
         self._delay_source = np.zeros(2 * n)
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
@@ -218,25 +216,26 @@ class Stepper:
             return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
         return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
 
-    def _solve_step(self, u: np.ndarray, base: np.ndarray, t: float) -> np.ndarray:
-        """The state one dt after u (at time t), given its explicit part
-        base = M2 u + dt (sources): one banded solve.
+    def _solve_step(self, u: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
+        """The state one dt after u (at time t), given rhs = u + theta dt
+        (sources): one banded solve, as with N = I - theta dt A the scheme's
+        N^-1 ((I + (1 - theta) dt A) u + dt (sources)) is (N^-1 rhs - (1 - theta) u) / theta.
 
         Nonlinear steps iterate Picard, one right-hand side per solve: N(u_0)
-        serves the explicit (1 - theta) term and u_1, then each increment
+        serves the explicit (1 - theta) term and u_1, folded from
+        rhs + theta dt N(u_0) the same way, then each increment
         d_k = u_{k+1} - u_k = theta dt LU^-1 (N(u_k) - N(u_{k-1})) comes from
         d_{k-1} and the midpoint fields, so its roundoff scales with |d_k|.
         They stop once Banach's bound q/(1-q) |d_k| <= _PICARD_TOL |u_{k+1}|
         holds, q = |d_k| / |d_{k-1}|.  q >= 1 (no contraction), a non-finite
         iterate or _PICARD_ITERS solves raise NonlinearDivergenceError."""
-        if not self.cfg.nonlinear:
-            return self._lu.solve(base)
         dt, theta = self.cfg.dt, self.cfg.theta
-        F = (self._G @ u).reshape(6, -1)
-        rhs = self._nonlinear_rhs(F)
-        if theta < 1.0:
-            base = base + (1.0 - theta) * dt * rhs
-        u_new = self._lu.solve(base + theta * dt * rhs)
+        if self.cfg.nonlinear:
+            F = (self._G @ u).reshape(6, -1)
+            rhs = rhs + theta * dt * self._nonlinear_rhs(F)
+        u_new = (self._lu.solve(rhs) - (1.0 - theta) * u) / theta
+        if not self.cfg.nonlinear:
+            return u_new
         d = u_new - u
         delta = np.linalg.norm(d)
         self._solves += 1
@@ -273,8 +272,7 @@ class Stepper:
         times[0] = t
         times = np.cumsum(times)
         t_eval = times[:-1] + self.cfg.theta * dt
-        queries = t_eval - np.array([tau_at(self.dly, s)[0] for s in t_eval.tolist()])
-        return times, queries
+        return times, t_eval - tau_at(self.dly, t_eval)[0]
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
                queries: np.ndarray, out: np.ndarray) -> None:
@@ -283,9 +281,10 @@ class Stepper:
         before queries[0], the earliest point the block reads: with tau' < 1
         and theta <= 1 the later query points and the rows' window starts
         times[1:] - tau lie after it.  A run's delayed traces come from one
-        `HistoryLine.query`, then per step one matvec and one banded solve
-        (Picard for the nonlinear terms), and one `HistoryLine.extend` by the
-        run's traces; a run goes on while the next step's query point is at or
+        `HistoryLine.query`, then per step one banded solve (Picard for the
+        nonlinear terms, `_solve_step`), and after the run its traces from
+        one `trace_eta_xx_L` of its states and one `HistoryLine.extend`; a
+        run goes on while the next step's query point is at or
         before the newest sample pushed (a NaN point ends it), so a delay of
         many steps makes one run of the block.  A step that fails raises its
         error after the steps before it are in out and in the history, and
@@ -296,35 +295,32 @@ class Stepper:
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
         history.drop_before(queries[0])
-        traces = np.empty(K)
         done = 0
         self._tally = [(self._solves, self._rhs_evals, self._q_max)]
         while done < K:
             start, end = done, done + 1
             while end < K and queries[end] <= times[done]:
                 end += 1
-            try:
-                with np.errstate(all="ignore"):
-                    # dt b = dt (delayed trace * B's column + forcing), one row per step
+            with np.errstate(all="ignore"):
+                try:
+                    # b = delayed trace * B's column + forcing, one row per step
                     b = np.multiply.outer(history.query(queries[start:end]), self._delay_source)
-                    if self.forcing is None:
-                        b *= dt
-                    for k, row in zip(range(start, end), b):
-                        if self.forcing is not None:
+                    if self.forcing is not None:
+                        for k, row in zip(range(start, end), b):
                             f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
                             row[0::2] += f1
                             row[1::2] += f2
-                            row *= dt
-                        base = self._M2 @ u
-                        base += row
-                        u = self._solve_step(u, base, times[k])
+                    b *= theta * dt
+                    for k, row in zip(range(start, end), b):
+                        row += u
+                        u = self._solve_step(u, row, times[k])
                         self._steps_done += 1
                         self._tally.append((self._solves, self._rhs_evals, self._q_max))
                         out[k] = u
-                        traces[k] = trace_eta_xx_L(u[0::2], self.ops.grid)
                         done += 1
-            finally:
-                history.extend(times[start + 1:done + 1], traces[start:done])
+                finally:
+                    traces = trace_eta_xx_L(out[start:done, 0::2], self.ops.grid)
+                    history.extend(times[start + 1:done + 1], traces)
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
@@ -363,7 +359,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     and its first row is `energy_sample(s0)`, bit for bit.  It advances in blocks of _BLOCK steps
     (`Stepper._plan`): the block drops the history before its first query
     point, then takes its steps in runs, each with one history query for its
-    delayed sources and one history extend by its traces (`Stepper._block`).
+    delayed sources, one banded solve per step, and one trace product and
+    one history extend by its traces (`Stepper._block`).
     One monitor pass (`energy_rows`) records the rows of the block at its
     end, or at the step that fails; as no stored interval of the line
     changes, the rows, traces and stored fields are those steps one at a
@@ -409,7 +406,6 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         # one column per monitor row, its entries in CSV_COLUMNS order: E is
         # entry 1, the two traces entries 5 and 6
         table = np.empty((len(CSV_COLUMNS), n_steps + 1))
-        tau_dot = np.empty(n_steps + 1)
         states = np.empty((n_steps + 1, s0.u.size)) if store_fields else None
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(
@@ -417,8 +413,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     stepper = Stepper(ops, cfg, p, dly)
 
     def record(rows: slice, U, t) -> None:
-        tau, tau_dot[rows] = np.array([tau_at(dly, s) for s in t.tolist()]).T
-        table[:, rows] = energy_rows(U, t, tau, history, p, ops.grid, mu1, mu2)
+        table[:, rows] = energy_rows(U, t, tau_at(dly, t)[0], history, p, ops.grid, mu1, mu2)
 
     record(slice(0, 1), s0.u[None], np.array([s0.t]))
     if states is not None:
@@ -468,10 +463,11 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row and
     # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)
     q = table[5:, :rows]
+    tau_dot = tau_at(dly, table[0, :rows])[1]
     return RunReport(
         **dict(zip(CSV_COLUMNS, table[:, :rows])),
         dissipation_rhs=(0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0)
-                         + 0.5 * abs(p.beta) * (tau_dot[:rows] - dly.d) * q[1] ** 2),
+                         + 0.5 * abs(p.beta) * (tau_dot - dly.d) * q[1] ** 2),
         fields_eta=None if states is None else states[:rows, 0::2],
         fields_omega=None if states is None else states[:rows, 1::2],
         termination=termination,

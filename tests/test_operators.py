@@ -224,6 +224,22 @@ def test_trace_examples():
     assert abs(bl.trace_eta_xx_L(s, g) - 2 * np.pi ** 2) < 1e-2
 
 
+@pytest.mark.parametrize("K", [1, 3, 257])
+def test_trace_of_a_stack_is_each_row_alone(K):
+    # one fixed-order three-term sum: each row of a (K, n) stack, strided
+    # views of interleaved states included, gets the bits it gets alone
+    g = bl.Grid(n=40, L=L)
+    u = np.random.default_rng(K).standard_normal((K, 2 * g.n))
+    for eta in (u[:, 0::2], u[:, 1::2], u[:, 0::2].copy()):
+        stacked = bl.trace_eta_xx_L(eta, g)
+        assert stacked.shape == (K,)
+        alone = [bl.trace_eta_xx_L(row, g) for row in eta]
+        assert all(isinstance(x, float) for x in alone)
+        assert np.array_equal(stacked, alone)
+    with pytest.raises(bl.ConfigurationError, match="state length 41"):
+        bl.trace_eta_xx_L(np.zeros((K, 41)), g)
+
+
 def test_trace_second_order():
     errs = []
     for n in (32, 65, 131):

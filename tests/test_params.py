@@ -80,6 +80,39 @@ def test_tau_at_nan_time_rejected(form):
         bl.tau_at(bl.DelaySpec(form=form), float("nan"))
 
 
+_LAWS = {
+    "constant": dict(form="constant", tau0=0.5, M=0.5),
+    # saturates at t = (M - tau0) / rate = 10, a sampled time
+    "affine": dict(form="affine", tau0=0.3, M=0.8, d=0.1, rate=0.05),
+    "sinusoidal": dict(form="sinusoidal", tau0=0.5, M=0.7, d=0.2, amplitude=0.1,
+                       frequency=2.0, phase=-math.pi / 2),
+}
+
+
+@pytest.mark.parametrize("form", list(_LAWS))
+def test_tau_at_on_arrays_is_the_scalar_calls_bit_for_bit(form):
+    # floats and arrays take one arithmetic (np.sin and np.cos for the
+    # sinusoid on both), so every entry is its scalar call's, bit for bit,
+    # for every shape
+    dly = bl.DelaySpec(**_LAWS[form])
+    ts = np.concatenate(([0.0, 10.0], np.random.default_rng(3).uniform(0.0, 30.0, 255)))
+    for t in (ts[:1], ts[:3], ts, ts[1:].reshape(16, -1)):
+        tau, dot = bl.tau_at(dly, t)
+        assert tau.shape == dot.shape == t.shape
+        scalar = np.array([bl.tau_at(dly, x) for x in t.ravel().tolist()]).T
+        assert np.array_equal(tau.ravel(), scalar[0])
+        assert np.array_equal(dot.ravel(), scalar[1])
+    assert bl.tau_at(dly, 0.0)[0] == dly.tau0
+    assert all(type(x) is float for x in bl.tau_at(dly, 2.5))
+
+
+@pytest.mark.parametrize("form", list(_LAWS))
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
+def test_tau_at_refuses_an_array_with_a_negative_or_nan_time(form, bad):
+    with pytest.raises(ConfigurationError, match=r"requires t >= 0, got (-|nan)"):
+        bl.tau_at(bl.DelaySpec(**_LAWS[form]), np.array([0.0, 1.0, bad, 2.0]))
+
+
 @pytest.mark.parametrize("form,kwargs", [
     ("constant", {}),
     ("affine", dict(rate=0.05, M=1.0, d=0.1)),
@@ -93,7 +126,7 @@ def test_accepted_delay_sampled_bounds(form, kwargs):
     rep = bl.validate_params(bl.SystemParams(), dly)
     assert rep.ok, str(rep)
     ts = np.linspace(0.0, 100.0, 10_000)
-    taus = np.array([bl.tau_at(dly, float(t))[0] for t in ts])
+    taus = bl.tau_at(dly, ts)[0]
     assert taus.min() >= dly.tau0 * (1 - 1e-12)
     assert taus.max() <= dly.M * (1 + 1e-12)
 
@@ -144,7 +177,7 @@ def test_closed_form_extremes_bound_dense_sampling(seed):
         horizon = float(rng.uniform(0.0, 20.0))
         tmin, tmax, dotmax = _tau_extremes(dly, horizon)
         ts = np.linspace(0.0, horizon, 10_001)
-        taus, dots = np.array([bl.tau_at(dly, float(t)) for t in ts]).T
+        taus, dots = bl.tau_at(dly, ts)
         step = horizon / 10_000
         if dly.form == "affine":
             # monotone, with a slope that only steps down: the end samples

@@ -245,15 +245,16 @@ def test_run_refuses_a_history_that_does_not_end_at_the_state_time():
 
 @pytest.mark.parametrize("beta", [0.0, 5e-4])
 def test_run_computes_each_trace_once(monkeypatch, beta):
-    # one push per step; the monitor rows read both traces from the history
-    # as given: trace_now is the trace of each stepped state, and at the
-    # hand-built start, whose newest sample is not its trace, the history's
-    # value at t
+    # one trace product per run of steps (a delay of many steps makes the
+    # ten steps one run), over the run's stacked states; the monitor rows
+    # read both traces from the history as given: trace_now is the trace of
+    # each stepped state, and at the hand-built start, whose newest sample
+    # is not its trace, the history's value at t
     p, dly, g, ops = _setup(n=16, beta=beta)
-    real, calls = bl.trace_eta_xx_L, [0]
+    real, calls = bl.trace_eta_xx_L, []
 
     def counting(eta, grid):
-        calls[0] += 1
+        calls.append(np.shape(eta))
         return real(eta, grid)
 
     for name, mod in list(sys.modules.items()):
@@ -262,7 +263,7 @@ def test_run_computes_each_trace_once(monkeypatch, beta):
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     s0 = _random_state(g, dly, np.random.default_rng(13), scale=0.01)
     rep = bl.run(s0, 0.01, cfg, p, dly, ops, store_fields=True)
-    assert rep.n_rows == 11 and calls[0] == 10
+    assert rep.n_rows == 11 and calls == [(10, g.n)]
     assert np.array_equal(rep.trace_now[1:], [real(e, g) for e in rep.fields_eta[1:]])
     assert rep.trace_now[0] == s0.history.query(0.0) != real(s0.eta, g)
 
@@ -279,12 +280,15 @@ def test_state_fields_are_views_of_u():
         assert np.array_equal(state.u[1::2], state.omega)
 
 
-def _oracle_step(stepper, lu, M2, state, hist, grid):
+def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     """The step as it was before SimState held u: interleave both fields
-    through index arrays, matvec, banded solve (Picard for the nonlinear
+    through index arrays, banded solve of the folded right-hand side u +
+    theta dt b, then (x - (1 - theta) u) / theta (Picard for the nonlinear
     terms on increments, at most 30 solves, stopped from the second solve on
     once Banach's bound q/(1-q) |d_k| <= 1e-12 |u_{k+1}| holds), split into
-    copies.  Returns (t, eta, omega); pushes the new trace onto `hist`."""
+    copies.  Given M2 = I + (1 - theta) dt A, the first solve is the
+    unfolded N^-1 (M2 u + dt b) instead.  Returns (t, eta, omega); pushes
+    the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
     ie = 2 * np.arange(n)
@@ -296,14 +300,21 @@ def _oracle_step(stepper, lu, M2, state, hist, grid):
     b = np.zeros(2 * n)
     tau, _ = bl.tau_at(dly, t_eval)
     b[ie] = -p.beta * stepper.ops.omega_s_influence * hist.query(t_eval - tau)
-    base = M2 @ u + cfg.dt * b
-    if not cfg.nonlinear:
-        u_new = lu.solve(base)
-    else:
+    if cfg.nonlinear:
         F = (stepper._G @ u).reshape(6, -1)
         rhs = stepper._nonlinear_rhs(F)
-        base = base + (1.0 - cfg.theta) * cfg.dt * rhs
-        u_new = lu.solve(base + cfg.theta * cfg.dt * rhs)
+    if M2 is not None:
+        base = M2 @ u + cfg.dt * b
+        if cfg.nonlinear:
+            base = base + (1.0 - cfg.theta) * cfg.dt * rhs
+            base = base + cfg.theta * cfg.dt * rhs
+        u_new = lu.solve(base)
+    else:
+        base = cfg.theta * cfg.dt * b + u
+        if cfg.nonlinear:
+            base = base + cfg.theta * cfg.dt * rhs
+        u_new = (lu.solve(base) - (1.0 - cfg.theta) * u) / cfg.theta
+    if cfg.nonlinear:
         d = u_new - u
         deltas = [float(np.linalg.norm(d))]
         for _ in range(29):
@@ -344,23 +355,22 @@ def _oracle_setup(nonlinear, n, amp):
 
 # the nonlinear cases: small data, where every step stops at its second
 # iterate, and amplitude 1, where q reaches about 0.05 and steps take more
-@pytest.mark.parametrize("nonlinear, n, steps, amp", [
+_ORACLE_CASES = pytest.mark.parametrize("nonlinear, n, steps, amp", [
     pytest.param(False, 64, 50, 1.0, id="False-64-50"),
     pytest.param(True, 50, 20, 1e-3, id="True-50-20"),
     pytest.param(True, 50, 20, 1.0, id="True-50-20-amp1")])
+
+
+@_ORACLE_CASES
 def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
-    dt = cfg.dt
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
     stepper = Stepper(ops, cfg, p, dly)
-    A = ops.A
-    I = sp.identity(2 * n, format="csr")
-    lu = BandedLU(I - cfg.theta * dt * A)
-    M2 = I + (1.0 - cfg.theta) * dt * A
+    lu = BandedLU(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A)
     for _ in range(steps):
         state = stepper.step(state)
-        oracle = _oracle_step(stepper, lu, M2, oracle, hist, g)
+        oracle = _oracle_step(stepper, lu, oracle, hist, g)
         assert state.t == oracle[0]
         assert np.array_equal(state.eta, oracle[1])
         assert np.array_equal(state.omega, oracle[2])
@@ -371,18 +381,42 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     assert np.array_equal(state.history._v, hist._v[-n_kept:])
 
 
+@_ORACLE_CASES
+def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp):
+    # N^-1 M2 = (N^-1 - (1 - theta) I) / theta with N = I - theta dt A and
+    # M2 = I + (1 - theta) dt A: the stepper's one solve per step stays
+    # within roundoff of the unfolded N^-1 (M2 u + dt b) (6e-12 to 8e-12 of
+    # max |u| on these cases), each stepping its own history
+    p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
+    oracle = (state.t, state.eta.copy(), state.omega.copy())
+    hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
+    stepper = Stepper(ops, cfg, p, dly)
+    I = sp.identity(2 * n, format="csr")
+    lu = BandedLU(I - cfg.theta * cfg.dt * ops.A)
+    M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
+    for _ in range(steps):
+        state = stepper.step(state)
+        oracle = _oracle_step(stepper, lu, oracle, hist, g, M2)
+        assert state.t == oracle[0]
+        bound = 1e-10 * np.abs(state.u).max()
+        assert np.abs(state.eta - oracle[1]).max() <= bound
+        assert np.abs(state.omega - oracle[2]).max() <= bound
+
+
 def _iterates_per_step(monkeypatch):
     """Record, per step of any Stepper, its Picard iterates u_0 (the state),
-    u_1, ... and increments d_0 = u_1 - u_0, d_1, ...: the first solve gives
-    u_1, each later one the increment, and the iterates are running sums."""
+    u_1, ... and increments d_0 = u_1 - u_0, d_1, ...: the first solve x
+    gives u_1 = (x - (1 - theta) u_0) / theta, each later one the
+    increment, and the iterates are running sums."""
     steps, real, real_solve = [], Stepper._solve_step, BandedLU.solve
+    theta = []
 
     def solve(self, rhs):
         out = real_solve(self, rhs)
         us, ds = steps[-1]
         if len(us) == 1:
-            us.append(out.copy())
-            ds.append(out - us[0])
+            us.append((out - (1.0 - theta[-1]) * us[0]) / theta[-1])
+            ds.append(us[1] - us[0])
         else:
             ds.append(out.copy())
             us.append(us[-1] + out)
@@ -390,6 +424,7 @@ def _iterates_per_step(monkeypatch):
 
     def step(self, u, *args):
         steps.append(([u.copy()], []))
+        theta.append(self.cfg.theta)
         return real(self, u, *args)
 
     monkeypatch.setattr(BandedLU, "solve", solve)
