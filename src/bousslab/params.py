@@ -127,7 +127,7 @@ def tau_at(dly: DelaySpec, t):
     both paths).  A negative or NaN time anywhere raises ConfigurationError."""
     scalar = not isinstance(t, np.ndarray)
     # written so that a NaN fails it
-    if not (t >= 0 if scalar else np.all(t >= 0)):
+    if not (t >= 0 if scalar else (t >= 0).all()):
         raise ConfigurationError(f"tau_at requires t >= 0, got {t if scalar else t[~(t >= 0)][0]}")
     if dly.form == "sinusoidal":
         # anchored so tau(0) = tau0 for every phase
@@ -151,12 +151,13 @@ def _reaches(lo: float, hi: float, c: float) -> bool:
 def _tau_extremes(dly: DelaySpec, horizon: float) -> tuple[float, float, float]:
     """(min tau, max tau, max tau') over [0, horizon], in closed form.
 
-    The endpoints come from one `tau_at` call.  The affine law is monotone
-    and its slope steps down to 0 at saturation, so the endpoints hold every
+    The endpoints come from `tau_at`.  The affine law is monotone and its
+    slope steps down to 0 at saturation, so the endpoints hold every
     extreme.  The sinusoid adds the interior crests and troughs of sin
     (tau) and cos (tau') as +-1.
     """
-    taus, dots = (v.tolist() for v in tau_at(dly, np.array([0.0, horizon])))
+    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, 0.0), tau_at(dly, horizon)
+    taus, dots = [tau_a, tau_b], [dot_a, dot_b]
     if dly.form == "sinusoidal":
         A, w, ph = dly.amplitude, dly.frequency, dly.phase
         lo, hi = sorted((ph, w * horizon + ph))
