@@ -6,7 +6,9 @@ buffer of (time, trace) samples and interpolate.  The line is causal, as a
 method-of-steps solver keeps the continuous extension of each accepted step:
 a sample's slope is fixed when it is pushed, so the interpolant over a
 window does not change while the window stays in the span.  It keeps every
-sample until its owner drops the past (`HistoryLine.drop_before`).  The
+sample until its owner drops the past (`HistoryLine.drop_before`), takes
+all but a fresh line's first two samples through `HistoryLine.extend`, and
+finds the intervals of both reads by `HistoryLine._locate`.  The
 substitution s = t - tau rho turns the monitors' rho integrals of z^2 into
 exact integrals of the interpolant's square over [t - tau, t]
 (`HistoryLine.square_integrals`).  The transport equation is retained as a
@@ -102,11 +104,11 @@ class HistoryLine:
     end slope of the parabola through it and its two predecessors, stored
     once, so no interval changes after a later push or a drop.  A fresh
     line's first two samples get the slopes of the parabola through its
-    first three (the secant on a line of two).  The interpolant is C^1,
-    exact on quadratics and linear in the data, which makes simulations
-    superpose; it is not monotone.  Each interval caches its cubic
-    coefficients.  Queries at stored sample times return the stored values
-    exactly.
+    first three (the secant on a line of two), the others one `extend`.
+    The interpolant is C^1, exact on quadratics and linear in the data,
+    which makes simulations superpose; it is not monotone.  Each interval
+    caches its cubic coefficients.  Queries at stored sample times return
+    the stored values exactly.
     """
 
     def __init__(self, times, values):
@@ -123,15 +125,20 @@ class HistoryLine:
                     f"non-finite history sample {what} {arr[bad[0]]} at index {bad[0]}")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("history sample times must be strictly increasing")
-        n = times.size
         # rows: time, value, slope, and the s^2 and s^3 coefficients of the
         # interval that starts at the sample (zero at the newest one, so a
         # query at its time evaluates to the stored value); live samples are
         # columns [lo, hi)
-        self._buf = np.zeros((5, max(2 * n, 64)))
-        self._buf[:2, :n] = times, values
-        self._lo, self._hi = 0, n
-        self._start()
+        self._buf = buf = np.zeros((5, max(2 * times.size, 64)))
+        self._lo, self._hi = 0, 2
+        # the first two samples and interval 0; the rest as pushed samples
+        buf[:2, :2] = times[:2], values[:2]
+        with np.errstate(all="ignore"):
+            h, d = _secants(times[:3], values[:3])
+            m = (d[0], d[0]) if h.size == 1 else (_end_slope(*h, *d), _interior_slope(*h, *d))
+            buf[2, :2] = m
+            buf[3:, 0] = _cubic_coeffs(h[0], d[0], *m)
+        self.extend(times[2:], values[2:])
 
     def copy(self) -> HistoryLine:
         """An independent line with the same samples (one buffer copy)."""
@@ -165,38 +172,15 @@ class HistoryLine:
     def size(self) -> int:
         return self._hi - self._lo
 
-    def _start(self) -> None:
-        """The slopes and coefficients of a fresh line, columns [0, hi)."""
-        t, v, m = self._buf[:3, :self._hi]
-        with np.errstate(all="ignore"):
-            h, d = _secants(t, v)
-            if h.size == 1:
-                m[:] = d[0]
-            else:
-                m[:2] = _end_slope(h[0], h[1], d[0], d[1]), _interior_slope(h[0], h[1], d[0], d[1])
-                m[2:] = _end_slope(h[1:], h[:-1], d[1:], d[:-1])
-            self._buf[3:, :self._hi - 1] = _cubic_coeffs(h, d, m[:-1], m[1:])
-
-    def _refresh(self, j: int, k: int) -> None:
-        """Set the causal slopes of columns [j, k), j >= lo + 2, each from
-        its sample and the two before it, and the coefficients of the
-        intervals that end at them.  A pushed inf or NaN spreads without a
-        warning, as on floats."""
-        buf = self._buf
-        with np.errstate(all="ignore"):
-            h, d = _secants(*buf[:2, j - 2:k])
-            buf[2, j:k] = m = _end_slope(h[1:], h[:-1], d[1:], d[:-1])
-            buf[3:, j - 1:k - 1] = _cubic_coeffs(h[1:], d[1:], buf[2, j - 1:k - 1], m)
-
     def push(self, t: float, v: float) -> None:
         """Append a sample (an `extend` by one)."""
         self.extend(np.array([t], dtype=float), np.array([v], dtype=float))
 
     def extend(self, times, values) -> None:
         """Append samples at increasing finite times after t_last, one value
-        per time.  The stored samples keep their slopes, so K pushes leave
-        the same line, bit for bit.  A refused extend leaves the line as it
-        was."""
+        per time, each with the end slope of the parabola through it and its
+        two predecessors; the stored samples keep theirs, so K pushes leave
+        the same line, bit for bit.  A refused extend leaves the line as it was."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if times.shape != values.shape:
@@ -221,12 +205,17 @@ class HistoryLine:
             buf = np.empty((5, max(self._buf.shape[1], 4 * n, n + K)))
             buf[:, :n] = self._buf[:, self._lo:self._hi]
             self._buf, self._lo, self._hi = buf, 0, n
-        buf, h0 = self._buf, self._hi
-        self._hi += K
-        buf[0, h0:self._hi] = times
-        buf[1, h0:self._hi] = values
-        buf[3:, self._hi - 1] = 0.0
-        self._refresh(h0, self._hi)
+        buf, j = self._buf, self._hi
+        self._hi = k = j + K
+        buf[0, j:k] = times
+        buf[1, j:k] = values
+        buf[3:, k - 1] = 0.0
+        # the new slopes and the cubics of the intervals that end at them; a
+        # pushed inf or NaN spreads without a warning, as on floats
+        with np.errstate(all="ignore"):
+            h, d = _secants(*buf[:2, j - 2:k])
+            buf[2, j:k] = m = _end_slope(h[1:], h[:-1], d[1:], d[:-1])
+            buf[3:, j - 1:k - 1] = _cubic_coeffs(h[1:], d[1:], buf[2, j - 1:k - 1], m)
 
     def drop_before(self, t: float) -> None:
         """Drop the samples before the last one at or before t (none for a
@@ -240,32 +229,38 @@ class HistoryLine:
     # -- queries ------------------------------------------------------------
 
     def query(self, t) -> np.ndarray | float:
-        """Interpolated trace at time(s) t, which must lie in the stored span;
-        each point, in any order of the points, gets the bits it gets alone."""
-        buf, lo, hi = self._buf, self._lo, self._hi
-        t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
+        """Interpolated trace at time(s) t, which must lie in the stored span
+        (`_locate`); each point, in any order of the points, gets the bits it
+        gets alone, and no points give an empty array."""
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.size == 0:
-            return np.empty(t_arr.shape)
-        t_min, t_max = t_arr.min(), t_arr.max()
-        # written so that a NaN fails it
-        if not (t_min >= t_first - 1e-14 and t_max <= t_last + 1e-14):
-            raise HistoryUnderrunError(
-                f"query in [{t_min}, {t_max}] outside stored span [{t_first}, {t_last}]")
-        # the column is the number of knots after the first at or before q:
-        # q = t_last picks the newest sample itself, evaluated at s = 0
-        knots = buf[0, lo + 1:hi]
-        q = np.minimum(np.maximum(t_arr, t_first), t_last)
-        idx = knots.searchsorted(q, "right")
-        t0, v0, m0, a2, a3 = np.take(buf[:5], lo + idx, axis=1)
+        cols, q = self._locate(t_arr, "query")
+        t0, v0, m0, a2, a3 = np.take(self._buf[:5], cols, axis=1)
         out = _hermite(q - t0, v0, m0, a2, a3)
         return float(out) if t_arr.ndim == 0 else out
+
+    def _locate(self, points: np.ndarray, what: str):
+        """(cols, clamped) of points checked against the stored span (to
+        1e-14; a NaN fails, `what` names the read), clamped into it, and the
+        buffer columns of the intervals that hold them."""
+        buf, lo, hi = self._buf, self._lo, self._hi
+        t_first, t_last = buf.item(0, lo), buf.item(0, hi - 1)
+        p_min, p_max = points.min(initial=np.inf), points.max(initial=-np.inf)
+        # written so that a NaN fails it
+        if not (p_min >= t_first - 1e-14 and p_max <= t_last + 1e-14):
+            raise HistoryUnderrunError(
+                f"{what} in [{p_min}, {p_max}] outside stored span [{t_first}, {t_last}]")
+        clamped = np.minimum(np.maximum(points, t_first), t_last)
+        # the column is lo plus the number of knots after the first at or
+        # before the point: t_last picks the newest sample itself, read at s = 0
+        return lo + buf[0, lo + 1:hi].searchsorted(clamped, "right"), clamped
 
     def square_integrals(self, a, b):
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
-        arrays a and b of one shape (floats for floats); q(a) and q(b) are
-        the values `query` returns, bit for bit.
+        arrays a and b of one shape (floats for floats; four empty arrays for
+        no windows); q(a) and q(b) are the values `query` returns, bit for
+        bit.  An end outside the span, or NaN, is a HistoryUnderrunError
+        (`_locate`), and then a window with a > b a ConfigurationError.
 
         The integrals are exact up to roundoff: the partial interval at a,
         re-expanded about a, the one at b and the whole intervals between
@@ -280,11 +275,14 @@ class HistoryLine:
         if a.shape != b.shape:
             raise ConfigurationError(f"integrals over {a.size} window starts and {b.size} ends")
         n = a.size
-        buf, lo, hi = self._buf, self._lo, self._hi
-        # the ends a then b, clamped into the span, the columns of the
-        # intervals holding them, as in `query`, and their cubics
-        ends = self._clamped_windows(a, b)
-        cols = lo + buf[0, lo + 1:hi].searchsorted(ends, "right")
+        # the columns of the ends a then b, clamped into the span, and their cubics
+        cols, ends = self._locate(np.concatenate((a, b)), "integral")
+        if not (a <= b).all():
+            j = np.flatnonzero(~(a <= b))[0]
+            raise ConfigurationError(f"integral over [{a[j]}, {b[j]}] has a > b")
+        if n == 0:
+            return tuple(np.empty(a.shape) for _ in range(4))
+        buf = self._buf
         ts, vs, ms, a2s, a3s = buf[:5, cols]
         x = ends - ts
         i, k = cols[:n], cols[n:]
@@ -315,20 +313,6 @@ class HistoryLine:
         if scalar:
             return float(qa[0]), float(qb[0]), float(i0[0]), float(i1[0])
         return qa, qb, i0, i1
-
-    def _clamped_windows(self, a, b):
-        """The ends a then b of windows [a, b], checked against the stored
-        span (to 1e-14) and clamped into it, in one array."""
-        t_first, t_last = self.t_first, self.t_last
-        # written so that a NaN fails it
-        if not ((a >= t_first - 1e-14) & (b <= t_last + 1e-14)).all():
-            j = np.flatnonzero(~((a >= t_first - 1e-14) & (b <= t_last + 1e-14)))[0]
-            raise HistoryUnderrunError(
-                f"integral over [{a[j]}, {b[j]}] outside stored span [{t_first}, {t_last}]")
-        if not (a <= b).all():
-            j = np.flatnonzero(~(a <= b))[0]
-            raise ConfigurationError(f"integral over [{a[j]}, {b[j]}] has a > b")
-        return np.minimum(np.maximum(np.concatenate((a, b)), t_first), t_last)
 
 
 # cells of one `_moment_sums` matrix: its temporaries stay near 256 KB

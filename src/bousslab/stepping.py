@@ -15,8 +15,8 @@ earliest point it reads, and `run` adds one monitor pass over its rows.
 Optional Picard iteration handles the quadratic nonlinear terms, iterating
 on increments with one right-hand side per banded solve
 (`nonlinear_matrices`).  A run logs its blocks, and a nonlinear run its
-step, solve and right-hand side counts and its largest contraction
-estimate, at DEBUG, over the rows it kept.
+step and solve counts and its largest contraction estimate, at DEBUG, over
+the rows it kept.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
 
 
-def _check_start(state: SimState, dly: DelaySpec, t_end: float) -> None:
+def _check_start(state: SimState, dly: DelaySpec, dt: float, t_end: float) -> None:
     """Refuse a state whose history has moved on or starts after its delayed
-    time t - tau(t), and a law with tau' >= 1 on [0, t_end]."""
+    time t - tau(t), and a law with tau' >= 1 or tau <= dt on [0, t_end]
+    (`_check_setup`'s 0 < dt < tau0 over the horizon)."""
     history = state.history
     if history.t_last != state.t:
         raise ConfigurationError(
@@ -150,10 +151,13 @@ def _check_start(state: SimState, dly: DelaySpec, t_end: float) -> None:
         raise ConfigurationError(
             f"the state's history starts at t={history.t_first}, after the delayed "
             f"time t - tau(t) = {delayed} of its first monitor row")
-    dot_max = _tau_extremes(dly, t_end)[2]
+    tau_min, _, dot_max = _tau_extremes(dly, t_end)
     if not dot_max < 1:   # written so that a NaN fails it
         raise ConfigurationError(f"the delay law's slope reaches max tau' = {dot_max:.6g} >= 1 "
                                  f"on [0, {t_end:.6g}]: t - tau(t) must move forward")
+    if not dt < tau_min:   # written so that a NaN fails it
+        raise ConfigurationError(f"the delay falls to min tau = {tau_min:.6g} <= dt = {dt} "
+                                 f"on [0, {t_end:.6g}]: a step must read the stored past")
 
 
 def nonlinear_matrices(n: int, h: float, p: SystemParams
@@ -200,10 +204,10 @@ class Stepper:
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
-        # counters `run` logs: steps taken, Picard solves, right-hand sides
-        # and the largest contraction estimate q of the nonlinear steps, and
-        # those three after each step of the last block
-        self._steps_done = self._solves = self._rhs_evals = 0
+        # counters `run` logs: steps taken, Picard solves (one right-hand
+        # side each) and the largest contraction estimate q of the nonlinear
+        # steps, and those two after each step of the last block
+        self._steps_done = self._solves = 0
         self._tally = []
         self._q_max = 0.0
 
@@ -211,7 +215,6 @@ class Stepper:
         """The quadratic terms N(u) from the field stack F = G u (one row per
         field) or, given Fd = G d, their increment
         N(u + d/2) - N(u - d/2) = C (F[i] Fd[j] + Fd[i] F[j])."""
-        self._rhs_evals += 1
         if Fd is None:
             return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
         return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
@@ -288,15 +291,15 @@ class Stepper:
         before the newest sample pushed (a NaN point ends it), so a delay of
         many steps makes one run of the block.  A step that fails raises its
         error after the steps before it are in out and in the history, and
-        counted by `_steps_done`; `_tally` holds the solve and right-hand
-        side counts and the largest q before the block and after each of its
-        steps.  A blow-up spreads inf and NaN without a warning, so a run can
-        stop at its first unstable row."""
+        counted by `_steps_done`; `_tally` holds the solve count and the
+        largest q before the block and after each of its steps.  A blow-up
+        spreads inf and NaN without a warning, so a run can stop at its
+        first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
         history.drop_before(queries[0])
         done = 0
-        self._tally = [(self._solves, self._rhs_evals, self._q_max)]
+        self._tally = [(self._solves, self._q_max)]
         while done < K:
             start, end = done, done + 1
             while end < K and queries[end] <= times[done]:
@@ -315,7 +318,7 @@ class Stepper:
                         row += u
                         u = self._solve_step(u, row, times[k])
                         self._steps_done += 1
-                        self._tally.append((self._solves, self._rhs_evals, self._q_max))
+                        self._tally.append((self._solves, self._q_max))
                         out[k] = u
                         done += 1
                 finally:
@@ -328,12 +331,12 @@ class Stepper:
         about max tau / dt + _BLOCK samples.  Raises ConfigurationError
         before the first step when steps is not a nonnegative integer, or,
         as `run` does, for a state whose history does not end at its time or
-        starts after its delayed time t - tau(t), or a law with tau' >= 1
-        (`_check_start`); and the NonlinearDivergenceError or NumericalError
-        of a step that fails."""
+        starts after its delayed time t - tau(t), or a law with tau' >= 1 or
+        tau <= dt on the horizon (`_check_start`); and the
+        NonlinearDivergenceError or NumericalError of a step that fails."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
-        _check_start(state, self.dly, state.t + steps * self.cfg.dt)
+        _check_start(state, self.dly, self.cfg.dt, state.t + steps * self.cfg.dt)
         t, u = state.t, state.u
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
@@ -376,17 +379,17 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     resolution of the quadrature they replace, is ignored with a
     DeprecationWarning.  The number of blocks and their shortest and mean
     length are logged at DEBUG; a blow-up steps on until its rows are
-    recorded, but these counts, and the nonlinear step, solve and right-hand
-    side counts and largest q, stop at the first unstable row.
+    recorded, but these counts, and the nonlinear step and solve counts and
+    largest q, stop at the first unstable row.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
-    when s0.history does not end at s0.t or starts after s0.t - tau(s0.t),
-    when the law's max tau' on [0, s0.t + T] is 1 or more, when T is
-    negative or not finite, when the arrays for its T / dt rows cannot be
-    allocated, when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L,
-    0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A step that
-    fails with NonlinearDivergenceError or NumericalError, or an energy that
-    blows up, ends the run early: the report keeps the rows before it and
+    when s0.history does not end at s0.t or starts after s0.t - tau(s0.t), when
+    the law's max tau' on [0, s0.t + T] is 1 or more or its min tau there is dt
+    or less, when T is negative or not finite, when the arrays for its T / dt
+    rows cannot be allocated, when the Lyapunov multipliers lie outside
+    0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A
+    step that fails with NonlinearDivergenceError or NumericalError, or an energy
+    that blows up, ends the run early: the report keeps the rows before it and
     names the cause in `termination`.
     """
     if rho_res is not None:
@@ -399,7 +402,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     if not np.all(np.isfinite(s0.u)):
         raise ConfigurationError("the initial state s0.u has non-finite values")
     check_multipliers(p, mu1, mu2)
-    _check_start(s0, dly, s0.t + T)
+    _check_start(s0, dly, cfg.dt, s0.t + T)
     history = s0.history.copy()
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:
@@ -449,7 +452,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
                      rows + kept, times[kept], termination, cause)
         # the counters stop at the last row kept
         stepper._steps_done = start + kept
-        stepper._solves, stepper._rhs_evals, stepper._q_max = stepper._tally[kept]
+        stepper._solves, stepper._q_max = stepper._tally[kept]
         lengths.append(kept)
         rows += kept
         t, u = times[K], U[K - 1].copy()
@@ -457,8 +460,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         log.debug("run: %d steps in %d blocks, shortest %d, mean length %.4g",
                   sum(lengths), len(lengths), min(lengths), np.mean(lengths))
     if cfg.nonlinear:
-        log.debug("nonlinear run: %d steps, %d solves, %d right-hand sides, largest q %.3g",
-                  stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
+        log.debug("nonlinear run: %d steps, %d solves, largest q %.3g",
+                  stepper._steps_done, stepper._solves, stepper._q_max)
 
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row and
     # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)

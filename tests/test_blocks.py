@@ -300,8 +300,7 @@ def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypat
         monkeypatch.setattr(BandedLU, "solve", counted)
         _step_by_step(s0, 1.0, cfg, p, dly, ops)
         line = next(x for x in lines if x.startswith("nonlinear run"))
-        assert line.startswith(f"nonlinear run: {steps} steps, {solves[0]} solves, "
-                               f"{solves[0]} right-hand sides, largest q ")
+        assert line.startswith(f"nonlinear run: {steps} steps, {solves[0]} solves, largest q ")
         assert float(line.rsplit(" ", 1)[1]) < 1
     else:
         # the block's 256 steps overflow
@@ -384,6 +383,42 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
             assert end.t == pytest.approx(0.4) and np.all(np.isfinite(end.u))
 
 
+@pytest.mark.parametrize("entry", ["run", "advance", "step"])
+def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
+    # tau = 0.5 + 0.49 sin t falls to 0.01 at t = 3 pi / 2, below dt = 0.02,
+    # where a step would read past the newest sample: the law's min tau over
+    # [0, t + T] is refused before any step, as the stepper refuses
+    # dt >= tau0, s0 and its line untouched (the step from t = 4.7)
+    p = bl.SystemParams(**ACC)
+    dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.49, frequency=1.0, M=1.0, d=0.5)
+    g = bl.Grid(n=32, L=p.L)
+    ops = bl.build_operators(p, g)
+    cfg = bl.StepConfig(dt=0.02, theta=bl.suggested_theta(0.02))
+    x = g.nodes
+    s0 = bl.initial_state(p, dly, g, x ** 3 * (1 - x) ** 2, x ** 2 * (1 - x) ** 2)
+    stepper = Stepper(ops, cfg, p, dly)
+    take = {"run": lambda s, T: bl.run(s, T, cfg, p, dly, ops),
+            "advance": lambda s, T: stepper.advance(s, round(T / cfg.dt)),
+            "step": lambda s, T: stepper.step(s)}[entry]
+    t_hist = np.linspace(3.7, 4.7, 51)
+    late = SimState(t=4.7, eta=s0.eta, omega=s0.omega,
+                    history=bl.HistoryLine(t_hist, np.cos(3 * t_hist)))
+    s, t_end = (late, 4.72) if entry == "step" else (s0, 6.0)
+    u, line, size = _bits(s.u).copy(), _bits(s.history._buf).copy(), s.history.size
+    with pytest.raises(ConfigurationError, match=r"delay falls to min tau = 0\.01 <= dt = 0\.02 "
+                                                 rf"on \[0, {t_end:g}\]"):
+        take(s, 6.0)
+    assert np.array_equal(_bits(s.u), u) and np.array_equal(_bits(s.history._buf), line)
+    assert s.history.size == size and stepper._steps_done == 0
+    if entry != "step":
+        # min tau = 0.5 + 0.49 sin 4 = 0.129 on [0, 4]: 200 steps go
+        end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 4.0)
+        if entry == "run":
+            assert end.termination == "completed" and end.n_rows == 201
+        else:
+            assert end.t == pytest.approx(4.0) and np.all(np.isfinite(end.u))
+
+
 def test_advance_refuses_a_state_whose_history_has_moved_on():
     # s1's line ends at 2 dt once s1 is stepped again, so a step from s1
     # would push before the newest sample: refused before any step, the
@@ -392,15 +427,15 @@ def test_advance_refuses_a_state_whose_history_has_moved_on():
     stepper = Stepper(ops, cfg, p, dly)
     s1 = stepper.step(s0)
     stepper.step(s1)
-    counters = (stepper._steps_done, stepper._solves, stepper._rhs_evals, stepper._q_max)
+    counters = (stepper._steps_done, stepper._solves, stepper._q_max)
     line = s1.history
     size, buf = line.size, _bits(line._buf[:, line._lo:line._hi]).copy()
     for take in (lambda: stepper.advance(s1, 3), lambda: stepper.step(s1)):
         with pytest.raises(ConfigurationError,
                            match=r"history ends at t=0\.004, not at its time t=0\.002"):
             take()
-        assert (stepper._steps_done, stepper._solves, stepper._rhs_evals,
-                stepper._q_max) == counters and counters[0] == 2
+        assert (stepper._steps_done, stepper._solves, stepper._q_max) == counters
+        assert counters[0] == 2
         assert line.size == size
         assert np.array_equal(_bits(line._buf[:, line._lo:line._hi]), buf)
 
@@ -427,8 +462,7 @@ def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_t
         with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
                                                      r"time t - tau\(t\) = -0\.5"):
             take()
-        assert (stepper._steps_done, stepper._solves, stepper._rhs_evals,
-                stepper._q_max) == (0, 0, 0, 0.0)
+        assert (stepper._steps_done, stepper._solves, stepper._q_max) == (0, 0, 0.0)
         assert hist.size == 2 and np.array_equal(_bits(hist._buf[:, hist._lo:hist._hi]), buf)
 
 

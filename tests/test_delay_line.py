@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +210,11 @@ def test_fresh_line_takes_the_parabola_through_its_first_three_samples():
     assert np.array_equal(two._m, [4.0, 4.0])
     two.push(1.0, 5.0)
     assert np.array_equal(two._m[:2], [4.0, 4.0])
+    # samples whose secants overflow build without a warning, as they push
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = _line([0.0, 1.0, 2.0], [-1e308, 1e308, -1e308])
+    assert huge.size == 3 and not np.isfinite(huge._m).any()
 
 
 def test_slopes_after_eviction_to_few_samples():
@@ -331,12 +338,15 @@ def _check_against_parent(h, old, rng):
         assert _bits(one) == _bits(h.query(q[k:k + 1])[0]) == _bits(got[k])
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_cached_coefficients_match_parent_line(seed):
+@pytest.mark.parametrize("seed, n0", [*((seed, None) for seed in range(8)),
+                                      (8, 2), (9, 3), (10, 4)],
+                         ids=[*map(str, range(8)), "n0=2", "n0=3", "n0=4"])
+def test_cached_coefficients_match_parent_line(seed, n0):
     # pushes, drops and buffer growth, each checked bit for bit against the
-    # line that rebuilt the coefficients on every query
+    # line that rebuilt the coefficients on every query; the lines of two to
+    # four samples read their seeded slopes next to the first pushed sample
     rng = np.random.default_rng(100 + seed)
-    n0 = int(rng.integers(2, 40))
+    n0 = n0 or int(rng.integers(2, 40))
     t = np.cumsum(rng.uniform(0.01, 0.2, n0))
     v = rng.standard_normal(n0)
     keep = float(rng.uniform(0.05, 1.0))
@@ -433,11 +443,16 @@ def test_push_keeps_a_non_finite_value():
 
 
 def test_empty_query_returns_empty_array():
+    # and integrals over no windows four empty arrays
     h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     for empty in (np.array([]), [], np.empty((0, 3))):
         out = h.query(empty)
         assert isinstance(out, np.ndarray)
         assert out.shape == np.shape(empty) and out.dtype == float
+    for empty in (np.array([]), []):
+        out = h.square_integrals(empty, empty)
+        assert len(out) == 4
+        assert all(isinstance(x, np.ndarray) and x.shape == (0,) and x.dtype == float for x in out)
 
 
 def test_rho_nodes_checked():
