@@ -257,10 +257,11 @@ class HistoryLine:
     def square_integrals(self, a, b):
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
-        arrays a and b of one shape (floats for floats; four empty arrays for
-        no windows); q(a) and q(b) are the values `query` returns, bit for
-        bit.  An end outside the span, or NaN, is a HistoryUnderrunError
-        (`_locate`), and then a window with a > b a ConfigurationError.
+        arrays a and b of one shape, each result in that shape (floats for
+        floats; four empty arrays for no windows); q(a) and q(b) are the
+        values `query` returns, bit for bit.  An end outside the span, or
+        NaN, is a HistoryUnderrunError (`_locate`), and then a window with
+        a > b a ConfigurationError.
 
         The integrals are exact up to roundoff: the partial interval at a,
         re-expanded about a, the one at b and the whole intervals between
@@ -274,6 +275,7 @@ class HistoryLine:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape != b.shape:
             raise ConfigurationError(f"integrals over {a.size} window starts and {b.size} ends")
+        shape, a, b = a.shape, a.ravel(), b.ravel()
         n = a.size
         # the columns of the ends a then b, clamped into the span, and their cubics
         cols, ends = self._locate(np.concatenate((a, b)), "integral")
@@ -281,7 +283,7 @@ class HistoryLine:
             j = np.flatnonzero(~(a <= b))[0]
             raise ConfigurationError(f"integral over [{a[j]}, {b[j]}] has a > b")
         if n == 0:
-            return tuple(np.empty(a.shape) for _ in range(4))
+            return tuple(np.empty(shape) for _ in range(4))
         buf = self._buf
         ts, vs, ms, a2s, a3s = buf[:5, cols]
         x = ends - ts
@@ -309,10 +311,10 @@ class HistoryLine:
                 s0 = _moment_sums(t, w[0], a, first - c, k - c)
                 i1 = np.where(same, i1, i1 + (s6 + s0) + r1 + (ts[n:] - a) * r0)
                 i0 = np.where(same, i0, i0 + s5 + r0)
-        qa, qb = q[:n], q[n:]
+        out = q[:n], q[n:], i0, i1
         if scalar:
-            return float(qa[0]), float(qb[0]), float(i0[0]), float(i1[0])
-        return qa, qb, i0, i1
+            return tuple(float(x[0]) for x in out)
+        return tuple(x.reshape(shape) for x in out)
 
 
 # cells of one `_moment_sums` matrix: its temporaries stay near 256 KB
@@ -359,12 +361,15 @@ def transport_residual(h: HistoryLine, dly: DelaySpec, t: float, m: int,
     """Finite-difference residual of tau z_t + (1 - tau_dot rho) z_rho = 0.
 
     Cross-check that the history reconstruction satisfies the transport
-    reformulation of the delay; max over interior rho nodes.
+    reformulation of the delay; max over interior rho nodes.  The time step
+    dt_fd defaults to tau / m; a given one must be positive and finite.
     """
     rho = _rho_nodes(m)
     tau, tau_dot = tau_at(dly, t)
     if dt_fd is None:
         dt_fd = tau / m
+    elif not 0 < dt_fd < np.inf:   # written so that a NaN fails it
+        raise ConfigurationError(f"dt_fd must be positive and finite, got {dt_fd}")
     zp = z_profile(h, dly, t + dt_fd, m)
     zm = z_profile(h, dly, t - dt_fd, m)
     z0 = z_profile(h, dly, t, m)

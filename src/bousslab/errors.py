@@ -24,14 +24,8 @@ class NonlinearDivergenceError(BousslabError):
     factor q = |d_k| / |d_{k-1}| of the increments reaches 1 (the discrete
     map does not contract, so the fixed-point argument no longer applies:
     the data have left the small-data regime), or when Banach's bound has
-    not accepted an iterate by the iteration cap.  Carries the step index
-    and time at which the run died.
+    not accepted an iterate by the iteration cap (`run` logs its step and time).
     """
-
-    def __init__(self, message, t=None, step=None):
-        super().__init__(message)
-        self.t = t
-        self.step = step
 
 
 class CertificationError(BousslabError):

@@ -148,19 +148,19 @@ def _reaches(lo: float, hi: float, c: float) -> bool:
     return (hi - c) % (2.0 * math.pi) <= hi - lo
 
 
-def _tau_extremes(dly: DelaySpec, horizon: float) -> tuple[float, float, float]:
-    """(min tau, max tau, max tau') over [0, horizon], in closed form.
+def _tau_extremes(dly: DelaySpec, t0: float, t1: float) -> tuple[float, float, float]:
+    """(min tau, max tau, max tau') over [t0, t1], 0 <= t0 <= t1, in closed form.
 
     The endpoints come from `tau_at`.  The affine law is monotone and its
     slope steps down to 0 at saturation, so the endpoints hold every
-    extreme.  The sinusoid adds the interior crests and troughs of sin
-    (tau) and cos (tau') as +-1.
+    extreme.  The sinusoid adds the crests and troughs of sin (tau) and
+    cos (tau') as +-1 that its argument reaches between w t0 + ph and w t1 + ph.
     """
-    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, 0.0), tau_at(dly, horizon)
+    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, t0), tau_at(dly, t1)
     taus, dots = [tau_a, tau_b], [dot_a, dot_b]
     if dly.form == "sinusoidal":
         A, w, ph = dly.amplitude, dly.frequency, dly.phase
-        lo, hi = sorted((ph, w * horizon + ph))
+        lo, hi = sorted((w * t0 + ph, w * t1 + ph))
         for c, s in ((0.5 * math.pi, 1.0), (-0.5 * math.pi, -1.0)):
             if _reaches(lo, hi, c):
                 taus.append(dly.tau0 + A * (s - math.sin(ph)))
@@ -247,7 +247,7 @@ def validate_params(p: SystemParams, dly: DelaySpec, horizon: float = 100.0) -> 
 
     if not 0.0 <= horizon < math.inf:
         raise ConfigurationError(f"horizon must be finite and >= 0, got {horizon}")
-    tmin, tmax, dotmax = _tau_extremes(dly, horizon)
+    tmin, tmax, dotmax = _tau_extremes(dly, 0.0, horizon)
     add("tau_floor", tmin >= dly.tau0 * (1.0 - _BOUND_TOL), "error",
         f"min tau = {tmin:.6g} vs tau0 = {dly.tau0}")
     add("tau_ceiling", tmax <= dly.M * (1.0 + _BOUND_TOL), "error",

@@ -139,8 +139,8 @@ def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -
 
 def _check_start(state: SimState, dly: DelaySpec, dt: float, t_end: float) -> None:
     """Refuse a state whose history has moved on or starts after its delayed
-    time t - tau(t), and a law with tau' >= 1 or tau <= dt on [0, t_end]
-    (`_check_setup`'s 0 < dt < tau0 over the horizon)."""
+    time t - tau(t), and a law with tau' >= 1 or tau <= dt on [t, t_end], the
+    interval its steps cover (`_check_setup`'s 0 < dt < tau0 over it)."""
     history = state.history
     if history.t_last != state.t:
         raise ConfigurationError(
@@ -151,13 +151,14 @@ def _check_start(state: SimState, dly: DelaySpec, dt: float, t_end: float) -> No
         raise ConfigurationError(
             f"the state's history starts at t={history.t_first}, after the delayed "
             f"time t - tau(t) = {delayed} of its first monitor row")
-    tau_min, _, dot_max = _tau_extremes(dly, t_end)
+    tau_min, _, dot_max = _tau_extremes(dly, state.t, t_end)
+    span = f"[{state.t:.6g}, {t_end:.6g}]"
     if not dot_max < 1:   # written so that a NaN fails it
         raise ConfigurationError(f"the delay law's slope reaches max tau' = {dot_max:.6g} >= 1 "
-                                 f"on [0, {t_end:.6g}]: t - tau(t) must move forward")
+                                 f"on {span}: t - tau(t) must move forward")
     if not dt < tau_min:   # written so that a NaN fails it
         raise ConfigurationError(f"the delay falls to min tau = {tau_min:.6g} <= dt = {dt} "
-                                 f"on [0, {t_end:.6g}]: a step must read the stored past")
+                                 f"on {span}: a step must read the stored past")
 
 
 def nonlinear_matrices(n: int, h: float, p: SystemParams
@@ -204,12 +205,9 @@ class Stepper:
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
-        # counters `run` logs: steps taken, Picard solves (one right-hand
-        # side each) and the largest contraction estimate q of the nonlinear
-        # steps, and those two after each step of the last block
-        self._steps_done = self._solves = 0
-        self._tally = []
-        self._q_max = 0.0
+        # the last block's Picard solves (one right-hand side each) and
+        # largest contraction estimate q, and both after each of its steps
+        self._solves, self._q_max, self._tally = 0, 0.0, []
 
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
         """The quadratic terms N(u) from the field stack F = G u (one row per
@@ -219,10 +217,10 @@ class Stepper:
             return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
         return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
 
-    def _solve_step(self, u: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
-        """The state one dt after u (at time t), given rhs = u + theta dt
-        (sources): one banded solve, as with N = I - theta dt A the scheme's
-        N^-1 ((I + (1 - theta) dt A) u + dt (sources)) is (N^-1 rhs - (1 - theta) u) / theta.
+    def _solve_step(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The state one dt after u, given rhs = u + theta dt (sources): one
+        banded solve, as with N = I - theta dt A the scheme's N^-1 ((I +
+        (1 - theta) dt A) u + dt (sources)) is (N^-1 rhs - (1 - theta) u) / theta.
 
         Nonlinear steps iterate Picard, one right-hand side per solve: N(u_0)
         serves the explicit (1 - theta) term and u_1, folded from
@@ -252,18 +250,15 @@ class Stepper:
             scale = np.linalg.norm(u_new)
             # a NaN or infinite entry, or a norm that overflows
             if not np.isfinite(delta + scale):
-                raise NonlinearDivergenceError(
-                    "nonlinear iterate is not finite", t=t, step=self._steps_done)
+                raise NonlinearDivergenceError("nonlinear iterate is not finite")
             q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
             self._q_max = max(self._q_max, q)
             if q >= 1:
-                raise NonlinearDivergenceError(
-                    f"Picard map does not contract: q = {q:.3g}", t=t, step=self._steps_done)
+                raise NonlinearDivergenceError(f"Picard map does not contract: q = {q:.3g}")
             if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
                 return u_new
-        raise NonlinearDivergenceError(
-            f"Picard iteration did not reach tol={_PICARD_TOL} "
-            f"within {_PICARD_ITERS} iterations", t=t, step=self._steps_done)
+        raise NonlinearDivergenceError(f"Picard iteration did not reach tol={_PICARD_TOL} "
+                                       f"within {_PICARD_ITERS} iterations")
 
     def _plan(self, t: float, K: int):
         """A block of K steps from time t: its times t, t_1, .., t_K and each
@@ -290,16 +285,16 @@ class Stepper:
         run goes on while the next step's query point is at or
         before the newest sample pushed (a NaN point ends it), so a delay of
         many steps makes one run of the block.  A step that fails raises its
-        error after the steps before it are in out and in the history, and
-        counted by `_steps_done`; `_tally` holds the solve count and the
-        largest q before the block and after each of its steps.  A blow-up
-        spreads inf and NaN without a warning, so a run can stop at its
-        first unstable row."""
+        error after the steps before it are in out and in the history.
+        `_tally` holds the block's own running Picard solve count and largest
+        q: (0, 0.0), then the pair after each step taken into out.  A blow-up
+        spreads inf and NaN without a warning, so a run can stop at its first
+        unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
+        self._solves, self._q_max, self._tally = 0, 0.0, [(0, 0.0)]
         K = len(out)
         history.drop_before(queries[0])
         done = 0
-        self._tally = [(self._solves, self._q_max)]
         while done < K:
             start, end = done, done + 1
             while end < K and queries[end] <= times[done]:
@@ -316,8 +311,7 @@ class Stepper:
                     b *= theta * dt
                     for k, row in zip(range(start, end), b):
                         row += u
-                        u = self._solve_step(u, row, times[k])
-                        self._steps_done += 1
+                        u = self._solve_step(u, row)
                         self._tally.append((self._solves, self._q_max))
                         out[k] = u
                         done += 1
@@ -332,7 +326,7 @@ class Stepper:
         before the first step when steps is not a nonnegative integer, or,
         as `run` does, for a state whose history does not end at its time or
         starts after its delayed time t - tau(t), or a law with tau' >= 1 or
-        tau <= dt on the horizon (`_check_start`); and the
+        tau <= dt from its time to the last step's (`_check_start`); and the
         NonlinearDivergenceError or NumericalError of a step that fails."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
@@ -378,14 +372,14 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     integrals of the history's cubic (`energy_rows`); `rho_res`, the rho
     resolution of the quadrature they replace, is ignored with a
     DeprecationWarning.  The number of blocks and their shortest and mean
-    length are logged at DEBUG; a blow-up steps on until its rows are
-    recorded, but these counts, and the nonlinear step and solve counts and
-    largest q, stop at the first unstable row.
+    length are logged at DEBUG, and a nonlinear run's step and solve counts
+    and largest q, taken from each block's `_tally`; a blow-up steps on
+    until its rows are recorded, but these counts stop at its first unstable row.
 
     Raises ConfigurationError before the first step when s0.u is not finite,
     when s0.history does not end at s0.t or starts after s0.t - tau(s0.t), when
-    the law's max tau' on [0, s0.t + T] is 1 or more or its min tau there is dt
-    or less, when T is negative or not finite, when the arrays for its T / dt
+    the law's max tau' on [s0.t, s0.t + T] is 1 or more or its min tau there is
+    dt or less, when T is negative or not finite, when the arrays for its T / dt
     rows cannot be allocated, when the Lyapunov multipliers lie outside
     0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A
     step that fails with NonlinearDivergenceError or NumericalError, or an energy
@@ -422,19 +416,19 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     if states is not None:
         states[0] = s0.u
     E0 = table[1, 0]
-    rows, termination, lengths = 1, "completed", []
+    rows, termination, lengths, solves, q_max = 1, "completed", [], 0, 0.0
     t, u = s0.t, s0.u
     block_rows = None if states is not None else np.empty((min(n_steps, _BLOCK), s0.u.size))
     while rows <= n_steps and termination == "completed":
         times, queries = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
-        start, error = stepper._steps_done, None
+        error = None
         try:
             stepper._block(u, history, times, queries, U)
         except tuple(_TERMINATION) as exc:
             error = exc
-        kept = stepper._steps_done - start
+        kept = len(stepper._tally) - 1
         new = slice(rows, rows + kept)
         if kept:
             with np.errstate(all="ignore"):
@@ -450,9 +444,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         if termination != "completed":
             log.info("run stopped at step %d (t = %.6g): %s%s",
                      rows + kept, times[kept], termination, cause)
-        # the counters stop at the last row kept
-        stepper._steps_done = start + kept
-        stepper._solves, stepper._q_max = stepper._tally[kept]
+        # the counts stop at the last row kept
+        block_solves, block_q = stepper._tally[kept]
+        solves, q_max = solves + block_solves, max(q_max, block_q)
         lengths.append(kept)
         rows += kept
         t, u = times[K], U[K - 1].copy()
@@ -461,7 +455,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
                   sum(lengths), len(lengths), min(lengths), np.mean(lengths))
     if cfg.nonlinear:
         log.debug("nonlinear run: %d steps, %d solves, largest q %.3g",
-                  stepper._steps_done, stepper._solves, stepper._q_max)
+                  rows - 1, solves, q_max)
 
     # dE/dt = 1/2 q^T Phi q with q = (trace_now, trace_delayed) per row and
     # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)

@@ -373,7 +373,7 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
                                                  rf"on \[0, {T:g}\]"):
         take(s0, T)
     assert np.array_equal(_bits(s0.u), u) and np.array_equal(_bits(s0.history._buf), line)
-    assert s0.t == 0.0 and s0.history.size == size and stepper._steps_done == 0
+    assert s0.t == 0.0 and s0.history.size == size and stepper._tally == []
     if law == "sine":
         # the slope is at most 1.2 sin 0.8 = 0.86 on [0, 0.4]: 400 steps go
         end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 0.4)
@@ -387,7 +387,7 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
 def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
     # tau = 0.5 + 0.49 sin t falls to 0.01 at t = 3 pi / 2, below dt = 0.02,
     # where a step would read past the newest sample: the law's min tau over
-    # [0, t + T] is refused before any step, as the stepper refuses
+    # [t, t + T] is refused before any step, as the stepper refuses
     # dt >= tau0, s0 and its line untouched (the step from t = 4.7)
     p = bl.SystemParams(**ACC)
     dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.49, frequency=1.0, M=1.0, d=0.5)
@@ -406,10 +406,10 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
     s, t_end = (late, 4.72) if entry == "step" else (s0, 6.0)
     u, line, size = _bits(s.u).copy(), _bits(s.history._buf).copy(), s.history.size
     with pytest.raises(ConfigurationError, match=r"delay falls to min tau = 0\.01 <= dt = 0\.02 "
-                                                 rf"on \[0, {t_end:g}\]"):
+                                                 rf"on \[{s.t:g}, {t_end:g}\]"):
         take(s, 6.0)
     assert np.array_equal(_bits(s.u), u) and np.array_equal(_bits(s.history._buf), line)
-    assert s.history.size == size and stepper._steps_done == 0
+    assert s.history.size == size and stepper._tally == []
     if entry != "step":
         # min tau = 0.5 + 0.49 sin 4 = 0.129 on [0, 4]: 200 steps go
         end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 4.0)
@@ -417,6 +417,16 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
             assert end.termination == "completed" and end.n_rows == 201
         else:
             assert end.t == pytest.approx(4.0) and np.all(np.isfinite(end.u))
+    # from t = 5 the law is read over [5, 5.5] alone, where min tau =
+    # 0.5 + 0.49 sin 5 = 0.030 > dt: the steps go
+    t_hist = np.linspace(4.0, 5.0, 51)
+    end = take(SimState(t=5.0, eta=s0.eta, omega=s0.omega,
+                        history=bl.HistoryLine(t_hist, np.cos(3 * t_hist))), 0.5)
+    if entry == "run":
+        assert end.termination == "completed" and end.n_rows == 26
+    else:
+        assert end.t == pytest.approx(5.02 if entry == "step" else 5.5)
+        assert np.all(np.isfinite(end.u))
 
 
 def test_advance_refuses_a_state_whose_history_has_moved_on():
@@ -427,15 +437,15 @@ def test_advance_refuses_a_state_whose_history_has_moved_on():
     stepper = Stepper(ops, cfg, p, dly)
     s1 = stepper.step(s0)
     stepper.step(s1)
-    counters = (stepper._steps_done, stepper._solves, stepper._q_max)
+    counters = (stepper._solves, stepper._q_max, list(stepper._tally))
     line = s1.history
     size, buf = line.size, _bits(line._buf[:, line._lo:line._hi]).copy()
     for take in (lambda: stepper.advance(s1, 3), lambda: stepper.step(s1)):
         with pytest.raises(ConfigurationError,
                            match=r"history ends at t=0\.004, not at its time t=0\.002"):
             take()
-        assert (stepper._steps_done, stepper._solves, stepper._q_max) == counters
-        assert counters[0] == 2
+        assert (stepper._solves, stepper._q_max, list(stepper._tally)) == counters
+        assert len(stepper._tally) == 2
         assert line.size == size
         assert np.array_equal(_bits(line._buf[:, line._lo:line._hi]), buf)
 
@@ -462,7 +472,7 @@ def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_t
         with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
                                                      r"time t - tau\(t\) = -0\.5"):
             take()
-        assert (stepper._steps_done, stepper._solves, stepper._q_max) == (0, 0, 0.0)
+        assert (stepper._solves, stepper._q_max, stepper._tally) == (0, 0.0, [])
         assert hist.size == 2 and np.array_equal(_bits(hist._buf[:, hist._lo:hist._hi]), buf)
 
 

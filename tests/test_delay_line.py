@@ -459,9 +459,11 @@ def test_rho_nodes_checked():
     assert np.array_equal(_rho_nodes(8), np.linspace(0.0, 1.0, 9))
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     h = _line(np.linspace(-0.5, 0.5, 21), np.zeros(21))
-    for call in (lambda: bl.z_profile(h, dly, 0.5, 0),
-                 lambda: bl.transport_residual(h, dly, 0.4, 0)):
-        with pytest.raises(ConfigurationError, match="m >= 1"):
+    for call, match in ((lambda: bl.z_profile(h, dly, 0.5, 0), "m >= 1"),
+                        (lambda: bl.transport_residual(h, dly, 0.4, 0), "m >= 1"),
+                        (lambda: bl.transport_residual(h, dly, 0.4, 8, dt_fd=0.0), "dt_fd"),
+                        (lambda: bl.transport_residual(h, dly, 0.4, 8, dt_fd=np.nan), "dt_fd")):
+        with pytest.raises(ConfigurationError, match=match):
             call()
 
 
@@ -670,6 +672,11 @@ def test_square_integrals_match_gauss_legendre(seed):
         assert abs(i1 - ref1) <= 1e-13 * scale * (b_in - a_in)
         if a == b:
             assert i0 == i1 == 0.0
+    # a (2, 2) array of windows gives the flattened call's bits in its shape
+    a, b = np.array(windows[:4]).T
+    flat = h.square_integrals(a, b)
+    for x, y in zip(h.square_integrals(a.reshape(2, 2), b.reshape(2, 2)), flat):
+        assert x.shape == (2, 2) and np.array_equal(_bits(x), _bits(y.reshape(2, 2)))
 
 
 def test_square_integrals_refuse_a_window_outside_the_span():

@@ -169,16 +169,17 @@ def _random_law(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_extremes_bound_dense_sampling(seed):
-    # the exact extremes hold every sample (to roundoff) and exceed the
-    # sampled ones by no more than the sampling can miss
+    # the exact extremes over [t0, horizon] hold every sample (to roundoff)
+    # and exceed the sampled ones by no more than the sampling can miss
     rng = np.random.default_rng(seed)
     for _ in range(50):
         dly = _random_law(rng)
         horizon = float(rng.uniform(0.0, 20.0))
-        tmin, tmax, dotmax = _tau_extremes(dly, horizon)
-        ts = np.linspace(0.0, horizon, 10_001)
+        t0 = float(rng.uniform(0.0, horizon))
+        tmin, tmax, dotmax = _tau_extremes(dly, t0, horizon)
+        ts = np.linspace(t0, horizon, 10_001)
         taus, dots = bl.tau_at(dly, ts)
-        step = horizon / 10_000
+        step = (horizon - t0) / 10_000
         if dly.form == "affine":
             # monotone, with a slope that only steps down: the end samples
             # hold the extremes
