@@ -96,7 +96,8 @@ def _rho_nodes(m: int) -> np.ndarray:
 class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
-    Samples are finite and their times strictly increasing (`push` takes any
+    Times and values come as 1-D arrays of one length, the samples finite
+    and their times strictly increasing (`push` takes any
     value, so a blow-up still ends a run as unstable).  The line is
     append-only: it grows by `push` and `extend`, and its owner shrinks it
     from the start by `drop_before`; no stored sample ever changes, and the
@@ -114,8 +115,9 @@ class HistoryLine:
     def __init__(self, times, values):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        if times.shape != values.shape:
-            raise ConfigurationError("times and values must have equal length")
+        if times.ndim != 1 or times.shape != values.shape:
+            raise ConfigurationError(f"need 1-D history times and values of one length, got "
+                                     f"shapes {times.shape} and {values.shape}")
         if times.size < 2:
             raise ConfigurationError("need at least two history samples")
         for what, arr in (("time", times), ("value", values)):
@@ -183,8 +185,9 @@ class HistoryLine:
         the same line, bit for bit.  A refused extend leaves the line as it was."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        if times.shape != values.shape:
-            raise ConfigurationError(f"extend by {times.size} times and {values.size} values")
+        if times.ndim != 1 or times.shape != values.shape:
+            raise ConfigurationError(f"extend by times of shape {times.shape} and values of "
+                                     f"shape {values.shape}: need 1-D arrays of one length")
         K = times.size
         if K == 0:
             return
@@ -274,7 +277,8 @@ class HistoryLine:
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape != b.shape:
-            raise ConfigurationError(f"integrals over {a.size} window starts and {b.size} ends")
+            raise ConfigurationError(f"integrals over window starts of shape {a.shape} "
+                                     f"and ends of shape {b.shape}")
         shape, a, b = a.shape, a.ravel(), b.ravel()
         n = a.size
         # the columns of the ends a then b, clamped into the span, and their cubics

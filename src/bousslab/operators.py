@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, NumericalError
 from .params import Grid, SystemParams
@@ -186,6 +187,17 @@ def _interleaved(M, rows: bool, cols: bool) -> sp.csr_matrix:
         c = np.arange(M.shape[1]).reshape(-1, 2).T.ravel()[c]
     out = sp.csr_matrix((M.data, (r, c)), shape=M.shape)
     out.eliminate_zeros()
+    return out
+
+
+def _csr_apply(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """M @ x for a float CSR matrix M, by the kernel `@` calls (scipy's private
+    `csr_matvec`) into a fresh zeroed vector: `@`'s bits without its dispatch."""
+    rows, cols = M.shape
+    if x.shape != (cols,):   # the kernel reads x without a bound
+        raise ConfigurationError(f"cannot apply a {M.shape} matrix to a vector of shape {x.shape}")
+    out = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, x, out)
     return out
 
 

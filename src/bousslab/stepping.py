@@ -13,15 +13,16 @@ many steps makes a block one run, and one shorter than (1 + theta) dt
 makes every run one step.  A block first drops the history before the
 earliest point it reads, and `run` adds one monitor pass over its rows.
 Optional Picard iteration handles the quadratic nonlinear terms, iterating
-on increments with one right-hand side per banded solve
-(`nonlinear_matrices`).  A run logs its blocks, and a nonlinear run its
-step and solve counts and its largest contraction estimate, at DEBUG, over
-the rows it kept.
+on increments with one right-hand side per banded solve from one sparse
+product into a pair table and one out of it (`nonlinear_matrices`).  A run
+logs its blocks, and a nonlinear run its step and solve counts and its
+largest contraction estimate, at DEBUG, over the rows it kept.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .certificate import check_multipliers, phi_matrix
 from .energy import energy_rows
 from .delay_line import HistoryLine
 from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
-from .operators import (BandedLU, OperatorSet, _interleaved, build_operators,
+from .operators import (BandedLU, OperatorSet, _csr_apply, _interleaved, build_operators,
                         derivative_matrix, trace_eta_xx_L)
 from .params import DelaySpec, Grid, SystemParams, _tau_extremes, tau_at
 from .report import CSV_COLUMNS, RunReport
@@ -46,8 +47,8 @@ _BLOCK = 256
 # step, and the relative accuracy Banach's a-posteriori bound must certify
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
-# the products F[_PAIR_I] * F[_PAIR_J] of the field stack F (`nonlinear_matrices`)
-_PAIR_I, _PAIR_J = np.array([[0, 0, 2, 0, 3, 2], [2, 4, 3, 1, 4, 5]])
+# G's row blocks of fields (`nonlinear_matrices`): the products' first factors, then the second
+_PAIRS = (0, 0, 2, 0, 3, 2) + (2, 4, 3, 1, 4, 5)
 # slow mode: history samples on [-tau0, 0], the time-resolved disk |lambda| dt
 # <= _RESOLVE_LIMIT of its candidates, and the grid size of their dense spectrum
 _N_HISTORY = 513
@@ -165,11 +166,12 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
                        ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The quadratic terms as two sparse maps around one table of products.
 
-    G (6(n+2) x 2n) takes the interleaved state to the field stack F on the
-    full grid, zero boundary values included: (ef, e_xx, wf, w_x, w_xx, w_xxx).
-    C (2n x 6(n+2)) takes the stacked products F[_PAIR_I] * F[_PAIR_J] =
-    (ef wf, ef w_xx, wf w_x, ef e_xx, w_x w_xx, wf w_xxx) to the interleaved
-    right-hand side on the interior rows,
+    G (12(n+2) x 2n) takes the interleaved state to the pair table F on the
+    full grid, zero boundary values included: the fields (ef, e_xx, wf, w_x,
+    w_xx, w_xxx) in the row blocks _PAIRS, so F's two halves F_i and F_j hold
+    the first and the second factors of the six products.  C (2n x 6(n+2))
+    takes the products F_i * F_j = (ef wf, ef w_xx, wf w_x, ef e_xx, w_x w_xx,
+    wf w_xxx) to the interleaved right-hand side on the interior rows,
         eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
         omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
     so the pointwise omega terms are scaled identity blocks.  Both are built in
@@ -179,7 +181,8 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
     N = n + 2
     I = sp.identity(N, format="csr")
     D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
-    G = sp.bmat([[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]])
+    fields = [[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]]
+    G = sp.bmat([fields[k] for k in _PAIRS])
     C = sp.bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
                  [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
     return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
@@ -210,12 +213,13 @@ class Stepper:
         self._solves, self._q_max, self._tally = 0, 0.0, []
 
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
-        """The quadratic terms N(u) from the field stack F = G u (one row per
-        field) or, given Fd = G d, their increment
-        N(u + d/2) - N(u - d/2) = C (F[i] Fd[j] + Fd[i] F[j])."""
+        """The quadratic terms N(u) = C (F_i F_j) from the pair table F = G u
+        (halves F_i, F_j) or, given Fd = G d, their increment
+        N(u + d/2) - N(u - d/2) = C (F_i Fd_j + Fd_i F_j)."""
+        h = F.size // 2
         if Fd is None:
-            return self._C @ (F[_PAIR_I] * F[_PAIR_J]).ravel()
-        return self._C @ (F[_PAIR_I] * Fd[_PAIR_J] + Fd[_PAIR_I] * F[_PAIR_J]).ravel()
+            return _csr_apply(self._C, F[:h] * F[h:])
+        return _csr_apply(self._C, F[:h] * Fd[h:] + Fd[:h] * F[h:])
 
     def _solve_step(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """The state one dt after u, given rhs = u + theta dt (sources): one
@@ -226,30 +230,30 @@ class Stepper:
         serves the explicit (1 - theta) term and u_1, folded from
         rhs + theta dt N(u_0) the same way, then each increment
         d_k = u_{k+1} - u_k = theta dt LU^-1 (N(u_k) - N(u_{k-1})) comes from
-        d_{k-1} and the midpoint fields, so its roundoff scales with |d_k|.
+        d_{k-1} and the midpoint pair table, so its roundoff scales with |d_k|.
         They stop once Banach's bound q/(1-q) |d_k| <= _PICARD_TOL |u_{k+1}|
         holds, q = |d_k| / |d_{k-1}|.  q >= 1 (no contraction), a non-finite
         iterate or _PICARD_ITERS solves raise NonlinearDivergenceError."""
         dt, theta = self.cfg.dt, self.cfg.theta
         if self.cfg.nonlinear:
-            F = (self._G @ u).reshape(6, -1)
+            F = _csr_apply(self._G, u)
             rhs = rhs + theta * dt * self._nonlinear_rhs(F)
         u_new = (self._lu.solve(rhs) - (1.0 - theta) * u) / theta
         if not self.cfg.nonlinear:
             return u_new
         d = u_new - u
-        delta = np.linalg.norm(d)
+        delta = math.sqrt(d @ d)
         self._solves += 1
         for _ in range(1, _PICARD_ITERS):
-            Fd = (self._G @ d).reshape(6, -1)
+            Fd = _csr_apply(self._G, d)
             d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
             self._solves += 1
             F += Fd
-            u_new = u_new + d
-            prev, delta = delta, np.linalg.norm(d)
-            scale = np.linalg.norm(u_new)
+            u_new += d
+            prev, delta = delta, math.sqrt(d @ d)
+            scale = math.sqrt(u_new @ u_new)
             # a NaN or infinite entry, or a norm that overflows
-            if not np.isfinite(delta + scale):
+            if not math.isfinite(delta + scale):
                 raise NonlinearDivergenceError("nonlinear iterate is not finite")
             q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
             self._q_max = max(self._q_max, q)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -423,6 +424,11 @@ def test_non_finite_times_rejected():
                  "non-finite history sample value -inf at index 2", id="-inf value"),
     pytest.param(lambda: bl.HistoryLine([0.0, 1.0, 2.0], [np.inf, np.nan, 4.0]),
                  "at index 0", id="first bad index"),
+    # numpy would fail on filling the buffer, or broadcast
+    pytest.param(lambda: bl.HistoryLine(np.array([[-1, -.5], [-.2, 0.]]), np.ones((2, 2))),
+                 r"1-D .* shapes \(2, 2\) and \(2, 2\)", id="2-D history"),
+    pytest.param(lambda: bl.HistoryLine(np.array([[-1, -.5], [-.2, 0.]]), np.ones(4)),
+                 r"shapes \(2, 2\) and \(4,\)", id="2-D times, 1-D values"),
     # the delay bound lives only in the delay law
     pytest.param(lambda: bl.DelaySpec(tau0=0.5, M=np.inf), "M must be finite, got inf",
                  id="inf M"),
@@ -688,12 +694,14 @@ def test_square_integrals_refuse_a_window_outside_the_span():
         h.square_integrals(0.05, 0.0)
 
 
-@pytest.mark.parametrize("a, b", [([.1, .2], [.3]), ([.1], [.3, .5]), ([.1, .2, .3], [.5, .6])])
+@pytest.mark.parametrize("a, b", [([.1, .2], [.3]), ([.1], [.3, .5]), ([.1, .2, .3], [.5, .6]),
+                                  ([[.1, .2], [.3, .4]], [.5, .6, .7, .8])])
 def test_square_integrals_refuse_window_starts_and_ends_of_different_lengths(a, b):
-    # numpy would broadcast one start against two ends, or fail mid-way
+    # numpy would broadcast one start against two ends, or fail mid-way; the
+    # message names both shapes, which may hold as many elements
     h = _line(np.linspace(0.0, 1.0, 11), np.cos(np.linspace(0.0, 1.0, 11)))
-    with pytest.raises(ConfigurationError,
-                       match=f"over {len(a)} window starts and {len(b)} ends"):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"over window starts of shape {np.shape(a)} and ends of shape {np.shape(b)}")):
         h.square_integrals(np.array(a), np.array(b))
 
 
@@ -732,8 +740,13 @@ def test_extend_refuses_bad_times_and_keeps_the_line():
             ([2.0], [0.0], "t=2.0 after t_last=2.0"),
             ([3.0, np.inf], [0.0, 0.0], "finite, got inf"),
             # one value per time: neither broadcast nor cut
-            ([3.0, 4.0, 5.0], [7.0], "extend by 3 times and 1 values"),
-            ([3.0, 4.0], [7.0, 8.0, 9.0], "extend by 2 times and 3 values")):
+            ([3.0, 4.0, 5.0], [7.0], r"times of shape \(3,\) and values of shape \(1,\)"),
+            ([3.0, 4.0], [7.0, 8.0, 9.0], r"times of shape \(2,\) and values of shape \(3,\)"),
+            # 1-D arrays only: numpy would fail on filling the buffer
+            ([[3.0, 4.0], [5.0, 6.0]], np.ones((2, 2)),
+             r"times of shape \(2, 2\) and values of shape \(2, 2\): need 1-D"),
+            ([[3.0, 4.0], [5.0, 6.0]], [7.0, 8.0, 9.0, 10.0],
+             r"times of shape \(2, 2\) and values of shape \(4,\)")):
         with pytest.raises(ConfigurationError, match=match):
             h.extend(np.array(times), np.array(values))
     h.extend(np.array([]), np.array([]))

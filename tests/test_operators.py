@@ -4,10 +4,10 @@ import sympy as sp
 from scipy.sparse import csr_matrix, identity
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, _build_single, _NPTS_2BC, _NPTS_3BC,
+from bousslab.operators import (BandedLU, _build_single, _csr_apply, _NPTS_2BC, _NPTS_3BC,
                                 _STENCILS, derivative_matrix, ghost_weights,
                                 trace_omega_xx_0, trace_weights)
-from bousslab.stepping import StepConfig, Stepper, nonlinear_matrices
+from bousslab.stepping import _PAIRS, StepConfig, Stepper, nonlinear_matrices
 
 L = 1.0
 # boundary-condition counts (left, right) of each unknown
@@ -121,7 +121,7 @@ def _triplet_A(p, g):
 
 def _triplet_G_C(n, h, p):
     """G and C of `nonlinear_matrices` from interleaved triplets, the way
-    they were before the block form."""
+    they were before the block form, G's field blocks gathered by _PAIRS."""
     N = n + 2
     I = identity(N, format="csr")
     D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
@@ -137,10 +137,11 @@ def _triplet_G_C(n, h, p):
             vals.append(op.data[keep])
         return np.concatenate(stacked), np.concatenate(inter), np.concatenate(vals)
 
-    gi, gj, gv = entries([(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)], False)
+    fields = [(I, 0), (D2, 0), (I, 1), (D1, 1), (D2, 1), (D3, 1)]
+    gi, gj, gv = entries([fields[k] for k in _PAIRS], False)
     cj, ci, cv = entries([(-D1, 0), (-p.alpha_p * D1, 0), (-p.c_nl * D2 - I, 1),
                           (-D1, 1), (p.beta_p * I, 1), (p.rho_nl * I, 1)], True)
-    G = csr_matrix((gv, (gi, gj)), shape=(6 * N, 2 * n))
+    G = csr_matrix((gv, (gi, gj)), shape=(12 * N, 2 * n))
     C = csr_matrix((cv, (ci, cj)), shape=(2 * n, 6 * N))
     G.eliminate_zeros()
     C.eliminate_zeros()
@@ -373,9 +374,10 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
     g = bl.Grid(n=n, L=L)
     ops, dly = bl.build_operators(p, g), bl.DelaySpec(tau0=0.5, M=0.5)
     st = Stepper(ops, StepConfig(dt=1e-3, nonlinear=True), p, dly)
-    # C takes the six stacked products of the pair table, the pointwise
-    # omega terms included (`test_folded_pointwise_terms_keep_the_bits`)
-    assert st._G.shape == (6 * (n + 2), 2 * n) and st._C.shape == (2 * n, 6 * (n + 2))
+    # G gives the pair table, the six first factors then the six second
+    # ones, and C takes their six products, the pointwise omega terms
+    # included (`test_folded_pointwise_terms_keep_the_bits`)
+    assert st._G.shape == (12 * (n + 2), 2 * n) and st._C.shape == (2 * n, 6 * (n + 2))
     assert np.all(st._G.data != 0.0) and np.all(st._C.data != 0.0)
     # alpha_p = 0: that block stores nothing
     C0 = nonlinear_matrices(n, g.h, bl.SystemParams())[1]
@@ -391,7 +393,7 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         for sl in (slice(0, None, 2), slice(1, None, 2)):
             u[sl] = rng.standard_normal(4) @ np.sin(np.pi * k * x)
         ref = _composed_nonlinear_rhs(u, p, g.h)
-        rhs = st._nonlinear_rhs((st._G @ u).reshape(6, -1))
+        rhs = st._nonlinear_rhs(st._G @ u)
         assert np.max(np.abs(rhs - ref)) <= 1e-9 * np.max(np.abs(ref))
     # each derivative agrees to roundoff: a few ulps of sum_j |D_ij f_j|
     full = np.pad(u[1::2], 1)
@@ -427,7 +429,7 @@ def test_folded_pointwise_terms_keep_the_bits(n):
 
 @pytest.mark.parametrize("n", [50, 203])
 def test_nonlinear_increment_scales_with_the_difference(n):
-    # N(u + d/2) - N(u - d/2) = C (F[i] Fd[j] + Fd[i] F[j]) is linear in
+    # N(u + d/2) - N(u - d/2) = C (F_i Fd_j + Fd_i F_j) is linear in
     # Fd = G d: scaling Fd by a power of two scales the term bit for bit, so
     # its roundoff shrinks with the difference; at an order-one difference
     # it matches the difference of the composed terms
@@ -436,13 +438,34 @@ def test_nonlinear_increment_scales_with_the_difference(n):
     modes = np.sin(np.pi * np.arange(1, 5)[:, None] * g.nodes / L)
     # random smooth fields, interleaved: a few low sine modes on each unknown
     u, d = ((rng.standard_normal((2, 4)) @ modes).T.ravel() for _ in range(2))
-    F, Fd = ((st._G @ v).reshape(6, -1) for v in (u, d))
+    F, Fd = (st._G @ v for v in (u, d))
     inc = st._nonlinear_rhs(F, Fd)
     for k in (0, 10, 30):
         assert np.array_equal(st._nonlinear_rhs(F, 2.0 ** -k * Fd), 2.0 ** -k * inc)
     ref = (_composed_nonlinear_rhs(u + 0.5 * d, p, g.h)
            - _composed_nonlinear_rhs(u - 0.5 * d, p, g.h))
     assert np.max(np.abs(inc - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [8, 50, 203, 403])
+def test_csr_apply_is_the_matmul_kernel(n):
+    # _csr_apply calls scipy's private csr_matvec, the kernel `@` calls: on
+    # the gathered G and on C it gives `@`'s bits, an inf and a NaN
+    # included, so a scipy that moves or changes the kernel fails here; a
+    # vector of another shape is refused, as the kernel reads it unbounded
+    p, g, st = _nonlinear_stepper(n)
+    rng = np.random.default_rng(n)
+    for M in (st._G, st._C):
+        xs = [rng.standard_normal(M.shape[1]) for _ in range(3)]
+        bad = rng.standard_normal(M.shape[1])
+        bad[[1, M.shape[1] // 2]] = np.inf, np.nan
+        for x in (*xs, bad):
+            out = _csr_apply(M, x)
+            assert out.dtype == float and out.shape == (M.shape[0],)
+            assert np.array_equal(out.view(np.uint64), (M @ x).view(np.uint64))
+        for wrong in (xs[0][:-1], np.append(xs[0], 1.0), xs[0][None]):
+            with pytest.raises(bl.ConfigurationError, match="cannot apply"):
+                _csr_apply(M, wrong)
 
 
 def test_trace_weights_quartic_identity():

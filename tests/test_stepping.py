@@ -11,7 +11,7 @@ import bousslab as bl
 from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
-from bousslab.stepping import SimState, Stepper
+from bousslab.stepping import SimState, Stepper, nonlinear_matrices
 
 from conftest import ACC, ACC_DELAY, failing_solve
 
@@ -286,11 +286,14 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     theta dt b, then (x - (1 - theta) u) / theta (Picard for the nonlinear
     terms on increments, at most 30 solves, stopped from the second solve on
     once Banach's bound q/(1-q) |d_k| <= 1e-12 |u_{k+1}| holds), split into
-    copies.  Given M2 = I + (1 - theta) dt A, the first solve is the
-    unfolded N^-1 (M2 u + dt b) instead.  Returns (t, eta, omega); pushes
-    the new trace onto `hist`."""
+    copies; the nonlinear terms by its own `@` products with the G and C of
+    `nonlinear_matrices` and its own norms.  Given M2 = I + (1 - theta) dt A,
+    the first solve is the unfolded N^-1 (M2 u + dt b) instead.  Returns
+    (t, eta, omega); pushes the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
+    G, C = nonlinear_matrices(n, grid.h, p)
+    h = 6 * (n + 2)
     ie = 2 * np.arange(n)
     io = ie + 1
     u = np.empty(2 * n)
@@ -301,8 +304,8 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     tau, _ = bl.tau_at(dly, t_eval)
     b[ie] = -p.beta * stepper.ops.omega_s_influence * hist.query(t_eval - tau)
     if cfg.nonlinear:
-        F = (stepper._G @ u).reshape(6, -1)
-        rhs = stepper._nonlinear_rhs(F)
+        F = G @ u
+        rhs = C @ (F[:h] * F[h:])
     if M2 is not None:
         base = M2 @ u + cfg.dt * b
         if cfg.nonlinear:
@@ -318,8 +321,9 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
         d = u_new - u
         deltas = [float(np.linalg.norm(d))]
         for _ in range(29):
-            Fd = (stepper._G @ d).reshape(6, -1)
-            d = lu.solve(cfg.theta * cfg.dt * stepper._nonlinear_rhs(F + 0.5 * Fd, Fd))
+            Fd = G @ d
+            Fm = F + 0.5 * Fd
+            d = lu.solve(cfg.theta * cfg.dt * (C @ (Fm[:h] * Fd[h:] + Fd[:h] * Fm[h:])))
             F = F + Fd
             u_new = u_new + d
             deltas.append(float(np.linalg.norm(d)))
