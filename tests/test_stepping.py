@@ -292,8 +292,6 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     (t, eta, omega); pushes the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
-    G, C = nonlinear_matrices(n, grid.h, p)
-    h = 6 * (n + 2)
     ie = 2 * np.arange(n)
     io = ie + 1
     u = np.empty(2 * n)
@@ -304,6 +302,8 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     tau, _ = bl.tau_at(dly, t_eval)
     b[ie] = -p.beta * stepper.ops.omega_s_influence * hist.query(t_eval - tau)
     if cfg.nonlinear:
+        G, C = nonlinear_matrices(n, grid.h, p)
+        h = 6 * (n + 2)
         F = G @ u
         rhs = C @ (F[:h] * F[h:])
     if M2 is not None:
