@@ -12,7 +12,7 @@ definite, and a linear bound for mu2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -245,21 +245,15 @@ class StabilityCertificate:
     bracket_second: float
 
     def document(self) -> str:
-        lines = [
-            "stability certificate",
-            f"threshold = {self.threshold!r}",
-            f"phi = {self.phi.tolist()!r}",
-            f"psi = {self.psi.tolist()!r}",
-            f"mu1 = {self.mu1!r}",
-            f"mu2 = {self.mu2!r}",
-            f"mu1_interval = {list(self.mu1_interval)!r}",
-            f"mu1_star = {self.mu1_star!r}",
-            f"lambda = {self.lam!r}",
-            f"lambda_star = {self.lam_star!r}",
-            f"zeta = {self.zeta!r}",
-            f"bracket_first = {self.bracket_first!r}",
-            f"bracket_second = {self.bracket_second!r}",
-        ]
+        """The `stability certificate` header, then `name = repr(value)` per
+        field in field order, arrays and tuples as lists, lam and lam_star
+        named lambda and lambda_star."""
+        renamed = {"lam": "lambda", "lam_star": "lambda_star"}
+        lines = ["stability certificate"]
+        for name, value in asdict(self).items():
+            if isinstance(value, (np.ndarray, tuple)):
+                value = np.asarray(value).tolist()
+            lines.append(f"{renamed.get(name, name)} = {value!r}")
         return "\n".join(lines)
 
 

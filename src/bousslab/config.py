@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -180,23 +180,16 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
 
 def serialize_config(p: SystemParams, dly: DelaySpec, grid: Grid,
                      run: RunSettings) -> str:
+    """The text `parse_config` reads back as (p, dly, grid, run): each section's
+    fields in field order, [grid]'s n only (`parse_config` refuses L there);
+    history as `_history_to_text` writes it, strings as they are, else repr."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp["system"] = {f.name: repr(getattr(p, f.name)) for f in dc_fields(p)}
-    dly_items = {}
-    for f in dc_fields(dly):
-        v = getattr(dly, f.name)
-        if f.name == "history":
-            dly_items["history"] = _history_to_text(dly.history)
-        else:
-            dly_items[f.name] = v if isinstance(v, str) else repr(v)
-    cp["delay"] = dly_items
-    cp["grid"] = {"n": str(grid.n)}
-    run_items = {}
-    for f in dc_fields(run):
-        v = getattr(run, f.name)
-        run_items[f.name] = v if isinstance(v, str) else repr(v)
-    cp["run"] = run_items
+    sections = asdict(p), asdict(dly), {"n": int(grid.n)}, asdict(run)
+    for name, items in zip(_SECTIONS, sections):
+        if "history" in items:
+            items["history"] = _history_to_text(items["history"])
+        cp[name] = {key: v if isinstance(v, str) else repr(v) for key, v in items.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -309,12 +309,11 @@ class HistoryLine:
                 *(np.concatenate(parts) for parts in zip(
                     head, (vs[n:], ms[n:], a2s[n:], a3s[n:]), whole)))
             i0, i1 = moments[:, :n]
-            if not same.all():
-                (r0, r1), w = moments[:, n:2 * n], moments[:, 2 * n:]
-                s5, s6 = _window_sums(w, first - c, k - c)
-                s0 = _moment_sums(t, w[0], a, first - c, k - c)
-                i1 = np.where(same, i1, i1 + (s6 + s0) + r1 + (ts[n:] - a) * r0)
-                i0 = np.where(same, i0, i0 + s5 + r0)
+            (r0, r1), w = moments[:, n:2 * n], moments[:, 2 * n:]
+            s5, s6 = _window_sums(w, first - c, k - c)
+            s0 = _moment_sums(t, w[0], a, first - c, k - c)
+            i1 = np.where(same, i1, i1 + (s6 + s0) + r1 + (ts[n:] - a) * r0)
+            i0 = np.where(same, i0, i0 + s5 + r0)
         out = q[:n], q[n:], i0, i1
         if scalar:
             return tuple(float(x[0]) for x in out)

@@ -22,12 +22,6 @@ from .params import DelaySpec, Grid, SystemParams, tau_at
 _KATO_BLOCK = 32
 
 
-def _field_quad(values_sq: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid of a nonnegative integrand vanishing at both boundaries,
-    one per row."""
-    return h * values_sq.sum(axis=-1)
-
-
 def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: SystemParams,
                 g: Grid, mu1: float = 0.0, mu2: float = 0.0) -> np.ndarray:
     """Monitor rows (t, E, V, V1, V2, trace_now, trace_delayed), one column
@@ -56,6 +50,11 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
     return np.array([t, E, E - mu1 * V1 + mu2 * V2, V1, V2, now, delayed])
 
 
+def _check_state_size(u: np.ndarray, g: Grid) -> None:
+    if u.shape != (2 * g.n,):
+        raise ConfigurationError(f"state shape {u.shape} != ({2 * g.n},), (eta, omega) on n = {g.n}")
+
+
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
     """The monitor row of the state s (`energy_rows` of one row, over the
@@ -63,7 +62,8 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
     whose history line has moved on (one `Stepper.step` returned, then
     stepped again) gives the row it gave before the move, bit for bit, or,
     once a later block has dropped the start of its window, raises
-    HistoryUnderrunError."""
+    HistoryUnderrunError.  A state not of g's size is a ConfigurationError."""
+    _check_state_size(s.u, g)
     tau, _ = tau_at(dly, s.t)
     row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())
@@ -138,7 +138,7 @@ def kato_identity_residual(report, p: SystemParams) -> tuple[float, float]:
     for k in range(0, nt, _KATO_BLOCK):
         rows = slice(k, k + _KATO_BLOCK)
         e, w = report.fields_eta[rows], report.fields_omega[rows]
-        I_l2[rows] = _field_quad(e ** 2 + w ** 2, g.h)
+        I_l2[rows] = g.h * (e ** 2 + w ** 2).sum(axis=-1)   # trapezoid: 0 at both ends
         ex, wx, exx, wxx = field_derivatives(
             e, w, g, report.trace_now[rows], report.trace_delayed[rows], p)
         I_h1[rows] = np.trapezoid(ex ** 2 + wx ** 2, dx=g.h)

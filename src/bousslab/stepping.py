@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .certificate import check_multipliers, phi_matrix
-from .energy import energy_rows
+from .energy import _check_state_size, energy_rows
 from .delay_line import HistoryLine
 from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
 from .operators import (BandedLU, OperatorSet, _csr_apply, _interleaved, build_operators,
@@ -68,14 +68,15 @@ class SimState:
     The history is initial data, read as given: its value at t is z(t, 0)
     of the transport form, which `initial_state` and `slow_mode_state` set
     to eta's trace.  `eta` and `omega` are strided views of u; treat them
-    as read-only.
+    as read-only.  eta and omega not 1-D of one length are a ConfigurationError.
     """
 
     def __init__(self, t: float, eta, omega, history: HistoryLine):
         eta = np.asarray(eta, dtype=float)
         omega = np.asarray(omega, dtype=float)
-        if eta.shape != omega.shape:
-            raise ConfigurationError("eta and omega must have equal length")
+        if eta.ndim != 1 or eta.shape != omega.shape:
+            raise ConfigurationError(f"eta and omega must be 1-D of one length, "
+                                     f"got shapes {eta.shape} and {omega.shape}")
         u = np.empty(2 * eta.size)
         u[0::2] = eta
         u[1::2] = omega
@@ -124,11 +125,13 @@ def suggested_theta(dt: float) -> float:
 
 
 def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimState:
-    """The t = 0 state; its history is dly.history with the t = 0 sample set to eta0's trace."""
+    """The t = 0 state; its history is dly.history with the t = 0 sample set to eta0's trace.
+    Fields that `SimState` refuses, or not of the grid's size, are a ConfigurationError."""
+    state = SimState(t=0.0, eta=eta0, omega=omega0, history=None)
     values = dly.history.copy()
-    values[-1] = trace_eta_xx_L(eta0, grid)
-    hist = HistoryLine(dly.history_times(), values)
-    return SimState(t=0.0, eta=eta0, omega=omega0, history=hist)
+    values[-1] = trace_eta_xx_L(state.eta, grid)
+    state.history = HistoryLine(dly.history_times(), values)
+    return state
 
 
 def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -> None:
@@ -138,10 +141,14 @@ def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
 
 
-def _check_start(state: SimState, dly: DelaySpec, dt: float, t_end: float) -> None:
-    """Refuse a state whose history has moved on or starts after its delayed
-    time t - tau(t), and a law with tau' >= 1 or tau <= dt on [t, t_end], the
-    interval its steps cover (`_check_setup`'s 0 < dt < tau0 over it)."""
+def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: float) -> None:
+    """Refuse a state not of the grid's size or not finite, one whose history
+    has moved on or starts after its delayed time t - tau(t), and a law with
+    tau' >= 1 or tau <= dt on [t, t_end], the interval its steps cover
+    (`_check_setup`'s 0 < dt < tau0 over it)."""
+    _check_state_size(state.u, grid)
+    if not np.all(np.isfinite(state.u)):
+        raise ConfigurationError("the state's u has non-finite values")
     history = state.history
     if history.t_last != state.t:
         raise ConfigurationError(
@@ -328,13 +335,15 @@ class Stepper:
         (`_plan`, `_block`); advances `state.history` in place, which keeps
         about max tau / dt + _BLOCK samples.  Raises ConfigurationError
         before the first step when steps is not a nonnegative integer, or,
-        as `run` does, for a state whose history does not end at its time or
-        starts after its delayed time t - tau(t), or a law with tau' >= 1 or
-        tau <= dt from its time to the last step's (`_check_start`); and the
-        NonlinearDivergenceError or NumericalError of a step that fails."""
+        as `run` does, for a state not of the grid's size or not finite, one
+        whose history does not end at its time or starts after its delayed
+        time t - tau(t), or a law with tau' >= 1 or tau <= dt from its time to
+        the last step's (`_check_start`); and the NonlinearDivergenceError or
+        NumericalError of a step that fails."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
-        _check_start(state, self.dly, self.cfg.dt, state.t + steps * self.cfg.dt)
+        dt = self.cfg.dt
+        _check_start(state, self.ops.grid, self.dly, dt, state.t + steps * dt)
         t, u = state.t, state.u
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
@@ -380,15 +389,16 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     and largest q, taken from each block's `_tally`; a blow-up steps on
     until its rows are recorded, but these counts stop at its first unstable row.
 
-    Raises ConfigurationError before the first step when s0.u is not finite,
-    when s0.history does not end at s0.t or starts after s0.t - tau(s0.t), when
-    the law's max tau' on [s0.t, s0.t + T] is 1 or more or its min tau there is
-    dt or less, when T is negative or not finite, when the arrays for its T / dt
-    rows cannot be allocated, when the Lyapunov multipliers lie outside
-    0 <= mu1 < 1/L, 0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A
-    step that fails with NonlinearDivergenceError or NumericalError, or an energy
-    that blows up, ends the run early: the report keeps the rows before it and
-    names the cause in `termination`.
+    Raises ConfigurationError before the first step when s0.u is not finite or
+    not the 2n values of the grid, when s0.history does not end at s0.t or
+    starts after s0.t - tau(s0.t), when the law's max tau' on [s0.t, s0.t + T]
+    is 1 or more or its min tau there is dt or less, when T is negative or not
+    finite, when the arrays for its T / dt rows cannot be allocated, when the
+    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1, or when
+    `OperatorSet.check_params` fails.  A step that fails with
+    NonlinearDivergenceError or NumericalError, or an energy that blows up,
+    ends the run early: the report keeps the rows before it and names the
+    cause in `termination`.
     """
     if rho_res is not None:
         warnings.warn("run ignores rho_res: the monitor row integrates the delay terms "
@@ -397,10 +407,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     # written so that a NaN fails it
     if not 0 <= T < np.inf:
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
-    if not np.all(np.isfinite(s0.u)):
-        raise ConfigurationError("the initial state s0.u has non-finite values")
     check_multipliers(p, mu1, mu2)
-    _check_start(s0, dly, cfg.dt, s0.t + T)
+    _check_start(s0, ops.grid, dly, cfg.dt, s0.t + T)
     history = s0.history.copy()
     n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:

@@ -193,10 +193,22 @@ def test_lambda_ignores_irrelevant_fields():
 
 
 def test_certificate_document_fields(acc_params, acc_delay, acc_cert):
-    doc = acc_cert.document()
-    for key in ("mu1_star", "lambda", "zeta", "bracket_first",
-                "bracket_second"):
-        assert key in doc
+    c = acc_cert
+    assert c.document().split("\n") == [
+        "stability certificate",
+        f"threshold = {c.threshold!r}",
+        f"phi = {c.phi.tolist()!r}",
+        f"psi = {c.psi.tolist()!r}",
+        f"mu1 = {c.mu1!r}",
+        f"mu2 = {c.mu2!r}",
+        f"mu1_interval = {list(c.mu1_interval)!r}",
+        f"mu1_star = {c.mu1_star!r}",
+        f"lambda = {c.lam!r}",
+        f"lambda_star = {c.lam_star!r}",
+        f"zeta = {c.zeta!r}",
+        f"bracket_first = {c.bracket_first!r}",
+        f"bracket_second = {c.bracket_second!r}",
+    ]
     assert acc_cert.zeta > 1.0
     assert acc_cert.lam > 0.0
     assert acc_cert.lam <= acc_cert.lam_star + 1e-12

@@ -337,6 +337,56 @@ def test_simulate_rerun_creates_new_files(tmp_path):
         assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
+NONLINEAR_SAMPLED = """
+[system]
+a = 0.1
+a1 = 0.0065
+L = 1.0
+alpha = 0.05
+beta = 0.0005
+alpha_p = 0.3
+beta_p = 0.2
+rho_nl = 0.1
+
+[delay]
+form = sinusoidal
+tau0 = 0.5
+M = 0.6
+d = 0.2
+amplitude = 0.05
+frequency = 2.0
+history = 0.0 0.001 0.003 -0.002 0.0005
+
+[grid]
+n = 40
+
+[run]
+T = 0.1
+dt = 0.002
+nonlinear = true
+eta0 = random 0.01
+omega0 = sine 0.02 2
+seed = 7
+store_fields = true
+"""
+
+
+@pytest.mark.parametrize("text, flags", [
+    (REFERENCE.read_text(), ["--n", "32", "--horizon", "0.05"]),
+    (NONLINEAR_SAMPLED, []),
+], ids=["reference", "sinusoidal-nonlinear-sampled"])
+def test_simulate_rerun_from_its_config_is_byte_equal(tmp_path, text, flags):
+    # the written config.ini re-runs the run: all four outputs, bit for bit
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(first),
+                 *flags]) == 0
+    assert main(["simulate", "--config", str(first / "config.ini"),
+                 "--out", str(second)]) == 0
+    for name in SIMULATE_OUTPUTS:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("second, code, left", [
     (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
     (GOOD.replace("T = 0.3", "T = -1.0"), 1, []),

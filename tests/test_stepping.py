@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import bousslab as bl
+from bousslab.energy import energy_sample
 from bousslab.errors import ConfigurationError, NumericalError
 from bousslab.operators import BandedLU
 from bousslab.report import CSV_COLUMNS
@@ -607,17 +608,65 @@ def test_non_finite_picard_iterate_ends_the_run(monkeypatch, caplog):
     assert calls[0] == 2 and "nonlinear iterate is not finite" in caplog.text
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_run_refuses_a_non_finite_state(bad):
+def _entries(p, dly, ops, cfg):
+    """run, Stepper.advance and Stepper.step, each taking a state."""
+    stepper = Stepper(ops, cfg, p, dly)
+    return {"run": lambda s: bl.run(s, 0.01, cfg, p, dly, ops),
+            "advance": lambda s: stepper.advance(s, 5),
+            "step": stepper.step}
+
+
+def _bits(s):
+    """The state's and its history line's bytes, and the line's size."""
+    return s.u.tobytes(), s.history._buf.tobytes(), s.history.size
+
+
+@pytest.mark.parametrize("bad, entry", [
+    pytest.param(bad, entry, id=name if entry == "run" else f"{name}-{entry}")
+    for name, bad in (("nan", np.nan), ("inf", np.inf))
+    for entry in ("run", "advance", "step")])
+def test_run_refuses_a_non_finite_state(bad, entry):
     p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     s = _random_state(g, dly, np.random.default_rng(14), scale=0.01)
     eta = s.eta.copy()
     eta[3] = bad
     s = SimState(t=0.0, eta=eta, omega=s.omega, history=s.history)
+    kept = _bits(s)
     with pytest.raises(ConfigurationError, match="non-finite"):
-        bl.run(s, 0.01, cfg, p, dly, ops)
+        _entries(p, dly, ops, cfg)[entry](s)
     assert s.history.t_last == 0.0   # no step was taken
+    assert _bits(s) == kept
+
+
+@pytest.mark.parametrize("entry", ["run", "advance", "step", "energy_sample"])
+def test_a_state_of_another_grid_size_is_refused(entry):
+    p, dly, g, ops = _setup(n=32)
+    cfg = bl.StepConfig(dt=0.01, theta=bl.suggested_theta(0.01))
+    line = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0])
+    s = SimState(0.0, np.zeros(10), np.zeros(10), line)
+    kept = _bits(s)
+    entries = {**_entries(p, dly, ops, cfg),
+               "energy_sample": lambda s: energy_sample(s, p, dly, g)}
+    message = "state shape (20,) != (64,), (eta, omega) on n = 32"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        entries[entry](s)
+    assert _bits(s) == kept
+
+
+@pytest.mark.parametrize("eta, omega", [
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros(32), np.zeros((1, 32))),
+    (np.zeros((1, 32)), np.zeros((1, 32))),
+], ids=["2-D", "1-D and 2-D", "one row"])
+def test_fields_that_are_not_1d_are_refused(eta, omega):
+    p, dly, g, ops = _setup(n=32)
+    line = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0])
+    shapes = re.escape(f"shapes {eta.shape} and {omega.shape}")
+    with pytest.raises(ConfigurationError, match=shapes):
+        SimState(0.0, eta, omega, line)
+    with pytest.raises(ConfigurationError, match=shapes):
+        bl.initial_state(p, dly, g, eta, omega)
 
 
 def test_slow_mode_state_decays_at_its_rate():
