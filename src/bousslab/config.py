@@ -14,7 +14,7 @@ from .params import DelaySpec, Grid, SystemParams, constant_history
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Run-control knobs from the [run] section."""
+    """Run-control knobs from the [run] section; `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -23,6 +23,11 @@ class RunSettings:
     omega0: str = "quartic 1.0"
     seed: int = 0
     store_fields: bool = False
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _parse_history(text: str) -> np.ndarray:
@@ -182,14 +187,16 @@ def serialize_config(p: SystemParams, dly: DelaySpec, grid: Grid,
                      run: RunSettings) -> str:
     """The text `parse_config` reads back as (p, dly, grid, run): each section's
     fields in field order, [grid]'s n only (`parse_config` refuses L there);
-    history as `_history_to_text` writes it, strings as they are, else repr."""
+    history as `_history_to_text` writes it, strings as they are, else the repr
+    of the Python scalar (`.item()`), so a numpy scalar writes its digits."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    sections = asdict(p), asdict(dly), {"n": int(grid.n)}, asdict(run)
+    sections = asdict(p), asdict(dly), {"n": grid.n}, asdict(run)
     for name, items in zip(_SECTIONS, sections):
         if "history" in items:
             items["history"] = _history_to_text(items["history"])
-        cp[name] = {key: v if isinstance(v, str) else repr(v) for key, v in items.items()}
+        cp[name] = {key: v if isinstance(v, str) else repr(np.asarray(v).item())
+                    for key, v in items.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

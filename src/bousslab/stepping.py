@@ -134,18 +134,11 @@ def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimSta
     return state
 
 
-def _check_setup(ops: OperatorSet, p: SystemParams, dt: float, dly: DelaySpec) -> None:
-    ops.check_params(p)
-    if not 0 < dt < dly.tau0:
-        raise ConfigurationError(
-            f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
-
-
 def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: float) -> None:
     """Refuse a state not of the grid's size or not finite, one whose history
     has moved on or starts after its delayed time t - tau(t), and a law with
-    tau' >= 1 or tau <= dt on [t, t_end], the interval its steps cover
-    (`_check_setup`'s 0 < dt < tau0 over it)."""
+    tau' >= 1 or tau <= dt on [t, t_end], the interval its steps cover (the
+    one rule for dt against the delay in `run`, `advance` and `step`)."""
     _check_state_size(state.u, grid)
     if not np.all(np.isfinite(state.u)):
         raise ConfigurationError("the state's u has non-finite values")
@@ -198,11 +191,12 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
 
 class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair;
-    ops must be built for p's a, a1, L and alpha (`OperatorSet.check_params`)."""
+    ops must be built for p's a, a1, L and alpha (`OperatorSet.check_params`).
+    It holds only what its constructor builds; `advance` checks dt (`_check_start`)."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None):
-        _check_setup(ops, p, cfg.dt, dly)
+        ops.check_params(p)
         self.ops = ops
         self.cfg = cfg
         self.p = p
@@ -215,9 +209,6 @@ class Stepper:
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
-        # the last block's Picard solves (one right-hand side each) and
-        # largest contraction estimate q, and both after each of its steps
-        self._solves, self._q_max, self._tally = 0, 0.0, []
 
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
         """The quadratic terms N(u) = C (F_i F_j) from the pair table F = G u
@@ -228,9 +219,10 @@ class Stepper:
             return _csr_apply(self._C, F[:h] * F[h:])
         return _csr_apply(self._C, F[:h] * Fd[h:] + Fd[:h] * F[h:])
 
-    def _solve_step(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The state one dt after u, given rhs = u + theta dt (sources): one
-        banded solve, as with N = I - theta dt A the scheme's N^-1 ((I +
+    def _solve_step(self, u: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """(u', solves, q): the state u' one dt after u, given rhs = u + theta dt
+        (sources), with its Picard solve count and largest q (0 and 0.0 if linear).
+        u' takes one banded solve, as with N = I - theta dt A the scheme's N^-1 ((I +
         (1 - theta) dt A) u + dt (sources)) is (N^-1 rhs - (1 - theta) u) / theta.
 
         Nonlinear steps iterate Picard, one right-hand side per solve: N(u_0)
@@ -247,14 +239,13 @@ class Stepper:
             rhs = rhs + theta * dt * self._nonlinear_rhs(F)
         u_new = (self._lu.solve(rhs) - (1.0 - theta) * u) / theta
         if not self.cfg.nonlinear:
-            return u_new
+            return u_new, 0, 0.0
         d = u_new - u
         delta = math.sqrt(d @ d)
-        self._solves += 1
-        for _ in range(1, _PICARD_ITERS):
+        q_max = 0.0
+        for solves in range(2, _PICARD_ITERS + 1):
             Fd = _csr_apply(self._G, d)
             d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
-            self._solves += 1
             F += Fd
             u_new += d
             prev, delta = delta, math.sqrt(d @ d)
@@ -263,11 +254,11 @@ class Stepper:
             if not math.isfinite(delta + scale):
                 raise NonlinearDivergenceError("nonlinear iterate is not finite")
             q = delta / prev if prev > 0 else 0.0   # 0/0: an exact fixed point
-            self._q_max = max(self._q_max, q)
+            q_max = max(q_max, q)
             if q >= 1:
                 raise NonlinearDivergenceError(f"Picard map does not contract: q = {q:.3g}")
             if q * delta <= (1.0 - q) * _PICARD_TOL * scale:
-                return u_new
+                return u_new, solves, q_max
         raise NonlinearDivergenceError(f"Picard iteration did not reach tol={_PICARD_TOL} "
                                        f"within {_PICARD_ITERS} iterations")
 
@@ -284,7 +275,7 @@ class Stepper:
         return times, t_eval - tau_at(self.dly, t_eval)[0]
 
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
-               queries: np.ndarray, out: np.ndarray) -> None:
+               queries: np.ndarray, out: np.ndarray, picard: list) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
         state at times[k + 1] into out[k].  First the history drops the past
         before queries[0], the earliest point the block reads: with tau' < 1
@@ -295,14 +286,12 @@ class Stepper:
         one `trace_eta_xx_L` of its states and one `HistoryLine.extend`; a
         run goes on while the next step's query point is at or
         before the newest sample pushed (a NaN point ends it), so a delay of
-        many steps makes one run of the block.  A step that fails raises its
-        error after the steps before it are in out and in the history.
-        `_tally` holds the block's own running Picard solve count and largest
-        q: (0, 0.0), then the pair after each step taken into out.  A blow-up
-        spreads inf and NaN without a warning, so a run can stop at its first
-        unstable row."""
+        many steps makes one run of the block.  Each step taken into out
+        appends its Picard solve count and largest q (`_solve_step`) to
+        picard, so a step that fails raises its error after the steps before
+        it are in out, in picard and in the history.  A blow-up spreads inf
+        and NaN without a warning, so a run can stop at its first unstable row."""
         dt, theta = self.cfg.dt, self.cfg.theta
-        self._solves, self._q_max, self._tally = 0, 0.0, [(0, 0.0)]
         K = len(out)
         history.drop_before(queries[0])
         done = 0
@@ -322,8 +311,8 @@ class Stepper:
                     b *= theta * dt
                     for k, row in zip(range(start, end), b):
                         row += u
-                        u = self._solve_step(u, row)
-                        self._tally.append((self._solves, self._q_max))
+                        u, solves, q = self._solve_step(u, row)
+                        picard.append((solves, q))
                         out[k] = u
                         done += 1
                 finally:
@@ -339,7 +328,7 @@ class Stepper:
         whose history does not end at its time or starts after its delayed
         time t - tau(t), or a law with tau' >= 1 or tau <= dt from its time to
         the last step's (`_check_start`); and the NonlinearDivergenceError or
-        NumericalError of a step that fails."""
+        NumericalError of a step that fails.  Its Picard counts are dropped."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
         dt = self.cfg.dt
@@ -349,7 +338,7 @@ class Stepper:
         while steps > 0:
             times, queries = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, out[:K])
+            self._block(u, state.history, times, queries, out[:K], [])
             steps -= K
             t, u = times[K], out[K - 1].copy()
         return SimState._from_u(t, u, state.history)
@@ -386,8 +375,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     resolution of the quadrature they replace, is ignored with a
     DeprecationWarning.  The number of blocks and their shortest and mean
     length are logged at DEBUG, and a nonlinear run's step and solve counts
-    and largest q, taken from each block's `_tally`; a blow-up steps on
-    until its rows are recorded, but these counts stop at its first unstable row.
+    and largest q, from the pairs `Stepper._block` appends per step; a blow-up
+    steps on until its rows are recorded, but these counts stop at its first unstable row.
 
     Raises ConfigurationError before the first step when s0.u is not finite or
     not the 2n values of the grid, when s0.history does not end at s0.t or
@@ -435,12 +424,12 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         times, queries = stepper._plan(t, min(_BLOCK, n_steps + 1 - rows))
         K = queries.size
         U = block_rows[:K] if states is None else states[rows:rows + K]
-        error = None
+        error, picard = None, []
         try:
-            stepper._block(u, history, times, queries, U)
+            stepper._block(u, history, times, queries, U, picard)
         except tuple(_TERMINATION) as exc:
             error = exc
-        kept = len(stepper._tally) - 1
+        kept = len(picard)
         new = slice(rows, rows + kept)
         if kept:
             with np.errstate(all="ignore"):
@@ -457,8 +446,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
             log.info("run stopped at step %d (t = %.6g): %s%s",
                      rows + kept, times[kept], termination, cause)
         # the counts stop at the last row kept
-        block_solves, block_q = stepper._tally[kept]
-        solves, q_max = solves + block_solves, max(q_max, block_q)
+        for count, largest in picard[:kept]:
+            solves, q_max = solves + count, max(q_max, largest)
         lengths.append(kept)
         rows += kept
         t, u = times[K], U[K - 1].copy()
@@ -523,7 +512,10 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     """
     if not np.isfinite(amplitude):
         raise ConfigurationError(f"amplitude must be finite, got {amplitude}")
-    _check_setup(ops, p, dt, dly)
+    ops.check_params(p)
+    if not 0 < dt < dly.tau0:
+        raise ConfigurationError(
+            f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
     A = ops.A
     n2 = A.shape[0]
     tau0 = dly.tau0

@@ -64,6 +64,29 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def _count_solves(monkeypatch):
+    """A one-entry list that counts the `BandedLU.solve` calls from now on."""
+    calls, real = [0], BandedLU.solve
+
+    def solve(self, rhs):
+        calls[0] += 1
+        return real(self, rhs)
+
+    monkeypatch.setattr(BandedLU, "solve", solve)
+    return calls
+
+
+def _nan_solve(monkeypatch, at):
+    """Make the `at`-th `BandedLU.solve` call from now on return NaN."""
+    calls, real = [0], BandedLU.solve
+
+    def solve(self, rhs):
+        calls[0] += 1
+        return real(self, rhs) * (np.nan if calls[0] == at else 1.0)
+
+    monkeypatch.setattr(BandedLU, "solve", solve)
+
+
 def _assert_rows_match(rep, oracle, store_fields, n):
     """The first n rows of a report against the oracle's."""
     rows, states, rhs, _ = oracle
@@ -89,7 +112,7 @@ def _run_and_oracle(s0, T, cfg, p, dly, ops, store_fields=False,
     lengths, real, extend = [], Stepper._block, bl.HistoryLine.extend
 
     def block(self, *args):
-        lengths.append(len(args[-1]))   # the block's output rows
+        lengths.append(len(args[4]))   # the block's output rows, `out`
         return real(self, *args)
 
     def counted_extend(self, times, values):
@@ -249,18 +272,9 @@ def test_picard_divergence_inside_a_block_ends_at_the_oracle_row(monkeypatch):
     # is not finite
     p, dly, ops, cfg, _ = _system("constant", True)
     s0 = _dense_state(p, dly, ops, scale=1e-2)
-    real = BandedLU.solve
-
-    def nan_solve():
-        calls = [0]
-
-        def solve(self, rhs):
-            calls[0] += 1
-            return real(self, rhs) * (np.nan if calls[0] == 301 else 1.0)
-
-        monkeypatch.setattr(BandedLU, "solve", solve)
-
-    rep, lengths = _assert_run_matches_oracle(s0, 0.8, cfg, p, dly, ops, patch=nan_solve)
+    rep, lengths = _assert_run_matches_oracle(
+        s0, 0.8, cfg, p, dly, ops,
+        patch=lambda: (monkeypatch.undo(), _nan_solve(monkeypatch, 301)))
     assert rep.termination == "nonlinear_divergence" and 50 < rep.n_rows < 150
     assert len(lengths) == 1 and lengths[0] > 200
 
@@ -291,13 +305,7 @@ def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypat
     assert f"run: {steps} steps in 1 blocks, shortest {steps}, mean length {steps}" in lines
     if nonlinear:
         # the oracle's solves: one right-hand side each
-        solves, real = [0], BandedLU.solve
-
-        def counted(self, rhs):
-            solves[0] += 1
-            return real(self, rhs)
-
-        monkeypatch.setattr(BandedLU, "solve", counted)
+        solves = _count_solves(monkeypatch)
         _step_by_step(s0, 1.0, cfg, p, dly, ops)
         line = next(x for x in lines if x.startswith("nonlinear run"))
         assert line.startswith(f"nonlinear run: {steps} steps, {solves[0]} solves, largest q ")
@@ -356,7 +364,7 @@ OUTRUN = {"sine": (dict(form="sinusoidal", tau0=0.5, amplitude=0.6, frequency=2.
 @pytest.mark.parametrize("entry, law", [
     *((entry, law) for entry in ("run", "advance") for law in OUTRUN),
     ("step", "rate=1.001"), ("step", "rate=1.5")])
-def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
+def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law, monkeypatch):
     # once tau' reaches 1, t - tau(t) stops moving forward and a row would
     # read before the past an earlier block dropped: the law's own slope
     # over [0, t + T] is refused before any step, s0 and its line untouched
@@ -369,11 +377,12 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
     take = {"run": lambda s, T: bl.run(s, T, cfg, p, dly, ops),
             "advance": lambda s, T: stepper.advance(s, round(T / cfg.dt)),
             "step": lambda s, T: stepper.step(s)}[entry]
+    solves = _count_solves(monkeypatch)
     with pytest.raises(ConfigurationError, match=r"slope reaches max tau' = 1\.\d* >= 1 "
                                                  rf"on \[0, {T:g}\]"):
         take(s0, T)
     assert np.array_equal(_bits(s0.u), u) and np.array_equal(_bits(s0.history._buf), line)
-    assert s0.t == 0.0 and s0.history.size == size and stepper._tally == []
+    assert s0.t == 0.0 and s0.history.size == size and solves == [0]
     if law == "sine":
         # the slope is at most 1.2 sin 0.8 = 0.86 on [0, 0.4]: 400 steps go
         end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 0.4)
@@ -384,11 +393,11 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law):
 
 
 @pytest.mark.parametrize("entry", ["run", "advance", "step"])
-def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
+def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry, monkeypatch):
     # tau = 0.5 + 0.49 sin t falls to 0.01 at t = 3 pi / 2, below dt = 0.02,
     # where a step would read past the newest sample: the law's min tau over
-    # [t, t + T] is refused before any step, as the stepper refuses
-    # dt >= tau0, s0 and its line untouched (the step from t = 4.7)
+    # [t, t + T] is refused before any step, the one rule for dt against
+    # the delay (`_check_start`), s0 and its line untouched (the step from t = 4.7)
     p = bl.SystemParams(**ACC)
     dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.49, frequency=1.0, M=1.0, d=0.5)
     g = bl.Grid(n=32, L=p.L)
@@ -405,11 +414,12 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
                     history=bl.HistoryLine(t_hist, np.cos(3 * t_hist)))
     s, t_end = (late, 4.72) if entry == "step" else (s0, 6.0)
     u, line, size = _bits(s.u).copy(), _bits(s.history._buf).copy(), s.history.size
+    solves = _count_solves(monkeypatch)
     with pytest.raises(ConfigurationError, match=r"delay falls to min tau = 0\.01 <= dt = 0\.02 "
                                                  rf"on \[{s.t:g}, {t_end:g}\]"):
         take(s, 6.0)
     assert np.array_equal(_bits(s.u), u) and np.array_equal(_bits(s.history._buf), line)
-    assert s.history.size == size and stepper._tally == []
+    assert s.history.size == size and solves == [0]
     if entry != "step":
         # min tau = 0.5 + 0.49 sin 4 = 0.129 on [0, 4]: 200 steps go
         end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 4.0)
@@ -429,23 +439,64 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry):
         assert np.all(np.isfinite(end.u))
 
 
-def test_advance_refuses_a_state_whose_history_has_moved_on():
+def test_a_rising_delay_is_read_over_the_stepped_interval_not_at_tau0():
+    # tau = 0.1 + 0.3 t is saturated at M = 0.7 on [5, 6], so dt = 0.2 reads
+    # the stored past there although it is above tau0 = 0.1: `run` takes its
+    # five steps, and `advance` the same five to the same bits
+    p = bl.SystemParams(**ACC)
+    dly = bl.DelaySpec(form="affine", tau0=0.1, rate=0.3, M=0.7, d=0.3)
+    g = bl.Grid(n=32, L=p.L)
+    ops = bl.build_operators(p, g)
+    cfg = bl.StepConfig(dt=0.2, theta=bl.suggested_theta(0.2))
+    x, t_hist = g.nodes, np.linspace(4.0, 5.0, 51)
+    s = SimState(t=5.0, eta=x ** 3 * (1 - x) ** 2, omega=x ** 2 * (1 - x) ** 2,
+                 history=bl.HistoryLine(t_hist, np.cos(3 * t_hist)))
+    rep = bl.run(s, 1.0, cfg, p, dly, ops, store_fields=True)
+    assert rep.termination == "completed" and rep.n_rows == 6
+    end = Stepper(ops, cfg, p, dly).advance(s, 5)
+    assert end.t == rep.t[-1] == pytest.approx(6.0)
+    assert np.array_equal(_bits(end.eta), _bits(rep.fields_eta[-1]))
+    assert np.array_equal(_bits(end.omega), _bits(rep.fields_omega[-1]))
+
+
+@pytest.mark.parametrize("failure", ["nonlinear_divergence", "numerical_error"])
+def test_a_stepper_steps_on_after_an_advance_that_failed(failure, monkeypatch):
+    # a stepper keeps nothing from one call to the next: after an advance
+    # that raised in its second block, the same stepper takes a fresh state
+    # to the bits a new stepper gives
+    p, dly, ops, cfg, s0 = _system("constant", True, n=16)
+    stepper = Stepper(ops, cfg, p, dly)
+    if failure == "numerical_error":
+        failing_solve(monkeypatch, after=850)
+    else:
+        _nan_solve(monkeypatch, 851)   # that step's iterate is not finite
+    error = {v: k for k, v in STOPS.items()}[failure]
+    with pytest.raises(error):
+        stepper.advance(SimState._from_u(0.0, s0.u, s0.history.copy()), 300)
+    monkeypatch.undo()
+    again, new = (st.advance(SimState._from_u(0.0, s0.u, s0.history.copy()), 300)
+                  for st in (stepper, Stepper(ops, cfg, p, dly)))
+    assert again.t == new.t and np.array_equal(_bits(again.u), _bits(new.u))
+    a, b = again.history, new.history
+    assert np.array_equal(_bits(a._buf[:, a._lo:a._hi]), _bits(b._buf[:, b._lo:b._hi]))
+
+
+def test_advance_refuses_a_state_whose_history_has_moved_on(monkeypatch):
     # s1's line ends at 2 dt once s1 is stepped again, so a step from s1
-    # would push before the newest sample: refused before any step, the
-    # counters and the line unchanged
+    # would push before the newest sample: refused before any step, with no
+    # banded solve and the line unchanged
     p, dly, ops, cfg, s0 = _system("constant", True, n=16)
     stepper = Stepper(ops, cfg, p, dly)
     s1 = stepper.step(s0)
     stepper.step(s1)
-    counters = (stepper._solves, stepper._q_max, list(stepper._tally))
     line = s1.history
     size, buf = line.size, _bits(line._buf[:, line._lo:line._hi]).copy()
+    solves = _count_solves(monkeypatch)
     for take in (lambda: stepper.advance(s1, 3), lambda: stepper.step(s1)):
         with pytest.raises(ConfigurationError,
                            match=r"history ends at t=0\.004, not at its time t=0\.002"):
             take()
-        assert (stepper._solves, stepper._q_max, list(stepper._tally)) == counters
-        assert len(stepper._tally) == 2
+        assert solves == [0]
         assert line.size == size
         assert np.array_equal(_bits(line._buf[:, line._lo:line._hi]), buf)
 
@@ -460,19 +511,21 @@ def test_run_refuses_a_history_that_starts_after_the_first_delayed_time():
     assert hist.t_last == 0.0 and hist.size == 2   # no step was taken
 
 
-def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_time():
-    # the check and message `run` gives, before any step: the counters and
-    # the line unchanged
+def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_time(
+        monkeypatch):
+    # the check and message `run` gives, before any step: no banded solve
+    # and the line unchanged
     p, dly, ops, cfg, s0 = _system("constant", False)
     hist = bl.HistoryLine([-0.1, 0.0], [0.0, 0.0])
     s = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=hist)
     stepper = Stepper(ops, cfg, p, dly)
     buf = _bits(hist._buf[:, hist._lo:hist._hi]).copy()
+    solves = _count_solves(monkeypatch)
     for take in (lambda: stepper.advance(s, 3), lambda: stepper.step(s)):
         with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
                                                      r"time t - tau\(t\) = -0\.5"):
             take()
-        assert (stepper._solves, stepper._q_max, stepper._tally) == (0, 0.0, [])
+        assert solves == [0]
         assert hist.size == 2 and np.array_equal(_bits(hist._buf[:, hist._lo:hist._hi]), buf)
 
 

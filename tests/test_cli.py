@@ -218,6 +218,25 @@ def test_simulate_seed_flag(tmp_path):
     assert series("2", "c") != first
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_simulate_refuses_a_negative_seed_before_its_outputs(tmp_path, capsys, where):
+    # numpy's generator takes no negative seed: refused as configuration
+    # while the config is read, so an earlier run's output stays
+    cfg = GOOD.replace("eta0 = cubic 0.1", "eta0 = random 0.01").replace(
+        "T = 0.3", "T = 0.01").replace("n = 48", "n = 16")
+    flags = ["--seed", "-1"] if where == "flag" else []
+    if where == "config":
+        cfg += "seed = -1\n"
+    out = tmp_path / "outseed"
+    out.mkdir()
+    (out / "timeseries.csv").write_text("earlier\n")
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: seed must be a nonnegative integer, got -1" in err
+    assert "Traceback" not in err
+    assert (out / "timeseries.csv").read_text() == "earlier\n"
+
+
 def test_simulate_store_fields_reports_kato(tmp_path):
     cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nstore_fields = true")
     out = tmp_path / "outkato"

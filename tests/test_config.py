@@ -97,6 +97,32 @@ def test_round_trip_every_run_field():
     assert run2 == changed
 
 
+def test_numpy_scalars_round_trip():
+    # a numpy scalar is written as its Python value's repr, so np.float32
+    # keeps every digit and the text parses back to equal fields
+    p, dly, grid, run = parse_config(SAMPLE)
+    p = dataclasses.replace(p, alpha=np.float64(0.05), beta=np.float32(5e-4))
+    dly = dataclasses.replace(dly, tau0=np.float64(0.5), M=np.float32(2.0))
+    grid = dataclasses.replace(grid, n=np.int64(64))
+    run = dataclasses.replace(run, seed=np.int64(7), dt=np.float32(1e-3),
+                              store_fields=np.bool_(True), nonlinear=np.bool_(False))
+    text = serialize_config(p, dly, grid, run)
+    assert "np." not in text and "beta = 0.0005000000237487257\n" in text
+    p2, dly2, grid2, run2 = parse_config(text)
+    assert (p2, grid2, run2) == (p, grid, run)
+    assert (dly2.tau0, dly2.M) == (dly.tau0, dly.M)
+
+
+def test_seed_must_be_a_nonnegative_integer():
+    # numpy's generator would refuse a negative seed only once the run starts
+    for seed in (-1, True, 2.0, "3", np.int64(-2)):
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            RunSettings(seed=seed)
+    with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer, got -1"):
+        parse_config(SAMPLE + "seed = -1\n")
+    assert RunSettings(seed=np.int64(5)).seed == 5
+
+
 @pytest.mark.parametrize("history", ["zero", "constant 0.3", "0.7", "0.1 0.5 -0.2"])
 def test_history_round_trip(history):
     # every history form serialize_config writes parses back to the same samples

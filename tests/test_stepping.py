@@ -164,10 +164,24 @@ def test_run_rejects_horizon_beyond_allocation():
     assert s.t == 0.0 and s.history.t_last == 0.0   # no step was taken
 
 
-def test_dt_must_resolve_delay():
+def test_dt_must_resolve_delay(monkeypatch):
+    # dt = tau0 would read a delayed value not yet stored: the stepper is
+    # built, and `run`, `advance` and `step` refuse the steps with
+    # `_check_start`'s message before any of them (every banded solve
+    # would fail), the state and its line unchanged
     p, dly, g, ops = _setup()
-    with pytest.raises(ConfigurationError):
-        Stepper(ops, bl.StepConfig(dt=dly.tau0), p, dly)
+    cfg = bl.StepConfig(dt=dly.tau0)
+    stepper = Stepper(ops, cfg, p, dly)
+    s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
+    u, line, size = s.u.copy(), s.history._buf.copy(), s.history.size
+    failing_solve(monkeypatch, after=0)
+    for take, t_end in ((lambda: bl.run(s, 1.0, cfg, p, dly, ops), 1),
+                        (lambda: stepper.advance(s, 2), 1), (lambda: stepper.step(s), 0.5)):
+        with pytest.raises(ConfigurationError,
+                           match=rf"min tau = 0\.5 <= dt = 0\.5 on \[0, {t_end:g}\]"):
+            take()
+        assert s.t == 0.0 and np.array_equal(s.u, u) and s.history.size == size
+        assert np.array_equal(s.history._buf, line)
 
 
 def test_nan_dt_is_refused_naming_dt():
