@@ -14,7 +14,8 @@ from .params import DelaySpec, Grid, SystemParams, constant_history
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Run-control knobs from the [run] section; `seed` a nonnegative integer."""
+    """Run-control knobs from the [run] section: `dt` positive and finite, the
+    horizon `T` finite and nonnegative, `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -25,6 +26,11 @@ class RunSettings:
     store_fields: bool = False
 
     def __post_init__(self):
+        # written so that a NaN fails them
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.T < np.inf:
+            raise ConfigurationError(f"horizon T must be finite and nonnegative, got {self.T}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -17,8 +17,8 @@ from .operators import trace_omega_xx_0
 from .params import DelaySpec, Grid, SystemParams, tau_at
 
 
-# stored rows per block of the Kato residual: its temporaries stay near 1.4 MB
-# at n = 403, where all rows at once would take about 80 MB
+# stored rows per block of the Kato residual (`_kato_block`): its temporaries
+# peak near 1.0 MB at n = 403, where all rows at once would take about 60 MB
 _KATO_BLOCK = 32
 
 
@@ -80,34 +80,23 @@ def dissipation_residual(report, p: SystemParams) -> float:
     return float(np.max(np.abs(dE - report.dissipation_rhs[1:-1])))
 
 
-def field_derivatives(eta: np.ndarray, omega: np.ndarray, g: Grid,
-                      trace_now, trace_delayed, p: SystemParams):
-    """First and second derivatives on the full grid for the space-time
-    quadratures; boundary second derivatives come from the boundary
-    conditions (eta_xx(0) = 0, and omega_xx(L) is reconstructed from the
-    feedback law).
-
-    The fields may be stacked rows along the last axis, with the traces
-    one value per row: every row gets the same arithmetic as alone."""
-    h = g.h
-    shape = eta.shape[:-1] + (g.n + 2,)
-    # with the zero boundary values
-    ef = np.zeros(shape)
-    wf = np.zeros(shape)
-    ef[..., 1:-1] = eta
-    wf[..., 1:-1] = omega
-    ex = np.zeros(shape)
-    wx = np.zeros(shape)
-    ex[..., 1:-1] = (ef[..., 2:] - ef[..., :-2]) / (2 * h)
-    wx[..., 1:-1] = (wf[..., 2:] - wf[..., :-2]) / (2 * h)   # clamped: boundary slopes are 0
-    exx = np.zeros(shape)
-    wxx = np.zeros(shape)
-    exx[..., 1:-1] = (ef[..., 2:] - 2 * ef[..., 1:-1] + ef[..., :-2]) / h ** 2
-    wxx[..., 1:-1] = (wf[..., 2:] - 2 * wf[..., 1:-1] + wf[..., :-2]) / h ** 2
-    exx[..., -1] = trace_now
-    wxx[..., 0] = trace_omega_xx_0(omega, g)
-    wxx[..., -1] = p.alpha * trace_now + p.beta * trace_delayed
-    return ex, wx, exx, wxx
+def _kato_block(eta: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
+    """(int eta^2 + omega^2, int eta_x^2 + omega_x^2, the interior nodes' part
+    of int eta_xx^2 + omega_xx^2) of each stored row, three row-wise dot
+    products: of the interleaved state (eta_1, omega_1, ...) between two zero
+    nodes, and of its central first and second differences, where a node's
+    neighbours sit two columns away.  A row gets the bits it gets alone."""
+    rows, n = eta.shape
+    z = np.zeros((rows, 2 * n + 4))
+    z[:, 2:-2:2] = eta
+    z[:, 3:-2:2] = omega
+    u = z[:, 2:-2]
+    d1 = z[:, 4:] - z[:, :-4]
+    d1 /= 2 * h
+    d2 = z[:, 4:] - 2 * u
+    d2 += z[:, :-4]
+    d2 /= h ** 2
+    return h * np.array([np.einsum("ij,ij->i", v, v) for v in (u, d1, d2)])
 
 
 def kato_constant(p: SystemParams) -> float:
@@ -123,30 +112,35 @@ def kato_identity_residual(report, p: SystemParams) -> tuple[float, float]:
                - a1 L/2 int (eta_xx(t,L)^2 + omega_xx(t,L)^2) dt
                - int x (eta omega - eta0 omega0) dx            [at t = T]
 
-    Returns (residual, C_L).  Requires stored fields at every step.
+    Returns (residual, C_L).  Requires stored fields at every step.  The x
+    integrals are trapezoids over the full grid (`_kato_block`, in row
+    blocks), the boundary values zero but for the second derivatives from
+    the boundary conditions: eta_xx(0) = 0, eta_xx(L) = trace_now,
+    omega_xx(0) its one-sided trace and omega_xx(L) from the feedback law.
+    Raises ConfigurationError when `report.config` holds an a, a1, L, alpha
+    or beta other than p's, or an n other than the fields' width.
     """
     if report.fields_eta is None:
         raise ConfigurationError("kato identity needs store_fields=True in the run")
-    n = report.fields_eta.shape[1]
+    eta, omega = report.fields_eta, report.fields_omega
+    nt, n = eta.shape
+    for key, value in (("a", p.a), ("a1", p.a1), ("L", p.L), ("alpha", p.alpha),
+                       ("beta", p.beta), ("n", n)):
+        if report.config.get(key, value) != value:
+            whose = "its fields have" if key == "n" else "p has"
+            raise ConfigurationError(f"the report's config has {key} = {report.config[key]}, "
+                                     f"{whose} {key} = {value}")
     g = Grid(n=n, L=p.L)
-    t = report.t
-    nt = t.size
-    I_l2 = np.empty(nt)
-    I_h1 = np.empty(nt)
-    I_h2 = np.empty(nt)
-    bdry = np.empty(nt)
+    I_l2, I_h1, I_h2 = I = np.empty((3, nt))
     for k in range(0, nt, _KATO_BLOCK):
         rows = slice(k, k + _KATO_BLOCK)
-        e, w = report.fields_eta[rows], report.fields_omega[rows]
-        I_l2[rows] = g.h * (e ** 2 + w ** 2).sum(axis=-1)   # trapezoid: 0 at both ends
-        ex, wx, exx, wxx = field_derivatives(
-            e, w, g, report.trace_now[rows], report.trace_delayed[rows], p)
-        I_h1[rows] = np.trapezoid(ex ** 2 + wx ** 2, dx=g.h)
-        I_h2[rows] = np.trapezoid(exx ** 2 + wxx ** 2, dx=g.h)
-        bdry[rows] = exx[:, -1] ** 2 + wxx[:, -1] ** 2
+        I[:, rows] = _kato_block(eta[rows], omega[rows], g.h)
+    # eta_xx(L)^2 + omega_xx(L)^2, then the trapezoid's halves at both ends
+    bdry = report.trace_now ** 2 + (p.alpha * report.trace_now + p.beta * report.trace_delayed) ** 2
+    I_h2 += 0.5 * g.h * (trace_omega_xx_0(omega, g) ** 2 + bdry)
 
     def tint(v):
-        return float(np.trapezoid(v, x=t))
+        return float(np.trapezoid(v, x=report.t))
 
     x = g.nodes
 
@@ -157,6 +151,5 @@ def kato_identity_residual(report, p: SystemParams) -> tuple[float, float]:
                 - 1.5 * p.a * tint(I_h1)
                 + 2.5 * p.a1 * tint(I_h2)
                 - 0.5 * p.a1 * p.L * tint(bdry)
-                - (xmoment(report.fields_eta[-1], report.fields_omega[-1])
-                   - xmoment(report.fields_eta[0], report.fields_omega[0])))
+                - (xmoment(eta[-1], omega[-1]) - xmoment(eta[0], omega[0])))
     return residual, kato_constant(p)

@@ -132,7 +132,8 @@ class OperatorSet:
     B = -beta outer(omega_s_influence, trace_row) has rank one and is never
     assembled: steps apply it as a source, the slow mode as a secular
     equation.  `trace_row` holds the weights of `trace_eta_xx_L`.  A depends
-    only on the a, a1, L and alpha of `params` (`check_params`).
+    only on the a, a1, L and alpha of `params` (`check_params`); `A_band` is
+    A's (ab, kl, ku) of `band_storage`, from which `shifted_lu` factors.
     """
 
     grid: Grid
@@ -141,6 +142,18 @@ class OperatorSet:
     eta_c_influence: np.ndarray
     omega_s_influence: np.ndarray
     trace_row: np.ndarray
+    A_band: tuple[np.ndarray, int, int]
+
+    def shifted_lu(self, shift, scale: float) -> BandedLU:
+        """`BandedLU` of shift I - scale A, formed from `A_band` entry by entry
+        as scipy.sparse forms it (0 - scale a_ij off the diagonal, shift -
+        scale a_ii on it), so its factors are the sparse expression's bit for
+        bit; a complex shift factors in complex arithmetic."""
+        ab, kl, ku = self.A_band
+        out = np.zeros(ab.shape, dtype=np.result_type(shift, float), order="F")
+        np.subtract(out, scale * ab, out=out)   # 0 - 0 keeps the empty slots +0.0
+        out[kl + ku] = shift - scale * ab[kl + ku]
+        return BandedLU(out, kl, ku)
 
     def check_params(self, p: SystemParams) -> None:
         """Raise ConfigurationError unless p has the a, a1, L and alpha of A."""
@@ -226,28 +239,37 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     A = _interleaved(sp.bmat([[feedback, -combine(omega, 0)], [-combine(eta, 0), None]]),
                      rows=True, cols=True)
     return OperatorSet(grid=g, params=p, A=A, eta_c_influence=combine(eta, 1),
-                       omega_s_influence=g_s, trace_row=T)
+                       omega_s_influence=g_s, trace_row=T, A_band=band_storage(A))
+
+
+def band_storage(matrix) -> tuple[np.ndarray, int, int]:
+    """(ab, kl, ku): a square matrix, dense or sparse (anything `sp.coo_matrix`
+    accepts; explicit zeros are dropped before the bandwidths are read), in
+    the LAPACK band storage `BandedLU` factors: entry (i, j) at
+    ab[kl + ku + i - j, j], below kl zero rows for the fill-in."""
+    m = sp.coo_matrix(matrix)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    ii, jj = m.row, m.col
+    kl = int(np.max(ii - jj, initial=0))
+    ku = int(np.max(jj - ii, initial=0))
+    ab = np.zeros((2 * kl + ku + 1, m.shape[0]), dtype=np.result_type(m.dtype, float), order="F")
+    ab[kl + ku + ii - jj, jj] = m.data
+    return ab, kl, ku
 
 
 class BandedLU:
-    """Reusable banded LU factorization of a square matrix given dense or
-    sparse (anything `sp.coo_matrix` accepts; explicit zeros are dropped
-    before the bandwidths are read): LAPACK dgbtrf/dgbtrs for real data,
+    """Reusable banded LU factorization of a square matrix in the band storage
+    (ab, kl, ku) of `band_storage`: LAPACK dgbtrf/dgbtrs for real data,
     zgbtrf/zgbtrs for complex.  Every system matrix is factored here."""
 
-    def __init__(self, matrix):
-        m = sp.coo_matrix(matrix)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        ii, jj, vals = m.row, m.col, m.data
-        self.n = m.shape[0]
-        self.kl = int(np.max(ii - jj, initial=0))
-        self.ku = int(np.max(jj - ii, initial=0))
-        ab = np.zeros((2 * self.kl + self.ku + 1, self.n),
-                      dtype=np.result_type(m.dtype, float), order="F")
-        ab[self.kl + self.ku + ii - jj, jj] = vals
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        if ab.shape[0] != 2 * kl + ku + 1:
+            raise ConfigurationError(f"band storage of {ab.shape[0]} rows is not 2 kl + ku + 1 "
+                                     f"for kl = {kl}, ku = {ku}")
+        self.n, self.kl, self.ku = ab.shape[1], kl, ku
         gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, ipiv, info = gbtrf(ab, self.kl, self.ku)
+        lu, ipiv, info = gbtrf(ab, kl, ku)
         if info != 0:
             raise NumericalError(f"banded LU factorization failed (info={info})")
         self._lu = lu

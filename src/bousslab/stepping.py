@@ -26,6 +26,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,7 @@ from .certificate import check_multipliers, phi_matrix
 from .energy import _check_state_size, energy_rows
 from .delay_line import HistoryLine
 from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
-from .operators import (BandedLU, OperatorSet, _csr_apply, _interleaved, build_operators,
+from .operators import (OperatorSet, _csr_apply, _interleaved, build_operators,
                         derivative_matrix, trace_eta_xx_L)
 from .params import DelaySpec, Grid, SystemParams, _tau_extremes, tau_at
 from .report import CSV_COLUMNS, RunReport
@@ -100,7 +101,7 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Theta-scheme parameters.
+    """Theta-scheme parameters: dt positive and finite, theta in [1/2, 1].
 
     theta = 1/2 is Crank-Nicolson; production runs use theta = 1/2 + O(dt)
     to damp the stiff spurious closure modes (see `suggested_theta`), and
@@ -114,6 +115,8 @@ class StepConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if self.dt == np.inf:
+            raise ConfigurationError("dt must be finite, got inf")
         if not 0.5 <= self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in [1/2, 1], got {self.theta}")
 
@@ -203,7 +206,7 @@ class Stepper:
         self.dly = dly
         self.forcing = forcing
         n = ops.grid.n
-        self._lu = BandedLU(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A)
+        self._lu = ops.shifted_lu(1.0, cfg.theta * cfg.dt)
         # the source per unit delayed trace: B's column on the eta rows
         self._delay_source = np.zeros(2 * n)
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
@@ -478,6 +481,18 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     )
 
 
+@lru_cache(maxsize=16)
+def _coarse_spectrum(a: float, a1: float, L: float, alpha: float, n: int) -> np.ndarray:
+    """The eigenvalues of the dense A (`build_operators`, which depends on
+    these four parameters only) on the n-node grid, as a read-only array:
+    the slow mode's start candidates, shared by the levels of a ladder and
+    the points of a sweep."""
+    ops = build_operators(SystemParams(a=a, a1=a1, L=L, alpha=alpha), Grid(n, L))
+    ev = np.linalg.eigvals(ops.A.toarray())
+    ev.flags.writeable = False
+    return ev
+
+
 def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float,
                     amplitude: float = 1.0):
     """Least-damped time-resolved eigenpair of the delayed system.
@@ -488,15 +503,17 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     lambda), lambda with Im >= 0.  Useful as transient-free benchmark data.
 
     The candidates are the decaying eigenvalues, in the time-resolved disk
-    |lambda| dt <= 0.7, of the dense A on a grid of min(n, 24) nodes.  The
+    |lambda| dt <= 0.7, of the dense A on a grid of min(n, 24) nodes, one
+    cached spectrum per (a, a1, L, alpha) and grid (`_coarse_spectrum`).  The
     start is the oscillatory candidate (any candidate if none oscillates)
     with the least |Re|, taken with Im >= 0.  B = -beta g t^T has rank one,
     so lambda is a root of G = 1/s + beta exp(-lambda*tau0),
     s = t^T (lambda I - A)^{-1} g (with beta = 0, of A's eigenvalues).
-    Newton on G factors lambda I - A once per step (`BandedLU`) and makes two
-    solves.  It goes on while a step is above the floor eps * ||A||_1 or
-    halves the one before, and returns the lambda before the first step that
-    is neither; that step is lambda's attained accuracy, logged at DEBUG.
+    Newton on G factors lambda I - A once per step from A's band storage
+    (`OperatorSet.shifted_lu`) and makes two solves.  It goes on while a step
+    is above the floor eps * ||A||_1 or halves the one before, and returns
+    the lambda before the first step that is neither; that step is lambda's
+    attained accuracy, logged at DEBUG.
     The eigenvector is x = (lambda I - A)^{-1} g from the last factorization,
     scaled so its largest-modulus entry equals `amplitude` (real); its real
     part is the initial state.  The history holds Re(t^T x exp(lambda s))
@@ -516,16 +533,12 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     if not 0 < dt < dly.tau0:
         raise ConfigurationError(
             f"explicit delay treatment requires 0 < dt < tau0: dt={dt}, tau0={dly.tau0}")
-    A = ops.A
-    n2 = A.shape[0]
     tau0 = dly.tau0
-
-    coarse = Grid(min(ops.grid.n, _COARSE_N), ops.grid.L)
-    coarse_ops = ops if coarse == ops.grid else build_operators(p, coarse)
+    coarse_n = min(ops.grid.n, _COARSE_N)
     try:
-        ev = np.linalg.eigvals(coarse_ops.A.toarray())
+        ev = _coarse_spectrum(p.a, p.a1, p.L, p.alpha, coarse_n)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolve on the n={coarse.n} grid failed: {exc}") from exc
+        raise NumericalError(f"dense eigensolve on the n={coarse_n} grid failed: {exc}") from exc
     ok = (np.abs(ev) * dt <= _RESOLVE_LIMIT) & (ev.real < 0)
     osc = ok & (np.abs(ev.imag) > 1e-9)
     cand = np.flatnonzero(osc if osc.any() else ok)
@@ -535,16 +548,17 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     lam = ev[cand[np.argmin(np.abs(ev[cand].real))]]
     lam = complex(lam.real, abs(lam.imag))
     log.debug("slow mode: Newton starts at %s, from %d candidates on the n=%d grid",
-              lam, cand.size, coarse.n)
+              lam, cand.size, coarse_n)
 
-    g = np.zeros(n2)
+    g = np.zeros(2 * ops.grid.n)
     g[0::2] = ops.omega_s_influence
     t = ops.trace_row
-    floor = np.finfo(float).eps * abs(A).sum(axis=0).max()   # ||A||_1
+    # ||A||_1: a column of A is a column of its band storage
+    floor = np.finfo(float).eps * np.abs(ops.A_band[0]).sum(axis=0).max()
     last = np.inf
     # G' = t^T (lambda I - A)^{-2} g / s^2 - tau0 beta exp(-lambda*tau0)
     for factors in range(1, 13):
-        lu = BandedLU(lam * sp.identity(n2) - A)
+        lu = ops.shifted_lu(lam, 1.0)
         v = lu.solve(g)
         s = t @ v[0::2]
         with np.errstate(all="ignore"):   # a NaN step stops Newton and fails the floor

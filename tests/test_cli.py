@@ -237,6 +237,27 @@ def test_simulate_refuses_a_negative_seed_before_its_outputs(tmp_path, capsys, w
     assert (out / "timeseries.csv").read_text() == "earlier\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "0", "dt must be positive and finite, got 0.0"),
+    ("--dt", "nan", "dt must be positive and finite, got nan"),
+    ("--dt", "inf", "dt must be positive and finite, got inf"),
+    ("--horizon", "-1", "horizon T must be finite and nonnegative, got -1.0"),
+    ("--horizon", "nan", "horizon T must be finite and nonnegative, got nan")])
+def test_simulate_refuses_a_bad_step_or_horizon_before_its_outputs(tmp_path, capsys, flag,
+                                                                    value, message):
+    # refused while the config is read, as a negative seed is: exit 3, and an
+    # earlier run's output stays
+    out = tmp_path / "outbad"
+    out.mkdir()
+    (out / "timeseries.csv").write_text("earlier\n")
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 flag, value]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert "Traceback" not in err
+    assert (out / "timeseries.csv").read_text() == "earlier\n"
+
+
 def test_simulate_store_fields_reports_kato(tmp_path):
     cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = quartic 0.1\nstore_fields = true")
     out = tmp_path / "outkato"
@@ -268,9 +289,10 @@ def test_simulate_rejects_unallocatable_rho_res(tmp_path, capsys):
 
 
 def test_simulate_rejects_negative_horizon(tmp_path, capsys):
+    # a configuration error (exit 3), refused before the output directory is made
     out = tmp_path / "outneg"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
-                 "--horizon", "-1", "--n", "32"]) == 1
+                 "--horizon", "-1", "--n", "32"]) == 3
     assert "horizon" in capsys.readouterr().err
     assert not (out / "timeseries.csv").exists()
 
@@ -286,12 +308,13 @@ def test_simulate_rejects_unallocatable_horizon(tmp_path, capsys):
 
 @pytest.mark.parametrize("eta0", ["cubic 1.0", "slowmode"])
 def test_simulate_rejects_nan_dt(tmp_path, capsys, eta0):
+    # a configuration error (exit 3) whatever the initial data
     cfg = GOOD.replace("eta0 = cubic 0.1", f"eta0 = {eta0}")
     out = tmp_path / "outnan"
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--dt", "nan", "--n", "32"]) == 1
+                 "--dt", "nan", "--n", "32"]) == 3
     err = capsys.readouterr().err
-    assert "simulation error" in err and "dt" in err and "nan" in err
+    assert "configuration error" in err and "dt" in err and "nan" in err
     assert not (out / "timeseries.csv").exists()
 
 
@@ -408,11 +431,12 @@ def test_simulate_rerun_from_its_config_is_byte_equal(tmp_path, text, flags):
 
 @pytest.mark.parametrize("second, code, left", [
     (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
-    (GOOD.replace("T = 0.3", "T = -1.0"), 1, []),
+    (GOOD.replace("dt = 0.001", "dt = 0.6"), 1, []),
 ], ids=["uncertified", "refused"])
 def test_simulate_rerun_leaves_no_earlier_output(tmp_path, second, code, left):
     # a certified run, then one without a certificate or refused before its
-    # first step: --out holds the second run's files only
+    # first step (dt >= tau0, which only the run checks): --out holds the
+    # second run's files only
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(SIMULATE_OUTPUTS)

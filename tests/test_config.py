@@ -123,6 +123,21 @@ def test_seed_must_be_a_nonnegative_integer():
     assert RunSettings(seed=np.int64(5)).seed == 5
 
 
+def test_run_settings_refuse_a_bad_step_or_horizon():
+    # a step that `StepConfig` or a horizon that `run` would refuse later is
+    # refused as the settings are made, so `simulate` fails before its outputs
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match=f"dt must be positive and finite, got {dt}"):
+            RunSettings(dt=dt)
+    for T in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match=f"horizon T must be finite and nonnegative, "
+                                                     f"got {T}"):
+            RunSettings(T=T)
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite, got 0.0"):
+        parse_config(SAMPLE.replace("dt = 0.001", "dt = 0"))
+    assert RunSettings(T=0.0).T == 0.0
+
+
 @pytest.mark.parametrize("history", ["zero", "constant 0.3", "0.7", "0.1 0.5 -0.2"])
 def test_history_round_trip(history):
     # every history form serialize_config writes parses back to the same samples

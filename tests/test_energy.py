@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import bousslab as bl
-from bousslab.energy import energy_sample, field_derivatives, kato_constant
+from bousslab import energy
+from bousslab.energy import energy_sample, kato_constant
 from bousslab.errors import ConfigurationError, HistoryUnderrunError
 from bousslab.operators import trace_weights
 from bousslab.report import CSV_COLUMNS
@@ -155,6 +157,18 @@ def test_kato_zero_run():
     assert res == 0.0 and CL > 0
 
 
+def test_kato_refuses_another_systems_params():
+    # the identity of another system would read as a large residual, not an error
+    rep, p = _kato_run(n=20, rows=5)
+    for key, value in (("a", 0.2), ("a1", 0.007), ("L", 0.9), ("alpha", 0.06), ("beta", 1e-3)):
+        with pytest.raises(ConfigurationError, match=rf"config has {key} = {rep.config[key]}, "
+                                                     rf"p has {key} = {value}$"):
+            bl.kato_identity_residual(rep, dataclasses.replace(p, **{key: value}))
+    rep.config["n"] = 21
+    with pytest.raises(ConfigurationError, match="config has n = 21, its fields have n = 20$"):
+        bl.kato_identity_residual(rep, p)
+
+
 def test_kato_requires_fields():
     rep = bl.RunReport(t=np.zeros(3), E=np.zeros(3), V=np.zeros(3),
                        V1=np.zeros(3), V2=np.zeros(3), trace_now=np.zeros(3),
@@ -301,8 +315,8 @@ def _bits(x):
 
 
 def _row_field_derivatives(eta, omega, g, trace_now, trace_delayed, p):
-    """One stored row's derivatives as `field_derivatives` computed them
-    before it took stacked rows."""
+    """One stored row's derivatives on the full grid, as the Kato residual
+    computed them one row at a time, before its row dot products."""
     h = g.h
     ef = np.concatenate(([0.0], eta, [0.0]))
     wf = np.concatenate(([0.0], omega, [0.0]))
@@ -323,7 +337,7 @@ def _row_field_derivatives(eta, omega, g, trace_now, trace_delayed, p):
 
 def _row_kato_residual(report, p):
     """The Kato residual as computed one stored row at a time, before the
-    row blocks."""
+    row blocks: an independent oracle for `kato_identity_residual`."""
     n = report.fields_eta.shape[1]
     g = bl.Grid(n=n, L=p.L)
     t = report.t
@@ -374,41 +388,43 @@ def _kato_run(n, rows, beta=5e-4, seed=0):
     return rep, p
 
 
-def _assert_kato_matches_rows(rep, p):
+def _assert_kato_matches_rows(rep, p, monkeypatch):
     got = bl.kato_identity_residual(rep, p)
-    assert _bits(got).tolist() == _bits(_row_kato_residual(rep, p)).tolist()
-    g = bl.Grid(n=rep.fields_eta.shape[1], L=p.L)
-    stacked = field_derivatives(rep.fields_eta, rep.fields_omega, g,
-                                rep.trace_now, rep.trace_delayed, p)
+    # the row-at-a-time oracle sums in another order
+    ref = _row_kato_residual(rep, p)
+    assert got[1] == ref[1]
+    assert abs(got[0] - ref[0]) <= 1e-9 * abs(ref[0]), (got, ref)
+    # the block pass gives each row the bits it has alone
+    h = bl.Grid(n=rep.fields_eta.shape[1], L=p.L).h
+    stacked = energy._kato_block(rep.fields_eta, rep.fields_omega, h)
     for k in range(rep.n_rows):
-        args = (rep.fields_eta[k], rep.fields_omega[k], g,
-                rep.trace_now[k], rep.trace_delayed[k], p)
-        for a, b, c in zip(stacked, field_derivatives(*args), _row_field_derivatives(*args)):
-            assert np.array_equal(_bits(a[k]), _bits(b))
-            assert np.array_equal(_bits(b), _bits(c))
+        alone = energy._kato_block(rep.fields_eta[k:k + 1], rep.fields_omega[k:k + 1], h)
+        assert np.array_equal(_bits(stacked[:, k]), _bits(alone[:, 0]))
+    monkeypatch.setattr(energy, "_KATO_BLOCK", 1)
+    assert _bits(bl.kato_identity_residual(rep, p)).tolist() == _bits(got).tolist()
 
 
 @pytest.mark.parametrize("rows", [2, 31, 32, 33])
-def test_kato_row_blocks_match_row_loop(rows):
+def test_kato_row_blocks_match_row_loop(rows, monkeypatch):
     # one block short of, at and just past the 32-row block size: the block
-    # residual and the stacked derivatives equal the row-at-a-time ones bit
-    # for bit
+    # pass and the residual equal the row-at-a-time ones bit for bit, and the
+    # row-loop oracle to 1e-9
     rep, p = _kato_run(n=40, rows=rows, seed=rows)
     assert rep.n_rows == rows and rep.termination == "completed"
-    _assert_kato_matches_rows(rep, p)
+    _assert_kato_matches_rows(rep, p, monkeypatch)
 
 
-def test_kato_row_blocks_match_row_loop_without_feedback():
+def test_kato_row_blocks_match_row_loop_without_feedback(monkeypatch):
     rep, p = _kato_run(n=33, rows=70, beta=0.0)
     assert rep.n_rows == 70
-    _assert_kato_matches_rows(rep, p)
+    _assert_kato_matches_rows(rep, p, monkeypatch)
 
 
 def test_kato_row_blocks_match_row_loop_on_an_early_stop(monkeypatch):
     failing_solve(monkeypatch, after=45)
     rep, p = _kato_run(n=40, rows=101, seed=5)
     assert rep.termination != "completed" and 32 < rep.n_rows < 101
-    _assert_kato_matches_rows(rep, p)
+    _assert_kato_matches_rows(rep, p, monkeypatch)
 
 
 @pytest.fixture(scope="module")

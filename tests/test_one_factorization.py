@@ -37,3 +37,58 @@ def test_other_factorizations_are_found():
     assert sorted(_other_factorizations(ast.parse(source))) == [
         (1, "eigs"), (1, "splu"), (2, "lu_factor"), (3, "spsolve"), (4, "factorized"),
         (5, "eigs"), (6, "eigs"), (7, "eigs")]
+
+
+# the functions that form their system matrices from `OperatorSet.A_band`
+# (`OperatorSet.shifted_lu`), with no scipy.sparse expression per factorization
+BAND_ONLY = {"Stepper.__init__", "slow_mode_state"}
+
+
+def _root_name(node):
+    """"sp" of sp.linalg.splu, None of f(x).g"""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _sparse_calls(tree, prefix=""):
+    """(function, line) of each call of an `sp.` name inside a BAND_ONLY
+    function (nested functions included), the function named as
+    Class.method or name."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _sparse_calls(node, prefix)
+            continue
+        name = prefix + node.name
+        if name not in BAND_ONLY:
+            yield from _sparse_calls(node, name + ".")
+            continue
+        yield from ((name, call.lineno) for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _root_name(call.func) == "sp")
+
+
+def test_shifted_systems_are_formed_without_scipy_sparse():
+    tree = ast.parse((PACKAGE / "stepping.py").read_text())
+    defined = {f"{c.name}.{f.name}" for c in tree.body if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    defined |= {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert BAND_ONLY <= defined
+    assert list(_sparse_calls(tree)) == []
+
+
+def test_sparse_calls_are_found():
+    source = ("class Stepper:\n"
+              "    def __init__(self, ops):\n"
+              "        lu = BandedLU(sp.identity(4) - ops.A)\n"
+              "    def step(self):\n"
+              "        return sp.identity(4)\n"
+              "def slow_mode_state(ops, lam):\n"
+              "    def shifted():\n"
+              "        return sp.csr_matrix(ops.A).multiply(lam)\n"
+              "    x = abs(ops.A).sum()\n"
+              "    return sp.linalg.splu(lam * sp.eye(4) - ops.A)\n"
+              "def nonlinear_matrices(n):\n"
+              "    return sp.bmat([[None]])\n")
+    assert sorted(_sparse_calls(ast.parse(source))) == [
+        ("Stepper.__init__", 3), ("slow_mode_state", 8), ("slow_mode_state", 10),
+        ("slow_mode_state", 10)]

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix, identity
 
 import bousslab as bl
 from bousslab.operators import (BandedLU, _build_single, _csr_apply, _NPTS_2BC, _NPTS_3BC,
-                                _STENCILS, derivative_matrix, ghost_weights,
+                                _STENCILS, band_storage, derivative_matrix, ghost_weights,
                                 trace_omega_xx_0, trace_weights)
 from bousslab.stepping import _PAIRS, StepConfig, Stepper, nonlinear_matrices
 
@@ -270,6 +270,37 @@ def test_one_step_dissipativity_shadow():
     assert rho <= 1.0 + 1e-8, rho
 
 
+def _u64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [8, 50, 203, 403])
+def test_shifted_lu_is_the_sparse_expressions_factorization(n):
+    # I - theta dt A (the stepper) and lambda I - A (the slow-mode Newton),
+    # formed from A's band storage, factor to the bits of the same matrix
+    # formed by scipy.sparse: factors, pivots and bandwidths
+    p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
+    ops = bl.build_operators(p, bl.Grid(n=n, L=p.L))
+    I = identity(2 * n, format="csr")
+    c, lam = 0.502 * 1e-3, complex(-0.37, 11.3)
+    for got, want in ((ops.shifted_lu(1.0, c), I - c * ops.A),
+                      (ops.shifted_lu(lam, 1.0), lam * I - ops.A)):
+        ref = BandedLU(*band_storage(want))
+        assert (got.n, got.kl, got.ku) == (ref.n, ref.kl, ref.ku) == (2 * n, 9, 9)
+        assert got._lu.dtype == ref._lu.dtype
+        assert np.array_equal(_u64(got._lu), _u64(ref._lu))
+        assert np.array_equal(got._ipiv, ref._ipiv)
+    ab, kl, ku = ops.A_band
+    assert np.array_equal(_u64(ab), _u64(band_storage(ops.A)[0])) and (kl, ku) == (9, 9)
+
+
+def test_banded_lu_refuses_a_band_of_the_wrong_height():
+    ab, kl, ku = band_storage(np.eye(5) + np.eye(5, k=1))
+    assert (ab.shape, kl, ku) == ((2, 5), 0, 1)
+    with pytest.raises(bl.ConfigurationError, match="2 kl \\+ ku \\+ 1"):
+        BandedLU(ab, 1, 1)
+
+
 def test_banded_lu_matches_dense_solve():
     rng = np.random.default_rng(3)
     n = 40
@@ -279,20 +310,20 @@ def test_banded_lu_matches_dense_solve():
         A += np.diag(d, off)
     A += 8 * np.eye(n)
     b = rng.standard_normal(n)
-    dense_lu = BandedLU(A)
+    dense_lu = BandedLU(*band_storage(A))
     assert np.allclose(dense_lu.solve(b), np.linalg.solve(A, b), atol=1e-12)
     # the same matrix as CSR, with an explicit zero far outside the band
     rows, cols = np.nonzero(A)
     csr = csr_matrix((np.append(A[rows, cols], 0.0),
                       (np.append(rows, 0), np.append(cols, n - 1))), shape=A.shape)
     assert csr.nnz == rows.size + 1
-    sparse_lu = BandedLU(csr)
+    sparse_lu = BandedLU(*band_storage(csr))
     assert (sparse_lu.kl, sparse_lu.ku) == (dense_lu.kl, dense_lu.ku) == (3, 3)
     assert np.array_equal(sparse_lu.solve(b), dense_lu.solve(b))
     # complex data factor in complex arithmetic (zgbtrf); a real right-hand
     # side is promoted
     Z = A + 1j * np.diag(rng.standard_normal(n - 2), 2)
-    z_lu = BandedLU(csr_matrix(Z))
+    z_lu = BandedLU(*band_storage(csr_matrix(Z)))
     assert (z_lu.kl, z_lu.ku) == (3, 3)
     for rhs in (b, b + 1j * rng.standard_normal(n)):
         x = z_lu.solve(rhs)

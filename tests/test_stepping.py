@@ -10,9 +10,9 @@ import scipy.sparse as sp
 import bousslab as bl
 from bousslab.energy import energy_sample
 from bousslab.errors import ConfigurationError, NumericalError
-from bousslab.operators import BandedLU
+from bousslab.operators import BandedLU, band_storage
 from bousslab.report import CSV_COLUMNS
-from bousslab.stepping import SimState, Stepper, nonlinear_matrices
+from bousslab.stepping import SimState, Stepper, _coarse_spectrum, nonlinear_matrices
 
 from conftest import ACC, ACC_DELAY, failing_solve
 
@@ -188,6 +188,8 @@ def test_nan_dt_is_refused_naming_dt():
     p, dly, g, ops = _setup(n=16)
     with pytest.raises(ConfigurationError, match="dt must be positive, got nan"):
         bl.StepConfig(dt=np.nan)
+    with pytest.raises(ConfigurationError, match="dt must be finite, got inf"):
+        bl.StepConfig(dt=np.inf)
     with pytest.raises(ConfigurationError, match="dt=nan"):
         bl.slow_mode_state(ops, p, dly, dt=np.nan)
 
@@ -386,7 +388,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
     stepper = Stepper(ops, cfg, p, dly)
-    lu = BandedLU(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A)
+    lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A))
     for _ in range(steps):
         state = stepper.step(state)
         oracle = _oracle_step(stepper, lu, oracle, hist, g)
@@ -411,7 +413,7 @@ def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp):
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
     stepper = Stepper(ops, cfg, p, dly)
     I = sp.identity(2 * n, format="csr")
-    lu = BandedLU(I - cfg.theta * cfg.dt * ops.A)
+    lu = BandedLU(*band_storage(I - cfg.theta * cfg.dt * ops.A))
     M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
     for _ in range(steps):
         state = stepper.step(state)
@@ -705,8 +707,8 @@ def test_slow_mode_state_newton_stall_above_the_floor_raises(monkeypatch, noise,
     real, rng, factors = BandedLU.solve, np.random.default_rng(5), []
     real_init = BandedLU.__init__
 
-    def counting_init(self, matrix):
-        real_init(self, matrix)
+    def counting_init(self, *band):
+        real_init(self, *band)
         factors.append(np.iscomplexobj(self._lu))
 
     def noisy_solve(self, rhs):
@@ -724,6 +726,34 @@ def test_slow_mode_state_newton_stall_above_the_floor_raises(monkeypatch, noise,
     assert all(factors) and len(factors) == newton_lus
 
 
+def _slow_mode_bits(ops, p, dly, caplog):
+    """slow_mode_state's lambda, state, history and DEBUG lines, as bits."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="bousslab.stepping"):
+        state, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
+    arrays = (np.array([lam.real, lam.imag]), state.u, state.history._t, state.history._v)
+    return [a.view(np.uint64).tolist() for a in arrays], [r.getMessage() for r in caplog.records]
+
+
+def test_slow_mode_state_shares_one_coarse_spectrum(caplog):
+    # the levels of a ladder share the n = 24 start spectrum: a warm cache
+    # gives the cold one's bits; another alpha is another system and misses
+    p, dly, _, ops = _setup(n=50)
+    _coarse_spectrum.cache_clear()
+    cold = _slow_mode_bits(ops, p, dly, caplog)
+    assert _coarse_spectrum.cache_info()[:2] == (0, 1)   # (hits, misses)
+    assert cold == _slow_mode_bits(ops, p, dly, caplog)
+    fine = bl.build_operators(p, bl.Grid(n=101, L=p.L))
+    bl.slow_mode_state(fine, p, dly, dt=1e-3)
+    assert _coarse_spectrum.cache_info()[:2] == (2, 1)
+    other = bl.SystemParams(**{**ACC, "beta": 5e-4, "alpha": 0.06})
+    bl.slow_mode_state(bl.build_operators(other, bl.Grid(n=50, L=p.L)), other, dly, dt=1e-3)
+    assert _coarse_spectrum.cache_info()[:2] == (2, 2)
+    ev = _coarse_spectrum(p.a, p.a1, p.L, p.alpha, 24)
+    with pytest.raises(ValueError, match="read-only"):
+        ev[0] = 0.0
+
+
 @pytest.mark.parametrize("failure", [
     np.linalg.LinAlgError("Eigenvalues did not converge"),
     np.linalg.LinAlgError("Array must not contain infs or NaNs"),
@@ -734,6 +764,7 @@ def test_slow_mode_state_eigensolver_failure_is_typed(monkeypatch, failure):
     def failing_eigvals(a):
         raise failure
 
+    _coarse_spectrum.cache_clear()   # an earlier test's spectrum would not call eigvals
     monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
     with pytest.raises(NumericalError, match="eigensolve"):
         bl.slow_mode_state(ops, p, dly, dt=1e-3)
