@@ -246,7 +246,7 @@ def band_storage(matrix) -> tuple[np.ndarray, int, int]:
     """(ab, kl, ku): a square matrix, dense or sparse (anything `sp.coo_matrix`
     accepts; explicit zeros are dropped before the bandwidths are read), in
     the LAPACK band storage `BandedLU` factors: entry (i, j) at
-    ab[kl + ku + i - j, j], below kl zero rows for the fill-in."""
+    ab[kl + ku + i - j, j], the first kl rows zero, for the fill-in."""
     m = sp.coo_matrix(matrix)
     m.sum_duplicates()
     m.eliminate_zeros()
