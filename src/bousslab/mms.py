@@ -38,48 +38,32 @@ def _q_derivs(x, L):
 
 
 def manufactured_pair(p: SystemParams, family: str = "quartic"):
-    """(exact, profile, eta_xx0) callables; eta* = omega* for both families,
-    each forced on both rows by e^{-t} profile(x), and eta_xx0 is the datum
-    eta_xx(t, 0), 0.0 for the sine family."""
-    L = p.L
+    """(exact, profile, c0) of eta* = omega* = e^{-t} phi(x), phi = m(x) x^2
+    (L-x)^2 with m = 1 ("quartic") or sin(2 pi x / L) ("sine"): both rows
+    are forced by e^{-t} profile(x), profile = -phi + phi' + a phi''' + a1
+    phi^(5), and the datum is eta_xx(t, 0) = c0 e^{-t}, c0 = phi''(0)."""
+    if family not in ("quartic", "sine"):
+        raise ConfigurationError(f"unknown manufactured family {family!r}")
+    L, k = p.L, 2 * math.pi / p.L
 
-    if family == "quartic":
+    def m(x, j):
+        if family == "quartic":
+            return float(j == 0)
+        return k ** j * np.sin(k * x + j * math.pi / 2)
 
-        def exact(t, x):
-            q0, *_ = _q_derivs(x, L)
-            return np.exp(-t) * q0
+    def phi(x, order=0):
+        # Leibniz rule for m(x) q(x); q^(5) = 0
+        qs = _q_derivs(x, L)
+        return sum(math.comb(order, j) * m(x, order - j) * qs[j]
+                   for j in range(min(order, 4) + 1))
 
-        def profile(x):
-            q0, q1, q2, q3, q4 = _q_derivs(x, L)
-            return -q0 + q1 + p.a * q3   # fifth derivative vanishes
+    def exact(t, x):
+        return np.exp(-t) * phi(x)
 
-        def eta_xx0(t):
-            return 2.0 * L ** 2 * math.exp(-t)
+    def profile(x):
+        return -phi(x) + phi(x, 1) + p.a * phi(x, 3) + p.a1 * phi(x, 5)
 
-        return exact, profile, eta_xx0
-
-    if family == "sine":
-        k = 2 * math.pi / L
-
-        def s(x, n):
-            return k ** n * np.sin(k * x + n * math.pi / 2)
-
-        def phi_deriv(x, n):
-            # Leibniz rule for sin(kx) * q(x); q^(5) = 0
-            qs = _q_derivs(x, L)
-            return sum(math.comb(n, j) * s(x, n - j) * qs[j]
-                       for j in range(min(n, 4) + 1))
-
-        def exact(t, x):
-            return np.exp(-t) * np.sin(k * x) * x ** 2 * (L - x) ** 2
-
-        def profile(x):
-            return (-phi_deriv(x, 0) + phi_deriv(x, 1)
-                    + p.a * phi_deriv(x, 3) + p.a1 * phi_deriv(x, 5))
-
-        return exact, profile, lambda t: 0.0
-
-    raise ConfigurationError(f"unknown manufactured family {family!r}")
+    return exact, profile, float(phi(0.0, 2))
 
 
 def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
@@ -87,25 +71,21 @@ def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
     """Discrete L2 error at the last step by T of the forced run against the
     manufactured pair.
 
-    Advances a `Stepper` in blocks (`Stepper.advance`) whose forcing, the
-    pair's spatial profile computed once times e^{-t}, carries on the omega
-    rows the eta_xx(0) datum through `eta_c_influence`; it keeps no
-    fields and computes no monitor rows.  A failed step raises its error
-    (NumericalError for a failed banded solve) instead of scoring the run
-    so far."""
+    Advances a `Stepper` in blocks (`Stepper.advance`) forced by e^{-t} times
+    one column: the pair's profile on the eta rows, and on the omega rows the
+    profile less c0 `eta_c_influence`, which carries the eta_xx(0) datum; it
+    keeps no fields and computes no monitor rows.  A failed step raises its
+    error (NumericalError for a failed banded solve) instead of scoring the
+    run so far."""
     grid = Grid(n=n, L=p.L)
     ops = build_operators(p, grid)
-    exact, profile, eta_xx0 = manufactured_pair(p, family)
+    exact, profile, c0 = manufactured_pair(p, family)
     x = grid.nodes
-    shape = profile(x)
-
-    def forced(t, x):
-        f = np.exp(-t) * shape
-        return f, f - ops.eta_c_influence * eta_xx0(t)
-
+    column = np.repeat(profile(x), 2)
+    column[1::2] -= c0 * ops.eta_c_influence
     state = initial_state(p, dly, grid, exact(0.0, x), exact(0.0, x))
     stepper = Stepper(ops, StepConfig(dt=dt, theta=suggested_theta(dt)), p, dly,
-                      forcing=forced)
+                      forcing=(column, lambda t: np.exp(-t)))
     state = stepper.advance(state, int(np.floor(T / dt + 1e-9)))
     err_e = state.eta - exact(state.t, x)
     err_w = state.omega - exact(state.t, x)

@@ -195,7 +195,12 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
 class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair;
     ops must be built for p's a, a1, L and alpha (`OperatorSet.check_params`).
-    It holds only what its constructor builds; `advance` checks dt (`_check_start`)."""
+    It holds only what its constructor builds; `advance` checks dt (`_check_start`).
+
+    forcing = (column, law), a finite interleaved (2n,) column and a law
+    giving one value per time of an array, adds law(t + theta dt) column to
+    each step's sources; another shape, a non-finite column or a law not
+    giving two values for two times is a ConfigurationError."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None):
@@ -204,8 +209,15 @@ class Stepper:
         self.cfg = cfg
         self.p = p
         self.dly = dly
-        self.forcing = forcing
         n = ops.grid.n
+        if forcing is not None:
+            column, law = np.asarray(forcing[0], dtype=float), forcing[1]
+            if (column.shape != (2 * n,) or not np.all(np.isfinite(column))
+                    or np.shape(law(np.array([0.0, cfg.dt]))) != (2,)):
+                raise ConfigurationError(f"forcing needs a finite ({2 * n},) column and a law "
+                                         f"giving one value per time, got shape {column.shape}")
+            forcing = column, law
+        self.forcing = forcing
         self._lu = ops.shifted_lu(1.0, cfg.theta * cfg.dt)
         # the source per unit delayed trace: B's column on the eta rows
         self._delay_source = np.zeros(2 * n)
@@ -304,13 +316,11 @@ class Stepper:
                 end += 1
             with np.errstate(all="ignore"):
                 try:
-                    # b = delayed trace * B's column + forcing, one row per step
+                    # b = delayed trace * B's column + law * forcing column, one row per step
                     b = np.multiply.outer(history.query(queries[start:end]), self._delay_source)
                     if self.forcing is not None:
-                        for k, row in zip(range(start, end), b):
-                            f1, f2 = self.forcing(times[k] + theta * dt, self.ops.grid.nodes)
-                            row[0::2] += f1
-                            row[1::2] += f2
+                        column, law = self.forcing
+                        b += np.multiply.outer(law(times[start:end] + theta * dt), column)
                     b *= theta * dt
                     for k, row in zip(range(start, end), b):
                         row += u
