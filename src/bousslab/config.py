@@ -15,7 +15,7 @@ from .params import DelaySpec, Grid, SystemParams, constant_history
 @dataclass(frozen=True)
 class RunSettings:
     """Run-control knobs from the [run] section: `dt` positive and finite, the
-    horizon `T` finite and nonnegative, `seed` a nonnegative integer."""
+    horizon `T` finite and nonnegative, T / dt finite, `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -31,6 +31,9 @@ class RunSettings:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.T < np.inf:
             raise ConfigurationError(f"horizon T must be finite and nonnegative, got {self.T}")
+        if not self.T / self.dt < np.inf:
+            raise ConfigurationError(f"the step count T / dt is not finite: T = {self.T}, "
+                                     f"dt = {self.dt}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -84,7 +87,8 @@ _PROFILES = {"zero": 0, "quartic": 1, "cubic": 1, "sine": 2, "gauss": 3,
 def profile_spec(spec: str) -> tuple[str, list[float]]:
     """The family name and arguments of an initial-profile spec ("zero" when
     empty).  Raises ConfigurationError on an unknown family, more arguments
-    than it takes, or an argument that is not a finite number."""
+    than it takes, an argument that is not a finite number, or a gauss width
+    w <= 0."""
     name, *toks = spec.split() or ["zero"]
     if name not in _PROFILES:
         raise ConfigurationError(f"unknown initial profile {spec!r}")
@@ -97,6 +101,8 @@ def profile_spec(spec: str) -> tuple[str, list[float]]:
         raise ConfigurationError(f"cannot parse initial profile {spec!r}: {exc}") from exc
     if not np.all(np.isfinite(args)):
         raise ConfigurationError(f"initial profile {spec!r} has a non-finite argument")
+    if name == "gauss" and len(args) > 2 and not args[2] > 0:
+        raise ConfigurationError(f"initial profile {spec!r} needs a positive width")
     return name, args
 
 

@@ -395,9 +395,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     not the 2n values of the grid, when s0.history does not end at s0.t or
     starts after s0.t - tau(s0.t), when the law's max tau' on [s0.t, s0.t + T]
     is 1 or more or its min tau there is dt or less, when T is negative or not
-    finite, when the arrays for its T / dt rows cannot be allocated, when the
-    Lyapunov multipliers lie outside 0 <= mu1 < 1/L, 0 <= mu2 < 1, or when
-    `OperatorSet.check_params` fails.  A step that fails with
+    finite or T / dt not finite, when the arrays for its T / dt rows cannot be
+    allocated, when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L,
+    0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A step that fails with
     NonlinearDivergenceError or NumericalError, or an energy that blows up,
     ends the run early: the report keeps the rows before it and names the
     cause in `termination`.
@@ -409,6 +409,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     # written so that a NaN fails it
     if not 0 <= T < np.inf:
         raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
+    if not T / cfg.dt < np.inf:
+        raise ConfigurationError(f"the step count T / dt is not finite: T = {T}, dt = {cfg.dt}")
     check_multipliers(p, mu1, mu2)
     _check_start(s0, ops.grid, dly, cfg.dt, s0.t + T)
     history = s0.history.copy()
@@ -424,7 +426,9 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     stepper = Stepper(ops, cfg, p, dly)
 
     def record(rows: slice, U, t) -> None:
-        table[:, rows] = energy_rows(U, t, tau_at(dly, t)[0], history, p, ops.grid, mu1, mu2)
+        with np.errstate(all="ignore"):   # the rows of finite data may overflow
+            table[:, rows] = energy_rows(U, t, tau_at(dly, t)[0], history, p, ops.grid,
+                                         mu1, mu2)
 
     record(slice(0, 1), s0.u[None], np.array([s0.t]))
     if states is not None:
@@ -445,8 +449,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         kept = len(picard)
         new = slice(rows, rows + kept)
         if kept:
-            with np.errstate(all="ignore"):
-                record(new, U[:kept], times[1:kept + 1])
+            record(new, U[:kept], times[1:kept + 1])
         E = table[1, new]
         unstable = ~np.isfinite(E) | ((E0 > 0) & (E > _BLOWUP_FACTOR * E0))
         cause = ""
@@ -475,10 +478,12 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     # tau_dot(t) in place of d in Phi's (2,2) entry |beta| (d - 1)
     q = table[5:, :rows]
     tau_dot = tau_at(dly, table[0, :rows])[1]
+    with np.errstate(all="ignore"):   # traces of a blow-up overflow, as its rows do
+        rate = (0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0)
+                + 0.5 * abs(p.beta) * (tau_dot - dly.d) * q[1] ** 2)
     return RunReport(
         **dict(zip(CSV_COLUMNS, table[:, :rows])),
-        dissipation_rhs=(0.5 * np.sum(q * (phi_matrix(p, dly) @ q), axis=0)
-                         + 0.5 * abs(p.beta) * (tau_dot - dly.d) * q[1] ** 2),
+        dissipation_rhs=rate,
         fields_eta=None if states is None else states[:rows, 0::2],
         fields_omega=None if states is None else states[:rows, 1::2],
         termination=termination,
@@ -531,8 +536,8 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     the initial eta (`trace_eta_xx_L`), as `initial_state` sets it.
 
     Raises ConfigurationError when amplitude is not finite, dt >= tau0 or
-    `OperatorSet.check_params` fails (all before any work) or no candidate
-    exists; NumericalError when the coarse eigensolve or a factorization
+    `OperatorSet.check_params` fails (all before any work), no candidate
+    exists or the amplitude overflows the mode's history (`HistoryLine`); NumericalError when the coarse eigensolve or a factorization
     fails, or when the final step, at the stop or after 12 factorizations,
     is above the floor, the accuracy a dense eigensolve guarantees (a NaN
     step, as when exp(-lambda tau0) overflows, included).
@@ -586,7 +591,8 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
               "floor %.3g", factors, step, floor)
     v = v / v[np.argmax(np.abs(v))] * amplitude
     t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
-    hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
     u = v.real.copy()
-    hist_vals[-1] = trace_eta_xx_L(u[0::2], ops.grid)
+    with np.errstate(all="ignore"):   # `HistoryLine` refuses the values of an overflow
+        hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
+        hist_vals[-1] = trace_eta_xx_L(u[0::2], ops.grid)
     return SimState._from_u(0.0, u, HistoryLine(t_hist, hist_vals)), lam

@@ -241,6 +241,7 @@ def test_simulate_refuses_a_negative_seed_before_its_outputs(tmp_path, capsys, w
     ("--dt", "0", "dt must be positive and finite, got 0.0"),
     ("--dt", "nan", "dt must be positive and finite, got nan"),
     ("--dt", "inf", "dt must be positive and finite, got inf"),
+    ("--dt", "5e-324", "the step count T / dt is not finite: T = 0.3, dt = 5e-324"),
     ("--horizon", "-1", "horizon T must be finite and nonnegative, got -1.0"),
     ("--horizon", "nan", "horizon T must be finite and nonnegative, got nan")])
 def test_simulate_refuses_a_bad_step_or_horizon_before_its_outputs(tmp_path, capsys, flag,

@@ -135,7 +135,12 @@ def test_run_settings_refuse_a_bad_step_or_horizon():
             RunSettings(T=T)
     with pytest.raises(ConfigurationError, match="dt must be positive and finite, got 0.0"):
         parse_config(SAMPLE.replace("dt = 0.001", "dt = 0"))
+    # a step so small that T / dt, the step count, overflows
+    with pytest.raises(ConfigurationError,
+                       match=r"step count T / dt is not finite: T = 5.0, dt = 5e-324"):
+        RunSettings(T=5.0, dt=5e-324)
     assert RunSettings(T=0.0).T == 0.0
+    assert RunSettings(T=0.0, dt=5e-324).dt == 5e-324
 
 
 @pytest.mark.parametrize("history", ["zero", "constant 0.3", "0.7", "0.1 0.5 -0.2"])
@@ -194,6 +199,8 @@ def test_initial_profiles():
     ("eta0", "slowmode inf", "non-finite"),
     ("omega0", "quartic -inf", "non-finite"),
     ("eta0", "slowmodes 1.0", "unknown initial profile"),
+    ("eta0", "gauss 1 0.5 0", "needs a positive width"),
+    ("omega0", "gauss 1 0.5 -0.1", "needs a positive width"),
 ])
 def test_malformed_initial_profile_rejected(key, spec, match):
     good = "cubic 1.0" if key == "eta0" else "quartic 1.0"

@@ -192,6 +192,29 @@ def test_nan_dt_is_refused_naming_dt():
         bl.StepConfig(dt=np.inf)
     with pytest.raises(ConfigurationError, match="dt=nan"):
         bl.slow_mode_state(ops, p, dly, dt=np.nan)
+    # a step so small that T / dt overflows: named before any step
+    state = bl.initial_state(p, dly, g, np.zeros(g.n), np.zeros(g.n))
+    with pytest.raises(ConfigurationError,
+                       match=r"step count T / dt is not finite: T = 5.0, dt = 5e-324"):
+        bl.run(state, 5.0, bl.StepConfig(dt=5e-324), p, dly, ops)
+
+
+@pytest.mark.parametrize("forcing", [
+    pytest.param((np.ones(63), np.exp), id="column-of-2n-1"),
+    pytest.param((np.ones((32, 2)), np.exp), id="column-of-n-by-2"),
+    pytest.param((np.r_[np.ones(63), np.nan], np.exp), id="column-with-nan"),
+    pytest.param((np.r_[np.inf, np.ones(63)], np.exp), id="column-with-inf"),
+    pytest.param((np.ones(64), lambda t: 1.0), id="law-of-one-value"),
+    pytest.param((np.ones(64), lambda t: np.ones(3)), id="law-of-three-values"),
+    pytest.param((np.ones(64), lambda t: np.exp(t)[:, None]), id="law-of-a-column")])
+def test_stepper_refuses_a_malformed_forcing(forcing):
+    # refused as the stepper is made, before any step: the state and its line stay
+    p, dly, g, ops = _setup()
+    s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
+    u, line = s.u.copy(), s.history._buf.copy()
+    with pytest.raises(ConfigurationError, match=r"forcing needs a finite \(64,\) column"):
+        Stepper(ops, bl.StepConfig(dt=1e-3), p, dly, forcing=forcing).advance(s, 5)
+    assert s.t == 0.0 and np.array_equal(s.u, u) and np.array_equal(s.history._buf, line)
 
 
 def test_theta_range_enforced():
@@ -304,9 +327,10 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     terms on increments, at most 30 solves, stopped from the second solve on
     once Banach's bound q/(1-q) |d_k| <= 1e-12 |u_{k+1}| holds), split into
     copies; the nonlinear terms by its own `@` products with the G and C of
-    `nonlinear_matrices` and its own norms.  Given M2 = I + (1 - theta) dt A,
-    the first solve is the unfolded N^-1 (M2 u + dt b) instead.  Returns
-    (t, eta, omega); pushes the new trace onto `hist`."""
+    `nonlinear_matrices` and its own norms; a forced stepper's law(t_eval)
+    column is added to b.  Given M2 = I + (1 - theta) dt A, the first solve
+    is the unfolded N^-1 (M2 u + dt b) instead.  Returns (t, eta, omega);
+    pushes the new trace onto `hist`."""
     p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
     n = grid.n
     ie = 2 * np.arange(n)
@@ -318,6 +342,9 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     b = np.zeros(2 * n)
     tau, _ = bl.tau_at(dly, t_eval)
     b[ie] = -p.beta * stepper.ops.omega_s_influence * hist.query(t_eval - tau)
+    if stepper.forcing is not None:
+        column, law = stepper.forcing
+        b = b + law(np.array([t_eval]))[0] * column
     if cfg.nonlinear:
         G, C = nonlinear_matrices(n, grid.h, p)
         h = 6 * (n + 2)
@@ -374,20 +401,29 @@ def _oracle_setup(nonlinear, n, amp):
     return p, dly, g, ops, cfg, state
 
 
+def _oracle_stepper(ops, cfg, p, dly, forced):
+    """The Stepper of an oracle case, when `forced` forced on every row by
+    1 / (1 + t) times a fixed column."""
+    n = ops.grid.n
+    forcing = (np.cos(np.arange(2 * n)), lambda t: 1.0 / (1.0 + t)) if forced else None
+    return Stepper(ops, cfg, p, dly, forcing=forcing)
+
+
 # the nonlinear cases: small data, where every step stops at its second
 # iterate, and amplitude 1, where q reaches about 0.05 and steps take more
-_ORACLE_CASES = pytest.mark.parametrize("nonlinear, n, steps, amp", [
-    pytest.param(False, 64, 50, 1.0, id="False-64-50"),
-    pytest.param(True, 50, 20, 1e-3, id="True-50-20"),
-    pytest.param(True, 50, 20, 1.0, id="True-50-20-amp1")])
+_ORACLE_CASES = pytest.mark.parametrize("nonlinear, n, steps, amp, forced", [
+    pytest.param(False, 64, 50, 1.0, False, id="False-64-50"),
+    pytest.param(False, 64, 50, 1.0, True, id="False-64-50-forced"),
+    pytest.param(True, 50, 20, 1e-3, False, id="True-50-20"),
+    pytest.param(True, 50, 20, 1.0, False, id="True-50-20-amp1")])
 
 
 @_ORACLE_CASES
-def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
+def test_step_matches_interleave_oracle(nonlinear, n, steps, amp, forced):
     p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
+    stepper = _oracle_stepper(ops, cfg, p, dly, forced)
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
-    stepper = Stepper(ops, cfg, p, dly)
     lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A))
     for _ in range(steps):
         state = stepper.step(state)
@@ -403,15 +439,15 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp):
 
 
 @_ORACLE_CASES
-def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp):
+def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp, forced):
     # N^-1 M2 = (N^-1 - (1 - theta) I) / theta with N = I - theta dt A and
     # M2 = I + (1 - theta) dt A: the stepper's one solve per step stays
     # within roundoff of the unfolded N^-1 (M2 u + dt b) (6e-12 to 8e-12 of
     # max |u| on these cases), each stepping its own history
     p, dly, g, ops, cfg, state = _oracle_setup(nonlinear, n, amp)
+    stepper = _oracle_stepper(ops, cfg, p, dly, forced)
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
-    stepper = Stepper(ops, cfg, p, dly)
     I = sp.identity(2 * n, format="csr")
     lu = BandedLU(*band_storage(I - cfg.theta * cfg.dt * ops.A))
     M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
@@ -422,6 +458,19 @@ def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp):
         bound = 1e-10 * np.abs(state.u).max()
         assert np.abs(state.eta - oracle[1]).max() <= bound
         assert np.abs(state.omega - oracle[2]).max() <= bound
+
+
+def test_forced_blocks_match_steps_one_at_a_time():
+    # a run's forcing rows come from one law call over its times: 300 steps
+    # in blocks of long runs give the bits of 300 single steps (the forced
+    # oracle case checks the single steps)
+    p, dly, g, ops, cfg, state = _oracle_setup(False, 50, 1.0)
+    stepper = _oracle_stepper(ops, cfg, p, dly, forced=True)
+    one = SimState._from_u(state.t, state.u.copy(), state.history.copy())
+    for _ in range(300):
+        one = stepper.step(one)
+    many = stepper.advance(state, 300)
+    assert many.t == one.t and np.array_equal(many.u, one.u)
 
 
 def _iterates_per_step(monkeypatch):
@@ -864,6 +913,31 @@ def test_slow_mode_state_overflow_ends_in_a_numerical_error(dt):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="step nan above the floor"):
             bl.slow_mode_state(ops, p, dly, dt=dt)
+
+
+@pytest.mark.parametrize("history, field", [(1e200, 0.0), (0.0, 1e200)],
+                         ids=["history", "state"])
+def test_a_run_from_overflowing_finite_data_warns_nothing(history, field):
+    # finite data of 1e200 overflow dE/dt (from the history) or the first
+    # monitor row (from the state): the run ends unstable without a numpy warning
+    p, _, g, ops = _setup(n=24)
+    dly = bl.DelaySpec(**ACC_DELAY, history=bl.constant_history(history))
+    state = bl.initial_state(p, dly, g, np.full(g.n, field), np.full(g.n, field))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bl.run(state, 0.05, bl.StepConfig(dt=1e-3), p, dly, ops)
+    assert rep.termination == "unstable"
+    assert not np.all(np.isfinite(rep.dissipation_rhs))
+
+
+def test_slow_mode_state_of_an_overflowing_amplitude_warns_nothing():
+    # an amplitude of 1e308 overflows the mode's history: refused by the
+    # line, without a numpy warning on the way
+    p, dly, g, ops = _setup(n=24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="non-finite history sample"):
+            bl.slow_mode_state(ops, p, dly, dt=1e-3, amplitude=1e308)
 
 
 @pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
