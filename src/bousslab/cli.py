@@ -124,22 +124,35 @@ def cmd_check(args, p, dly, grid, runset) -> int:
     return EXIT_OK
 
 
-def _fresh_outputs(out: Path, *names: str) -> None:
-    """Make `out` and remove `names` from it, so each is created new: a rewrite
-    in place stalls on ext4, and no earlier run's file stays beside this run's."""
+def _output_paths(out: Path, *names: str) -> list[Path]:
+    """Make `out` and return the paths of `names` in it, refusing (OSError) one
+    under a missing directory or that is a directory, so an unusable output
+    fails before any work."""
     out.mkdir(parents=True, exist_ok=True)
-    for path in (out / name for name in names):
+    paths = [out / name for name in names]
+    for path in paths:
         path.parent.stat()  # a missing directory fails now, not after the run
+        if path.is_dir():
+            path.unlink()  # a directory is not unlinked: IsADirectoryError
+    return paths
+
+
+def _clear(paths: list[Path]) -> None:
+    """Remove `paths`, so each is created new: a rewrite in place stalls on
+    ext4, and no earlier run's file stays beside this run's."""
+    for path in paths:
         path.unlink(missing_ok=True)
 
 
 def cmd_simulate(args, p, dly, grid, runset) -> int:
     out = Path(args.out)
     try:
-        _fresh_outputs(out, "timeseries.csv", "summary.txt", "certificate.txt",
-                       "config.ini")
+        paths = _output_paths(out, "timeseries.csv", "summary.txt", "certificate.txt",
+                              "config.ini")
         rep, cert, extras = simulate(p, dly, grid, runset)
         summary = summary_text(rep, extras)
+        # a run refused before it returns leaves the earlier run's files
+        _clear(paths)
         (out / "timeseries.csv").write_text(rep.to_csv())
         (out / "summary.txt").write_text(summary)
         if cert is not None:
@@ -224,7 +237,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     try:
-        _fresh_outputs(out, output)
+        _clear(_output_paths(out, output))
         rows = [_sweep_point(p, dly, grid, runset, names, vals, task)
                 for vals in itertools.product(*value_lists)]
         columns = list(names) + ["admissible", "threshold"]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .operators import build_operators
 from .params import DelaySpec, Grid, SystemParams
-from .stepping import StepConfig, Stepper, initial_state, suggested_theta
+from .stepping import StepConfig, Stepper, _step_count, initial_state, suggested_theta
 
 
 def _q_derivs(x, L):
@@ -74,9 +74,13 @@ def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
     Advances a `Stepper` in blocks (`Stepper.advance`) forced by e^{-t} times
     one column: the pair's profile on the eta rows, and on the omega rows the
     profile less c0 `eta_c_influence`, which carries the eta_xx(0) datum; it
-    keeps no fields and computes no monitor rows.  A failed step raises its
-    error (NumericalError for a failed banded solve) instead of scoring the
-    run so far."""
+    keeps no fields and computes no monitor rows.  Its steps are `run`'s
+    count for T (`_step_count`): a T not finite and nonnegative, or a T / dt
+    not finite, is a ConfigurationError before any work.  A failed step
+    raises its error (NumericalError for a failed banded solve) instead of
+    scoring the run so far."""
+    cfg = StepConfig(dt=dt, theta=suggested_theta(dt))
+    steps = _step_count(T, cfg.dt)
     grid = Grid(n=n, L=p.L)
     ops = build_operators(p, grid)
     exact, profile, c0 = manufactured_pair(p, family)
@@ -84,9 +88,8 @@ def mms_error(p: SystemParams, dly: DelaySpec, n: int, dt: float, T: float,
     column = np.repeat(profile(x), 2)
     column[1::2] -= c0 * ops.eta_c_influence
     state = initial_state(p, dly, grid, exact(0.0, x), exact(0.0, x))
-    stepper = Stepper(ops, StepConfig(dt=dt, theta=suggested_theta(dt)), p, dly,
-                      forcing=(column, lambda t: np.exp(-t)))
-    state = stepper.advance(state, int(np.floor(T / dt + 1e-9)))
+    stepper = Stepper(ops, cfg, p, dly, forcing=(column, lambda t: np.exp(-t)))
+    state = stepper.advance(state, steps)
     err_e = state.eta - exact(state.t, x)
     err_w = state.omega - exact(state.t, x)
     return float(np.sqrt(grid.h * (err_e @ err_e + err_w @ err_w)))

@@ -9,22 +9,27 @@ curvature data enter as separate affine channels, so the operators stay
 linear time-invariant and the delayed feedback becomes a boundary source
 vector.
 
-The quadratic nonlinear terms use plain second-order derivative matrices on
-the full grid, boundary nodes included (`derivative_matrix`).
+The system operator A is assembled straight into its LAPACK band storage,
+the one copy of it that factorizations and the slow mode read.  The quadratic
+nonlinear terms use plain second-order derivative matrices on the full grid,
+boundary nodes included (`derivative_matrix`), in CSR: only they import
+scipy.sparse, so a linear run never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, NumericalError
 from .params import Grid, SystemParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # centered stencils, coefficient * h^(-order)
 _S1 = {-1: -0.5, 1: 0.5}
@@ -58,34 +63,38 @@ def ghost_weights(n_bc: int, n_pts: int, xi_ghost: float) -> tuple[tuple[float, 
     return tuple(float(x) for x in w), gamma
 
 
-def _banded(n: int, stencil: dict, scale: float, left, right) -> sp.csr_matrix:
-    """Sparse n x n matrix with the centered stencil (offset: coefficient,
-    times scale) on every row but the first and last few, which are the dense
-    rows `left` (starting at column 0) and `right` (ending at column n - 1)."""
+def _banded(n: int, stencil: dict, scale: float, left, right, w: int) -> np.ndarray:
+    """The diagonals D, (2w + 1) x n, of the n x n matrix M with the centered
+    stencil (offset: coefficient, times scale) on every row but the first
+    and last few, which are the dense rows `left` (starting at column 0) and
+    `right` (ending at column n - 1): entry M[i, j] at D[w + i - j, j].  The
+    entries of `left` and `right` farther than w from the diagonal must be
+    zero; D is zero in every slot M has no entry for."""
     (kl, wl), (kr, wr) = np.shape(left), np.shape(right)
+    D = np.zeros((2 * w + 1, n))
     inner = np.arange(kl, n - kr)
-    rows = [np.repeat(inner, len(stencil)), np.repeat(np.arange(kl), wl),
-            np.repeat(np.arange(n - kr, n), wr)]
-    cols = [(inner[:, None] + np.array(list(stencil))).ravel(), np.tile(np.arange(wl), kl),
-            np.tile(np.arange(n - wr, n), kr)]
-    vals = [np.tile(np.array(list(stencil.values())) * scale, inner.size),
-            np.ravel(left), np.ravel(right)]
-    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    M.eliminate_zeros()
-    return M
+    for off, coeff in stencil.items():
+        D[w - off, inner + off] = coeff * scale
+    for rows, cols, vals in ((np.arange(kl), np.arange(wl), left),
+                             (np.arange(n - kr, n), np.arange(n - wr, n), right)):
+        i, j = np.meshgrid(rows, cols, indexing="ij")
+        near = np.abs(i - j) <= w
+        D[(w + i - j)[near], j[near]] = np.asarray(vals)[near]
+    return D
 
 
 def _build_single(n: int, h: float, deriv: int, left_nbc: int, right_nbc: int):
-    """Sparse n x n derivative operator plus the curvature-channel vectors.
+    """The n x n derivative operator, as its nine diagonals, plus the
+    curvature-channel vectors.
 
-    Returns (P, src_left, src_right): the discrete derivative of the unknown
-    is P @ f + src_left * c_left + src_right * c_right with c the boundary
-    second-derivative data (zero unless that side carries three conditions).
-    Only the first and last max-offset rows reach a boundary node; they are
-    assembled densely, the direct and ghost terms summed in the order the
-    stencil visits them, so every entry is reproducible to the bit.  The
-    rows between carry the plain stencil (`_banded`).
+    Returns (D, src_left, src_right): the discrete derivative of the unknown
+    is P @ f + src_left * c_left + src_right * c_right, P[i, j] = D[4 + i - j, j]
+    (`_banded`; P has bandwidth four), with c the boundary second-derivative
+    data (zero unless that side carries three conditions).  Only the first
+    and last max-offset rows reach a boundary node; they are assembled
+    densely, the direct and ghost terms summed in the order the stencil
+    visits them, so every entry is reproducible to the bit.  The rows between
+    carry the plain stencil.
     """
     stencil = _STENCILS[deriv]
     scale = 1.0 / h ** deriv
@@ -111,15 +120,16 @@ def _build_single(n: int, h: float, deriv: int, left_nbc: int, right_nbc: int):
                 w, gam = ghost_weights(right_nbc, npr, float(n + 1 - j))
                 edges[r, width - npr:] += c * np.asarray(w)[::-1]
                 src_r[i] += c * gam * 0.5 * h * h
-    return _banded(n, stencil, scale, edges[:k], edges[k:]), src_l, src_r
+    return _banded(n, stencil, scale, edges[:k], edges[k:], 4), src_l, src_r
 
 
 @dataclass
 class OperatorSet:
     """The discrete system operator for one (params, grid) pair.
 
-    `A` is the interleaved sparse 2n x 2n A of u' = A u + B u(t - tau) +
-    sources, u = (eta_1, omega_1, eta_2, ...): eta' rows hold -P_omega and the
+    `A_band` is the interleaved 2n x 2n A of u' = A u + B u(t - tau) +
+    sources, u = (eta_1, omega_1, eta_2, ...), in the (ab, kl, ku) band
+    storage of `band_storage`, kl = ku = 9: eta' rows hold -P_omega and the
     feedback -alpha outer(omega_s_influence, trace_row), omega' rows -P_eta,
     with P = D1 + a D3 + a1 D5 of each unknown with its ghost-point closure.
     The ghost values of omega near x = L are
@@ -132,13 +142,12 @@ class OperatorSet:
     B = -beta outer(omega_s_influence, trace_row) has rank one and is never
     assembled: steps apply it as a source, the slow mode as a secular
     equation.  `trace_row` holds the weights of `trace_eta_xx_L`.  A depends
-    only on the a, a1, L and alpha of `params` (`check_params`); `A_band` is
-    A's (ab, kl, ku) of `band_storage`, from which `shifted_lu` factors.
+    only on the a, a1, L and alpha of `params` (`check_params`); `shifted_lu`
+    factors its shifted systems from `A_band`.
     """
 
     grid: Grid
     params: SystemParams
-    A: sp.csr_matrix
     eta_c_influence: np.ndarray
     omega_s_influence: np.ndarray
     trace_row: np.ndarray
@@ -192,6 +201,8 @@ def _interleaved(M, rows: bool, cols: bool) -> sp.csr_matrix:
     """M, assembled in (eta, omega) block form, with its rows and/or columns moved
     to the interleaved layout (eta_1, omega_1, eta_2, ...), in canonical CSR without
     explicit zeros: of 2m indices, block index k goes to 2k for k < m, else 2(k - m) + 1."""
+    import scipy.sparse as sp
+
     M = sp.coo_matrix(M)
     r, c = M.row, M.col
     if rows:
@@ -203,22 +214,33 @@ def _interleaved(M, rows: bool, cols: bool) -> sp.csr_matrix:
     return out
 
 
-def _csr_apply(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """M @ x for a float CSR matrix M, by the kernel `@` calls (scipy's private
-    `csr_matvec`) into a fresh zeroed vector: `@`'s bits without its dispatch."""
+def _csr_apply(M: sp.csr_matrix):
+    """The map x -> M @ x of a float CSR matrix M, by the kernel `@` calls
+    (scipy's private `csr_matvec`, bound here once) into a fresh zeroed
+    vector: `@`'s bits without its dispatch."""
+    from scipy.sparse._sparsetools import csr_matvec
+
     rows, cols = M.shape
-    if x.shape != (cols,):   # the kernel reads x without a bound
-        raise ConfigurationError(f"cannot apply a {M.shape} matrix to a vector of shape {x.shape}")
-    out = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, cols, M.indptr, M.indices, M.data, x, out)
-    return out
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        if x.shape != (cols,):   # the kernel reads x without a bound
+            raise ConfigurationError(
+                f"cannot apply a {M.shape} matrix to a vector of shape {x.shape}")
+        out = np.zeros(rows)
+        csr_matvec(rows, cols, M.indptr, M.indices, M.data, x, out)
+        return out
+
+    return apply
 
 
 def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
     """Assemble P = D1 + a D3 + a1 D5 for both unknowns, the feedback
-    influence channels and the system operator A from them: in (eta, omega)
-    block form [[-alpha outer(g_s, T), -P_omega], [-P_eta, 0]], then
-    interleaved (`_interleaved`).
+    influence channels and the system operator A from them, in (eta, omega)
+    block form [[-alpha outer(g_s, T), -P_omega], [-P_eta, 0]], interleaved,
+    straight into its band storage, kl = ku = 9: P's diagonals i - j = -4..4
+    fill every other row, from row 9 for -P_omega (rows 2i, columns 2j + 1)
+    and from row 11 for -P_eta.  Each entry is written as 0.0 - P, so the
+    slots without an entry hold +0.0.
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
@@ -235,11 +257,17 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
 
     g_s = combine(omega, 2)
     T = np.concatenate([np.zeros(n - 3), trace_weights(h)])
-    feedback = -p.alpha * (sp.csr_matrix(g_s[:, None]) @ sp.csr_matrix(T))
-    A = _interleaved(sp.bmat([[feedback, -combine(omega, 0)], [-combine(eta, 0), None]]),
-                     rows=True, cols=True)
-    return OperatorSet(grid=g, params=p, A=A, eta_c_influence=combine(eta, 1),
-                       omega_s_influence=g_s, trace_row=T, A_band=band_storage(A))
+    kl = ku = 9
+    ab = np.zeros((2 * kl + ku + 1, 2 * n), order="F")
+    ab[9:26:2, 1::2] = 0.0 - combine(omega, 0)
+    ab[11:28:2, 0::2] = 0.0 - combine(eta, 0)
+    # the feedback on eta rows and columns: g_s lives on the last two rows
+    # and T on the last three columns, so the last five rows, those within
+    # the band of all three columns, hold it
+    i, j = np.meshgrid(np.arange(n - 5, n), np.arange(n - 3, n), indexing="ij")
+    ab[kl + ku + 2 * (i - j), 2 * j] = 0.0 - p.alpha * (g_s[i] * T[j])
+    return OperatorSet(grid=g, params=p, eta_c_influence=combine(eta, 1),
+                       omega_s_influence=g_s, trace_row=T, A_band=(ab, kl, ku))
 
 
 def band_storage(matrix) -> tuple[np.ndarray, int, int]:
@@ -247,6 +275,8 @@ def band_storage(matrix) -> tuple[np.ndarray, int, int]:
     accepts; explicit zeros are dropped before the bandwidths are read), in
     the LAPACK band storage `BandedLU` factors: entry (i, j) at
     ab[kl + ku + i - j, j], the first kl rows zero, for the fill-in."""
+    import scipy.sparse as sp
+
     m = sp.coo_matrix(matrix)
     m.sum_duplicates()
     m.eliminate_zeros()
@@ -294,7 +324,7 @@ _FULL_STENCILS = {1: (_S1, ((-1.5, 2.0, -0.5),)),
 
 
 def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
-    """Sparse N x N m-th derivative (m = 1, 2, 3) of samples on the full grid
+    """CSR N x N m-th derivative (m = 1, 2, 3) of samples on the full grid
     (boundary nodes included): second order, centered inside and one-sided
     on the first and last one (m < 3) or two (m = 3) rows, whose exact
     dyadic weights are tabled in `_FULL_STENCILS`."""
@@ -304,6 +334,10 @@ def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
     width = len(edges[0])
     if N < width:
         raise ConfigurationError(f"need at least {width} nodes, got {N}")
+    import scipy.sparse as sp
+
     scale = 1.0 / h ** m
     left = np.array(edges) * scale
-    return _banded(N, stencil, scale, left, (left * (-1.0) ** m)[::-1, ::-1])
+    w = width - 1
+    D = _banded(N, stencil, scale, left, (left * (-1.0) ** m)[::-1, ::-1], w)
+    return sp.dia_matrix((D, np.arange(w, -w - 1, -1)), shape=(N, N)).tocsr()

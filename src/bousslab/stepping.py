@@ -14,9 +14,10 @@ makes every run one step.  A block first drops the history before the
 earliest point it reads, and `run` adds one monitor pass over its rows.
 Optional Picard iteration handles the quadratic nonlinear terms, iterating
 on increments with one right-hand side per banded solve from one sparse
-product into a pair table and one out of it (`nonlinear_matrices`).  A run
-logs its blocks, and a nonlinear run its step and solve counts and its
-largest contraction estimate, at DEBUG, over the rows it kept.
+product into a pair table and one out of it (`nonlinear_matrices`, the one
+user of scipy.sparse).  A run logs its blocks, and a nonlinear run its step
+and solve counts and its largest contraction estimate, at DEBUG, over the
+rows it kept.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .certificate import check_multipliers, phi_matrix
 from .energy import _check_state_size, energy_rows
@@ -40,9 +41,12 @@ from .operators import (OperatorSet, _csr_apply, _interleaved, build_operators,
 from .params import DelaySpec, Grid, SystemParams, _tau_extremes, tau_at
 from .report import CSV_COLUMNS, RunReport
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 _BLOWUP_FACTOR = 1e6
-# steps per block (`Stepper._plan`): the block's source and state rows stay
-# near 0.8 MB each at n = 200
+# steps per block (`Stepper._plan`): the block's state rows, which first hold
+# its sources, stay near 0.8 MB at n = 200
 _BLOCK = 256
 # Picard iteration (`Stepper._solve_step`): at most this many solves per
 # step, and the relative accuracy Banach's a-posteriori bound must certify
@@ -165,6 +169,18 @@ def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: 
                                  f"on {span}: a step must read the stored past")
 
 
+def _step_count(T: float, dt: float) -> int:
+    """The steps of dt that a horizon T takes, floor(T / dt + 1e-9), the one
+    rule of `run` and `mms.mms_error`; ConfigurationError, naming T and dt,
+    unless T is finite and nonnegative and T / dt finite (dt > 0 given)."""
+    # written so that a NaN fails it
+    if not 0 <= T < np.inf:
+        raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
+    if not T / dt < np.inf:
+        raise ConfigurationError(f"the step count T / dt is not finite: T = {T}, dt = {dt}")
+    return int(np.floor(T / dt + 1e-9))
+
+
 def nonlinear_matrices(n: int, h: float, p: SystemParams
                        ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The quadratic terms as two sparse maps around one table of products.
@@ -181,6 +197,8 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
     (eta, omega) block form on the full grid, interleaved (`_interleaved`) and cut
     to the interior nodes, columns (rows) 2..2n+1: the zero boundary values drop out.
     """
+    import scipy.sparse as sp
+
     N = n + 2
     I = sp.identity(N, format="csr")
     D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
@@ -200,7 +218,9 @@ class Stepper:
     forcing = (column, law), a finite interleaved (2n,) column and a law
     giving one value per time of an array, adds law(t + theta dt) column to
     each step's sources; another shape, a non-finite column or a law not
-    giving two values for two times is a ConfigurationError."""
+    giving two values for two times is a ConfigurationError, and so is a law
+    not giving one value per time of a run (`_block`), before its first step.
+    A nonlinear stepper binds the CSR kernel of its two maps once (`_csr_apply`)."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
                  dly: DelaySpec, forcing=None):
@@ -224,6 +244,7 @@ class Stepper:
         self._delay_source[0::2] = -p.beta * ops.omega_s_influence
         if cfg.nonlinear:
             self._G, self._C = nonlinear_matrices(n, ops.grid.h, p)
+            self._apply_G, self._apply_C = _csr_apply(self._G), _csr_apply(self._C)
 
     def _nonlinear_rhs(self, F: np.ndarray, Fd: np.ndarray | None = None) -> np.ndarray:
         """The quadratic terms N(u) = C (F_i F_j) from the pair table F = G u
@@ -231,8 +252,8 @@ class Stepper:
         N(u + d/2) - N(u - d/2) = C (F_i Fd_j + Fd_i F_j)."""
         h = F.size // 2
         if Fd is None:
-            return _csr_apply(self._C, F[:h] * F[h:])
-        return _csr_apply(self._C, F[:h] * Fd[h:] + Fd[:h] * F[h:])
+            return self._apply_C(F[:h] * F[h:])
+        return self._apply_C(F[:h] * Fd[h:] + Fd[:h] * F[h:])
 
     def _solve_step(self, u: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
         """(u', solves, q): the state u' one dt after u, given rhs = u + theta dt
@@ -250,7 +271,7 @@ class Stepper:
         iterate or _PICARD_ITERS solves raise NonlinearDivergenceError."""
         dt, theta = self.cfg.dt, self.cfg.theta
         if self.cfg.nonlinear:
-            F = _csr_apply(self._G, u)
+            F = self._apply_G(u)
             rhs = rhs + theta * dt * self._nonlinear_rhs(F)
         u_new = (self._lu.solve(rhs) - (1.0 - theta) * u) / theta
         if not self.cfg.nonlinear:
@@ -259,7 +280,7 @@ class Stepper:
         delta = math.sqrt(d @ d)
         q_max = 0.0
         for solves in range(2, _PICARD_ITERS + 1):
-            Fd = _csr_apply(self._G, d)
+            Fd = self._apply_G(d)
             d = self._lu.solve(theta * dt * self._nonlinear_rhs(F + 0.5 * Fd, Fd))
             F += Fd
             u_new += d
@@ -296,12 +317,15 @@ class Stepper:
         before queries[0], the earliest point the block reads: with tau' < 1
         and theta <= 1 the later query points and the rows' window starts
         times[1:] - tau lie after it.  A run's delayed traces come from one
-        `HistoryLine.query`, then per step one banded solve (Picard for the
-        nonlinear terms, `_solve_step`), and after the run its traces from
-        one `trace_eta_xx_L` of its states and one `HistoryLine.extend`; a
-        run goes on while the next step's query point is at or
-        before the newest sample pushed (a NaN point ends it), so a delay of
-        many steps makes one run of the block.  Each step taken into out
+        `HistoryLine.query` and its forcing values from one law call (not one
+        value per time is a ConfigurationError, before the run's first
+        solve); its sources go into the rows of out that its steps then
+        overwrite, so no source matrix is allocated.  Then per step one
+        banded solve (Picard for the nonlinear terms, `_solve_step`), and
+        after the run its traces from one `trace_eta_xx_L` of its states and
+        one `HistoryLine.extend`; a run goes on while the next step's query
+        point is at or before the newest sample pushed (a NaN point ends it),
+        so a delay of many steps makes one run of the block.  Each step taken into out
         appends its Picard solve count and largest q (`_solve_step`) to
         picard, so a step that fails raises its error after the steps before
         it are in out, in picard and in the history.  A blow-up spreads inf
@@ -314,15 +338,24 @@ class Stepper:
             start, end = done, done + 1
             while end < K and queries[end] <= times[done]:
                 end += 1
+            rows = out[start:end]
             with np.errstate(all="ignore"):
                 try:
-                    # b = delayed trace * B's column + law * forcing column, one row per step
-                    b = np.multiply.outer(history.query(queries[start:end]), self._delay_source)
+                    # the run's sources, delayed trace * B's column + law * forcing
+                    # column, in the rows its steps then overwrite
+                    np.multiply.outer(history.query(queries[start:end]), self._delay_source,
+                                      out=rows)
                     if self.forcing is not None:
                         column, law = self.forcing
-                        b += np.multiply.outer(law(times[start:end] + theta * dt), column)
-                    b *= theta * dt
-                    for k, row in zip(range(start, end), b):
+                        values = law(times[start:end] + theta * dt)
+                        if np.shape(values) != (end - start,):
+                            raise ConfigurationError(
+                                f"the forcing law gave shape {np.shape(values)} for "
+                                f"{end - start} times: need one value per time")
+                        for row, value in zip(rows, values):
+                            row += value * column
+                    rows *= theta * dt
+                    for k, row in zip(range(start, end), rows):
                         row += u
                         u, solves, q = self._solve_step(u, row)
                         picard.append((solves, q))
@@ -406,15 +439,10 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
         warnings.warn("run ignores rho_res: the monitor row integrates the delay terms "
                       "exactly; the keyword goes once perfbench stops passing it "
                       "(ROADMAP item 1)", DeprecationWarning, stacklevel=2)
-    # written so that a NaN fails it
-    if not 0 <= T < np.inf:
-        raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
-    if not T / cfg.dt < np.inf:
-        raise ConfigurationError(f"the step count T / dt is not finite: T = {T}, dt = {cfg.dt}")
+    n_steps = _step_count(T, cfg.dt)
     check_multipliers(p, mu1, mu2)
     _check_start(s0, ops.grid, dly, cfg.dt, s0.t + T)
     history = s0.history.copy()
-    n_steps = int(np.floor(T / cfg.dt + 1e-9))
     try:
         # one column per monitor row, its entries in CSV_COLUMNS order: E is
         # entry 1, the two traces entries 5 and 6
@@ -499,11 +527,14 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
 @lru_cache(maxsize=16)
 def _coarse_spectrum(a: float, a1: float, L: float, alpha: float, n: int) -> np.ndarray:
     """The eigenvalues of the dense A (`build_operators`, which depends on
-    these four parameters only) on the n-node grid, as a read-only array:
-    the slow mode's start candidates, shared by the levels of a ladder and
-    the points of a sweep."""
-    ops = build_operators(SystemParams(a=a, a1=a1, L=L, alpha=alpha), Grid(n, L))
-    ev = np.linalg.eigvals(ops.A.toarray())
+    these four parameters only, formed from its band storage) on the n-node
+    grid, as a read-only array: the slow mode's start candidates, shared by
+    the levels of a ladder and the points of a sweep."""
+    ab, kl, ku = build_operators(SystemParams(a=a, a1=a1, L=L, alpha=alpha), Grid(n, L)).A_band
+    r, j = np.nonzero(ab)
+    A = np.zeros((ab.shape[1], ab.shape[1]))
+    A[j + r - kl - ku, j] = ab[r, j]
+    ev = np.linalg.eigvals(A)
     ev.flags.writeable = False
     return ev
 
@@ -513,7 +544,7 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
     """Least-damped time-resolved eigenpair of the delayed system.
 
     Solves the delay eigenproblem lambda*u = A u + exp(-lambda*tau0) B u
-    with ops.A and the rank-one B of `OperatorSet`, and seeds the trace
+    with A of ops.A_band and the rank-one B of `OperatorSet`, and seeds the trace
     history from the mode's own exponential past.  Returns (SimState,
     lambda), lambda with Im >= 0.  Useful as transient-free benchmark data.
 

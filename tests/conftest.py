@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -13,6 +14,20 @@ settings.load_profile("bousslab")
 # L inside the certification bound, admissible gains, decay ~2.15/s
 ACC = dict(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
 ACC_DELAY = dict(tau0=0.5, M=2.0, d=0.0)
+
+
+def dense_from_band(ab, kl, ku):
+    """The square matrix of the band storage (ab, kl, ku) of
+    `operators.band_storage`, entry (i, j) at ab[kl + ku + i - j, j]; the
+    diagonals D of `operators._banded` are (D, 0, w).  Slots outside the
+    matrix are not read."""
+    m = ab.shape[1]
+    A = np.zeros((m, m), dtype=ab.dtype)
+    for r in range(kl, ab.shape[0]):
+        off = r - kl - ku   # i - j
+        j = np.arange(max(0, -off), min(m, m - off))
+        A[j + off, j] = ab[r, j]
+    return A
 
 
 def failing_solve(monkeypatch, after):

@@ -432,19 +432,23 @@ def test_simulate_rerun_from_its_config_is_byte_equal(tmp_path, text, flags):
 
 @pytest.mark.parametrize("second, code, left", [
     (UNCERTIFIED_L, 0, ["config.ini", "summary.txt", "timeseries.csv"]),
-    (GOOD.replace("dt = 0.001", "dt = 0.6"), 1, []),
+    (GOOD.replace("dt = 0.001", "dt = 0.6"), 1, sorted(SIMULATE_OUTPUTS)),
 ], ids=["uncertified", "refused"])
 def test_simulate_rerun_leaves_no_earlier_output(tmp_path, second, code, left):
-    # a certified run, then one without a certificate or refused before its
-    # first step (dt >= tau0, which only the run checks): --out holds the
-    # second run's files only
+    # a certified run, then one without a certificate, after which --out
+    # holds the second run's files only, or one refused before its first
+    # step (dt >= tau0, which only the run checks), which leaves the first
+    # run's four files as they were
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(SIMULATE_OUTPUTS)
+    first = {name: (out / name).read_bytes() for name in SIMULATE_OUTPUTS}
     assert main(["simulate", "--config", _write(tmp_path, second), "--out", str(out)]) == code
     assert sorted(os.listdir(out)) == left
-    if left:
+    if code == 0:
         assert "certified = False" in (out / "summary.txt").read_text()
+    else:
+        assert {name: (out / name).read_bytes() for name in left} == first
 
 
 def _output_argv(tmp_path, command, out, output="table.csv"):
@@ -505,6 +509,27 @@ def test_import_surface():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_linear_run_never_imports_scipy_sparse():
+    # A lives in its band storage alone: importing the package and the CLI
+    # and making a linear run load no scipy.sparse; only a nonlinear
+    # stepper's CSR maps import it
+    code = ("import sys, bousslab as bl, bousslab.cli; "
+            "p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4); "
+            "dly = bl.DelaySpec(tau0=0.5, M=2.0, d=0.0); "
+            "ops = bl.build_operators(p, bl.Grid(n=16, L=1.0)); "
+            "state, _ = bl.slow_mode_state(ops, p, dly, 1e-3); "
+            "rep = bl.run(state, 0.05, bl.StepConfig(dt=1e-3), p, dly, ops); "
+            "print(rep.termination, 'scipy.sparse' in sys.modules); "
+            "bl.Stepper(ops, bl.StepConfig(dt=1e-3, nonlinear=True), p, dly); "
+            "print('scipy.sparse' in sys.modules)")
+    src = str(Path(bousslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["completed", "False", "True"]
 
 
 SWEEP = GOOD + """

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import coo_matrix, csr_matrix, identity
 
 import bousslab as bl
 from bousslab.operators import (BandedLU, _build_single, _csr_apply, _NPTS_2BC, _NPTS_3BC,
                                 _STENCILS, band_storage, derivative_matrix, ghost_weights,
                                 trace_omega_xx_0, trace_weights)
 from bousslab.stepping import _PAIRS, StepConfig, Stepper, nonlinear_matrices
+
+from conftest import dense_from_band
 
 L = 1.0
 # boundary-condition counts (left, right) of each unknown
@@ -25,7 +27,7 @@ PHI = _phi_callables()
 
 
 def _dense_build_single(n, h, deriv, left_nbc, right_nbc):
-    """The dense n x n assembly the sparse builder replaced, kept as the
+    """The dense n x n assembly the banded builder replaced, kept as the
     reference: each stencil entry and ghost row is added in place."""
     stencil = _STENCILS[deriv]
     scale = 1.0 / h ** deriv
@@ -61,11 +63,12 @@ def _dense_build_single(n, h, deriv, left_nbc, right_nbc):
 @pytest.mark.parametrize("deriv", [1, 3, 5])
 def test_sparse_single_matches_dense_oracle(deriv, unknown, n):
     h = L / (n + 1)
-    P, sl, sr = _build_single(n, h, deriv, *SIDES[unknown])
+    # the nine diagonals hold every entry, and nothing outside the matrix
+    D, sl, sr = _build_single(n, h, deriv, *SIDES[unknown])
     P_ref, sl_ref, sr_ref = _dense_build_single(n, h, deriv, *SIDES[unknown])
-    assert isinstance(P, csr_matrix) and P.has_canonical_format
-    assert np.all(P.data != 0.0) and P.nnz == np.count_nonzero(P_ref)
-    assert np.array_equal(P.toarray(), P_ref)
+    assert D.shape == (9, n) and D.dtype == float
+    assert np.count_nonzero(D) == np.count_nonzero(P_ref)
+    assert np.array_equal(dense_from_band(D, 0, 4), P_ref)
     assert np.array_equal(sl, sl_ref) and np.array_equal(sr, sr_ref)
 
 
@@ -91,24 +94,25 @@ def test_system_matrices_match_dense_oracle(n):
     A_ref[0::2, 1::2] = -combined("omega", 0)
     A_ref[1::2, 0::2] = -combined("eta", 0)
     A_ref[0::2, 0::2] = -p.alpha * np.outer(g_s, T)
-    A_ref = csr_matrix(A_ref)
-    assert np.all(ops.A.data != 0.0) and ops.A.has_canonical_format
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(ops.A, attr), getattr(A_ref, attr)), attr
+    # its band storage, +0.0 in every slot without an entry
+    ab, kl, ku = ops.A_band
+    ab_ref, kl_ref, ku_ref = band_storage(A_ref)
+    assert (kl, ku) == (kl_ref, ku_ref) == (9, 9)
+    assert np.array_equal(_u64(ab), _u64(ab_ref))
 
 
 def _triplet_A(p, g):
-    """A assembled from interleaved (row, column, value) triplets, the way
-    it was before the block form: the reference for its stored arrays."""
+    """A as CSR from interleaved (row, column, value) triplets of the dense
+    operators, the way it was before the block form: the reference for its
+    band storage."""
     n, h = g.n, g.h
-    eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
-    omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}
 
-    def combine(parts, k):
-        return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
+    def combine(unknown, k):
+        parts = [_dense_build_single(n, h, d, *SIDES[unknown])[k] for d in (1, 3, 5)]
+        return parts[0] + p.a * parts[1] + p.a1 * parts[2]
 
-    Pe, Po = combine(eta, 0).tocoo(), combine(omega, 0).tocoo()
-    g_s = combine(omega, 2)
+    Pe, Po = coo_matrix(combine("eta", 0)), coo_matrix(combine("omega", 0))
+    g_s = combine("omega", 2)
     T = trace_weights(h)
     ie = 2 * np.arange(n)
     rows = np.concatenate([ie[Po.row], ie[Pe.row] + 1, np.repeat(ie, 3)])
@@ -150,14 +154,19 @@ def _triplet_G_C(n, h, p):
 
 @pytest.mark.parametrize("n", [24, 50, 101, 200, 203, 403])
 def test_block_assembly_matches_triplet_oracle(n):
-    # A, G and C are assembled in (eta, omega) block form and interleaved
-    # once: the stored arrays equal the triplet assembly's bit for bit
+    # A is written in (eta, omega) block form straight into its band
+    # storage, G and C are assembled in block form and interleaved once: A's
+    # band storage equals `band_storage` of the triplet assembly, G's and
+    # C's stored arrays the triplet assembly's, bit for bit
     for p in (bl.SystemParams(a=0.1, a1=0.0065, L=L, alpha=0.05, beta=5e-4,
                               alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25),
               bl.SystemParams(alpha=0.0)):
         g = bl.Grid(n=n, L=L)
-        pairs = zip((bl.build_operators(p, g).A, *nonlinear_matrices(n, g.h, p)),
-                    (_triplet_A(p, g), *_triplet_G_C(n, g.h, p)))
+        ab, kl, ku = bl.build_operators(p, g).A_band
+        ab_ref, kl_ref, ku_ref = band_storage(_triplet_A(p, g))
+        assert (kl, ku) == (kl_ref, ku_ref) == (9, 9) and ab.flags.f_contiguous
+        assert ab.dtype == ab_ref.dtype and np.array_equal(_u64(ab), _u64(ab_ref))
+        pairs = zip(nonlinear_matrices(n, g.h, p), _triplet_G_C(n, g.h, p))
         for M, ref in pairs:
             assert M.shape == ref.shape and M.has_canonical_format
             for attr in ("indptr", "indices", "data"):
@@ -172,9 +181,10 @@ def test_quartic_exact_with_curvature_channels():
     q = g.nodes ** 2 * (L - g.nodes) ** 2
     qxx0 = 2 * L ** 2
     qxxL = 2 * L ** 2
-    P_eta, src_l, _ = _build_single(g.n, g.h, 5, *SIDES["eta"])
-    P_om, _, src_r = _build_single(g.n, g.h, 5, *SIDES["omega"])
-    scale = np.max(np.abs(P_eta.data)) * np.max(np.abs(q))
+    D_eta, src_l, _ = _build_single(g.n, g.h, 5, *SIDES["eta"])
+    D_om, _, src_r = _build_single(g.n, g.h, 5, *SIDES["omega"])
+    P_eta, P_om = dense_from_band(D_eta, 0, 4), dense_from_band(D_om, 0, 4)
+    scale = np.max(np.abs(P_eta)) * np.max(np.abs(q))
     r_eta = P_eta @ q + src_l * qxx0
     r_om = P_om @ q + src_r * qxxL
     assert np.max(np.abs(r_eta)) <= 1e-10 * scale
@@ -189,7 +199,7 @@ def test_operator_order_of_accuracy(deriv, unknown):
     errs = []
     for n in (32, 65, 131, 263):
         g = bl.Grid(n=n, L=L)
-        P, _, _ = _build_single(n, g.h, deriv, *SIDES[unknown])
+        P = dense_from_band(_build_single(n, g.h, deriv, *SIDES[unknown])[0], 0, 4)
         x = g.nodes
         approx = P @ PHI[0](x)
         errs.append(np.max(np.abs(approx - PHI[deriv](x))))
@@ -200,19 +210,21 @@ def test_operator_order_of_accuracy(deriv, unknown):
 
 
 def test_bandwidth_at_most_four():
+    # so the nine diagonals `_build_single` keeps hold every entry
     n = 24
     for unknown, sides in SIDES.items():
         for deriv in (1, 3, 5):
-            P = _build_single(n, L / (n + 1), deriv, *sides)[0].tocoo()
-            assert np.max(np.abs(P.row - P.col)) <= 4, (unknown, deriv)
+            rows, cols = np.nonzero(_dense_build_single(n, L / (n + 1), deriv, *sides)[0])
+            assert np.max(np.abs(rows - cols)) <= 4, (unknown, deriv)
+            assert _build_single(n, L / (n + 1), deriv, *sides)[0].shape == (9, n)
 
 
 def test_boundary_source_zero_without_feedback():
     # alpha = 0: no instantaneous feedback term, so A has no eta-to-eta
     # coupling
     p = bl.SystemParams(alpha=0.0, beta=0.0)
-    A = bl.build_operators(p, bl.Grid(n=16, L=1.0)).A
-    rows, cols = A.nonzero()
+    A = dense_from_band(*bl.build_operators(p, bl.Grid(n=16, L=1.0)).A_band)
+    rows, cols = np.nonzero(A)
     assert not np.any((rows % 2 == 0) & (cols % 2 == 0))
 
 
@@ -261,7 +273,7 @@ def test_one_step_dissipativity_shadow():
     # alpha > 0, the theta-scheme one-step map has spectral radius <= 1 + 1e-8
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=0.0)
     dt = 1e-3
-    A = bl.build_operators(p, bl.Grid(n=48, L=1.0)).A
+    A = dense_from_band(*bl.build_operators(p, bl.Grid(n=48, L=1.0)).A_band)
     n2 = A.shape[0]
     theta = bl.suggested_theta(dt)
     G = np.linalg.solve(np.eye(n2) - theta * dt * A,
@@ -278,20 +290,21 @@ def _u64(a):
 def test_shifted_lu_is_the_sparse_expressions_factorization(n):
     # I - theta dt A (the stepper) and lambda I - A (the slow-mode Newton),
     # formed from A's band storage, factor to the bits of the same matrix
-    # formed by scipy.sparse: factors, pivots and bandwidths
+    # formed by scipy.sparse from A as CSR: factors, pivots and bandwidths
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
     ops = bl.build_operators(p, bl.Grid(n=n, L=p.L))
+    A = csr_matrix(dense_from_band(*ops.A_band))
     I = identity(2 * n, format="csr")
     c, lam = 0.502 * 1e-3, complex(-0.37, 11.3)
-    for got, want in ((ops.shifted_lu(1.0, c), I - c * ops.A),
-                      (ops.shifted_lu(lam, 1.0), lam * I - ops.A)):
+    for got, want in ((ops.shifted_lu(1.0, c), I - c * A),
+                      (ops.shifted_lu(lam, 1.0), lam * I - A)):
         ref = BandedLU(*band_storage(want))
         assert (got.n, got.kl, got.ku) == (ref.n, ref.kl, ref.ku) == (2 * n, 9, 9)
         assert got._lu.dtype == ref._lu.dtype
         assert np.array_equal(_u64(got._lu), _u64(ref._lu))
         assert np.array_equal(got._ipiv, ref._ipiv)
     ab, kl, ku = ops.A_band
-    assert np.array_equal(_u64(ab), _u64(band_storage(ops.A)[0])) and (kl, ku) == (9, 9)
+    assert np.array_equal(_u64(ab), _u64(band_storage(A)[0])) and (kl, ku) == (9, 9)
 
 
 def test_banded_lu_refuses_a_band_of_the_wrong_height():
@@ -480,23 +493,24 @@ def test_nonlinear_increment_scales_with_the_difference(n):
 
 @pytest.mark.parametrize("n", [8, 50, 203, 403])
 def test_csr_apply_is_the_matmul_kernel(n):
-    # _csr_apply calls scipy's private csr_matvec, the kernel `@` calls: on
-    # the gathered G and on C it gives `@`'s bits, an inf and a NaN
-    # included, so a scipy that moves or changes the kernel fails here; a
-    # vector of another shape is refused, as the kernel reads it unbounded
+    # _csr_apply binds scipy's private csr_matvec, the kernel `@` calls: on
+    # the gathered G and on C the stepper's maps give `@`'s bits, an inf
+    # and a NaN included, so a scipy that moves or changes the kernel fails
+    # here; a vector of another shape is refused, as the kernel reads it
+    # unbounded
     p, g, st = _nonlinear_stepper(n)
     rng = np.random.default_rng(n)
-    for M in (st._G, st._C):
+    for M, apply in ((st._G, st._apply_G), (st._C, st._apply_C)):
         xs = [rng.standard_normal(M.shape[1]) for _ in range(3)]
         bad = rng.standard_normal(M.shape[1])
         bad[[1, M.shape[1] // 2]] = np.inf, np.nan
         for x in (*xs, bad):
-            out = _csr_apply(M, x)
-            assert out.dtype == float and out.shape == (M.shape[0],)
-            assert np.array_equal(out.view(np.uint64), (M @ x).view(np.uint64))
+            for out in (apply(x), _csr_apply(M)(x)):
+                assert out.dtype == float and out.shape == (M.shape[0],)
+                assert np.array_equal(out.view(np.uint64), (M @ x).view(np.uint64))
         for wrong in (xs[0][:-1], np.append(xs[0], 1.0), xs[0][None]):
             with pytest.raises(bl.ConfigurationError, match="cannot apply"):
-                _csr_apply(M, wrong)
+                apply(wrong)
 
 
 def test_trace_weights_quartic_identity():

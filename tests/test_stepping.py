@@ -14,7 +14,7 @@ from bousslab.operators import BandedLU, band_storage
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper, _coarse_spectrum, nonlinear_matrices
 
-from conftest import ACC, ACC_DELAY, failing_solve
+from conftest import ACC, ACC_DELAY, dense_from_band, failing_solve
 
 
 def _setup(n=32, beta=5e-4):
@@ -215,6 +215,21 @@ def test_stepper_refuses_a_malformed_forcing(forcing):
     with pytest.raises(ConfigurationError, match=r"forcing needs a finite \(64,\) column"):
         Stepper(ops, bl.StepConfig(dt=1e-3), p, dly, forcing=forcing).advance(s, 5)
     assert s.t == 0.0 and np.array_equal(s.u, u) and np.array_equal(s.history._buf, line)
+
+
+def test_forcing_law_of_the_wrong_length_is_refused_before_the_run(monkeypatch):
+    # the constructor tries the law on two times only, so one giving two
+    # values whatever the times passes it; the block refuses it where it
+    # makes a run's values, before that run's first solve
+    p, dly, g, ops = _setup()
+    s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
+    stepper = Stepper(ops, bl.StepConfig(dt=1e-3), p, dly,
+                      forcing=(np.ones(64), lambda t: np.ones(2)))
+    failing_solve(monkeypatch, 0)
+    with pytest.raises(ConfigurationError,
+                       match=r"forcing law gave shape \(2,\) for 256 times: need one value"):
+        stepper.advance(s, 300)
+    assert s.history.t_last == 0.0
 
 
 def test_theta_range_enforced():
@@ -424,7 +439,8 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp, forced):
     stepper = _oracle_stepper(ops, cfg, p, dly, forced)
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
-    lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * ops.A))
+    A = sp.csr_matrix(dense_from_band(*ops.A_band))
+    lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * A))
     for _ in range(steps):
         state = stepper.step(state)
         oracle = _oracle_step(stepper, lu, oracle, hist, g)
@@ -448,9 +464,9 @@ def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp, forced):
     stepper = _oracle_stepper(ops, cfg, p, dly, forced)
     oracle = (state.t, state.eta.copy(), state.omega.copy())
     hist = bl.HistoryLine(np.array(state.history._t), np.array(state.history._v))
-    I = sp.identity(2 * n, format="csr")
-    lu = BandedLU(*band_storage(I - cfg.theta * cfg.dt * ops.A))
-    M2 = I + (1.0 - cfg.theta) * cfg.dt * ops.A
+    I, A = sp.identity(2 * n, format="csr"), sp.csr_matrix(dense_from_band(*ops.A_band))
+    lu = BandedLU(*band_storage(I - cfg.theta * cfg.dt * A))
+    M2 = I + (1.0 - cfg.theta) * cfg.dt * A
     for _ in range(steps):
         state = stepper.step(state)
         oracle = _oracle_step(stepper, lu, oracle, hist, g, M2)
@@ -823,7 +839,7 @@ def _dense_slow_mode(ops, p, dly, dt, resolve_limit=0.7):
     """The dense-eigensolve slow mode, kept as the reference: candidates from
     a full eig of A, then the fixed point on full eigs of A + e^{-lambda tau0} B
     with the rank-one delay matrix B = -beta g t^T built densely here."""
-    A = ops.A.toarray()
+    A = dense_from_band(*ops.A_band)
     g, t = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     g[0::2], t[0::2] = ops.omega_s_influence, ops.trace_row
     B = -p.beta * np.outer(g, t)
@@ -888,7 +904,7 @@ def test_slow_mode_state_newton_approach_is_not_a_stall(system, delay):
     ops = bl.build_operators(p, bl.Grid(n=100, L=p.L))
     _, lam = bl.slow_mode_state(ops, p, dly, dt=1e-3)
     # lambda is an eigenvalue of the dense K(lambda) = A + e^{-lambda tau0} B
-    A = ops.A.toarray()
+    A = dense_from_band(*ops.A_band)
     g, t = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     g[0::2], t[0::2] = ops.omega_s_influence, ops.trace_row
     K = A - np.exp(-lam * dly.tau0) * p.beta * np.outer(g, t)
@@ -1020,3 +1036,19 @@ def test_interrupted_manufactured_solution_run_raises(monkeypatch):
     dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
     with pytest.raises(NumericalError):
         mms_error(p, dly, 64, 1e-3, 0.5, family="quartic")
+
+
+@pytest.mark.parametrize("T, dt, match", [
+    (0.5, 5e-324, r"step count T / dt is not finite: T = 0.5, dt = 5e-324"),
+    (np.inf, 1e-3, r"horizon T must be finite and nonnegative, got inf"),
+    (-0.5, 1e-3, r"horizon T must be finite and nonnegative, got -0.5"),
+], ids=["tiny-dt", "infinite-T", "negative-T"])
+def test_manufactured_solution_step_count_is_runs(monkeypatch, T, dt, match):
+    # mms_error counts its steps by run's rule: a step so small that T / dt
+    # overflows, or a bad T, is refused naming them before any solve
+    from bousslab.mms import mms_error
+    failing_solve(monkeypatch, 0)
+    p = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0)
+    dly = bl.DelaySpec(tau0=0.5, M=0.5, d=0.0)
+    with pytest.raises(ConfigurationError, match=match):
+        mms_error(p, dly, 16, dt, T)
