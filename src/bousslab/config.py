@@ -9,13 +9,13 @@ from dataclasses import asdict, dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import DelaySpec, Grid, SystemParams, constant_history
+from .params import DelaySpec, Grid, SystemParams, _check_dt, _step_count, constant_history
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Run-control knobs from the [run] section: `dt` positive and finite, the
-    horizon `T` finite and nonnegative, T / dt finite, `seed` a nonnegative integer."""
+    """Run-control knobs from the [run] section: `dt` by `params._check_dt`, the
+    horizon `T` by `params._step_count`, `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -26,14 +26,8 @@ class RunSettings:
     store_fields: bool = False
 
     def __post_init__(self):
-        # written so that a NaN fails them
-        if not 0 < self.dt < np.inf:
-            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.T < np.inf:
-            raise ConfigurationError(f"horizon T must be finite and nonnegative, got {self.T}")
-        if not self.T / self.dt < np.inf:
-            raise ConfigurationError(f"the step count T / dt is not finite: T = {self.T}, "
-                                     f"dt = {self.dt}")
+        _check_dt(self.dt)
+        _step_count(self.T, self.dt)
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -97,9 +97,9 @@ class HistoryLine:
     """Buffer of boundary-trace samples with cubic Hermite interpolation.
 
     Times and values come as 1-D arrays of one length, the samples finite
-    and their times strictly increasing (`push` takes any
+    and their times strictly increasing (`extend` takes any
     value, so a blow-up still ends a run as unstable).  The line is
-    append-only: it grows by `push` and `extend`, and its owner shrinks it
+    append-only: it grows by `extend`, and its owner shrinks it
     from the start by `drop_before`; no stored sample ever changes, and the
     line does not bound itself.  It is causal: each pushed sample gets the
     end slope of the parabola through it and its two predecessors, stored
@@ -174,15 +174,11 @@ class HistoryLine:
     def size(self) -> int:
         return self._hi - self._lo
 
-    def push(self, t: float, v: float) -> None:
-        """Append a sample (an `extend` by one)."""
-        self.extend(np.array([t], dtype=float), np.array([v], dtype=float))
-
     def extend(self, times, values) -> None:
         """Append samples at increasing finite times after t_last, one value
         per time, each with the end slope of the parabola through it and its
-        two predecessors; the stored samples keep theirs, so K pushes leave
-        the same line, bit for bit.  A refused extend leaves the line as it was."""
+        two predecessors; the stored samples keep theirs, so K one-sample extends
+        leave the same line, bit for bit.  A refused extend leaves the line as it was."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if times.ndim != 1 or times.shape != values.shape:
@@ -231,15 +227,13 @@ class HistoryLine:
 
     # -- queries ------------------------------------------------------------
 
-    def query(self, t) -> np.ndarray | float:
-        """Interpolated trace at time(s) t, which must lie in the stored span
-        (`_locate`); each point, in any order of the points, gets the bits it
-        gets alone, and no points give an empty array."""
-        t_arr = np.asarray(t, dtype=float)
-        cols, q = self._locate(t_arr, "query")
+    def query(self, t) -> np.ndarray:
+        """Interpolated trace at time(s) t in the stored span (`_locate`), of t's
+        shape (a numpy scalar for a number); each point, in any order of the
+        points, gets the bits it gets alone, and no points give an empty array."""
+        cols, q = self._locate(np.asarray(t, dtype=float), "query")
         t0, v0, m0, a2, a3 = np.take(self._buf[:5], cols, axis=1)
-        out = _hermite(q - t0, v0, m0, a2, a3)
-        return float(out) if t_arr.ndim == 0 else out
+        return _hermite(q - t0, v0, m0, a2, a3)
 
     def _locate(self, points: np.ndarray, what: str):
         """(cols, clamped) of points checked against the stored span (to
@@ -260,8 +254,8 @@ class HistoryLine:
     def square_integrals(self, a, b):
         """(q(a), q(b), int_a^b q^2 ds, int_a^b (s - a) q^2 ds) of the
         interpolant q over windows a <= b in the stored span, elementwise for
-        arrays a and b of one shape, each result in that shape (floats for
-        floats; four empty arrays for no windows); q(a) and q(b) are the
+        arrays a and b of one shape, each result in that shape (0-d arrays for
+        numbers; four empty arrays for no windows); q(a) and q(b) are the
         values `query` returns, bit for bit.  An end outside the span, or
         NaN, is a HistoryUnderrunError (`_locate`), and then a window with
         a > b a ConfigurationError.
@@ -273,9 +267,7 @@ class HistoryLine:
         running prefix sum would cancel as they decay), their s - a moments
         each formed about the window's own a (about one point shared by all
         windows they would cancel)."""
-        scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.shape != b.shape:
             raise ConfigurationError(f"integrals over window starts of shape {a.shape} "
                                      f"and ends of shape {b.shape}")
@@ -314,10 +306,7 @@ class HistoryLine:
             s0 = _moment_sums(t, w[0], a, first - c, k - c)
             i1 = np.where(same, i1, i1 + (s6 + s0) + r1 + (ts[n:] - a) * r0)
             i0 = np.where(same, i0, i0 + s5 + r0)
-        out = q[:n], q[n:], i0, i1
-        if scalar:
-            return tuple(float(x[0]) for x in out)
-        return tuple(x.reshape(shape) for x in out)
+        return tuple(x.reshape(shape) for x in (q[:n], q[n:], i0, i1))
 
 
 # cells of one `_moment_sums` matrix: its temporaries stay near 256 KB

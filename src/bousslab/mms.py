@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .operators import build_operators
-from .params import DelaySpec, Grid, SystemParams
-from .stepping import StepConfig, Stepper, _step_count, initial_state, suggested_theta
+from .params import DelaySpec, Grid, SystemParams, _step_count
+from .stepping import StepConfig, Stepper, initial_state, suggested_theta
 
 
 def _q_derivs(x, L):

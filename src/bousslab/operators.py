@@ -11,9 +11,9 @@ vector.
 
 The system operator A is assembled straight into its LAPACK band storage,
 the one copy of it that factorizations and the slow mode read.  The quadratic
-nonlinear terms use plain second-order derivative matrices on the full grid,
-boundary nodes included (`derivative_matrix`), in CSR: only they import
-scipy.sparse, so a linear run never loads it.
+nonlinear terms (`nonlinear_matrices`) use full-grid derivative matrices
+(`derivative_matrix`) in CSR: this module, the one user of scipy.sparse,
+imports it only for them and `band_storage`, so a linear run never loads it.
 """
 
 from __future__ import annotations
@@ -341,3 +341,36 @@ def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
     w = width - 1
     D = _banded(N, stencil, scale, left, (left * (-1.0) ** m)[::-1, ::-1], w)
     return sp.dia_matrix((D, np.arange(w, -w - 1, -1)), shape=(N, N)).tocsr()
+
+
+# G's row blocks of fields (`nonlinear_matrices`): the products' first factors, then the second
+_PAIRS = (0, 0, 2, 0, 3, 2) + (2, 4, 3, 1, 4, 5)
+
+
+def nonlinear_matrices(n: int, h: float, p: SystemParams
+                       ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The quadratic terms as two sparse maps around one table of products.
+
+    G (12(n+2) x 2n) takes the interleaved state to the pair table F on the
+    full grid, zero boundary values included: the fields (ef, e_xx, wf, w_x,
+    w_xx, w_xxx) in the row blocks _PAIRS, so F's two halves F_i and F_j hold
+    the first and the second factors of the six products.  C (2n x 6(n+2))
+    takes the products F_i * F_j = (ef wf, ef w_xx, wf w_x, ef e_xx, w_x w_xx,
+    wf w_xxx) to the interleaved right-hand side on the interior rows,
+        eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
+        omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
+    so the pointwise omega terms are scaled identity blocks.  Both are built in
+    (eta, omega) block form on the full grid, interleaved (`_interleaved`) and cut
+    to the interior nodes, columns (rows) 2..2n+1: the zero boundary values drop out.
+    """
+    import scipy.sparse as sp
+
+    N = n + 2
+    I = sp.identity(N, format="csr")
+    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
+    fields = [[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]]
+    G = sp.bmat([fields[k] for k in _PAIRS])
+    C = sp.bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
+                 [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
+    return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
+            _interleaved(C, rows=True, cols=False)[2:-2])

@@ -23,6 +23,24 @@ def _require_finite(obj, names) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def _check_dt(dt: float) -> None:
+    """The one dt rule (`StepConfig`, `config.RunSettings`): positive and finite."""
+    if not 0 < dt < np.inf:   # written so that a NaN fails it
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+
+
+def _step_count(T: float, dt: float) -> int:
+    """The steps of dt that a horizon T takes, floor(T / dt + 1e-9), the one rule
+    of `run`, `mms.mms_error` and `config.RunSettings`; ConfigurationError, naming
+    T and dt, unless T is finite and nonnegative and T / dt finite (dt > 0 given)."""
+    # written so that a NaN fails it
+    if not 0 <= T < np.inf:
+        raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
+    if not T / dt < np.inf:
+        raise ConfigurationError(f"the step count T / dt is not finite: T = {T}, dt = {dt}")
+    return int(np.floor(T / dt + 1e-9))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical coefficients, feedback gains and nonlinear coefficients.

@@ -10,14 +10,13 @@ sources, per step one banded solve, and one trace product and one history
 extend per run.  The history line is causal, so a run goes on while
 the next query point is at or before the newest sample pushed: a delay of
 many steps makes a block one run, and one shorter than (1 + theta) dt
-makes every run one step.  A block first drops the history before the
-earliest point it reads, and `run` adds one monitor pass over its rows.
+makes every run one step.  A block that completes drops the history before
+the earliest point it read, and `run` adds one monitor pass over its rows.
 Optional Picard iteration handles the quadratic nonlinear terms, iterating
 on increments with one right-hand side per banded solve from one sparse
-product into a pair table and one out of it (`nonlinear_matrices`, the one
-user of scipy.sparse).  A run logs its blocks, and a nonlinear run its step
-and solve counts and its largest contraction estimate, at DEBUG, over the
-rows it kept.
+product into a pair table and one out of it (`operators.nonlinear_matrices`).
+A run logs its blocks, and a nonlinear run its step and solve counts and its
+largest contraction estimate, at DEBUG, over the rows it kept.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,13 +34,10 @@ from .certificate import check_multipliers, phi_matrix
 from .energy import _check_state_size, energy_rows
 from .delay_line import HistoryLine
 from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
-from .operators import (OperatorSet, _csr_apply, _interleaved, build_operators,
-                        derivative_matrix, trace_eta_xx_L)
-from .params import DelaySpec, Grid, SystemParams, _tau_extremes, tau_at
+from .operators import (OperatorSet, _csr_apply, build_operators, nonlinear_matrices,
+                        trace_eta_xx_L)
+from .params import DelaySpec, Grid, SystemParams, _check_dt, _step_count, _tau_extremes, tau_at
 from .report import CSV_COLUMNS, RunReport
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _BLOWUP_FACTOR = 1e6
 # steps per block (`Stepper._plan`): the block's state rows, which first hold
@@ -52,8 +47,6 @@ _BLOCK = 256
 # step, and the relative accuracy Banach's a-posteriori bound must certify
 _PICARD_ITERS = 30
 _PICARD_TOL = 1e-12
-# G's row blocks of fields (`nonlinear_matrices`): the products' first factors, then the second
-_PAIRS = (0, 0, 2, 0, 3, 2) + (2, 4, 3, 1, 4, 5)
 # slow mode: history samples on [-tau0, 0], the time-resolved disk |lambda| dt
 # <= _RESOLVE_LIMIT of its candidates, and the grid size of their dense spectrum
 _N_HISTORY = 513
@@ -105,7 +98,7 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Theta-scheme parameters: dt positive and finite, theta in [1/2, 1].
+    """Theta-scheme parameters: dt by `params._check_dt`, theta in [1/2, 1].
 
     theta = 1/2 is Crank-Nicolson; production runs use theta = 1/2 + O(dt)
     to damp the stiff spurious closure modes (see `suggested_theta`), and
@@ -117,10 +110,7 @@ class StepConfig:
     nonlinear: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.dt == np.inf:
-            raise ConfigurationError("dt must be finite, got inf")
+        _check_dt(self.dt)
         if not 0.5 <= self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in [1/2, 1], got {self.theta}")
 
@@ -145,7 +135,7 @@ def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: 
     """Refuse a state not of the grid's size or not finite, one whose history
     has moved on or starts after its delayed time t - tau(t), and a law with
     tau' >= 1 or tau <= dt on [t, t_end], the interval its steps cover (the
-    one rule for dt against the delay in `run`, `advance` and `step`)."""
+    stepped paths' one dt rule; `slow_mode_state` keeps 0 < dt < tau0)."""
     _check_state_size(state.u, grid)
     if not np.all(np.isfinite(state.u)):
         raise ConfigurationError("the state's u has non-finite values")
@@ -169,57 +159,16 @@ def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: 
                                  f"on {span}: a step must read the stored past")
 
 
-def _step_count(T: float, dt: float) -> int:
-    """The steps of dt that a horizon T takes, floor(T / dt + 1e-9), the one
-    rule of `run` and `mms.mms_error`; ConfigurationError, naming T and dt,
-    unless T is finite and nonnegative and T / dt finite (dt > 0 given)."""
-    # written so that a NaN fails it
-    if not 0 <= T < np.inf:
-        raise ConfigurationError(f"horizon T must be finite and nonnegative, got {T}")
-    if not T / dt < np.inf:
-        raise ConfigurationError(f"the step count T / dt is not finite: T = {T}, dt = {dt}")
-    return int(np.floor(T / dt + 1e-9))
-
-
-def nonlinear_matrices(n: int, h: float, p: SystemParams
-                       ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The quadratic terms as two sparse maps around one table of products.
-
-    G (12(n+2) x 2n) takes the interleaved state to the pair table F on the
-    full grid, zero boundary values included: the fields (ef, e_xx, wf, w_x,
-    w_xx, w_xxx) in the row blocks _PAIRS, so F's two halves F_i and F_j hold
-    the first and the second factors of the six products.  C (2n x 6(n+2))
-    takes the products F_i * F_j = (ef wf, ef w_xx, wf w_x, ef e_xx, w_x w_xx,
-    wf w_xxx) to the interleaved right-hand side on the interior rows,
-        eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
-        omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
-    so the pointwise omega terms are scaled identity blocks.  Both are built in
-    (eta, omega) block form on the full grid, interleaved (`_interleaved`) and cut
-    to the interior nodes, columns (rows) 2..2n+1: the zero boundary values drop out.
-    """
-    import scipy.sparse as sp
-
-    N = n + 2
-    I = sp.identity(N, format="csr")
-    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
-    fields = [[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]]
-    G = sp.bmat([fields[k] for k in _PAIRS])
-    C = sp.bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
-                 [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
-    return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
-            _interleaved(C, rows=True, cols=False)[2:-2])
-
-
 class Stepper:
     """Assembled theta-scheme integrator for one (operators, config) pair;
     ops must be built for p's a, a1, L and alpha (`OperatorSet.check_params`).
     It holds only what its constructor builds; `advance` checks dt (`_check_start`).
 
     forcing = (column, law), a finite interleaved (2n,) column and a law
-    giving one value per time of an array, adds law(t + theta dt) column to
-    each step's sources; another shape, a non-finite column or a law not
-    giving two values for two times is a ConfigurationError, and so is a law
-    not giving one value per time of a run (`_block`), before its first step.
+    giving one finite real value per time of an array, adds law(t + theta dt)
+    column to each step's sources; a column of another shape or not finite is
+    a ConfigurationError, and so, before a run's first solve, is a law not
+    giving one finite real value per time of the run (`_block`).
     A nonlinear stepper binds the CSR kernel of its two maps once (`_csr_apply`)."""
 
     def __init__(self, ops: OperatorSet, cfg: StepConfig, p: SystemParams,
@@ -232,10 +181,9 @@ class Stepper:
         n = ops.grid.n
         if forcing is not None:
             column, law = np.asarray(forcing[0], dtype=float), forcing[1]
-            if (column.shape != (2 * n,) or not np.all(np.isfinite(column))
-                    or np.shape(law(np.array([0.0, cfg.dt]))) != (2,)):
-                raise ConfigurationError(f"forcing needs a finite ({2 * n},) column and a law "
-                                         f"giving one value per time, got shape {column.shape}")
+            if column.shape != (2 * n,) or not np.all(np.isfinite(column)):
+                raise ConfigurationError(f"forcing needs a finite ({2 * n},) column, "
+                                         f"got shape {column.shape}")
             forcing = column, law
         self.forcing = forcing
         self._lu = ops.shifted_lu(1.0, cfg.theta * cfg.dt)
@@ -313,26 +261,26 @@ class Stepper:
     def _block(self, u: np.ndarray, history: HistoryLine, times: np.ndarray,
                queries: np.ndarray, out: np.ndarray, picard: list) -> None:
         """Take the steps of a block (`_plan`) from u at times[0], writing the
-        state at times[k + 1] into out[k].  First the history drops the past
-        before queries[0], the earliest point the block reads: with tau' < 1
-        and theta <= 1 the later query points and the rows' window starts
-        times[1:] - tau lie after it.  A run's delayed traces come from one
-        `HistoryLine.query` and its forcing values from one law call (not one
-        value per time is a ConfigurationError, before the run's first
-        solve); its sources go into the rows of out that its steps then
-        overwrite, so no source matrix is allocated.  Then per step one
-        banded solve (Picard for the nonlinear terms, `_solve_step`), and
-        after the run its traces from one `trace_eta_xx_L` of its states and
-        one `HistoryLine.extend`; a run goes on while the next step's query
-        point is at or before the newest sample pushed (a NaN point ends it),
-        so a delay of many steps makes one run of the block.  Each step taken into out
-        appends its Picard solve count and largest q (`_solve_step`) to
+        state at times[k + 1] into out[k].  A run's delayed traces come from
+        one `HistoryLine.query` and its forcing values from one law call (not
+        one finite real value per time is a ConfigurationError, before the
+        run's first solve); its sources go into the rows of out its steps then
+        overwrite, so no source matrix is allocated.  Then per step one banded
+        solve (Picard for the nonlinear terms, `_solve_step`), and after the
+        run its traces from one `trace_eta_xx_L` of its states and one
+        `HistoryLine.extend`; a run goes on while the next step's query point
+        is at or before the newest sample pushed (a NaN point ends it), so a
+        delay of many steps makes one run of the block.  Each step taken into
+        out appends its Picard solve count and largest q (`_solve_step`) to
         picard, so a step that fails raises its error after the steps before
         it are in out, in picard and in the history.  A blow-up spreads inf
-        and NaN without a warning, so a run can stop at its first unstable row."""
+        and NaN without a warning, so a run can stop at its first unstable row.
+        Once the steps are in, the history drops the past before queries[0],
+        the earliest point the block read (a block that raises keeps it): with
+        tau' < 1 and theta <= 1 the later query points and the rows' window
+        starts times[1:] - tau lie after it."""
         dt, theta = self.cfg.dt, self.cfg.theta
         K = len(out)
-        history.drop_before(queries[0])
         done = 0
         while done < K:
             start, end = done, done + 1
@@ -347,11 +295,13 @@ class Stepper:
                                       out=rows)
                     if self.forcing is not None:
                         column, law = self.forcing
-                        values = law(times[start:end] + theta * dt)
-                        if np.shape(values) != (end - start,):
+                        values = np.asarray(law(times[start:end] + theta * dt))
+                        if not (values.shape == (end - start,) and values.dtype.kind in "iuf"
+                                and np.isfinite(values).all()):
                             raise ConfigurationError(
-                                f"the forcing law gave shape {np.shape(values)} for "
-                                f"{end - start} times: need one value per time")
+                                f"the forcing law gave shape {values.shape} for {end - start} "
+                                f"times: need one value per time, finite and real "
+                                f"(dtype {values.dtype})")
                         for row, value in zip(rows, values):
                             row += value * column
                     rows *= theta * dt
@@ -364,6 +314,7 @@ class Stepper:
                 finally:
                     traces = trace_eta_xx_L(out[start:done, 0::2], self.ops.grid)
                     history.extend(times[start + 1:done + 1], traces)
+        history.drop_before(queries[0])
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
@@ -402,10 +353,10 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     The run steps a copy of s0.history as given, so s0 stays untouched,
     reruns from it are bit-identical, its fields are `Stepper.advance`'s
     and its first row is `energy_sample(s0)`, bit for bit.  It advances in blocks of _BLOCK steps
-    (`Stepper._plan`): the block drops the history before its first query
-    point, then takes its steps in runs, each with one history query for its
-    delayed sources, one banded solve per step, and one trace product and
-    one history extend by its traces (`Stepper._block`).
+    (`Stepper._plan`): the block takes its steps in runs, each with one
+    history query for its delayed sources, one banded solve per step, and one
+    trace product and one history extend by its traces, then drops the
+    history before its first query point (`Stepper._block`).
     One monitor pass (`energy_rows`) records the rows of the block at its
     end, or at the step that fails; as no stored interval of the line
     changes, the rows, traces and stored fields are those steps one at a

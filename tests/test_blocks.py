@@ -322,8 +322,8 @@ def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypat
     (dict(tau0=0.5, M=0.5), 0.5), (dict(tau0=3e-3, M=3e-3), 3e-3),
     (LAWS["sinusoidal"], 0.7)], ids=["tau0=0.5", "tau0=M=3dt", "sinusoidal"])
 def test_advance_keeps_the_history_within_the_delay_and_a_block(law, max_tau):
-    # each block drops the past before the earliest point it reads, at or
-    # after t - max tau, then pushes at most _BLOCK samples: once the first
+    # each block pushes at most _BLOCK samples, then drops the past before
+    # the earliest point it read, at or after t - max tau: once the first
     # block has dropped most of the initial history (65 samples on
     # [-tau0, 0]), the line stays within max tau / dt + _BLOCK + 2 samples
     # over 11 more blocks, and still serves the next block's reads

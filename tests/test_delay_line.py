@@ -19,7 +19,7 @@ def _line(times, values):
 
 def _push(h, t, v, keep):
     """Push a sample, then drop the line's past before t - keep."""
-    h.push(t, v)
+    h.extend(t, v)
     h.drop_before(t - keep)
 
 
@@ -31,7 +31,7 @@ def test_linear_interpolation_midpoint():
 def test_push_non_monotone_rejected():
     h = _line([0.0, 0.1], [0.0, 1.0])
     with pytest.raises(ConfigurationError):
-        h.push(0.1, 2.0)
+        h.extend(0.1, 2.0)
 
 
 def test_drop_before_keeps_the_last_sample_at_or_before_its_time():
@@ -47,9 +47,9 @@ def test_drop_before_keeps_the_last_sample_at_or_before_its_time():
         assert h.t_first == first and h.t_last == 1.0
     assert h.size == 2 and h._buf is buf and np.array_equal(_bits(h._buf), cols)
     for line in (h, whole):
-        line.push(1.1, 0.7)
-        line.push(1.2, -0.2)
-        line.push(1.3, 0.1)
+        line.extend(1.1, 0.7)
+        line.extend(1.2, -0.2)
+        line.extend(1.3, 0.1)
     assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
                           _bits(whole._buf[:, whole._hi - 5:whole._hi]))
 
@@ -209,7 +209,7 @@ def test_fresh_line_takes_the_parabola_through_its_first_three_samples():
     assert np.allclose(h.query(q), (q - 0.2) ** 2, rtol=0, atol=1e-15)
     two = _line([0.0, 0.5], [1.0, 3.0])
     assert np.array_equal(two._m, [4.0, 4.0])
-    two.push(1.0, 5.0)
+    two.extend(1.0, 5.0)
     assert np.array_equal(two._m[:2], [4.0, 4.0])
     # samples whose secants overflow build without a warning, as they push
     with warnings.catch_warnings():
@@ -245,7 +245,7 @@ def test_query_linear_in_values(x, y, c):
     hx, hy, hz = (_line(t, v[:8]) for v in (x, y, c * x + y))
     for k in range(4):
         for h, v in ((hx, x), (hy, y), (hz, c * x + y)):
-            h.push(0.1 * (k + 1), v[8 + k])
+            h.extend(0.1 * (k + 1), v[8 + k])
     q = np.linspace(hz.t_first, hz.t_last, 37)
     scale = 1.0 + abs(c) * np.max(np.abs(x)) + np.max(np.abs(y))
     assert np.allclose(hz.query(q), c * hx.query(q) + hy.query(q),
@@ -335,7 +335,7 @@ def _check_against_parent(h, old, rng):
     assert np.array_equal(_bits(got[~top]), _bits(old.query(np.maximum(q[~top], lo))))
     for k in rng.choice(q.size, 8):
         one = h.query(float(q[k]))
-        assert type(one) is float
+        assert type(one) is np.float64
         assert _bits(one) == _bits(h.query(q[k:k + 1])[0]) == _bits(got[k])
 
 
@@ -412,7 +412,7 @@ def test_non_finite_times_rejected():
     before = h.query(np.linspace(0.0, 2.0, 9))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="finite"):
-            h.push(bad, 1.0)
+            h.extend(bad, 1.0)
     assert h.size == 3 and h.t_last == 2.0
     assert np.array_equal(h.query(np.linspace(0.0, 2.0, 9)), before)
 
@@ -444,7 +444,7 @@ def test_non_finite_values_and_bound_rejected(make, match):
 def test_push_keeps_a_non_finite_value():
     # a blow-up still reaches the history, so the run ends as `unstable`
     h = bl.HistoryLine([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-    h.push(3.0, np.inf)
+    h.extend(3.0, np.inf)
     assert h.size == 4 and h.t_last == 3.0 and h._v[-1] == np.inf
 
 
@@ -615,7 +615,7 @@ def test_no_stored_interval_changes_after_its_end_sample_is_pushed_past():
         times = h.t_last + np.cumsum(rng.uniform(0.005, 0.05, int(rng.integers(1, 6))))
         action = step % 3
         if action == 0:
-            h.push(float(times[0]), float(rng.standard_normal()))
+            h.extend(float(times[0]), float(rng.standard_normal()))
         elif action == 1:
             h.extend(times, rng.standard_normal(times.size))
         else:
@@ -658,7 +658,7 @@ def test_square_integrals_match_gauss_legendre(seed):
     t = np.cumsum(rng.uniform(0.01, 0.1, 60))
     h = _line(t, rng.standard_normal(60))
     for _ in range(40):
-        h.push(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
+        h.extend(h.t_last + float(rng.uniform(0.005, 0.05)), float(rng.standard_normal()))
     lo, hi = h.t_first, h.t_last
     k = int(rng.integers(1, h.size - 2))
     mid = float(rng.uniform(h._t[k], h._t[k + 1]))
@@ -722,7 +722,7 @@ def test_extend_equals_pushes_one_at_a_time(seed):
         values = rng.standard_normal(k)
         h.extend(times, values)
         for tk, vk in zip(times, values):
-            pushed.push(tk, vk)
+            pushed.extend(tk, vk)
         for line in (h, pushed):
             line.drop_before(times[-1] - keep)
         assert np.array_equal(_bits(h._buf[:, h._lo:h._hi]),
@@ -765,7 +765,7 @@ def test_trailing_integrals_read_each_sample_as_it_was_newest(seed):
     times = h.t_last + np.cumsum(rng.uniform(0.005, 0.02, K))
     as_pushed = []
     for tk in times:
-        h.push(tk, float(rng.standard_normal()))
+        h.extend(tk, float(rng.standard_normal()))
         as_pushed.append(h.square_integrals(tk - tau, tk))
     got = h.square_integrals(times - tau, times)
     assert np.array_equal(_bits(got), _bits(np.array(as_pushed).T))
@@ -788,7 +788,7 @@ def test_trailing_integrals_of_mass_at_the_windows_oldest_end():
     one = h.copy()
     alone = []
     for tk in times:
-        one.push(tk, float(f(tk)))
+        one.extend(tk, float(f(tk)))
         alone.append(np.ravel(one.square_integrals(np.array([tk - tau]), np.array([tk]))))
     h.extend(times, f(times))
     for got, want in zip(h.square_integrals(times - tau, times), np.array(alone).T):

@@ -192,7 +192,7 @@ def _pushed_line(rng, f, dly, pushes=300):
     buf = h._buf
     for _ in range(pushes):
         t_new = h.t_last + float(rng.uniform(0.002, 0.02))
-        h.push(t_new, float(f(t_new)))
+        h.extend(t_new, float(f(t_new)))
         h.drop_before(t_new - 1.25 * dly.M)
     assert h.t_first > t[-1] and h._buf is not buf   # dropped and grown
     return h

@@ -92,3 +92,44 @@ def test_sparse_calls_are_found():
     assert sorted(_sparse_calls(ast.parse(source))) == [
         ("Stepper.__init__", 3), ("slow_mode_state", 8), ("slow_mode_state", 10),
         ("slow_mode_state", 10)]
+
+
+def _sparse_imports(tree):
+    """(line, module) of each import of scipy.sparse or one of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = ([f"scipy.{alias.name}" for alias in node.names]
+                       if node.module == "scipy" else [node.module])
+        else:
+            continue
+        yield from ((node.lineno, m) for m in modules
+                    if m == "scipy.sparse" or m.startswith("scipy.sparse."))
+
+
+def test_only_operators_imports_scipy_sparse():
+    # one sparse module: the nonlinear maps, the CSR kernel and `band_storage`
+    # live in `operators`, which imports scipy.sparse only where they need it
+    found = [f"{path.name}:{line}: {module}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "operators.py"
+             for line, module in _sparse_imports(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_sparse_imports(ast.parse((PACKAGE / "operators.py").read_text())))
+
+
+def test_sparse_imports_are_found():
+    source = ("import scipy.sparse\n"
+              "import numpy, scipy.sparse as sp\n"
+              "from scipy.sparse import csr_matrix\n"
+              "from scipy.sparse._sparsetools import csr_matvec\n"
+              "from scipy import linalg, sparse\n"
+              "if TYPE_CHECKING:\n    import scipy.sparse.linalg\n"
+              "def f():\n    from scipy import sparse as s\n"
+              "import scipy.sparsetools\n"
+              "from scipy.linalg import lapack\n"
+              "from .sparse import x\n")
+    assert sorted(_sparse_imports(ast.parse(source))) == [
+        (1, "scipy.sparse"), (2, "scipy.sparse"), (3, "scipy.sparse"),
+        (4, "scipy.sparse._sparsetools"), (5, "scipy.sparse"), (7, "scipy.sparse.linalg"),
+        (9, "scipy.sparse")]

@@ -4,10 +4,11 @@ import sympy as sp
 from scipy.sparse import coo_matrix, csr_matrix, identity
 
 import bousslab as bl
-from bousslab.operators import (BandedLU, _build_single, _csr_apply, _NPTS_2BC, _NPTS_3BC,
-                                _STENCILS, band_storage, derivative_matrix, ghost_weights,
-                                trace_omega_xx_0, trace_weights)
-from bousslab.stepping import _PAIRS, StepConfig, Stepper, nonlinear_matrices
+from bousslab.operators import (_PAIRS, BandedLU, _build_single, _csr_apply, _NPTS_2BC,
+                                _NPTS_3BC, _STENCILS, band_storage, derivative_matrix,
+                                ghost_weights, nonlinear_matrices, trace_omega_xx_0,
+                                trace_weights)
+from bousslab.stepping import StepConfig, Stepper
 
 from conftest import dense_from_band
 

@@ -10,9 +10,9 @@ import scipy.sparse as sp
 import bousslab as bl
 from bousslab.energy import energy_sample
 from bousslab.errors import ConfigurationError, NumericalError
-from bousslab.operators import BandedLU, band_storage
+from bousslab.operators import BandedLU, band_storage, nonlinear_matrices
 from bousslab.report import CSV_COLUMNS
-from bousslab.stepping import SimState, Stepper, _coarse_spectrum, nonlinear_matrices
+from bousslab.stepping import SimState, Stepper, _coarse_spectrum
 
 from conftest import ACC, ACC_DELAY, dense_from_band, failing_solve
 
@@ -184,11 +184,46 @@ def test_dt_must_resolve_delay(monkeypatch):
         assert np.array_equal(s.history._buf, line)
 
 
+def _step_rule_entry_points():
+    """Each entry point that takes a step dt or a horizon T, as a call of (T, dt)."""
+    from bousslab.mms import mms_error
+    p, dly = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0), bl.DelaySpec()
+    g = bl.Grid(n=16, L=1.0)
+    ops = bl.build_operators(p, g)
+    s = bl.initial_state(p, dly, g, np.zeros(g.n), np.zeros(g.n))
+    return {"RunSettings": lambda T, dt: bl.RunSettings(T=T, dt=dt),
+            "StepConfig": lambda T, dt: bl.StepConfig(dt=dt),
+            "run": lambda T, dt: bl.run(s, T, bl.StepConfig(dt=dt), p, dly, ops),
+            "mms_error": lambda T, dt: mms_error(p, dly, 16, dt, T)}
+
+
+_DT_REFUSALS = [(f"dt={dt}", 0.5, dt, f"dt must be positive and finite, got {dt}")
+                for dt in (0.0, np.nan, np.inf)]
+_T_REFUSALS = [*((f"T={T}", T, 1e-3, f"horizon T must be finite and nonnegative, got {T}")
+                 for T in (-1.0, np.nan, np.inf)),
+               ("T/dt=inf", 0.5, 5e-324,
+                "the step count T / dt is not finite: T = 0.5, dt = 5e-324")]
+
+
+@pytest.mark.parametrize("entry, T, dt, message", [
+    *(pytest.param(entry, *case, id=f"{entry}-{name}")
+      for entry in ("RunSettings", "StepConfig", "run", "mms_error")
+      for name, *case in _DT_REFUSALS),
+    *(pytest.param(entry, *case, id=f"{entry}-{name}")
+      for entry in ("RunSettings", "run", "mms_error") for name, *case in _T_REFUSALS)])
+def test_every_entry_point_refuses_a_step_or_horizon_by_one_rule(entry, T, dt, message):
+    # `params._check_dt` and `params._step_count` are the one rule: the same
+    # input gets the same message wherever it enters (StepConfig takes no T)
+    with pytest.raises(ConfigurationError) as info:
+        _step_rule_entry_points()[entry](T, dt)
+    assert str(info.value) == message
+
+
 def test_nan_dt_is_refused_naming_dt():
     p, dly, g, ops = _setup(n=16)
-    with pytest.raises(ConfigurationError, match="dt must be positive, got nan"):
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite, got nan"):
         bl.StepConfig(dt=np.nan)
-    with pytest.raises(ConfigurationError, match="dt must be finite, got inf"):
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite, got inf"):
         bl.StepConfig(dt=np.inf)
     with pytest.raises(ConfigurationError, match="dt=nan"):
         bl.slow_mode_state(ops, p, dly, dt=np.nan)
@@ -199,28 +234,49 @@ def test_nan_dt_is_refused_naming_dt():
         bl.run(state, 5.0, bl.StepConfig(dt=5e-324), p, dly, ops)
 
 
-@pytest.mark.parametrize("forcing", [
-    pytest.param((np.ones(63), np.exp), id="column-of-2n-1"),
-    pytest.param((np.ones((32, 2)), np.exp), id="column-of-n-by-2"),
-    pytest.param((np.r_[np.ones(63), np.nan], np.exp), id="column-with-nan"),
-    pytest.param((np.r_[np.inf, np.ones(63)], np.exp), id="column-with-inf"),
-    pytest.param((np.ones(64), lambda t: 1.0), id="law-of-one-value"),
-    pytest.param((np.ones(64), lambda t: np.ones(3)), id="law-of-three-values"),
-    pytest.param((np.ones(64), lambda t: np.exp(t)[:, None]), id="law-of-a-column")])
-def test_stepper_refuses_a_malformed_forcing(forcing):
-    # refused as the stepper is made, before any step: the state and its line stay
+_COLUMN = r"forcing needs a finite \(64,\) column"
+
+
+def _law(shape, dtype="float64"):
+    return rf"forcing law gave shape {re.escape(shape)} for 5 times: need one value per " \
+           rf"time, finite and real \(dtype {dtype}\)"
+
+
+@pytest.mark.parametrize("forcing, match", [
+    pytest.param((np.ones(63), np.exp), _COLUMN, id="column-of-2n-1"),
+    pytest.param((np.ones((32, 2)), np.exp), _COLUMN, id="column-of-n-by-2"),
+    pytest.param((np.r_[np.ones(63), np.nan], np.exp), _COLUMN, id="column-with-nan"),
+    pytest.param((np.r_[np.inf, np.ones(63)], np.exp), _COLUMN, id="column-with-inf"),
+    pytest.param((np.ones(64), lambda t: 1.0), _law("()"), id="law-of-one-value"),
+    pytest.param((np.ones(64), lambda t: np.ones(3)), _law("(3,)"), id="law-of-three-values"),
+    pytest.param((np.ones(64), lambda t: np.exp(t)[:, None]), _law("(5, 1)"),
+                 id="law-of-a-column"),
+    pytest.param((np.ones(64), lambda t: np.where(t > 3e-3, np.nan, 1.0)), _law("(5,)"),
+                 id="law-of-a-nan"),
+    pytest.param((np.ones(64), lambda t: np.full(t.shape, np.inf)), _law("(5,)"),
+                 id="law-of-inf"),
+    pytest.param((np.ones(64), lambda t: np.exp(1j * t)), _law("(5,)", "complex128"),
+                 id="law-of-complex")])
+def test_stepper_refuses_a_malformed_forcing(forcing, match):
+    # a column is refused as the stepper is made, a law's values before the
+    # run's first solve: the state and its line stay, its start included (the
+    # line is denser than dt, so a block's drop of its past would move it)
     p, dly, g, ops = _setup()
     s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
-    u, line = s.u.copy(), s.history._buf.copy()
-    with pytest.raises(ConfigurationError, match=r"forcing needs a finite \(64,\) column"):
+    t_h = np.linspace(-dly.tau0, 0.0, 2001)
+    s.history = bl.HistoryLine(t_h, 0.01 * np.cos(40.0 * t_h))
+    u, line, size = s.u.copy(), s.history._buf.copy(), s.history.size
+    with pytest.raises(ConfigurationError, match=match):
         Stepper(ops, bl.StepConfig(dt=1e-3), p, dly, forcing=forcing).advance(s, 5)
     assert s.t == 0.0 and np.array_equal(s.u, u) and np.array_equal(s.history._buf, line)
+    assert s.history.size == size and s.history.t_first == -dly.tau0
+    energy_sample(s, p, dly, g)   # the state still reads its window
 
 
 def test_forcing_law_of_the_wrong_length_is_refused_before_the_run(monkeypatch):
-    # the constructor tries the law on two times only, so one giving two
-    # values whatever the times passes it; the block refuses it where it
-    # makes a run's values, before that run's first solve
+    # the constructor never calls the law, so one giving two values whatever
+    # the times is refused where the block makes a run's values, before that
+    # run's first solve
     p, dly, g, ops = _setup()
     s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
     stepper = Stepper(ops, bl.StepConfig(dt=1e-3), p, dly,
@@ -394,7 +450,7 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
             raise AssertionError("oracle Picard iteration did not converge")
     eta, omega = u_new[ie].copy(), u_new[io].copy()
     t_new = state[0] + cfg.dt
-    hist.push(t_new, bl.trace_eta_xx_L(eta, grid))
+    hist.extend(t_new, bl.trace_eta_xx_L(eta, grid))
     return t_new, eta, omega
 
 
