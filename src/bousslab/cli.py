@@ -37,14 +37,8 @@ def _load(args):
     except OSError as exc:
         raise ConfigurationError(f"cannot read configuration: {exc}") from exc
     p, dly, grid, runset = parse_config(text)
-    if getattr(args, "dt", None) is not None:
-        runset = replace(runset, dt=args.dt)
-    if getattr(args, "horizon", None) is not None:
-        runset = replace(runset, T=args.horizon)
-    if getattr(args, "nonlinear", False):
-        runset = replace(runset, nonlinear=True)
-    if getattr(args, "seed", None) is not None:
-        runset = replace(runset, seed=args.seed)
+    given = {key: getattr(args, key, None) for key in ("dt", "T", "nonlinear", "seed")}
+    runset = replace(runset, **{key: v for key, v in given.items() if v is not None})
     if getattr(args, "n", None) is not None:
         grid = Grid(n=args.n, L=p.L)
     return p, dly, grid, runset
@@ -173,14 +167,10 @@ _SWEEPABLE_DELAY = ("tau0", "M", "d")
 
 
 def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
-    p, dly = base_p, base_dly
-    row = {name: v for name, v in zip(names, values)}
+    row = dict(zip(names, values))
     try:
-        for name, v in zip(names, values):
-            if name in _SWEEPABLE_SYSTEM:
-                p = replace(p, **{name: v})
-            else:
-                dly = replace(dly, **{name: v})
+        p = replace(base_p, **{k: v for k, v in row.items() if k in _SWEEPABLE_SYSTEM})
+        dly = replace(base_dly, **{k: v for k, v in row.items() if k in _SWEEPABLE_DELAY})
         if p.L != grid.L:
             grid = Grid(n=grid.n, L=p.L)
         row["threshold"] = gain_threshold(p, dly)
@@ -211,6 +201,10 @@ def cmd_sweep(args) -> int:
         cp.read_string(base_text)
         if not cp.has_section("axes") or not list(cp.items("axes")):
             raise ConfigurationError("sweep spec needs a non-empty [axes] section")
+        for key in cp.options("sweep") if cp.has_section("sweep") else ():
+            if key not in ("task", "output"):
+                raise ConfigurationError(f"unknown key {key!r} in section [sweep]; "
+                                         "expected task or output")
         task = cp.get("sweep", "task", fallback="certify")
         if task not in ("certify", "simulate", "both"):
             raise ConfigurationError(f"unknown sweep task {task!r}")
@@ -319,8 +313,8 @@ def main(argv=None) -> int:
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--nonlinear", action="store_true")
+    sp.add_argument("--horizon", type=float, default=None, dest="T")
+    sp.add_argument("--nonlinear", action="store_true", default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)
 

@@ -15,7 +15,8 @@ from .params import DelaySpec, Grid, SystemParams, _check_dt, _step_count, const
 @dataclass(frozen=True)
 class RunSettings:
     """Run-control knobs from the [run] section: `dt` by `params._check_dt`, the
-    horizon `T` by `params._step_count`, `seed` a nonnegative integer."""
+    horizon `T` by `params._step_count`, `eta0` and `omega0` by `profile_spec`
+    (slowmode, which sets the whole state, for eta0 only), `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -28,6 +29,10 @@ class RunSettings:
     def __post_init__(self):
         _check_dt(self.dt)
         _step_count(self.T, self.dt)
+        profile_spec(self.eta0)
+        if profile_spec(self.omega0)[0] == "slowmode":
+            raise ConfigurationError("omega0 cannot be 'slowmode': the slow mode sets eta, "
+                                     "omega and the history, so only eta0 names it")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -80,9 +85,11 @@ _PROFILES = {"zero": 0, "quartic": 1, "cubic": 1, "sine": 2, "gauss": 3,
 
 def profile_spec(spec: str) -> tuple[str, list[float]]:
     """The family name and arguments of an initial-profile spec ("zero" when
-    empty).  Raises ConfigurationError on an unknown family, more arguments
-    than it takes, an argument that is not a finite number, or a gauss width
-    w <= 0."""
+    empty).  Raises ConfigurationError on a spec that is not a string, an
+    unknown family, more arguments than it takes, an argument that is not a
+    finite number, or a gauss width w <= 0."""
+    if not isinstance(spec, str):
+        raise ConfigurationError(f"an initial profile is a string, got {spec!r}")
     name, *toks = spec.split() or ["zero"]
     if name not in _PROFILES:
         raise ConfigurationError(f"unknown initial profile {spec!r}")
@@ -141,7 +148,7 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
 
     Raises ConfigurationError on a section other than [system], [delay],
     [grid] and [run], on a key its section does not have, on a value that
-    does not parse, or on an eta0 / omega0 that `profile_spec` refuses."""
+    does not parse, or on values that a section's constructor refuses."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # field names are case-sensitive (L, M, T)
     try:
@@ -181,8 +188,6 @@ def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]
         p = SystemParams(**sys_kwargs)
         dly = DelaySpec(**dly_kwargs)
         run = RunSettings(**run_kwargs)
-        profile_spec(run.eta0)
-        profile_spec(run.omega0)
         grid = Grid(n=n, L=p.L)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid configuration: {exc}") from exc

@@ -22,11 +22,12 @@ from .params import DelaySpec, Grid, SystemParams, tau_at
 _KATO_BLOCK = 32
 
 
-def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: SystemParams,
+def energy_rows(U: np.ndarray, t: np.ndarray, dly: DelaySpec, history, p: SystemParams,
                 g: Grid, mu1: float = 0.0, mu2: float = 0.0) -> np.ndarray:
     """Monitor rows (t, E, V, V1, V2, trace_now, trace_delayed), one column
     each in `report.CSV_COLUMNS` order, of the interleaved states U (one per
-    row) at times t, samples of `history`, with tau = tau(t):
+    row) at times t, samples of `history`, with tau = tau(t) of dly's law
+    (`tau_at`, which refuses a negative or NaN time):
 
         E  = 1/2 int (eta^2 + omega^2) dx + |beta|/2 tau(t) int z^2 drho,
         V1 = int x eta omega dx,   V2 = |beta|/2 tau(t) int (1-rho) z^2 drho,
@@ -42,6 +43,7 @@ def energy_rows(U: np.ndarray, t: np.ndarray, tau: np.ndarray, history, p: Syste
 
     The x trapezoids are row-wise dot products over the interior nodes (the
     boundary values are zero)."""
+    tau = tau_at(dly, t)[0]
     delayed, now, q2, q2_moment = history.square_integrals(t - tau, t)
     c = 0.5 * abs(p.beta)
     E = 0.5 * g.h * np.einsum("ij,ij->i", U, U) + c * q2
@@ -64,8 +66,7 @@ def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
     once a later block has dropped the start of its window, raises
     HistoryUnderrunError.  A state not of g's size is a ConfigurationError."""
     _check_state_size(s.u, g)
-    tau, _ = tau_at(dly, s.t)
-    row = energy_rows(s.u[None], np.array([s.t]), np.array([tau]), s.history, p, g, mu1, mu2)
+    row = energy_rows(s.u[None], np.array([s.t]), dly, s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())
 
 

@@ -244,21 +244,25 @@ def build_operators(p: SystemParams, g: Grid) -> OperatorSet:
 
     eta carries (value, slope, curvature) data at x=0 and (value, slope) at
     x=L; omega carries (value, slope) at x=0 and (value, slope, curvature
-    = feedback) at x=L.  Raises ConfigurationError when g.L != p.L.
+    = feedback) at x=L.  Raises ConfigurationError when g.L != p.L, or
+    naming n when the grid's arrays cannot be allocated.
     """
     if g.L != p.L:
         raise ConfigurationError(f"grid length {g.L} != domain length {p.L}")
     n, h = g.n, g.h
-    eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
-    omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}
 
     def combine(parts, k):
         return parts[1][k] + p.a * parts[3][k] + p.a1 * parts[5][k]
 
-    g_s = combine(omega, 2)
-    T = np.concatenate([np.zeros(n - 3), trace_weights(h)])
     kl = ku = 9
-    ab = np.zeros((2 * kl + ku + 1, 2 * n), order="F")
+    try:
+        eta = {d: _build_single(n, h, d, 3, 2) for d in (1, 3, 5)}
+        omega = {d: _build_single(n, h, d, 2, 3) for d in (1, 3, 5)}
+        g_s = combine(omega, 2)
+        T = np.concatenate([np.zeros(n - 3), trace_weights(h)])
+        ab = np.zeros((2 * kl + ku + 1, 2 * n), order="F")
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot allocate the operators on n = {n} nodes: {exc}") from exc
     ab[9:26:2, 1::2] = 0.0 - combine(omega, 0)
     ab[11:28:2, 0::2] = 0.0 - combine(eta, 0)
     # the feedback on eta rows and columns: g_s lives on the last two rows

@@ -139,14 +139,14 @@ def constant_history(value: float) -> np.ndarray:
 
 
 def tau_at(dly: DelaySpec, t):
-    """(tau(t), tau'(t)) of the closed-form delay laws, exactly: two floats
-    for a number t, two arrays of its shape for a numpy array, each entry
-    its scalar call's, bit for bit (the sinusoid takes np.sin and np.cos on
-    both paths).  A negative or NaN time anywhere raises ConfigurationError."""
-    scalar = not isinstance(t, np.ndarray)
+    """(tau(t), tau'(t)) of the closed-form delay laws, exactly: two numpy
+    values of t's shape (shape () for a number), each entry bit for bit the
+    one its own time alone gives (the sinusoid takes np.sin and np.cos).  A
+    negative or NaN time anywhere raises ConfigurationError."""
+    t = np.asarray(t, dtype=float)
     # written so that a NaN fails it
-    if not (t >= 0 if scalar else (t >= 0).all()):
-        raise ConfigurationError(f"tau_at requires t >= 0, got {t if scalar else t[~(t >= 0)][0]}")
+    if not (t >= 0).all():
+        raise ConfigurationError(f"tau_at requires t >= 0, got {t[~(t >= 0)].flat[0]}")
     if dly.form == "sinusoidal":
         # anchored so tau(0) = tau0 for every phase
         arg = dly.frequency * t + dly.phase
@@ -157,8 +157,8 @@ def tau_at(dly: DelaySpec, t):
         tau = np.where(rising, dly.tau0 + dly.rate * t, dly.M)
         tau_dot = np.where(rising, dly.rate, 0.0)
     else:   # constant, or affine with rate 0
-        return (dly.tau0, 0.0) if scalar else (np.full(t.shape, dly.tau0), np.zeros(t.shape))
-    return (float(tau), float(tau_dot)) if scalar else (tau, tau_dot)
+        tau, tau_dot = np.full(t.shape, dly.tau0), np.zeros(t.shape)
+    return tau, tau_dot
 
 
 def _reaches(lo: float, hi: float, c: float) -> bool:
@@ -174,8 +174,7 @@ def _tau_extremes(dly: DelaySpec, t0: float, t1: float) -> tuple[float, float, f
     extreme.  The sinusoid adds the crests and troughs of sin (tau) and
     cos (tau') as +-1 that its argument reaches between w t0 + ph and w t1 + ph.
     """
-    (tau_a, dot_a), (tau_b, dot_b) = tau_at(dly, t0), tau_at(dly, t1)
-    taus, dots = [tau_a, tau_b], [dot_a, dot_b]
+    taus, dots = (list(ends) for ends in tau_at(dly, np.array([t0, t1])))
     if dly.form == "sinusoidal":
         A, w, ph = dly.amplitude, dly.frequency, dly.phase
         lo, hi = sorted((w * t0 + ph, w * t1 + ph))

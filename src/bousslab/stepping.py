@@ -176,7 +176,6 @@ class Stepper:
         ops.check_params(p)
         self.ops = ops
         self.cfg = cfg
-        self.p = p
         self.dly = dly
         n = ops.grid.n
         if forcing is not None:
@@ -406,8 +405,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
 
     def record(rows: slice, U, t) -> None:
         with np.errstate(all="ignore"):   # the rows of finite data may overflow
-            table[:, rows] = energy_rows(U, t, tau_at(dly, t)[0], history, p, ops.grid,
-                                         mu1, mu2)
+            table[:, rows] = energy_rows(U, t, dly, history, p, ops.grid, mu1, mu2)
 
     record(slice(0, 1), s0.u[None], np.array([s0.t]))
     if states is not None:

@@ -342,6 +342,41 @@ def test_simulate_refuses_malformed_initial_profile(tmp_path, capsys, eta0):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_slowmode_omega0_is_refused_before_any_output(tmp_path, capsys, command):
+    # slowmode sets eta, omega and the history, so only eta0 may name it
+    cfg = GOOD.replace("omega0 = quartic 0.1", "omega0 = slowmode")
+    out = tmp_path / "outslow"
+    flags = ["--out", str(out)] if command == "simulate" else []
+    assert main([command, "--config", _write(tmp_path, cfg), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: omega0 cannot be 'slowmode'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_unallocatable_grid_is_a_configuration_error(tmp_path, capsys):
+    # numpy refuses 2^62 nodes as too big before it asks for any memory
+    n = 2 ** 62
+    message = f"cannot allocate the operators on n = {n} nodes"
+    p = bousslab.SystemParams()
+    with pytest.raises(bousslab.ConfigurationError, match=message):
+        bousslab.build_operators(p, bousslab.Grid(n=n, L=p.L))
+    out = tmp_path / "outn"
+    assert main(["simulate", "--config", _write(tmp_path, GOOD), "--out", str(out),
+                 "--n", str(n)]) == 1
+    err = capsys.readouterr().err
+    assert f"simulation error: {message}" in err and "Traceback" not in err
+    assert not (out / "timeseries.csv").exists()
+    # a sweep writes it as each point's row error
+    spec = SWEEP.replace("n = 48", f"n = {n}").replace("task = certify", "task = simulate")
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(tmp_path / "swn")]) == 0
+    header, *rows = (tmp_path / "swn" / "table.csv").read_text().strip().split("\n")
+    assert len(rows) == 6
+    for row in rows:
+        assert dict(zip(header.split(","), row.split(",")))["error"].startswith(message)
+
+
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     failing_solve(monkeypatch, after=5)
     out = tmp_path / "outfail"
@@ -624,6 +659,18 @@ def test_sweep_unknown_axis_is_spec_error(tmp_path, capsys):
     assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
                  "--out", str(out)]) == 3
     assert "sweep spec error: unknown sweep axis 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, key", [("taks = both", "taks"),
+                                        ("task = certify\nthreads = 4", "threads")])
+def test_sweep_unknown_key_is_spec_error(tmp_path, capsys, lines, key):
+    # once ignored: a misspelt task ran the default certify and exited 0
+    spec = SWEEP.replace("task = certify", lines)
+    out = tmp_path / "swkey"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 3
+    assert f"sweep spec error: unknown key {key!r} in section [sweep]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -123,6 +123,14 @@ def test_seed_must_be_a_nonnegative_integer():
     assert RunSettings(seed=np.int64(5)).seed == 5
 
 
+def test_run_settings_refuse_a_profile_that_is_not_a_string():
+    # once a raw AttributeError from str.split, when the run began
+    for key in ("eta0", "omega0"):
+        for spec in (None, 1.0):
+            with pytest.raises(ConfigurationError, match="initial profile is a string, got"):
+                RunSettings(**{key: spec})
+
+
 def test_run_settings_refuse_a_bad_step_or_horizon():
     # a step that `StepConfig` or a horizon that `run` would refuse later is
     # refused as the settings are made, so `simulate` fails before its outputs
@@ -201,12 +209,19 @@ def test_initial_profiles():
     ("eta0", "slowmodes 1.0", "unknown initial profile"),
     ("eta0", "gauss 1 0.5 0", "needs a positive width"),
     ("omega0", "gauss 1 0.5 -0.1", "needs a positive width"),
+    ("eta0", "bogus 1 2 3", "unknown initial profile"),
+    # slowmode sets eta, omega and the history: an eta0 family only
+    ("omega0", "slowmode", "omega0 cannot be 'slowmode'"),
+    ("omega0", "slowmode 2.0", "only eta0 names it"),
 ])
 def test_malformed_initial_profile_rejected(key, spec, match):
     good = "cubic 1.0" if key == "eta0" else "quartic 1.0"
     text = SAMPLE.replace(f"{key} = {good}", f"{key} = {spec}")
     with pytest.raises(ConfigurationError, match=match):
         parse_config(text)
+    # the settings refuse it themselves, not only when read from text
+    with pytest.raises(ConfigurationError, match=match):
+        RunSettings(**{key: spec})
     # the same check refuses it in the library call
     if not spec.startswith("slowmode"):
         with pytest.raises(ConfigurationError, match=match):

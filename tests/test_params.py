@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import bousslab as bl
 from bousslab.errors import ConfigurationError
 from bousslab.params import _tau_extremes
+from test_library_errors import PACKAGE
 
 
 def test_length_bound_example():
@@ -91,9 +93,8 @@ _LAWS = {
 
 @pytest.mark.parametrize("form", list(_LAWS))
 def test_tau_at_on_arrays_is_the_scalar_calls_bit_for_bit(form):
-    # floats and arrays take one arithmetic (np.sin and np.cos for the
-    # sinusoid on both), so every entry is its scalar call's, bit for bit,
-    # for every shape
+    # numbers and arrays take one array path, so every entry is its own
+    # number's call's, bit for bit, for every shape; a number gives shape ()
     dly = bl.DelaySpec(**_LAWS[form])
     ts = np.concatenate(([0.0, 10.0], np.random.default_rng(3).uniform(0.0, 30.0, 255)))
     for t in (ts[:1], ts[:3], ts, ts[1:].reshape(16, -1)):
@@ -103,7 +104,7 @@ def test_tau_at_on_arrays_is_the_scalar_calls_bit_for_bit(form):
         assert np.array_equal(tau.ravel(), scalar[0])
         assert np.array_equal(dot.ravel(), scalar[1])
     assert bl.tau_at(dly, 0.0)[0] == dly.tau0
-    assert all(type(x) is float for x in bl.tau_at(dly, 2.5))
+    assert all(np.shape(x) == () for x in bl.tau_at(dly, 2.5))
 
 
 @pytest.mark.parametrize("form", list(_LAWS))
@@ -271,3 +272,40 @@ def test_affine_rate_must_be_finite_and_nonnegative(rate):
 def test_c_nl_defaults_to_a():
     p = bl.SystemParams(a=0.25)
     assert p.c_nl == 0.25
+
+
+# the fields that give a delay law its shape; `tau_at` and `_tau_extremes`
+# read them, and every other module takes tau from those two
+SHAPE_FIELDS = {"rate", "amplitude", "frequency", "phase"}
+
+
+def _shape_field_reads(tree):
+    """(line, field) of each attribute named by SHAPE_FIELDS, and of each
+    getattr of one by a literal name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SHAPE_FIELDS:
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in SHAPE_FIELDS):
+            yield node.lineno, node.args[1].value
+
+
+def test_only_params_reads_the_delay_law_shape():
+    found = [f"{path.name}:{line}: {field}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "params.py"
+             for line, field in _shape_field_reads(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_shape_field_reads(ast.parse((PACKAGE / "params.py").read_text())))
+
+
+def test_shape_field_reads_are_found():
+    source = ("tau = dly.tau0 + dly.amplitude * np.sin(dly.frequency * t + dly.phase)\n"
+              "x = spec.delay.rate\n"
+              "y = getattr(dly, 'phase')\n"
+              "z = getattr(dly, name)\n"
+              "amplitude = frequency = 1.0\n"
+              "s = slow_mode_state(ops, p, dly, dt, amplitude=amplitude)\n"
+              "dly = replace(dly, rate=0.1)\n")
+    assert sorted(_shape_field_reads(ast.parse(source))) == [
+        (1, "amplitude"), (1, "frequency"), (1, "phase"), (2, "rate"), (3, "phase")]

@@ -391,7 +391,7 @@ def test_state_fields_are_views_of_u():
         assert np.array_equal(state.u[1::2], state.omega)
 
 
-def _oracle_step(stepper, lu, state, hist, grid, M2=None):
+def _oracle_step(stepper, p, lu, state, hist, grid, M2=None):
     """The step as it was before SimState held u: interleave both fields
     through index arrays, banded solve of the folded right-hand side u +
     theta dt b, then (x - (1 - theta) u) / theta (Picard for the nonlinear
@@ -402,7 +402,7 @@ def _oracle_step(stepper, lu, state, hist, grid, M2=None):
     column is added to b.  Given M2 = I + (1 - theta) dt A, the first solve
     is the unfolded N^-1 (M2 u + dt b) instead.  Returns (t, eta, omega);
     pushes the new trace onto `hist`."""
-    p, dly, cfg = stepper.p, stepper.dly, stepper.cfg
+    dly, cfg = stepper.dly, stepper.cfg
     n = grid.n
     ie = 2 * np.arange(n)
     io = ie + 1
@@ -499,7 +499,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp, forced):
     lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * A))
     for _ in range(steps):
         state = stepper.step(state)
-        oracle = _oracle_step(stepper, lu, oracle, hist, g)
+        oracle = _oracle_step(stepper, p, lu, oracle, hist, g)
         assert state.t == oracle[0]
         assert np.array_equal(state.eta, oracle[1])
         assert np.array_equal(state.omega, oracle[2])
@@ -525,7 +525,7 @@ def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp, forced):
     M2 = I + (1.0 - cfg.theta) * cfg.dt * A
     for _ in range(steps):
         state = stepper.step(state)
-        oracle = _oracle_step(stepper, lu, oracle, hist, g, M2)
+        oracle = _oracle_step(stepper, p, lu, oracle, hist, g, M2)
         assert state.t == oracle[0]
         bound = 1e-10 * np.abs(state.u).max()
         assert np.abs(state.eta - oracle[1]).max() <= bound
