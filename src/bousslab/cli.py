@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import configparser
-import io
 import itertools
 import sys
 from dataclasses import replace
@@ -14,8 +12,8 @@ import numpy as np
 
 from .certificate import (build_certificate, f_of_mu1, g_of_mu1, gain_threshold,
                           mu1_interval_right, optimal_mu1)
-from .config import (RunSettings, initial_profile, parse_config, profile_spec,
-                     serialize_config)
+from .config import (RunSettings, _config_from, _read_ini, _read_section, initial_profile,
+                     parse_config, profile_spec, serialize_config)
 from .energy import dissipation_residual, kato_identity_residual
 from .errors import (BousslabError, CertificationError, ConfigurationError,
                      InadmissibleGainsError)
@@ -34,7 +32,7 @@ def _load(args):
     """The --config file, with `simulate`'s override flags applied."""
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read configuration: {exc}") from exc
     p, dly, grid, runset = parse_config(text)
     given = {key: getattr(args, key, None) for key in ("dt", "T", "nonlinear", "seed")}
@@ -145,13 +143,13 @@ def cmd_simulate(args, p, dly, grid, runset) -> int:
                               "config.ini")
         rep, cert, extras = simulate(p, dly, grid, runset)
         summary = summary_text(rep, extras)
+        texts = (rep.to_csv(), summary, None if cert is None else cert.document() + "\n",
+                 serialize_config(p, dly, grid, runset))
         # a run refused before it returns leaves the earlier run's files
         _clear(paths)
-        (out / "timeseries.csv").write_text(rep.to_csv())
-        (out / "summary.txt").write_text(summary)
-        if cert is not None:
-            (out / "certificate.txt").write_text(cert.document() + "\n")
-        (out / "config.ini").write_text(serialize_config(p, dly, grid, runset))
+        for path, text in zip(paths, texts, strict=True):
+            if text is not None:   # no certificate.txt for an uncertified run
+                path.write_text(text)
     except BousslabError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 1
@@ -164,9 +162,13 @@ def cmd_simulate(args, p, dly, grid, runset) -> int:
 
 _SWEEPABLE_SYSTEM = ("a", "a1", "L", "alpha", "beta")
 _SWEEPABLE_DELAY = ("tau0", "M", "d")
+# the columns each sweep task writes after the axes, admissible and threshold;
+# task `both` writes every task's, in this order
+_TASK_COLUMNS = {"certify": ("mu1_star", "lambda", "zeta"),
+                 "simulate": ("lambda_obs", "E_final", "bound_ok", "termination")}
 
 
-def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
+def _sweep_point(base_p, base_dly, grid, runset, names, values, tasks):
     row = dict(zip(names, values))
     try:
         p = replace(base_p, **{k: v for k, v in row.items() if k in _SWEEPABLE_SYSTEM})
@@ -177,16 +179,13 @@ def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
         # admissible means certified, as in `check`
         cert = _certificate_or_none(p, dly)
         row["admissible"] = cert is not None
-        if task in ("certify", "both") and cert is not None:
-            row["mu1_star"] = cert.mu1_star
-            row["lambda"] = cert.lam
-            row["zeta"] = cert.zeta
-        if task in ("simulate", "both"):
+        if "certify" in tasks and cert is not None:
+            row.update(zip(_TASK_COLUMNS["certify"], (cert.mu1_star, cert.lam, cert.zeta)))
+        if "simulate" in tasks:
             rep, _, extras = simulate(p, dly, grid, runset)
-            row["lambda_obs"] = extras.get("lambda_obs", "")
-            row["E_final"] = rep.E[-1]
-            row["bound_ok"] = extras.get("bound_ok", "")
-            row["termination"] = rep.termination
+            row.update(zip(_TASK_COLUMNS["simulate"],
+                           (extras.get("lambda_obs", ""), rep.E[-1], extras.get("bound_ok", ""),
+                            rep.termination)))
         row["error"] = ""
     except BousslabError as exc:
         row["error"] = str(exc).replace(",", ";").replace("\n", " ")
@@ -195,61 +194,48 @@ def _sweep_point(base_p, base_dly, grid, runset, names, values, task):
 
 def cmd_sweep(args) -> int:
     try:
-        base_text = Path(args.spec).read_text()
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        cp.read_string(base_text)
-        if not cp.has_section("axes") or not list(cp.items("axes")):
+        cp = _read_ini(Path(args.spec).read_text())
+        if not cp.has_section("axes") or not cp.items("axes"):
             raise ConfigurationError("sweep spec needs a non-empty [axes] section")
-        for key in cp.options("sweep") if cp.has_section("sweep") else ():
-            if key not in ("task", "output"):
-                raise ConfigurationError(f"unknown key {key!r} in section [sweep]; "
-                                         "expected task or output")
-        task = cp.get("sweep", "task", fallback="certify")
-        if task not in ("certify", "simulate", "both"):
+        sweep = {"task": "certify", "output": "sweep.csv"}
+        sweep.update(_read_section(cp, "sweep", sweep))
+        task = sweep["task"]
+        if task not in (*_TASK_COLUMNS, "both"):
             raise ConfigurationError(f"unknown sweep task {task!r}")
-        output = cp.get("sweep", "output", fallback="sweep.csv")
-        names = []
-        value_lists = []
+        tasks = list(_TASK_COLUMNS) if task == "both" else [task]
+        axes = {}
         for name, raw in cp.items("axes"):
             if name not in _SWEEPABLE_SYSTEM + _SWEEPABLE_DELAY:
                 raise ConfigurationError(f"unknown sweep axis {name!r}")
             vals = [float(x) for x in raw.split()]
             if not vals:
                 raise ConfigurationError(f"empty axis {name!r}")
-            names.append(name)
-            value_lists.append(vals)
+            axes[name] = vals
         # the base configuration is the spec without its own two sections
         cp.remove_section("sweep")
         cp.remove_section("axes")
-        base = io.StringIO()
-        cp.write(base)
-        p, dly, grid, runset = parse_config(base.getvalue())
-    except (ConfigurationError, OSError, ValueError, configparser.Error) as exc:
+        p, dly, grid, runset = _config_from(cp)
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"sweep spec error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(args.out)
     try:
-        _clear(_output_paths(out, output))
-        rows = [_sweep_point(p, dly, grid, runset, names, vals, task)
-                for vals in itertools.product(*value_lists)]
-        columns = list(names) + ["admissible", "threshold"]
-        if task in ("certify", "both"):
-            columns += ["mu1_star", "lambda", "zeta"]
-        if task in ("simulate", "both"):
-            columns += ["lambda_obs", "E_final", "bound_ok", "termination"]
-        columns.append("error")
+        [path] = _output_paths(Path(args.out), sweep["output"])
+        _clear([path])
+        rows = [_sweep_point(p, dly, grid, runset, list(axes), vals, tasks)
+                for vals in itertools.product(*axes.values())]
+        columns = [*axes, "admissible", "threshold",
+                   *(c for t in tasks for c in _TASK_COLUMNS[t]), "error"]
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(
                 ("%.17g" % row[c]) if isinstance(row.get(c), float)
                 else str(row.get(c, "")) for c in columns))
-        (out / output).write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"wrote {len(rows)} rows to {out / output}")
+    print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
 
@@ -282,7 +268,7 @@ def cmd_optimize_rate(args, p, dly, grid, runset) -> int:
         return EXIT_INADMISSIBLE
     try:
         table = np.linspace(0.0, right, args.points)
-    except MemoryError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"configuration error: {args.points} --points: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print("mu1,f,g")

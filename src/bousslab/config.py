@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import asdict, dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .params import DelaySpec, Grid, SystemParams, _check_dt, _step_count, constant_history
+from .params import (DelaySpec, Grid, SystemParams, _check_dt, _check_flag, _step_count,
+                     constant_history)
 
 
 @dataclass(frozen=True)
 class RunSettings:
     """Run-control knobs from the [run] section: `dt` by `params._check_dt`, the
-    horizon `T` by `params._step_count`, `eta0` and `omega0` by `profile_spec`
-    (slowmode, which sets the whole state, for eta0 only), `seed` a nonnegative integer."""
+    horizon `T` by `params._step_count`, the flags by `params._check_flag`,
+    `eta0` and `omega0` by `profile_spec` (slowmode, which sets the whole
+    state, for eta0 only), `seed` a nonnegative integer."""
 
     T: float = 5.0
     dt: float = 1e-3
@@ -29,6 +31,8 @@ class RunSettings:
     def __post_init__(self):
         _check_dt(self.dt)
         _step_count(self.T, self.dt)
+        _check_flag("nonlinear", self.nonlinear)
+        _check_flag("store_fields", self.store_fields)
         profile_spec(self.eta0)
         if profile_spec(self.omega0)[0] == "slowmode":
             raise ConfigurationError("omega0 cannot be 'slowmode': the slow mode sets eta, "
@@ -66,6 +70,10 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 
 def _coerce(raw: str, like):
+    """`raw` read as the type of `like`: a bool (`_BOOL`), an int, a float, a
+    history array (`_parse_history`) or a string."""
+    if isinstance(like, np.ndarray):
+        return _parse_history(raw)
     if isinstance(like, bool):
         key = raw.strip().lower()
         if key not in _BOOL:
@@ -143,55 +151,66 @@ def initial_profile(spec: str, nodes: np.ndarray, L: float,
 _SECTIONS = ("system", "delay", "grid", "run")
 
 
+def _read_ini(text: str) -> configparser.ConfigParser:
+    """Configuration or sweep-spec text as a ConfigParser, keys case-sensitive
+    and values as written (no % interpolation); ConfigurationError when it
+    does not parse."""
+    # no header can name a section "\n", so [DEFAULT] is a section like any
+    # other, refused by name, not one whose keys configparser copies into all
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
+    cp.optionxform = str  # field names are case-sensitive (L, M, T)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"cannot read configuration: {exc}") from exc
+    return cp
+
+
+def _read_section(cp: configparser.ConfigParser, name: str, defaults: dict) -> dict:
+    """The keys given in section [name] (none when it is absent), each coerced
+    like its entry in `defaults` (`_coerce`); ConfigurationError on a key
+    `defaults` does not have.  A key not given is left out, so a field whose
+    default depends on others (`SystemParams.c_nl`) is worked out again."""
+    kwargs = {}
+    for key, raw in cp.items(name) if cp.has_section(name) else ():
+        if key not in defaults:
+            raise ConfigurationError(f"unknown key {key!r} in section [{name}]; "
+                                     f"expected one of {', '.join(defaults)}")
+        kwargs[key] = _coerce(raw, defaults[key])
+    return kwargs
+
+
+def _config_from(cp: configparser.ConfigParser):
+    """`parse_config` of text already read by `_read_ini`."""
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ConfigurationError(
+                f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
+
+    try:
+        # every section is read before any is built; each key is coerced like
+        # the value a default-built section holds
+        sys_kwargs = _read_section(cp, "system", asdict(SystemParams()))
+        dly_kwargs = _read_section(cp, "delay", asdict(DelaySpec()))
+        run_kwargs = _read_section(cp, "run", asdict(RunSettings()))
+        grid_kwargs = {"n": 200}
+        grid_kwargs.update(_read_section(cp, "grid", grid_kwargs))
+        p = SystemParams(**sys_kwargs)
+        dly = DelaySpec(**dly_kwargs)
+        run = RunSettings(**run_kwargs)
+        grid = Grid(L=p.L, **grid_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid configuration: {exc}") from exc
+    return p, dly, grid, run
+
+
 def parse_config(text: str) -> tuple[SystemParams, DelaySpec, Grid, RunSettings]:
     """Parse configuration text (not a path: callers read the file).
 
     Raises ConfigurationError on a section other than [system], [delay],
     [grid] and [run], on a key its section does not have, on a value that
     does not parse, or on values that a section's constructor refuses."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # field names are case-sensitive (L, M, T)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigurationError(f"cannot read configuration: {exc}") from exc
-
-    # configparser copies [DEFAULT] keys into every section: refuse it by name
-    for name in cp.sections() + ([cp.default_section] if cp.defaults() else []):
-        if name not in _SECTIONS:
-            raise ConfigurationError(
-                f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
-
-    def section(name, builder):
-        kwargs = {}
-        if not cp.has_section(name):
-            return kwargs
-        proto = builder()
-        defaults = {f.name: getattr(proto, f.name) for f in dc_fields(proto)}
-        for key, raw in cp.items(name):
-            if key not in defaults:
-                raise ConfigurationError(f"unknown key {key!r} in section [{name}]")
-            kwargs[key] = _coerce(raw, defaults[key])
-        return kwargs
-
-    try:
-        sys_kwargs = section("system", SystemParams)
-        dly_kwargs = section("delay", DelaySpec)
-        if "history" in dly_kwargs:
-            dly_kwargs["history"] = _parse_history(dly_kwargs["history"])
-        run_kwargs = section("run", RunSettings)
-        grid_items = dict(cp.items("grid")) if cp.has_section("grid") else {}
-        unknown = sorted(grid_items.keys() - {"n"})
-        if unknown:
-            raise ConfigurationError(f"unknown key {unknown[0]!r} in section [grid]")
-        n = int(grid_items.get("n", 200))
-        p = SystemParams(**sys_kwargs)
-        dly = DelaySpec(**dly_kwargs)
-        run = RunSettings(**run_kwargs)
-        grid = Grid(n=n, L=p.L)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid configuration: {exc}") from exc
-    return p, dly, grid, run
+    return _config_from(_read_ini(text))
 
 
 def serialize_config(p: SystemParams, dly: DelaySpec, grid: Grid,

@@ -29,6 +29,14 @@ def _check_dt(dt: float) -> None:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
 
 
+def _check_flag(name: str, value) -> None:
+    """The one flag rule (`StepConfig`, `config.RunSettings`, `stepping.run`): a
+    bool or numpy bool.  Any other value, such as the string 'no', would be
+    read by its truth value."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+
+
 def _step_count(T: float, dt: float) -> int:
     """The steps of dt that a horizon T takes, floor(T / dt + 1e-9), the one rule
     of `run`, `mms.mms_error` and `config.RunSettings`; ConfigurationError, naming

@@ -36,7 +36,8 @@ from .delay_line import HistoryLine
 from .errors import ConfigurationError, NonlinearDivergenceError, NumericalError
 from .operators import (OperatorSet, _csr_apply, build_operators, nonlinear_matrices,
                         trace_eta_xx_L)
-from .params import DelaySpec, Grid, SystemParams, _check_dt, _step_count, _tau_extremes, tau_at
+from .params import (DelaySpec, Grid, SystemParams, _check_dt, _check_flag, _step_count,
+                     _tau_extremes, tau_at)
 from .report import CSV_COLUMNS, RunReport
 
 _BLOWUP_FACTOR = 1e6
@@ -98,7 +99,8 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Theta-scheme parameters: dt by `params._check_dt`, theta in [1/2, 1].
+    """Theta-scheme parameters: dt by `params._check_dt`, theta in [1/2, 1],
+    nonlinear by `params._check_flag`.
 
     theta = 1/2 is Crank-Nicolson; production runs use theta = 1/2 + O(dt)
     to damp the stiff spurious closure modes (see `suggested_theta`), and
@@ -113,6 +115,7 @@ class StepConfig:
         _check_dt(self.dt)
         if not 0.5 <= self.theta <= 1.0:
             raise ConfigurationError(f"theta must lie in [1/2, 1], got {self.theta}")
+        _check_flag("nonlinear", self.nonlinear)
 
 
 def suggested_theta(dt: float) -> float:
@@ -319,7 +322,8 @@ class Stepper:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
         (`_plan`, `_block`); advances `state.history` in place, which keeps
         about max tau / dt + _BLOCK samples.  Raises ConfigurationError
-        before the first step when steps is not a nonnegative integer, or,
+        before the first step when steps is not a nonnegative integer or its
+        end time state.t + steps * dt is not finite, or,
         as `run` does, for a state not of the grid's size or not finite, one
         whose history does not end at its time or starts after its delayed
         time t - tau(t), or a law with tau' >= 1 or tau <= dt from its time to
@@ -328,7 +332,14 @@ class Stepper:
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
         dt = self.cfg.dt
-        _check_start(state, self.ops.grid, self.dly, dt, state.t + steps * dt)
+        try:
+            t_end = state.t + steps * dt
+        except OverflowError:   # a count past the largest float
+            t_end = math.inf
+        if not t_end < math.inf:
+            raise ConfigurationError(f"the end time of the step count is not finite at dt = {dt} "
+                                     f"from t = {state.t}")
+        _check_start(state, self.ops.grid, self.dly, dt, t_end)
         t, u = state.t, state.u
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
@@ -378,7 +389,8 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
     not the 2n values of the grid, when s0.history does not end at s0.t or
     starts after s0.t - tau(s0.t), when the law's max tau' on [s0.t, s0.t + T]
     is 1 or more or its min tau there is dt or less, when T is negative or not
-    finite or T / dt not finite, when the arrays for its T / dt rows cannot be
+    finite or T / dt not finite, when store_fields is not a bool
+    (`params._check_flag`), when the arrays for its T / dt rows cannot be
     allocated, when the Lyapunov multipliers lie outside 0 <= mu1 < 1/L,
     0 <= mu2 < 1, or when `OperatorSet.check_params` fails.  A step that fails with
     NonlinearDivergenceError or NumericalError, or an energy that blows up,
@@ -390,6 +402,7 @@ def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec
                       "exactly; the keyword goes once perfbench stops passing it "
                       "(ROADMAP item 1)", DeprecationWarning, stacklevel=2)
     n_steps = _step_count(T, cfg.dt)
+    _check_flag("store_fields", store_fields)
     check_multipliers(p, mu1, mu2)
     _check_start(s0, ops.grid, dly, cfg.dt, s0.t + T)
     history = s0.history.copy()

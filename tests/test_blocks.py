@@ -352,6 +352,20 @@ def test_advance_refuses_a_step_count_that_is_not_a_nonnegative_integer(steps):
         assert end.t == count * cfg.dt and line.size == s0.history.size + count
 
 
+@pytest.mark.parametrize("steps", [2 ** 1024, 10 ** 400], ids=["2**1024", "10**400"])
+def test_advance_refuses_a_step_count_whose_end_time_is_not_finite(steps):
+    # once a raw OverflowError from t + steps * dt; only counts past the largest
+    # float are tried here, since a huge finite count really runs
+    p, dly, ops, cfg, s0 = _system("constant", False, n=16)
+    line = s0.history.copy()
+    state = SimState._from_u(0.0, s0.u, line)
+    buf = line._buf.copy()
+    with pytest.raises(ConfigurationError, match="end time of the step count is not finite"):
+        Stepper(ops, cfg, p, dly).advance(state, steps)
+    assert state.t == 0.0 and np.array_equal(state.u, s0.u)
+    assert line.t_last == 0.0 and np.array_equal(line._buf, buf)
+
+
 # laws whose slope reaches 1, each with a horizon: tau = 0.5 + 0.6 (1 - cos 2t),
 # whose slope 1.2 sin 2t passes 1 at t = 0.49, and two affine laws faster
 # than time

@@ -12,7 +12,7 @@ import pytest
 
 import bousslab
 from bousslab.certificate import gain_threshold
-from bousslab.cli import main
+from bousslab.cli import main, simulate
 
 from conftest import failing_solve
 
@@ -64,6 +64,23 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", _write(tmp_path, nan_gain)]) == 3
     assert "alpha must be finite" in capsys.readouterr().err
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 3
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "optimize-rate", "sweep"])
+def test_a_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys, command):
+    # once a raw UnicodeDecodeError from every --config command (under a
+    # UTF-8 locale; a one-byte locale reads the byte and refuses the line)
+    path = tmp_path / "binary.ini"
+    path.write_bytes(GOOD.encode() + b"\xff\n")
+    flag = "--spec" if command == "sweep" else "--config"
+    out = tmp_path / "out"
+    argv = [command, flag, str(path)] + (["--out", str(out)] if command in
+                                          ("simulate", "sweep") else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(("configuration error: cannot read configuration",
+                           "sweep spec error: ")) and "Traceback" not in err
+    assert not out.exists()
 
 
 def _empty_interval_alpha():
@@ -377,6 +394,16 @@ def test_unallocatable_grid_is_a_configuration_error(tmp_path, capsys):
         assert dict(zip(header.split(","), row.split(",")))["error"].startswith(message)
 
 
+def test_simulate_refuses_a_configuration_that_fails_validation(tmp_path, capsys):
+    # M < tau0: the delay law leaves [tau0, M], which `check` reports too
+    cfg = GOOD.replace("M = 2.0", "M = 0.4")
+    out = tmp_path / "outM"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: validation failed:\n") and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
 def test_simulate_writes_partial_series_on_failure(tmp_path, monkeypatch):
     failing_solve(monkeypatch, after=5)
     out = tmp_path / "outfail"
@@ -623,12 +650,32 @@ def test_sweep_grid_size(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
-def test_sweep_empty_axis_is_error(tmp_path):
+def test_sweep_over_L_builds_each_point_its_grid(tmp_path):
+    # each point's grid is built on its own L: its row is `simulate` on that L
+    spec = SWEEP.replace("task = certify", "task = both").replace(
+        "alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "L = 0.8 1.2")
+    out = tmp_path / "swL"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"), "--out", str(out)]) == 0
+    header, *rows = (out / "table.csv").read_text().strip().split("\n")
+    assert len(rows) == 2
+    for L, row in zip(("0.8", "1.2"), rows):
+        row = dict(zip(header.split(","), row.split(",")))
+        rep = simulate(*bousslab.parse_config(GOOD.replace("L = 1.0", f"L = {L}")))[0]
+        assert float(row["L"]) == float(L) and row["error"] == ""
+        assert row["E_final"] == "%.17g" % rep.E[-1]
+
+
+def test_sweep_empty_axis_is_error(tmp_path, capsys):
     spec = SWEEP.replace("alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "alpha = ")
     assert main(["sweep", "--spec", _write(tmp_path, spec, "bad.ini"),
                  "--out", str(tmp_path)]) == 3
     assert main(["sweep", "--spec", _write(tmp_path, "[axes\nbeta = 1", "bad.ini"),
                  "--out", str(tmp_path)]) == 3
+    capsys.readouterr()
+    assert main(["sweep", "--spec", _write(tmp_path, GOOD + "[sweep]\ntask = certify\n",
+                                           "bad.ini"), "--out", str(tmp_path)]) == 3
+    assert ("sweep spec error: sweep spec needs a non-empty [axes] section"
+            in capsys.readouterr().err)
 
 
 def test_simulate_refuses_unknown_section_and_grid_key(tmp_path, capsys):
@@ -674,6 +721,26 @@ def test_sweep_unknown_key_is_spec_error(tmp_path, capsys, lines, key):
     assert not out.exists()
 
 
+def test_sweep_unknown_task_is_spec_error(tmp_path, capsys):
+    spec = SWEEP.replace("task = certify", "task = all")
+    out = tmp_path / "swtask"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 3
+    assert "sweep spec error: unknown sweep task 'all'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_spec_with_a_default_section_is_spec_error(tmp_path, capsys):
+    # configparser would copy [DEFAULT]'s keys into [sweep] and [axes]; it is
+    # refused by name, as in a configuration
+    spec = "[DEFAULT]\nalpha = 0.1\n" + SWEEP
+    out = tmp_path / "swdefault"
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 3
+    assert "sweep spec error: unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_invalid_point_is_row_error(tmp_path):
     spec = SWEEP.replace("alpha = 0.01 0.03 0.05 0.08 0.1 0.2", "a = -1 0.1")
     out = tmp_path / "swa"
@@ -710,6 +777,13 @@ def test_optimize_rate(tmp_path, capsys):
     assert main(["optimize-rate", "--config", _write(tmp_path, GOOD)]) == 0
     out = capsys.readouterr().out
     assert "mu1_star" in out and "lambda_star" in out
+
+
+def test_optimize_rate_refuses_inadmissible_gains(tmp_path, capsys):
+    assert main(["optimize-rate", "--config", _write(tmp_path, INADMISSIBLE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "mu1,f,g" not in captured.out
 
 
 def test_optimize_rate_beta_zero(tmp_path, capsys):
@@ -766,10 +840,11 @@ def test_optimize_rate_needs_two_points(tmp_path, capsys, points):
     assert "mu1,f,g" not in captured.out
 
 
-@pytest.mark.parametrize("points", [str(10 ** 13), str(10 ** 20)])
+@pytest.mark.parametrize("points", [str(10 ** 13), str(10 ** 20), str(2 ** 62)])
 def test_optimize_rate_refuses_points_it_cannot_hold(tmp_path, capsys, points):
-    # 10**13 points would take 73 TiB, which numpy refuses at once;
-    # 10**20 is past the largest array index
+    # 10**13 points would take 73 TiB, which numpy refuses at once (MemoryError);
+    # 10**20 is past the largest array index; 2**62 numpy refuses as too big
+    # (ValueError) before it asks for memory
     assert main(["optimize-rate", "--config", _write(tmp_path, GOOD),
                  "--points", points]) == 3
     captured = capsys.readouterr()

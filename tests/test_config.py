@@ -1,11 +1,16 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bousslab
 from bousslab.config import (RunSettings, initial_profile, parse_config,
                              serialize_config)
 from bousslab.errors import ConfigurationError
+
+PACKAGE = Path(bousslab.__file__).resolve().parent
 
 SAMPLE = """
 [system]
@@ -41,6 +46,13 @@ def test_parse_sample():
     assert run.T == 1.0 and run.dt == 0.001
 
 
+def test_keys_left_out_take_the_defaults_of_the_keys_given():
+    # c_nl defaults to a: a file that leaves it out gets its own a, not the
+    # c_nl of a default-built SystemParams, and a missing [grid] gives n = 200
+    p, _, grid, _ = parse_config(SAMPLE.replace("[grid]\nn = 64\n", ""))
+    assert p.a == p.c_nl == 0.1 and grid.n == 200
+
+
 def test_round_trip_semantically_identical():
     p, dly, grid, run = parse_config(SAMPLE)
     text = serialize_config(p, dly, grid, run)
@@ -56,8 +68,10 @@ def test_round_trip_semantically_identical():
 
 def test_unknown_key_rejected():
     bad = SAMPLE.replace("a = 0.1", "a = 0.1\nbogus = 2")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         parse_config(bad)
+    assert str(info.value) == ("unknown key 'bogus' in section [system]; expected one of "
+                               "a, a1, L, alpha, beta, alpha_p, beta_p, rho_nl, c_nl")
 
 
 def test_unknown_grid_key_rejected():
@@ -131,6 +145,39 @@ def test_run_settings_refuse_a_profile_that_is_not_a_string():
                 RunSettings(**{key: spec})
 
 
+def _configparser_imports(tree):
+    """Lines of each import of configparser or of a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if "configparser" in modules:
+            yield node.lineno
+
+
+def test_only_config_imports_configparser():
+    # one INI reader: configurations and sweep specs are read by `config`
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+             for line in _configparser_imports(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_configparser_imports(ast.parse((PACKAGE / "config.py").read_text())))
+
+
+def test_configparser_imports_are_found():
+    source = ("import configparser\n"
+              "import io, configparser as cp\n"
+              "from configparser import ConfigParser\n"
+              "def f():\n    import configparser\n"
+              "import configparserx\n"
+              "from .configparser import x\n"
+              "from io import StringIO\n")
+    assert list(_configparser_imports(ast.parse(source))) == [1, 2, 3, 5]
+
+
 def test_run_settings_refuse_a_bad_step_or_horizon():
     # a step that `StepConfig` or a horizon that `run` would refuse later is
     # refused as the settings are made, so `simulate` fails before its outputs
@@ -162,6 +209,26 @@ def test_history_round_trip(history):
 def test_malformed_rejected():
     with pytest.raises(ConfigurationError):
         parse_config("[system\na = ")
+
+
+@pytest.mark.parametrize("old, new, match", [
+    pytest.param("history = zero", "history = constant", "history 'constant' needs one value",
+                 id="history constant"),
+    pytest.param("history = zero", "history = a b", "cannot parse history samples 'a b'",
+                 id="history a b"),
+    pytest.param("T = 1.0", "T = 1.0\nnonlinear = maybe", "cannot parse boolean 'maybe'",
+                 id="nonlinear maybe"),
+    pytest.param("n = 64", "n = 2.5", "invalid configuration: invalid literal for int",
+                 id="n 2.5"),
+    # once a raw InterpolationSyntaxError: values are read as written, no % interpolation
+    pytest.param("T = 1.0", "T = 1.0\nseed = 1%",
+                 "invalid configuration: invalid literal for int", id="seed 1%"),
+    pytest.param("a1 = 0.0065", "a1 = %(a)s", "invalid configuration: could not convert",
+                 id="a1 %(a)s"),
+])
+def test_malformed_value_rejected(old, new, match):
+    with pytest.raises(ConfigurationError, match=match):
+        parse_config(SAMPLE.replace(old, new))
 
 
 def test_history_forms():

@@ -429,6 +429,10 @@ def test_non_finite_times_rejected():
                  r"1-D .* shapes \(2, 2\) and \(2, 2\)", id="2-D history"),
     pytest.param(lambda: bl.HistoryLine(np.array([[-1, -.5], [-.2, 0.]]), np.ones(4)),
                  r"shapes \(2, 2\) and \(4,\)", id="2-D times, 1-D values"),
+    pytest.param(lambda: bl.HistoryLine([0.0], [1.0]), "need at least two history samples",
+                 id="one sample"),
+    pytest.param(lambda: bl.HistoryLine([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                 "history sample times must be strictly increasing", id="repeated time"),
     # the delay bound lives only in the delay law
     pytest.param(lambda: bl.DelaySpec(tau0=0.5, M=np.inf), "M must be finite, got inf",
                  id="inf M"),

@@ -29,6 +29,15 @@ def test_fit_decay_truncates_on_nonpositive():
     assert abs(lam - 3.0) < 1e-8
 
 
+def test_fit_decay_refuses_fewer_than_two_positive_samples():
+    # one sample in the final half, or none positive (which also warns)
+    with pytest.raises(bl.ConfigurationError, match="not enough positive samples"):
+        bl.fit_decay(np.array([0.0, 1.0]), np.ones(2))
+    with pytest.warns(UserWarning, match="fit window truncated"), \
+            pytest.raises(bl.ConfigurationError, match="not enough positive samples"):
+        bl.fit_decay(np.linspace(0.0, 1.0, 10), np.zeros(10))
+
+
 def test_bound_check():
     t = np.linspace(0, 2, 40)
     E = np.exp(-1.0 * t)

@@ -219,6 +219,33 @@ def test_every_entry_point_refuses_a_step_or_horizon_by_one_rule(entry, T, dt, m
     assert str(info.value) == message
 
 
+def _flag_entry_points():
+    """Each entry point that takes a flag, as (the flag's name, a call of its value)."""
+    p, dly = bl.SystemParams(a=1.0, a1=1.0, L=1.0, alpha=1.0, beta=0.0), bl.DelaySpec()
+    g = bl.Grid(n=16, L=1.0)
+    ops = bl.build_operators(p, g)
+    s = bl.initial_state(p, dly, g, np.zeros(g.n), np.zeros(g.n))
+    return {"RunSettings-nonlinear": ("nonlinear", lambda v: bl.RunSettings(nonlinear=v)),
+            "RunSettings-store_fields": ("store_fields",
+                                         lambda v: bl.RunSettings(store_fields=v)),
+            "StepConfig-nonlinear": ("nonlinear", lambda v: bl.StepConfig(dt=1e-3, nonlinear=v)),
+            "run-store_fields": ("store_fields", lambda v: bl.run(
+                s, 0.005, bl.StepConfig(dt=1e-3), p, dly, ops, store_fields=v))}
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1.0, None])
+@pytest.mark.parametrize("entry", ["RunSettings-nonlinear", "RunSettings-store_fields",
+                                   "StepConfig-nonlinear", "run-store_fields"])
+def test_every_entry_point_refuses_a_flag_that_is_not_a_bool(entry, value):
+    # `params._check_flag` is the one rule; the string 'no' once read as true,
+    # so a library caller asking for a linear run got a nonlinear one
+    name, call = _flag_entry_points()[entry]
+    with pytest.raises(ConfigurationError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a bool, got {value!r}"
+    call(np.bool_(True))   # a numpy bool is a bool
+
+
 def test_nan_dt_is_refused_naming_dt():
     p, dly, g, ops = _setup(n=16)
     with pytest.raises(ConfigurationError, match="dt must be positive and finite, got nan"):
