@@ -207,7 +207,10 @@ def cmd_sweep(args) -> int:
         for name, raw in cp.items("axes"):
             if name not in _SWEEPABLE_SYSTEM + _SWEEPABLE_DELAY:
                 raise ConfigurationError(f"unknown sweep axis {name!r}")
-            vals = [float(x) for x in raw.split()]
+            try:
+                vals = [float(x) for x in raw.split()]
+            except ValueError as exc:
+                raise ConfigurationError(f"sweep axis {name!r}: {exc}") from exc
             if not vals:
                 raise ConfigurationError(f"empty axis {name!r}")
             axes[name] = vals

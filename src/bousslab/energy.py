@@ -60,11 +60,9 @@ def _check_state_size(u: np.ndarray, g: Grid) -> None:
 def energy_sample(s, p: SystemParams, dly: DelaySpec, g: Grid,
                   mu1: float = 0.0, mu2: float = 0.0) -> tuple[float, ...]:
     """The monitor row of the state s (`energy_rows` of one row, over the
-    window [s.t - tau, s.t] of its history) as a tuple of floats.  A state
-    whose history line has moved on (one `Stepper.step` returned, then
-    stepped again) gives the row it gave before the move, bit for bit, or,
-    once a later block has dropped the start of its window, raises
-    HistoryUnderrunError.  A state not of g's size is a ConfigurationError."""
+    window [s.t - tau, s.t] of its history) as a tuple of floats; it changes
+    neither s nor its line, so it gives the same bits again, before and after
+    a step from s.  A state not of g's size is a ConfigurationError."""
     _check_state_size(s.u, g)
     row = energy_rows(s.u[None], np.array([s.t]), dly, s.history, p, g, mu1, mu2)
     return tuple(row[:, 0].tolist())

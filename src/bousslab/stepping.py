@@ -16,7 +16,10 @@ Optional Picard iteration handles the quadratic nonlinear terms, iterating
 on increments with one right-hand side per banded solve from one sparse
 product into a pair table and one out of it (`operators.nonlinear_matrices`).
 A run logs its blocks, and a nonlinear run its step and solve counts and its
-largest contraction estimate, at DEBUG, over the rows it kept.
+largest contraction estimate, at DEBUG, over the rows it kept.  No stepping
+entry changes its input state: `run` and `Stepper.advance` both step their
+own copy of its history line, so a second call from the same state gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -66,27 +69,19 @@ class SimState:
 
     The history is initial data, read as given: its value at t is z(t, 0)
     of the transport form, which `initial_state` and `slow_mode_state` set
-    to eta's trace.  `eta` and `omega` are strided views of u; treat them
-    as read-only.  eta and omega not 1-D of one length are a ConfigurationError.
+    to eta's trace.  No stepping entry changes a state: `run` and
+    `Stepper.advance` step their own copy of its line, and a state made
+    here owns its u, a copy of its fields.  `eta` and `omega` are strided
+    views of u; treat them as read-only.  A history that is not a
+    `HistoryLine`, or complex eta or omega, or eta and omega not 1-D of one
+    length, is a ConfigurationError.
     """
 
     def __init__(self, t: float, eta, omega, history: HistoryLine):
-        eta = np.asarray(eta, dtype=float)
-        omega = np.asarray(omega, dtype=float)
-        if eta.ndim != 1 or eta.shape != omega.shape:
-            raise ConfigurationError(f"eta and omega must be 1-D of one length, "
-                                     f"got shapes {eta.shape} and {omega.shape}")
-        u = np.empty(2 * eta.size)
-        u[0::2] = eta
-        u[1::2] = omega
-        self.t, self.u, self.history = t, u, history
-
-    @classmethod
-    def _from_u(cls, t: float, u: np.ndarray, history: HistoryLine) -> SimState:
-        """A state on the interleaved vector u itself, without a copy."""
-        state = cls.__new__(cls)
-        state.t, state.u, state.history = t, u, history
-        return state
+        if not isinstance(history, HistoryLine):
+            raise ConfigurationError(f"the history must be a HistoryLine, got "
+                                     f"{type(history).__name__}")
+        self.t, self.u, self.history = t, _interleave(eta, omega), history
 
     @property
     def eta(self) -> np.ndarray:
@@ -95,6 +90,19 @@ class SimState:
     @property
     def omega(self) -> np.ndarray:
         return self.u[1::2]
+
+
+def _interleave(eta, omega) -> np.ndarray:
+    """u = (eta_1, omega_1, eta_2, ...), a new float array, of the real 1-D
+    fields eta and omega of one length; refuses others (`SimState`)."""
+    eta, omega = np.asarray(eta), np.asarray(omega)
+    if "c" in eta.dtype.kind + omega.dtype.kind:
+        raise ConfigurationError(f"eta and omega must be real, got dtypes {eta.dtype} "
+                                 f"and {omega.dtype}")
+    if eta.ndim != 1 or eta.shape != omega.shape:
+        raise ConfigurationError(f"eta and omega must be 1-D of one length, "
+                                 f"got shapes {eta.shape} and {omega.shape}")
+    return np.stack((eta, omega), axis=1).astype(float).ravel()
 
 
 @dataclass(frozen=True)
@@ -127,18 +135,18 @@ def suggested_theta(dt: float) -> float:
 def initial_state(p: SystemParams, dly: DelaySpec, grid, eta0, omega0) -> SimState:
     """The t = 0 state; its history is dly.history with the t = 0 sample set to eta0's trace.
     Fields that `SimState` refuses, or not of the grid's size, are a ConfigurationError."""
-    state = SimState(t=0.0, eta=eta0, omega=omega0, history=None)
+    u = _interleave(eta0, omega0)
     values = dly.history.copy()
-    values[-1] = trace_eta_xx_L(state.eta, grid)
-    state.history = HistoryLine(dly.history_times(), values)
-    return state
+    values[-1] = trace_eta_xx_L(u[0::2], grid)
+    return SimState(0.0, u[0::2], u[1::2], HistoryLine(dly.history_times(), values))
 
 
 def _check_start(state: SimState, grid: Grid, dly: DelaySpec, dt: float, t_end: float) -> None:
     """Refuse a state not of the grid's size or not finite, one whose history
-    has moved on or starts after its delayed time t - tau(t), and a law with
-    tau' >= 1 or tau <= dt on [t, t_end], the interval its steps cover (the
-    stepped paths' one dt rule; `slow_mode_state` keeps 0 < dt < tau0)."""
+    does not end at its time or starts after its delayed time t - tau(t),
+    and a law with tau' >= 1 or tau <= dt on [t, t_end], the interval its
+    steps cover (the stepped paths' one dt rule; `slow_mode_state` keeps
+    0 < dt < tau0)."""
     _check_state_size(state.u, grid)
     if not np.all(np.isfinite(state.u)):
         raise ConfigurationError("the state's u has non-finite values")
@@ -169,8 +177,9 @@ class Stepper:
 
     forcing = (column, law), a finite interleaved (2n,) column and a law
     giving one finite real value per time of an array, adds law(t + theta dt)
-    column to each step's sources; a column of another shape or not finite is
-    a ConfigurationError, and so, before a run's first solve, is a law not
+    column to each step's sources; a forcing that is not such a pair, a law
+    that is not callable, and a column of another shape or not finite are
+    ConfigurationErrors, and so, before a run's first solve, is a law not
     giving one finite real value per time of the run (`_block`).
     A nonlinear stepper binds the CSR kernel of its two maps once (`_csr_apply`)."""
 
@@ -182,7 +191,14 @@ class Stepper:
         self.dly = dly
         n = ops.grid.n
         if forcing is not None:
-            column, law = np.asarray(forcing[0], dtype=float), forcing[1]
+            try:
+                column, law = forcing
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"forcing must be a (column, law) pair: {exc}") from exc
+            if not callable(law):
+                raise ConfigurationError(f"the forcing law must be callable, got "
+                                         f"{type(law).__name__}")
+            column = np.asarray(column, dtype=float)
             if column.shape != (2 * n,) or not np.all(np.isfinite(column)):
                 raise ConfigurationError(f"forcing needs a finite ({2 * n},) column, "
                                          f"got shape {column.shape}")
@@ -320,15 +336,17 @@ class Stepper:
 
     def advance(self, state: SimState, steps: int) -> SimState:
         """The state `steps` steps later, taken in blocks of at most _BLOCK
-        (`_plan`, `_block`); advances `state.history` in place, which keeps
-        about max tau / dt + _BLOCK samples.  Raises ConfigurationError
-        before the first step when steps is not a nonnegative integer or its
-        end time state.t + steps * dt is not finite, or,
-        as `run` does, for a state not of the grid's size or not finite, one
-        whose history does not end at its time or starts after its delayed
-        time t - tau(t), or a law with tau' >= 1 or tau <= dt from its time to
-        the last step's (`_check_start`); and the NonlinearDivergenceError or
-        NumericalError of a step that fails.  Its Picard counts are dropped."""
+        (`_plan`, `_block`) on a copy of `state.history`, as `run` steps: the
+        input state and its line never change, and the returned state owns
+        the stepped line, which keeps about max tau / dt + _BLOCK samples.
+        Raises ConfigurationError before the first step when steps is not a
+        nonnegative integer or its end time state.t + steps * dt is not
+        finite, or, as `run` does, for a state not of the grid's size or not
+        finite, one whose history does not end at its time or starts after
+        its delayed time t - tau(t), or a law with tau' >= 1 or tau <= dt
+        from its time to the last step's (`_check_start`); and the
+        NonlinearDivergenceError or NumericalError of a step that fails.
+        Its Picard counts are dropped."""
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ConfigurationError(f"need a nonnegative integer step count, got {steps!r}")
         dt = self.cfg.dt
@@ -340,19 +358,15 @@ class Stepper:
             raise ConfigurationError(f"the end time of the step count is not finite at dt = {dt} "
                                      f"from t = {state.t}")
         _check_start(state, self.ops.grid, self.dly, dt, t_end)
-        t, u = state.t, state.u
+        t, u, history = state.t, state.u, state.history.copy()
         out = np.empty((min(steps, _BLOCK), u.size))
         while steps > 0:
             times, queries = self._plan(t, min(_BLOCK, steps))
             K = queries.size
-            self._block(u, state.history, times, queries, out[:K], [])
+            self._block(u, history, times, queries, out[:K], [])
             steps -= K
             t, u = times[K], out[K - 1].copy()
-        return SimState._from_u(t, u, state.history)
-
-    def step(self, state: SimState) -> SimState:
-        """The state one dt later (`advance` by a block of one step)."""
-        return self.advance(state, 1)
+        return SimState(t, u[0::2], u[1::2], history)
 
 
 def run(s0: SimState, T: float, cfg: StepConfig, p: SystemParams, dly: DelaySpec,
@@ -584,8 +598,8 @@ def slow_mode_state(ops: OperatorSet, p: SystemParams, dly: DelaySpec, dt: float
               "floor %.3g", factors, step, floor)
     v = v / v[np.argmax(np.abs(v))] * amplitude
     t_hist = np.linspace(-tau0, 0.0, _N_HISTORY)
-    u = v.real.copy()
+    eta, omega = v.real[0::2], v.real[1::2]
     with np.errstate(all="ignore"):   # `HistoryLine` refuses the values of an overflow
         hist_vals = np.real(complex(t @ v[0::2]) * np.exp(lam * t_hist))
-        hist_vals[-1] = trace_eta_xx_L(u[0::2], ops.grid)
-    return SimState._from_u(0.0, u, HistoryLine(t_hist, hist_vals)), lam
+        hist_vals[-1] = trace_eta_xx_L(eta, ops.grid)
+    return SimState(0.0, eta, omega, HistoryLine(t_hist, hist_vals)), lam

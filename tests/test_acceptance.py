@@ -185,16 +185,16 @@ def test_criterion_11_superposition():
         ex, ox = sx.eta.copy(), sx.omega.copy()
         s_sum = SimState(t=0.0, eta=sx.eta + sy.eta, omega=sx.omega + sy.omega,
                          history=bl.HistoryLine(tx, vx + vy))
-        rx = Stepper(ops, cfg, p, dly).step(sx)
-        ry = Stepper(ops, cfg, p, dly).step(sy)
-        rs = Stepper(ops, cfg, p, dly).step(s_sum)
+        rx = Stepper(ops, cfg, p, dly).advance(sx, 1)
+        ry = Stepper(ops, cfg, p, dly).advance(sy, 1)
+        rs = Stepper(ops, cfg, p, dly).advance(s_sum, 1)
         scale = max(np.max(np.abs(rs.eta)), np.max(np.abs(rs.omega)))
         assert np.max(np.abs(rs.eta - rx.eta - ry.eta)) <= 1e-10 * scale
         assert np.max(np.abs(rs.omega - rx.omega - ry.omega)) <= 1e-10 * scale
         c = 3.7
         sc = SimState(t=0.0, eta=c * ex, omega=c * ox,
                       history=bl.HistoryLine(tx, c * vx))
-        rc = Stepper(ops, cfg, p, dly).step(sc)
+        rc = Stepper(ops, cfg, p, dly).advance(sc, 1)
         assert np.max(np.abs(rc.eta - c * rx.eta)) <= 1e-10 * scale * c
     _report(11, "step is additive and homogeneous to 1e-10 relative")
 

@@ -1,8 +1,8 @@
 """`run` in blocks against the run one step at a time.
 
 The oracle is the step-by-step loop `run` had before it advanced in blocks:
-`Stepper.step` and one monitor row (`energy_sample`) per step, with the same
-early stops.  Both step a copy of the start's history line as given, so
+`Stepper.advance` by one step and one monitor row (`energy_sample`) per step,
+with the same early stops.  Both step a copy of the start's history line as given, so
 t, the traces, the stored fields and dissipation_rhs agree bit for bit; E,
 V and V2 sum each window's delay integrals alone, as one step at a time
 does, so they agree to 1e-14 relative (bit for bit with numpy 2.4's
@@ -36,13 +36,13 @@ STOPS = {NonlinearDivergenceError: "nonlinear_divergence", NumericalError: "nume
 def _step_by_step(s0, T, cfg, p, dly, ops, mu1=0.0, mu2=0.0):
     """(rows, states, dissipation_rhs, termination) of the run one step at a
     time: rows in CSV_COLUMNS order, one column per row."""
-    state = SimState._from_u(s0.t, s0.u, s0.history.copy())
+    state = s0
     stepper = Stepper(ops, cfg, p, dly)
     rows, states = [energy_sample(state, p, dly, ops.grid, mu1, mu2)], [state.u]
     E0, termination = rows[0][1], "completed"
     for _ in range(int(np.floor(T / cfg.dt + 1e-9))):
         try:
-            state = stepper.step(state)
+            state = stepper.advance(state, 1)
             rows.append(energy_sample(state, p, dly, ops.grid, mu1, mu2))
         except tuple(STOPS) as exc:
             termination = STOPS[type(exc)]
@@ -181,10 +181,10 @@ def test_two_sample_history_keeps_its_secant_slopes():
     rep, lengths = _assert_run_matches_oracle(s0, 0.05, cfg, p, dly, ops)
     assert rep.termination == "completed" and lengths == [50]
     assert rep.trace_now[0] == 0.0 != bl.trace_eta_xx_L(s0.eta, ops.grid)
-    line = hist.copy()
-    secant = line._m.copy()
-    Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), 50)
+    secant = hist._m.copy()
+    line = Stepper(ops, cfg, p, dly).advance(s0, 50).history
     assert np.array_equal(_bits(line._m[:2]), _bits(secant))
+    assert np.array_equal(_bits(hist._m), _bits(secant)) and hist.size == 2
     assert secant[0] == secant[1] == (rep.trace_now[0] - 0.3) / 0.5
 
 
@@ -202,7 +202,7 @@ def test_run_advance_and_energy_sample_agree_on_a_hand_built_state(law):
     assert s.history.query(0.0) != bl.trace_eta_xx_L(s.eta, ops.grid)
     rep = bl.run(s, 600 * cfg.dt, cfg, p, dly, ops, mu1=0.3, mu2=0.5, store_fields=True)
     row = energy_sample(s, p, dly, ops.grid, mu1=0.3, mu2=0.5)
-    end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s.u, s.history.copy()), 600)
+    end = Stepper(ops, cfg, p, dly).advance(s, 600)
     assert rep.termination == "completed" and rep.n_rows == 601
     assert np.array_equal(_bits(rep.fields_eta[-1]), _bits(end.eta))
     assert np.array_equal(_bits(rep.fields_omega[-1]), _bits(end.omega))
@@ -312,9 +312,8 @@ def test_fast_blow_up_inside_a_block_ends_at_the_oracle_row(nonlinear, monkeypat
         assert float(line.rsplit(" ", 1)[1]) < 1
     else:
         # the block's 256 steps overflow
-        history = s0.history.copy()
         with np.errstate(all="ignore"):
-            end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, history), 256)
+            end = Stepper(ops, cfg, p, dly).advance(s0, 256)
             assert not np.all(np.isfinite(end.u * end.u))
 
 
@@ -343,13 +342,15 @@ def test_advance_keeps_the_history_within_the_delay_and_a_block(law, max_tau):
 @pytest.mark.parametrize("steps", [2.5, True, -2, "3", None])
 def test_advance_refuses_a_step_count_that_is_not_a_nonnegative_integer(steps):
     p, dly, ops, cfg, s0 = _system("constant", False, n=16)
-    line = s0.history.copy()
+    line, size = s0.history, s0.history.size
     with pytest.raises(ConfigurationError, match="nonnegative integer step count"):
-        Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), steps)
-    assert line.t_last == 0.0 and line.size == s0.history.size
+        Stepper(ops, cfg, p, dly).advance(s0, steps)
+    assert line.t_last == 0.0 and line.size == size
     for count in (0, np.int64(2)):
-        end = Stepper(ops, cfg, p, dly).advance(SimState._from_u(0.0, s0.u, line), count)
-        assert end.t == count * cfg.dt and line.size == s0.history.size + count
+        # the counts that go step a copy: s0's line stays, the end's holds the steps
+        end = Stepper(ops, cfg, p, dly).advance(s0, count)
+        assert end.t == count * cfg.dt and end.history.size == size + count
+        assert end.history is not line and line.t_last == 0.0 and line.size == size
 
 
 @pytest.mark.parametrize("steps", [2 ** 1024, 10 ** 400], ids=["2**1024", "10**400"])
@@ -357,8 +358,7 @@ def test_advance_refuses_a_step_count_whose_end_time_is_not_finite(steps):
     # once a raw OverflowError from t + steps * dt; only counts past the largest
     # float are tried here, since a huge finite count really runs
     p, dly, ops, cfg, s0 = _system("constant", False, n=16)
-    line = s0.history.copy()
-    state = SimState._from_u(0.0, s0.u, line)
+    state, line = s0, s0.history
     buf = line._buf.copy()
     with pytest.raises(ConfigurationError, match="end time of the step count is not finite"):
         Stepper(ops, cfg, p, dly).advance(state, steps)
@@ -382,6 +382,7 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law, monkey
     # once tau' reaches 1, t - tau(t) stops moving forward and a row would
     # read before the past an earlier block dropped: the law's own slope
     # over [0, t + T] is refused before any step, s0 and its line untouched
+    # ("step" is an advance of one step)
     p, _, ops, cfg, _ = _system("constant", False)
     dly = bl.DelaySpec(**OUTRUN[law][0])
     T = cfg.dt if entry == "step" else OUTRUN[law][1]
@@ -390,7 +391,7 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law, monkey
     stepper = Stepper(ops, cfg, p, dly)
     take = {"run": lambda s, T: bl.run(s, T, cfg, p, dly, ops),
             "advance": lambda s, T: stepper.advance(s, round(T / cfg.dt)),
-            "step": lambda s, T: stepper.step(s)}[entry]
+            "step": lambda s, T: stepper.advance(s, 1)}[entry]
     solves = _count_solves(monkeypatch)
     with pytest.raises(ConfigurationError, match=r"slope reaches max tau' = 1\.\d* >= 1 "
                                                  rf"on \[0, {T:g}\]"):
@@ -399,7 +400,7 @@ def test_run_and_advance_refuse_a_law_whose_slope_reaches_one(entry, law, monkey
     assert s0.t == 0.0 and s0.history.size == size and solves == [0]
     if law == "sine":
         # the slope is at most 1.2 sin 0.8 = 0.86 on [0, 0.4]: 400 steps go
-        end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 0.4)
+        end = take(s0, 0.4)
         if entry == "run":
             assert end.termination == "completed" and end.n_rows == 401
         else:
@@ -411,7 +412,8 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry, monkeypatch
     # tau = 0.5 + 0.49 sin t falls to 0.01 at t = 3 pi / 2, below dt = 0.02,
     # where a step would read past the newest sample: the law's min tau over
     # [t, t + T] is refused before any step, the one rule for dt against
-    # the delay (`_check_start`), s0 and its line untouched (the step from t = 4.7)
+    # the delay (`_check_start`), s0 and its line untouched ("step" is an
+    # advance of one step, from t = 4.7)
     p = bl.SystemParams(**ACC)
     dly = bl.DelaySpec(form="sinusoidal", tau0=0.5, amplitude=0.49, frequency=1.0, M=1.0, d=0.5)
     g = bl.Grid(n=32, L=p.L)
@@ -422,7 +424,7 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry, monkeypatch
     stepper = Stepper(ops, cfg, p, dly)
     take = {"run": lambda s, T: bl.run(s, T, cfg, p, dly, ops),
             "advance": lambda s, T: stepper.advance(s, round(T / cfg.dt)),
-            "step": lambda s, T: stepper.step(s)}[entry]
+            "step": lambda s, T: stepper.advance(s, 1)}[entry]
     t_hist = np.linspace(3.7, 4.7, 51)
     late = SimState(t=4.7, eta=s0.eta, omega=s0.omega,
                     history=bl.HistoryLine(t_hist, np.cos(3 * t_hist)))
@@ -436,7 +438,7 @@ def test_run_and_advance_refuse_a_law_whose_delay_falls_to_dt(entry, monkeypatch
     assert s.history.size == size and solves == [0]
     if entry != "step":
         # min tau = 0.5 + 0.49 sin 4 = 0.129 on [0, 4]: 200 steps go
-        end = take(SimState._from_u(0.0, s0.u, s0.history.copy()), 4.0)
+        end = take(s0, 4.0)
         if entry == "run":
             assert end.termination == "completed" and end.n_rows == 201
         else:
@@ -486,27 +488,28 @@ def test_a_stepper_steps_on_after_an_advance_that_failed(failure, monkeypatch):
         _nan_solve(monkeypatch, 851)   # that step's iterate is not finite
     error = {v: k for k, v in STOPS.items()}[failure]
     with pytest.raises(error):
-        stepper.advance(SimState._from_u(0.0, s0.u, s0.history.copy()), 300)
+        stepper.advance(s0, 300)
     monkeypatch.undo()
-    again, new = (st.advance(SimState._from_u(0.0, s0.u, s0.history.copy()), 300)
-                  for st in (stepper, Stepper(ops, cfg, p, dly)))
+    again, new = (st.advance(s0, 300) for st in (stepper, Stepper(ops, cfg, p, dly)))
     assert again.t == new.t and np.array_equal(_bits(again.u), _bits(new.u))
     a, b = again.history, new.history
     assert np.array_equal(_bits(a._buf[:, a._lo:a._hi]), _bits(b._buf[:, b._lo:b._hi]))
 
 
 def test_advance_refuses_a_state_whose_history_has_moved_on(monkeypatch):
-    # s1's line ends at 2 dt once s1 is stepped again, so a step from s1
-    # would push before the newest sample: refused before any step, with no
+    # no step moves a state's line on, but a state built by hand on a later
+    # state's line, which ends at 2 dt, is at 1 dt: a step from it would push
+    # before the newest sample, so it is refused before any step, with no
     # banded solve and the line unchanged
     p, dly, ops, cfg, s0 = _system("constant", True, n=16)
     stepper = Stepper(ops, cfg, p, dly)
-    s1 = stepper.step(s0)
-    stepper.step(s1)
-    line = s1.history
+    s1 = stepper.advance(s0, 1)
+    line = stepper.advance(s1, 1).history
+    assert s1.history.t_last == 0.002 and line.t_last == 0.004
+    moved = SimState(s1.t, s1.eta, s1.omega, line)
     size, buf = line.size, _bits(line._buf[:, line._lo:line._hi]).copy()
     solves = _count_solves(monkeypatch)
-    for take in (lambda: stepper.advance(s1, 3), lambda: stepper.step(s1)):
+    for take in (lambda: stepper.advance(moved, 3), lambda: stepper.advance(moved, 1)):
         with pytest.raises(ConfigurationError,
                            match=r"history ends at t=0\.004, not at its time t=0\.002"):
             take()
@@ -535,7 +538,7 @@ def test_advance_and_step_refuse_a_history_that_starts_after_the_first_delayed_t
     stepper = Stepper(ops, cfg, p, dly)
     buf = _bits(hist._buf[:, hist._lo:hist._hi]).copy()
     solves = _count_solves(monkeypatch)
-    for take in (lambda: stepper.advance(s, 3), lambda: stepper.step(s)):
+    for take in (lambda: stepper.advance(s, 3), lambda: stepper.advance(s, 1)):
         with pytest.raises(ConfigurationError, match=r"starts at t=-0\.1, after the delayed "
                                                      r"time t - tau\(t\) = -0\.5"):
             take()

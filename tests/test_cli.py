@@ -707,6 +707,13 @@ def test_sweep_unknown_axis_is_spec_error(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert "sweep spec error: unknown sweep axis 'n'" in capsys.readouterr().err
     assert not out.exists()
+    # a value that is not a number is named with its axis
+    spec = SWEEP.replace("beta = 5e-4", "beta = 0.0005 x")
+    assert main(["sweep", "--spec", _write(tmp_path, spec, "s.ini"),
+                 "--out", str(out)]) == 3
+    assert ("sweep spec error: sweep axis 'beta': could not convert string to float: 'x'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lines, key", [("taks = both", "taks"),

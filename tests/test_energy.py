@@ -93,32 +93,36 @@ def test_sandwich_inequality_random_states():
 
 
 def test_energy_sample_of_a_moved_on_state_gives_its_row_or_refuses():
-    # a state stepped by hand shares its history line with the steps after
-    # it; no stored interval changes once pushed, so its monitor row read
-    # after the line moves on is the row read before, bit for bit, until a
-    # later block drops the start of its window: then it raises, never
-    # giving another row
+    # steps from s1 leave its line as it was, so its row stays; a state
+    # built by hand on the line of a later state has moved on: no stored
+    # interval changes once pushed, so its monitor row is s1's, bit for bit,
+    # until a later block drops the start of its window: then it raises,
+    # never giving another row
     p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4)
     dly = bl.DelaySpec(tau0=0.5, M=2.0)
     g = bl.Grid(n=16, L=p.L)
     ops = bl.build_operators(p, g)
     stepper = bl.Stepper(ops, bl.StepConfig(dt=1e-3), p, dly)
-    s1 = stepper.step(bl.initial_state(p, dly, g, g.nodes ** 3 * (1 - g.nodes) ** 2,
-                                       np.zeros(16)))
+    s1 = stepper.advance(bl.initial_state(p, dly, g, g.nodes ** 3 * (1 - g.nodes) ** 2,
+                                          np.zeros(16)), 1)
     row = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
     assert row[0] == 0.001 and row[2] != row[1]
+    bits = np.array(row).view(np.uint64)
     # advance one step at a time, past the block that drops the window's start
-    start, s, outcomes = s1.t - 0.5, s1, []
+    start, s, outcomes, size = s1.t - 0.5, s1, [], s1.history.size
     for _ in range(20):
         s = stepper.advance(s, 1)
-        assert s.history is s1.history
-        if s1.history.t_first <= start:
-            again = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
-            assert np.array_equal(np.array(again).view(np.uint64), np.array(row).view(np.uint64))
+        assert s.history is not s1.history and s1.history.size == size
+        again = energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+        assert np.array_equal(np.array(again).view(np.uint64), bits)
+        moved = bl.SimState(s1.t, s1.eta, s1.omega, s.history)
+        if s.history.t_first <= start:
+            again = energy_sample(moved, p, dly, g, mu1=0.3, mu2=0.5)
+            assert np.array_equal(np.array(again).view(np.uint64), bits)
             outcomes.append("same")
         else:
             with pytest.raises(HistoryUnderrunError):
-                energy_sample(s1, p, dly, g, mu1=0.3, mu2=0.5)
+                energy_sample(moved, p, dly, g, mu1=0.3, mu2=0.5)
             outcomes.append("refused")
     assert outcomes[0] == "same" and outcomes[-1] == "refused"
 

@@ -42,7 +42,7 @@ def test_zero_state_stays_zero():
         cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3), nonlinear=nonlinear)
         stepper = Stepper(ops, cfg, p, dly)
         for _ in range(20):
-            s = stepper.step(s)
+            s = stepper.advance(s, 1)
         assert np.all(s.eta == 0.0) and np.all(s.omega == 0.0)
 
 
@@ -67,9 +67,9 @@ def test_superposition():
     ex, ox = sx.eta.copy(), sx.omega.copy()
     s_sum = SimState(t=0.0, eta=sx.eta + sy.eta, omega=sx.omega + sy.omega,
                      history=bl.HistoryLine(tx, vx + vy))
-    rx = Stepper(ops, cfg, p, dly).step(sx)
-    ry = Stepper(ops, cfg, p, dly).step(sy)
-    rsum = Stepper(ops, cfg, p, dly).step(s_sum)
+    rx = Stepper(ops, cfg, p, dly).advance(sx, 1)
+    ry = Stepper(ops, cfg, p, dly).advance(sy, 1)
+    rsum = Stepper(ops, cfg, p, dly).advance(s_sum, 1)
     scale = np.max(np.abs(rsum.eta)) + np.max(np.abs(rsum.omega))
     assert np.max(np.abs(rsum.eta - rx.eta - ry.eta)) < 1e-10 * scale
     assert np.max(np.abs(rsum.omega - rx.omega - ry.omega)) < 1e-10 * scale
@@ -77,7 +77,7 @@ def test_superposition():
     c = -2.5
     s_scaled = SimState(t=0.0, eta=c * ex, omega=c * ox,
                         history=bl.HistoryLine(tx, c * vx))
-    rc = Stepper(ops, cfg, p, dly).step(s_scaled)
+    rc = Stepper(ops, cfg, p, dly).advance(s_scaled, 1)
     assert np.max(np.abs(rc.eta - c * rx.eta)) < 1e-10 * scale * abs(c)
 
 
@@ -125,8 +125,7 @@ def test_early_stop_cuts_stored_fields(monkeypatch):
     # fields end at the last row kept, the state 300 steps give
     eta0 = 0.01 * np.sin(np.pi * g.nodes)
     s = bl.initial_state(p, dly, g, eta0, np.zeros(g.n))
-    end = Stepper(ops, cfg, p, dly).advance(
-        SimState._from_u(0.0, s.u, s.history.copy()), 300)
+    end = Stepper(ops, cfg, p, dly).advance(s, 300)
     with monkeypatch.context() as mp:
         failing_solve(mp, after=300)
         rep = bl.run(s, 1.0, cfg, p, dly, ops, store_fields=True)
@@ -141,9 +140,7 @@ def test_early_stop_cuts_stored_fields(monkeypatch):
     expected = [s]
     stepper = Stepper(ops, cfg, p, dly)
     for _ in range(3):
-        expected.append(stepper.step(expected[-1]))
-    # the same start again: the steps above pushed into its history
-    s = _random_state(g, dly, np.random.default_rng(4), scale=0.01)
+        expected.append(stepper.advance(expected[-1], 1))
     failing_solve(monkeypatch, after=3)
     rep = bl.run(s, 0.01, cfg, p, dly, ops, store_fields=True)
     assert rep.termination == "numerical_error" and rep.n_rows == 4
@@ -166,7 +163,7 @@ def test_run_rejects_horizon_beyond_allocation():
 
 def test_dt_must_resolve_delay(monkeypatch):
     # dt = tau0 would read a delayed value not yet stored: the stepper is
-    # built, and `run`, `advance` and `step` refuse the steps with
+    # built, and `run` and `advance` (of two steps and of one) refuse the steps with
     # `_check_start`'s message before any of them (every banded solve
     # would fail), the state and its line unchanged
     p, dly, g, ops = _setup()
@@ -176,7 +173,7 @@ def test_dt_must_resolve_delay(monkeypatch):
     u, line, size = s.u.copy(), s.history._buf.copy(), s.history.size
     failing_solve(monkeypatch, after=0)
     for take, t_end in ((lambda: bl.run(s, 1.0, cfg, p, dly, ops), 1),
-                        (lambda: stepper.advance(s, 2), 1), (lambda: stepper.step(s), 0.5)):
+                        (lambda: stepper.advance(s, 2), 1), (lambda: stepper.advance(s, 1), 0.5)):
         with pytest.raises(ConfigurationError,
                            match=rf"min tau = 0\.5 <= dt = 0\.5 on \[0, {t_end:g}\]"):
             take()
@@ -283,7 +280,13 @@ def _law(shape, dtype="float64"):
     pytest.param((np.ones(64), lambda t: np.full(t.shape, np.inf)), _law("(5,)"),
                  id="law-of-inf"),
     pytest.param((np.ones(64), lambda t: np.exp(1j * t)), _law("(5,)", "complex128"),
-                 id="law-of-complex")])
+                 id="law-of-complex"),
+    # once a raw IndexError as the stepper was made, and a raw TypeError in
+    # the first block
+    pytest.param((np.ones(64),), r"forcing must be a \(column, law\) pair: not enough values "
+                 r"to unpack \(expected 2, got 1\)", id="column-alone"),
+    pytest.param((np.ones(64), 3.0), "the forcing law must be callable, got float",
+                 id="law-not-callable")])
 def test_stepper_refuses_a_malformed_forcing(forcing, match):
     # a column is refused as the stepper is made, a law's values before the
     # run's first solve: the state and its line stay, its start included (the
@@ -291,7 +294,7 @@ def test_stepper_refuses_a_malformed_forcing(forcing, match):
     p, dly, g, ops = _setup()
     s = _random_state(g, dly, np.random.default_rng(6), scale=0.01)
     t_h = np.linspace(-dly.tau0, 0.0, 2001)
-    s.history = bl.HistoryLine(t_h, 0.01 * np.cos(40.0 * t_h))
+    s = SimState(0.0, s.eta, s.omega, bl.HistoryLine(t_h, 0.01 * np.cos(40.0 * t_h)))
     u, line, size = s.u.copy(), s.history._buf.copy(), s.history.size
     with pytest.raises(ConfigurationError, match=match):
         Stepper(ops, bl.StepConfig(dt=1e-3), p, dly, forcing=forcing).advance(s, 5)
@@ -373,10 +376,14 @@ def test_run_refuses_a_history_that_does_not_end_at_the_state_time():
     p, dly, g, ops = _setup(n=16)
     cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3))
     s0 = _random_state(g, dly, np.random.default_rng(12), scale=0.01)
-    Stepper(ops, cfg, p, dly).step(s0)   # the step pushed into s0's history
+    # s0 at t = 0 on the line of the state one step later, built by hand:
+    # no step moves s0's own line
+    line = Stepper(ops, cfg, p, dly).advance(s0, 1).history
+    assert s0.history.t_last == 0.0
+    moved = SimState(t=0.0, eta=s0.eta, omega=s0.omega, history=line)
     with pytest.raises(ConfigurationError, match=r"ends at t=0\.001, not at its time t=0\.0"):
-        bl.run(s0, 0.01, cfg, p, dly, ops)
-    late = SimState(t=0.25, eta=s0.eta, omega=s0.omega, history=s0.history)
+        bl.run(moved, 0.01, cfg, p, dly, ops)
+    late = SimState(t=0.25, eta=s0.eta, omega=s0.omega, history=line)
     with pytest.raises(ConfigurationError, match=r"ends at t=0\.001, not at its time t=0\.25"):
         bl.run(late, 0.01, cfg, p, dly, ops)
 
@@ -410,7 +417,7 @@ def test_state_fields_are_views_of_u():
     p, dly, g, ops = _setup(n=16)
     s = _random_state(g, dly, np.random.default_rng(6))
     stepper = Stepper(ops, bl.StepConfig(dt=1e-3, theta=0.5), p, dly)
-    for state in (s, stepper.step(s)):
+    for state in (s, stepper.advance(s, 1)):
         assert state.u.shape == (2 * g.n,)
         assert np.shares_memory(state.eta, state.u)
         assert np.shares_memory(state.omega, state.u)
@@ -525,7 +532,7 @@ def test_step_matches_interleave_oracle(nonlinear, n, steps, amp, forced):
     A = sp.csr_matrix(dense_from_band(*ops.A_band))
     lu = BandedLU(*band_storage(sp.identity(2 * n, format="csr") - cfg.theta * cfg.dt * A))
     for _ in range(steps):
-        state = stepper.step(state)
+        state = stepper.advance(state, 1)
         oracle = _oracle_step(stepper, p, lu, oracle, hist, g)
         assert state.t == oracle[0]
         assert np.array_equal(state.eta, oracle[1])
@@ -551,7 +558,7 @@ def test_folded_step_matches_the_matvec_form(nonlinear, n, steps, amp, forced):
     lu = BandedLU(*band_storage(I - cfg.theta * cfg.dt * A))
     M2 = I + (1.0 - cfg.theta) * cfg.dt * A
     for _ in range(steps):
-        state = stepper.step(state)
+        state = stepper.advance(state, 1)
         oracle = _oracle_step(stepper, p, lu, oracle, hist, g, M2)
         assert state.t == oracle[0]
         bound = 1e-10 * np.abs(state.u).max()
@@ -565,9 +572,9 @@ def test_forced_blocks_match_steps_one_at_a_time():
     # oracle case checks the single steps)
     p, dly, g, ops, cfg, state = _oracle_setup(False, 50, 1.0)
     stepper = _oracle_stepper(ops, cfg, p, dly, forced=True)
-    one = SimState._from_u(state.t, state.u.copy(), state.history.copy())
+    one = state
     for _ in range(300):
-        one = stepper.step(one)
+        one = stepper.advance(one, 1)
     many = stepper.advance(state, 300)
     assert many.t == one.t and np.array_equal(many.u, one.u)
 
@@ -773,11 +780,11 @@ def test_non_finite_picard_iterate_ends_the_run(monkeypatch, caplog):
 
 
 def _entries(p, dly, ops, cfg):
-    """run, Stepper.advance and Stepper.step, each taking a state."""
+    """run, Stepper.advance and an advance of one step, each taking a state."""
     stepper = Stepper(ops, cfg, p, dly)
     return {"run": lambda s: bl.run(s, 0.01, cfg, p, dly, ops),
             "advance": lambda s: stepper.advance(s, 5),
-            "step": stepper.step}
+            "step": lambda s: stepper.advance(s, 1)}
 
 
 def _bits(s):
@@ -831,6 +838,92 @@ def test_fields_that_are_not_1d_are_refused(eta, omega):
         SimState(0.0, eta, omega, line)
     with pytest.raises(ConfigurationError, match=shapes):
         bl.initial_state(p, dly, g, eta, omega)
+
+
+@pytest.mark.parametrize("history, named", [
+    (None, "NoneType"), (np.zeros(2), "ndarray"), ([(-0.5, 0.0), (0.0, 0.0)], "list")],
+    ids=["None", "array", "list"])
+def test_a_state_refuses_a_history_that_is_not_a_line(history, named):
+    # once a raw AttributeError from `run`, `advance` or `energy_sample`
+    with pytest.raises(ConfigurationError,
+                       match=f"the history must be a HistoryLine, got {named}$"):
+        SimState(0.0, np.zeros(4), np.zeros(4), history)
+
+
+@pytest.mark.parametrize("eta, omega, dtypes", [
+    (np.zeros(32) + 1j, np.zeros(32), "complex128 and float64"),
+    (np.zeros(32), np.zeros(32, dtype=np.complex64), "float64 and complex64"),
+    (np.zeros(32).tolist(), [1j] * 32, "float64 and complex128")],
+    ids=["eta", "omega", "lists"])
+def test_complex_fields_are_refused(eta, omega, dtypes):
+    # once kept as their real part, with a ComplexWarning
+    p, dly, g, ops = _setup(n=32)
+    line = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0])
+    message = f"eta and omega must be real, got dtypes {dtypes}"
+    with pytest.raises(ConfigurationError, match=message):
+        SimState(0.0, eta, omega, line)
+    with pytest.raises(ConfigurationError, match=message):
+        bl.initial_state(p, dly, g, eta, omega)
+
+
+def _contract_state(kind, ops, p, dly):
+    """The slow mode of the constant law, or a hand-built state whose line is
+    denser than dt and whose value at t = 0 is not eta's trace."""
+    if kind == "slow-mode":
+        return bl.slow_mode_state(ops, p, dly, dt=1e-3)[0]
+    x, t_h = ops.grid.nodes, np.linspace(-dly.tau0, 0.0, 1201)
+    return SimState(0.0, 0.1 * x ** 3 * (1 - x) ** 2, 0.1 * x ** 2 * (1 - x) ** 2,
+                    bl.HistoryLine(t_h, 1e-2 * np.cos(7 * t_h) + 3e-3))
+
+
+def _contract_bits(out):
+    """The bytes of what an entry gives: a report's series and fields, a
+    state's time, u and live line samples, or a monitor row."""
+    if isinstance(out, bl.RunReport):
+        names = (*CSV_COLUMNS, "dissipation_rhs", "fields_eta", "fields_omega")
+        return [getattr(out, name).tobytes() for name in names] + [out.termination]
+    if isinstance(out, SimState):
+        h = out.history
+        return [out.t, out.u.tobytes(), h._buf[:, h._lo:h._hi].tobytes()]
+    return np.array(out).tobytes()
+
+
+@pytest.mark.parametrize("law", ["constant", "slope-1.5"])
+@pytest.mark.parametrize("kind", ["slow-mode", "hand-built"])
+@pytest.mark.parametrize("entry", ["run", "advance", "energy_sample"])
+def test_no_stepping_entry_changes_its_input_state(entry, kind, law):
+    # one contract: each entry leaves its input's t, the bits of its u and
+    # the live samples of its line as they were, and a second call from the
+    # same input gives the same bits, or the same refusal.  300 steps cross
+    # a block, whose drop of the past would move a shared line's start.
+    # `run` and `advance` refuse a law whose slope reaches 1 over the steps;
+    # `energy_sample` steps nothing and reads the law at the state's time,
+    # so it gives its row
+    p, dly, g, ops = _setup(n=32)
+    state = _contract_state(kind, ops, p, dly)
+    if law != "constant":
+        dly = bl.DelaySpec(form="affine", tau0=dly.tau0, rate=1.5, M=2.0, d=1.5)
+    # the hand-built data are small enough for the nonlinear steps
+    cfg = bl.StepConfig(dt=1e-3, theta=bl.suggested_theta(1e-3),
+                        nonlinear=kind == "hand-built")
+    take = {"run": lambda s: bl.run(s, 0.3, cfg, p, dly, ops, 0.3, 0.5, store_fields=True),
+            "advance": lambda s: Stepper(ops, cfg, p, dly).advance(s, 300),
+            "energy_sample": lambda s: energy_sample(s, p, dly, g, 0.3, 0.5)}[entry]
+    line, kept, outcomes = state.history, _contract_bits(state), []
+    for _ in range(2):
+        if law != "constant" and entry != "energy_sample":
+            with pytest.raises(ConfigurationError, match=r"slope reaches max tau' = 1\.5 >= 1"):
+                take(state)
+            outcomes.append("refused")
+        else:
+            out = take(state)
+            outcomes.append(_contract_bits(out))
+            if entry == "advance":
+                assert out.history is not line and out.t == pytest.approx(0.3)
+            elif entry == "run":
+                assert out.termination == "completed" and out.n_rows == 301
+        assert state.history is line and _contract_bits(state) == kept
+    assert outcomes[0] == outcomes[1]
 
 
 def test_slow_mode_state_decays_at_its_rate():
