@@ -11,25 +11,70 @@ vector.
 
 The system operator A is assembled straight into its LAPACK band storage,
 the one copy of it that factorizations and the slow mode read.  The quadratic
-nonlinear terms (`nonlinear_matrices`) use full-grid derivative matrices
-(`derivative_matrix`) in CSR: this module, the one user of scipy.sparse,
-imports it only for them and `band_storage`, so a linear run never loads it.
+nonlinear terms (`nonlinear_matrices`) are two CSR maps assembled in numpy
+from the full-grid derivative stencils (`_derivative_entries`).
+
+Of scipy, a run calls two compiled modules: LAPACK's banded LU
+(scipy.linalg._flapack) and the CSR product (scipy.sparse._sparsetools).
+`_compiled` loads each from its own file, without the scipy.linalg and
+scipy.sparse package imports, which cost more than a short run; the
+off-run helpers `band_storage` and `derivative_matrix` import scipy.sparse
+where they are called.
 """
 
 from __future__ import annotations
 
+import importlib
+import logging
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import ConfigurationError, NumericalError
 from .params import Grid, SystemParams
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+log = logging.getLogger(__name__)
+
+
+def _compiled(name: str) -> ModuleType:
+    """The compiled scipy module `name` (a leaf such as scipy.linalg._flapack),
+    loaded from its file under scipy.__path__ without running the __init__ of
+    the packages between, and registered in sys.modules under `name`, so a
+    later import of its package reuses this module (`from scipy.linalg import
+    _flapack` finds it there; the package attribute stays unset).  A module
+    already imported is returned as it is.  If the file is missing or fails
+    to load, `name` is imported the usual way, logged at DEBUG: the same
+    module and kernels, at the cost of its packages' imports."""
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.split(".")[1:-1]
+    try:
+        specs = (FileFinder(os.path.join(root, *package),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+                 for root in scipy.__path__)
+        spec = next(filter(None, specs), None)
+        reason = f"no file under {list(scipy.__path__)}"
+        if spec is not None:
+            module = sys.modules[name] = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    except (ImportError, OSError) as exc:
+        sys.modules.pop(name, None)
+        reason = exc
+    log.debug("cannot load %s from its file (%s); importing it with its package",
+              name, reason)
+    return importlib.import_module(name)
+
+
+_flapack = _compiled("scipy.linalg._flapack")
 
 # centered stencils, coefficient * h^(-order)
 _S1 = {-1: -0.5, 1: 0.5}
@@ -197,29 +242,35 @@ def trace_omega_xx_0(omega: np.ndarray, g: Grid) -> np.ndarray | float:
     return omega[..., :3] @ trace_weights(g.h)[::-1]
 
 
-def _interleaved(M, rows: bool, cols: bool) -> sp.csr_matrix:
-    """M, assembled in (eta, omega) block form, with its rows and/or columns moved
-    to the interleaved layout (eta_1, omega_1, eta_2, ...), in canonical CSR without
-    explicit zeros: of 2m indices, block index k goes to 2k for k < m, else 2(k - m) + 1."""
-    import scipy.sparse as sp
+class CSR(NamedTuple):
+    """A matrix as the arrays of its canonical CSR form (`_csr`), the layout
+    scipy's CSR kernel reads."""
 
-    M = sp.coo_matrix(M)
-    r, c = M.row, M.col
-    if rows:
-        r = np.arange(M.shape[0]).reshape(-1, 2).T.ravel()[r]
-    if cols:
-        c = np.arange(M.shape[1]).reshape(-1, 2).T.ravel()[c]
-    out = sp.csr_matrix((M.data, (r, c)), shape=M.shape)
-    out.eliminate_zeros()
-    return out
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
 
 
-def _csr_apply(M: sp.csr_matrix):
-    """The map x -> M @ x of a float CSR matrix M, by the kernel `@` calls
-    (scipy's private `csr_matvec`, bound here once) into a fresh zeroed
-    vector: `@`'s bits without its dispatch."""
-    from scipy.sparse._sparsetools import csr_matvec
+def _csr(rows, cols, vals, shape) -> CSR:
+    """The canonical CSR arrays of the entries (rows, cols, vals), no two at
+    one position: sorted by row, then column, the zeros dropped, with the
+    int32 indices scipy stores while they fit."""
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    index = np.int32 if max(*shape, vals.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSR(vals[order], cols[order].astype(index), indptr, shape)
 
+
+def _csr_apply(M: CSR):
+    """The map x -> M @ x of a float CSR matrix M (`CSR`, or a scipy CSR
+    array), by the kernel scipy's `@` calls (`csr_matvec` of
+    scipy.sparse._sparsetools, bound here once) into a fresh zeroed vector:
+    `@`'s bits without its dispatch."""
+    csr_matvec = _compiled("scipy.sparse._sparsetools").csr_matvec
     rows, cols = M.shape
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -294,15 +345,17 @@ def band_storage(matrix) -> tuple[np.ndarray, int, int]:
 
 class BandedLU:
     """Reusable banded LU factorization of a square matrix in the band storage
-    (ab, kl, ku) of `band_storage`: LAPACK dgbtrf/dgbtrs for real data,
-    zgbtrf/zgbtrs for complex.  Every system matrix is factored here."""
+    (ab, kl, ku) of `band_storage`: LAPACK dgbtrf/dgbtrs of `_flapack` for
+    real data, zgbtrf/zgbtrs for complex.  Every system matrix is factored
+    here."""
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
         if ab.shape[0] != 2 * kl + ku + 1:
             raise ConfigurationError(f"band storage of {ab.shape[0]} rows is not 2 kl + ku + 1 "
                                      f"for kl = {kl}, ku = {ku}")
         self.n, self.kl, self.ku = ab.shape[1], kl, ku
-        gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        kind = "z" if ab.dtype.kind == "c" else "d"
+        gbtrf, self._gbtrs = (getattr(_flapack, kind + name) for name in ("gbtrf", "gbtrs"))
         lu, ipiv, info = gbtrf(ab, kl, ku)
         if info != 0:
             raise NumericalError(f"banded LU factorization failed (info={info})")
@@ -327,32 +380,57 @@ _FULL_STENCILS = {1: (_S1, ((-1.5, 2.0, -0.5),)),
                             (-1.75, 6.25, -8.5, 5.5, -1.75, 0.25)))}
 
 
-def derivative_matrix(N: int, h: float, m: int) -> sp.csr_matrix:
-    """CSR N x N m-th derivative (m = 1, 2, 3) of samples on the full grid
-    (boundary nodes included): second order, centered inside and one-sided
-    on the first and last one (m < 3) or two (m = 3) rows, whose exact
-    dyadic weights are tabled in `_FULL_STENCILS`."""
+def _derivative_entries(N: int, h: float, m: int):
+    """(rows, cols, vals) of the N x N m-th derivative (m = 1, 2, 3) of
+    samples on the full grid (boundary nodes included): second order,
+    centered inside and one-sided on the first and last one (m < 3) or two
+    (m = 3) rows, whose exact dyadic weights are tabled in `_FULL_STENCILS`.
+    Every slot within the band is listed, row by row with the columns
+    ascending, 0.0 where the matrix has no entry."""
     if m not in _FULL_STENCILS:
         raise ConfigurationError(f"unsupported derivative order {m}")
     stencil, edges = _FULL_STENCILS[m]
     width = len(edges[0])
     if N < width:
         raise ConfigurationError(f"need at least {width} nodes, got {N}")
-    import scipy.sparse as sp
-
     scale = 1.0 / h ** m
     left = np.array(edges) * scale
     w = width - 1
     D = _banded(N, stencil, scale, left, (left * (-1.0) ** m)[::-1, ::-1], w)
-    return sp.dia_matrix((D, np.arange(w, -w - 1, -1)), shape=(N, N)).tocsr()
+    i = np.repeat(np.arange(N), 2 * w + 1)
+    j = i + np.tile(np.arange(-w, w + 1), N)
+    inside = (j >= 0) & (j < N)
+    i, j = i[inside], j[inside]
+    return i, j, D[w + i - j, j]
+
+
+def derivative_matrix(N: int, h: float, m: int):
+    """The scipy CSR matrix of `_derivative_entries`, its zeros dropped."""
+    import scipy.sparse as sp
+
+    M = _csr(*_derivative_entries(N, h, m), (N, N))
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 # G's row blocks of fields (`nonlinear_matrices`): the products' first factors, then the second
 _PAIRS = (0, 0, 2, 0, 3, 2) + (2, 4, 3, 1, 4, 5)
 
 
-def nonlinear_matrices(n: int, h: float, p: SystemParams
-                       ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _stacked(blocks, n: int):
+    """(stacked, interleaved, vals) of the entries (r, c, v) of N x N blocks,
+    N = n + 2: block b's entry at stacked index b N + r and interleaved index
+    2 (c - 1) + odd, odd = 0 for eta and 1 for omega, for the interior
+    nodes 1 <= c <= n alone."""
+    stacked, interleaved, vals = [], [], []
+    for b, ((r, c, v), odd) in enumerate(blocks):
+        keep = (c >= 1) & (c <= n)
+        stacked.append(b * (n + 2) + r[keep])
+        interleaved.append(2 * (c[keep] - 1) + odd)
+        vals.append(v[keep])
+    return np.concatenate(stacked), np.concatenate(interleaved), np.concatenate(vals)
+
+
+def nonlinear_matrices(n: int, h: float, p: SystemParams) -> tuple[CSR, CSR]:
     """The quadratic terms as two sparse maps around one table of products.
 
     G (12(n+2) x 2n) takes the interleaved state to the pair table F on the
@@ -363,18 +441,23 @@ def nonlinear_matrices(n: int, h: float, p: SystemParams
     wf w_xxx) to the interleaved right-hand side on the interior rows,
         eta':   -(ef wf)_x - alpha_p (ef w_xx)_x
         omega': -(c_nl D2 + I) wf w_x - (ef e_xx)_x + beta_p w_x w_xx + rho_nl wf w_xxx
-    so the pointwise omega terms are scaled identity blocks.  Both are built in
-    (eta, omega) block form on the full grid, interleaved (`_interleaved`) and cut
-    to the interior nodes, columns (rows) 2..2n+1: the zero boundary values drop out.
+    so the pointwise omega terms are scaled identity blocks.  Both are
+    assembled in numpy (`_csr`) from the entries of the full-grid
+    derivatives (`_derivative_entries`) and the identity, their values
+    formed as scipy.sparse forms -c_nl D2 - I and the scaled blocks; the
+    columns of G and the rows of C keep the interior nodes alone, so the
+    zero boundary values drop out.
     """
-    import scipy.sparse as sp
-
     N = n + 2
-    I = sp.identity(N, format="csr")
-    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
-    fields = [[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]]
-    G = sp.bmat([fields[k] for k in _PAIRS])
-    C = sp.bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
-                 [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
-    return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
-            _interleaved(C, rows=True, cols=False)[2:-2])
+    nodes, ones = np.arange(N), np.ones(N)
+    eye = (nodes, nodes, ones)
+    D1, D2, D3 = (_derivative_entries(N, h, m) for m in (1, 2, 3))
+    fields = [(eye, 0), (D2, 0), (eye, 1), (D1, 1), (D2, 1), (D3, 1)]
+    gi, gj, gv = _stacked([fields[k] for k in _PAIRS], n)
+    # C's blocks, transposed: stacked by column
+    (r1, c1, v1), (r2, c2, v2) = D1, D2
+    cj, ci, cv = _stacked([((c1, r1, -v1), 0), ((c1, r1, -p.alpha_p * v1), 0),
+                           ((c2, r2, -p.c_nl * v2 - (r2 == c2)), 1), ((c1, r1, -v1), 1),
+                           ((nodes, nodes, p.beta_p * ones), 1),
+                           ((nodes, nodes, p.rho_nl * ones), 1)], n)
+    return _csr(gi, gj, gv, (12 * N, 2 * n)), _csr(ci, cj, cv, (2 * n, 6 * N))

@@ -72,12 +72,21 @@ class SimState:
     to eta's trace.  No stepping entry changes a state: `run` and
     `Stepper.advance` step their own copy of its line, and a state made
     here owns its u, a copy of its fields.  `eta` and `omega` are strided
-    views of u; treat them as read-only.  A history that is not a
-    `HistoryLine`, or complex eta or omega, or eta and omega not 1-D of one
-    length, is a ConfigurationError.
+    views of u; treat them as read-only.  A time that is not a finite real
+    number, a history that is not a `HistoryLine`, and eta and omega that
+    are not integer or float arrays, or not 1-D of one length, are
+    ConfigurationErrors.
     """
 
     def __init__(self, t: float, eta, omega, history: HistoryLine):
+        try:
+            finite = (isinstance(t, numbers.Real) and not isinstance(t, bool)
+                      and math.isfinite(t))
+        except OverflowError:   # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"the state's time must be a finite real number, "
+                                     f"got {t!r}")
         if not isinstance(history, HistoryLine):
             raise ConfigurationError(f"the history must be a HistoryLine, got "
                                      f"{type(history).__name__}")
@@ -94,11 +103,12 @@ class SimState:
 
 def _interleave(eta, omega) -> np.ndarray:
     """u = (eta_1, omega_1, eta_2, ...), a new float array, of the real 1-D
-    fields eta and omega of one length; refuses others (`SimState`)."""
+    fields eta and omega of one length, integer or float; refuses others
+    (`SimState`)."""
     eta, omega = np.asarray(eta), np.asarray(omega)
-    if "c" in eta.dtype.kind + omega.dtype.kind:
+    if not {eta.dtype.kind, omega.dtype.kind} <= set("iuf"):
         raise ConfigurationError(f"eta and omega must be real, got dtypes {eta.dtype} "
-                                 f"and {omega.dtype}")
+                                 f"and {omega.dtype}: integer or float arrays only")
     if eta.ndim != 1 or eta.shape != omega.shape:
         raise ConfigurationError(f"eta and omega must be 1-D of one length, "
                                  f"got shapes {eta.shape} and {omega.shape}")

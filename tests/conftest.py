@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import csr_array
 
 import bousslab as bl
 from bousslab.errors import NumericalError
@@ -28,6 +29,13 @@ def dense_from_band(ab, kl, ku):
         j = np.arange(max(0, -off), min(m, m - off))
         A[j + off, j] = ab[r, j]
     return A
+
+
+def scipy_csr(M):
+    """M, the CSR arrays of `operators.CSR` (a stepper's `_G` or `_C`), as a
+    scipy CSR array on the same arrays: for `@`, `.toarray()` and
+    `has_canonical_format`."""
+    return csr_array((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def failing_solve(monkeypatch, after):

@@ -556,6 +556,30 @@ def test_failed_write_is_output_error(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
 
 
+def _fresh(code: str) -> str:
+    """The standard output of `code` run in a fresh interpreter that imports
+    bousslab from this checkout."""
+    src = str(Path(bousslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# a slow mode, a linear run and a nonlinear stepper's maps applied once
+_RUNS = ("p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4, "
+         "alpha_p=0.7, beta_p=-0.4, rho_nl=0.3); "
+         "dly = bl.DelaySpec(tau0=0.5, M=2.0, d=0.0); "
+         "ops = bl.build_operators(p, bl.Grid(n=16, L=1.0)); "
+         "state, _ = bl.slow_mode_state(ops, p, dly, 1e-3, amplitude=0.01); "
+         "rep = bl.run(state, 0.05, bl.StepConfig(dt=1e-3), p, dly, ops); "
+         "nl = bl.run(state, 0.05, bl.StepConfig(dt=1e-3, nonlinear=True), p, dly, ops); ")
+
+# the scipy and numpy packages whose imports cost more than a short run
+_HEAVY = ("scipy.linalg", "scipy.sparse", "scipy._lib.array_api_compat", "numpy.f2py",
+          "numpy.testing")
+
+
 def test_import_surface():
     # neither importing the package nor finding a slow mode loads ARPACK, and
     # the history interpolant needs no scipy.interpolate
@@ -565,18 +589,85 @@ def test_import_surface():
             "bl.slow_mode_state(bl.build_operators(p, bl.Grid(n=48, L=1.0)), p, dly, 1e-3); "
             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.interpolate') "
             "if m in sys.modules))")
-    src = str(Path(bousslab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_package_import_loads_no_scipy_subpackage():
+    # LAPACK's banded LU is loaded from its file: importing the package and
+    # the CLI runs neither scipy.linalg's nor scipy.sparse's __init__, nor
+    # the array-API namespace and numpy modules they pull in
+    code = (f"import sys, bousslab, bousslab.cli; "
+            f"print(sorted(m for m in {_HEAVY!r} if m in sys.modules))")
+    assert _fresh(code).strip() == "[]"
+
+
+def test_runs_load_only_the_two_compiled_scipy_modules():
+    # past `import scipy`, a slow mode, a linear run and a nonlinear run load
+    # the two compiled modules they call and no package of scipy
+    code = ("import sys, scipy; before = set(sys.modules); "
+            "import bousslab as bl, bousslab.cli; " + _RUNS +
+            "print(rep.termination, nl.termination); "
+            "print(*sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))")
+    runs, loaded = _fresh(code).splitlines()
+    assert runs == "completed completed"
+    assert loaded.split() == ["scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+
+
+# the kernels bousslab calls, each compared with scipy's own
+_SAME = ("from bousslab.operators import _compiled, _flapack; "
+         "import scipy.linalg, scipy.sparse; "
+         "from scipy.linalg import lapack; from scipy.sparse import _sparsetools; "
+         "csr = _compiled('scipy.sparse._sparsetools'); "
+         "print(_flapack is sys.modules['scipy.linalg._flapack'], "
+         "csr is _sparsetools, csr.csr_matvec is _sparsetools.csr_matvec, "
+         "all(getattr(_flapack, f) is getattr(lapack, f) for f in "
+         "('dgbtrf', 'dgbtrs', 'zgbtrf', 'zgbtrs')), "
+         "lapack.get_lapack_funcs(('gbtrf',), (np.zeros((3, 3)),))[0] is _flapack.dgbtrf); ")
+
+
+@pytest.mark.parametrize("order", ["scipy-first", "bousslab-first"])
+def test_the_loaded_kernels_are_scipys_own(order):
+    # one module object, registered under its own name: scipy's packages,
+    # imported before or after bousslab, reuse it, so bousslab calls the
+    # functions scipy.linalg.lapack and scipy.sparse hand out
+    first = "import scipy.linalg, scipy.sparse; " if order == "scipy-first" else ""
+    code = f"import sys, numpy as np; {first}import bousslab as bl; " + _SAME + _RUNS
+    assert _fresh(code).split() == ["True"] * 5
+
+
+# what the finder `operators` binds at its import finds: nothing, or a file
+# that is no compiled module
+_LOOKUPS = {"missing": "None",
+            "unloadable": "importlib.util.spec_from_loader("
+                          "name, machinery.ExtensionFileLoader(name, os.devnull))"}
+
+
+@pytest.mark.parametrize("lookup", list(_LOOKUPS))
+def test_a_failed_file_load_falls_back_to_the_package_import(lookup):
+    # a wheel whose compiled modules are not where the lookup expects them:
+    # bousslab imports them with their packages, logs that at DEBUG, and
+    # calls the same functions
+    code = ("import importlib.util, logging, os, sys, numpy as np, "
+            "importlib.machinery as machinery; "
+            "logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, "
+            "format='%(name)s %(message)s'); "
+            "Lookup = machinery.FileFinder; "
+            "machinery.FileFinder = type('FileFinder', (Lookup,), "
+            f"{{'find_spec': lambda self, name, target=None: {_LOOKUPS[lookup]}}}); "
+            "import bousslab as bl; machinery.FileFinder = Lookup; " + _RUNS +
+            "print(rep.termination, nl.termination); " + _SAME)
+    out = _fresh(code).splitlines()
+    fallbacks = [line for line in out if line.startswith("bousslab.operators cannot load")]
+    assert [line.split()[3] for line in fallbacks] == ["scipy.linalg._flapack",
+                                                      "scipy.sparse._sparsetools"]
+    assert out[-2:] == ["completed completed", "True True True True True"]
 
 
 def test_linear_run_never_imports_scipy_sparse():
-    # A lives in its band storage alone: importing the package and the CLI
-    # and making a linear run load no scipy.sparse; only a nonlinear
-    # stepper's CSR maps import it
+    # A lives in its band storage alone, and a nonlinear stepper's CSR maps
+    # are numpy arrays applied by the compiled kernel: importing the package
+    # and the CLI and making a linear run, or building a nonlinear stepper,
+    # load no scipy.sparse
     code = ("import sys, bousslab as bl, bousslab.cli; "
             "p = bl.SystemParams(a=0.1, a1=0.0065, L=1.0, alpha=0.05, beta=5e-4); "
             "dly = bl.DelaySpec(tau0=0.5, M=2.0, d=0.0); "
@@ -586,12 +677,7 @@ def test_linear_run_never_imports_scipy_sparse():
             "print(rep.termination, 'scipy.sparse' in sys.modules); "
             "bl.Stepper(ops, bl.StepConfig(dt=1e-3, nonlinear=True), p, dly); "
             "print('scipy.sparse' in sys.modules)")
-    src = str(Path(bousslab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["completed", "False", "True"]
+    assert _fresh(code).split() == ["completed", "False", "False"]
 
 
 SWEEP = GOOD + """

@@ -94,18 +94,73 @@ def test_sparse_calls_are_found():
         ("slow_mode_state", 10)]
 
 
+def _imported(node):
+    """The modules an import statement names, `from scipy import sparse` as
+    scipy.sparse; none for a relative import or another statement."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return ([f"scipy.{alias.name}" for alias in node.names]
+                if node.module == "scipy" else [node.module])
+    return []
+
+
+def _within(module, packages):
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
 def _sparse_imports(tree):
     """(line, module) of each import of scipy.sparse or one of its submodules."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = ([f"scipy.{alias.name}" for alias in node.names]
-                       if node.module == "scipy" else [node.module])
-        else:
-            continue
-        yield from ((node.lineno, m) for m in modules
-                    if m == "scipy.sparse" or m.startswith("scipy.sparse."))
+        yield from ((node.lineno, m) for m in _imported(node) if _within(m, ("scipy.sparse",)))
+
+
+def _outside_functions(node):
+    """The nodes below node that run when its module is imported: all but
+    those inside a function or lambda body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+# packages whose __init__ costs more than a short run: a run calls two
+# compiled modules of theirs, which `operators._compiled` loads alone
+HEAVY = ("scipy.linalg", "scipy.sparse")
+
+
+def _module_level_heavy_imports(tree):
+    """(line, module) of each import of a HEAVY package or its submodules
+    that runs at module import."""
+    for node in _outside_functions(tree):
+        yield from ((node.lineno, m) for m in _imported(node) if _within(m, HEAVY))
+
+
+def test_no_module_imports_scipy_linalg_or_sparse_at_import():
+    found = [f"{path.name}:{line}: {module}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, module in _module_level_heavy_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_module_level_heavy_imports_are_found():
+    source = ("from scipy.linalg import lapack\n"
+              "import numpy, scipy.sparse as sp\n"
+              "from scipy import linalg, optimize\n"
+              "import scipy.linalg._flapack\n"
+              "if TYPE_CHECKING:\n    import scipy.sparse.linalg\n"
+              "try:\n    from scipy.sparse import csr_array\nexcept ImportError:\n    pass\n"
+              "class A:\n    from scipy.linalg import lu\n"
+              "    def f(self):\n        import scipy.sparse\n"
+              "def g():\n    from scipy.linalg import lapack\n"
+              "h = lambda: __import__('scipy.sparse')\n"
+              "import scipy\n"
+              "from scipy.linalgebra import x\n"
+              "from .sparse import y\n")
+    assert sorted(_module_level_heavy_imports(ast.parse(source))) == [
+        (1, "scipy.linalg"), (2, "scipy.sparse"), (3, "scipy.linalg"),
+        (4, "scipy.linalg._flapack"), (6, "scipy.sparse.linalg"), (8, "scipy.sparse"),
+        (12, "scipy.linalg")]
 
 
 def test_only_operators_imports_scipy_sparse():

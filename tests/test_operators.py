@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
 
 import bousslab as bl
 from bousslab.operators import (_PAIRS, BandedLU, _build_single, _csr_apply, _NPTS_2BC,
@@ -10,7 +10,7 @@ from bousslab.operators import (_PAIRS, BandedLU, _build_single, _csr_apply, _NP
                                 trace_weights)
 from bousslab.stepping import StepConfig, Stepper
 
-from conftest import dense_from_band
+from conftest import dense_from_band, scipy_csr
 
 L = 1.0
 # boundary-condition counts (left, right) of each unknown
@@ -169,10 +169,71 @@ def test_block_assembly_matches_triplet_oracle(n):
         assert ab.dtype == ab_ref.dtype and np.array_equal(_u64(ab), _u64(ab_ref))
         pairs = zip(nonlinear_matrices(n, g.h, p), _triplet_G_C(n, g.h, p))
         for M, ref in pairs:
-            assert M.shape == ref.shape and M.has_canonical_format
+            assert M.shape == ref.shape and scipy_csr(M).has_canonical_format
             for attr in ("indptr", "indices", "data"):
                 ours, theirs = getattr(M, attr), getattr(ref, attr)
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), attr
+
+
+def _interleaved(M, rows: bool, cols: bool):
+    """M, assembled in (eta, omega) block form, with its rows and/or columns moved
+    to the interleaved layout (eta_1, omega_1, eta_2, ...), in canonical CSR without
+    explicit zeros: of 2m indices, block index k goes to 2k for k < m, else 2(k - m) + 1."""
+    M = coo_matrix(M)
+    r, c = M.row, M.col
+    if rows:
+        r = np.arange(M.shape[0]).reshape(-1, 2).T.ravel()[r]
+    if cols:
+        c = np.arange(M.shape[1]).reshape(-1, 2).T.ravel()[c]
+    out = csr_matrix((M.data, (r, c)), shape=M.shape)
+    out.eliminate_zeros()
+    return out
+
+
+def _bmat_G_C(n, h, p):
+    """G and C of `nonlinear_matrices` as scipy.sparse assembled them before
+    the numpy assembly: block form with `bmat`, interleaved, cut to the
+    interior nodes."""
+    N = n + 2
+    I = identity(N, format="csr")
+    D1, D2, D3 = (derivative_matrix(N, h, m) for m in (1, 2, 3))
+    fields = [[I, None], [D2, None], [None, I], [None, D1], [None, D2], [None, D3]]
+    G = bmat([fields[k] for k in _PAIRS])
+    C = bmat([[-D1, -p.alpha_p * D1, None, None, None, None],
+              [None, None, -p.c_nl * D2 - I, -D1, p.beta_p * I, p.rho_nl * I]])
+    return (_interleaved(G, rows=False, cols=True)[:, 2:-2],
+            _interleaved(C, rows=True, cols=False)[2:-2])
+
+
+@pytest.mark.parametrize("n", [8, 50, 101, 203, 403])
+def test_nonlinear_maps_match_the_block_oracle(n):
+    # G and C, assembled in numpy from the stencil entries, store the arrays
+    # of the scipy.sparse block assembly bit for bit, on the grid's h and on
+    # h = 1/64, where c_nl = h^2/2 cancels the -c_nl D2 - I diagonal of
+    # every interior omega row to zero: neither stores it
+    h_cancel = 2.0 ** -6
+    d = -2.0 / h_cancel ** 2   # D2's interior diagonal entry
+    assert derivative_matrix(n + 2, h_cancel, 2)[1, 1] == d
+    c_cancel = -1.0 / d
+    assert -c_cancel * d - 1.0 == 0.0
+    cases = [(1.0 / (n + 1), dict(alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=0.25)),
+             (1.0 / (n + 1), dict()),
+             (1.0 / (n + 1), dict(alpha_p=-1e-3, beta_p=0.0, rho_nl=2.5, c_nl=0.0)),
+             (h_cancel, dict(alpha_p=0.7, beta_p=-0.4, rho_nl=0.3, c_nl=c_cancel))]
+    for h, kw in cases:
+        p = bl.SystemParams(**kw)
+        ours, refs = nonlinear_matrices(n, h, p), _bmat_G_C(n, h, p)
+        for M, ref in zip(ours, refs):
+            assert M.shape == ref.shape and scipy_csr(M).has_canonical_format
+            for attr in ("indptr", "indices", "data"):
+                mine, theirs = getattr(M, attr), getattr(ref, attr)
+                assert mine.dtype == theirs.dtype, attr
+                assert np.array_equal(mine.view(np.uint8), theirs.view(np.uint8)), attr
+        if h == h_cancel:
+            # omega rows 2 (i - 1) + 1, i = 1..n, on the diagonal of C's wf w_x block
+            i = np.arange(1, n + 1)
+            assert not scipy_csr(ours[1]).toarray()[2 * (i - 1) + 1, 2 * (n + 2) + i].any()
+            assert np.all(ours[1].data != 0.0)
 
 
 def test_quartic_exact_with_curvature_channels():
@@ -426,7 +487,7 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
     assert np.all(st._G.data != 0.0) and np.all(st._C.data != 0.0)
     # alpha_p = 0: that block stores nothing
     C0 = nonlinear_matrices(n, g.h, bl.SystemParams())[1]
-    assert np.all(C0.data != 0.0) and C0.nnz < st._C.nnz
+    assert np.all(C0.data != 0.0) and C0.data.size < st._C.data.size
     # a linear stepper assembles neither
     assert not hasattr(Stepper(ops, StepConfig(dt=1e-3), p, dly), "_G")
     rng = np.random.default_rng(n)
@@ -438,7 +499,7 @@ def test_nonlinear_rhs_matches_composition_oracle(n):
         for sl in (slice(0, None, 2), slice(1, None, 2)):
             u[sl] = rng.standard_normal(4) @ np.sin(np.pi * k * x)
         ref = _composed_nonlinear_rhs(u, p, g.h)
-        rhs = st._nonlinear_rhs(st._G @ u)
+        rhs = st._nonlinear_rhs(scipy_csr(st._G) @ u)
         assert np.max(np.abs(rhs - ref)) <= 1e-9 * np.max(np.abs(ref))
     # each derivative agrees to roundoff: a few ulps of sum_j |D_ij f_j|
     full = np.pad(u[1::2], 1)
@@ -464,7 +525,7 @@ def test_folded_pointwise_terms_keep_the_bits(n):
     # wf w_x, beta_p I on w_x w_xx and rho_nl I on wf w_xxx
     p, g, st = _nonlinear_stepper(n)
     N = n + 2
-    C = st._C.toarray()
+    C = scipy_csr(st._C).toarray()
     blocks = [C[:, b * N:(b + 1) * N] for b in range(6)]
     for b, op in ((2, -p.c_nl * derivative_matrix(N, g.h, 2) - identity(N)),
                   (4, p.beta_p * identity(N)), (5, p.rho_nl * identity(N))):
@@ -483,7 +544,7 @@ def test_nonlinear_increment_scales_with_the_difference(n):
     modes = np.sin(np.pi * np.arange(1, 5)[:, None] * g.nodes / L)
     # random smooth fields, interleaved: a few low sine modes on each unknown
     u, d = ((rng.standard_normal((2, 4)) @ modes).T.ravel() for _ in range(2))
-    F, Fd = (st._G @ v for v in (u, d))
+    F, Fd = (scipy_csr(st._G) @ v for v in (u, d))
     inc = st._nonlinear_rhs(F, Fd)
     for k in (0, 10, 30):
         assert np.array_equal(st._nonlinear_rhs(F, 2.0 ** -k * Fd), 2.0 ** -k * inc)
@@ -501,7 +562,7 @@ def test_csr_apply_is_the_matmul_kernel(n):
     # unbounded
     p, g, st = _nonlinear_stepper(n)
     rng = np.random.default_rng(n)
-    for M, apply in ((st._G, st._apply_G), (st._C, st._apply_C)):
+    for M, apply in ((scipy_csr(st._G), st._apply_G), (scipy_csr(st._C), st._apply_C)):
         xs = [rng.standard_normal(M.shape[1]) for _ in range(3)]
         bad = rng.standard_normal(M.shape[1])
         bad[[1, M.shape[1] // 2]] = np.inf, np.nan

@@ -14,7 +14,7 @@ from bousslab.operators import BandedLU, band_storage, nonlinear_matrices
 from bousslab.report import CSV_COLUMNS
 from bousslab.stepping import SimState, Stepper, _coarse_spectrum
 
-from conftest import ACC, ACC_DELAY, dense_from_band, failing_solve
+from conftest import ACC, ACC_DELAY, dense_from_band, failing_solve, scipy_csr
 
 
 def _setup(n=32, beta=5e-4):
@@ -451,7 +451,7 @@ def _oracle_step(stepper, p, lu, state, hist, grid, M2=None):
         column, law = stepper.forcing
         b = b + law(np.array([t_eval]))[0] * column
     if cfg.nonlinear:
-        G, C = nonlinear_matrices(n, grid.h, p)
+        G, C = (scipy_csr(M) for M in nonlinear_matrices(n, grid.h, p))
         h = 6 * (n + 2)
         F = G @ u
         rhs = C @ (F[:h] * F[h:])
@@ -853,17 +853,39 @@ def test_a_state_refuses_a_history_that_is_not_a_line(history, named):
 @pytest.mark.parametrize("eta, omega, dtypes", [
     (np.zeros(32) + 1j, np.zeros(32), "complex128 and float64"),
     (np.zeros(32), np.zeros(32, dtype=np.complex64), "float64 and complex64"),
-    (np.zeros(32).tolist(), [1j] * 32, "float64 and complex128")],
-    ids=["eta", "omega", "lists"])
+    (np.zeros(32).tolist(), [1j] * 32, "float64 and complex128"),
+    (np.array(["a"] * 32), np.zeros(32), "<U1 and float64"),
+    (np.zeros(32), np.array([1j] * 32, dtype=object), "float64 and object"),
+    (np.zeros(32, dtype=bool), np.zeros(32), "bool and float64")],
+    ids=["eta", "omega", "lists", "strings", "complex-objects", "bools"])
 def test_complex_fields_are_refused(eta, omega, dtypes):
-    # once kept as their real part, with a ComplexWarning
+    # once kept as their real part, with a ComplexWarning; fields of any
+    # dtype but integer or float once raised a raw ValueError (strings) or
+    # TypeError (complex objects), or were read as 0.0 and 1.0 (bools)
     p, dly, g, ops = _setup(n=32)
     line = bl.HistoryLine([-dly.tau0, 0.0], [0.0, 0.0])
-    message = f"eta and omega must be real, got dtypes {dtypes}"
+    message = re.escape(f"eta and omega must be real, got dtypes {dtypes}: "
+                        f"integer or float arrays only")
     with pytest.raises(ConfigurationError, match=message):
         SimState(0.0, eta, omega, line)
     with pytest.raises(ConfigurationError, match=message):
         bl.initial_state(p, dly, g, eta, omega)
+    # integer and single-precision fields are read as floats
+    s = SimState(0.0, np.arange(32), np.ones(32, dtype=np.float32), line)
+    assert s.u.dtype == float and np.array_equal(s.eta, np.arange(32.0))
+
+
+@pytest.mark.parametrize("t, named", [
+    (None, "None"), ("0", "'0'"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    (True, "True"), (10 ** 400, "1" + "0" * 400)],
+    ids=["None", "string", "nan", "inf", "-inf", "bool", "10**400"])
+def test_a_state_refuses_a_time_that_is_not_a_finite_real_number(t, named):
+    # once a raw TypeError from `run` and `advance`, and a raw UFuncTypeError
+    # from `energy_sample`
+    line = bl.HistoryLine([-0.5, 0.0], [0.0, 0.0])
+    message = re.escape(f"the state's time must be a finite real number, got {named}") + "$"
+    with pytest.raises(ConfigurationError, match=message):
+        SimState(t, np.zeros(16), np.zeros(16), line)
 
 
 def _contract_state(kind, ops, p, dly):
